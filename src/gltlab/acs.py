@@ -19,7 +19,6 @@ within a one-sided 95% Hoeffding radius sqrt(ln(20) / (2 trials)).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -28,6 +27,7 @@ import numpy as np
 from .errors import InvalidParameterError
 from .matgen import as_array
 from .multiindex import MultiIndex, check_size, format_multiindex
+from .reports import csv_text
 from .spectra import _normalize_sizes, non_increasing, schatten_norm, trending_to_zero
 
 _RANK_TOL = 1e-10
@@ -116,26 +116,14 @@ class AcsCertificate:
     metadata: dict = field(default_factory=dict)
 
     def write_csv(self, fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["m", "n", "d_n", "rank_frac", "norm_part", "freq_rank", "freq_norm",
-             "freq_S", "verdict"]
-        )
         verdict = "PASS" if self.passed else "FAIL"
-        for row in self.rows:
-            writer.writerow(
-                [
-                    row.m,
-                    format_multiindex(row.n),
-                    row.d_n,
-                    repr(row.rank_frac),
-                    repr(row.norm_part),
-                    repr(row.freq_rank),
-                    repr(row.freq_norm),
-                    repr(row.freq_s),
-                    verdict,
-                ]
-            )
+        fh.write(csv_text(
+            ["m", "n", "d_n", "rank_frac", "norm_part", "freq_rank", "freq_norm", "freq_S",
+             "verdict"],
+            ([row.m, format_multiindex(row.n), row.d_n, repr(row.rank_frac),
+              repr(row.norm_part), repr(row.freq_rank), repr(row.freq_norm), repr(row.freq_s),
+              verdict] for row in self.rows),
+        ))
 
 
 def _limsup_estimate(values_by_n: Sequence[float]) -> float:
@@ -157,7 +145,8 @@ def acs_check(family, target, m_list: Sequence[int], sizes: Sequence,
         raise InvalidParameterError("m_list must be non-empty")
     norm_sizes = _normalize_sizes(sizes)
     sigma1: dict[int, list[float]] = {m: [] for m in m_list}
-    argmin_split: dict[int, list[Splitting]] = {m: [] for m in m_list}
+    # (d_n, rank fraction, norm) of each argmin splitting; its matrices are dropped.
+    argmin_split: dict[int, list[tuple[int, float, float]]] = {m: [] for m in m_list}
     for m in m_list:
         for n in norm_sizes:
             a = as_array(target(n))
@@ -168,7 +157,7 @@ def acs_check(family, target, m_list: Sequence[int], sizes: Sequence,
                 )
             diff = a - b
             split = optimal_splitting(diff)
-            argmin_split[m].append(split)
+            argmin_split[m].append((diff.shape[0], split.rank_fraction, split.norm))
             sigma1[m].append(schatten_norm(diff, np.inf))
 
     omega_pure = {m: _limsup_estimate(sigma1[m]) for m in m_list}
@@ -179,20 +168,17 @@ def acs_check(family, target, m_list: Sequence[int], sizes: Sequence,
         c = {m: 0.0 for m in m_list}
         omega = omega_pure
         for m in m_list:
-            for n, s1, split in zip(norm_sizes, sigma1[m], argmin_split[m]):
-                d_n = split.rank_part.shape[0]
+            for n, s1, (d_n, _, _) in zip(norm_sizes, sigma1[m], argmin_split[m]):
                 rows.append(CertRow(m, n, d_n, 0.0, s1, 1.0, 1.0, 0.0))
         strategy = "pure-norm splitting (rank part unnecessary)"
     else:
         c = {}
         omega = {}
         for m in m_list:
-            fracs = [s.rank_fraction for s in argmin_split[m]]
-            norms = [s.norm for s in argmin_split[m]]
-            c[m] = _limsup_estimate(fracs)
-            omega[m] = _limsup_estimate(norms)
-            for n, s in zip(norm_sizes, argmin_split[m]):
-                rows.append(CertRow(m, n, s.rank_part.shape[0], s.rank_fraction, s.norm, 1.0, 1.0, 0.0))
+            c[m] = _limsup_estimate([frac for _, frac, _ in argmin_split[m]])
+            omega[m] = _limsup_estimate([norm for _, _, norm in argmin_split[m]])
+            for n, (d_n, frac, norm) in zip(norm_sizes, argmin_split[m]):
+                rows.append(CertRow(m, n, d_n, frac, norm, 1.0, 1.0, 0.0))
         strategy = "argmin splitting"
     passed = trending_to_zero([c[m] for m in m_list], slack=slack, decay=decay, floor=floor) and \
         trending_to_zero([omega[m] for m in m_list], slack=slack, decay=decay, floor=floor)

@@ -15,57 +15,33 @@ Experiments are described by line-oriented config files::
     tolerance = 0.05
     slack = 1.5
 
-Artifacts (CSV reports, a JSON summary, optional SVG) are written atomically;
-given identical config and seed the bytes are identical across runs.  Exit
-codes: 0 all verdicts PASS, 1 failed verdict, 2 usage/config error,
-3 numerical error.
+``ExperimentConfig``'s fields are the one schema for config files and
+subcommand options.  ``run_experiment`` writes every artifact atomically;
+identical config and seed give identical bytes.  Exit codes: 0 all verdicts
+PASS, 1 failed verdict, 2 usage/config error, 3 numerical error.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import io
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Mapping
 
 import numpy as np
 
 from . import acs as acs_mod
 from . import dsl
-from .errors import (
-    CalculusError,
-    ConfigurationError,
-    DslSyntaxError,
-    EvaluationError,
-    GltLabError,
-    IndexRangeError,
-    InvalidParameterError,
-    InvalidSizeError,
-    ModeError,
-    QuadratureError,
-    SingularEvaluationError,
-    SizeCapError,
-    SolverError,
-)
+from .errors import ConfigurationError, GltLabError
 from .gltcalc import glt5_split_check, materialize, symbol_of, truncate_toeplitz
 from .multiindex import format_multiindex, min_entry, parse_multiindex
-from .reports import summary_json, svg_line_chart, write_with, atomic_write_text
+from .reports import atomic_write_text, csv_text, summary_json, svg_line_chart
 from .spectra import distribution_check, spectrum
 
 EXPERIMENT_KINDS = ("distribution", "acs", "zero", "sacs", "spectrum", "glt5")
-
-_USAGE_ERRORS = (
-    ConfigurationError,
-    InvalidParameterError,
-    DslSyntaxError,
-    InvalidSizeError,
-    IndexRangeError,
-    CalculusError,
-    ModeError,
-    SizeCapError,
-)
-_NUMERIC_ERRORS = (QuadratureError, SolverError, EvaluationError, SingularEvaluationError)
 
 
 def parse_sizes(text: str, d: int | None) -> list[tuple[int, ...]]:
@@ -83,29 +59,40 @@ def parse_sizes(text: str, d: int | None) -> list[tuple[int, ...]]:
     return [parse_multiindex(c) for c in chunks]
 
 
+def _field(default, parse):
+    """A config field whose text form (file value or option) ``parse`` converts."""
+    if isinstance(default, list):
+        return field(default_factory=list, metadata={"parse": parse})
+    return field(default=default, metadata={"parse": parse})
+
+
 @dataclass
 class ExperimentConfig:
-    kind: str = ""
-    expr: str | None = None
-    d: int | None = None
-    r: int | None = None
-    sizes: list = field(default_factory=list)
-    mode: str = "sigma"
-    seed: int | None = None
-    out: str = "gltlab-out"
-    plot: bool = False
-    basket: str = "auto"
-    tolerance: float = 0.05
-    slack: float = 1.5
-    quad_tol: float = 1e-7
-    grid: int = 64
-    m_list: list = field(default_factory=list)
-    family: str = "truncate"
-    model: str = "designed"
-    trials: int = 10000
-    p: float = 2.0
-    zero_tol: float = 0.1
-    numeric_degree: int | None = None
+    """One experiment.  The field list is the config schema: every field is
+    a config key and, where a subcommand exposes it, an option's ``dest``.
+    ``sizes`` is parsed with the already-parsed ``d``."""
+
+    kind: str = _field("", str.strip)
+    expr: str | None = _field(None, str.strip)
+    d: int | None = _field(None, int)
+    r: int | None = _field(None, int)
+    sizes: list = _field([], parse_sizes)
+    mode: str = _field("sigma", str.strip)
+    seed: int | None = _field(None, int)
+    out: str = _field("gltlab-out", str.strip)
+    plot: bool = _field(False, lambda s: s.strip().lower() in ("1", "true", "yes"))
+    basket: str = _field("auto", str.strip)
+    tolerance: float = _field(0.05, float)
+    slack: float = _field(1.5, float)
+    quad_tol: float = _field(1e-7, float)
+    grid: int = _field(64, int)
+    m_list: list = _field([], lambda s: [int(v) for v in s.split(",")])
+    family: str = _field("truncate", str.strip)
+    model: str = _field("designed", str.strip)
+    trials: int = _field(10000, int)
+    p: float = _field(2.0, lambda s: np.inf if s.strip() in ("inf", "oo") else float(s))
+    zero_tol: float = _field(0.1, float)
+    numeric_degree: int | None = _field(None, int)
 
     def validate(self) -> list[str]:
         problems = []
@@ -151,7 +138,43 @@ class ExperimentConfig:
         return problems
 
 
-def config_from_file(path: str) -> ExperimentConfig:
+def _raise_problems(problems: list[str]) -> None:
+    if problems:
+        raise ConfigurationError(
+            "invalid configuration: " + "; ".join(problems), fields=problems
+        )
+
+
+def config_from_mapping(raw: Mapping[str, str]) -> ExperimentConfig:
+    """Build a config from text values keyed by field name.
+
+    Every value its field cannot parse, every unknown key and every
+    ``validate()`` problem is collected into one ConfigurationError.  The
+    ``parse`` subcommand (kind ``parse``) runs no experiment and skips
+    ``validate()``.
+    """
+    schema = fields(ExperimentConfig)
+    problems: list[str] = []
+    values: dict = {}
+    for f in schema:
+        if f.name not in raw:
+            continue
+        parse, text = f.metadata["parse"], raw[f.name]
+        try:
+            values[f.name] = parse(text, values.get("d")) if f.name == "sizes" else parse(text)
+        except (ValueError, GltLabError) as exc:
+            problems.append(f"{f.name}: {exc}")
+    known = {f.name for f in schema}
+    problems.extend(f"{key}: unknown config key" for key in raw if key not in known)
+    cfg = ExperimentConfig(**values)
+    if cfg.kind != "parse":
+        problems.extend(cfg.validate())
+    _raise_problems(problems)
+    return cfg
+
+
+def _read_config(path: str) -> dict[str, str]:
+    """The merged ``[experiment]`` and ``[tolerances]`` sections of a config file."""
     if not os.path.exists(path):
         raise ConfigurationError(f"config file {path!r} does not exist", fields=["config"])
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -161,50 +184,18 @@ def config_from_file(path: str) -> ExperimentConfig:
         raise ConfigurationError(f"cannot parse config: {exc}", fields=["config"])
     if "experiment" not in parser:
         raise ConfigurationError("missing [experiment] section", fields=["experiment"])
-    cfg = ExperimentConfig()
-    problems: list[str] = []
+    unknown = [s for s in parser.sections() if s not in ("experiment", "tolerances")]
+    if unknown:
+        raise ConfigurationError(f"unknown config sections {unknown}", fields=unknown)
     merged: dict[str, str] = {}
     for section in ("experiment", "tolerances"):
         if section in parser:
             merged.update(parser[section])
+    return merged
 
-    def take(key, conv, default):
-        raw = merged.pop(key, None)
-        if raw is None:
-            return default
-        try:
-            return conv(raw)
-        except (ValueError, GltLabError) as exc:
-            problems.append(f"{key}: {exc}")
-            return default
 
-    cfg.kind = take("kind", str.strip, "")
-    cfg.expr = take("expr", str.strip, None)
-    cfg.d = take("d", int, None)
-    cfg.r = take("r", int, None)
-    cfg.sizes = take("sizes", lambda s: parse_sizes(s, cfg.d), [])
-    cfg.mode = take("mode", str.strip, "sigma")
-    cfg.seed = take("seed", int, None)
-    cfg.out = take("out", str.strip, cfg.out)
-    cfg.plot = take("plot", lambda s: s.strip().lower() in ("1", "true", "yes"), False)
-    cfg.basket = take("basket", str.strip, "auto")
-    cfg.tolerance = take("tolerance", float, cfg.tolerance)
-    cfg.slack = take("slack", float, cfg.slack)
-    cfg.quad_tol = take("quad_tol", float, cfg.quad_tol)
-    cfg.grid = take("grid", int, cfg.grid)
-    cfg.m_list = take("m_list", lambda s: [int(v) for v in s.split(",")], [])
-    cfg.family = take("family", str.strip, cfg.family)
-    cfg.model = take("model", str.strip, cfg.model)
-    cfg.trials = take("trials", int, cfg.trials)
-    cfg.p = take("p", lambda s: np.inf if s.strip() in ("inf", "oo") else float(s), cfg.p)
-    cfg.zero_tol = take("zero_tol", float, cfg.zero_tol)
-    cfg.numeric_degree = take("numeric_degree", int, None)
-    problems.extend(cfg.validate())
-    if problems:
-        raise ConfigurationError(
-            "invalid configuration: " + "; ".join(problems), fields=problems
-        )
-    return cfg
+def config_from_file(path: str) -> ExperimentConfig:
+    return config_from_mapping(_read_config(path))
 
 
 @dataclass
@@ -218,23 +209,27 @@ class ExperimentResult:
         return 0 if self.passed else 1
 
 
+def _verdict(passed: bool) -> str:
+    return "PASS" if passed else "FAIL"
+
+
 def _parse_expression(cfg: ExperimentConfig):
     return dsl.parse(cfg.expr, d=cfg.d, r=cfg.r, numeric_degree=cfg.numeric_degree)
 
 
-def _emit(cfg: ExperimentConfig, name: str, render) -> str:
-    os.makedirs(cfg.out, exist_ok=True)
-    path = os.path.join(cfg.out, name)
-    write_with(path, render)
-    return path
+def _rendered(write_csv) -> str:
+    buf = io.StringIO()
+    write_csv(buf)
+    return buf.getvalue()
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    problems = cfg.validate()
-    if problems:
-        raise ConfigurationError(
-            "invalid configuration: " + "; ".join(problems), fields=problems
-        )
+    """Run ``cfg`` and write its artifacts plus ``summary.json`` into ``cfg.out``.
+
+    Every file is rendered before the first one is written, so a run that
+    fails leaves no partial output.
+    """
+    _raise_problems(cfg.validate())
     runner = {
         "distribution": _run_distribution,
         "spectrum": _run_spectrum,
@@ -243,37 +238,32 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         "sacs": _run_sacs,
         "glt5": _run_glt5,
     }[cfg.kind]
-    result = runner(cfg)
-    result.summary["kind"] = cfg.kind
-    result.summary["verdict"] = "PASS" if result.passed else "FAIL"
-    path = _emit(cfg, "summary.json", lambda fh: fh.write(summary_json(result.summary)))
-    result.artifacts.append(path)
-    return result
+    passed, summary, files = runner(cfg)
+    summary.update(kind=cfg.kind, verdict=_verdict(passed), artifacts=list(files))
+    files["summary.json"] = summary_json(summary)
+    os.makedirs(cfg.out, exist_ok=True)
+    paths = [os.path.join(cfg.out, name) for name in files]
+    for path, text in zip(paths, files.values()):
+        atomic_write_text(path, text)
+    return ExperimentResult(passed, summary, paths)
 
 
-def _run_distribution(cfg: ExperimentConfig) -> ExperimentResult:
+# Each _run_<kind> returns (passed, summary, {artifact file name: text}).
+
+
+def _run_distribution(cfg: ExperimentConfig):
     e = _parse_expression(cfg)
     seq = lambda n: materialize(e, n, r=cfg.r)
     sym = symbol_of(e, r=cfg.r)
     basket_ids = None if cfg.basket == "auto" else [s.strip() for s in cfg.basket.split(",")]
-    report = distribution_check(
-        seq,
-        sym,
-        cfg.sizes,
-        mode=cfg.mode,
-        tolerance=cfg.tolerance,
-        slack=cfg.slack,
-        quad_tol=cfg.quad_tol,
-        grid_points_per_dim=cfg.grid,
-        basket_ids=basket_ids,
-    )
-    artifacts = [_emit(cfg, "report.csv", report.write_csv)]
+    report = distribution_check(seq, sym, cfg.sizes, mode=cfg.mode, tolerance=cfg.tolerance,
+                                slack=cfg.slack, quad_tol=cfg.quad_tol,
+                                grid_points_per_dim=cfg.grid, basket_ids=basket_ids)
+    files = {"report.csv": _rendered(report.write_csv)}
     if cfg.plot:
         series = {fid: report.errors_for(fid) for fid in report.f_ids()}
-        svg = svg_line_chart(series, "distribution error vs size", "d_n", "abs error")
-        path = os.path.join(cfg.out, "plot.svg")
-        atomic_write_text(path, svg)
-        artifacts.append(path)
+        files["plot.svg"] = svg_line_chart(series, "distribution error vs size", "d_n",
+                                           "abs error")
     checks = [
         {
             "name": f"weyl distribution error ({cfg.mode} mode, F={fid})",
@@ -287,34 +277,25 @@ def _run_distribution(cfg: ExperimentConfig) -> ExperimentResult:
         "mode": cfg.mode,
         "checks": checks,
         "policy": report.metadata,
-        "artifacts": [os.path.basename(a) for a in artifacts],
     }
-    return ExperimentResult(report.passed, summary, artifacts)
+    return report.passed, summary, files
 
 
-def _run_spectrum(cfg: ExperimentConfig) -> ExperimentResult:
+def _run_spectrum(cfg: ExperimentConfig):
     e = _parse_expression(cfg)
     n = cfg.sizes[-1]
-    values = spectrum(materialize(e, n, r=cfg.r), cfg.mode)
-
-    def render(fh):
-        fh.write("index,re,im\n")
-        for idx, v in enumerate(np.atleast_1d(values)):
-            c = complex(v)
-            fh.write(f"{idx + 1},{c.real!r},{c.imag!r}\n")
-
-    artifacts = [_emit(cfg, "spectrum.csv", render)]
+    values = np.atleast_1d(spectrum(materialize(e, n, r=cfg.r), cfg.mode))
+    rows = [(idx, repr(c.real), repr(c.imag)) for idx, c in enumerate(map(complex, values), 1)]
     summary = {
         "expression": dsl.format_expression(e),
         "n": format_multiindex(n),
         "mode": cfg.mode,
-        "count": int(np.atleast_1d(values).size),
-        "artifacts": [os.path.basename(a) for a in artifacts],
+        "count": int(values.size),
     }
-    return ExperimentResult(True, summary, artifacts)
+    return True, summary, {"spectrum.csv": csv_text(("index", "re", "im"), rows)}
 
 
-def _run_acs(cfg: ExperimentConfig) -> ExperimentResult:
+def _run_acs(cfg: ExperimentConfig):
     e = _parse_expression(cfg)
     target = lambda n: materialize(e, n, r=cfg.r)
     if cfg.family == "truncate":
@@ -322,7 +303,6 @@ def _run_acs(cfg: ExperimentConfig) -> ExperimentResult:
     else:
         family = lambda m, n: materialize(e, n, r=cfg.r)
     cert = acs_mod.acs_check(family, target, cfg.m_list, cfg.sizes, slack=cfg.slack)
-    artifacts = [_emit(cfg, "certificate.csv", cert.write_csv)]
     summary = {
         "expression": dsl.format_expression(e),
         "family": cfg.family,
@@ -330,12 +310,11 @@ def _run_acs(cfg: ExperimentConfig) -> ExperimentResult:
         "omega": {str(m): cert.omega[m] for m in cert.m_list},
         "checks": [{"name": "approximating-class splitting bounds vanish"}],
         "policy": cert.metadata,
-        "artifacts": [os.path.basename(a) for a in artifacts],
     }
-    return ExperimentResult(cert.passed, summary, artifacts)
+    return cert.passed, summary, {"certificate.csv": _rendered(cert.write_csv)}
 
 
-def _run_zero(cfg: ExperimentConfig) -> ExperimentResult:
+def _run_zero(cfg: ExperimentConfig):
     if cfg.model == "expr":
         e = _parse_expression(cfg)
         seq = lambda n: materialize(e, n, r=cfg.r)
@@ -344,19 +323,12 @@ def _run_zero(cfg: ExperimentConfig) -> ExperimentResult:
         seq = acs_mod.ZERO_SEQUENCES[cfg.model]()
         label = cfg.model
     result = acs_mod.zero_distribution_test(seq, cfg.p, cfg.sizes, tol=cfg.zero_tol)
-
-    def render(fh):
-        import csv as _csv
-
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "d_n", "normalized_norm", "splitting_distance", "verdict"])
-        verdict = "PASS" if result.passed else "FAIL"
-        for n, d_n, nn, dist in zip(result.sizes, result.d_ns,
-                                    result.normalized_norms,
-                                    result.splitting_distances):
-            writer.writerow([format_multiindex(n), d_n, repr(nn), repr(dist), verdict])
-
-    artifacts = [_emit(cfg, "trend.csv", render)]
+    verdict = _verdict(result.passed)
+    rows = [
+        (format_multiindex(n), d_n, repr(nn), repr(dist), verdict)
+        for n, d_n, nn, dist in zip(result.sizes, result.d_ns, result.normalized_norms,
+                                    result.splitting_distances)
+    ]
     summary = {
         "sequence": label,
         "p": "inf" if cfg.p == np.inf else cfg.p,
@@ -366,15 +338,14 @@ def _run_zero(cfg: ExperimentConfig) -> ExperimentResult:
             {"name": "normalized Schatten norm vanishes", "verdict": result.norm_criterion},
             {"name": "rank/norm splitting vanishes", "verdict": result.splitting_criterion},
         ],
-        "artifacts": [os.path.basename(a) for a in artifacts],
     }
-    return ExperimentResult(result.passed, summary, artifacts)
+    header = ("n", "d_n", "normalized_norm", "splitting_distance", "verdict")
+    return result.passed, summary, {"trend.csv": csv_text(header, rows)}
 
 
-def _run_sacs(cfg: ExperimentConfig) -> ExperimentResult:
+def _run_sacs(cfg: ExperimentConfig):
     model = acs_mod.MODEL_ZOO[cfg.model](cfg.seed)
     cert = acs_mod.sacs_check(model, cfg.m_list, cfg.sizes, cfg.trials)
-    artifacts = [_emit(cfg, "certificate.csv", cert.write_csv)]
     summary = {
         "model": cfg.model,
         "seed": cfg.seed,
@@ -382,74 +353,37 @@ def _run_sacs(cfg: ExperimentConfig) -> ExperimentResult:
         "s_estimates": {str(m): cert.s[m] for m in cert.m_list},
         "checks": [{"name": "stochastic splitting event frequencies and trends"}],
         "policy": cert.metadata,
-        "artifacts": [os.path.basename(a) for a in artifacts],
     }
-    return ExperimentResult(cert.passed, summary, artifacts)
+    return cert.passed, summary, {"certificate.csv": _rendered(cert.write_csv)}
 
 
-def _run_glt5(cfg: ExperimentConfig) -> ExperimentResult:
+def _run_glt5(cfg: ExperimentConfig):
     e = _parse_expression(cfg)
     seq = lambda n: materialize(e, n, r=cfg.r)
     report = glt5_split_check(seq, cfg.sizes)
-
-    def render(fh):
-        import csv as _csv
-
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "norm_x", "norm_y", "trace_norm_y_over_nu", "verdict"])
-        verdict = "PASS" if report.passed else "FAIL"
+    verdict = _verdict(report.passed)
+    rows = [
+        (format_multiindex(n), repr(nx), repr(ny), repr(ty), verdict)
         for n, nx, ny, ty in zip(report.sizes, report.norm_x, report.norm_y,
-                                 report.trace_norm_y_normalized):
-            writer.writerow([format_multiindex(n), repr(nx), repr(ny), repr(ty), verdict])
-
-    artifacts = [_emit(cfg, "split.csv", render)]
+                                 report.trace_norm_y_normalized)
+    ]
     summary = {
         "expression": dsl.format_expression(e),
         "norm_x": report.norm_x,
         "norm_y": report.norm_y,
         "trace_norm_y_over_nu": report.trace_norm_y_normalized,
         "checks": [{"name": "quasi-Hermitian split: bounded norms, vanishing trace norm"}],
-        "artifacts": [os.path.basename(a) for a in artifacts],
     }
-    return ExperimentResult(report.passed, summary, artifacts)
+    header = ("n", "norm_x", "norm_y", "trace_norm_y_over_nu", "verdict")
+    return report.passed, summary, {"split.csv": csv_text(header, rows)}
 
 
 # ---------------------------------------------------------------------------
 # command line
-
-
-def _add_common(sub):
-    sub.add_argument("--out", default=None, help="output directory")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--plot", action="store_true")
-
-
-def _cfg_from_args(args, kind: str) -> ExperimentConfig:
-    cfg = ExperimentConfig(kind=kind)
-    cfg.expr = getattr(args, "expr", None)
-    cfg.d = getattr(args, "d", None)
-    cfg.r = getattr(args, "r", None)
-    sizes_text = getattr(args, "sizes", None) or getattr(args, "n", None)
-    cfg.sizes = parse_sizes(sizes_text, cfg.d) if sizes_text else []
-    cfg.mode = getattr(args, "mode", "sigma")
-    cfg.tolerance = getattr(args, "tol", cfg.tolerance)
-    cfg.zero_tol = getattr(args, "tol", cfg.zero_tol) if kind == "zero" else cfg.zero_tol
-    cfg.basket = getattr(args, "basket", cfg.basket)
-    if getattr(args, "m_list", None):
-        cfg.m_list = [int(v) for v in args.m_list.split(",")]
-    cfg.family = getattr(args, "family", cfg.family)
-    cfg.model = getattr(args, "model", cfg.model)
-    cfg.trials = getattr(args, "trials", cfg.trials)
-    p = getattr(args, "p", None)
-    if p is not None:
-        cfg.p = np.inf if p in ("inf", "oo") else float(p)
-    cfg.numeric_degree = getattr(args, "degree", None)
-    if args.out:
-        cfg.out = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
-    cfg.plot = bool(getattr(args, "plot", False))
-    return cfg
+#
+# Every option's dest is an ExperimentConfig field and its value stays text:
+# options not given are absent (argparse.SUPPRESS), so the dataclass holds
+# the only defaults and config_from_mapping the only conversions.
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -459,132 +393,135 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    run = subs.add_parser("run", help="run an experiment described by a config file")
+    def command(name, help, func, **defaults):
+        sub = subs.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        sub.set_defaults(func=func, **defaults)
+        return sub
+
+    run = command("run", "run an experiment described by a config file", cmd_run)
     run.add_argument("config")
-    _add_common(run)
-    run.set_defaults(func=cmd_run)
+    run.add_argument("--out", help="output directory")
+    run.add_argument("--seed")
+    run.add_argument("--plot", action="store_const", const="true")
 
-    pa = subs.add_parser("parse", help="parse an expression and print its canonical form")
+    pa = command("parse", "parse an expression and print its canonical form", cmd_parse,
+                 kind="parse")
     pa.add_argument("--expr", required=True)
-    pa.add_argument("--d", type=int, default=None)
-    pa.add_argument("--degree", type=int, default=None, help="numeric fallback degree")
-    _add_common(pa)
-    pa.set_defaults(func=cmd_parse)
+    pa.add_argument("--d")
+    pa.add_argument("--degree", dest="numeric_degree", metavar="DEGREE",
+                    help="numeric fallback degree")
 
-    sp = subs.add_parser("spectrum", help="materialize an expression and print its spectrum")
+    sp = command("spectrum", "materialize an expression and print its spectrum",
+                 cmd_spectrum, kind="spectrum")
     sp.add_argument("--expr", required=True)
-    sp.add_argument("--n", required=True, help="size multi-index, e.g. 64 or 8,8")
-    sp.add_argument("--mode", choices=("sigma", "lambda"), default="sigma")
-    sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--degree", type=int, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_spectrum)
+    sp.add_argument("--n", dest="sizes", metavar="N", required=True,
+                    help="size multi-index, e.g. 64 or 8,8")
+    sp.add_argument("--mode", choices=("sigma", "lambda"))
+    sp.add_argument("--d")
+    sp.add_argument("--degree", dest="numeric_degree", metavar="DEGREE")
+    sp.add_argument("--out", help="output directory")
 
-    cd = subs.add_parser("check-dist", help="distribution check of an expression")
+    cd = command("check-dist", "distribution check of an expression", cmd_check,
+                 kind="distribution")
     cd.add_argument("--expr", required=True)
     cd.add_argument("--sizes", required=True)
-    cd.add_argument("--mode", choices=("sigma", "lambda"), default="sigma")
-    cd.add_argument("--d", type=int, default=None)
-    cd.add_argument("--tol", type=float, default=0.05)
-    cd.add_argument("--degree", type=int, default=None)
-    cd.add_argument("--basket", default="auto",
-                    help="auto or a comma list of test-function ids")
-    _add_common(cd)
-    cd.set_defaults(func=cmd_check, kind="distribution")
+    cd.add_argument("--mode", choices=("sigma", "lambda"))
+    cd.add_argument("--d")
+    cd.add_argument("--tol", dest="tolerance", metavar="TOL")
+    cd.add_argument("--degree", dest="numeric_degree", metavar="DEGREE")
+    cd.add_argument("--basket", help="auto or a comma list of test-function ids")
+    cd.add_argument("--out", help="output directory")
+    cd.add_argument("--plot", action="store_const", const="true")
 
-    ca = subs.add_parser("check-acs", help="a.c.s. certificate for a truncation family")
+    ca = command("check-acs", "a.c.s. certificate for a truncation family", cmd_check,
+                 kind="acs")
     ca.add_argument("--expr", required=True)
     ca.add_argument("--sizes", required=True)
     ca.add_argument("--m-list", dest="m_list", required=True)
-    ca.add_argument("--family", choices=("truncate", "same"), default="truncate")
-    ca.add_argument("--d", type=int, default=None)
-    _add_common(ca)
-    ca.set_defaults(func=cmd_check, kind="acs")
+    ca.add_argument("--family", choices=("truncate", "same"))
+    ca.add_argument("--d")
+    ca.add_argument("--out", help="output directory")
 
-    cz = subs.add_parser("check-zero", help="zero-distribution test")
-    cz.add_argument("--model", default="spike",
-                    help="spike | identity | rankone | expr")
-    cz.add_argument("--expr", default=None)
+    cz = command("check-zero", "zero-distribution test", cmd_check, kind="zero")
+    cz.add_argument("--model", default="spike", help="spike | identity | rankone | expr")
+    cz.add_argument("--expr")
     cz.add_argument("--sizes", required=True)
     cz.add_argument("--p", default="1")
-    cz.add_argument("--tol", type=float, default=0.1)
-    cz.add_argument("--d", type=int, default=None)
-    _add_common(cz)
-    cz.set_defaults(func=cmd_check, kind="zero")
+    cz.add_argument("--tol", dest="zero_tol", metavar="TOL")
+    cz.add_argument("--d")
+    cz.add_argument("--out", help="output directory")
 
-    cs = subs.add_parser("check-sacs", help="stochastic a.c.s. Monte Carlo verification")
-    cs.add_argument("--model", default="designed",
-                    help="deterministic | designed | constant_s")
+    cs = command("check-sacs", "stochastic a.c.s. Monte Carlo verification", cmd_check,
+                 kind="sacs")
+    cs.add_argument("--model", help="deterministic | designed | constant_s")
     cs.add_argument("--sizes", required=True)
     cs.add_argument("--m-list", dest="m_list", required=True)
-    cs.add_argument("--trials", type=int, default=10000)
-    _add_common(cs)
-    cs.set_defaults(func=cmd_check, kind="sacs")
+    cs.add_argument("--trials")
+    cs.add_argument("--out", help="output directory")
+    cs.add_argument("--seed")
 
-    cg = subs.add_parser("check-glt5", help="quasi-Hermitian split check")
+    cg = command("check-glt5", "quasi-Hermitian split check", cmd_check, kind="glt5")
     cg.add_argument("--expr", required=True)
     cg.add_argument("--sizes", required=True)
-    cg.add_argument("--d", type=int, default=None)
-    _add_common(cg)
-    cg.set_defaults(func=cmd_check, kind="glt5")
+    cg.add_argument("--d")
+    cg.add_argument("--out", help="output directory")
 
     return parser
 
 
+def _options(args) -> dict[str, str]:
+    """The parsed options as a config mapping (field name -> text)."""
+    raw = dict(vars(args))
+    for key in ("command", "func", "config"):
+        raw.pop(key, None)
+    return raw
+
+
 def cmd_run(args) -> int:
-    cfg = config_from_file(args.config)
-    if args.out:
-        cfg.out = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.plot:
-        cfg.plot = True
+    cfg = config_from_mapping({**_read_config(args.config), **_options(args)})
     result = run_experiment(cfg)
-    print(f"{cfg.kind}: {'PASS' if result.passed else 'FAIL'} "
+    print(f"{cfg.kind}: {_verdict(result.passed)} "
           f"({len(result.artifacts)} artifacts in {cfg.out})")
     return result.exit_code
 
 
 def cmd_parse(args) -> int:
-    e = dsl.parse(args.expr, d=args.d, numeric_degree=args.degree)
-    print(dsl.format_expression(e))
+    cfg = config_from_mapping(_options(args))
+    print(dsl.format_expression(_parse_expression(cfg)))
     return 0
 
 
 def cmd_spectrum(args) -> int:
-    cfg = _cfg_from_args(args, "spectrum")
-    if args.out:
+    raw = _options(args)
+    raw["sizes"] += ";"  # --n names one multi-index, never a comma list of sizes
+    cfg = config_from_mapping(raw)
+    if raw.get("out"):
         result = run_experiment(cfg)
         print(f"spectrum written to {cfg.out}")
         return result.exit_code
-    e = dsl.parse(cfg.expr, d=cfg.d, numeric_degree=cfg.numeric_degree)
-    values = spectrum(materialize(e, cfg.sizes[-1], r=cfg.r), cfg.mode)
-    for v in np.atleast_1d(values):
-        c = complex(v)
-        print(f"{c.real!r},{c.imag!r}")
+    _, _, files = _run_spectrum(cfg)
+    for line in files["spectrum.csv"].splitlines()[1:]:
+        print(line.partition(",")[2])  # drop the index column
     return 0
 
 
 def cmd_check(args) -> int:
-    cfg = _cfg_from_args(args, args.kind)
-    if args.kind == "zero" and args.expr:
-        cfg.model = "expr"
-    result = run_experiment(cfg)
-    print(f"{args.kind}: {'PASS' if result.passed else 'FAIL'}")
+    raw = _options(args)
+    if raw["kind"] == "zero" and raw.get("expr"):
+        raw["model"] = "expr"
+    result = run_experiment(config_from_mapping(raw))
+    print(f"{raw['kind']}: {_verdict(result.passed)}")
     return result.exit_code
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _NUMERIC_ERRORS as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 3
+    except GltLabError as exc:
+        label = "numerical error" if exc.exit_code == 3 else "error"
+        print(f"{label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,12 +1,15 @@
 """Exception hierarchy shared by all gltlab modules.
 
-Exit-code mapping used by the CLI: configuration/usage problems map to 2,
-numerical failures to 3, failed verdicts to 1.
+``exit_code`` is each error's CLI exit code: 3 for numerical failures
+(quadrature, solver, evaluation, singular evaluation), 2 for every usage or
+input problem, ``DomainError`` included.  A failed verdict exits 1.
 """
 
 
 class GltLabError(Exception):
     """Base class for all library errors."""
+
+    exit_code = 2
 
 
 class InvalidSizeError(GltLabError):
@@ -28,12 +31,16 @@ class DomainError(GltLabError):
 class SingularEvaluationError(GltLabError):
     """Pointwise inversion hit a (numerically) singular matrix."""
 
+    exit_code = 3
+
 
 class EvaluationError(GltLabError):
     """Symbol or coefficient evaluation produced a non-finite value.
 
     Carries the offending node coordinates when known.
     """
+
+    exit_code = 3
 
     def __init__(self, message, node=None):
         super().__init__(message)
@@ -63,9 +70,13 @@ class ModeError(GltLabError):
 class QuadratureError(GltLabError):
     """Symbol-side quadrature did not converge within the refinement budget."""
 
+    exit_code = 3
+
 
 class SolverError(GltLabError):
     """Dense eigen/singular solver failed; message carries a matrix fingerprint."""
+
+    exit_code = 3
 
 
 class CalculusError(GltLabError):

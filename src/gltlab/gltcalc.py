@@ -55,9 +55,6 @@ FUNCTION_CATALOGUE: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "cube": lambda x: x**3,
 }
 
-_REAL_FUNCTIONS = set(FUNCTION_CATALOGUE)
-
-
 class GLTExpression:
     """Base node; subclasses are plain dataclasses."""
 
@@ -452,13 +449,6 @@ def glt5_split_check(seq, sizes: Sequence, hermitian_part=None,
             "decay": decay,
         },
     )
-
-
-def quasi_hermitian_split(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """The default split X = (A + A*)/2, Y = (A - A*)/2."""
-    a = as_array(matrix)
-    x = (a + a.conj().T) / 2.0
-    return x, a - x
 
 
 def glt1_verify(e: GLTExpression, sizes: Sequence, mode: str = "sigma",

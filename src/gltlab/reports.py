@@ -1,4 +1,4 @@
-"""Artifact emission: atomic file writes, CSV helpers, and self-contained SVG charts.
+"""Artifact emission: atomic file writes, CSV text, and self-contained SVG charts.
 
 Every writer produces deterministic bytes for a given input (floats are
 printed with shortest round-trip repr, JSON keys are sorted), so repeated
@@ -9,10 +9,11 @@ behind.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import os
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
@@ -24,11 +25,13 @@ def atomic_write_text(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def write_with(path: str, writer) -> None:
-    """Render via ``writer(file_like)`` into memory, then write atomically."""
+def csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:
+    """CSV text with newline line ends; pass floats as ``repr`` strings."""
     buf = io.StringIO()
-    writer(buf)
-    atomic_write_text(path, buf.getvalue())
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def summary_json(payload: Mapping) -> str:

@@ -9,7 +9,6 @@ That surrogate policy is recorded in every report's metadata.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -25,6 +24,7 @@ from .errors import (
 )
 from .matgen import as_array, is_hermitian
 from .multiindex import MultiIndex, check_size, format_multiindex, min_entry, nu
+from .reports import csv_text
 from .symbols import Symbol, spectral_surfaces
 
 SIGMA = "sigma"
@@ -297,20 +297,11 @@ class DistributionReport:
         return seen
 
     def write_csv(self, fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "d_n", "mode", "F_id", "empirical", "symbol", "abs_error"])
-        for row in self.rows:
-            writer.writerow(
-                [
-                    format_multiindex(row.n),
-                    row.d_n,
-                    self.mode,
-                    row.f_id,
-                    repr(row.empirical),
-                    repr(row.symbol),
-                    repr(row.abs_error),
-                ]
-            )
+        fh.write(csv_text(
+            ["n", "d_n", "mode", "F_id", "empirical", "symbol", "abs_error"],
+            ([format_multiindex(row.n), row.d_n, self.mode, row.f_id, repr(row.empirical),
+              repr(row.symbol), repr(row.abs_error)] for row in self.rows),
+        ))
 
 
 def _normalize_sizes(sizes: Sequence) -> list[MultiIndex]:

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from gltlab import cli
 from gltlab.cli import (
     ExperimentConfig,
     config_from_file,
@@ -10,7 +11,7 @@ from gltlab.cli import (
     parse_sizes,
     run_experiment,
 )
-from gltlab.errors import ConfigurationError
+from gltlab.errors import ConfigurationError, GltLabError
 
 
 def write_config(tmp_path, body):
@@ -200,3 +201,96 @@ def test_no_partial_outputs_on_failure(tmp_path):
         ))
     assert not (out / "report.csv").exists()
     assert not list(out.glob("*.tmp")) if out.exists() else True
+
+
+def test_option_value_errors_exit_2_and_name_the_field(tmp_path, capsys):
+    assert main(["check-acs", "--expr", "T(1+cos(t1))", "--sizes", "8;16",
+                 "--m-list", "1,x", "--out", str(tmp_path / "a")]) == 2
+    assert "m_list:" in capsys.readouterr().err
+    assert main(["check-zero", "--sizes", "8;16", "--p", "abc",
+                 "--out", str(tmp_path / "z")]) == 2
+    assert "p:" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists() and not (tmp_path / "z").exists()
+
+
+def test_unknown_config_key_is_an_error(tmp_path, capsys):
+    body = DIST_CFG.format(out=tmp_path / "u").replace("tolerance =", "tolerence =")
+    path = write_config(tmp_path, body)
+    with pytest.raises(ConfigurationError) as err:
+        config_from_file(path)
+    assert any("tolerence" in f for f in err.value.fields)
+    assert main(["run", path]) == 2
+    assert "tolerence" in capsys.readouterr().err
+    assert not (tmp_path / "u").exists()
+    # a misspelt section would drop all its keys
+    path = write_config(tmp_path, DIST_CFG.format(out=tmp_path / "u").replace(
+        "[tolerances]", "[tolerance]"))
+    assert main(["run", path]) == 2
+    assert "unknown config sections ['tolerance']" in capsys.readouterr().err
+
+
+def test_spectrum_n_is_one_multi_index(capsys):
+    assert main(["spectrum", "--expr", "T(4-2*cos(t1)-2*cos(t2))", "--n", "8,8",
+                 "--mode", "lambda"]) == 0
+    assert len(capsys.readouterr().out.split()) == 64
+
+
+def _all_error_types(cls=GltLabError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _all_error_types(sub)
+
+
+@pytest.mark.parametrize("error", list(_all_error_types()), ids=lambda c: c.__name__)
+def test_every_error_type_maps_to_exit_2_or_3(error, monkeypatch, capsys):
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_parse", fail)
+    code = main(["parse", "--expr", "1"])
+    assert code == error.exit_code and code in (2, 3)
+    label = "numerical error" if code == 3 else "error"
+    assert capsys.readouterr().err.startswith(f"{label}: ")
+
+
+SUBCOMMAND_VS_CONFIG = {
+    "check-dist": (
+        ["--expr", "T(2-2*cos(t1))", "--sizes", "32;64", "--mode", "lambda",
+         "--tol", "0.5", "--basket", "x,x^2", "--plot"],
+        "kind = distribution\nexpr = T(2-2*cos(t1))\nsizes = 32;64\nmode = lambda\n"
+        "basket = x,x^2\nplot = true\n[tolerances]\ntolerance = 0.5\n",
+    ),
+    "check-acs": (
+        ["--expr", "T(1+cos(t1))", "--sizes", "16;32", "--m-list", "1,2",
+         "--family", "same"],
+        "kind = acs\nexpr = T(1+cos(t1))\nsizes = 16;32\nm_list = 1,2\nfamily = same\n",
+    ),
+    "check-zero": (
+        ["--expr", "D(x1)*T(2-2*cos(t1))-T(2-2*cos(t1))*D(x1)", "--sizes", "32;64",
+         "--tol", "0.3"],
+        "kind = zero\nmodel = expr\nexpr = D(x1)*T(2-2*cos(t1))-T(2-2*cos(t1))*D(x1)\n"
+        "sizes = 32;64\np = 1\n[tolerances]\nzero_tol = 0.3\n",
+    ),
+    "check-sacs": (
+        ["--model", "designed", "--sizes", "8;12", "--m-list", "2,4", "--trials", "200",
+         "--seed", "5"],
+        "kind = sacs\nmodel = designed\nsizes = 8;12\nm_list = 2,4\ntrials = 200\nseed = 5\n",
+    ),
+    "check-glt5": (
+        ["--expr", "T(exp(i*t1))", "--sizes", "16;32"],
+        "kind = glt5\nexpr = T(exp(i*t1))\nsizes = 16;32\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_VS_CONFIG))
+def test_subcommand_and_config_write_identical_artifacts(command, tmp_path):
+    options, body = SUBCOMMAND_VS_CONFIG[command]
+    by_cli, by_config = tmp_path / "cli", tmp_path / "config"
+    code = main([command, *options, "--out", str(by_cli)])
+    path = write_config(tmp_path, f"[experiment]\nout = {by_config}\n{body}")
+    assert main(["run", path]) == code
+    files = sorted(os.listdir(by_cli))
+    assert files == sorted(os.listdir(by_config)) and "summary.json" in files
+    for name in files:
+        assert (by_cli / name).read_bytes() == (by_config / name).read_bytes(), name
