@@ -35,7 +35,7 @@ from .gltcalc import (
     symbol_of,
     truncate_toeplitz,
 )
-from .matgen import BlockMatrix, diag_sampling, toeplitz, toeplitz_blockfill
+from .matgen import BlockMatrix, diag_sampling, toeplitz
 from .multiindex import (
     MultiIndexInterval,
     lex_rank,
@@ -120,7 +120,6 @@ __all__ = [
     "symbol_functional",
     "symbol_of",
     "toeplitz",
-    "toeplitz_blockfill",
     "truncate_toeplitz",
     "zero_distribution_test",
 ]

@@ -28,7 +28,15 @@ from .errors import InvalidParameterError
 from .matgen import as_array
 from .multiindex import MultiIndex, check_size, format_multiindex
 from .reports import csv_text
-from .spectra import _normalize_sizes, non_increasing, schatten_norm, trending_to_zero
+from .spectra import (
+    SIGMA,
+    _normalize_sizes,
+    _schatten_from_values,
+    non_increasing,
+    schatten_norm,
+    spectrum,
+    trending_to_zero,
+)
 
 _RANK_TOL = 1e-10
 
@@ -57,11 +65,16 @@ def _splitting_candidates(sv: np.ndarray, d_n: int) -> np.ndarray:
     return np.arange(d_n + 1) / d_n + ext
 
 
+def _argmin_splitting(sv: np.ndarray, d_n: int) -> tuple[int, float]:
+    """(i*, sigma_{i*+1}) of the splitting functional over descending ``sv``."""
+    istar = int(np.argmin(_splitting_candidates(sv, d_n)))
+    return istar, float(np.concatenate([sv, [0.0]])[istar])
+
+
 def splitting_distance(matrix) -> float:
     """min_i ( i/d_n + sigma_{i+1} ); always in [0, min(1, sigma_1)]."""
     arr = as_array(matrix)
-    sv = np.linalg.svd(arr, compute_uv=False)
-    return float(np.min(_splitting_candidates(sv, arr.shape[0])))
+    return float(np.min(_splitting_candidates(spectrum(arr, SIGMA), arr.shape[0])))
 
 
 def optimal_splitting(matrix) -> Splitting:
@@ -69,16 +82,14 @@ def optimal_splitting(matrix) -> Splitting:
     arr = as_array(matrix)
     d_n = arr.shape[0]
     u, sv, vh = np.linalg.svd(arr)
-    istar = int(np.argmin(_splitting_candidates(sv, d_n)))
+    istar, norm = _argmin_splitting(sv, d_n)
     r_part = (u[:, :istar] * sv[:istar]) @ vh[:istar]
-    n_part = arr - r_part
-    ext = np.concatenate([sv, [0.0]])
     return Splitting(
         rank_part=r_part,
-        norm_part=n_part,
+        norm_part=arr - r_part,
         rank=istar,
         rank_fraction=istar / d_n,
-        norm=float(ext[istar]),
+        norm=norm,
     )
 
 
@@ -145,20 +156,22 @@ def acs_check(family, target, m_list: Sequence[int], sizes: Sequence,
         raise InvalidParameterError("m_list must be non-empty")
     norm_sizes = _normalize_sizes(sizes)
     sigma1: dict[int, list[float]] = {m: [] for m in m_list}
-    # (d_n, rank fraction, norm) of each argmin splitting; its matrices are dropped.
+    # (d_n, rank fraction, norm) of each argmin splitting, from the same
+    # singular values as sigma_1; the splitting matrices are never formed.
     argmin_split: dict[int, list[tuple[int, float, float]]] = {m: [] for m in m_list}
-    for m in m_list:
-        for n in norm_sizes:
-            a = as_array(target(n))
+    for n in norm_sizes:
+        a = as_array(target(n))
+        for m in m_list:
             b = as_array(family(m, n))
             if a.shape != b.shape:
                 raise InvalidParameterError(
                     f"size mismatch at (m={m}, n={n}): {a.shape} vs {b.shape}"
                 )
-            diff = a - b
-            split = optimal_splitting(diff)
-            argmin_split[m].append((diff.shape[0], split.rank_fraction, split.norm))
-            sigma1[m].append(schatten_norm(diff, np.inf))
+            d_n = a.shape[0]
+            sv = spectrum(a - b, SIGMA)
+            istar, norm = _argmin_splitting(sv, d_n)
+            argmin_split[m].append((d_n, istar / d_n, norm))
+            sigma1[m].append(float(sv[0]))
 
     omega_pure = {m: _limsup_estimate(sigma1[m]) for m in m_list}
     pure_ok = trending_to_zero([omega_pure[m] for m in m_list],
@@ -241,8 +254,9 @@ def zero_distribution_test(seq, p, sizes: Sequence, tol: float = 0.1,
         d_n = arr.shape[0]
         d_ns.append(d_n)
         scale = 1.0 if p == np.inf else d_n ** (1.0 / p)
-        norms.append(schatten_norm(arr, p) / scale)
-        dists.append(splitting_distance(arr))
+        sv = spectrum(arr, SIGMA)
+        norms.append(_schatten_from_values(sv, p) / scale)
+        dists.append(float(np.min(_splitting_candidates(sv, d_n))))
     norm_ok = norms[-1] <= tol and non_increasing(norms, slack=slack)
     split_ok = dists[-1] <= tol and non_increasing(dists, slack=slack)
     return ZeroDistributionResult(
@@ -313,6 +327,8 @@ def sacs_check(model: RandomSequenceModel, m_list: Sequence[int], sizes: Sequenc
     if trials < 100:
         raise InvalidParameterError("at least 100 trials are required")
     m_list = [int(m) for m in m_list]
+    if any(m < 1 for m in m_list):
+        raise InvalidParameterError(f"every m must be >= 1, got {m_list}")
     norm_sizes = _normalize_sizes(sizes)
     radius = hoeffding_radius(trials)
     rows: list[CertRow] = []

@@ -37,6 +37,7 @@ from . import acs as acs_mod
 from . import dsl
 from .errors import ConfigurationError, GltLabError
 from .gltcalc import glt5_split_check, materialize, symbol_of, truncate_toeplitz
+from .matgen import is_hermitian
 from .multiindex import format_multiindex, min_entry, parse_multiindex
 from .reports import atomic_write_text, csv_text, summary_json, svg_line_chart
 from .spectra import distribution_check, spectrum
@@ -126,6 +127,8 @@ class ExperimentConfig:
                 )
         if self.kind == "acs" and not self.m_list:
             problems.append("m_list: required for acs experiments")
+        if self.kind in ("acs", "sacs") and any(m < 1 for m in self.m_list):
+            problems.append(f"m_list: every m must be >= 1, got {self.m_list}")
         if self.kind == "acs" and self.family not in ("truncate", "same"):
             problems.append(f"family: unknown {self.family!r} (truncate | same)")
         if self.kind == "zero" and self.model not in ("expr", *acs_mod.ZERO_SEQUENCES):
@@ -136,6 +139,17 @@ class ExperimentConfig:
         if self.kind == "zero" and self.p != np.inf and self.p < 1:
             problems.append(f"p: must be >= 1 or inf, got {self.p}")
         return problems
+
+
+def _expression_levels(values: dict) -> int | None:
+    """The level count d fixed by the expression's variables, None without a
+    parsable expression (whose error then surfaces when the experiment runs)."""
+    if not values.get("expr"):
+        return None
+    try:
+        return dsl.levels(values["expr"])
+    except GltLabError:
+        return None
 
 
 def _raise_problems(problems: list[str]) -> None:
@@ -161,7 +175,10 @@ def config_from_mapping(raw: Mapping[str, str]) -> ExperimentConfig:
             continue
         parse, text = f.metadata["parse"], raw[f.name]
         try:
-            values[f.name] = parse(text, values.get("d")) if f.name == "sizes" else parse(text)
+            if f.name == "sizes":
+                values["sizes"] = parse(text, values.get("d") or _expression_levels(values))
+            else:
+                values[f.name] = parse(text)
         except (ValueError, GltLabError) as exc:
             problems.append(f"{f.name}: {exc}")
     known = {f.name for f in schema}
@@ -284,7 +301,8 @@ def _run_distribution(cfg: ExperimentConfig):
 def _run_spectrum(cfg: ExperimentConfig):
     e = _parse_expression(cfg)
     n = cfg.sizes[-1]
-    values = np.atleast_1d(spectrum(materialize(e, n, r=cfg.r), cfg.mode))
+    matrix = materialize(e, n, r=cfg.r)
+    values = np.atleast_1d(spectrum(matrix, cfg.mode, hermitian=is_hermitian(matrix)))
     rows = [(idx, repr(c.real), repr(c.imag)) for idx, c in enumerate(map(complex, values), 1)]
     summary = {
         "expression": dsl.format_expression(e),

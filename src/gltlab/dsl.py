@@ -823,6 +823,12 @@ def _infer_d(tokens: list[Token]) -> int:
     return best
 
 
+def levels(text: str) -> int:
+    """The level count d that :func:`parse` infers for ``text``: the largest
+    variable index it mentions (1 when it mentions none)."""
+    return _infer_d(_tokenize(text))
+
+
 def parse(text: str, d: int | None = None, r: int | None = None,
           numeric_degree: int | None = None,
           numeric_samples: int | None = None) -> GLTExpression:

@@ -9,7 +9,12 @@ produces the matrix at a given size with the corresponding matrix operations.
 Hermitian-ness is inferred structurally (coefficient symmetry for Toeplitz
 leaves, declared flags for coefficient functions, realness of scalars), never
 detected numerically: the calculus gates eigenvalue-mode verification and
-continuous-function application on that declaration.
+continuous-function application on that declaration.  The solver that
+computes a spectrum is chosen from a numeric test instead (see
+:func:`gltlab.spectra.spectrum`), because declared flags can be wrong:
+``CoefficientFunction.from_scalar`` declares Hermitian by default.
+
+Materialized matrices stay float64 while every leaf and scalar is real.
 """
 
 from __future__ import annotations
@@ -24,11 +29,12 @@ from .matgen import BlockMatrix, as_array, diag_sampling, is_hermitian, toeplitz
 from .multiindex import MultiIndex, check_size, format_multiindex, nu
 from .spectra import (
     LAMBDA,
+    SIGMA,
     DistributionReport,
     _normalize_sizes,
     distribution_check,
     non_increasing,
-    schatten_norm,
+    spectrum,
     trending_to_zero,
 )
 from .symbols import (
@@ -352,6 +358,13 @@ def materialize(e: GLTExpression, n, r: int | None = None,
     return BlockMatrix(data, rr, n, notes=tuple(notes))
 
 
+def _coefficient(value: complex) -> float | complex:
+    """A scalar as float when its imaginary part is exactly zero, so that real
+    sums and products stay in float64."""
+    value = complex(value)
+    return value.real if value.imag == 0.0 else value
+
+
 def _materialize(e: GLTExpression, n: MultiIndex, r: int, cap, notes: list[str]) -> np.ndarray:
     if isinstance(e, Toeplitz):
         return toeplitz(e.poly, n, cap=cap).data
@@ -360,11 +373,11 @@ def _materialize(e: GLTExpression, n: MultiIndex, r: int, cap, notes: list[str])
     if isinstance(e, Zero):
         return zeros(n, r).data
     if isinstance(e, Scalar):
-        return complex(e.value) * np.eye(r * nu(n), dtype=complex)
+        return _coefficient(e.value) * np.eye(r * nu(n))
     if isinstance(e, Adjoint):
         return _materialize(e.child, n, r, cap, notes).conj().T
     if isinstance(e, LinComb):
-        return complex(e.alpha) * _materialize(e.left, n, r, cap, notes) + complex(
+        return _coefficient(e.alpha) * _materialize(e.left, n, r, cap, notes) + _coefficient(
             e.beta
         ) * _materialize(e.right, n, r, cap, notes)
     if isinstance(e, Product):
@@ -388,7 +401,7 @@ def _materialize(e: GLTExpression, n: MultiIndex, r: int, cap, notes: list[str])
             )
         child = _materialize(e.child, n, r, cap, notes)
         w, v = np.linalg.eigh(child)
-        fw = np.asarray(FUNCTION_CATALOGUE[e.name](w), dtype=complex)
+        fw = np.asarray(FUNCTION_CATALOGUE[e.name](w))
         return (v * fw[None, :]) @ v.conj().T
     raise ConfigurationError(f"unknown expression node {type(e).__name__}")
 
@@ -416,8 +429,9 @@ def glt5_split_check(seq, sizes: Sequence, hermitian_part=None,
     (no growth beyond ``growth_slack`` per size step) and nu(n)^{-1} ||Y||_1
     trending to zero.
 
-    ``hermitian_part(n)`` may supply a user-declared Hermitian X; the default
-    is (A + A*)/2.
+    ``hermitian_part(n)`` may supply a user-declared Hermitian X (checked
+    numerically); the default is (A + A*)/2.  ||X|| comes from the Hermitian
+    eigensolver, ||Y|| and ||Y||_1 from one SVD of Y.
     """
     norm_sizes = _normalize_sizes(sizes)
     nx: list[float] = []
@@ -432,9 +446,10 @@ def glt5_split_check(seq, sizes: Sequence, hermitian_part=None,
         else:
             x = (a + a.conj().T) / 2.0
         y = a - x
-        nx.append(schatten_norm(x, np.inf))
-        ny.append(schatten_norm(y, np.inf))
-        ty.append(schatten_norm(y, 1) / nu(n))
+        nx.append(float(spectrum(x, SIGMA, hermitian=True)[0]))
+        sv_y = spectrum(y, SIGMA)
+        ny.append(float(sv_y[0]))
+        ty.append(float(np.sum(sv_y)) / nu(n))
     bounded = non_increasing(nx, slack=growth_slack) and non_increasing(ny, slack=growth_slack)
     vanishing = trending_to_zero(ty, slack=trend_slack, decay=decay)
     return QuasiHermitianSplitReport(

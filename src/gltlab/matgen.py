@@ -1,8 +1,14 @@
 """Dense generators: multilevel block Toeplitz and diagonal sampling matrices.
 
-Matrices are dense at desk scale by design; the Kronecker assembly used by
-:func:`toeplitz` touches disjoint entries per offset, so it is bit-compatible
-with the naive block fill (kept as :func:`toeplitz_blockfill`, the oracle).
+Matrices are dense at desk scale by design.  :func:`toeplitz` writes each
+offset's coefficient block straight into the rows and columns it occupies;
+the offsets touch disjoint entries, so the result equals the naive block fill
+bit for bit.
+
+Dtype rule: a matrix is float64 when its entries are exactly real (every
+Toeplitz coefficient, every diagonal sample has imaginary part 0) and
+complex128 otherwise.  Real matrices take the real LAPACK paths, which are
+2-4 times faster than the complex ones on the same values.
 """
 
 from __future__ import annotations
@@ -33,8 +39,10 @@ _BINARY_MAGIC = b"GLTM"
 class BlockMatrix:
     """A dense matrix with its d-level r-block structure metadata.
 
-    ``notes`` carries non-fatal diagnostics (e.g. pseudo-inverse conditioning
-    warnings) attached during materialization.
+    ``data`` is float64 when every imaginary part is exactly zero (the
+    downcast is lossless) and complex128 otherwise.  ``notes`` carries
+    non-fatal diagnostics (e.g. pseudo-inverse conditioning warnings)
+    attached during materialization.
     """
 
     data: np.ndarray
@@ -44,7 +52,7 @@ class BlockMatrix:
 
     def __post_init__(self):
         self.n = check_size(self.n)
-        self.data = np.asarray(self.data, dtype=complex)
+        self.data = _exact_dtype(np.asarray(self.data))
         expected = self.r * nu(self.n)
         if self.data.shape != (expected, expected):
             raise ConfigurationError(
@@ -97,6 +105,15 @@ class BlockMatrix:
         return cls(raw[:, :, 0] + 1j * raw[:, :, 1], r, n)
 
 
+def _exact_dtype(arr: np.ndarray) -> np.ndarray:
+    """float64 when ``arr`` has no non-zero imaginary part, else complex128."""
+    if np.iscomplexobj(arr):
+        if np.any(arr.imag):
+            return arr.astype(complex, copy=False)
+        arr = arr.real
+    return np.ascontiguousarray(arr, dtype=float)
+
+
 def as_array(matrix) -> np.ndarray:
     """Accept a BlockMatrix or a bare ndarray."""
     if isinstance(matrix, BlockMatrix):
@@ -110,52 +127,28 @@ def _check_cap(rows: int, cap: int | None):
         raise SizeCapError(f"requested {rows} rows exceeds the size cap {cap}")
 
 
-def shift_matrix(m: int, offset: int) -> np.ndarray:
-    """J^(l): (i, j) entry 1 when i - j = l (0 elsewhere)."""
-    return np.eye(m, k=-offset)
-
-
 def toeplitz(f: TrigPolynomial, n: int | Sequence[int], cap: int | None = None) -> BlockMatrix:
     """Multilevel block Toeplitz matrix with block (i, j) = fhat_{i-j}.
 
-    Assembled as the sum over offsets of Kronecker products of shift matrices
-    with the coefficient blocks.
+    For each offset k the block rows i with i - k inside the size box get
+    fhat_k at block column i - k, whose lexicographic rank is rank(i) minus
+    k's flat offset.  float64 when every coefficient is real.
     """
     n = check_size(n)
     if len(n) != f.d:
         raise ConfigurationError(f"size {n} has {len(n)} levels, symbol has {f.d}")
-    rows = f.r * nu(n)
-    _check_cap(rows, cap)
-    out = np.zeros((rows, rows), dtype=complex)
+    count = nu(n)
+    _check_cap(f.r * count, cap)
+    real = not any(np.any(block.imag) for block in f.coeffs.values())
+    out = np.zeros((count, f.r, count, f.r), dtype=float if real else complex)
+    strides = np.cumprod((1,) + n[:0:-1])[::-1]
     for k, block in f.coeffs.items():
         if any(abs(kj) >= nj for kj, nj in zip(k, n)):
             continue
-        shifts = np.ones((1, 1))
-        for kj, nj in zip(k, n):
-            shifts = np.kron(shifts, shift_matrix(nj, kj))
-        out += np.kron(shifts, block)
-    return BlockMatrix(out, f.r, n)
-
-
-def toeplitz_blockfill(f: TrigPolynomial, n: int | Sequence[int],
-                       cap: int | None = None) -> BlockMatrix:
-    """Reference construction filling block (i, j) = fhat_{i-j} one pair at a time."""
-    n = check_size(n)
-    rows = f.r * nu(n)
-    _check_cap(rows, cap)
-    interval = size_interval(n)
-    indices = list(iter_interval(interval))
-    out = np.zeros((rows, rows), dtype=complex)
-    zero = np.zeros((f.r, f.r), dtype=complex)
-    for a, i in enumerate(indices):
-        for b, j in enumerate(indices):
-            k = tuple(ii - jj for ii, jj in zip(i, j))
-            block = f.coeffs.get(k)
-            if block is not None:
-                out[a * f.r : (a + 1) * f.r, b * f.r : (b + 1) * f.r] = block
-            else:
-                out[a * f.r : (a + 1) * f.r, b * f.r : (b + 1) * f.r] = zero
-    return BlockMatrix(out, f.r, n)
+        ranges = [np.arange(max(kj, 0), nj + min(kj, 0)) for kj, nj in zip(k, n)]
+        rows = np.ravel_multi_index(np.ix_(*ranges), n).ravel()
+        out[rows, :, rows - int(np.dot(k, strides)), :] = block.real if real else block
+    return BlockMatrix(out.reshape(f.r * count, f.r * count), f.r, n)
 
 
 def sampling_grid(n: int | Sequence[int]) -> np.ndarray:
@@ -167,7 +160,8 @@ def sampling_grid(n: int | Sequence[int]) -> np.ndarray:
 
 def diag_sampling(a, n: int | Sequence[int], r: int | None = None,
                   cap: int | None = None) -> BlockMatrix:
-    """Block diagonal matrix with i-th block a(i/n), i enumerated lexicographically."""
+    """Block diagonal matrix with i-th block a(i/n), i enumerated lexicographically;
+    float64 when every sample is real."""
     n = check_size(n)
     if isinstance(a, Symbol):
         if a.depends_frequency:
@@ -193,20 +187,22 @@ def diag_sampling(a, n: int | Sequence[int], r: int | None = None,
             f"coefficient evaluation failed at grid node {format_multiindex(node)}",
             node=node,
         )
-    out = np.zeros((rows, rows), dtype=complex)
-    for idx in range(vals.shape[0]):
-        out[idx * sym.r : (idx + 1) * sym.r, idx * sym.r : (idx + 1) * sym.r] = vals[idx]
-    return BlockMatrix(out, sym.r, n)
+    vals = _exact_dtype(vals)
+    count = vals.shape[0]
+    out = np.zeros((count, sym.r, count, sym.r), dtype=vals.dtype)
+    idx = np.arange(count)
+    out[idx, :, idx, :] = vals
+    return BlockMatrix(out.reshape(rows, rows), sym.r, n)
 
 
 def identity(n: int | Sequence[int], r: int = 1) -> BlockMatrix:
     n = check_size(n)
-    return BlockMatrix(np.eye(r * nu(n), dtype=complex), r, n)
+    return BlockMatrix(np.eye(r * nu(n)), r, n)
 
 
 def zeros(n: int | Sequence[int], r: int = 1) -> BlockMatrix:
     n = check_size(n)
-    return BlockMatrix(np.zeros((r * nu(n), r * nu(n)), dtype=complex), r, n)
+    return BlockMatrix(np.zeros((r * nu(n), r * nu(n))), r, n)
 
 
 def is_hermitian(matrix, rtol: float = 1e-12) -> bool:

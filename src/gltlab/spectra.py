@@ -103,37 +103,58 @@ def _fingerprint(arr: np.ndarray) -> str:
     return f"shape={arr.shape}, fro={np.linalg.norm(arr):.6e}, trace={np.trace(arr):.6e}"
 
 
-def spectrum(matrix, mode: str = SIGMA) -> np.ndarray:
+def spectrum(matrix, mode: str = SIGMA, hermitian: bool | None = None) -> np.ndarray:
     """Singular values (descending) or eigenvalues (canonical order).
 
-    Hermitian inputs take the symmetric solver path and yield real ascending
-    eigenvalues; general eigenvalues are sorted by (real, imaginary) part.
+    ``hermitian`` is the caller's decision for this matrix, taken once with
+    :func:`is_hermitian`; it picks the solver:
+
+    ======  ===============  ==============================  ====================
+    mode    hermitian        solver                          result
+    ======  ===============  ==============================  ====================
+    sigma   True             ``sort(|eigvalsh|)``            real, descending
+    sigma   False or None    ``svd`` (values only)           real, descending
+    lambda  True             ``eigvalsh``                    real, ascending
+    lambda  False            ``eigvals``                     complex, (re, im)
+    lambda  None             ``is_hermitian`` decides        as above
+    ======  ===============  ==============================  ====================
+
+    Sigma mode never tests for itself: a caller that factors many small
+    matrices (Schatten norms, Monte Carlo trials) pays no test per call.
+    Real (float64) input takes the real LAPACK routine of each solver.
     """
     arr = as_array(matrix)
     if not np.all(np.isfinite(arr)):
         raise EvaluationError("matrix has non-finite entries")
+    if mode not in (SIGMA, LAMBDA):
+        raise ConfigurationError(f"unknown mode {mode!r}")
+    if mode == LAMBDA and hermitian is None:
+        hermitian = is_hermitian(arr)
     try:
+        if hermitian:
+            values = np.linalg.eigvalsh(arr)
+            return values if mode == LAMBDA else np.sort(np.abs(values))[::-1]
         if mode == SIGMA:
             return np.linalg.svd(arr, compute_uv=False)
-        if mode == LAMBDA:
-            if is_hermitian(arr):
-                return np.linalg.eigvalsh(arr)
-            return np.sort(np.linalg.eigvals(arr))
+        return np.sort(np.linalg.eigvals(arr).astype(complex, copy=False))
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"eigensolver failed ({exc}); {_fingerprint(arr)}") from exc
-    raise ConfigurationError(f"unknown mode {mode!r}")
+
+
+def _schatten_from_values(sv: np.ndarray, p) -> float:
+    """p-norm of a descending singular value vector; p=inf is sigma_1."""
+    if sv.size == 0:
+        return 0.0
+    if p == np.inf:
+        return float(sv[0])
+    return float(np.sum(sv**p) ** (1.0 / p))
 
 
 def schatten_norm(matrix, p) -> float:
     """p-norm of the singular value vector; p=inf is the spectral norm."""
     if p != np.inf and p < 1:
         raise InvalidParameterError(f"Schatten norm requires p >= 1, got {p}")
-    sv = spectrum(matrix, SIGMA)
-    if sv.size == 0:
-        return 0.0
-    if p == np.inf:
-        return float(sv[0])
-    return float(np.sum(sv**p) ** (1.0 / p))
+    return _schatten_from_values(spectrum(matrix, SIGMA), p)
 
 
 def empirical_functional(values, f: TestFunction) -> float:
@@ -336,12 +357,13 @@ def distribution_check(seq, symbol: Symbol, sizes: Sequence, mode: str = SIGMA,
     spectra: list[np.ndarray] = []
     for n in norm_sizes:
         a = as_array(seq(n))
-        if mode == LAMBDA and not allow_non_hermitian and not is_hermitian(a):
+        hermitian = is_hermitian(a)
+        if mode == LAMBDA and not allow_non_hermitian and not hermitian:
             raise ModeError(
                 f"eigenvalue mode requires Hermitian matrices (size {n}); "
                 "pass allow_non_hermitian=True after a quasi-Hermitian split check"
             )
-        spectra.append(spectrum(a, mode))
+        spectra.append(spectrum(a, mode, hermitian=hermitian))
     if basket is None:
         observed = np.concatenate([np.asarray(v).real.ravel() for v in spectra])
         probe_x, probe_t = _probe_nodes(symbol, 17)

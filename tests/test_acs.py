@@ -200,3 +200,19 @@ def test_hoeffding_radius_value():
 
 def test_zero_sequences_registry():
     assert set(ZERO_SEQUENCES) == {"spike", "identity", "rankone"}
+
+
+def test_sacs_rejects_m_below_one():
+    with pytest.raises(InvalidParameterError):
+        sacs_check(deterministic_model(1), [0, 2], [(8,), (12,)], trials=100)
+
+
+def test_sacs_trial_loop_takes_no_hermitian_test(monkeypatch):
+    import gltlab.matgen as matgen_mod
+    import gltlab.spectra as spectra_mod
+
+    calls = []
+    for module in (matgen_mod, spectra_mod):
+        monkeypatch.setattr(module, "is_hermitian", lambda a: calls.append(a) or True)
+    cert = sacs_check(designed_model(3), [2, 4], [(8,), (12,)], trials=100)
+    assert cert.rows and calls == []

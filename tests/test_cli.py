@@ -294,3 +294,33 @@ def test_subcommand_and_config_write_identical_artifacts(command, tmp_path):
     assert files == sorted(os.listdir(by_config)) and "summary.json" in files
     for name in files:
         assert (by_cli / name).read_bytes() == (by_config / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", ["check-acs", "check-sacs"])
+def test_m_below_one_is_a_config_error(command, tmp_path, capsys):
+    options = ["--expr", "T(1+cos(t1))"] if command == "check-acs" else [
+        "--model", "designed", "--trials", "100", "--seed", "1"]
+    code = main([command, *options, "--sizes", "8;12", "--m-list", "0,2",
+                 "--out", str(tmp_path / "m0")])
+    assert code == 2
+    assert "m_list: every m must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "m0").exists()
+
+
+def test_bare_comma_sizes_take_levels_from_the_expression():
+    two_level = cli.config_from_mapping(
+        {"kind": "distribution", "expr": "T(4-2*cos(t1)-2*cos(t2))", "sizes": "8,8"})
+    assert two_level.sizes == [(8, 8)]
+    one_level = cli.config_from_mapping(
+        {"kind": "distribution", "expr": "T(2-2*cos(t1))", "sizes": "8,16"})
+    assert one_level.sizes == [(8,), (16,)]
+
+
+@pytest.mark.parametrize("command,artifact", [("check-dist", "report.csv"),
+                                              ("check-glt5", "split.csv")])
+def test_bare_comma_sizes_on_a_two_level_expression(command, artifact, tmp_path):
+    out = tmp_path / command
+    assert main([command, "--expr", "T(4-2*cos(t1)-2*cos(t2))", "--sizes", "8,8",
+                 "--out", str(out)]) in (0, 1)
+    rows = (out / artifact).read_text().splitlines()[1:]
+    assert rows and all(row.startswith('"8,8",') for row in rows)

@@ -295,3 +295,41 @@ def test_structurally_equal():
     assert not structurally_equal(Product(LAP, SHIFT), Product(SHIFT, LAP))
     assert structurally_equal(Scalar(2 + 1j), Scalar(2 + 1j))
     assert not structurally_equal(Scalar(2), Scalar(3))
+
+
+REAL_EXPRESSIONS = [
+    "T(2-2*cos(t1))",
+    "D(x1)*T(2-2*cos(t1))",
+    "D(x1)*T(2-2*cos(t1))-T(2-2*cos(t1))*D(x1)",
+    "fun(exp, T(2-2*cos(t1)))",
+    "2*T(1+cos(t1))+D(x1^2)",
+    "T(4-2*cos(t1)-2*cos(t2))",
+]
+
+
+@pytest.mark.parametrize("text", REAL_EXPRESSIONS)
+def test_real_expressions_materialize_as_float64(text):
+    from gltlab.dsl import parse
+
+    e = parse(text)
+    n = (4,) * e.dims()[0]
+    assert materialize(e, n).data.dtype == np.float64
+
+
+def test_real_materialization_matches_complex_arithmetic():
+    n = 12
+    t = toeplitz(LAP_POLY, n).data.astype(complex)
+    x = np.diag(np.arange(1, n + 1) / n).astype(complex)
+    got = materialize(LinComb(2.0, Product(DIAG_X, LAP), -1.0, FunApply("exp", LAP)), n).data
+    w, v = np.linalg.eigh(t)
+    want = 2.0 * (x @ t) - (v * np.exp(w)) @ v.conj().T
+    assert got.dtype == np.float64
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("text", ["T(i*cos(t1))", "i*T(2-2*cos(t1))", "D(x1+i*x1)"])
+def test_non_real_expressions_stay_complex(text):
+    from gltlab.dsl import parse
+
+    a = materialize(parse(text), 6).data
+    assert a.dtype == np.complex128 and np.any(a.imag)

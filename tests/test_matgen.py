@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from helpers import random_trig_polynomial
+from helpers import random_trig_polynomial, toeplitz_blockfill, toeplitz_kronecker
 
 from gltlab.errors import SizeCapError
 from gltlab.matgen import (
@@ -13,7 +13,6 @@ from gltlab.matgen import (
     is_hermitian,
     sampling_grid,
     toeplitz,
-    toeplitz_blockfill,
     zeros,
 )
 from gltlab.symbols import CoefficientFunction, TrigPolynomial
@@ -60,13 +59,34 @@ def test_toeplitz_block_example():
     assert np.array_equal(A.block((1,), (2,)), fm1)
 
 
+def _assert_bit_identical(fast, oracle):
+    """Same dtype by the real/complex rule and the same bytes."""
+    if not np.any(oracle.imag):
+        oracle = oracle.real
+    assert fast.dtype == oracle.dtype
+    assert fast.tobytes() == oracle.tobytes()
+
+
 def test_blockfill_matches_kronecker_assembly():
     rng = np.random.default_rng(5)
-    for d, r, n in [(1, 1, (8,)), (1, 2, (6,)), (2, 1, (4, 5)), (2, 2, (3, 3))]:
+    cases = [(1, 1, (8,)), (1, 2, (6,)), (2, 1, (4, 5)), (2, 2, (3, 3)), (3, 1, (2, 3, 4))]
+    for d, r, n in cases:
         poly = random_trig_polynomial(rng, d=d, r=r, degree=1, hermitian=False)
-        fast = toeplitz(poly, n)
-        slow = toeplitz_blockfill(poly, n)
-        assert np.abs(fast.data - slow.data).max() <= 1e-14
+        fast = toeplitz(poly, n).data
+        _assert_bit_identical(fast, toeplitz_blockfill(poly, n))
+        _assert_bit_identical(fast, toeplitz_kronecker(poly, n))
+
+
+def test_real_toeplitz_is_float64_and_matches_oracles():
+    two_level = TrigPolynomial(2, 1, {(0, 0): [[4.0]], (1, 0): [[-1.0]], (-1, 0): [[-1.0]],
+                                      (0, 1): [[-1.0]], (0, -1): [[-1.0]]})
+    wide = TrigPolynomial(1, 1, {(0,): [[2.0]], (3,): [[-0.5]], (-1,): [[0.25]]})
+    for poly, n in [(LAP, (9,)), (LAP, (1,)), (wide, (2,)), (wide, (7,)), (BLOCK_F, (5,)),
+                    (two_level, (4, 6)), (two_level, (1, 3))]:
+        fast = toeplitz(poly, n).data
+        assert fast.dtype == np.float64
+        _assert_bit_identical(fast, toeplitz_blockfill(poly, n))
+        _assert_bit_identical(fast, toeplitz_kronecker(poly, n))
 
 
 def test_hermitian_iff_coefficient_symmetry():
@@ -142,6 +162,29 @@ def test_binary_roundtrip():
     B = BlockMatrix.read_binary(buf)
     assert B.r == A.r and B.n == A.n
     assert np.array_equal(A.data, B.data)
+
+
+def test_block_matrix_keeps_real_entries_as_float64():
+    rng = np.random.default_rng(10)
+    values = rng.standard_normal((6, 6))
+    exact = BlockMatrix(values + 0j, 1, 6)
+    assert exact.data.dtype == np.float64
+    assert exact.data.tobytes() == values.tobytes()
+    mixed = values + 0j
+    mixed[2, 3] += 1e-300j
+    assert BlockMatrix(mixed, 1, 6).data.dtype == np.complex128
+    buf = io.BytesIO()
+    exact.write_binary(buf)
+    buf.seek(0)
+    back = BlockMatrix.read_binary(buf)
+    assert back.data.dtype == np.float64 and back.data.tobytes() == values.tobytes()
+
+
+def test_diag_sampling_dtype_follows_samples():
+    assert diag_sampling(lambda x: x, 4).data.dtype == np.float64
+    a = diag_sampling(lambda x: x + 1j, 4).data
+    assert a.dtype == np.complex128
+    assert np.array_equal(np.diag(a), [0.25 + 1j, 0.5 + 1j, 0.75 + 1j, 1.0 + 1j])
 
 
 def test_identity_and_zeros_helpers():

@@ -272,3 +272,36 @@ def test_poly_window_clips():
     b = cosine_bump(0.0, 1.0)
     assert b.evaluate(np.array([0.0]))[0] == 1.0
     assert b.evaluate(np.array([1.0]))[0] < 1e-15
+
+
+def test_sigma_hermitian_path_matches_svd():
+    rng = np.random.default_rng(21)
+    g = rng.standard_normal((40, 40))
+    h = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+    for a in (g + g.T, h + h.conj().T, toeplitz(LAP, 64).data):
+        values = spectrum(a, "sigma", hermitian=True)
+        svd = np.linalg.svd(a, compute_uv=False)
+        assert values.dtype == np.float64 and np.all(np.diff(values) <= 0)
+        assert np.abs(values - svd).max() <= 1e-12 * svd[0]
+
+
+def test_lambda_non_hermitian_is_complex():
+    a = np.triu(np.arange(1.0, 17.0).reshape(4, 4))  # real, eigenvalues 1, 6, 11, 16
+    for hermitian in (None, False):
+        lam = spectrum(a, "lambda", hermitian=hermitian)
+        assert lam.dtype == np.complex128
+        assert np.allclose(lam, [1, 6, 11, 16], atol=1e-12)
+
+
+def test_distribution_check_decides_hermitian_once_per_size(monkeypatch):
+    import gltlab.spectra as spectra_mod
+
+    calls = []
+    decide = spectra_mod.is_hermitian
+    monkeypatch.setattr(spectra_mod, "is_hermitian",
+                        lambda a: calls.append(a.shape[0]) or decide(a))
+    for mode in ("sigma", "lambda"):
+        calls.clear()
+        distribution_check(lambda n: toeplitz(LAP, n), LAP, [16, 32, 64], mode=mode,
+                           basket=[WIDE_X])
+        assert calls == [16, 32, 64]
