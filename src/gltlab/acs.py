@@ -15,6 +15,14 @@ in m, because rank assistance is unnecessary there; otherwise the argmin
 splitting is reported.  The stochastic verifier draws seeded trials and
 checks the three per-(m, n) event frequencies against their 1 - 1/m bounds
 within a one-sided 95% Hoeffding radius sqrt(ln(20) / (2 trials)).
+
+Trials are drawn in blocks: a model's ``draw`` returns the (S, R, N) stacks
+of a whole block, each trial still from its own generator seeded with
+(seed, m, *n, trial), and the verifier reads every rank and every sigma_1 of
+a block from one stacked values-only SVD.  A block holds as many trials as
+fit a stack of ``_STACK_BYTES`` (2 MiB) of complex d_n x d_n matrices, so
+memory does not grow with the trial count and the frequencies do not depend
+on the block length.
 """
 
 from __future__ import annotations
@@ -26,19 +34,20 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .matgen import as_array
-from .multiindex import MultiIndex, check_size, format_multiindex
+from .multiindex import MultiIndex, check_size, format_multiindex, nu
 from .reports import csv_text
 from .spectra import (
     SIGMA,
     _normalize_sizes,
     _schatten_from_values,
     non_increasing,
-    schatten_norm,
     spectrum,
     trending_to_zero,
 )
 
 _RANK_TOL = 1e-10
+# Byte budget of one stack of trial matrices in the s.a.c.s. Monte Carlo loop.
+_STACK_BYTES = 2**21
 
 
 # ---------------------------------------------------------------------------
@@ -279,37 +288,34 @@ def zero_distribution_test(seq, p, sizes: Sequence, tol: float = 0.1,
 
 @dataclass(frozen=True)
 class RandomSequenceModel:
-    """Seeded generator of the splitting quadruple (B, S, R, N) per trial.
+    """Seeded generator of the splitting triple (S, R, N) for a block of trials.
 
-    ``draw(rng, n, m)`` returns the four matrices for one trial; the rng is
-    rebuilt from (seed, m, n, trial), so identical seeds reproduce identical
-    matrices bit for bit.  Trials are independent across n (the dependence
-    structure across sizes is not pinned down by the definition; independence
-    is this model zoo's documented choice).  ``c_bound`` and ``omega_bound``
-    declare the per-m bounds the rank and norm events are tested against.
+    ``sample(n, m, trials)`` builds one generator per trial index from
+    (seed, m, *n, trial) and hands the list to ``draw(rngs, n, m)``, which
+    consumes each generator exactly as a single trial would and returns the
+    stacks (S, R, N), each of shape (len(rngs), d_n, d_n); row i is trial
+    ``trials[i]``.  Identical seeds therefore reproduce identical matrices bit
+    for bit, however the trials are grouped into blocks.  Trials are
+    independent across n (the dependence structure across sizes is not pinned
+    down by the definition; independence is this model zoo's documented
+    choice).  ``c_bound`` and ``omega_bound`` declare the per-m bounds the rank
+    and norm events are tested against.
     """
 
     name: str
     seed: int
-    draw: Callable[[np.random.Generator, MultiIndex, int], tuple]
+    draw: Callable[[list[np.random.Generator], MultiIndex, int], tuple]
     c_bound: Callable[[int], float]
     omega_bound: Callable[[int], float]
 
-    def sample(self, n: MultiIndex, m: int, trial: int) -> tuple:
-        rng = np.random.default_rng((self.seed, m, *n, trial))
-        return self.draw(rng, n, m)
+    def sample(self, n: MultiIndex, m: int, trials: Sequence[int]) -> tuple:
+        rngs = [np.random.default_rng((self.seed, m, *n, trial)) for trial in trials]
+        return self.draw(rngs, n, m)
 
 
 def hoeffding_radius(trials: int) -> float:
     """One-sided 95% confidence radius for an empirical frequency."""
     return float(np.sqrt(np.log(20.0) / (2.0 * trials)))
-
-
-def _numerical_rank(matrix: np.ndarray) -> int:
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > _RANK_TOL * sv[0] + 1e-14))
 
 
 def sacs_check(model: RandomSequenceModel, m_list: Sequence[int], sizes: Sequence,
@@ -322,6 +328,10 @@ def sacs_check(model: RandomSequenceModel, m_list: Sequence[int], sizes: Sequenc
     the first two frequencies to clear 1 - 1/m within the Hoeffding radius,
     the estimated s(m) to trend to zero, and the declared c(m), omega(m)
     bounds to trend to zero themselves.
+
+    Trials are drawn in blocks of at most ``_STACK_BYTES`` per stack; the
+    numerical rank of every R and sigma_1 of every N in a block come from one
+    stacked values-only SVD each.
     """
     trials = int(trials)
     if trials < 100:
@@ -339,16 +349,17 @@ def sacs_check(model: RandomSequenceModel, m_list: Sequence[int], sizes: Sequenc
         w_m = model.omega_bound(m)
         for n in norm_sizes:
             hit_rank = hit_norm = hit_s = 0
-            d_n = None
-            for trial in range(trials):
-                _, s_mat, r_mat, n_mat = (as_array(x) for x in model.sample(n, m, trial))
-                d_n = r_mat.shape[0]
-                if _numerical_rank(r_mat) <= c_m * d_n + 1e-9:
-                    hit_rank += 1
-                if schatten_norm(n_mat, np.inf) <= w_m + 1e-12 * (1.0 + w_m):
-                    hit_norm += 1
-                if np.any(s_mat != 0):
-                    hit_s += 1
+            # Sized for complex entries, so real and complex stacks both fit.
+            block = max(1, _STACK_BYTES // (16 * nu(n) ** 2))
+            for first in range(0, trials, block):
+                s_mat, r_mat, n_mat = model.sample(n, m, range(first, min(first + block, trials)))
+                d_n = r_mat.shape[-1]
+                sv_r = spectrum(r_mat, SIGMA)
+                # sigma_1 = 0 leaves no singular value above the threshold: rank 0.
+                rank = np.sum(sv_r > _RANK_TOL * sv_r[:, :1] + 1e-14, axis=1)
+                hit_rank += int(np.sum(rank <= c_m * d_n + 1e-9))
+                hit_norm += int(np.sum(spectrum(n_mat, SIGMA)[:, 0] <= w_m + 1e-12 * (1.0 + w_m)))
+                hit_s += int(np.sum(np.any(np.asarray(s_mat) != 0, axis=(1, 2))))
             freq_rank = hit_rank / trials
             freq_norm = hit_norm / trials
             freq_s = hit_s / trials
@@ -391,13 +402,10 @@ def sacs_check(model: RandomSequenceModel, m_list: Sequence[int], sizes: Sequenc
 def deterministic_model(seed: int, dim: int = 32) -> RandomSequenceModel:
     """S = 0, R = 0, N = (1/m) I: reduces to a deterministic certificate."""
 
-    def draw(rng, n, m):
-        d_n = int(np.prod(n)) if len(n) > 1 else n[0]
-        b = np.zeros((d_n, d_n))
-        s = np.zeros((d_n, d_n))
-        r = np.zeros((d_n, d_n))
-        nn = (1.0 / m) * np.eye(d_n)
-        return b - s - r - nn, s, r, nn
+    def draw(rngs, n, m):
+        d_n = nu(n)
+        zero = np.zeros((len(rngs), d_n, d_n))
+        return zero, zero, np.broadcast_to((1.0 / m) * np.eye(d_n), zero.shape)
 
     return RandomSequenceModel(
         name="deterministic",
@@ -421,23 +429,27 @@ def designed_model(seed: int, s_design: Callable[[int], float] | None = None,
     c_of = lambda m: 1.0 / (2.0 * m)
     w_of = lambda m: 1.0 / m
 
-    def draw(rng, n, m):
-        d_n = int(np.prod(n))
+    def draw(rngs, n, m):
+        d_n = nu(n)
         c_m, w_m = c_of(m), w_of(m)
         ok_rank = int(np.floor(c_m * d_n))
-        rank = ok_rank if rng.random() >= bad_of(m) else min(ok_rank + 2, d_n)
-        r = np.zeros((d_n, d_n))
-        if rank:
-            u = rng.standard_normal((d_n, rank))
-            v = rng.standard_normal((rank, d_n))
-            r = u @ v
-        norm_scale = 0.8 if rng.random() >= bad_of(m) else 1.5
-        g = rng.standard_normal((d_n, d_n))
-        nn = (norm_scale * w_m / max(np.linalg.norm(g, 2), 1e-30)) * g
-        s = np.zeros((d_n, d_n))
-        if rng.random() < s_of(m):
-            s[0, 0] = 1.0
-        return -(s + r + nn), s, r, nn
+        shape = (len(rngs), d_n, d_n)
+        s, r, g = np.zeros(shape), np.zeros(shape), np.empty(shape)
+        norm_scale = np.empty(len(rngs))
+        for i, rng in enumerate(rngs):
+            rank = ok_rank if rng.random() >= bad_of(m) else min(ok_rank + 2, d_n)
+            if rank:
+                u = rng.standard_normal((d_n, rank))
+                v = rng.standard_normal((rank, d_n))
+                r[i] = u @ v
+            norm_scale[i] = 0.8 if rng.random() >= bad_of(m) else 1.5
+            g[i] = rng.standard_normal((d_n, d_n))
+            if rng.random() < s_of(m):
+                s[i, 0, 0] = 1.0
+        # ||N|| = norm_scale * omega(m): every g scaled by its own sigma_1.
+        sigma1 = spectrum(g, SIGMA)[:, 0]
+        nn = (norm_scale * w_m / np.maximum(sigma1, 1e-30))[:, None, None] * g
+        return s, r, nn
 
     return RandomSequenceModel(
         name="designed", seed=seed, draw=draw, c_bound=c_of, omega_bound=w_of

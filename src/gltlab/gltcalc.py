@@ -395,11 +395,14 @@ def _materialize(e: GLTExpression, n: MultiIndex, r: int, cap, notes: list[str])
     if isinstance(e, FunApply):
         if e.name not in FUNCTION_CATALOGUE:
             raise CalculusError(f"unknown function {e.name!r}")
-        if not (e.child.hermitian or e.assume_hermitian):
-            raise CalculusError(
-                "matrix function requires a Hermitian-declared child"
-            )
         child = _materialize(e.child, n, r, cap, notes)
+        # Declared flags are not reliable (``from_scalar`` declares Hermitian
+        # by default) and eigh reads only one triangle: test the matrix.
+        if not (e.assume_hermitian or is_hermitian(child)):
+            raise CalculusError(
+                f"matrix function requires a Hermitian child; the child at "
+                f"n={format_multiindex(n)} is not Hermitian"
+            )
         w, v = np.linalg.eigh(child)
         fw = np.asarray(FUNCTION_CATALOGUE[e.name](w))
         return (v * fw[None, :]) @ v.conj().T
@@ -475,10 +478,21 @@ def glt1_verify(e: GLTExpression, sizes: Sequence, mode: str = "sigma",
     quasi-Hermitian split check over the same sizes; a passing split grants
     the waiver, a failing one raises ModeError.
     """
-    seq = lambda n: materialize(e, n, r=r)
     sym = symbol_of(e, r=r)
+    # On the waiver path both checks read every size: the split check keeps
+    # each matrix and the distribution check takes it back, so every size is
+    # materialized once and dropped after its second use.
+    kept: dict[MultiIndex, BlockMatrix] = {}
+
+    def seq(n):
+        return kept.pop(n) if n in kept else materialize(e, n, r=r)
+
     if mode == LAMBDA and not e.hermitian:
-        split = glt5_split_check(seq, sizes)
+        def split_seq(n):
+            kept[n] = materialize(e, n, r=r)
+            return kept[n]
+
+        split = glt5_split_check(split_seq, sizes)
         if not split.passed:
             raise ModeError(
                 "eigenvalue mode requires Hermitian matrices or a passing "

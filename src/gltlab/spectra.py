@@ -100,7 +100,8 @@ def default_basket(lo: float, hi: float) -> list[TestFunction]:
 
 
 def _fingerprint(arr: np.ndarray) -> str:
-    return f"shape={arr.shape}, fro={np.linalg.norm(arr):.6e}, trace={np.trace(arr):.6e}"
+    trace = np.trace(arr, axis1=-2, axis2=-1).sum()  # summed over a stack
+    return f"shape={arr.shape}, fro={np.linalg.norm(arr):.6e}, trace={trace:.6e}"
 
 
 def spectrum(matrix, mode: str = SIGMA, hermitian: bool | None = None) -> np.ndarray:
@@ -122,18 +123,26 @@ def spectrum(matrix, mode: str = SIGMA, hermitian: bool | None = None) -> np.nda
     Sigma mode never tests for itself: a caller that factors many small
     matrices (Schatten norms, Monte Carlo trials) pays no test per call.
     Real (float64) input takes the real LAPACK routine of each solver.
+
+    In sigma mode ``matrix`` may also be a stack of shape (k, d, d): the
+    result has shape (k, d) and row i holds the values of matrix i, bit for
+    bit as if it were passed alone.  One call factors the whole stack, which
+    saves numpy's per-call overhead on many small matrices.  Every entry of
+    the stack must be finite.
     """
     arr = as_array(matrix)
     if not np.all(np.isfinite(arr)):
         raise EvaluationError("matrix has non-finite entries")
     if mode not in (SIGMA, LAMBDA):
         raise ConfigurationError(f"unknown mode {mode!r}")
+    if mode == LAMBDA and arr.ndim != 2:
+        raise InvalidParameterError(f"lambda mode takes one matrix, got shape {arr.shape}")
     if mode == LAMBDA and hermitian is None:
         hermitian = is_hermitian(arr)
     try:
         if hermitian:
             values = np.linalg.eigvalsh(arr)
-            return values if mode == LAMBDA else np.sort(np.abs(values))[::-1]
+            return values if mode == LAMBDA else np.sort(np.abs(values))[..., ::-1]
         if mode == SIGMA:
             return np.linalg.svd(arr, compute_uv=False)
         return np.sort(np.linalg.eigvals(arr).astype(complex, copy=False))

@@ -2,7 +2,9 @@
 
 import numpy as np
 
+from gltlab.acs import AcsCertificate, CertRow, hoeffding_radius
 from gltlab.multiindex import MultiIndexInterval, check_size, iter_interval, nu, size_interval
+from gltlab.spectra import _normalize_sizes, schatten_norm, trending_to_zero
 from gltlab.symbols import TrigPolynomial
 
 
@@ -69,3 +71,73 @@ def toeplitz_blockfill(f, n):
             if block is not None:
                 out[a * f.r : (a + 1) * f.r, b * f.r : (b + 1) * f.r] = block
     return out
+
+
+def numerical_rank(matrix):
+    """Oracle: the number of singular values above 1e-10 * sigma_1 + 1e-14."""
+    sv = np.linalg.svd(matrix, compute_uv=False)
+    if sv.size == 0 or sv[0] == 0.0:
+        return 0
+    return int(np.sum(sv > 1e-10 * sv[0] + 1e-14))
+
+
+def designed_draw_one(rng, n, m, s_of=lambda m: 1.0 / m):
+    """Oracle: one trial (S, R, N) of the designed model, drawn on its own
+    with a 2-norm per trial."""
+    d_n = int(np.prod(n))
+    c_m, w_m = 1.0 / (2.0 * m), 1.0 / m
+    ok_rank = int(np.floor(c_m * d_n))
+    rank = ok_rank if rng.random() >= 0.5 / m else min(ok_rank + 2, d_n)
+    r = np.zeros((d_n, d_n))
+    if rank:
+        u = rng.standard_normal((d_n, rank))
+        v = rng.standard_normal((rank, d_n))
+        r = u @ v
+    norm_scale = 0.8 if rng.random() >= 0.5 / m else 1.5
+    g = rng.standard_normal((d_n, d_n))
+    nn = (norm_scale * w_m / max(np.linalg.norm(g, 2), 1e-30)) * g
+    s = np.zeros((d_n, d_n))
+    if rng.random() < s_of(m):
+        s[0, 0] = 1.0
+    return s, r, nn
+
+
+def sacs_oracle(model, m_list, sizes, trials, slack=1.5, decay=0.5, floor=1e-10):
+    """Oracle: the s.a.c.s. certificate from one trial at a time, with a
+    separate SVD for each rank and each norm."""
+    norm_sizes = _normalize_sizes(sizes)
+    radius = hoeffding_radius(trials)
+    rows = []
+    freq_s_by_m = {m: [] for m in m_list}
+    events_ok = True
+    for m in m_list:
+        c_m = model.c_bound(m)
+        w_m = model.omega_bound(m)
+        for n in norm_sizes:
+            hit_rank = hit_norm = hit_s = 0
+            for trial in range(trials):
+                s_mat, r_mat, n_mat = (x[0] for x in model.sample(n, m, [trial]))
+                d_n = r_mat.shape[0]
+                if numerical_rank(r_mat) <= c_m * d_n + 1e-9:
+                    hit_rank += 1
+                if schatten_norm(n_mat, np.inf) <= w_m + 1e-12 * (1.0 + w_m):
+                    hit_norm += 1
+                if np.any(s_mat != 0):
+                    hit_s += 1
+            freq_rank, freq_norm, freq_s = hit_rank / trials, hit_norm / trials, hit_s / trials
+            freq_s_by_m[m].append(freq_s)
+            rows.append(CertRow(m, n, d_n, c_m, w_m, freq_rank, freq_norm, freq_s))
+            if freq_rank < 1.0 - 1.0 / m - radius or freq_norm < 1.0 - 1.0 / m - radius:
+                events_ok = False
+    s_est = {m: float(max(freq_s_by_m[m][-2:])) for m in m_list}
+    c_decl = {m: model.c_bound(m) for m in m_list}
+    w_decl = {m: model.omega_bound(m) for m in m_list}
+    passed = (
+        events_ok
+        and trending_to_zero([c_decl[m] for m in m_list], slack=slack, decay=decay, floor=floor)
+        and trending_to_zero([w_decl[m] for m in m_list], slack=slack, decay=decay, floor=floor)
+        and trending_to_zero([s_est[m] for m in m_list], slack=slack, decay=decay,
+                             floor=max(floor, radius))
+    )
+    return AcsCertificate(m_list=list(m_list), rows=rows, c=c_decl, omega=w_decl, s=s_est,
+                          passed=passed)

@@ -3,10 +3,13 @@ import io
 import numpy as np
 import pytest
 
-from helpers import random_reflection
+from helpers import designed_draw_one, random_reflection, sacs_oracle
 
 from gltlab.acs import (
+    _STACK_BYTES,
+    MODEL_ZOO,
     ZERO_SEQUENCES,
+    RandomSequenceModel,
     acs_check,
     constant_s_model,
     designed_model,
@@ -20,7 +23,7 @@ from gltlab.acs import (
     splitting_distance,
     zero_distribution_test,
 )
-from gltlab.errors import InvalidParameterError
+from gltlab.errors import EvaluationError, InvalidParameterError
 from gltlab.matgen import toeplitz
 from gltlab.symbols import TrigPolynomial
 
@@ -216,3 +219,62 @@ def test_sacs_trial_loop_takes_no_hermitian_test(monkeypatch):
         monkeypatch.setattr(module, "is_hermitian", lambda a: calls.append(a) or True)
     cert = sacs_check(designed_model(3), [2, 4], [(8,), (12,)], trials=100)
     assert cert.rows and calls == []
+
+
+@pytest.mark.parametrize("name, sizes", [
+    ("designed", [(12,), (16,)]),
+    ("designed", [(3, 4), (5, 6)]),
+    ("deterministic", [(3, 4), (5, 6)]),
+    ("constant_s", [(12,), (16,)]),
+])
+def test_sacs_matches_the_per_trial_oracle_byte_for_byte(name, sizes):
+    # 1037 trials is no multiple of any block length, so the last block is short.
+    model = MODEL_ZOO[name](17)
+    texts = []
+    for cert in (sacs_check(model, [2, 4], sizes, 1037), sacs_oracle(model, [2, 4], sizes, 1037)):
+        buf = io.StringIO()
+        cert.write_csv(buf)
+        texts.append(buf.getvalue())
+    assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("model, s_of", [
+    (designed_model(8), lambda m: 1.0 / m),
+    (constant_s_model(8), lambda m: 0.3),
+])
+def test_block_draws_equal_single_trial_draws_bit_for_bit(model, s_of):
+    n, m = (3, 5), 4
+    stacks = model.sample(n, m, range(40, 75))
+    for i, trial in enumerate(range(40, 75)):
+        one = designed_draw_one(np.random.default_rng((model.seed, m, *n, trial)), n, m, s_of)
+        for stack, mat in zip(stacks, one):
+            assert np.array_equal(stack[i], mat)
+
+
+def test_sacs_non_finite_norm_part_raises():
+    def draw(rngs, n, m):
+        zero = np.zeros((len(rngs), n[0], n[0]))
+        nn = zero.copy()
+        nn[-1, 0, 1] = np.nan
+        return zero, zero, nn
+
+    model = RandomSequenceModel("nan", 1, draw, lambda m: 1.0 / m, lambda m: 1.0 / m)
+    with pytest.raises(EvaluationError):
+        sacs_check(model, [2], [(8,), (12,)], trials=100)
+
+
+def test_sacs_stacks_stay_within_the_byte_budget(monkeypatch):
+    stacks = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        stacks.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    cert = sacs_check(deterministic_model(2), [2], [(16,), (24,)], trials=10**4)
+    assert [(row.freq_rank, row.freq_norm) for row in cert.rows] == [(1.0, 1.0)] * 2
+    assert stacks and all(len(shape) == 3 for shape in stacks)
+    assert sum(shape[0] for shape in stacks) == 2 * 2 * 10**4  # R and N of every trial
+    assert max(np.prod(shape) * 16 for shape in stacks) <= _STACK_BYTES
+    assert max(shape[0] for shape in stacks) > 100

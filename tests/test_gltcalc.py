@@ -153,6 +153,16 @@ def test_fun_apply_gate_on_matrices():
     assert ok.size == 4
 
 
+def test_fun_apply_gate_tests_the_materialized_child():
+    # from_scalar declares Hermitian by default; diag(x + i) is not Hermitian,
+    # and eigh would silently read only its lower triangle.
+    child = Diag(CoefficientFunction.from_scalar(1, lambda x: x + 1j))
+    with pytest.raises(CalculusError):
+        materialize(FunApply("id", child), 3)
+    ok = materialize(FunApply("id", LAP), 5)
+    assert np.allclose(ok.data, toeplitz(LAP_POLY, 5).data, atol=1e-12)
+
+
 def test_hermitian_inference():
     assert LAP.hermitian
     assert not SHIFT.hermitian
@@ -227,6 +237,21 @@ def test_glt1_verify_quasi_hermitian_waiver():
     assert report.passed
     errs = [err for _, err in report.errors_for("x")]
     assert errs[-1] < 0.01
+
+
+def test_glt1_verify_waiver_materializes_each_size_once(monkeypatch):
+    import gltlab.gltcalc as gltcalc_mod
+
+    calls = []
+    original = gltcalc_mod.materialize
+    monkeypatch.setattr(gltcalc_mod, "materialize",
+                        lambda e, n, r=None: calls.append(n) or original(e, n, r=r))
+    report = glt1_verify(
+        Product(DIAG_X, LAP), [(64,), (128,), (256,)], mode="lambda",
+        basket=[poly_on_window(1, -20, 20, "x")], tolerance=0.05,
+    )
+    assert report.passed
+    assert calls == [(64,), (128,), (256,)]
 
 
 def test_zero_perturbation_does_not_change_verdict():

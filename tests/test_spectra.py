@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from helpers import laplacian_eigenvalues, random_reflection, random_trig_polynomial
 
-from gltlab.errors import InvalidParameterError, ModeError
+from gltlab.errors import EvaluationError, InvalidParameterError, ModeError
 from gltlab.matgen import toeplitz
 from gltlab.spectra import (
     TestFunction,
@@ -62,6 +62,30 @@ def test_spectrum_canonical_complex_order():
     a = np.diag([1 + 2j, 1 - 2j, 0.5])
     lam = spectrum(a, "lambda")
     assert np.allclose(lam, [0.5, 1 - 2j, 1 + 2j])
+
+
+def test_spectrum_sigma_on_a_stack_matches_each_matrix_bit_for_bit():
+    rng = np.random.default_rng(11)
+    real = rng.standard_normal((7, 12, 12))
+    cplx = real + 1j * rng.standard_normal((7, 12, 12))
+    for stack in (real, cplx, np.zeros((3, 5, 5))):
+        values = spectrum(stack, "sigma")
+        assert values.shape == stack.shape[:2]
+        for row, a in zip(values, stack):
+            assert np.array_equal(row, spectrum(a, "sigma"))
+    herm = real + real.transpose(0, 2, 1)
+    values = spectrum(herm, "sigma", hermitian=True)
+    for row, a in zip(values, herm):
+        assert np.array_equal(row, spectrum(a, "sigma", hermitian=True))
+
+
+def test_spectrum_stack_checks_finiteness_and_mode():
+    stack = np.zeros((4, 3, 3))
+    stack[2, 1, 0] = np.nan
+    with pytest.raises(EvaluationError):
+        spectrum(stack, "sigma")
+    with pytest.raises(InvalidParameterError):
+        spectrum(np.zeros((4, 3, 3)), "lambda")
 
 
 def test_schatten_examples():
