@@ -399,7 +399,7 @@ def sacs_check(model: RandomSequenceModel, m_list: Sequence[int], sizes: Sequenc
 # model zoo (used by the CLI and the test suite)
 
 
-def deterministic_model(seed: int, dim: int = 32) -> RandomSequenceModel:
+def deterministic_model(seed: int) -> RandomSequenceModel:
     """S = 0, R = 0, N = (1/m) I: reduces to a deterministic certificate."""
 
     def draw(rngs, n, m):

@@ -4,8 +4,15 @@ import numpy as np
 
 from gltlab.acs import AcsCertificate, CertRow, hoeffding_radius
 from gltlab.multiindex import MultiIndexInterval, check_size, iter_interval, nu, size_interval
-from gltlab.spectra import _normalize_sizes, schatten_norm, trending_to_zero
-from gltlab.symbols import TrigPolynomial
+from gltlab.errors import QuadratureError
+from gltlab.spectra import (
+    _node_count,
+    _normalize_sizes,
+    _tensor_nodes,
+    schatten_norm,
+    trending_to_zero,
+)
+from gltlab.symbols import TrigPolynomial, spectral_surfaces
 
 
 def random_trig_polynomial(rng, d=1, r=1, degree=1, hermitian=True, scale=1.0):
@@ -141,3 +148,28 @@ def sacs_oracle(model, m_list, sizes, trials, slack=1.5, decay=0.5, floor=1e-10)
     )
     return AcsCertificate(m_list=list(m_list), rows=rows, c=c_decl, omega=w_decl, s=s_est,
                           passed=passed)
+
+
+def midpoint_functional(s, f, mode, grid_points_per_dim=64, tol=1e-8, max_nodes=2**22):
+    """Oracle: one test function's tensor midpoint integral, its own surfaces
+    evaluated at every doubling until two values differ by less than tol."""
+
+    def value(g):
+        x, theta = _tensor_nodes(s, g)
+        return float(np.mean(f.evaluate(spectral_surfaces(s, x, theta, mode))))
+
+    g = max(int(grid_points_per_dim), 2)
+    active = s.d * (int(s.depends_space) + int(s.depends_frequency))
+    if active > 0:
+        g = min(g, max(int(max_nodes ** (1.0 / active)) // 2, 2))
+    if _node_count(s, 2 * g) > max_nodes:
+        raise QuadratureError("node budget cannot fit one grid doubling")
+    prev = value(g)
+    while True:
+        g2 = 2 * g
+        if _node_count(s, g2) > max_nodes:
+            raise QuadratureError(f"no convergence within {max_nodes} nodes")
+        cur = value(g2)
+        if abs(cur - prev) < tol:
+            return cur
+        prev, g = cur, g2

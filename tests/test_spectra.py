@@ -4,9 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import laplacian_eigenvalues, random_reflection, random_trig_polynomial
+from helpers import (
+    laplacian_eigenvalues,
+    midpoint_functional,
+    random_reflection,
+    random_trig_polynomial,
+)
 
-from gltlab.errors import EvaluationError, InvalidParameterError, ModeError
+from gltlab.dsl import parse
+from gltlab.errors import EvaluationError, InvalidParameterError, ModeError, QuadratureError
+from gltlab.gltcalc import materialize, symbol_of
 from gltlab.matgen import toeplitz
 from gltlab.spectra import (
     TestFunction,
@@ -40,6 +47,9 @@ BLOCK_F = TrigPolynomial(
         (-1,): [[0.0, 1.0], [0.0, 0.0]],
     },
 )
+
+PRODUCT_EXPR = parse("D(x1)*T(2-2*cos(t1))")
+PRODUCT = symbol_of(PRODUCT_EXPR)
 
 WIDE_X = poly_on_window(1, -100.0, 100.0, "x")
 WIDE_X2 = poly_on_window(2, -100.0, 100.0, "x^2")
@@ -275,11 +285,14 @@ def test_trend_helpers():
 
 
 def test_symbol_functional_quadrature_error():
-    from gltlab.errors import QuadratureError
-
     bump = cosine_bump(2.0, 1.0)
-    with pytest.raises(QuadratureError):
+    with pytest.raises(QuadratureError, match=r"last delta \d\.\d{3}e[+-]\d+ at g=32"):
         symbol_functional(LAP, bump, "lambda", grid_points_per_dim=64, max_nodes=32)
+    # x-dependent: the Richardson test needs three grids, 8^2 nodes at the least
+    with pytest.raises(QuadratureError, match="cannot fit the 3 grids"):
+        symbol_functional(PRODUCT, bump, "sigma", max_nodes=63)
+    with pytest.raises(QuadratureError, match=r"last delta \d\.\d{3}e[+-]\d+ at g=64"):
+        symbol_functional(PRODUCT, cosine_bump(2.0, 1.0), "sigma", max_nodes=64**2)
 
 
 def test_empirical_functional_rejects_non_finite():
@@ -329,3 +342,62 @@ def test_distribution_check_decides_hermitian_once_per_size(monkeypatch):
         distribution_check(lambda n: toeplitz(LAP, n), LAP, [16, 32, 64], mode=mode,
                            basket=[WIDE_X])
         assert calls == [16, 32, 64]
+
+
+def test_richardson_in_x_reaches_the_closed_forms():
+    # sigma surface |x (2 - 2 cos t)|: int x^2 * mean (2-2cos)^2 = 6/3, int x * 2 = 1
+    report = distribution_check(lambda n: materialize(PRODUCT_EXPR, n), PRODUCT, [16, 32],
+                                mode="sigma", basket=[WIDE_X, WIDE_X2])
+    symbol = {row.f_id: row.symbol for row in report.rows}
+    assert abs(symbol["x^2"] - 2.0) <= 1e-9
+    assert abs(symbol["x"] - 1.0) <= 1e-9
+    quad = report.metadata["quadrature"]
+    assert set(quad) == {"x", "x^2"}
+    for entry in quad.values():
+        assert entry["g"] <= 256 and entry["nodes"] == entry["g"] ** 2
+        assert entry["last_delta"] < report.metadata["quad_tol"]
+
+
+TWO_LEVEL = TrigPolynomial(2, 1, {(0, 0): [[4.0]], (1, 0): [[-1.0]], (-1, 0): [[-1.0]],
+                                  (0, 1): [[-1.0]], (0, -1): [[-1.0]]})
+
+
+@pytest.mark.parametrize("symbol, mode, hull", [
+    (LAP, "lambda", (0.0, 4.0)),
+    (LAP, "sigma", (0.0, 4.0)),
+    (BLOCK_F, "sigma", (0.0, 2.0)),
+    (TWO_LEVEL, "lambda", (0.0, 8.0)),
+])
+def test_frequency_only_quadrature_matches_the_midpoint_oracle_bit_for_bit(symbol, mode, hull):
+    basket = default_basket(*hull) + [poly_on_window(2, -100.0, 100.0, "wide x^2")]
+    for f in basket:
+        assert symbol_functional(symbol, f, mode) == midpoint_functional(symbol, f, mode)
+    sizes = [(4,) * symbol.d, (8,) * symbol.d]
+    report = distribution_check(lambda n: toeplitz(symbol, n), symbol, sizes, mode=mode,
+                                basket=basket, quad_tol=1e-7, grid_points_per_dim=16)
+    for row in report.rows:
+        f = next(f for f in basket if f.id == row.f_id)
+        assert row.symbol == midpoint_functional(symbol, f, mode, 16, tol=1e-7)
+
+
+@pytest.mark.parametrize("expr, mode", [("D(x1)*T(2-2*cos(t1))", "sigma"),
+                                        ("T(2-2*cos(t1))", "lambda")])
+def test_distribution_check_evaluates_each_grid_once(expr, mode, monkeypatch):
+    import gltlab.spectra as spectra_mod
+
+    e = parse(expr)
+    symbol = symbol_of(e)
+    nodes = []
+    surfaces = spectra_mod.spectral_surfaces
+
+    def counted(s, x, theta, mode):
+        nodes.append(len(x))
+        return surfaces(s, x, theta, mode)
+
+    monkeypatch.setattr(spectra_mod, "spectral_surfaces", counted)
+    report = distribution_check(lambda n: materialize(e, n), symbol, [16, 32, 64], mode=mode)
+    finest = max(entry["g"] for entry in report.metadata["quadrature"].values())
+    grids = [g for g in (64, 128, 256, 512, 1024, 2048) if g <= finest]
+    probe = nodes[0]
+    assert nodes == [probe] + [spectra_mod._node_count(symbol, g) for g in grids]
+    assert len(report.metadata["quadrature"]) == 5
