@@ -22,11 +22,17 @@ of a whole block, each trial still from its own generator seeded with
 a block from one stacked values-only SVD.  A block holds as many trials as
 fit a stack of ``_STACK_BYTES`` (2 MiB) of complex d_n x d_n matrices, so
 memory does not grow with the trial count and the frequencies do not depend
-on the block length.
+on the block length.  The verifier keeps ``_WORKERS`` threads busy: the
+calling thread draws the blocks of all (m, n) cells in turn, and a private
+pool of ``_WORKERS - 1`` threads takes their SVDs (numpy's LAPACK calls
+release the GIL).  A model's ``draw`` is therefore called from the calling
+thread only, one block at a time.  Each block's hit counts are integers
+summed per cell, so the certificate does not depend on the worker count.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -48,6 +54,9 @@ from .spectra import (
 _RANK_TOL = 1e-10
 # Byte budget of one stack of trial matrices in the s.a.c.s. Monte Carlo loop.
 _STACK_BYTES = 2**21
+# Threads of the s.a.c.s. loop: at most 4, and no more than this process may use.
+_WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +309,11 @@ class RandomSequenceModel:
     down by the definition; independence is this model zoo's documented
     choice).  ``c_bound`` and ``omega_bound`` declare the per-m bounds the rank
     and norm events are tested against.
+
+    :func:`sacs_check` calls ``sample`` (hence ``draw``) from its calling
+    thread only, one block at a time, while worker threads factor the stacks
+    of earlier blocks: ``draw`` must return fresh stacks (or read-only views)
+    and must not write to a stack it returned before.
     """
 
     name: str
@@ -331,7 +345,8 @@ def sacs_check(model: RandomSequenceModel, m_list: Sequence[int], sizes: Sequenc
 
     Trials are drawn in blocks of at most ``_STACK_BYTES`` per stack; the
     numerical rank of every R and sigma_1 of every N in a block come from one
-    stacked values-only SVD each.
+    stacked values-only SVD each, taken on a worker thread when
+    ``_WORKERS`` > 1; an exception raised there reaches the caller unchanged.
     """
     trials = int(trials)
     if trials < 100:
@@ -341,35 +356,66 @@ def sacs_check(model: RandomSequenceModel, m_list: Sequence[int], sizes: Sequenc
         raise InvalidParameterError(f"every m must be >= 1, got {m_list}")
     norm_sizes = _normalize_sizes(sizes)
     radius = hoeffding_radius(trials)
+
+    c_decl = {m: model.c_bound(m) for m in m_list}
+    w_decl = {m: model.omega_bound(m) for m in m_list}
+
+    def count_hits(m, stacks):
+        """(d_n, rank hits, norm hits, S hits) of one block of trials."""
+        s_mat, r_mat, n_mat = stacks
+        sv_r = spectrum(r_mat, SIGMA)
+        # sigma_1 = 0 leaves no singular value above the threshold: rank 0.
+        rank = np.sum(sv_r > _RANK_TOL * sv_r[:, :1] + 1e-14, axis=1)
+        d_n = r_mat.shape[-1]
+        w_m = w_decl[m]
+        return (
+            d_n,
+            int(np.sum(rank <= c_decl[m] * d_n + 1e-9)),
+            int(np.sum(spectrum(n_mat, SIGMA)[:, 0] <= w_m + 1e-12 * (1.0 + w_m))),
+            int(np.sum(np.any(np.asarray(s_mat) != 0, axis=(1, 2)))),
+        )
+
+    cells = [(m, n) for m in m_list for n in norm_sizes]
+    jobs = []
+    for m, n in cells:
+        # Sized for complex entries, so real and complex stacks both fit.
+        step = max(1, _STACK_BYTES // (16 * nu(n) ** 2))
+        jobs += [(m, n, range(first, min(first + step, trials)))
+                 for first in range(0, trials, step)]
+    if _WORKERS > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        # This thread draws every block (so ``draw`` never runs concurrently
+        # and the stacks come from this thread's heap) while the pool takes
+        # the SVDs of the blocks drawn before; at most _WORKERS are in flight.
+        with ThreadPoolExecutor(_WORKERS - 1) as pool:
+            pending, counts = [], []
+            for m, n, block in jobs:
+                pending.append(pool.submit(count_hits, m, model.sample(n, m, block)))
+                if len(pending) == _WORKERS:
+                    counts.append(pending.pop(0).result())
+            counts += [future.result() for future in pending]
+    else:
+        counts = [count_hits(m, model.sample(n, m, block)) for m, n, block in jobs]
+    d_ns: dict[tuple, int] = {}
+    hits = {cell: (0, 0, 0) for cell in cells}
+    for (m, n, _), (d_n, *block_hits) in zip(jobs, counts):
+        d_ns[m, n] = d_n
+        hits[m, n] = tuple(a + b for a, b in zip(hits[m, n], block_hits))
+
     rows: list[CertRow] = []
     freq_s_by_m: dict[int, list[float]] = {m: [] for m in m_list}
     events_ok = True
-    for m in m_list:
-        c_m = model.c_bound(m)
-        w_m = model.omega_bound(m)
-        for n in norm_sizes:
-            hit_rank = hit_norm = hit_s = 0
-            # Sized for complex entries, so real and complex stacks both fit.
-            block = max(1, _STACK_BYTES // (16 * nu(n) ** 2))
-            for first in range(0, trials, block):
-                s_mat, r_mat, n_mat = model.sample(n, m, range(first, min(first + block, trials)))
-                d_n = r_mat.shape[-1]
-                sv_r = spectrum(r_mat, SIGMA)
-                # sigma_1 = 0 leaves no singular value above the threshold: rank 0.
-                rank = np.sum(sv_r > _RANK_TOL * sv_r[:, :1] + 1e-14, axis=1)
-                hit_rank += int(np.sum(rank <= c_m * d_n + 1e-9))
-                hit_norm += int(np.sum(spectrum(n_mat, SIGMA)[:, 0] <= w_m + 1e-12 * (1.0 + w_m)))
-                hit_s += int(np.sum(np.any(np.asarray(s_mat) != 0, axis=(1, 2))))
-            freq_rank = hit_rank / trials
-            freq_norm = hit_norm / trials
-            freq_s = hit_s / trials
-            freq_s_by_m[m].append(freq_s)
-            rows.append(CertRow(m, n, d_n, c_m, w_m, freq_rank, freq_norm, freq_s))
-            if freq_rank < 1.0 - 1.0 / m - radius or freq_norm < 1.0 - 1.0 / m - radius:
-                events_ok = False
+    for m, n in cells:
+        hit_rank, hit_norm, hit_s = hits[m, n]
+        freq_rank = hit_rank / trials
+        freq_norm = hit_norm / trials
+        freq_s = hit_s / trials
+        freq_s_by_m[m].append(freq_s)
+        rows.append(CertRow(m, n, d_ns[m, n], c_decl[m], w_decl[m], freq_rank, freq_norm, freq_s))
+        if freq_rank < 1.0 - 1.0 / m - radius or freq_norm < 1.0 - 1.0 / m - radius:
+            events_ok = False
     s_est = {m: _limsup_estimate(freq_s_by_m[m]) for m in m_list}
-    c_decl = {m: model.c_bound(m) for m in m_list}
-    w_decl = {m: model.omega_bound(m) for m in m_list}
     # Monte Carlo noise on s(m) is absorbed by a Hoeffding-radius floor.
     s_floor = max(floor, radius)
     passed = (
@@ -423,6 +469,12 @@ def designed_model(seed: int, s_design: Callable[[int], float] | None = None,
     S != 0 with probability s_design(m) (default 1/m); the rank and norm
     bounds are violated with probability violate_prob(m) (default 1/(2m),
     strictly inside the allowed 1/m exception budget).
+
+    N = norm_scale * omega(m) * (I - 2 v v^T / v^T v) with v the first column
+    of a standard normal d_n x d_n draw: a Householder reflector, whose
+    singular values are all 1, so ||N|| = norm_scale * omega(m) by
+    construction (norm_scale is 0.8, or 1.5 to violate the bound) and the
+    model takes no SVD.
     """
     s_of = s_design or (lambda m: 1.0 / m)
     bad_of = violate_prob or (lambda m: 0.5 / m)
@@ -434,7 +486,8 @@ def designed_model(seed: int, s_design: Callable[[int], float] | None = None,
         c_m, w_m = c_of(m), w_of(m)
         ok_rank = int(np.floor(c_m * d_n))
         shape = (len(rngs), d_n, d_n)
-        s, r, g = np.zeros(shape), np.zeros(shape), np.empty(shape)
+        s, r = np.zeros(shape), np.zeros(shape)
+        col = np.empty(shape[:2])
         norm_scale = np.empty(len(rngs))
         for i, rng in enumerate(rngs):
             rank = ok_rank if rng.random() >= bad_of(m) else min(ok_rank + 2, d_n)
@@ -443,13 +496,13 @@ def designed_model(seed: int, s_design: Callable[[int], float] | None = None,
                 v = rng.standard_normal((rank, d_n))
                 r[i] = u @ v
             norm_scale[i] = 0.8 if rng.random() >= bad_of(m) else 1.5
-            g[i] = rng.standard_normal((d_n, d_n))
+            col[i] = rng.standard_normal((d_n, d_n))[:, 0]
             if rng.random() < s_of(m):
                 s[i, 0, 0] = 1.0
-        # ||N|| = norm_scale * omega(m): every g scaled by its own sigma_1.
-        sigma1 = spectrum(g, SIGMA)[:, 0]
-        nn = (norm_scale * w_m / np.maximum(sigma1, 1e-30))[:, None, None] * g
-        return s, r, nn
+        # The floor keeps a zero column from giving NaN (N is then a multiple of I).
+        two_over_vv = 2.0 / np.maximum(np.sum(col * col, axis=-1), 1e-30)
+        reflector = np.eye(d_n) - two_over_vv[:, None, None] * (col[:, :, None] * col[:, None, :])
+        return s, r, (norm_scale * w_m)[:, None, None] * reflector
 
     return RandomSequenceModel(
         name="designed", seed=seed, draw=draw, c_bound=c_of, omega_bound=w_of

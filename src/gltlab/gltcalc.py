@@ -384,14 +384,17 @@ def _materialize(e: GLTExpression, n: MultiIndex, r: int, cap, notes: list[str])
         return _materialize(e.left, n, r, cap, notes) @ _materialize(e.right, n, r, cap, notes)
     if isinstance(e, PseudoInverse):
         child = _materialize(e.child, n, r, cap, notes)
-        sv = np.linalg.svd(child, compute_uv=False)
-        if sv[0] > 0 and sv[-1] <= PINV_RCOND * sv[0]:
+        # np.linalg.pinv(child, rcond=PINV_RCOND) step by step, so that its
+        # one SVD also serves the truncation note.
+        u, sv, vt = np.linalg.svd(child.conj(), full_matrices=False)
+        kept = sv > PINV_RCOND * sv[0]
+        if not kept.all():
             notes.append(
                 f"pseudo-inverse at n={format_multiindex(n)} truncated "
-                f"{int(np.sum(sv <= PINV_RCOND * sv[0]))} singular values "
-                f"below {PINV_RCOND:g} * sigma_1"
+                f"{int(np.sum(~kept))} singular values below {PINV_RCOND:g} * sigma_1"
             )
-        return np.linalg.pinv(child, rcond=PINV_RCOND)
+        inv_sv = np.divide(1, sv, where=kept, out=np.zeros_like(sv))
+        return vt.T @ (inv_sv[:, None] * u.T)
     if isinstance(e, FunApply):
         if e.name not in FUNCTION_CATALOGUE:
             raise CalculusError(f"unknown function {e.name!r}")

@@ -89,8 +89,8 @@ def numerical_rank(matrix):
 
 
 def designed_draw_one(rng, n, m, s_of=lambda m: 1.0 / m):
-    """Oracle: one trial (S, R, N) of the designed model, drawn on its own
-    with a 2-norm per trial."""
+    """Oracle: one trial (S, R, N) of the designed model, drawn on its own;
+    N is the scaled Householder reflector of the first column of g."""
     d_n = int(np.prod(n))
     c_m, w_m = 1.0 / (2.0 * m), 1.0 / m
     ok_rank = int(np.floor(c_m * d_n))
@@ -102,7 +102,8 @@ def designed_draw_one(rng, n, m, s_of=lambda m: 1.0 / m):
         r = u @ v
     norm_scale = 0.8 if rng.random() >= 0.5 / m else 1.5
     g = rng.standard_normal((d_n, d_n))
-    nn = (norm_scale * w_m / max(np.linalg.norm(g, 2), 1e-30)) * g
+    v = g[:, 0]
+    nn = (norm_scale * w_m) * (np.eye(d_n) - 2.0 / max(np.sum(v * v), 1e-30) * np.outer(v, v))
     s = np.zeros((d_n, d_n))
     if rng.random() < s_of(m):
         s[0, 0] = 1.0

@@ -1,10 +1,14 @@
 import io
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from helpers import designed_draw_one, random_reflection, sacs_oracle
 
+import gltlab.acs as acs_mod
 from gltlab.acs import (
     _STACK_BYTES,
     MODEL_ZOO,
@@ -251,7 +255,7 @@ def test_block_draws_equal_single_trial_draws_bit_for_bit(model, s_of):
             assert np.array_equal(stack[i], mat)
 
 
-def test_sacs_non_finite_norm_part_raises():
+def test_sacs_non_finite_norm_part_raises(monkeypatch):
     def draw(rngs, n, m):
         zero = np.zeros((len(rngs), n[0], n[0]))
         nn = zero.copy()
@@ -259,8 +263,87 @@ def test_sacs_non_finite_norm_part_raises():
         return zero, zero, nn
 
     model = RandomSequenceModel("nan", 1, draw, lambda m: 1.0 / m, lambda m: 1.0 / m)
-    with pytest.raises(EvaluationError):
-        sacs_check(model, [2], [(8,), (12,)], trials=100)
+    for workers in (acs_mod._WORKERS, 3):
+        monkeypatch.setattr(acs_mod, "_WORKERS", workers)
+        with pytest.raises(EvaluationError):
+            sacs_check(model, [2], [(8,), (12,)], trials=100)
+
+
+def test_sacs_worker_count_is_at_most_four_usable_cpus():
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert acs_mod._WORKERS == min(4, usable)
+
+
+@pytest.mark.parametrize("sizes", [[(12,), (16,)], [(3, 4), (5, 6)]])
+def test_sacs_csv_does_not_depend_on_the_worker_count(monkeypatch, sizes):
+    # 1037 trials is no multiple of any block length, so the last block is short.
+    def csv(workers):
+        monkeypatch.setattr(acs_mod, "_WORKERS", workers)
+        buf = io.StringIO()
+        sacs_check(designed_model(23), [2, 4], sizes, 1037).write_csv(buf)
+        return buf.getvalue()
+
+    default = csv(acs_mod._WORKERS)
+    assert csv(1) == default
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # more thread switches: a lost hit would show
+    try:
+        assert csv(3) == default
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_sacs_draws_on_the_calling_thread_and_factors_on_the_pool(monkeypatch, workers):
+    base = deterministic_model(4)
+    on_main = lambda: threading.current_thread() is threading.main_thread()
+    draws, svds, alive, unfactored = set(), set(), set(), []
+    lock = threading.Lock()
+    drawn = factored = 0
+
+    def draw(rngs, n, m):
+        nonlocal drawn
+        draws.add(on_main())
+        alive.add(threading.active_count())
+        with lock:
+            unfactored.append(drawn - factored // 2)  # two SVDs per block
+            drawn += 1
+        return base.draw(rngs, n, m)
+
+    def recording_spectrum(*args):
+        nonlocal factored
+        svds.add(on_main())
+        values = spectrum(*args)
+        with lock:
+            factored += 1
+        return values
+
+    spectrum = acs_mod.spectrum
+    monkeypatch.setattr(acs_mod, "spectrum", recording_spectrum)
+    monkeypatch.setattr(acs_mod, "_WORKERS", workers)
+    model = RandomSequenceModel("probe", 4, draw, base.c_bound, base.omega_bound)
+    before = threading.active_count()
+    sacs_check(model, [2], [(16,), (24,)], trials=5000)
+    assert draws == {True} and svds == {workers == 1}
+    # one worker: a plain loop that starts no thread
+    assert (alive == {before}) == (workers == 1)
+    # memory: at most workers - 1 drawn blocks wait for their SVDs
+    assert max(unfactored) <= workers - 1
+
+
+@pytest.mark.parametrize("n", [(16,), (24,), (3, 5)])
+def test_designed_norm_part_has_the_designed_spectral_norm(n):
+    scales = []
+    for m in (2, 4, 8):
+        _, _, n_mat = designed_model(31).sample(n, m, range(300))
+        sv = np.linalg.svd(n_mat, compute_uv=False)
+        omega = 1.0 / m
+        design = np.where(sv[:, 0] < omega, 0.8, 1.5)  # norm_scale of each trial
+        assert np.all(np.abs(sv[:, 0] - design * omega) <= 1e-12 * design * omega)
+        # a scaled reflector: every singular value equals sigma_1
+        assert np.all(np.abs(sv - sv[:, :1]) <= 1e-12 * sv[:, :1])
+        scales += list(design)
+    assert set(scales) == {0.8, 1.5}
 
 
 def test_sacs_stacks_stay_within_the_byte_budget(monkeypatch):

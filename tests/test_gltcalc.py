@@ -146,6 +146,31 @@ def test_pseudo_inverse_materialization():
     assert out.notes and "pseudo-inverse" in out.notes[0]
 
 
+@pytest.mark.parametrize("left", [
+    LAP,
+    Toeplitz(TrigPolynomial(1, 1, {(0,): [[2.0]], (1,): [[1j]]})),
+])
+def test_pseudo_inverse_is_pinv_from_one_svd(monkeypatch, left):
+    # diag((x - 1/4)(x - 1/2)) is singular twice at n = 8
+    singular = Product(LinComb(1.0, DIAG_X, -0.25, Scalar(1.0)),
+                       LinComb(1.0, DIAG_X, -0.5, Scalar(1.0)))
+    e = Product(left, singular)
+    child = materialize(e, 8).data
+    expected = np.linalg.pinv(child, rcond=1e-10)
+    sv = np.linalg.svd(child, compute_uv=False)
+    dropped = int(np.sum(sv <= 1e-10 * sv[0]))
+    assert dropped == 2
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a) or svd(*a, **k))
+    out = materialize(PseudoInverse(e), 8)
+    assert len(calls) == 1
+    assert out.data.dtype == expected.dtype and np.array_equal(out.data, expected)
+    assert out.notes == (
+        f"pseudo-inverse at n=8 truncated {dropped} singular values below 1e-10 * sigma_1",
+    )
+
+
 def test_fun_apply_gate_on_matrices():
     with pytest.raises(CalculusError):
         materialize(FunApply("exp", SHIFT), 4)
