@@ -105,6 +105,56 @@ def _fingerprint(arr: np.ndarray) -> str:
     return f"shape={arr.shape}, fro={np.linalg.norm(arr):.6e}, trace={trace:.6e}"
 
 
+_STRIP = 1 << 16  # entries the structure test compares at once
+
+
+def _is_centro_hermitian(arr: np.ndarray) -> bool:
+    """Exactly J A J == conj(A), J the reversal of the (lexicographic) index.
+
+    Row 0 goes first, against the reversed last row, so most other matrices
+    are rejected in O(N).  The rest is compared in strips of rows: no N x N
+    temporary is made.
+    """
+    n = arr.shape[0]
+    complex_ = np.iscomplexobj(arr)
+    half = (n + 1) // 2
+    edges = [0, *range(1, half, max(1, _STRIP // n)), half]
+    for lo, hi in zip(edges, edges[1:]):
+        mirror = arr[n - hi:n - lo][::-1, ::-1]
+        if not np.array_equal(arr[lo:hi], mirror.conj() if complex_ else mirror):
+            return False
+    return True
+
+
+def _centro_hermitian_blocks(arr: np.ndarray) -> list[np.ndarray]:
+    """Real symmetric matrices whose joint spectrum is that of the Hermitian,
+    centro-Hermitian ``arr``, built in O(N^2).
+
+    With N = 2m + odd, X = A[:m, :m], YJ = A[:m, N-m:] with its columns
+    reversed, P = X + YJ, M = X - YJ, u = A[:m, m] and c = A[m, m] (odd N only),
+    the orthogonal similarity of Cantoni & Butler (real A) or the unitary one
+    of Lee (complex A) gives
+
+        [[Re P,     √2 Re u, -Im M   ],
+         [√2 Re uᵀ, c,       √2 Im uᵀ],
+         [Im P,     √2 Im u, Re M    ]],
+
+    which is block diagonal, [[P, √2 u], [√2 uᵀ, c]] and M, when A is real.
+    """
+    n = arr.shape[0]
+    m, odd = divmod(n, 2)
+    x = arr[:m, :m]
+    yj = arr[:m, n - m:][:, ::-1]
+    p, q = x + yj, x - yj
+    u = np.sqrt(2.0) * arr[:m, m:m + odd]
+    c = arr[m:m + odd, m:m + odd].real
+    if not np.iscomplexobj(arr):
+        return [np.block([[p, u], [u.T, c]]), q]
+    return [np.block([[p.real, u.real, -q.imag],
+                      [u.real.T, c, u.imag.T],
+                      [p.imag, u.imag, q.real]])]
+
+
 def spectrum(matrix, mode: str = SIGMA, hermitian: bool | None = None) -> np.ndarray:
     """Singular values (descending) or eigenvalues (canonical order).
 
@@ -119,11 +169,20 @@ def spectrum(matrix, mode: str = SIGMA, hermitian: bool | None = None) -> np.nda
     lambda  True             ``eigvalsh``                    real, ascending
     lambda  False            ``eigvals``                     complex, (re, im)
     lambda  None             ``is_hermitian`` decides        as above
+    either  True, and one    ``eigvalsh`` of real symmetric  as for ``eigvalsh``
+            centro-Hermitian blocks: orders m(+1) and m if
+            matrix           real, one of order N if complex
     ======  ===============  ==============================  ====================
 
     Sigma mode never tests for itself: a caller that factors many small
     matrices (Schatten norms, Monte Carlo trials) pays no test per call.
     Real (float64) input takes the real LAPACK routine of each solver.
+
+    Every scalar Hermitian multilevel Toeplitz matrix is centro-Hermitian,
+    J A J = conj(A) with J the reversal of the whole index.  A Hermitian
+    matrix that passes this exact O(N^2) test is reduced, in O(N^2), to real
+    symmetric blocks of the same joint spectrum before the O(N^3) solve
+    (:func:`_centro_hermitian_blocks`).  Stacks never take that path.
 
     In sigma mode ``matrix`` may also be a stack of shape (k, d, d): the
     result has shape (k, d) and row i holds the values of matrix i, bit for
@@ -142,7 +201,11 @@ def spectrum(matrix, mode: str = SIGMA, hermitian: bool | None = None) -> np.nda
         hermitian = is_hermitian(arr)
     try:
         if hermitian:
-            values = np.linalg.eigvalsh(arr)
+            if arr.ndim == 2 and _is_centro_hermitian(arr):
+                values = np.sort(np.concatenate(
+                    [np.linalg.eigvalsh(b) for b in _centro_hermitian_blocks(arr)]))
+            else:
+                values = np.linalg.eigvalsh(arr)
             return values if mode == LAMBDA else np.sort(np.abs(values))[..., ::-1]
         if mode == SIGMA:
             return np.linalg.svd(arr, compute_uv=False)

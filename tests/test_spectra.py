@@ -12,7 +12,13 @@ from helpers import (
 )
 
 from gltlab.dsl import parse
-from gltlab.errors import EvaluationError, InvalidParameterError, ModeError, QuadratureError
+from gltlab.errors import (
+    EvaluationError,
+    InvalidParameterError,
+    ModeError,
+    QuadratureError,
+    SolverError,
+)
 from gltlab.gltcalc import materialize, symbol_of
 from gltlab.matgen import toeplitz
 from gltlab.spectra import (
@@ -328,6 +334,104 @@ def test_lambda_non_hermitian_is_complex():
         lam = spectrum(a, "lambda", hermitian=hermitian)
         assert lam.dtype == np.complex128
         assert np.allclose(lam, [1, 6, 11, 16], atol=1e-12)
+
+
+CENTRO_CASES = (
+    [("T(2-2*cos(t1))", n) for n in (1, 2, 3, 7, 8, 255, 256)]
+    + [("T(2+cos(t1)+sin(t1))", n) for n in (1, 2, 3, 7, 8, 255, 256)]
+    + [("T(4-2*cos(t1)-2*cos(t2))", n) for n in ((1, 1), (2, 3), (3, 3), (8, 8), (15, 17))]
+    + [("T(4+cos(t1)+sin(t1+t2)+cos(t2))", n) for n in ((1, 2), (2, 3), (3, 3), (8, 8), (15, 17))]
+    + [("T(6-2*cos(t1)-2*cos(t2)-2*cos(t3))", n) for n in ((2, 3, 4), (3, 3, 3), (4, 4, 4))]
+    + [("T(6+cos(t1)+sin(t1+t2+t3)-cos(t3))", n) for n in ((2, 3, 4), (3, 3, 3), (4, 4, 4))]
+)
+
+
+@pytest.mark.parametrize("expr, n", CENTRO_CASES)
+def test_centro_hermitian_path_matches_the_plain_eigvalsh(expr, n):
+    import gltlab.spectra as spectra_mod
+
+    a = materialize(parse(expr), n).data
+    assert spectra_mod._is_centro_hermitian(a)
+    lam = np.linalg.eigvalsh(a)
+    bound = 1e-13 * np.abs(lam).max()
+    assert np.abs(spectrum(a, "lambda", hermitian=True) - lam).max() <= bound
+    sigma = np.sort(np.abs(lam))[::-1]
+    assert np.abs(spectrum(a, "sigma", hermitian=True) - sigma).max() <= bound
+
+
+@pytest.mark.parametrize("n", [2047, 2048])
+def test_centro_laplacian_closed_form_at_large_n(n):
+    expect = laplacian_eigenvalues(n)
+    lam = spectrum(toeplitz(LAP, n), "lambda")
+    assert np.abs(lam - expect).max() <= 1e-12
+    sigma = spectrum(toeplitz(LAP, n), "sigma", hermitian=True)
+    assert np.abs(sigma - expect[::-1]).max() <= 1e-12
+
+
+def _nudged(a):
+    """``a`` moved by one ulp in the Hermitian pair (2, 3), (3, 2): still
+    Hermitian, no longer centro-Hermitian, and rows 0 and N-1 are untouched."""
+    b = a.copy()
+    b.real[2, 3] = np.nextafter(b.real[2, 3], np.inf)
+    b[3, 2] = np.conj(b[2, 3])
+    return b
+
+
+def test_centro_hermitian_path_and_its_gate(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: calls.append((a.shape[0], a.dtype)) or eigvalsh(a))
+    real = parse("T(2-2*cos(t1))")
+    cplx = parse("T(2+cos(t1)+sin(t1))")
+    block = TrigPolynomial(1, 2, {(0,): [[2.0, 1.0], [1.0, 3.0]], (1,): [[-1.0, 0.0], [0.0, -1.0]],
+                                  (-1,): [[-1.0, 0.0], [0.0, -1.0]]})
+    product = materialize(PRODUCT_EXPR, 8).data
+    f8 = np.dtype(np.float64)
+    cases = [
+        (materialize(real, 8).data, [(4, f8), (4, f8)]),
+        (materialize(real, 7).data, [(4, f8), (3, f8)]),
+        (materialize(parse("T(4-2*cos(t1)-2*cos(t2))"), (3, 3)).data, [(5, f8), (4, f8)]),
+        (materialize(cplx, 8).data, [(8, f8)]),
+        (materialize(cplx, 7).data, [(7, f8)]),
+    ]
+    falls_through = [_nudged(materialize(real, 8).data), _nudged(materialize(cplx, 8).data),
+                     toeplitz(block, 4).data, (product + product.T) / 2]
+    assert falls_through[1].dtype == np.complex128
+    cases += [(a, [(a.shape[0], a.dtype)]) for a in falls_through]
+    for a, expect in cases:
+        for mode in ("lambda", "sigma"):
+            calls.clear()
+            spectrum(a, mode, hermitian=True)
+            assert calls == expect
+
+
+def test_centro_structure_test_rejects_on_row_zero(monkeypatch):
+    import gltlab.spectra as spectra_mod
+
+    product = materialize(PRODUCT_EXPR, 64).data
+    shapes = []
+    array_equal = np.array_equal
+    monkeypatch.setattr(np, "array_equal",
+                        lambda a, b: shapes.append(np.shape(a)) or array_equal(a, b))
+    assert not spectra_mod._is_centro_hermitian((product + product.T) / 2)
+    assert shapes == [(1, 64)]
+    shapes.clear()
+    assert spectra_mod._is_centro_hermitian(toeplitz(LAP, 2048).data)
+    assert shapes[0] == (1, 2048) and max(np.prod(s) for s in shapes) <= spectra_mod._STRIP
+    assert sum(s[0] for s in shapes) == 1024
+
+
+@pytest.mark.parametrize("expr", ["T(2-2*cos(t1))", "T(2+cos(t1)+sin(t1))"])
+def test_centro_hermitian_solver_error_fingerprints_the_original(expr, monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("no convergence")
+
+    a = materialize(parse(expr), 9).data
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(SolverError) as info:
+        spectrum(a, "lambda", hermitian=True)
+    assert f"shape=(9, 9), fro={np.linalg.norm(a):.6e}" in str(info.value)
 
 
 def test_distribution_check_decides_hermitian_once_per_size(monkeypatch):
