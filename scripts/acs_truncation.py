@@ -34,9 +34,10 @@ def main() -> int:
     tail_all = float(np.sum(1.0 / (1.0 + ks**2)))
     print(f"strategy: {cert.metadata['strategy']}")
     print(" m   c(m)      omega(m)   tail bound")
+    c, omega = cert.facts["c"], cert.facts["omega"]
     for m in m_list:
         tail = 2.0 * (tail_all - float(np.sum(1.0 / (1.0 + ks[:m] ** 2))))
-        print(f"{m:2d}   {cert.c[m]:<8.5f}  {cert.omega[m]:<9.5f}  {tail:.5f}")
+        print(f"{m:2d}   {c[str(m)]:<8.5f}  {omega[str(m)]:<9.5f}  {tail:.5f}")
     print(f"verdict: {'PASS' if cert.passed else 'FAIL'}")
     return 0 if cert.passed else 1
 

@@ -22,7 +22,7 @@ def main() -> int:
           f"Hoeffding radius {cert.metadata['hoeffding_radius']:.4f}")
     print(" m   s_est     design 1/m")
     for m in m_list:
-        print(f"{m:2d}   {cert.s[m]:<8.4f}  {1.0 / m:.4f}")
+        print(f"{m:2d}   {cert.facts['s_estimates'][str(m)]:<8.4f}  {1.0 / m:.4f}")
     print(f"verdict: {'PASS' if cert.passed else 'FAIL'}")
     return 0 if cert.passed else 1
 

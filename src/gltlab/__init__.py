@@ -8,7 +8,6 @@ a seeded Monte Carlo verifier for the stochastic variant.
 """
 
 from .acs import (
-    AcsCertificate,
     RandomSequenceModel,
     Splitting,
     acs_check,
@@ -42,8 +41,8 @@ from .multiindex import (
     lex_unrank,
     nu,
 )
+from .reports import Report
 from .spectra import (
-    DistributionReport,
     TestFunction,
     cosine_bump,
     default_basket,
@@ -70,13 +69,11 @@ from .dsl import format_expression, parse
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcsCertificate",
     "Adjoint",
     "BlockMatrix",
     "CoefficientFunction",
     "ConstantSymbol",
     "Diag",
-    "DistributionReport",
     "FunApply",
     "GLTExpression",
     "LinComb",
@@ -84,6 +81,7 @@ __all__ = [
     "Product",
     "PseudoInverse",
     "RandomSequenceModel",
+    "Report",
     "Scalar",
     "Splitting",
     "Symbol",

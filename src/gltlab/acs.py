@@ -16,6 +16,11 @@ splitting is reported.  The stochastic verifier draws seeded trials and
 checks the three per-(m, n) event frequencies against their 1 - 1/m bounds
 within a one-sided 95% Hoeffding radius sqrt(ln(20) / (2 trials)).
 
+Every check returns a :class:`~gltlab.reports.Report`.  A certificate's rows
+are its per-(m, n) lines and its facts the per-m estimates (``c`` and
+``omega``, or ``s_estimates``) keyed by ``str(m)``; the zero-distribution
+test's facts are its per-size series.
+
 Trials are drawn in blocks: a model's ``draw`` returns the (S, R, N) stacks
 of a whole block, each trial still from its own generator seeded with
 (seed, m, *n, trial), and the verifier reads every rank and every sigma_1 of
@@ -33,15 +38,15 @@ summed per cell, so the certificate does not depend on the worker count.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InvalidParameterError
 from .matgen import as_array
-from .multiindex import MultiIndex, check_size, format_multiindex, nu
-from .reports import csv_text
+from .multiindex import MultiIndex, check_size, nu
+from .reports import Report
 from .spectra import (
     SIGMA,
     _normalize_sizes,
@@ -115,8 +120,9 @@ def optimal_splitting(matrix) -> Splitting:
 # certificates
 
 
-@dataclass(frozen=True)
-class CertRow:
+class SplittingRow(NamedTuple):
+    """One (m, n) line of an a.c.s. or s.a.c.s. certificate."""
+
     m: int
     n: MultiIndex
     d_n: int
@@ -125,34 +131,16 @@ class CertRow:
     freq_rank: float
     freq_norm: float
     freq_s: float
+    verdict: str
 
 
-@dataclass
-class AcsCertificate:
-    """Per-m estimates of the splitting bounds, with PASS verdict.
+CERTIFICATE_COLUMNS = ("m", "n", "d_n", "rank_frac", "norm_part", "freq_rank", "freq_norm",
+                       "freq_S", "verdict")
 
-    ``c``, ``omega`` (and ``s`` in the stochastic case) map each tested m to
-    its estimated bound; the verdict requires every estimated sequence to
-    trend to zero over the tested m-range.
-    """
 
-    m_list: list[int]
-    rows: list[CertRow]
-    c: dict[int, float]
-    omega: dict[int, float]
-    s: dict[int, float] | None
-    passed: bool
-    metadata: dict = field(default_factory=dict)
-
-    def write_csv(self, fh) -> None:
-        verdict = "PASS" if self.passed else "FAIL"
-        fh.write(csv_text(
-            ["m", "n", "d_n", "rank_frac", "norm_part", "freq_rank", "freq_norm", "freq_S",
-             "verdict"],
-            ([row.m, format_multiindex(row.n), row.d_n, repr(row.rank_frac),
-              repr(row.norm_part), repr(row.freq_rank), repr(row.freq_norm), repr(row.freq_s),
-              verdict] for row in self.rows),
-        ))
+def _per_m(values: dict[int, float]) -> dict[str, float]:
+    # summary.json keys: str(m), in the order of the tested m.
+    return {str(m): value for m, value in values.items()}
 
 
 def _limsup_estimate(values_by_n: Sequence[float]) -> float:
@@ -162,25 +150,28 @@ def _limsup_estimate(values_by_n: Sequence[float]) -> float:
 
 def acs_check(family, target, m_list: Sequence[int], sizes: Sequence,
               slack: float = 1.5, decay: float = 0.5,
-              floor: float = 1e-10) -> AcsCertificate:
+              floor: float = 1e-10) -> Report:
     """Estimate the splitting bounds of a candidate approximating class.
 
     ``family(m, n)`` and ``target(n)`` produce matrices of identical size.
     For each m the difference target - family is split; the certificate
-    passes when both estimated bound sequences trend to zero.
+    passes when both estimated bound sequences trend to zero.  The report's
+    facts ``c`` and ``omega`` map each tested m (as ``str(m)``) to its
+    estimated bound.
     """
     m_list = [int(m) for m in m_list]
     if not m_list:
         raise InvalidParameterError("m_list must be non-empty")
     norm_sizes = _normalize_sizes(sizes)
+    notes: list[str] = []
     sigma1: dict[int, list[float]] = {m: [] for m in m_list}
     # (d_n, rank fraction, norm) of each argmin splitting, from the same
     # singular values as sigma_1; the splitting matrices are never formed.
     argmin_split: dict[int, list[tuple[int, float, float]]] = {m: [] for m in m_list}
     for n in norm_sizes:
-        a = as_array(target(n))
+        a = as_array(target(n), notes)
         for m in m_list:
-            b = as_array(family(m, n))
+            b = as_array(family(m, n), notes)
             if a.shape != b.shape:
                 raise InvalidParameterError(
                     f"size mismatch at (m={m}, n={n}): {a.shape} vs {b.shape}"
@@ -194,13 +185,13 @@ def acs_check(family, target, m_list: Sequence[int], sizes: Sequence,
     omega_pure = {m: _limsup_estimate(sigma1[m]) for m in m_list}
     pure_ok = trending_to_zero([omega_pure[m] for m in m_list],
                                slack=slack, decay=decay, floor=floor)
-    rows: list[CertRow] = []
+    lines: list[tuple] = []
     if pure_ok:
         c = {m: 0.0 for m in m_list}
         omega = omega_pure
         for m in m_list:
             for n, s1, (d_n, _, _) in zip(norm_sizes, sigma1[m], argmin_split[m]):
-                rows.append(CertRow(m, n, d_n, 0.0, s1, 1.0, 1.0, 0.0))
+                lines.append((m, n, d_n, 0.0, s1))
         strategy = "pure-norm splitting (rank part unnecessary)"
     else:
         c = {}
@@ -209,23 +200,24 @@ def acs_check(family, target, m_list: Sequence[int], sizes: Sequence,
             c[m] = _limsup_estimate([frac for _, frac, _ in argmin_split[m]])
             omega[m] = _limsup_estimate([norm for _, _, norm in argmin_split[m]])
             for n, (d_n, frac, norm) in zip(norm_sizes, argmin_split[m]):
-                rows.append(CertRow(m, n, d_n, frac, norm, 1.0, 1.0, 0.0))
+                lines.append((m, n, d_n, frac, norm))
         strategy = "argmin splitting"
     passed = trending_to_zero([c[m] for m in m_list], slack=slack, decay=decay, floor=floor) and \
         trending_to_zero([omega[m] for m in m_list], slack=slack, decay=decay, floor=floor)
-    return AcsCertificate(
-        m_list=m_list,
-        rows=rows,
-        c=c,
-        omega=omega,
-        s=None,
+    verdict = "PASS" if passed else "FAIL"
+    return Report(
         passed=passed,
+        columns=CERTIFICATE_COLUMNS,
+        rows=[SplittingRow(*line, 1.0, 1.0, 0.0, verdict) for line in lines],
+        checks=[{"name": "approximating-class splitting bounds vanish"}],
+        facts={"c": _per_m(c), "omega": _per_m(omega)},
         metadata={
             "strategy": strategy,
             "limsup_surrogate": "max over the two largest tested sizes",
             "slack": slack,
             "decay": decay,
         },
+        notes=notes,
     )
 
 
@@ -233,42 +225,33 @@ def acs_check(family, target, m_list: Sequence[int], sizes: Sequence,
 # zero-distribution test
 
 
-@dataclass
-class ZeroDistributionResult:
-    """Trend data and verdict for a candidate zero-distributed sequence.
-
-    ``passed`` is driven by the splitting criterion (the characterization
-    R + N with vanishing rank fraction and norm); the normalized Schatten
-    p-norm criterion is sufficient only, and is reported alongside.
-    """
-
-    p: float
-    sizes: list[MultiIndex]
-    d_ns: list[int]
-    normalized_norms: list[float]
-    splitting_distances: list[float]
-    norm_criterion: bool
-    splitting_criterion: bool
-    passed: bool
-    tol: float
-    slack: float
+class TrendRow(NamedTuple):
+    n: MultiIndex
+    d_n: int
+    normalized_norm: float
+    splitting_distance: float
+    verdict: str
 
 
 def zero_distribution_test(seq, p, sizes: Sequence, tol: float = 0.1,
-                           slack: float = 1.5) -> ZeroDistributionResult:
+                           slack: float = 1.5) -> Report:
     """Test ||A_n||_p / d_n^(1/p) -> 0 and the equivalent R + N splitting.
 
     PASS when either criterion is non-increasing (with slack) and falls below
-    ``tol`` at the largest size.
+    ``tol`` at the largest size.  The splitting criterion is the
+    characterization (R + N with vanishing rank fraction and norm); the
+    normalized Schatten p-norm criterion is sufficient only.  The report's
+    checks carry both verdicts, its facts both per-size series.
     """
     if p != np.inf and p < 1:
         raise InvalidParameterError(f"requires p >= 1, got {p}")
     norm_sizes = _normalize_sizes(sizes)
+    notes: list[str] = []
     norms: list[float] = []
     dists: list[float] = []
     d_ns: list[int] = []
     for n in norm_sizes:
-        arr = as_array(seq(n))
+        arr = as_array(seq(n), notes)
         d_n = arr.shape[0]
         d_ns.append(d_n)
         scale = 1.0 if p == np.inf else d_n ** (1.0 / p)
@@ -277,17 +260,23 @@ def zero_distribution_test(seq, p, sizes: Sequence, tol: float = 0.1,
         dists.append(float(np.min(_splitting_candidates(sv, d_n))))
     norm_ok = norms[-1] <= tol and non_increasing(norms, slack=slack)
     split_ok = dists[-1] <= tol and non_increasing(dists, slack=slack)
-    return ZeroDistributionResult(
-        p=p,
-        sizes=norm_sizes,
-        d_ns=d_ns,
-        normalized_norms=norms,
-        splitting_distances=dists,
-        norm_criterion=norm_ok,
-        splitting_criterion=split_ok,
-        passed=norm_ok or split_ok,
-        tol=tol,
-        slack=slack,
+    passed = norm_ok or split_ok
+    verdict = "PASS" if passed else "FAIL"
+    return Report(
+        passed=passed,
+        columns=("n", "d_n", "normalized_norm", "splitting_distance", "verdict"),
+        rows=[TrendRow(*line, verdict) for line in zip(norm_sizes, d_ns, norms, dists)],
+        checks=[
+            {"name": "normalized Schatten norm vanishes", "verdict": norm_ok},
+            {"name": "rank/norm splitting vanishes", "verdict": split_ok},
+        ],
+        facts={
+            "p": "inf" if p == np.inf else float(p),
+            "normalized_norms": norms,
+            "splitting_distances": dists,
+        },
+        metadata={"tol": tol, "slack": slack},
+        notes=notes,
     )
 
 
@@ -334,14 +323,15 @@ def hoeffding_radius(trials: int) -> float:
 
 def sacs_check(model: RandomSequenceModel, m_list: Sequence[int], sizes: Sequence,
                trials: int, slack: float = 1.5, decay: float = 0.5,
-               floor: float = 1e-10) -> AcsCertificate:
+               floor: float = 1e-10) -> Report:
     """Monte Carlo verification of the stochastic splitting events.
 
     Per (m, n) the frequencies of {rank(R)/d_n <= c(m)}, {||N|| <= omega(m)},
     and {S != 0} are estimated over ``trials`` seeded draws.  PASS requires
     the first two frequencies to clear 1 - 1/m within the Hoeffding radius,
     the estimated s(m) to trend to zero, and the declared c(m), omega(m)
-    bounds to trend to zero themselves.
+    bounds to trend to zero themselves.  The report's fact ``s_estimates``
+    maps each tested m (as ``str(m)``) to its estimated s(m).
 
     Trials are drawn in blocks of at most ``_STACK_BYTES`` per stack; the
     numerical rank of every R and sigma_1 of every N in a block come from one
@@ -403,7 +393,7 @@ def sacs_check(model: RandomSequenceModel, m_list: Sequence[int], sizes: Sequenc
         d_ns[m, n] = d_n
         hits[m, n] = tuple(a + b for a, b in zip(hits[m, n], block_hits))
 
-    rows: list[CertRow] = []
+    lines: list[tuple] = []
     freq_s_by_m: dict[int, list[float]] = {m: [] for m in m_list}
     events_ok = True
     for m, n in cells:
@@ -412,7 +402,7 @@ def sacs_check(model: RandomSequenceModel, m_list: Sequence[int], sizes: Sequenc
         freq_norm = hit_norm / trials
         freq_s = hit_s / trials
         freq_s_by_m[m].append(freq_s)
-        rows.append(CertRow(m, n, d_ns[m, n], c_decl[m], w_decl[m], freq_rank, freq_norm, freq_s))
+        lines.append((m, n, d_ns[m, n], c_decl[m], w_decl[m], freq_rank, freq_norm, freq_s))
         if freq_rank < 1.0 - 1.0 / m - radius or freq_norm < 1.0 - 1.0 / m - radius:
             events_ok = False
     s_est = {m: _limsup_estimate(freq_s_by_m[m]) for m in m_list}
@@ -424,13 +414,13 @@ def sacs_check(model: RandomSequenceModel, m_list: Sequence[int], sizes: Sequenc
         and trending_to_zero([w_decl[m] for m in m_list], slack=slack, decay=decay, floor=floor)
         and trending_to_zero([s_est[m] for m in m_list], slack=slack, decay=decay, floor=s_floor)
     )
-    return AcsCertificate(
-        m_list=m_list,
-        rows=rows,
-        c=c_decl,
-        omega=w_decl,
-        s=s_est,
+    verdict = "PASS" if passed else "FAIL"
+    return Report(
         passed=passed,
+        columns=CERTIFICATE_COLUMNS,
+        rows=[SplittingRow(*line, verdict) for line in lines],
+        checks=[{"name": "stochastic splitting event frequencies and trends"}],
+        facts={"s_estimates": _per_m(s_est)},
         metadata={
             "model": model.name,
             "seed": model.seed,

@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import io
 import os
 import sys
 from dataclasses import dataclass, field, fields
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -39,10 +38,8 @@ from .errors import ConfigurationError, GltLabError
 from .gltcalc import glt5_split_check, materialize, symbol_of, truncate_toeplitz
 from .matgen import is_hermitian
 from .multiindex import format_multiindex, min_entry, parse_multiindex
-from .reports import atomic_write_text, csv_text, summary_json, svg_line_chart
+from .reports import Report, atomic_write_text, summary_json, svg_line_chart
 from .spectra import distribution_check, spectrum
-
-EXPERIMENT_KINDS = ("distribution", "acs", "zero", "sacs", "spectrum", "glt5")
 
 
 def parse_sizes(text: str, d: int | None) -> list[tuple[int, ...]]:
@@ -97,8 +94,8 @@ class ExperimentConfig:
 
     def validate(self) -> list[str]:
         problems = []
-        if self.kind not in EXPERIMENT_KINDS:
-            problems.append(f"kind: must be one of {EXPERIMENT_KINDS}, got {self.kind!r}")
+        if self.kind not in _KINDS:
+            problems.append(f"kind: must be one of {tuple(_KINDS)}, got {self.kind!r}")
         needs_expr = self.kind in ("distribution", "acs", "spectrum", "glt5") or (
             self.kind == "zero" and self.model == "expr"
         )
@@ -234,12 +231,6 @@ def _parse_expression(cfg: ExperimentConfig):
     return dsl.parse(cfg.expr, d=cfg.d, r=cfg.r, numeric_degree=cfg.numeric_degree)
 
 
-def _rendered(write_csv) -> str:
-    buf = io.StringIO()
-    write_csv(buf)
-    return buf.getvalue()
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run ``cfg`` and write its artifacts plus ``summary.json`` into ``cfg.out``.
 
@@ -247,55 +238,43 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     fails leaves no partial output.
     """
     _raise_problems(cfg.validate())
-    runner = {
-        "distribution": _run_distribution,
-        "spectrum": _run_spectrum,
-        "acs": _run_acs,
-        "zero": _run_zero,
-        "sacs": _run_sacs,
-        "glt5": _run_glt5,
-    }[cfg.kind]
-    passed, summary, files = runner(cfg)
-    summary.update(kind=cfg.kind, verdict=_verdict(passed), artifacts=list(files))
+    runner, csv_name = _KINDS[cfg.kind]
+    report, header = runner(cfg)
+    files = {csv_name: report.csv()}
+    if cfg.plot and cfg.kind == "distribution":
+        series: dict[str, list] = {}
+        for row in report.rows:
+            series.setdefault(row.f_id, []).append((row.d_n, row.abs_error))
+        files["plot.svg"] = svg_line_chart(series, "distribution error vs size", "d_n",
+                                           "abs error")
+    summary = {**header, **report.summary(), "kind": cfg.kind,
+               "verdict": _verdict(report.passed), "artifacts": list(files)}
     files["summary.json"] = summary_json(summary)
     os.makedirs(cfg.out, exist_ok=True)
     paths = [os.path.join(cfg.out, name) for name in files]
     for path, text in zip(paths, files.values()):
         atomic_write_text(path, text)
-    return ExperimentResult(passed, summary, paths)
+    return ExperimentResult(report.passed, summary, paths)
 
 
-# Each _run_<kind> returns (passed, summary, {artifact file name: text}).
+# Each _run_<kind> returns (report, the summary facts only the config knows).
 
 
 def _run_distribution(cfg: ExperimentConfig):
     e = _parse_expression(cfg)
     seq = lambda n: materialize(e, n, r=cfg.r)
-    sym = symbol_of(e, r=cfg.r)
     basket_ids = None if cfg.basket == "auto" else [s.strip() for s in cfg.basket.split(",")]
-    report = distribution_check(seq, sym, cfg.sizes, mode=cfg.mode, tolerance=cfg.tolerance,
-                                slack=cfg.slack, quad_tol=cfg.quad_tol,
-                                grid_points_per_dim=cfg.grid, basket_ids=basket_ids)
-    files = {"report.csv": _rendered(report.write_csv)}
-    if cfg.plot:
-        series = {fid: report.errors_for(fid) for fid in report.f_ids()}
-        files["plot.svg"] = svg_line_chart(series, "distribution error vs size", "d_n",
-                                           "abs error")
-    checks = [
-        {
-            "name": f"weyl distribution error ({cfg.mode} mode, F={fid})",
-            "error_at_largest": report.errors_for(fid)[-1][1],
-            "tolerance": report.tolerance,
-        }
-        for fid in report.f_ids()
-    ]
-    summary = {
-        "expression": dsl.format_expression(e),
-        "mode": cfg.mode,
-        "checks": checks,
-        "policy": report.metadata,
-    }
-    return report.passed, summary, files
+    report = distribution_check(seq, symbol_of(e, r=cfg.r), cfg.sizes, mode=cfg.mode,
+                                tolerance=cfg.tolerance, slack=cfg.slack,
+                                quad_tol=cfg.quad_tol, grid_points_per_dim=cfg.grid,
+                                basket_ids=basket_ids)
+    return report, {"expression": dsl.format_expression(e), "mode": cfg.mode}
+
+
+class SpectrumRow(NamedTuple):
+    index: int
+    re: float
+    im: float
 
 
 def _run_spectrum(cfg: ExperimentConfig):
@@ -303,14 +282,12 @@ def _run_spectrum(cfg: ExperimentConfig):
     n = cfg.sizes[-1]
     matrix = materialize(e, n, r=cfg.r)
     values = np.atleast_1d(spectrum(matrix, cfg.mode, hermitian=is_hermitian(matrix)))
-    rows = [(idx, repr(c.real), repr(c.imag)) for idx, c in enumerate(map(complex, values), 1)]
-    summary = {
-        "expression": dsl.format_expression(e),
-        "n": format_multiindex(n),
-        "mode": cfg.mode,
-        "count": int(values.size),
-    }
-    return True, summary, {"spectrum.csv": csv_text(("index", "re", "im"), rows)}
+    rows = [SpectrumRow(idx, c.real, c.imag) for idx, c in enumerate(map(complex, values), 1)]
+    report = Report(passed=True, columns=SpectrumRow._fields, rows=rows,
+                    notes=list(matrix.notes))
+    header = {"expression": dsl.format_expression(e), "n": format_multiindex(n),
+              "mode": cfg.mode, "count": int(values.size)}
+    return report, header
 
 
 def _run_acs(cfg: ExperimentConfig):
@@ -320,16 +297,8 @@ def _run_acs(cfg: ExperimentConfig):
         family = lambda m, n: materialize(truncate_toeplitz(e, m), n, r=cfg.r)
     else:
         family = lambda m, n: materialize(e, n, r=cfg.r)
-    cert = acs_mod.acs_check(family, target, cfg.m_list, cfg.sizes, slack=cfg.slack)
-    summary = {
-        "expression": dsl.format_expression(e),
-        "family": cfg.family,
-        "c": {str(m): cert.c[m] for m in cert.m_list},
-        "omega": {str(m): cert.omega[m] for m in cert.m_list},
-        "checks": [{"name": "approximating-class splitting bounds vanish"}],
-        "policy": cert.metadata,
-    }
-    return cert.passed, summary, {"certificate.csv": _rendered(cert.write_csv)}
+    report = acs_mod.acs_check(family, target, cfg.m_list, cfg.sizes, slack=cfg.slack)
+    return report, {"expression": dsl.format_expression(e), "family": cfg.family}
 
 
 def _run_zero(cfg: ExperimentConfig):
@@ -340,60 +309,31 @@ def _run_zero(cfg: ExperimentConfig):
     else:
         seq = acs_mod.ZERO_SEQUENCES[cfg.model]()
         label = cfg.model
-    result = acs_mod.zero_distribution_test(seq, cfg.p, cfg.sizes, tol=cfg.zero_tol)
-    verdict = _verdict(result.passed)
-    rows = [
-        (format_multiindex(n), d_n, repr(nn), repr(dist), verdict)
-        for n, d_n, nn, dist in zip(result.sizes, result.d_ns, result.normalized_norms,
-                                    result.splitting_distances)
-    ]
-    summary = {
-        "sequence": label,
-        "p": "inf" if cfg.p == np.inf else cfg.p,
-        "normalized_norms": result.normalized_norms,
-        "splitting_distances": result.splitting_distances,
-        "checks": [
-            {"name": "normalized Schatten norm vanishes", "verdict": result.norm_criterion},
-            {"name": "rank/norm splitting vanishes", "verdict": result.splitting_criterion},
-        ],
-    }
-    header = ("n", "d_n", "normalized_norm", "splitting_distance", "verdict")
-    return result.passed, summary, {"trend.csv": csv_text(header, rows)}
+    report = acs_mod.zero_distribution_test(seq, cfg.p, cfg.sizes, tol=cfg.zero_tol)
+    return report, {"sequence": label}
 
 
 def _run_sacs(cfg: ExperimentConfig):
     model = acs_mod.MODEL_ZOO[cfg.model](cfg.seed)
-    cert = acs_mod.sacs_check(model, cfg.m_list, cfg.sizes, cfg.trials)
-    summary = {
-        "model": cfg.model,
-        "seed": cfg.seed,
-        "trials": cfg.trials,
-        "s_estimates": {str(m): cert.s[m] for m in cert.m_list},
-        "checks": [{"name": "stochastic splitting event frequencies and trends"}],
-        "policy": cert.metadata,
-    }
-    return cert.passed, summary, {"certificate.csv": _rendered(cert.write_csv)}
+    report = acs_mod.sacs_check(model, cfg.m_list, cfg.sizes, cfg.trials)
+    return report, {"model": cfg.model, "seed": cfg.seed, "trials": cfg.trials}
 
 
 def _run_glt5(cfg: ExperimentConfig):
     e = _parse_expression(cfg)
-    seq = lambda n: materialize(e, n, r=cfg.r)
-    report = glt5_split_check(seq, cfg.sizes)
-    verdict = _verdict(report.passed)
-    rows = [
-        (format_multiindex(n), repr(nx), repr(ny), repr(ty), verdict)
-        for n, nx, ny, ty in zip(report.sizes, report.norm_x, report.norm_y,
-                                 report.trace_norm_y_normalized)
-    ]
-    summary = {
-        "expression": dsl.format_expression(e),
-        "norm_x": report.norm_x,
-        "norm_y": report.norm_y,
-        "trace_norm_y_over_nu": report.trace_norm_y_normalized,
-        "checks": [{"name": "quasi-Hermitian split: bounded norms, vanishing trace norm"}],
-    }
-    header = ("n", "norm_x", "norm_y", "trace_norm_y_over_nu", "verdict")
-    return report.passed, summary, {"split.csv": csv_text(header, rows)}
+    report = glt5_split_check(lambda n: materialize(e, n, r=cfg.r), cfg.sizes)
+    return report, {"expression": dsl.format_expression(e)}
+
+
+# The experiment kinds: each one's runner and the CSV file it writes.
+_KINDS = {
+    "distribution": (_run_distribution, "report.csv"),
+    "acs": (_run_acs, "certificate.csv"),
+    "zero": (_run_zero, "trend.csv"),
+    "sacs": (_run_sacs, "certificate.csv"),
+    "spectrum": (_run_spectrum, "spectrum.csv"),
+    "glt5": (_run_glt5, "split.csv"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -517,9 +457,9 @@ def cmd_spectrum(args) -> int:
         result = run_experiment(cfg)
         print(f"spectrum written to {cfg.out}")
         return result.exit_code
-    _, _, files = _run_spectrum(cfg)
-    for line in files["spectrum.csv"].splitlines()[1:]:
-        print(line.partition(",")[2])  # drop the index column
+    report, _ = _run_spectrum(cfg)
+    for row in report.rows:
+        print(f"{row.re!r},{row.im!r}")
     return 0
 
 

@@ -15,22 +15,27 @@ computes a spectrum is chosen from a numeric test instead (see
 ``CoefficientFunction.from_scalar`` declares Hermitian by default.
 
 Materialized matrices stay float64 while every leaf and scalar is real.
+
+``glt5_split_check`` and ``glt1_verify`` return a
+:class:`~gltlab.reports.Report`; the split check's facts carry the per-size
+norms, and every check records the materialization notes (pseudo-inverse
+truncation) of the matrices it read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import CalculusError, ConfigurationError, ModeError
 from .matgen import BlockMatrix, as_array, diag_sampling, is_hermitian, toeplitz, zeros
 from .multiindex import MultiIndex, check_size, format_multiindex, nu
+from .reports import Report
 from .spectra import (
     LAMBDA,
     SIGMA,
-    DistributionReport,
     _normalize_sizes,
     distribution_check,
     non_increasing,
@@ -416,37 +421,36 @@ def _materialize(e: GLTExpression, n: MultiIndex, r: int, cap, notes: list[str])
 # verification
 
 
-@dataclass
-class QuasiHermitianSplitReport:
-    """Per-size norms of the split A = X + Y and the boundedness/vanishing verdict."""
-
-    sizes: list[MultiIndex]
-    norm_x: list[float]
-    norm_y: list[float]
-    trace_norm_y_normalized: list[float]
-    passed: bool
-    metadata: dict = field(default_factory=dict)
+class SplitRow(NamedTuple):
+    n: MultiIndex
+    norm_x: float
+    norm_y: float
+    trace_norm_y_over_nu: float
+    verdict: str
 
 
 def glt5_split_check(seq, sizes: Sequence, hermitian_part=None,
                      growth_slack: float = 1.1, trend_slack: float = 1.5,
-                     decay: float = 0.5) -> QuasiHermitianSplitReport:
+                     decay: float = 0.5) -> Report:
     """Split A = X + Y with X Hermitian and test: both spectral norms bounded
     (no growth beyond ``growth_slack`` per size step) and nu(n)^{-1} ||Y||_1
     trending to zero.
 
     ``hermitian_part(n)`` may supply a user-declared Hermitian X (checked
     numerically); the default is (A + A*)/2.  ||X|| comes from the Hermitian
-    eigensolver, ||Y|| and ||Y||_1 from one SVD of Y.
+    eigensolver, ||Y|| and ||Y||_1 from one SVD of Y.  The report's facts
+    ``norm_x``, ``norm_y`` and ``trace_norm_y_over_nu`` hold the per-size
+    series.
     """
     norm_sizes = _normalize_sizes(sizes)
+    notes: list[str] = []
     nx: list[float] = []
     ny: list[float] = []
     ty: list[float] = []
     for n in norm_sizes:
-        a = as_array(seq(n))
+        a = as_array(seq(n), notes)
         if hermitian_part is not None:
-            x = as_array(hermitian_part(n))
+            x = as_array(hermitian_part(n), notes)
             if not is_hermitian(x):
                 raise ModeError(f"declared Hermitian part at n={n} is not Hermitian")
         else:
@@ -458,22 +462,25 @@ def glt5_split_check(seq, sizes: Sequence, hermitian_part=None,
         ty.append(float(np.sum(sv_y)) / nu(n))
     bounded = non_increasing(nx, slack=growth_slack) and non_increasing(ny, slack=growth_slack)
     vanishing = trending_to_zero(ty, slack=trend_slack, decay=decay)
-    return QuasiHermitianSplitReport(
-        sizes=norm_sizes,
-        norm_x=nx,
-        norm_y=ny,
-        trace_norm_y_normalized=ty,
-        passed=bounded and vanishing,
+    passed = bounded and vanishing
+    verdict = "PASS" if passed else "FAIL"
+    return Report(
+        passed=passed,
+        columns=("n", "norm_x", "norm_y", "trace_norm_y_over_nu", "verdict"),
+        rows=[SplitRow(*line, verdict) for line in zip(norm_sizes, nx, ny, ty)],
+        checks=[{"name": "quasi-Hermitian split: bounded norms, vanishing trace norm"}],
+        facts={"norm_x": nx, "norm_y": ny, "trace_norm_y_over_nu": ty},
         metadata={
             "growth_slack": growth_slack,
             "trend_slack": trend_slack,
             "decay": decay,
         },
+        notes=notes,
     )
 
 
 def glt1_verify(e: GLTExpression, sizes: Sequence, mode: str = "sigma",
-                basket=None, r: int | None = None, **kwargs) -> DistributionReport:
+                basket=None, r: int | None = None, **kwargs) -> Report:
     """Verify the singular value (or, for Hermitian sequences, eigenvalue)
     distribution of the materialized expression against its symbol.
 

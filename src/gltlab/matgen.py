@@ -114,9 +114,12 @@ def _exact_dtype(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=float)
 
 
-def as_array(matrix) -> np.ndarray:
-    """Accept a BlockMatrix or a bare ndarray."""
+def as_array(matrix, notes: list[str] | None = None) -> np.ndarray:
+    """Accept a BlockMatrix or a bare ndarray; a BlockMatrix's notes not yet
+    in ``notes`` are appended to it."""
     if isinstance(matrix, BlockMatrix):
+        if notes is not None:
+            notes.extend(note for note in matrix.notes if note not in notes)
         return matrix.data
     return np.asarray(matrix)
 

@@ -1,4 +1,9 @@
-"""Artifact emission: atomic file writes, CSV text, and self-contained SVG charts.
+"""The one result shape of every check, and artifact emission: atomic file
+writes, CSV text, and self-contained SVG charts.
+
+Every check (distribution, a.c.s./s.a.c.s. certificates, zero distribution,
+quasi-Hermitian split) returns a :class:`Report`: a verdict, one raw-valued
+row per CSV line, and the records ``summary.json`` carries.
 
 Every writer produces deterministic bytes for a given input (floats are
 printed with shortest round-trip repr, JSON keys are sorted), so repeated
@@ -13,7 +18,10 @@ import csv
 import io
 import json
 import os
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Mapping, NamedTuple, Sequence
+
+from .multiindex import format_multiindex
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
@@ -32,6 +40,46 @@ def csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def _cell(value):
+    if isinstance(value, float):
+        return repr(float(value))  # a numpy scalar would print as np.float64(...)
+    if isinstance(value, tuple):
+        return format_multiindex(value)
+    return value
+
+
+@dataclass
+class Report:
+    """A check's verdict, its CSV table and its summary records.
+
+    ``rows`` hold raw values (multi-indices, ints, floats, strings), one
+    ``NamedTuple`` per CSV line under the header ``columns``.  ``checks`` and
+    ``facts`` (per-size or per-m numbers, keyed as in ``summary.json``) go
+    into the summary with ``metadata`` as its ``policy``.  ``notes`` collects
+    the materialization notes (e.g. pseudo-inverse truncation) of every
+    matrix the check read.
+    """
+
+    passed: bool
+    columns: tuple[str, ...]
+    rows: list[NamedTuple]
+    checks: list[dict] = field(default_factory=list)
+    facts: dict = field(default_factory=dict)
+    metadata: dict = field(default_factory=dict)
+    notes: list[str] = field(default_factory=list)
+
+    def csv(self) -> str:
+        """The CSV text: floats by shortest round-trip ``repr``, multi-indices
+        by ``format_multiindex``."""
+        return csv_text(self.columns, ([_cell(v) for v in row] for row in self.rows))
+
+    def summary(self) -> dict:
+        """``checks``, ``facts`` and ``policy``, leaving out empty sections,
+        plus ``notes`` when a note exists."""
+        sections = {"checks": self.checks, "policy": self.metadata, "notes": self.notes}
+        return {**self.facts, **{key: value for key, value in sections.items() if value}}
 
 
 def summary_json(payload: Mapping) -> str:

@@ -4,13 +4,15 @@ The averaged test-function sums over eigenvalues or singular values are
 compared against the symbol-side integrals; since limits are not observable,
 verdicts combine a threshold at the largest tested size with a non-increasing
 error trend over the last two size doublings (slack factor configurable).
-That surrogate policy is recorded in every report's metadata.
+``distribution_check`` returns a :class:`~gltlab.reports.Report` with one
+row per (size, test function), one check per test function, and that
+surrogate policy plus each function's quadrature resolution as metadata.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,8 +25,8 @@ from .errors import (
     SolverError,
 )
 from .matgen import as_array, is_hermitian
-from .multiindex import MultiIndex, check_size, format_multiindex, min_entry, nu
-from .reports import csv_text
+from .multiindex import MultiIndex, check_size, min_entry, nu
+from .reports import Report
 from .symbols import Symbol, spectral_surfaces
 
 SIGMA = "sigma"
@@ -405,44 +407,17 @@ def trending_to_zero(series: Sequence[float], slack: float = 1.5,
 
 
 # ---------------------------------------------------------------------------
-# distribution report
+# distribution check
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class WeylRow(NamedTuple):
     n: MultiIndex
     d_n: int
+    mode: str
     f_id: str
     empirical: float
     symbol: float
     abs_error: float
-
-
-@dataclass
-class DistributionReport:
-    mode: str
-    rows: list[ReportRow]
-    tolerance: float
-    slack: float
-    passed: bool
-    metadata: dict = field(default_factory=dict)
-
-    def errors_for(self, f_id: str) -> list[tuple[int, float]]:
-        return [(row.d_n, row.abs_error) for row in self.rows if row.f_id == f_id]
-
-    def f_ids(self) -> list[str]:
-        seen: list[str] = []
-        for row in self.rows:
-            if row.f_id not in seen:
-                seen.append(row.f_id)
-        return seen
-
-    def write_csv(self, fh) -> None:
-        fh.write(csv_text(
-            ["n", "d_n", "mode", "F_id", "empirical", "symbol", "abs_error"],
-            ([format_multiindex(row.n), row.d_n, self.mode, row.f_id, repr(row.empirical),
-              repr(row.symbol), repr(row.abs_error)] for row in self.rows),
-        ))
 
 
 def _normalize_sizes(sizes: Sequence) -> list[MultiIndex]:
@@ -464,19 +439,21 @@ def distribution_check(seq, symbol: Symbol, sizes: Sequence, mode: str = SIGMA,
                        quad_tol: float = 1e-7, grid_points_per_dim: int = 64,
                        allow_non_hermitian: bool = False,
                        trend_floor: float = 1e-12,
-                       basket_ids: Sequence[str] | None = None) -> DistributionReport:
+                       basket_ids: Sequence[str] | None = None) -> Report:
     """Compare empirical Weyl averages against symbol integrals over a size sweep.
 
     ``seq`` maps a size multi-index to a matrix.  PASS requires, for every test
     function, the error at the largest size to fall below ``tolerance`` and the
     errors to be non-increasing (slack ``slack``) over the last two size steps.
     Eigenvalue mode demands Hermitian matrices unless ``allow_non_hermitian``
-    (the quasi-Hermitian waiver) is set.
+    (the quasi-Hermitian waiver) is set.  The report has one row per (size,
+    test function) and one check per test function.
     """
     norm_sizes = _normalize_sizes(sizes)
     spectra: list[np.ndarray] = []
+    notes: list[str] = []
     for n in norm_sizes:
-        a = as_array(seq(n))
+        a = as_array(seq(n), notes)
         hermitian = is_hermitian(a)
         if mode == LAMBDA and not allow_non_hermitian and not hermitian:
             raise ModeError(
@@ -501,7 +478,8 @@ def distribution_check(seq, symbol: Symbol, sizes: Sequence, mode: str = SIGMA,
             basket = [known[fid] for fid in basket_ids]
     quadrature = _basket_quadrature(symbol, basket, mode, grid_points_per_dim, quad_tol,
                                     _MAX_NODES)
-    rows: list[ReportRow] = []
+    rows: list[WeylRow] = []
+    checks: list[dict] = []
     passed = True
     for f, quad in zip(basket, quadrature):
         errors: list[float] = []
@@ -509,18 +487,19 @@ def distribution_check(seq, symbol: Symbol, sizes: Sequence, mode: str = SIGMA,
             emp = empirical_functional(values, f)
             err = abs(emp - quad.value)
             errors.append(err)
-            rows.append(ReportRow(n, values.size, f.id, emp, quad.value, err))
+            rows.append(WeylRow(n, values.size, mode, f.id, emp, quad.value, err))
+        checks.append({"name": f"weyl distribution error ({mode} mode, F={f.id})",
+                       "error_at_largest": errors[-1], "tolerance": tolerance})
         ok = errors[-1] <= tolerance and non_increasing(
             errors, slack=slack, floor=trend_floor, steps=2
         )
         passed = passed and ok
     rows.sort(key=lambda row: (row.n, 0))
-    return DistributionReport(
-        mode=mode,
-        rows=rows,
-        tolerance=tolerance,
-        slack=slack,
+    return Report(
         passed=passed,
+        columns=("n", "d_n", "mode", "F_id", "empirical", "symbol", "abs_error"),
+        rows=rows,
+        checks=checks,
         metadata={
             "verdict_policy": "threshold at largest size plus non-increasing "
             "errors over the last two size steps",
@@ -532,6 +511,7 @@ def distribution_check(seq, symbol: Symbol, sizes: Sequence, mode: str = SIGMA,
                 for f, quad in zip(basket, quadrature)
             },
         },
+        notes=notes,
     )
 
 

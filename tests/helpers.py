@@ -2,9 +2,10 @@
 
 import numpy as np
 
-from gltlab.acs import AcsCertificate, CertRow, hoeffding_radius
+from gltlab.acs import CERTIFICATE_COLUMNS, SplittingRow, hoeffding_radius
 from gltlab.multiindex import MultiIndexInterval, check_size, iter_interval, nu, size_interval
 from gltlab.errors import QuadratureError
+from gltlab.reports import Report
 from gltlab.spectra import (
     _node_count,
     _normalize_sizes,
@@ -110,6 +111,11 @@ def designed_draw_one(rng, n, m, s_of=lambda m: 1.0 / m):
     return s, r, nn
 
 
+def errors_for(report, f_id):
+    """(d_n, abs_error) of each row of a distribution report for one test function."""
+    return [(row.d_n, row.abs_error) for row in report.rows if row.f_id == f_id]
+
+
 def sacs_oracle(model, m_list, sizes, trials, slack=1.5, decay=0.5, floor=1e-10):
     """Oracle: the s.a.c.s. certificate from one trial at a time, with a
     separate SVD for each rank and each norm."""
@@ -134,7 +140,7 @@ def sacs_oracle(model, m_list, sizes, trials, slack=1.5, decay=0.5, floor=1e-10)
                     hit_s += 1
             freq_rank, freq_norm, freq_s = hit_rank / trials, hit_norm / trials, hit_s / trials
             freq_s_by_m[m].append(freq_s)
-            rows.append(CertRow(m, n, d_n, c_m, w_m, freq_rank, freq_norm, freq_s))
+            rows.append((m, n, d_n, c_m, w_m, freq_rank, freq_norm, freq_s))
             if freq_rank < 1.0 - 1.0 / m - radius or freq_norm < 1.0 - 1.0 / m - radius:
                 events_ok = False
     s_est = {m: float(max(freq_s_by_m[m][-2:])) for m in m_list}
@@ -147,8 +153,10 @@ def sacs_oracle(model, m_list, sizes, trials, slack=1.5, decay=0.5, floor=1e-10)
         and trending_to_zero([s_est[m] for m in m_list], slack=slack, decay=decay,
                              floor=max(floor, radius))
     )
-    return AcsCertificate(m_list=list(m_list), rows=rows, c=c_decl, omega=w_decl, s=s_est,
-                          passed=passed)
+    verdict = "PASS" if passed else "FAIL"
+    return Report(passed=passed, columns=CERTIFICATE_COLUMNS,
+                  rows=[SplittingRow(*row, verdict) for row in rows],
+                  facts={"s_estimates": {str(m): s for m, s in s_est.items()}})
 
 
 def midpoint_functional(s, f, mode, grid_points_per_dim=64, tol=1e-8, max_nodes=2**22):

@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; the whole module is budgeted to finish in under five minutes.
 """
 
-import io
 import random
 import string
 import time
@@ -12,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import laplacian_eigenvalues, random_trig_polynomial
+from helpers import errors_for, laplacian_eigenvalues, random_trig_polynomial
 
 from test_dsl import CORPUS
 
@@ -92,7 +91,7 @@ def test_criterion_03_exact_error_law():
         basket=[poly_on_window(2, -10.0, 10.0, "x^2")], quad_tol=1e-10,
     )
     worst = max(
-        abs(err - 2.0 / d_n) for d_n, err in report.errors_for("x^2")
+        abs(err - 2.0 / d_n) for d_n, err in errors_for(report, "x^2")
     )
     _report(3, worst <= 1e-12,
             f"x^2 distribution error deviates from 2/n by {worst:.3e} (tol 1e-12)")
@@ -106,7 +105,7 @@ def test_criterion_04_product_first_moment():
         lambda n: materialize(e, n), symbol_of(e), [128, 256, 512], mode="sigma",
         basket=[poly_on_window(1, -20.0, 20.0, "x")], slack=1.5,
     )
-    errs = [err for _, err in report.errors_for("x")]
+    errs = [err for _, err in errors_for(report, "x")]
     ok = errs[-1] <= 0.02 and errs[1] <= 1.5 * errs[0] and errs[2] <= 1.5 * errs[1]
     _report(4, ok,
             f"sigma first moment errors {['%.4f' % e for e in errs]} "
@@ -150,16 +149,17 @@ def test_criterion_07_acs_truncation():
     family = lambda m, n: toeplitz(band(n[0]).truncated(m), n)
     m_list = [1, 2, 4, 8]
     cert = acs_check(family, target, m_list, [(64,), (128,), (256,)])
+    c, omega = cert.facts["c"], cert.facts["omega"]
     ks = np.arange(1, 10**6, dtype=float)
     tail_all = float(np.sum(1.0 / (1.0 + ks * ks)))
     tails = {m: 2.0 * (tail_all - float(np.sum(1.0 / (1.0 + ks[:m] ** 2)))) for m in m_list}
     ok = (
         cert.passed
-        and all(cert.c[m] == 0.0 for m in m_list)
-        and all(cert.omega[m] <= tails[m] for m in m_list)
+        and all(c[str(m)] == 0.0 for m in m_list)
+        and all(omega[str(m)] <= tails[m] for m in m_list)
     )
     detail = ", ".join(
-        f"m={m}: omega={cert.omega[m]:.4f}<=tail={tails[m]:.4f}, c={cert.c[m]}"
+        f"m={m}: omega={omega[str(m)]:.4f}<=tail={tails[m]:.4f}, c={c[str(m)]}"
         for m in m_list
     )
     _report(7, ok, f"truncation certificate PASS with {detail}")
@@ -206,13 +206,9 @@ def test_criterion_10_stochastic_acs():
     m_list = [2, 4, 8]
     sizes = [(16,), (24,)]
     cert = sacs_check(designed_model(20260808), m_list, sizes, trials=10**4)
-    devs = {m: abs(cert.s[m] - 1.0 / m) for m in m_list}
-    buf1 = io.StringIO()
-    cert.write_csv(buf1)
+    devs = {m: abs(cert.facts["s_estimates"][str(m)] - 1.0 / m) for m in m_list}
     rerun = sacs_check(designed_model(20260808), m_list, sizes, trials=10**4)
-    buf2 = io.StringIO()
-    rerun.write_csv(buf2)
-    identical = buf1.getvalue() == buf2.getvalue()
+    identical = cert.csv() == rerun.csv()
     ok = cert.passed and all(dev <= 0.015 for dev in devs.values()) and identical
     _report(10, ok,
             f"s(m) deviations {['%.4f' % devs[m] for m in m_list]} (tol 0.015), "

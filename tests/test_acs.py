@@ -1,4 +1,3 @@
-import io
 import os
 import sys
 import threading
@@ -88,8 +87,8 @@ def test_acs_family_equal_target_passes():
     family = lambda m, n: target(n)
     cert = acs_check(family, target, [1, 2, 4], [(16,), (32,)])
     assert cert.passed
-    assert all(cert.c[m] == 0.0 for m in cert.m_list)
-    assert all(cert.omega[m] <= 1e-12 for m in cert.m_list)
+    assert all(cert.facts["c"][str(m)] == 0.0 for m in (1, 2, 4))
+    assert all(cert.facts["omega"][str(m)] <= 1e-12 for m in (1, 2, 4))
 
 
 def test_acs_truncation_family():
@@ -97,10 +96,11 @@ def test_acs_truncation_family():
     family = lambda m, n: toeplitz(_band_poly(n[0]).truncated(m), n)
     cert = acs_check(family, target, [1, 2, 4, 8], [(32,), (64,)])
     assert cert.passed
-    tails = {m: 2 * sum(1.0 / (1 + k * k) for k in range(m + 1, 100000)) for m in cert.m_list}
-    for m in cert.m_list:
-        assert cert.c[m] == 0.0
-        assert cert.omega[m] <= tails[m]
+    tails = {m: 2 * sum(1.0 / (1 + k * k) for k in range(m + 1, 100000)) for m in (1, 2, 4, 8)}
+    assert list(cert.facts["c"]) == list(cert.facts["omega"]) == ["1", "2", "4", "8"]
+    for m in (1, 2, 4, 8):
+        assert cert.facts["c"][str(m)] == 0.0
+        assert cert.facts["omega"][str(m)] <= tails[m]
 
 
 def test_acs_constant_offset_fails():
@@ -108,7 +108,7 @@ def test_acs_constant_offset_fails():
     family = lambda m, n: target(n).data + np.eye(n[0])
     cert = acs_check(family, target, [1, 2, 4], [(16,), (32,)])
     assert not cert.passed
-    assert all(abs(cert.omega[m] - 1.0) < 1e-12 for m in cert.m_list)
+    assert all(abs(cert.facts["omega"][str(m)] - 1.0) < 1e-12 for m in (1, 2, 4))
 
 
 def test_acs_size_mismatch():
@@ -121,9 +121,7 @@ def test_acs_size_mismatch():
 def test_certificate_csv_header():
     target = lambda n: toeplitz(_band_poly(n[0]), n)
     cert = acs_check(lambda m, n: target(n), target, [1, 2], [(8,), (16,)])
-    buf = io.StringIO()
-    cert.write_csv(buf)
-    lines = buf.getvalue().splitlines()
+    lines = cert.csv().splitlines()
     assert lines[0] == "m,n,d_n,rank_frac,norm_part,freq_rank,freq_norm,freq_S,verdict"
     assert len(lines) == 1 + 4
 
@@ -138,10 +136,10 @@ def test_zero_distribution_suite(p):
 
 def test_zero_distribution_values():
     res = zero_distribution_test(rank_one_sequence(), 1, [(16,), (32,)])
-    assert np.allclose(res.normalized_norms, [1 / 16, 1 / 32])
+    assert np.allclose(res.facts["normalized_norms"], [1 / 16, 1 / 32])
     res_i = zero_distribution_test(identity_sequence(), 2, [(16,), (32,)])
-    assert np.allclose(res_i.normalized_norms, [1.0, 1.0])
-    assert not res_i.norm_criterion and not res_i.splitting_criterion
+    assert np.allclose(res_i.facts["normalized_norms"], [1.0, 1.0])
+    assert [check["verdict"] for check in res_i.checks] == [False, False]
 
 
 def test_zero_distribution_bounded_norm_vanishing_rank_suite():
@@ -156,8 +154,9 @@ def test_zero_distribution_bounded_norm_vanishing_rank_suite():
 
     res = zero_distribution_test(seq, np.inf, [(64,), (128,), (256,)])
     assert res.passed
-    assert res.splitting_criterion and not res.norm_criterion
-    assert np.allclose(res.normalized_norms, 1.0)
+    norm_criterion, splitting_criterion = (check["verdict"] for check in res.checks)
+    assert splitting_criterion and not norm_criterion
+    assert np.allclose(res.facts["normalized_norms"], 1.0)
 
 
 def test_zero_distribution_invalid_p():
@@ -178,7 +177,7 @@ def test_sacs_designed_model_estimates():
     cert = sacs_check(designed_model(99), [2, 4], [(12,), (16,)], trials=2000)
     assert cert.passed
     for m in (2, 4):
-        assert abs(cert.s[m] - 1.0 / m) < 0.05
+        assert abs(cert.facts["s_estimates"][str(m)] - 1.0 / m) < 0.05
 
 
 def test_sacs_constant_s_fails():
@@ -190,9 +189,7 @@ def test_sacs_bit_reproducible():
     out = []
     for _ in range(2):
         cert = sacs_check(designed_model(42), [2, 4], [(10,), (12,)], trials=300)
-        buf = io.StringIO()
-        cert.write_csv(buf)
-        out.append(buf.getvalue())
+        out.append(cert.csv())
     assert out[0] == out[1]
 
 
@@ -234,12 +231,9 @@ def test_sacs_trial_loop_takes_no_hermitian_test(monkeypatch):
 def test_sacs_matches_the_per_trial_oracle_byte_for_byte(name, sizes):
     # 1037 trials is no multiple of any block length, so the last block is short.
     model = MODEL_ZOO[name](17)
-    texts = []
-    for cert in (sacs_check(model, [2, 4], sizes, 1037), sacs_oracle(model, [2, 4], sizes, 1037)):
-        buf = io.StringIO()
-        cert.write_csv(buf)
-        texts.append(buf.getvalue())
-    assert texts[0] == texts[1]
+    cert, oracle = sacs_check(model, [2, 4], sizes, 1037), sacs_oracle(model, [2, 4], sizes, 1037)
+    assert cert.csv() == oracle.csv()
+    assert cert.facts == oracle.facts
 
 
 @pytest.mark.parametrize("model, s_of", [
@@ -279,9 +273,7 @@ def test_sacs_csv_does_not_depend_on_the_worker_count(monkeypatch, sizes):
     # 1037 trials is no multiple of any block length, so the last block is short.
     def csv(workers):
         monkeypatch.setattr(acs_mod, "_WORKERS", workers)
-        buf = io.StringIO()
-        sacs_check(designed_model(23), [2, 4], sizes, 1037).write_csv(buf)
-        return buf.getvalue()
+        return sacs_check(designed_model(23), [2, 4], sizes, 1037).csv()
 
     default = csv(acs_mod._WORKERS)
     assert csv(1) == default

@@ -179,6 +179,20 @@ def test_check_glt5_cli(tmp_path):
     ]) == 1
 
 
+def test_pseudo_inverse_notes_reach_the_summary(tmp_path):
+    out = tmp_path / "zero"
+    assert main(["check-zero", "--expr", "Z^-1", "--sizes", "8;16;32", "--p", "1",
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["notes"] == [
+        f"pseudo-inverse at n={n} truncated {n} singular values below 1e-10 * sigma_1"
+        for n in (8, 16, 32)
+    ]
+    assert main(["check-zero", "--model", "spike", "--sizes", "64;128;256", "--p", "1",
+                 "--out", str(out)]) == 0
+    assert "notes" not in json.loads((out / "summary.json").read_text())
+
+
 def test_plot_artifact(tmp_path):
     out = tmp_path / "plots"
     code = main([

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import laplacian_eigenvalues, random_trig_polynomial
+from helpers import errors_for, laplacian_eigenvalues, random_trig_polynomial
 
 from gltlab.errors import CalculusError, ModeError
 from gltlab.gltcalc import (
@@ -202,7 +202,7 @@ def test_hermitian_inference():
 def test_glt5_split_check_hermitian_trivial():
     report = glt5_split_check(lambda n: materialize(LAP, n), [(16,), (32,), (64,)])
     assert report.passed
-    assert max(report.trace_norm_y_normalized) == 0.0
+    assert max(report.facts["trace_norm_y_over_nu"]) == 0.0
 
 
 def test_glt5_split_check_small_skew_perturbation():
@@ -219,7 +219,7 @@ def test_glt5_split_check_shift_fails():
     report = glt5_split_check(lambda n: materialize(SHIFT, n), [(32,), (64,), (128,)])
     assert not report.passed
     # the skew part keeps Theta(n) singular values of size ~ 1/2
-    assert min(report.trace_norm_y_normalized) > 0.2
+    assert min(report.facts["trace_norm_y_over_nu"]) > 0.2
 
 
 def test_glt1_verify_lambda_trace_identity():
@@ -238,7 +238,7 @@ def test_glt1_verify_product_sigma_first_moment():
         basket=[poly_on_window(1, -20, 20, "x")], tolerance=0.05,
     )
     assert report.passed
-    errs = [err for _, err in report.errors_for("x")]
+    errs = [err for _, err in errors_for(report, "x")]
     assert errs[-1] < 0.02
     assert errs[0] > errs[-1]
 
@@ -260,7 +260,7 @@ def test_glt1_verify_quasi_hermitian_waiver():
         basket=[poly_on_window(1, -20, 20, "x")], tolerance=0.05,
     )
     assert report.passed
-    errs = [err for _, err in report.errors_for("x")]
+    errs = [err for _, err in errors_for(report, "x")]
     assert errs[-1] < 0.01
 
 

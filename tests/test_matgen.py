@@ -5,6 +5,7 @@ import pytest
 
 from helpers import random_trig_polynomial, toeplitz_blockfill, toeplitz_kronecker
 
+import gltlab.matgen as matgen_mod
 from gltlab.errors import SizeCapError
 from gltlab.matgen import (
     BlockMatrix,
@@ -134,10 +135,15 @@ def test_sampling_grid_order():
     assert np.allclose(grid, [[0.5, 0.5], [0.5, 1.0], [1.0, 0.5], [1.0, 1.0]])
 
 
-def test_size_cap():
+def test_size_cap(monkeypatch):
     with pytest.raises(SizeCapError):
-        toeplitz(LAP, 10000)
-    toeplitz(LAP, 10000, cap=20000)  # override allowed
+        toeplitz(LAP, 10000)  # refused before anything is allocated
+    # The same rule at a small default cap, so the admitted matrix is small.
+    monkeypatch.setattr(matgen_mod, "DEFAULT_SIZE_CAP", 16)
+    with pytest.raises(SizeCapError):
+        toeplitz(LAP, 17)
+    assert toeplitz(LAP, 17, cap=32).data.shape == (17, 17)  # override allowed
+    assert toeplitz(LAP, 16).data.shape == (16, 16)
 
 
 def test_csv_export_header_and_indices():

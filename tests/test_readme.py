@@ -18,6 +18,19 @@ SACS_SHA256 = {
 }
 
 
+# sha256 of every CSV and plot.svg the README Quick start commands write,
+# computed before the checks returned one Report shape: the single emitter
+# must write the same bytes.
+QUICK_START_SHA256 = {
+    "out/product/report.csv": "ccc6cca112c226accbeaee2f62ea2c7ad7f2210ef98275a4390804b913f4f88c",
+    "out/product/plot.svg": "5c489f6f3e39853650b4e380ee3733dba1859f1d91d2b428f11ff96a07fc143c",
+    "out/zero/trend.csv": "23dea8a4bb2032a59c2ff82b048bfa41c2498d517432e14a3cd2dbe772862d8e",
+    "out/acs/certificate.csv": "523c38c2e9262b0d22b579452566fac48cec6f7403724812c3a54bb3947ce4fc",
+    "out/sacs/certificate.csv": SACS_SHA256["certificate.csv"],
+    "out/glt5/split.csv": "5643dbef5244002c12414dbce78fc4330cbcbd2b2c707ec11e4c1a94b8a40339",
+}
+
+
 def quick_start_commands():
     """Each command of the first shell block under "## Quick start", without
     its leading ``gltlab``, with line continuations joined."""
@@ -43,3 +56,17 @@ def test_quick_start_commands_exit_as_documented(tmp_path, monkeypatch, capsys):
     sacs_out = tmp_path / commands[5][commands[5].index("--out") + 1]
     assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sacs_out.iterdir()} == SACS_SHA256
+    written = sorted(str(path.relative_to(tmp_path)) for path in tmp_path.rglob("*")
+                     if path.suffix == ".csv" or path.name == "plot.svg")
+    assert written == sorted(QUICK_START_SHA256)
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in written} == QUICK_START_SHA256
+
+
+def test_python_example_runs(capsys):
+    section = README.read_text().split("## Quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out
+    assert printed.startswith("True [('x', ")
+    assert "('bump_hi', " in printed

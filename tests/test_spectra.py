@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import (
+    errors_for,
     laplacian_eigenvalues,
     midpoint_functional,
     random_reflection,
@@ -179,7 +180,7 @@ def test_distribution_check_trace_identity_zero_error():
         lambda n: toeplitz(LAP, n), LAP, [16, 32, 64], mode="lambda",
         basket=[WIDE_X],
     )
-    for _, err in report.errors_for("x"):
+    for _, err in errors_for(report, "x"):
         assert err < 1e-12
     assert report.passed
 
@@ -189,7 +190,7 @@ def test_distribution_check_exact_error_law():
         lambda n: toeplitz(LAP, n), LAP, [64, 128, 256], mode="lambda",
         basket=[WIDE_X2], tolerance=0.05, quad_tol=1e-10,
     )
-    for (d_n, err), n in zip(report.errors_for("x^2"), (64, 128, 256)):
+    for (d_n, err), n in zip(errors_for(report, "x^2"), (64, 128, 256)):
         assert d_n == n
         assert abs(err - 2.0 / n) <= 1e-12
     assert report.passed
@@ -214,14 +215,10 @@ def test_distribution_check_basket_filter():
 
 
 def test_distribution_report_csv_header():
-    import io
-
     report = distribution_check(
         lambda n: toeplitz(LAP, n), LAP, [8, 16], mode="lambda", basket=[WIDE_X],
     )
-    buf = io.StringIO()
-    report.write_csv(buf)
-    lines = buf.getvalue().splitlines()
+    lines = report.csv().splitlines()
     assert lines[0] == "n,d_n,mode,F_id,empirical,symbol,abs_error"
     assert len(lines) == 1 + 2
 
