@@ -462,6 +462,21 @@ def _compile_scalar(e: ScalarExpr) -> Callable[[np.ndarray], np.ndarray]:
     raise DslSyntaxError(f"cannot compile scalar node {e!r}")
 
 
+def _compile_matrix(entries) -> Callable[[np.ndarray], np.ndarray]:
+    """Vectorized r x r matfun: (N, d) points to (N, r, r) complex values."""
+    r = len(entries)
+    fns = [[_compile_scalar(e) for e in row] for row in entries]
+
+    def evaluate(points: np.ndarray) -> np.ndarray:
+        out = np.empty((points.shape[0], r, r), dtype=complex)
+        for a in range(r):
+            for b in range(r):
+                out[:, a, b] = fns[a][b](points)
+        return out
+
+    return evaluate
+
+
 def _is_real_expr(e: ScalarExpr) -> bool:
     """Structural realness: no imaginary literals and only real-closed ops."""
     if isinstance(e, SNum):
@@ -681,39 +696,20 @@ class _Parser:
             self.error(
                 "T-argument is not band-limited; declare a truncation degree "
                 "(numeric_degree)", tok)
-        r = len(entries)
-        fns = [[_compile_scalar(e) for e in row] for row in entries]
-
-        def evaluate(theta: np.ndarray) -> np.ndarray:
-            out = np.empty((theta.shape[0], r, r), dtype=complex)
-            for a in range(r):
-                for b in range(r):
-                    out[:, a, b] = fns[a][b](theta)
-            return out
-
         samples = self.numeric_samples or max(4 * self.numeric_degree + 1, 256)
-        poly = fourier_coefficients(evaluate, self.numeric_degree, samples,
-                                    d=self.d, r=r)
+        poly = fourier_coefficients(_compile_matrix(entries), self.numeric_degree, samples,
+                                    d=self.d, r=len(entries))
         return Toeplitz(poly)
 
     def _build_diag(self, entries, tok: Token) -> Diag:
         r = len(entries)
         self._register_r(r, tok)
-        fns = [[_compile_scalar(e) for e in row] for row in entries]
         real = all(_is_real_expr(e) for row in entries for e in row)
         symmetric = all(
             entries[a][b] == entries[b][a] for a in range(r) for b in range(r)
         )
-
-        def evaluate(x: np.ndarray) -> np.ndarray:
-            out = np.empty((x.shape[0], r, r), dtype=complex)
-            for a in range(r):
-                for b in range(r):
-                    out[:, a, b] = fns[a][b](x)
-            return out
-
         coefficient = CoefficientFunction(
-            self.d, r, evaluate, hermitian=real and symmetric,
+            self.d, r, _compile_matrix(entries), hermitian=real and symmetric,
             name=format_matfun(entries),
         )
         return Diag(coefficient, exprs=entries)
@@ -921,27 +917,6 @@ def _toeplitz_entries(poly: TrigPolynomial) -> tuple[tuple[ScalarExpr, ...], ...
 _GP_ADD, _GP_MUL, _GP_FACTOR, _GP_ATOM = 1, 2, 3, 4
 
 
-def _scalar_atom_text(c: complex) -> str:
-    re, im = c.real, c.imag
-    if im == 0.0:
-        if re >= 0:
-            return _num_repr(re)
-        return f"(-{_num_repr(-re)})"
-    if re == 0.0:
-        if im == 1.0:
-            return "i"
-        if im == -1.0:
-            return "(-i)"
-        if im > 0:
-            return f"({_num_repr(im)}*i)"
-        return f"(-{_num_repr(-im)}*i)"
-    sign = "+" if im > 0 else "-"
-    mag = abs(im)
-    istr = "i" if mag == 1.0 else _num_repr(mag) + "*i"
-    body = _num_repr(re) if re >= 0 else "-" + _num_repr(-re)
-    return f"({body}{sign}{istr})"
-
-
 def _fmt_expr(e: GLTExpression) -> tuple[str, int]:
     if isinstance(e, Toeplitz):
         return "T(" + format_matfun(_toeplitz_entries(e.poly)) + ")", _GP_ATOM
@@ -953,7 +928,7 @@ def _fmt_expr(e: GLTExpression) -> tuple[str, int]:
     if isinstance(e, Zero):
         return "Z", _GP_ATOM
     if isinstance(e, Scalar):
-        return _scalar_atom_text(complex(e.value)), _GP_ATOM
+        return _fmt_child(SNum(complex(e.value)), _P_ATOM), _GP_ATOM
     if isinstance(e, Adjoint):
         return _fmt_glt_child(e.child, _GP_FACTOR) + "'", _GP_FACTOR
     if isinstance(e, PseudoInverse):

@@ -3,14 +3,18 @@
 Leaves are Toeplitz(f), Diag(a), Zero, and Scalar constants (a scalar c acts
 as c times the identity, i.e. the Toeplitz sequence of the constant symbol);
 internal nodes are Adjoint, LinComb, Product, PseudoInverse, and FunApply.
-``symbol_of`` maps an expression structurally to its symbol; ``materialize``
-produces the matrix at a given size with the corresponding matrix operations.
+This tree is the only operator tree: the symbol map is a *-homomorphism, so
+``symbol_of`` returns an :class:`ExpressionSymbol` that evaluates the same
+tree with each node's operation applied pointwise to the leaf symbols of
+:mod:`gltlab.symbols`, while ``materialize`` produces the matrix at a given
+size with the corresponding matrix operations.
 
 Hermitian-ness is inferred structurally (coefficient symmetry for Toeplitz
-leaves, declared flags for coefficient functions, realness of scalars), never
-detected numerically: the calculus gates eigenvalue-mode verification and
-continuous-function application on that declaration.  The solver that
-computes a spectrum is chosen from a numeric test instead (see
+leaves, declared flags for coefficient functions, realness of scalars) by
+the nodes' ``hermitian`` property, the one rule that the symbol also reads;
+it is never detected numerically: the calculus gates eigenvalue-mode
+verification and continuous-function application on that declaration.  The
+solver that computes a spectrum is chosen from a numeric test instead (see
 :func:`gltlab.spectra.spectrum`), because declared flags can be wrong:
 ``CoefficientFunction.from_scalar`` declares Hermitian by default.
 
@@ -29,7 +33,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import CalculusError, ConfigurationError, ModeError
+from .errors import CalculusError, ConfigurationError, ModeError, SingularEvaluationError
 from .matgen import BlockMatrix, as_array, diag_sampling, is_hermitian, toeplitz, zeros
 from .multiindex import MultiIndex, check_size, format_multiindex, nu
 from .reports import Report
@@ -42,19 +46,10 @@ from .spectra import (
     spectrum,
     trending_to_zero,
 )
-from .symbols import (
-    CoefficientFunction,
-    ConstantSymbol,
-    Symbol,
-    SymbolAdjoint,
-    SymbolFunction,
-    SymbolInverse,
-    SymbolProduct,
-    SymbolSum,
-    TrigPolynomial,
-)
+from .symbols import CoefficientFunction, Symbol, TrigPolynomial
 
 PINV_RCOND = 1e-10
+_SINGULAR_TOL = 1e-13  # |symbol| at or below this is singular (r = 1)
 
 FUNCTION_CATALOGUE: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "exp": np.exp,
@@ -312,41 +307,92 @@ def symbol_of(e: GLTExpression, d: int | None = None, r: int | None = None) -> S
     """Structural symbol map: Toeplitz(f) -> f(theta), Diag(a) -> a(x),
     Zero -> O_r, with the node operations acting pointwise."""
     d, r = _resolve_dims(e, d, r)
-    return _symbol_of(e, d, r)
+    return ExpressionSymbol(e, d, r)
 
 
-def _symbol_of(e: GLTExpression, d: int, r: int) -> Symbol:
-    if isinstance(e, Toeplitz):
-        return e.poly
-    if isinstance(e, Diag):
-        return e.coefficient
-    if isinstance(e, Zero):
-        return ConstantSymbol(d, np.zeros((r, r)))
-    if isinstance(e, Scalar):
-        return ConstantSymbol(d, complex(e.value) * np.eye(r))
-    if isinstance(e, Adjoint):
-        return SymbolAdjoint(_symbol_of(e.child, d, r))
-    if isinstance(e, LinComb):
-        return SymbolSum(e.alpha, _symbol_of(e.left, d, r), e.beta, _symbol_of(e.right, d, r))
-    if isinstance(e, Product):
-        return SymbolProduct(_symbol_of(e.left, d, r), _symbol_of(e.right, d, r))
-    if isinstance(e, PseudoInverse):
-        if not e.invertible_ae:
-            raise CalculusError(
-                "pseudo-inverse requires an invertible-a.e. declaration on its child"
+def _scan(e: GLTExpression) -> tuple[bool, bool]:
+    """(depends_space, depends_frequency) of the symbol of ``e``; raises
+    CalculusError where the calculus assigns no symbol."""
+    if isinstance(e, PseudoInverse) and not e.invertible_ae:
+        raise CalculusError(
+            "pseudo-inverse requires an invertible-a.e. declaration on its child"
+        )
+    if isinstance(e, FunApply) and e.name not in FUNCTION_CATALOGUE:
+        raise CalculusError(f"unknown function {e.name!r}")
+    if isinstance(e, (Toeplitz, Diag)):
+        leaf = e.poly if isinstance(e, Toeplitz) else e.coefficient
+        return leaf.depends_space, leaf.depends_frequency
+    if not isinstance(e, (Zero, Scalar, Adjoint, LinComb, Product, PseudoInverse, FunApply)):
+        raise ConfigurationError(f"unknown expression node {type(e).__name__}")
+    flags = [_scan(child) for child in e.children()]
+    if isinstance(e, FunApply) and not (e.child.hermitian or e.assume_hermitian):
+        raise CalculusError(
+            "continuous-function application requires a Hermitian-declared child"
+        )
+    return any(s for s, _ in flags), any(f for _, f in flags)
+
+
+class ExpressionSymbol(Symbol):
+    """The symbol of an expression, evaluated on the expression itself: each
+    node applies its operation pointwise to the values of its children, and
+    the node's own structural rule says whether the symbol is Hermitian."""
+
+    def __init__(self, e: GLTExpression, d: int, r: int):
+        self.expression, self.d, self.r = e, d, r
+        self._space, self._frequency = _scan(e)
+
+    hermitian = property(lambda self: self.expression.hermitian)
+    depends_space = property(lambda self: self._space)
+    depends_frequency = property(lambda self: self._frequency)
+
+    def _eval(self, x, theta):
+        return self._values(self.expression, x, theta)
+
+    def _values(self, e: GLTExpression, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        r = self.r
+        if isinstance(e, Toeplitz):
+            return e.poly._eval(x, theta)
+        if isinstance(e, Diag):
+            return e.coefficient._eval(x, theta)
+        if isinstance(e, (Zero, Scalar)):
+            c = complex(e.value) if isinstance(e, Scalar) else 0j
+            return np.broadcast_to(c * np.eye(r), (x.shape[0], r, r))
+        if isinstance(e, Adjoint):
+            return np.conj(np.swapaxes(self._values(e.child, x, theta), -1, -2))
+        if isinstance(e, LinComb):
+            return (complex(e.alpha) * self._values(e.left, x, theta)
+                    + complex(e.beta) * self._values(e.right, x, theta))
+        if isinstance(e, Product):
+            return self._values(e.left, x, theta) @ self._values(e.right, x, theta)
+        vals = self._values(e.child, x, theta)
+        if isinstance(e, FunApply):
+            # f(kappa) through the pointwise spectral calculus.
+            fn = FUNCTION_CATALOGUE[e.name]
+            if r == 1:
+                return np.asarray(fn(vals[:, 0, 0].real), dtype=complex).reshape(-1, 1, 1)
+            w, v = np.linalg.eigh(vals)
+            fw = np.asarray(fn(w), dtype=complex)
+            return np.einsum("nab,nb,ncb->nac", v, fw, v.conj())
+        # PseudoInverse: the pointwise inverse, valid for symbols invertible a.e.
+        if r == 1:
+            flat = vals[:, 0, 0]
+            bad = np.abs(flat) <= _SINGULAR_TOL
+            if np.any(bad):
+                i = int(np.argmax(bad))
+                raise SingularEvaluationError(
+                    f"symbol vanishes at x={x[i]}, theta={theta[i]}"
+                )
+            return (1.0 / flat).reshape(-1, 1, 1)
+        try:
+            out = np.linalg.inv(vals)
+        except np.linalg.LinAlgError as exc:
+            raise SingularEvaluationError(f"pointwise inverse failed: {exc}") from exc
+        if not np.all(np.isfinite(out)):
+            i = int(np.argmax(~np.isfinite(out.reshape(out.shape[0], -1)).all(axis=1)))
+            raise SingularEvaluationError(
+                f"pointwise inverse non-finite at x={x[i]}, theta={theta[i]}"
             )
-        return SymbolInverse(_symbol_of(e.child, d, r))
-    if isinstance(e, FunApply):
-        if e.name not in FUNCTION_CATALOGUE:
-            raise CalculusError(f"unknown function {e.name!r}")
-        child = _symbol_of(e.child, d, r)
-        if not (child.hermitian or e.assume_hermitian):
-            raise CalculusError(
-                "continuous-function application requires a Hermitian-declared child"
-            )
-        return SymbolFunction(e.name, FUNCTION_CATALOGUE[e.name], child,
-                              assume_hermitian=e.assume_hermitian)
-    raise ConfigurationError(f"unknown expression node {type(e).__name__}")
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -250,15 +250,18 @@ def _midline(count: int, lo: float, hi: float) -> np.ndarray:
     return lo + (np.arange(count) + 0.5) * (hi - lo) / count
 
 
+def _mesh_nodes(lines: list[np.ndarray], d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tensor grid of d space lines then d frequency lines, as (x, theta)."""
+    mesh = np.meshgrid(*lines, indexing="ij")
+    flat = [m.ravel() for m in mesh]
+    return np.stack(flat[:d], axis=1), np.stack(flat[d:], axis=1)
+
+
 def _tensor_nodes(s: Symbol, g: int) -> tuple[np.ndarray, np.ndarray]:
     gx = g if s.depends_space else 1
     gt = g if s.depends_frequency else 1
     lines = [_midline(gx, 0.0, 1.0)] * s.d + [_midline(gt, -np.pi, np.pi)] * s.d
-    mesh = np.meshgrid(*lines, indexing="ij")
-    flat = [m.ravel() for m in mesh]
-    x = np.stack(flat[: s.d], axis=1)
-    theta = np.stack(flat[s.d :], axis=1)
-    return x, theta
+    return _mesh_nodes(lines, s.d)
 
 
 def _node_count(s: Symbol, g: int) -> int:
@@ -282,10 +285,7 @@ def _probe_nodes(s: Symbol, per_dim: int, node_budget: int = 2**16):
     gt = g if s.depends_frequency else 1
     x_line = np.linspace(0.0, 1.0, gx) if gx > 1 else np.array([0.5])
     t_line = np.linspace(-np.pi, np.pi, gt) if gt > 1 else np.array([0.0])
-    lines = [x_line] * s.d + [t_line] * s.d
-    mesh = np.meshgrid(*lines, indexing="ij")
-    flat = [m.ravel() for m in mesh]
-    return np.stack(flat[: s.d], axis=1), np.stack(flat[s.d :], axis=1)
+    return _mesh_nodes([x_line] * s.d + [t_line] * s.d, s.d)
 
 
 @dataclass(frozen=True)
@@ -543,9 +543,7 @@ def _equispaced_nodes(s: Symbol, n: MultiIndex) -> tuple[np.ndarray, np.ndarray]
         counts_t.append(gt)
     lines = [np.arange(1, g + 1) / g for g in counts_x]
     lines += [-np.pi + np.arange(1, g + 1) * (2 * np.pi / g) for g in counts_t]
-    mesh = np.meshgrid(*lines, indexing="ij")
-    flat = [m.ravel() for m in mesh]
-    return np.stack(flat[: s.d], axis=1), np.stack(flat[s.d :], axis=1)
+    return _mesh_nodes(lines, s.d)
 
 
 def quantile_compare(values, s: Symbol, n, outlier_budget: float | None = None,

@@ -1,10 +1,12 @@
 """Matrix-valued symbols on [0,1]^d x [-pi,pi]^d.
 
-A symbol is an evaluable map kappa(x, theta) into r x r complex matrices,
-represented as a pointwise-algebra tree whose leaves are trigonometric
-polynomials (frequency-only), coefficient functions (space-only), and
-constants.  Evaluation is vectorized: points are passed as (N, d) arrays and
-values come back as (N, r, r) stacks.
+A symbol is an evaluable map kappa(x, theta) into r x r complex matrices.
+This module holds the leaves: trigonometric polynomials (frequency-only),
+coefficient functions (space-only), and constants.  The pointwise algebra
+over them (sums, products, adjoints, inverses, continuous functions) and its
+one Hermitian rule live on the expression tree of :mod:`gltlab.gltcalc`,
+whose ``symbol_of`` evaluates that tree.  Evaluation is vectorized: points
+are passed as (N, d) arrays and values come back as (N, r, r) stacks.
 
 Merely integrable generating functions have no canonical finite
 representation; this module requires an evaluable closed form plus, for
@@ -18,13 +20,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    CalculusError,
-    ConfigurationError,
-    DomainError,
-    EvaluationError,
-    SingularEvaluationError,
-)
+from .errors import ConfigurationError, DomainError, EvaluationError
 from .multiindex import MultiIndex, MultiIndexInterval, as_multiindex, iter_interval
 
 _HERMITIAN_TOL = 1e-13
@@ -64,13 +60,6 @@ class Symbol:
 
     def _eval(self, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    # pointwise algebra sugar
-    def __mul__(self, other: "Symbol") -> "Symbol":
-        return SymbolProduct(self, other)
-
-    def __add__(self, other: "Symbol") -> "Symbol":
-        return SymbolSum(1.0, self, 1.0, other)
 
 
 class TrigPolynomial(Symbol):
@@ -256,158 +245,6 @@ class ConstantSymbol(Symbol):
 
     def _eval(self, x, theta):
         return np.broadcast_to(self.matrix, (x.shape[0], self.r, self.r))
-
-
-def _check_same_shape(a: Symbol, b: Symbol):
-    if (a.d, a.r) != (b.d, b.r):
-        raise ConfigurationError(
-            f"symbols have mismatched (d, r): ({a.d}, {a.r}) vs ({b.d}, {b.r})"
-        )
-
-
-class SymbolSum(Symbol):
-    def __init__(self, alpha: complex, left: Symbol, beta: complex, right: Symbol):
-        _check_same_shape(left, right)
-        self.alpha, self.beta = complex(alpha), complex(beta)
-        self.left, self.right = left, right
-        self.d, self.r = left.d, left.r
-
-    @property
-    def hermitian(self) -> bool:
-        return (
-            self.alpha.imag == 0
-            and self.beta.imag == 0
-            and self.left.hermitian
-            and self.right.hermitian
-        )
-
-    @property
-    def depends_space(self):
-        return self.left.depends_space or self.right.depends_space
-
-    @property
-    def depends_frequency(self):
-        return self.left.depends_frequency or self.right.depends_frequency
-
-    def _eval(self, x, theta):
-        return self.alpha * self.left._eval(x, theta) + self.beta * self.right._eval(x, theta)
-
-
-class SymbolProduct(Symbol):
-    def __init__(self, left: Symbol, right: Symbol):
-        _check_same_shape(left, right)
-        self.left, self.right = left, right
-        self.d, self.r = left.d, left.r
-
-    @property
-    def depends_space(self):
-        return self.left.depends_space or self.right.depends_space
-
-    @property
-    def depends_frequency(self):
-        return self.left.depends_frequency or self.right.depends_frequency
-
-    def _eval(self, x, theta):
-        return self.left._eval(x, theta) @ self.right._eval(x, theta)
-
-
-class SymbolAdjoint(Symbol):
-    def __init__(self, child: Symbol):
-        self.child = child
-        self.d, self.r = child.d, child.r
-
-    @property
-    def hermitian(self):
-        return self.child.hermitian
-
-    @property
-    def depends_space(self):
-        return self.child.depends_space
-
-    @property
-    def depends_frequency(self):
-        return self.child.depends_frequency
-
-    def _eval(self, x, theta):
-        return np.conj(np.swapaxes(self.child._eval(x, theta), -1, -2))
-
-
-class SymbolInverse(Symbol):
-    """Pointwise matrix inverse; valid for symbols invertible a.e."""
-
-    def __init__(self, child: Symbol, singular_tol: float = 1e-13):
-        self.child = child
-        self.d, self.r = child.d, child.r
-        self.singular_tol = singular_tol
-
-    @property
-    def hermitian(self):
-        return self.child.hermitian
-
-    @property
-    def depends_space(self):
-        return self.child.depends_space
-
-    @property
-    def depends_frequency(self):
-        return self.child.depends_frequency
-
-    def _eval(self, x, theta):
-        vals = self.child._eval(x, theta)
-        if self.r == 1:
-            flat = vals[:, 0, 0]
-            bad = np.abs(flat) <= self.singular_tol
-            if np.any(bad):
-                i = int(np.argmax(bad))
-                raise SingularEvaluationError(
-                    f"symbol vanishes at x={x[i]}, theta={theta[i]}"
-                )
-            return (1.0 / flat).reshape(-1, 1, 1)
-        try:
-            out = np.linalg.inv(vals)
-        except np.linalg.LinAlgError as exc:
-            raise SingularEvaluationError(f"pointwise inverse failed: {exc}") from exc
-        if not np.all(np.isfinite(out)):
-            i = int(np.argmax(~np.isfinite(out.reshape(out.shape[0], -1)).all(axis=1)))
-            raise SingularEvaluationError(
-                f"pointwise inverse non-finite at x={x[i]}, theta={theta[i]}"
-            )
-        return out
-
-
-class SymbolFunction(Symbol):
-    """f(kappa) via the pointwise spectral calculus on a Hermitian child."""
-
-    def __init__(self, name: str, fn: Callable[[np.ndarray], np.ndarray], child: Symbol,
-                 assume_hermitian: bool = False):
-        if not (child.hermitian or assume_hermitian):
-            raise CalculusError(
-                "continuous-function application requires a Hermitian-declared symbol"
-            )
-        self.name = name
-        self._fn = fn
-        self.child = child
-        self.d, self.r = child.d, child.r
-
-    @property
-    def hermitian(self):
-        return True
-
-    @property
-    def depends_space(self):
-        return self.child.depends_space
-
-    @property
-    def depends_frequency(self):
-        return self.child.depends_frequency
-
-    def _eval(self, x, theta):
-        vals = self.child._eval(x, theta)
-        if self.r == 1:
-            return np.asarray(self._fn(vals[:, 0, 0].real), dtype=complex).reshape(-1, 1, 1)
-        w, v = np.linalg.eigh(vals)
-        fw = np.asarray(self._fn(w), dtype=complex)
-        return np.einsum("nab,nb,ncb->nac", v, fw, v.conj())
 
 
 def evaluate(s: Symbol, x, theta) -> np.ndarray:

@@ -193,6 +193,17 @@ def test_pseudo_inverse_notes_reach_the_summary(tmp_path):
     assert "notes" not in json.loads((out / "summary.json").read_text())
 
 
+# A real scalar times a Hermitian operand is Hermitian, on the symbol side too.
+# The eigenvalues of fun(exp,2*T(.)) reach e^8: the windowed moments are of
+# order 10^3..10^9 and their errors, though halving with n, stay far above an
+# absolute tolerance of 0.05, so that case is judged by the two bumps.
+@pytest.mark.parametrize("scale, basket", [("-", "auto"), ("2*", "bump_lo,bump_hi")])
+def test_fun_of_a_real_scaled_hermitian_operand(scale, basket, tmp_path):
+    assert main(["check-dist", "--expr", f"fun(exp,{scale}T(2-2*cos(t1)))",
+                 "--sizes", "64;128;256", "--mode", "lambda", "--basket", basket,
+                 "--out", str(tmp_path / "fun")]) == 0
+
+
 def test_plot_artifact(tmp_path):
     out = tmp_path / "plots"
     code = main([

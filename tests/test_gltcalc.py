@@ -5,7 +5,8 @@ import pytest
 
 from helpers import errors_for, laplacian_eigenvalues, random_trig_polynomial
 
-from gltlab.errors import CalculusError, ModeError
+from gltlab.dsl import parse
+from gltlab.errors import CalculusError, ModeError, SingularEvaluationError
 from gltlab.gltcalc import (
     Adjoint,
     Diag,
@@ -63,6 +64,36 @@ def test_symbol_of_fun_apply_requires_hermitian():
     sym = symbol_of(FunApply("exp", LAP))
     val = evaluate(sym, [0.5], [0.0])
     assert abs(val[0, 0] - 1.0) < 1e-13  # exp(0)
+
+
+@pytest.mark.parametrize("text", ["-T(2-2*cos(t1))", "2*T(2-2*cos(t1))",
+                                  "T(2-2*cos(t1))*2", "D(x1)*T(2-2*cos(t1))",
+                                  "T(exp(i*t1))'", "T(2-2*cos(t1))^-1"])
+def test_symbol_hermitian_is_the_expression_rule(text):
+    e = parse(text)
+    assert symbol_of(e).hermitian == e.hermitian
+
+
+def test_symbol_of_block_pseudo_inverse_and_function():
+    rng = np.random.default_rng(29)
+    f = random_trig_polynomial(rng, d=1, r=2, degree=1, hermitian=True)
+    xs = rng.random((50, 1))
+    thetas = rng.uniform(-np.pi, np.pi, (50, 1))
+    vals = evaluate(f, xs, thetas)
+
+    inv = evaluate(symbol_of(PseudoInverse(Toeplitz(f))), xs, thetas)
+    assert np.abs(inv - np.linalg.inv(vals)).max() < 1e-10
+
+    w, v = np.linalg.eigh(vals)
+    want = v @ (np.exp(w)[:, :, None] * np.conj(np.swapaxes(v, -1, -2)))
+    got = evaluate(symbol_of(FunApply("exp", Toeplitz(f))), xs, thetas)
+    assert np.abs(got - want).max() < 1e-10
+
+
+def test_symbol_of_pseudo_inverse_is_singular_where_the_symbol_vanishes():
+    sym = symbol_of(parse("T(2-2*cos(t1))^-1"))
+    with pytest.raises(SingularEvaluationError):
+        evaluate(sym, [0.5], [0.0])
 
 
 def test_symbol_homomorphism_random_nodes():

@@ -20,7 +20,7 @@ from gltlab.errors import (
     QuadratureError,
     SolverError,
 )
-from gltlab.gltcalc import materialize, symbol_of
+from gltlab.gltcalc import Diag, Product, Toeplitz, materialize, symbol_of
 from gltlab.matgen import toeplitz
 from gltlab.spectra import (
     TestFunction,
@@ -37,12 +37,7 @@ from gltlab.spectra import (
     symbol_functional,
     trending_to_zero,
 )
-from gltlab.symbols import (
-    CoefficientFunction,
-    ConstantSymbol,
-    SymbolProduct,
-    TrigPolynomial,
-)
+from gltlab.symbols import CoefficientFunction, ConstantSymbol, TrigPolynomial
 
 LAP = TrigPolynomial(1, 1, {(0,): [[2.0]], (1,): [[-1.0]], (-1,): [[-1.0]]})
 
@@ -161,7 +156,7 @@ def test_symbol_functional_examples():
     assert abs(symbol_functional(LAP, WIDE_X, "lambda") - 2.0) < 1e-10
     assert abs(symbol_functional(LAP, WIDE_X2, "lambda") - 6.0) < 1e-10
     a = CoefficientFunction.from_scalar(1, lambda x: x)
-    kappa = SymbolProduct(a, LAP)
+    kappa = symbol_of(Product(Diag(a), Toeplitz(LAP)))
     assert abs(symbol_functional(kappa, WIDE_X, "sigma") - 1.0) < 1e-8
 
 

@@ -4,10 +4,10 @@ import pytest
 from helpers import random_trig_polynomial
 
 from gltlab.errors import ConfigurationError, DomainError
+from gltlab.gltcalc import Diag, Product, Toeplitz, symbol_of
 from gltlab.symbols import (
     CoefficientFunction,
     ConstantSymbol,
-    SymbolProduct,
     TrigPolynomial,
     evaluate,
     fourier_coefficients,
@@ -25,7 +25,7 @@ def test_evaluate_trig_examples():
 
 def test_evaluate_product_example():
     a = CoefficientFunction.from_scalar(1, lambda x: x)
-    kappa = SymbolProduct(a, LAP)
+    kappa = symbol_of(Product(Diag(a), Toeplitz(LAP)))
     val = evaluate(kappa, [0.5], [np.pi])
     assert abs(val[0, 0] - 2.0) < 1e-14
 
