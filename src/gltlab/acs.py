@@ -21,24 +21,24 @@ are its per-(m, n) lines and its facts the per-m estimates (``c`` and
 ``omega``, or ``s_estimates``) keyed by ``str(m)``; the zero-distribution
 test's facts are its per-size series.
 
-Trials are drawn in blocks: a model's ``draw`` returns the (S, R, N) stacks
-of a whole block, each trial still from its own generator seeded with
-(seed, m, *n, trial), and the verifier reads every rank and every sigma_1 of
-a block from one stacked values-only SVD.  A block holds as many trials as
-fit a stack of ``_STACK_BYTES`` (2 MiB) of complex d_n x d_n matrices, so
-memory does not grow with the trial count and the frequencies do not depend
-on the block length.  The verifier keeps ``_WORKERS`` threads busy: the
-calling thread draws the blocks of all (m, n) cells in turn, and a private
-pool of ``_WORKERS - 1`` threads takes their SVDs (numpy's LAPACK calls
-release the GIL).  A model's ``draw`` is therefore called from the calling
-thread only, one block at a time.  Each block's hit counts are integers
-summed per cell, so the certificate does not depend on the worker count.
+Trials are drawn in chunks: a model's ``draw`` returns the (S, R, N) stacks
+of a whole chunk from one generator seeded with (seed, m, *n, chunk), with a
+few vectorized calls, and the verifier reads every rank and every sigma_1 of
+a chunk from one stacked values-only SVD.  A chunk holds as many trials as
+fit a stack of ``_STACK_BYTES`` (2 MiB) of complex d_n x d_n matrices (the
+last one is short), so memory does not grow with the trial count and the
+streams depend on d_n and the trial count only, never on the host.  The
+calling thread draws the chunks of all (m, n) cells in turn, and a private
+pool of ``_WORKERS`` threads takes their SVDs (numpy's LAPACK calls release
+the GIL).  A model's ``draw`` is therefore called from the calling thread
+only, one chunk at a time.  Each chunk's hit counts are integers summed per
+cell, so the certificate does not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -286,34 +286,32 @@ def zero_distribution_test(seq, p, sizes: Sequence, tol: float = 0.1,
 
 @dataclass(frozen=True)
 class RandomSequenceModel:
-    """Seeded generator of the splitting triple (S, R, N) for a block of trials.
+    """Seeded generator of the splitting triple (S, R, N) for a chunk of trials.
 
-    ``sample(n, m, trials)`` builds one generator per trial index from
-    (seed, m, *n, trial) and hands the list to ``draw(rngs, n, m)``, which
-    consumes each generator exactly as a single trial would and returns the
-    stacks (S, R, N), each of shape (len(rngs), d_n, d_n); row i is trial
-    ``trials[i]``.  Identical seeds therefore reproduce identical matrices bit
-    for bit, however the trials are grouped into blocks.  Trials are
-    independent across n (the dependence structure across sizes is not pinned
-    down by the definition; independence is this model zoo's documented
+    ``sample(n, m, chunk, k)`` builds one generator from (seed, m, *n, chunk)
+    and hands it to ``draw(rng, n, m, k)``, which returns the stacks
+    (S, R, N) of the chunk's k trials, each of shape (k, d_n, d_n).  Identical
+    seeds therefore reproduce identical matrices bit for bit; :func:`sacs_check`
+    sets the chunk length from d_n alone, never from the worker count.  Trials
+    are independent across n (the dependence structure across sizes is not
+    pinned down by the definition; independence is this model zoo's documented
     choice).  ``c_bound`` and ``omega_bound`` declare the per-m bounds the rank
     and norm events are tested against.
 
     :func:`sacs_check` calls ``sample`` (hence ``draw``) from its calling
-    thread only, one block at a time, while worker threads factor the stacks
-    of earlier blocks: ``draw`` must return fresh stacks (or read-only views)
+    thread only, one chunk at a time, while worker threads factor the stacks
+    of earlier chunks: ``draw`` must return fresh stacks (or read-only views)
     and must not write to a stack it returned before.
     """
 
     name: str
     seed: int
-    draw: Callable[[list[np.random.Generator], MultiIndex, int], tuple]
+    draw: Callable[[np.random.Generator, MultiIndex, int, int], tuple]
     c_bound: Callable[[int], float]
     omega_bound: Callable[[int], float]
 
-    def sample(self, n: MultiIndex, m: int, trials: Sequence[int]) -> tuple:
-        rngs = [np.random.default_rng((self.seed, m, *n, trial)) for trial in trials]
-        return self.draw(rngs, n, m)
+    def sample(self, n: MultiIndex, m: int, chunk: int, k: int) -> tuple:
+        return self.draw(np.random.default_rng((self.seed, m, *n, chunk)), n, m, k)
 
 
 def hoeffding_radius(trials: int) -> float:
@@ -333,8 +331,8 @@ def sacs_check(model: RandomSequenceModel, m_list: Sequence[int], sizes: Sequenc
     bounds to trend to zero themselves.  The report's fact ``s_estimates``
     maps each tested m (as ``str(m)``) to its estimated s(m).
 
-    Trials are drawn in blocks of at most ``_STACK_BYTES`` per stack; the
-    numerical rank of every R and sigma_1 of every N in a block come from one
+    Trials are drawn in chunks of at most ``_STACK_BYTES`` per stack; the
+    numerical rank of every R and sigma_1 of every N in a chunk come from one
     stacked values-only SVD each, taken on a worker thread when
     ``_WORKERS`` > 1; an exception raised there reaches the caller unchanged.
     """
@@ -351,7 +349,7 @@ def sacs_check(model: RandomSequenceModel, m_list: Sequence[int], sizes: Sequenc
     w_decl = {m: model.omega_bound(m) for m in m_list}
 
     def count_hits(m, stacks):
-        """(d_n, rank hits, norm hits, S hits) of one block of trials."""
+        """(d_n, rank hits, norm hits, S hits) of one chunk of trials."""
         s_mat, r_mat, n_mat = stacks
         sv_r = spectrum(r_mat, SIGMA)
         # sigma_1 = 0 leaves no singular value above the threshold: rank 0.
@@ -370,28 +368,28 @@ def sacs_check(model: RandomSequenceModel, m_list: Sequence[int], sizes: Sequenc
     for m, n in cells:
         # Sized for complex entries, so real and complex stacks both fit.
         step = max(1, _STACK_BYTES // (16 * nu(n) ** 2))
-        jobs += [(m, n, range(first, min(first + step, trials)))
-                 for first in range(0, trials, step)]
+        jobs += [(m, n, chunk, min(step, trials - first))
+                 for chunk, first in enumerate(range(0, trials, step))]
     if _WORKERS > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        # This thread draws every block (so ``draw`` never runs concurrently
+        # This thread draws every chunk (so ``draw`` never runs concurrently
         # and the stacks come from this thread's heap) while the pool takes
-        # the SVDs of the blocks drawn before; at most _WORKERS are in flight.
-        with ThreadPoolExecutor(_WORKERS - 1) as pool:
+        # the SVDs of the chunks drawn before; at most _WORKERS are in flight.
+        with ThreadPoolExecutor(_WORKERS) as pool:
             pending, counts = [], []
-            for m, n, block in jobs:
-                pending.append(pool.submit(count_hits, m, model.sample(n, m, block)))
+            for m, n, chunk, k in jobs:
+                pending.append(pool.submit(count_hits, m, model.sample(n, m, chunk, k)))
                 if len(pending) == _WORKERS:
                     counts.append(pending.pop(0).result())
             counts += [future.result() for future in pending]
     else:
-        counts = [count_hits(m, model.sample(n, m, block)) for m, n, block in jobs]
+        counts = [count_hits(m, model.sample(n, m, chunk, k)) for m, n, chunk, k in jobs]
     d_ns: dict[tuple, int] = {}
     hits = {cell: (0, 0, 0) for cell in cells}
-    for (m, n, _), (d_n, *block_hits) in zip(jobs, counts):
+    for (m, n, _, _), (d_n, *chunk_hits) in zip(jobs, counts):
         d_ns[m, n] = d_n
-        hits[m, n] = tuple(a + b for a, b in zip(hits[m, n], block_hits))
+        hits[m, n] = tuple(a + b for a, b in zip(hits[m, n], chunk_hits))
 
     lines: list[tuple] = []
     freq_s_by_m: dict[int, list[float]] = {m: [] for m in m_list}
@@ -438,9 +436,9 @@ def sacs_check(model: RandomSequenceModel, m_list: Sequence[int], sizes: Sequenc
 def deterministic_model(seed: int) -> RandomSequenceModel:
     """S = 0, R = 0, N = (1/m) I: reduces to a deterministic certificate."""
 
-    def draw(rngs, n, m):
+    def draw(rng, n, m, k):
         d_n = nu(n)
-        zero = np.zeros((len(rngs), d_n, d_n))
+        zero = np.zeros((k, d_n, d_n))
         return zero, zero, np.broadcast_to((1.0 / m) * np.eye(d_n), zero.shape)
 
     return RandomSequenceModel(
@@ -460,39 +458,39 @@ def designed_model(seed: int, s_design: Callable[[int], float] | None = None,
     bounds are violated with probability violate_prob(m) (default 1/(2m),
     strictly inside the allowed 1/m exception budget).
 
-    N = norm_scale * omega(m) * (I - 2 v v^T / v^T v) with v the first column
-    of a standard normal d_n x d_n draw: a Householder reflector, whose
-    singular values are all 1, so ||N|| = norm_scale * omega(m) by
-    construction (norm_scale is 0.8, or 1.5 to violate the bound) and the
-    model takes no SVD.
+    R = U V with U, V standard normal of inner size floor(c(m) d_n) + 2 (at
+    most d_n), U's two extra columns zero unless the trial violates the rank
+    bound c(m) = 1/(2m).  N = norm_scale * omega(m) * (I - 2 v v^T / v^T v) with v a
+    standard normal d_n-vector: a Householder reflector, whose singular values
+    are all 1, so ||N|| = norm_scale * omega(m) by construction (norm_scale is
+    0.8, or 1.5 to violate the bound) and the model takes no SVD.  A chunk is
+    drawn in this order: rank uniforms, U, V, norm uniforms, v, S uniforms.
     """
     s_of = s_design or (lambda m: 1.0 / m)
     bad_of = violate_prob or (lambda m: 0.5 / m)
     c_of = lambda m: 1.0 / (2.0 * m)
     w_of = lambda m: 1.0 / m
 
-    def draw(rngs, n, m):
+    def draw(rng, n, m, k):
         d_n = nu(n)
-        c_m, w_m = c_of(m), w_of(m)
-        ok_rank = int(np.floor(c_m * d_n))
-        shape = (len(rngs), d_n, d_n)
-        s, r = np.zeros(shape), np.zeros(shape)
-        col = np.empty(shape[:2])
-        norm_scale = np.empty(len(rngs))
-        for i, rng in enumerate(rngs):
-            rank = ok_rank if rng.random() >= bad_of(m) else min(ok_rank + 2, d_n)
-            if rank:
-                u = rng.standard_normal((d_n, rank))
-                v = rng.standard_normal((rank, d_n))
-                r[i] = u @ v
-            norm_scale[i] = 0.8 if rng.random() >= bad_of(m) else 1.5
-            col[i] = rng.standard_normal((d_n, d_n))[:, 0]
-            if rng.random() < s_of(m):
-                s[i, 0, 0] = 1.0
+        ok_rank = int(np.floor(c_of(m) * d_n))
+        r_max = min(ok_rank + 2, d_n)
+        keeps_rank = rng.random(k) >= bad_of(m)
+        u = rng.standard_normal((k, d_n, r_max))
+        v = rng.standard_normal((k, r_max, d_n))
+        u[keeps_rank, :, ok_rank:] = 0.0
+        norm_scale = np.where(rng.random(k) >= bad_of(m), 0.8, 1.5)
+        col = rng.standard_normal((k, d_n))
+        s = np.zeros((k, d_n, d_n))
+        s[:, 0, 0] = rng.random(k) < s_of(m)
         # The floor keeps a zero column from giving NaN (N is then a multiple of I).
         two_over_vv = 2.0 / np.maximum(np.sum(col * col, axis=-1), 1e-30)
-        reflector = np.eye(d_n) - two_over_vv[:, None, None] * (col[:, :, None] * col[:, None, :])
-        return s, r, (norm_scale * w_m)[:, None, None] * reflector
+        # N is built in place: no stack-sized temporaries stay on the heap.
+        nn = col[:, :, None] * col[:, None, :]
+        nn *= -two_over_vv[:, None, None]
+        nn[:, range(d_n), range(d_n)] += 1.0
+        nn *= (norm_scale * w_of(m))[:, None, None]
+        return s, u @ v, nn
 
     return RandomSequenceModel(
         name="designed", seed=seed, draw=draw, c_bound=c_of, omega_bound=w_of
@@ -501,14 +499,7 @@ def designed_model(seed: int, s_design: Callable[[int], float] | None = None,
 
 def constant_s_model(seed: int, s_const: float = 0.3) -> RandomSequenceModel:
     """Designed failure: the exceptional term never becomes rare."""
-    base = designed_model(seed, s_design=lambda m: s_const)
-    return RandomSequenceModel(
-        name="constant_s",
-        seed=seed,
-        draw=base.draw,
-        c_bound=base.c_bound,
-        omega_bound=base.omega_bound,
-    )
+    return replace(designed_model(seed, s_design=lambda m: s_const), name="constant_s")
 
 
 MODEL_ZOO: dict[str, Callable[[int], RandomSequenceModel]] = {

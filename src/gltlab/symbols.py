@@ -274,8 +274,8 @@ def spectral_surfaces(s: Symbol, x, theta, mode: str = "sigma") -> np.ndarray:
     """Per-point singular values (descending) or eigenvalues (canonical order).
 
     Canonical eigenvalue order is ascending by real part, ties broken by
-    imaginary part; Hermitian symbols go through the symmetric solver and
-    yield real values.
+    imaginary part; symbols declared Hermitian go through the symmetric solver
+    and yield real values when the sampled values are Hermitian too.
     """
     vals = evaluate(s, x, theta)
     batch = vals if vals.ndim == 3 else vals[None]
@@ -289,7 +289,10 @@ def spectral_surfaces(s: Symbol, x, theta, mode: str = "sigma") -> np.ndarray:
         else:
             out = np.linalg.svd(batch, compute_uv=False)
     elif mode == "lambda":
-        if s.hermitian:
+        # eigvalsh reads one triangle: trust the declared flag only when the
+        # batch passes matgen.is_hermitian's 1e-12 relative Frobenius test.
+        if s.hermitian and np.linalg.norm(batch - np.conj(np.swapaxes(batch, -1, -2))) \
+                <= 1e-12 * max(np.linalg.norm(batch), 1e-300):
             out = np.linalg.eigvalsh(batch)
         else:
             out = np.sort(np.linalg.eigvals(batch), axis=-1)

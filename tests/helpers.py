@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from gltlab.acs import CERTIFICATE_COLUMNS, SplittingRow, hoeffding_radius
+from gltlab.acs import _STACK_BYTES, CERTIFICATE_COLUMNS, SplittingRow, hoeffding_radius
 from gltlab.multiindex import MultiIndexInterval, check_size, iter_interval, nu, size_interval
 from gltlab.errors import QuadratureError
 from gltlab.reports import Report
@@ -89,26 +89,33 @@ def numerical_rank(matrix):
     return int(np.sum(sv > 1e-10 * sv[0] + 1e-14))
 
 
-def designed_draw_one(rng, n, m, s_of=lambda m: 1.0 / m):
-    """Oracle: one trial (S, R, N) of the designed model, drawn on its own;
-    N is the scaled Householder reflector of the first column of g."""
+def designed_draw_chunk(rng, n, m, k, s_of=lambda m: 1.0 / m):
+    """Oracle: the k trials (S, R, N) of one chunk of the designed model, each
+    built on its own from the chunk's draws (rank uniforms, U, V, norm
+    uniforms, reflector vectors, S uniforms); R takes only the first ``rank``
+    columns of U and N is the scaled Householder reflector of the trial's v."""
     d_n = int(np.prod(n))
     c_m, w_m = 1.0 / (2.0 * m), 1.0 / m
     ok_rank = int(np.floor(c_m * d_n))
-    rank = ok_rank if rng.random() >= 0.5 / m else min(ok_rank + 2, d_n)
-    r = np.zeros((d_n, d_n))
-    if rank:
-        u = rng.standard_normal((d_n, rank))
-        v = rng.standard_normal((rank, d_n))
-        r = u @ v
-    norm_scale = 0.8 if rng.random() >= 0.5 / m else 1.5
-    g = rng.standard_normal((d_n, d_n))
-    v = g[:, 0]
-    nn = (norm_scale * w_m) * (np.eye(d_n) - 2.0 / max(np.sum(v * v), 1e-30) * np.outer(v, v))
-    s = np.zeros((d_n, d_n))
-    if rng.random() < s_of(m):
-        s[0, 0] = 1.0
-    return s, r, nn
+    r_max = min(ok_rank + 2, d_n)
+    rank_u = rng.random(k)
+    u = rng.standard_normal((k, d_n, r_max))
+    v = rng.standard_normal((k, r_max, d_n))
+    norm_u = rng.random(k)
+    g = rng.standard_normal((k, d_n))
+    s_u = rng.random(k)
+    out = []
+    for i in range(k):
+        rank = ok_rank if rank_u[i] >= 0.5 / m else r_max
+        r = u[i, :, :rank] @ v[i, :rank]
+        norm_scale = 0.8 if norm_u[i] >= 0.5 / m else 1.5
+        nn = (norm_scale * w_m) * (np.eye(d_n) - 2.0 / max(np.sum(g[i] * g[i]), 1e-30)
+                                   * np.outer(g[i], g[i]))
+        s = np.zeros((d_n, d_n))
+        if s_u[i] < s_of(m):
+            s[0, 0] = 1.0
+        out.append((s, r, nn))
+    return out
 
 
 def errors_for(report, f_id):
@@ -118,7 +125,8 @@ def errors_for(report, f_id):
 
 def sacs_oracle(model, m_list, sizes, trials, slack=1.5, decay=0.5, floor=1e-10):
     """Oracle: the s.a.c.s. certificate from one trial at a time, with a
-    separate SVD for each rank and each norm."""
+    separate SVD for each rank and each norm; each chunk of trials (as many as
+    fit a complex stack of ``_STACK_BYTES``) is drawn by ``model.sample``."""
     norm_sizes = _normalize_sizes(sizes)
     radius = hoeffding_radius(trials)
     rows = []
@@ -129,15 +137,17 @@ def sacs_oracle(model, m_list, sizes, trials, slack=1.5, decay=0.5, floor=1e-10)
         w_m = model.omega_bound(m)
         for n in norm_sizes:
             hit_rank = hit_norm = hit_s = 0
-            for trial in range(trials):
-                s_mat, r_mat, n_mat = (x[0] for x in model.sample(n, m, [trial]))
-                d_n = r_mat.shape[0]
-                if numerical_rank(r_mat) <= c_m * d_n + 1e-9:
-                    hit_rank += 1
-                if schatten_norm(n_mat, np.inf) <= w_m + 1e-12 * (1.0 + w_m):
-                    hit_norm += 1
-                if np.any(s_mat != 0):
-                    hit_s += 1
+            d_n = nu(n)
+            step = max(1, _STACK_BYTES // (16 * d_n**2))
+            for chunk, first in enumerate(range(0, trials, step)):
+                k = min(step, trials - first)
+                for s_mat, r_mat, n_mat in zip(*model.sample(n, m, chunk, k)):
+                    if numerical_rank(r_mat) <= c_m * d_n + 1e-9:
+                        hit_rank += 1
+                    if schatten_norm(n_mat, np.inf) <= w_m + 1e-12 * (1.0 + w_m):
+                        hit_norm += 1
+                    if np.any(s_mat != 0):
+                        hit_s += 1
             freq_rank, freq_norm, freq_s = hit_rank / trials, hit_norm / trials, hit_s / trials
             freq_s_by_m[m].append(freq_s)
             rows.append((m, n, d_n, c_m, w_m, freq_rank, freq_norm, freq_s))

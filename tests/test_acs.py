@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from helpers import designed_draw_one, random_reflection, sacs_oracle
+from helpers import designed_draw_chunk, numerical_rank, random_reflection, sacs_oracle
 
 import gltlab.acs as acs_mod
 from gltlab.acs import (
@@ -229,7 +229,7 @@ def test_sacs_trial_loop_takes_no_hermitian_test(monkeypatch):
     ("constant_s", [(12,), (16,)]),
 ])
 def test_sacs_matches_the_per_trial_oracle_byte_for_byte(name, sizes):
-    # 1037 trials is no multiple of any block length, so the last block is short.
+    # 1037 trials is no multiple of any chunk length, so the last chunk is short.
     model = MODEL_ZOO[name](17)
     cert, oracle = sacs_check(model, [2, 4], sizes, 1037), sacs_oracle(model, [2, 4], sizes, 1037)
     assert cert.csv() == oracle.csv()
@@ -240,18 +240,30 @@ def test_sacs_matches_the_per_trial_oracle_byte_for_byte(name, sizes):
     (designed_model(8), lambda m: 1.0 / m),
     (constant_s_model(8), lambda m: 0.3),
 ])
-def test_block_draws_equal_single_trial_draws_bit_for_bit(model, s_of):
-    n, m = (3, 5), 4
-    stacks = model.sample(n, m, range(40, 75))
-    for i, trial in enumerate(range(40, 75)):
-        one = designed_draw_one(np.random.default_rng((model.seed, m, *n, trial)), n, m, s_of)
-        for stack, mat in zip(stacks, one):
-            assert np.array_equal(stack[i], mat)
+def test_chunk_draws_match_the_per_trial_oracle(model, s_of):
+    n, m, chunk, k = (3, 5), 4, 2, 150
+    d_n, ok_rank, omega = 15, 1, 0.25  # ok_rank = floor(d_n / (2 m))
+    s, r, nn = model.sample(n, m, chunk, k)
+    assert s.shape == r.shape == nn.shape == (k, d_n, d_n)
+    oracle = designed_draw_chunk(np.random.default_rng((model.seed, m, *n, chunk)), n, m, k, s_of)
+    ranks, scales = set(), set()
+    for i, (s_one, r_one, n_one) in enumerate(oracle):
+        assert np.array_equal(s[i], s_one) and np.array_equal(nn[i], n_one)
+        assert np.abs(r[i] - r_one).max() <= 1e-12 * np.abs(r_one).max()
+        ranks.add(numerical_rank(r[i]))
+        sv = np.linalg.svd(nn[i], compute_uv=False)
+        scale = 0.8 if sv[0] < omega else 1.5
+        assert np.all(np.abs(sv - scale * omega) <= 1e-12 * omega)
+        scales.add(scale)
+        assert np.count_nonzero(s[i]) <= 1
+    # both outcomes of each designed violation occur in the chunk
+    assert ranks == {ok_rank, min(ok_rank + 2, d_n)} and scales == {0.8, 1.5}
+    assert 0 < np.count_nonzero(s) < k
 
 
 def test_sacs_non_finite_norm_part_raises(monkeypatch):
-    def draw(rngs, n, m):
-        zero = np.zeros((len(rngs), n[0], n[0]))
+    def draw(rng, n, m, k):
+        zero = np.zeros((k, n[0], n[0]))
         nn = zero.copy()
         nn[-1, 0, 1] = np.nan
         return zero, zero, nn
@@ -270,7 +282,7 @@ def test_sacs_worker_count_is_at_most_four_usable_cpus():
 
 @pytest.mark.parametrize("sizes", [[(12,), (16,)], [(3, 4), (5, 6)]])
 def test_sacs_csv_does_not_depend_on_the_worker_count(monkeypatch, sizes):
-    # 1037 trials is no multiple of any block length, so the last block is short.
+    # 1037 trials is no multiple of any chunk length, so the last chunk is short.
     def csv(workers):
         monkeypatch.setattr(acs_mod, "_WORKERS", workers)
         return sacs_check(designed_model(23), [2, 4], sizes, 1037).csv()
@@ -293,14 +305,14 @@ def test_sacs_draws_on_the_calling_thread_and_factors_on_the_pool(monkeypatch, w
     lock = threading.Lock()
     drawn = factored = 0
 
-    def draw(rngs, n, m):
+    def draw(rng, n, m, k):
         nonlocal drawn
         draws.add(on_main())
         alive.add(threading.active_count())
         with lock:
             unfactored.append(drawn - factored // 2)  # two SVDs per block
             drawn += 1
-        return base.draw(rngs, n, m)
+        return base.draw(rng, n, m, k)
 
     def recording_spectrum(*args):
         nonlocal factored
@@ -327,7 +339,7 @@ def test_sacs_draws_on_the_calling_thread_and_factors_on_the_pool(monkeypatch, w
 def test_designed_norm_part_has_the_designed_spectral_norm(n):
     scales = []
     for m in (2, 4, 8):
-        _, _, n_mat = designed_model(31).sample(n, m, range(300))
+        _, _, n_mat = designed_model(31).sample(n, m, 0, 300)
         sv = np.linalg.svd(n_mat, compute_uv=False)
         omega = 1.0 / m
         design = np.where(sv[:, 0] < omega, 0.8, 1.5)  # norm_scale of each trial

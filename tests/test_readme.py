@@ -9,12 +9,13 @@ from gltlab.cli import main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
-# sha256 of every file the README check-sacs writes, computed before the
-# s.a.c.s. loop ran on a thread pool and the designed model drew its norm part
-# as a scaled Householder reflector: neither change may move a byte.
+# sha256 of every file the README check-sacs writes, computed once the trials
+# were drawn in chunks, one generator per (seed, m, n, chunk).  The streams are
+# fixed by the config and seed alone: no worker count, host or blocking of the
+# SVDs may move a byte.
 SACS_SHA256 = {
-    "certificate.csv": "7cfbbe79d69202c40c3ab2c78a0f4c003844aecf7d999d45f8711641a95f0dbe",
-    "summary.json": "731b5b4b31a7c1aa83158318815d26b33157127b65e73adba0eb33e2eaec855a",
+    "certificate.csv": "48557bdf7e3efc8369ceda28c9eebf2bc2a5e5eabf725618bfa6570febe4f656",
+    "summary.json": "d098646b81ea0f12265f8c2fe7ea9ef39e95d16a09d95d5915f33fab6c9f74f1",
 }
 
 

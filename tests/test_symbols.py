@@ -136,6 +136,17 @@ def test_block_eigen_surfaces_closed_form():
     assert np.abs(surf[:, 1] - expect).max() < 1e-12
 
 
+def test_lambda_surfaces_do_not_trust_a_wrong_hermitian_flag():
+    # from_scalar declares Hermitian by default; eigvalsh would read x + 1j as x.
+    s = symbol_of(Diag(CoefficientFunction.from_scalar(1, lambda x: x + 1j)))
+    assert s.hermitian
+    xs = np.array([[0.25], [0.5]])
+    surf = spectral_surfaces(s, xs, np.zeros((2, 1)), "lambda")
+    assert np.array_equal(surf[:, 0], xs[:, 0] + 1j)
+    # a truly Hermitian symbol still takes the symmetric solver: real values
+    assert np.isrealobj(spectral_surfaces(LAP, xs, np.zeros((2, 1)), "lambda"))
+
+
 def test_sigma_surface_value_example():
     xs = np.array([[0.5]])
     surf = spectral_surfaces(LAP, xs, np.array([[np.pi / 2]]), "sigma")
