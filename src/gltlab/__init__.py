@@ -9,9 +9,7 @@ a seeded Monte Carlo verifier for the stochastic variant.
 
 from .acs import (
     RandomSequenceModel,
-    Splitting,
     acs_check,
-    optimal_splitting,
     sacs_check,
     splitting_distance,
     zero_distribution_test,
@@ -49,15 +47,12 @@ from .spectra import (
     distribution_check,
     empirical_functional,
     poly_on_window,
-    quantile_compare,
-    range_check,
     schatten_norm,
     spectrum,
     symbol_functional,
 )
 from .symbols import (
     CoefficientFunction,
-    ConstantSymbol,
     Symbol,
     TrigPolynomial,
     evaluate,
@@ -72,7 +67,6 @@ __all__ = [
     "Adjoint",
     "BlockMatrix",
     "CoefficientFunction",
-    "ConstantSymbol",
     "Diag",
     "FunApply",
     "GLTExpression",
@@ -83,7 +77,6 @@ __all__ = [
     "RandomSequenceModel",
     "Report",
     "Scalar",
-    "Splitting",
     "Symbol",
     "TestFunction",
     "Toeplitz",
@@ -104,11 +97,8 @@ __all__ = [
     "lex_unrank",
     "materialize",
     "nu",
-    "optimal_splitting",
     "parse",
     "poly_on_window",
-    "quantile_compare",
-    "range_check",
     "sacs_check",
     "schatten_norm",
     "spectral_surfaces",

@@ -68,21 +68,6 @@ _WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity
 # splitting functional
 
 
-@dataclass(frozen=True)
-class Splitting:
-    """Explicit rank/norm decomposition M = R + N realizing the argmin."""
-
-    rank_part: np.ndarray
-    norm_part: np.ndarray
-    rank: int
-    rank_fraction: float
-    norm: float
-
-    @property
-    def distance(self) -> float:
-        return self.rank_fraction + self.norm
-
-
 def _splitting_candidates(sv: np.ndarray, d_n: int) -> np.ndarray:
     ext = np.concatenate([sv, [0.0]])
     return np.arange(d_n + 1) / d_n + ext
@@ -98,22 +83,6 @@ def splitting_distance(matrix) -> float:
     """min_i ( i/d_n + sigma_{i+1} ); always in [0, min(1, sigma_1)]."""
     arr = as_array(matrix)
     return float(np.min(_splitting_candidates(spectrum(arr, SIGMA), arr.shape[0])))
-
-
-def optimal_splitting(matrix) -> Splitting:
-    """The explicit splitting at the argmin (rank-i* truncated SVD)."""
-    arr = as_array(matrix)
-    d_n = arr.shape[0]
-    u, sv, vh = np.linalg.svd(arr)
-    istar, norm = _argmin_splitting(sv, d_n)
-    r_part = (u[:, :istar] * sv[:istar]) @ vh[:istar]
-    return Splitting(
-        rank_part=r_part,
-        norm_part=arr - r_part,
-        rank=istar,
-        rank_fraction=istar / d_n,
-        norm=norm,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -779,7 +779,7 @@ class _Parser:
                     arg = self.parse_scalar(kind)
                     self.expect(")")
                     return _fold_call(text, arg)
-                if len(text) >= 2 and text[0] in "xt" and text[1:].isdigit():
+                if len(text) >= 2 and text[0] in "xt" and text[1:].isdecimal():
                     var_kind, index = text[0], int(text[1:])
                     if var_kind != kind:
                         inside = "T(...)" if kind == "t" else "D(...)"
@@ -814,7 +814,7 @@ def _infer_d(tokens: list[Token]) -> int:
     best = 1
     for tok in tokens:
         if tok.kind == "ident" and len(tok.text) >= 2 and tok.text[0] in "xt" \
-                and tok.text[1:].isdigit():
+                and tok.text[1:].isdecimal():
             best = max(best, int(tok.text[1:]))
     return best
 

@@ -28,7 +28,7 @@ truncation) of the matrices it read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -62,19 +62,28 @@ FUNCTION_CATALOGUE: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 class GLTExpression:
-    """Base node; subclasses are plain dataclasses."""
+    """Base node; subclasses are plain dataclasses whose
+    :class:`GLTExpression` fields are their children."""
+
+    def children(self) -> tuple["GLTExpression", ...]:
+        return tuple(_child_fields(self).values())
 
     def dims(self) -> tuple[int | None, int | None]:
         """(d, r) resolved from the structural leaves, (None, None) if only
         scalars occur."""
-        raise NotImplementedError
+        out = (None, None)
+        for child in self.children():
+            out = _merge_dims(out, child.dims())
+        return out
 
     @property
     def hermitian(self) -> bool:
         raise NotImplementedError
 
-    def children(self) -> tuple["GLTExpression", ...]:
-        return ()
+
+def _child_fields(e: GLTExpression) -> dict[str, GLTExpression]:
+    return {f.name: getattr(e, f.name) for f in fields(e)
+            if isinstance(getattr(e, f.name), GLTExpression)}
 
 
 @dataclass(eq=False)
@@ -106,9 +115,6 @@ class Diag(GLTExpression):
 
 @dataclass(eq=False)
 class Zero(GLTExpression):
-    def dims(self):
-        return None, None
-
     @property
     def hermitian(self):
         return True
@@ -117,9 +123,6 @@ class Zero(GLTExpression):
 @dataclass(eq=False)
 class Scalar(GLTExpression):
     value: complex
-
-    def dims(self):
-        return None, None
 
     @property
     def hermitian(self):
@@ -130,15 +133,9 @@ class Scalar(GLTExpression):
 class Adjoint(GLTExpression):
     child: GLTExpression
 
-    def dims(self):
-        return self.child.dims()
-
     @property
     def hermitian(self):
         return self.child.hermitian
-
-    def children(self):
-        return (self.child,)
 
 
 @dataclass(eq=False)
@@ -147,9 +144,6 @@ class LinComb(GLTExpression):
     left: GLTExpression
     beta: complex
     right: GLTExpression
-
-    def dims(self):
-        return _merge_dims(self.left.dims(), self.right.dims())
 
     @property
     def hermitian(self):
@@ -160,17 +154,11 @@ class LinComb(GLTExpression):
             and self.right.hermitian
         )
 
-    def children(self):
-        return (self.left, self.right)
-
 
 @dataclass(eq=False)
 class Product(GLTExpression):
     left: GLTExpression
     right: GLTExpression
-
-    def dims(self):
-        return _merge_dims(self.left.dims(), self.right.dims())
 
     @property
     def hermitian(self):
@@ -180,24 +168,15 @@ class Product(GLTExpression):
                 return True
         return False
 
-    def children(self):
-        return (self.left, self.right)
-
 
 @dataclass(eq=False)
 class PseudoInverse(GLTExpression):
     child: GLTExpression
     invertible_ae: bool = True
 
-    def dims(self):
-        return self.child.dims()
-
     @property
     def hermitian(self):
         return self.child.hermitian
-
-    def children(self):
-        return (self.child,)
 
 
 @dataclass(eq=False)
@@ -206,15 +185,9 @@ class FunApply(GLTExpression):
     child: GLTExpression
     assume_hermitian: bool = False
 
-    def dims(self):
-        return self.child.dims()
-
     @property
     def hermitian(self):
         return True
-
-    def children(self):
-        return (self.child,)
 
 
 def _merge_dims(a, b):
@@ -226,7 +199,8 @@ def _merge_dims(a, b):
 
 
 def structurally_equal(a: GLTExpression, b: GLTExpression) -> bool:
-    """Structural tree equality (coefficient tables compared exactly)."""
+    """Structural tree equality (coefficient tables compared exactly); inner
+    nodes compare every field, their children recursively."""
     if type(a) is not type(b):
         return False
     if isinstance(a, Toeplitz):
@@ -238,30 +212,11 @@ def structurally_equal(a: GLTExpression, b: GLTExpression) -> bool:
         if a.exprs is None or b.exprs is None:
             return a.coefficient is b.coefficient
         return a.exprs == b.exprs
-    if isinstance(a, Zero):
-        return True
-    if isinstance(a, Scalar):
-        return complex(a.value) == complex(b.value)
-    if isinstance(a, Adjoint):
-        return structurally_equal(a.child, b.child)
-    if isinstance(a, LinComb):
-        return (
-            complex(a.alpha) == complex(b.alpha)
-            and complex(a.beta) == complex(b.beta)
-            and structurally_equal(a.left, b.left)
-            and structurally_equal(a.right, b.right)
-        )
-    if isinstance(a, Product):
-        return structurally_equal(a.left, b.left) and structurally_equal(a.right, b.right)
-    if isinstance(a, PseudoInverse):
-        return structurally_equal(a.child, b.child)
-    if isinstance(a, FunApply):
-        return (
-            a.name == b.name
-            and a.assume_hermitian == b.assume_hermitian
-            and structurally_equal(a.child, b.child)
-        )
-    return False
+    for f in fields(a):
+        u, v = getattr(a, f.name), getattr(b, f.name)
+        if not (structurally_equal(u, v) if isinstance(u, GLTExpression) else u == v):
+            return False
+    return True
 
 
 def map_toeplitz_leaves(e: GLTExpression,
@@ -269,18 +224,8 @@ def map_toeplitz_leaves(e: GLTExpression,
     """Rebuild the tree with every Toeplitz coefficient table transformed."""
     if isinstance(e, Toeplitz):
         return Toeplitz(fn(e.poly))
-    if isinstance(e, Adjoint):
-        return Adjoint(map_toeplitz_leaves(e.child, fn))
-    if isinstance(e, LinComb):
-        return LinComb(e.alpha, map_toeplitz_leaves(e.left, fn),
-                       e.beta, map_toeplitz_leaves(e.right, fn))
-    if isinstance(e, Product):
-        return Product(map_toeplitz_leaves(e.left, fn), map_toeplitz_leaves(e.right, fn))
-    if isinstance(e, PseudoInverse):
-        return replace(e, child=map_toeplitz_leaves(e.child, fn))
-    if isinstance(e, FunApply):
-        return replace(e, child=map_toeplitz_leaves(e.child, fn))
-    return e
+    return replace(e, **{name: map_toeplitz_leaves(child, fn)
+                         for name, child in _child_fields(e).items()})
 
 
 def truncate_toeplitz(e: GLTExpression, degree: int) -> GLTExpression:

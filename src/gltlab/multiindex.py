@@ -11,6 +11,7 @@ user-facing I/O (serialized as comma-separated integers, e.g. ``"2,3,4"``).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -20,10 +21,16 @@ MultiIndex = tuple[int, ...]
 
 
 def as_multiindex(value: int | Sequence[int]) -> MultiIndex:
-    """Coerce an int or a sequence of ints to a multi-index tuple."""
-    if isinstance(value, (int,)):
-        return (int(value),)
-    m = tuple(int(v) for v in value)
+    """Coerce an integer or a sequence of integers (Python or NumPy) to a
+    multi-index tuple; floats and strings are not integers and raise."""
+    try:
+        return (operator.index(value),)
+    except TypeError:
+        pass
+    try:
+        m = tuple(operator.index(v) for v in value)
+    except TypeError as exc:
+        raise InvalidSizeError(f"multi-index entries must be integers, got {value!r}") from exc
     if not m:
         raise InvalidSizeError("multi-index must have at least one entry")
     return m

@@ -25,7 +25,7 @@ from .errors import (
     SolverError,
 )
 from .matgen import as_array, is_hermitian
-from .multiindex import MultiIndex, check_size, min_entry, nu
+from .multiindex import MultiIndex, check_size, min_entry
 from .reports import Report
 from .symbols import Symbol, spectral_surfaces
 
@@ -512,160 +512,4 @@ def distribution_check(seq, symbol: Symbol, sizes: Sequence, mode: str = SIGMA,
             },
         },
         notes=notes,
-    )
-
-
-# ---------------------------------------------------------------------------
-# quantile comparison on the equispaced grid
-
-
-def _split_count(n_i: int) -> tuple[int, int]:
-    # Factor n_i = g1 * g2 with g1 <= g2 as balanced as possible.
-    g1 = int(np.sqrt(n_i))
-    while g1 > 1 and n_i % g1:
-        g1 -= 1
-    return g1, n_i // g1
-
-
-def _equispaced_nodes(s: Symbol, n: MultiIndex) -> tuple[np.ndarray, np.ndarray]:
-    """Equispaced evaluation grid x_j = a + j (b - a)/count, j = 1..count,
-    with exactly nu(n) nodes distributed over the active variables."""
-    counts_x: list[int] = []
-    counts_t: list[int] = []
-    for n_i in n:
-        if s.depends_space and s.depends_frequency:
-            gx, gt = _split_count(n_i)
-        elif s.depends_space:
-            gx, gt = n_i, 1
-        else:
-            gx, gt = 1, n_i
-        counts_x.append(gx)
-        counts_t.append(gt)
-    lines = [np.arange(1, g + 1) / g for g in counts_x]
-    lines += [-np.pi + np.arange(1, g + 1) * (2 * np.pi / g) for g in counts_t]
-    return _mesh_nodes(lines, s.d)
-
-
-def quantile_compare(values, s: Symbol, n, outlier_budget: float | None = None,
-                     mode: str = LAMBDA) -> float:
-    """Max absolute deviation between sorted spectral values and the sorted
-    symbol samples on the equispaced grid, after discarding the worst
-    ``outlier_budget * d_n`` entries from both ends.
-
-    The default budget discards ceil(sqrt(d_n)) entries per end, the sublinear
-    realization of "up to o(d_n) outliers".
-    """
-    n = check_size(n)
-    vals = np.sort(np.asarray(values, dtype=float).ravel())
-    d_n = vals.size
-    if outlier_budget is None:
-        k = int(np.ceil(np.sqrt(d_n)))
-    else:
-        if not 0 <= outlier_budget < 0.5:
-            raise InvalidParameterError("outlier budget must lie in [0, 0.5)")
-        k = int(np.ceil(outlier_budget * d_n))
-    x, theta = _equispaced_nodes(s, n)
-    samples = np.sort(spectral_surfaces(s, x, theta, mode).real.ravel())
-    if samples.size != d_n:
-        raise InvalidParameterError(
-            f"value count {d_n} does not match nu(n) r = {samples.size}"
-        )
-    if 2 * k >= d_n:
-        raise InvalidParameterError("outlier budget discards every entry")
-    middle = slice(k, d_n - k) if k else slice(None)
-    return float(np.max(np.abs(vals[middle] - samples[middle])))
-
-
-# ---------------------------------------------------------------------------
-# range check (symbol range inside the closure of observed spectra)
-
-
-@dataclass(frozen=True)
-class RangeCheckResult:
-    passed: bool
-    max_excess: float
-    tol: float
-    violations: tuple = ()
-
-
-def _cross2(u: np.ndarray, v: np.ndarray) -> float:
-    return float(u[0] * v[1] - u[1] * v[0])
-
-
-def _convex_hull_2d(points: np.ndarray) -> np.ndarray:
-    pts = np.unique(points, axis=0)
-    if len(pts) <= 2:
-        return pts
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
-
-    def half(seq):
-        out: list[np.ndarray] = []
-        for p in seq:
-            while len(out) >= 2 and _cross2(out[-1] - out[-2], p - out[-2]) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    return np.array(lower[:-1] + upper[:-1])
-
-
-def _dist_to_hull(p: np.ndarray, hull: np.ndarray) -> float:
-    if len(hull) == 1:
-        return float(np.linalg.norm(p - hull[0]))
-    best = np.inf
-    inside = len(hull) >= 3
-    for a, b in zip(hull, np.roll(hull, -1, axis=0)):
-        ab = b - a
-        denom = float(ab @ ab)
-        t = 0.0 if denom == 0 else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-        best = min(best, float(np.linalg.norm(p - (a + t * ab))))
-        if inside and _cross2(ab, p - a) < 0:
-            inside = False
-    return 0.0 if inside else best
-
-
-def range_check(values, s: Symbol, tol: float, mode: str = LAMBDA,
-                grid_points_per_dim: int = 64, max_violations: int = 20) -> RangeCheckResult:
-    """Verify every symbol surface sample lies within ``tol`` of the hull of
-    the observed spectral values (interval hull in the real case, convex hull
-    in the complex case)."""
-    vals = np.asarray(values).ravel()
-    x, theta = _probe_nodes(s, grid_points_per_dim)
-    samples = spectral_surfaces(s, x, theta, mode)
-    real_case = (not np.iscomplexobj(vals) or np.abs(vals.imag).max() < 1e-12) and (
-        not np.iscomplexobj(samples) or np.abs(samples.imag).max() < 1e-12
-    )
-    violations: list[tuple] = []
-    max_excess = 0.0
-    if real_case:
-        rv = vals.real
-        lo, hi = float(rv.min()), float(rv.max())
-        flat = samples.real
-        excess = np.maximum(lo - flat, flat - hi)
-        max_excess = float(excess.max())
-        bad = np.argwhere(excess > tol)
-        for idx in bad[:max_violations]:
-            node, surf = int(idx[0]), int(idx[1])
-            violations.append(
-                (tuple(x[node]), tuple(theta[node]), surf, float(flat[node, surf]))
-            )
-    else:
-        pts = np.stack([vals.real, vals.imag], axis=1)
-        hull = _convex_hull_2d(pts)
-        flat = np.asarray(samples, dtype=complex)
-        for node in range(flat.shape[0]):
-            for surf in range(flat.shape[1]):
-                z = flat[node, surf]
-                dist = _dist_to_hull(np.array([z.real, z.imag]), hull)
-                max_excess = max(max_excess, dist)
-                if dist > tol and len(violations) < max_violations:
-                    violations.append((tuple(x[node]), tuple(theta[node]), surf, complex(z)))
-    return RangeCheckResult(
-        passed=max_excess <= tol,
-        max_excess=max_excess,
-        tol=tol,
-        violations=tuple(violations),
     )

@@ -1,12 +1,14 @@
 """Matrix-valued symbols on [0,1]^d x [-pi,pi]^d.
 
 A symbol is an evaluable map kappa(x, theta) into r x r complex matrices.
-This module holds the leaves: trigonometric polynomials (frequency-only),
-coefficient functions (space-only), and constants.  The pointwise algebra
-over them (sums, products, adjoints, inverses, continuous functions) and its
-one Hermitian rule live on the expression tree of :mod:`gltlab.gltcalc`,
-whose ``symbol_of`` evaluates that tree.  Evaluation is vectorized: points
-are passed as (N, d) arrays and values come back as (N, r, r) stacks.
+This module holds the leaves: trigonometric polynomials (frequency-only)
+and coefficient functions (space-only).  A constant c is the ``Scalar``
+node of the expression tree, whose symbol is c times the identity.  The
+pointwise algebra over the leaves (sums, products, adjoints, inverses,
+continuous functions) and its one Hermitian rule live on the expression tree
+of :mod:`gltlab.gltcalc`, whose ``symbol_of`` evaluates that tree.
+Evaluation is vectorized: points are passed as (N, d) arrays and values
+come back as (N, r, r) stacks.
 
 Merely integrable generating functions have no canonical finite
 representation; this module requires an evaluable closed form plus, for
@@ -118,44 +120,6 @@ class TrigPolynomial(Symbol):
         k = as_multiindex(k)
         return np.array(self.coeffs.get(k, np.zeros((self.r, self.r), dtype=complex)))
 
-    def write_csv(self, fh) -> None:
-        """Coefficient table as rows ``k_1,...,k_d,row,col,re,im`` (1-based
-        block indices), one row per non-zero entry."""
-        header = [f"k_{j + 1}" for j in range(self.d)] + ["row", "col", "re", "im"]
-        fh.write(",".join(header) + "\n")
-        for k in sorted(self.coeffs):
-            block = self.coeffs[k]
-            for a in range(self.r):
-                for b in range(self.r):
-                    v = complex(block[a, b])
-                    if v == 0:
-                        continue
-                    cells = [str(x) for x in k] + [str(a + 1), str(b + 1),
-                                                   repr(v.real), repr(v.imag)]
-                    fh.write(",".join(cells) + "\n")
-
-    @classmethod
-    def read_csv(cls, fh, r: int | None = None) -> "TrigPolynomial":
-        header = fh.readline().strip().split(",")
-        d = sum(1 for name in header if name.startswith("k_"))
-        if d < 1 or header[d:] != ["row", "col", "re", "im"]:
-            raise ConfigurationError(f"unexpected coefficient table header {header}")
-        entries = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            k = tuple(int(v) for v in cells[:d])
-            a, b = int(cells[d]) - 1, int(cells[d + 1]) - 1
-            entries.append((k, a, b, float(cells[d + 2]) + 1j * float(cells[d + 3])))
-        rr = r if r is not None else max((max(a, b) for _, a, b, _ in entries), default=0) + 1
-        coeffs: dict = {}
-        for k, a, b, v in entries:
-            block = coeffs.setdefault(k, np.zeros((rr, rr), dtype=complex))
-            block[a, b] = v
-        return cls(d, rr, coeffs)
-
     def truncated(self, degree: int | Sequence[int]) -> "TrigPolynomial":
         deg = as_multiindex(degree)
         if len(deg) == 1 and self.d > 1:
@@ -229,22 +193,6 @@ class CoefficientFunction(Symbol):
                 f"expected ({x.shape[0]}, {self.r}, {self.r})"
             )
         return vals
-
-
-class ConstantSymbol(Symbol):
-    def __init__(self, d: int, matrix: np.ndarray):
-        self.d = int(d)
-        mat = np.atleast_2d(np.asarray(matrix, dtype=complex))
-        self.r = mat.shape[0]
-        mat.setflags(write=False)
-        self.matrix = mat
-
-    @property
-    def hermitian(self) -> bool:
-        return bool(np.allclose(self.matrix, self.matrix.conj().T, atol=1e-14))
-
-    def _eval(self, x, theta):
-        return np.broadcast_to(self.matrix, (x.shape[0], self.r, self.r))
 
 
 def evaluate(s: Symbol, x, theta) -> np.ndarray:

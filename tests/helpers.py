@@ -3,17 +3,26 @@
 import numpy as np
 
 from gltlab.acs import _STACK_BYTES, CERTIFICATE_COLUMNS, SplittingRow, hoeffding_radius
-from gltlab.multiindex import MultiIndexInterval, check_size, iter_interval, nu, size_interval
-from gltlab.errors import QuadratureError
+from gltlab.multiindex import (
+    MultiIndex,
+    MultiIndexInterval,
+    check_size,
+    iter_interval,
+    nu,
+    size_interval,
+)
+from gltlab.errors import InvalidParameterError, QuadratureError
 from gltlab.reports import Report
 from gltlab.spectra import (
+    LAMBDA,
+    _mesh_nodes,
     _node_count,
     _normalize_sizes,
     _tensor_nodes,
     schatten_norm,
     trending_to_zero,
 )
-from gltlab.symbols import TrigPolynomial, spectral_surfaces
+from gltlab.symbols import Symbol, TrigPolynomial, spectral_surfaces
 
 
 def random_trig_polynomial(rng, d=1, r=1, degree=1, hermitian=True, scale=1.0):
@@ -192,3 +201,64 @@ def midpoint_functional(s, f, mode, grid_points_per_dim=64, tol=1e-8, max_nodes=
         if abs(cur - prev) < tol:
             return cur
         prev, g = cur, g2
+
+
+# The reference oracle of criterion 5: sorted spectra against the symbol
+# sampled on an equispaced grid of nu(n) nodes.
+
+
+def _split_count(n_i: int) -> tuple[int, int]:
+    # Factor n_i = g1 * g2 with g1 <= g2 as balanced as possible.
+    g1 = int(np.sqrt(n_i))
+    while g1 > 1 and n_i % g1:
+        g1 -= 1
+    return g1, n_i // g1
+
+
+def _equispaced_nodes(s: Symbol, n: MultiIndex) -> tuple[np.ndarray, np.ndarray]:
+    """Equispaced evaluation grid x_j = a + j (b - a)/count, j = 1..count,
+    with exactly nu(n) nodes distributed over the active variables."""
+    counts_x: list[int] = []
+    counts_t: list[int] = []
+    for n_i in n:
+        if s.depends_space and s.depends_frequency:
+            gx, gt = _split_count(n_i)
+        elif s.depends_space:
+            gx, gt = n_i, 1
+        else:
+            gx, gt = 1, n_i
+        counts_x.append(gx)
+        counts_t.append(gt)
+    lines = [np.arange(1, g + 1) / g for g in counts_x]
+    lines += [-np.pi + np.arange(1, g + 1) * (2 * np.pi / g) for g in counts_t]
+    return _mesh_nodes(lines, s.d)
+
+
+def quantile_compare(values, s: Symbol, n, outlier_budget: float | None = None,
+                     mode: str = LAMBDA) -> float:
+    """Max absolute deviation between sorted spectral values and the sorted
+    symbol samples on the equispaced grid, after discarding the worst
+    ``outlier_budget * d_n`` entries from both ends.
+
+    The default budget discards ceil(sqrt(d_n)) entries per end, the sublinear
+    realization of "up to o(d_n) outliers".
+    """
+    n = check_size(n)
+    vals = np.sort(np.asarray(values, dtype=float).ravel())
+    d_n = vals.size
+    if outlier_budget is None:
+        k = int(np.ceil(np.sqrt(d_n)))
+    else:
+        if not 0 <= outlier_budget < 0.5:
+            raise InvalidParameterError("outlier budget must lie in [0, 0.5)")
+        k = int(np.ceil(outlier_budget * d_n))
+    x, theta = _equispaced_nodes(s, n)
+    samples = np.sort(spectral_surfaces(s, x, theta, mode).real.ravel())
+    if samples.size != d_n:
+        raise InvalidParameterError(
+            f"value count {d_n} does not match nu(n) r = {samples.size}"
+        )
+    if 2 * k >= d_n:
+        raise InvalidParameterError("outlier budget discards every entry")
+    middle = slice(k, d_n - k) if k else slice(None)
+    return float(np.max(np.abs(vals[middle] - samples[middle])))

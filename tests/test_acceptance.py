@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import errors_for, laplacian_eigenvalues, random_trig_polynomial
+from helpers import errors_for, laplacian_eigenvalues, quantile_compare, random_trig_polynomial
 
 from test_dsl import CORPUS
 
@@ -31,7 +31,6 @@ from gltlab.spectra import (
     distribution_check,
     empirical_functional,
     poly_on_window,
-    quantile_compare,
     spectrum,
 )
 from gltlab.symbols import TrigPolynomial

@@ -19,7 +19,6 @@ from gltlab.acs import (
     deterministic_model,
     hoeffding_radius,
     identity_sequence,
-    optimal_splitting,
     rank_one_sequence,
     sacs_check,
     spike_sequence,
@@ -63,17 +62,6 @@ def test_splitting_subadditive():
         assert splitting_distance(a + b) <= (
             splitting_distance(a) + splitting_distance(b) + 1e-10
         )
-
-
-def test_optimal_splitting_reconstruction():
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal((12, 12))
-    a[:, 0] *= 40.0  # make a rank trade attractive
-    split = optimal_splitting(a)
-    assert np.abs(split.rank_part + split.norm_part - a).max() < 1e-10
-    assert abs(split.rank_fraction + split.norm - splitting_distance(a)) < 1e-10
-    sv = np.linalg.svd(split.rank_part, compute_uv=False)
-    assert int(np.sum(sv > 1e-9)) == split.rank
 
 
 def _band_poly(nmax, decay=lambda k: 1.0 / (1.0 + k * k)):

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+import gltlab
 from gltlab import cli
 from gltlab.cli import (
     ExperimentConfig,
@@ -33,6 +34,12 @@ basket = x,x^2
 [tolerances]
 tolerance = 0.05
 """
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in gltlab.__all__ if not hasattr(gltlab, name)]
+    assert missing == []
+    assert len(set(gltlab.__all__)) == len(gltlab.__all__)
 
 
 def test_parse_sizes_forms():

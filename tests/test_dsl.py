@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gltlab import dsl
@@ -190,6 +190,8 @@ def test_fuzz_parser_total():
 
 
 @given(text=st.text(max_size=48))
+@example(text="t\u00b2")  # a superscript two is a digit but not a decimal
+@example(text="x1\u00b2")
 @settings(max_examples=300, deadline=None)
 def test_fuzz_parser_total_hypothesis(text):
     try:

@@ -376,6 +376,9 @@ def test_structurally_equal():
     assert not structurally_equal(Product(LAP, SHIFT), Product(SHIFT, LAP))
     assert structurally_equal(Scalar(2 + 1j), Scalar(2 + 1j))
     assert not structurally_equal(Scalar(2), Scalar(3))
+    # the declaration decides whether symbol_of raises, so it is structure
+    assert structurally_equal(PseudoInverse(LAP), PseudoInverse(LAP))
+    assert not structurally_equal(PseudoInverse(LAP), PseudoInverse(LAP, invertible_ae=False))
 
 
 REAL_EXPRESSIONS = [

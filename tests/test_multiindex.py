@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +6,7 @@ from hypothesis import strategies as st
 from gltlab.errors import IndexRangeError, InvalidSizeError
 from gltlab.multiindex import (
     MultiIndexInterval,
+    check_size,
     format_multiindex,
     iter_interval,
     lex_rank,
@@ -20,6 +22,16 @@ def test_nu_examples():
     assert nu((1,)) == 1
     assert nu((5, 1)) == 5
     assert nu(7) == 7
+    # NumPy integers are integers too, and come back as Python ints
+    assert nu(np.int64(8)) == 8
+    assert check_size(np.arange(2, 4)) == (2, 3)
+    assert all(type(v) is int for v in check_size([np.int32(4), np.int64(5)]))
+
+
+@pytest.mark.parametrize("size", [[8.7], 8.7, (4, 2.0), "16", np.array([8.0])])
+def test_sizes_must_be_integers(size):
+    with pytest.raises(InvalidSizeError):
+        check_size(size)
 
 
 def test_nu_rejects_nonpositive():

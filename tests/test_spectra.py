@@ -8,6 +8,7 @@ from helpers import (
     errors_for,
     laplacian_eigenvalues,
     midpoint_functional,
+    quantile_compare,
     random_reflection,
     random_trig_polynomial,
 )
@@ -20,7 +21,7 @@ from gltlab.errors import (
     QuadratureError,
     SolverError,
 )
-from gltlab.gltcalc import Diag, Product, Toeplitz, materialize, symbol_of
+from gltlab.gltcalc import Diag, Product, Scalar, Toeplitz, materialize, symbol_of
 from gltlab.matgen import toeplitz
 from gltlab.spectra import (
     TestFunction,
@@ -30,14 +31,12 @@ from gltlab.spectra import (
     empirical_functional,
     non_increasing,
     poly_on_window,
-    quantile_compare,
-    range_check,
     schatten_norm,
     spectrum,
     symbol_functional,
     trending_to_zero,
 )
-from gltlab.symbols import CoefficientFunction, ConstantSymbol, TrigPolynomial
+from gltlab.symbols import CoefficientFunction, TrigPolynomial
 
 LAP = TrigPolynomial(1, 1, {(0,): [[2.0]], (1,): [[-1.0]], (-1,): [[-1.0]]})
 
@@ -180,6 +179,16 @@ def test_distribution_check_trace_identity_zero_error():
     assert report.passed
 
 
+def test_distribution_check_takes_numpy_sizes():
+    report = distribution_check(
+        lambda n: toeplitz(LAP, n), LAP, 2 ** np.arange(5, 8), mode="lambda",
+        basket=[WIDE_X],
+    )
+    assert [row.n for row in report.rows] == [(32,), (64,), (128,)]
+    assert all(type(row.n[0]) is int for row in report.rows)
+    assert report.passed
+
+
 def test_distribution_check_exact_error_law():
     report = distribution_check(
         lambda n: toeplitz(LAP, n), LAP, [64, 128, 256], mode="lambda",
@@ -227,7 +236,7 @@ def test_quantile_compare_matched_grid():
 
 
 def test_quantile_compare_constant_symbol():
-    c = ConstantSymbol(1, np.array([[5.0]]))
+    c = symbol_of(Scalar(5.0), d=1, r=1)
     values = np.full(32, 5.0)
     assert quantile_compare(values, c, 32) == 0.0
 
@@ -241,27 +250,6 @@ def test_quantile_compare_converges_for_laplacian():
 def test_quantile_compare_budget_validation():
     with pytest.raises(InvalidParameterError):
         quantile_compare(np.ones(8), LAP, 8, outlier_budget=0.6)
-
-
-def test_range_check_examples():
-    values = np.concatenate([spectrum(toeplitz(LAP, n), "lambda") for n in (32, 64, 128)])
-    res = range_check(values, LAP, tol=0.05, mode="lambda")
-    assert res.passed
-
-    c5 = ConstantSymbol(1, np.array([[5.0]]))
-    assert range_check(np.full(16, 5.0), c5, tol=0.01).passed
-    bad = range_check(np.zeros(16), c5, tol=0.1)
-    assert not bad.passed
-    assert bad.max_excess > 4.5
-    assert bad.violations
-
-
-def test_range_check_complex_hull():
-    sym = ConstantSymbol(1, np.array([[1j]]))
-    vals = np.array([1j, 0.99j, 1.01j])
-    assert range_check(vals, sym, tol=0.05, mode="lambda").passed
-    far = ConstantSymbol(1, np.array([[5 + 5j]]))
-    assert not range_check(vals, far, tol=0.1, mode="lambda").passed
 
 
 def test_default_basket_structure():

@@ -4,10 +4,9 @@ import pytest
 from helpers import random_trig_polynomial
 
 from gltlab.errors import ConfigurationError, DomainError
-from gltlab.gltcalc import Diag, Product, Toeplitz, symbol_of
+from gltlab.gltcalc import Diag, Product, Scalar, Toeplitz, symbol_of
 from gltlab.symbols import (
     CoefficientFunction,
-    ConstantSymbol,
     TrigPolynomial,
     evaluate,
     fourier_coefficients,
@@ -154,7 +153,7 @@ def test_sigma_surface_value_example():
 
 
 def test_constant_identity_surfaces():
-    sym = ConstantSymbol(1, np.eye(3))
+    sym = symbol_of(Scalar(1.0), d=1, r=3)
     surf = spectral_surfaces(sym, np.array([[0.2]]), np.array([[0.1]]), "sigma")
     assert np.abs(surf - 1.0).max() < 1e-15
 
@@ -164,19 +163,3 @@ def test_frequency_grid_shape():
     assert grid.shape == (64, 2)
     assert grid.min() >= -np.pi and grid.max() < np.pi
 
-
-def test_coefficient_table_csv_roundtrip():
-    import io
-
-    rng = np.random.default_rng(13)
-    poly = random_trig_polynomial(rng, d=2, r=2, degree=1, hermitian=False)
-    buf = io.StringIO()
-    poly.write_csv(buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "k_1,k_2,row,col,re,im"
-    buf.seek(0)
-    back = TrigPolynomial.read_csv(buf)
-    assert back.d == 2 and back.r == 2
-    assert set(back.coeffs) == set(poly.coeffs)
-    for k in poly.coeffs:
-        assert np.array_equal(back.coeffs[k], poly.coeffs[k])
