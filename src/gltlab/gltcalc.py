@@ -34,7 +34,15 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import CalculusError, ConfigurationError, ModeError, SingularEvaluationError
-from .matgen import BlockMatrix, as_array, diag_sampling, is_hermitian, toeplitz, zeros
+from .matgen import (
+    BlockMatrix,
+    as_array,
+    diag_samples,
+    diag_sampling,
+    is_hermitian,
+    toeplitz,
+    zeros,
+)
 from .multiindex import MultiIndex, check_size, format_multiindex, nu
 from .reports import Report
 from .spectra import (
@@ -346,12 +354,57 @@ class ExpressionSymbol(Symbol):
 
 def materialize(e: GLTExpression, n, r: int | None = None,
                 cap: int | None = None) -> BlockMatrix:
-    """The matrix of the expression at size n (node-wise matrix operations)."""
+    """The matrix of the expression at size n (node-wise matrix operations).
+
+    A root ``Product`` with r = 1 ``Diag`` factors whose samples are all real
+    and strictly positive, D_a H D_b (a missing factor counting as the
+    identity), gets the symmetrizer w = sqrt(a / b):
+    W^-1 D_a H D_b W = D_sqrt(ab) H D_sqrt(ab) is Hermitian whenever H is.
+    """
     n = check_size(n)
     _, rr = _resolve_dims(e, len(n), r if r is not None else 1)
     notes: list[str] = []
-    data = _materialize(e, n, rr, cap, notes)
-    return BlockMatrix(data, rr, n, notes=tuple(notes))
+    if isinstance(e, Product):
+        left = _factor(e.left, n, rr, cap, notes)
+        right = _factor(e.right, n, rr, cap, notes)
+        data, w = _product(left, right), _symmetrizer(left, right)
+    else:
+        data, w = _materialize(e, n, rr, cap, notes), None
+    return BlockMatrix(data, rr, n, notes=tuple(notes), symmetrizer=w)
+
+
+def _factor(e: GLTExpression, n: MultiIndex, r: int, cap, notes: list[str]) -> np.ndarray:
+    """A product's factor: the sample vector of an r = 1 ``Diag``, else its matrix."""
+    if isinstance(e, Diag) and e.coefficient.r == 1:
+        return diag_samples(e.coefficient, n, cap=cap)[:, 0, 0]
+    return _materialize(e, n, r, cap, notes)
+
+
+def _product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left @ right, a 1-D factor standing for the diagonal matrix of its
+    samples: it scales rows or columns, each entry the one nonzero product of
+    the matmul, with no N x N diagonal and no O(N^3) work."""
+    if left.ndim == right.ndim == 2:
+        return left @ right
+    if left.ndim == right.ndim == 1:
+        return np.diag(left * right)
+    a, b = (left[:, None], right) if left.ndim == 1 else (left, right)
+    matrix = right if left.ndim == 1 else left
+    # _materialize returns arrays that nothing else holds, so the matrix
+    # factor takes the result in place whenever its dtype can.
+    return np.multiply(a, b, out=matrix if np.result_type(a, b) == matrix.dtype else None)
+
+
+def _symmetrizer(left: np.ndarray, right: np.ndarray) -> np.ndarray | None:
+    """sqrt(a / b) for the diagonal samples a (left) and b (right) of a
+    product, a missing one counting as 1; None unless some factor is a
+    diagonal and every diagonal factor is real and strictly positive."""
+    diagonals = [f for f in (left, right) if f.ndim == 1]
+    if not diagonals or any(np.iscomplexobj(f) or not np.all(f > 0) for f in diagonals):
+        return None
+    a = left if left.ndim == 1 else 1.0
+    b = right if right.ndim == 1 else 1.0
+    return np.sqrt(a / b)
 
 
 def _coefficient(value: complex) -> float | complex:
@@ -377,7 +430,7 @@ def _materialize(e: GLTExpression, n: MultiIndex, r: int, cap, notes: list[str])
             e.beta
         ) * _materialize(e.right, n, r, cap, notes)
     if isinstance(e, Product):
-        return _materialize(e.left, n, r, cap, notes) @ _materialize(e.right, n, r, cap, notes)
+        return _product(_factor(e.left, n, r, cap, notes), _factor(e.right, n, r, cap, notes))
     if isinstance(e, PseudoInverse):
         child = _materialize(e.child, n, r, cap, notes)
         # np.linalg.pinv(child, rcond=PINV_RCOND) step by step, so that its
@@ -428,8 +481,10 @@ def glt5_split_check(seq, sizes: Sequence, hermitian_part=None,
     trending to zero.
 
     ``hermitian_part(n)`` may supply a user-declared Hermitian X (checked
-    numerically); the default is (A + A*)/2.  ||X|| comes from the Hermitian
-    eigensolver, ||Y|| and ||Y||_1 from one SVD of Y.  The report's facts
+    numerically); the default is X = (A + A*)/2 and Y = (A - A*)/2.  ||X||
+    comes from the Hermitian eigensolver, ||Y|| and ||Y||_1 from one SVD of Y
+    (of half its order when Y is real and J Y J = -Y; see
+    :func:`~gltlab.spectra.spectrum`).  The report's facts
     ``norm_x``, ``norm_y`` and ``trace_norm_y_over_nu`` hold the per-size
     series.
     """
@@ -444,9 +499,10 @@ def glt5_split_check(seq, sizes: Sequence, hermitian_part=None,
             x = as_array(hermitian_part(n), notes)
             if not is_hermitian(x):
                 raise ModeError(f"declared Hermitian part at n={n} is not Hermitian")
+            y = a - x
         else:
             x = (a + a.conj().T) / 2.0
-        y = a - x
+            y = (a - a.conj().T) / 2.0  # skew by construction
         nx.append(float(spectrum(x, SIGMA, hermitian=True)[0]))
         sv_y = spectrum(y, SIGMA)
         ny.append(float(sv_y[0]))

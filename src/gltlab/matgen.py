@@ -32,6 +32,7 @@ from .multiindex import (
 from .symbols import CoefficientFunction, Symbol, TrigPolynomial
 
 DEFAULT_SIZE_CAP = 8192
+_STRIP = 1 << 16  # entries a strip-wise matrix test reads at once
 _BINARY_MAGIC = b"GLTM"
 
 
@@ -42,13 +43,16 @@ class BlockMatrix:
     ``data`` is float64 when every imaginary part is exactly zero (the
     downcast is lossless) and complex128 otherwise.  ``notes`` carries
     non-fatal diagnostics (e.g. pseudo-inverse conditioning warnings)
-    attached during materialization.
+    attached during materialization.  ``symmetrizer``, when set, is a
+    positive vector w for which W^-1 A W (W = diag(w)) may be Hermitian: a
+    hint that :func:`~gltlab.spectra.spectrum` tests, never a decision.
     """
 
     data: np.ndarray
     r: int
     n: MultiIndex
     notes: tuple[str, ...] = field(default_factory=tuple)
+    symmetrizer: np.ndarray | None = None
 
     def __post_init__(self):
         self.n = check_size(self.n)
@@ -57,6 +61,10 @@ class BlockMatrix:
         if self.data.shape != (expected, expected):
             raise ConfigurationError(
                 f"matrix shape {self.data.shape} != block structure size {expected}"
+            )
+        if self.symmetrizer is not None and np.shape(self.symmetrizer) != (expected,):
+            raise ConfigurationError(
+                f"symmetrizer shape {np.shape(self.symmetrizer)} != ({expected},)"
             )
 
     @property
@@ -161,10 +169,12 @@ def sampling_grid(n: int | Sequence[int]) -> np.ndarray:
     return pts / np.asarray(n, dtype=float)
 
 
-def diag_sampling(a, n: int | Sequence[int], r: int | None = None,
-                  cap: int | None = None) -> BlockMatrix:
-    """Block diagonal matrix with i-th block a(i/n), i enumerated lexicographically;
-    float64 when every sample is real."""
+def diag_samples(a, n: int | Sequence[int], r: int | None = None,
+                 cap: int | None = None) -> np.ndarray:
+    """The blocks a(i/n), i enumerated lexicographically, as an (nu(n), r, r)
+    array; float64 when every sample is real.  The size cap is checked before
+    anything is evaluated, and a non-finite sample raises
+    :class:`EvaluationError` naming its grid node."""
     n = check_size(n)
     if isinstance(a, Symbol):
         if a.depends_frequency:
@@ -190,12 +200,19 @@ def diag_sampling(a, n: int | Sequence[int], r: int | None = None,
             f"coefficient evaluation failed at grid node {format_multiindex(node)}",
             node=node,
         )
-    vals = _exact_dtype(vals)
-    count = vals.shape[0]
-    out = np.zeros((count, sym.r, count, sym.r), dtype=vals.dtype)
+    return _exact_dtype(vals)
+
+
+def diag_sampling(a, n: int | Sequence[int], r: int | None = None,
+                  cap: int | None = None) -> BlockMatrix:
+    """Block diagonal matrix with i-th block a(i/n), i enumerated lexicographically;
+    float64 when every sample is real."""
+    vals = diag_samples(a, n, r, cap)
+    count, rb = vals.shape[:2]
+    out = np.zeros((count, rb, count, rb), dtype=vals.dtype)
     idx = np.arange(count)
     out[idx, :, idx, :] = vals
-    return BlockMatrix(out.reshape(rows, rows), sym.r, n)
+    return BlockMatrix(out.reshape(count * rb, count * rb), rb, n)
 
 
 def identity(n: int | Sequence[int], r: int = 1) -> BlockMatrix:
@@ -208,7 +225,28 @@ def zeros(n: int | Sequence[int], r: int = 1) -> BlockMatrix:
     return BlockMatrix(np.zeros((r * nu(n), r * nu(n))), r, n)
 
 
+def row_strips(stop: int, width: int):
+    """(lo, hi) bounds that cover rows [0, stop) of a matrix ``width`` columns
+    wide: row 0 alone first, so that a structure test can reject most other
+    matrices in O(N), then strips of at most ``_STRIP`` entries, so that no
+    N x N temporary is made."""
+    edges = [0, *range(1, stop, max(1, _STRIP // width)), stop]
+    return list(zip(edges, edges[1:]))
+
+
 def is_hermitian(matrix, rtol: float = 1e-12) -> bool:
+    """||A - A*||_F <= rtol ||A||_F.
+
+    Both squared norms are summed over strips of rows, so no N x N temporary
+    is made.  The sums round differently from one norm of the whole
+    difference, so only a matrix within rounding of the threshold can be
+    decided otherwise than by ``norm(A - A*) <= rtol * norm(A)``.
+    """
     arr = as_array(matrix)
-    scale = np.linalg.norm(arr)
-    return np.linalg.norm(arr - arr.conj().T) <= rtol * max(scale, 1e-300)
+    skew = scale = 0.0
+    for lo, hi in row_strips(arr.shape[0], arr.shape[1]):
+        rows = arr[lo:hi]
+        diff = rows - arr[:, lo:hi].conj().T
+        skew += np.vdot(diff, diff).real
+        scale += np.vdot(rows, rows).real
+    return bool(np.sqrt(skew) <= rtol * max(np.sqrt(scale), 1e-300))

@@ -24,7 +24,7 @@ from .errors import (
     QuadratureError,
     SolverError,
 )
-from .matgen import as_array, is_hermitian
+from .matgen import _STRIP, as_array, is_hermitian, row_strips
 from .multiindex import MultiIndex, check_size, min_entry
 from .reports import Report
 from .symbols import Symbol, spectral_surfaces
@@ -107,21 +107,13 @@ def _fingerprint(arr: np.ndarray) -> str:
     return f"shape={arr.shape}, fro={np.linalg.norm(arr):.6e}, trace={trace:.6e}"
 
 
-_STRIP = 1 << 16  # entries the structure test compares at once
-
-
 def _is_centro_hermitian(arr: np.ndarray) -> bool:
-    """Exactly J A J == conj(A), J the reversal of the (lexicographic) index.
-
-    Row 0 goes first, against the reversed last row, so most other matrices
-    are rejected in O(N).  The rest is compared in strips of rows: no N x N
-    temporary is made.
-    """
+    """Exactly J A J == conj(A), J the reversal of the (lexicographic) index,
+    compared in strips of at most ``_STRIP`` entries, row 0 first
+    (:func:`~gltlab.matgen.row_strips`)."""
     n = arr.shape[0]
     complex_ = np.iscomplexobj(arr)
-    half = (n + 1) // 2
-    edges = [0, *range(1, half, max(1, _STRIP // n)), half]
-    for lo, hi in zip(edges, edges[1:]):
+    for lo, hi in row_strips((n + 1) // 2, n):
         mirror = arr[n - hi:n - lo][::-1, ::-1]
         if not np.array_equal(arr[lo:hi], mirror.conj() if complex_ else mirror):
             return False
@@ -157,11 +149,54 @@ def _centro_hermitian_blocks(arr: np.ndarray) -> list[np.ndarray]:
                       [p.imag, u.imag, q.real]])]
 
 
+def _is_skew_centro(arr: np.ndarray) -> bool:
+    """Exactly A == -A^T and J A J == -A, J the reversal of the whole index,
+    compared in strips of at most ``_STRIP`` entries, row 0 first
+    (:func:`~gltlab.matgen.row_strips`).
+
+    Both relations on the first ceil(N/2) rows imply them on the others, since
+    J A J = -A maps row i onto row N-1-i.
+    """
+    n = arr.shape[0]
+    for lo, hi in row_strips((n + 1) // 2, n):
+        rows = arr[lo:hi]
+        if not (np.array_equal(rows, -arr[:, lo:hi].T)
+                and np.array_equal(rows, -arr[n - hi:n - lo][::-1, ::-1])):
+            return False
+    return True
+
+
+def _skew_centro_block(arr: np.ndarray) -> np.ndarray:
+    """The real m x (m + odd) matrix C whose singular values, each taken
+    twice, plus one 0 for odd N = 2m + odd, are those of the real
+    ``arr`` = -arr^T = -J arr J, built in O(N^2).
+
+    C = A[:m, :m] + A[:m, N-m:] J, with the extra column √2 A[:m, m] for odd
+    N.  The orthogonal similarity of :func:`_centro_hermitian_blocks` takes
+    A to [[0, -K^T], [K, 0]] with K = J C, whose singular values are those of
+    K twice, plus one 0 from the odd column.
+    """
+    n = arr.shape[0]
+    m, odd = divmod(n, 2)
+    c = arr[:m, :m] + arr[:m, n - m:][:, ::-1]
+    return np.hstack([c, np.sqrt(2.0) * arr[:m, m:m + 1]]) if odd else c
+
+
+def _hermitian_eigenvalues(arr: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix or stack, through the
+    centro-Hermitian blocks when one matrix passes the exact test."""
+    if arr.ndim == 2 and _is_centro_hermitian(arr):
+        return np.sort(np.concatenate(
+            [np.linalg.eigvalsh(b) for b in _centro_hermitian_blocks(arr)]))
+    return np.linalg.eigvalsh(arr)
+
+
 def spectrum(matrix, mode: str = SIGMA, hermitian: bool | None = None) -> np.ndarray:
     """Singular values (descending) or eigenvalues (canonical order).
 
     ``hermitian`` is the caller's decision for this matrix, taken once with
-    :func:`is_hermitian`; it picks the solver:
+    :func:`is_hermitian`; it picks the solver, and exact or numeric structure
+    tests pick a cheaper route to the same values:
 
     ======  ===============  ==============================  ====================
     mode    hermitian        solver                          result
@@ -174,17 +209,36 @@ def spectrum(matrix, mode: str = SIGMA, hermitian: bool | None = None) -> np.nda
     either  True, and one    ``eigvalsh`` of real symmetric  as for ``eigvalsh``
             centro-Hermitian blocks: orders m(+1) and m if
             matrix           real, one of order N if complex
+    sigma   False or None,   ``svd`` of one real block of    real, descending
+            one real matrix  order m x (m + odd), each
+            with A = -A^T =  value twice, plus one 0 for
+            -J A J           odd N
+    lambda  False, and a     ``eigvalsh`` (centro blocks     complex, (re, im),
+            ``BlockMatrix``  when B passes) of B = W^-1 A W  imaginary parts
+            whose            if ``is_hermitian(B)``, else    exactly zero
+            ``symmetrizer``  ``eigvals`` of A                (``eigvals``: as
+            w is set                                         above)
     ======  ===============  ==============================  ====================
 
-    Sigma mode never tests for itself: a caller that factors many small
-    matrices (Schatten norms, Monte Carlo trials) pays no test per call.
+    J is the reversal of the whole (lexicographic) index.  Every scalar
+    Hermitian multilevel Toeplitz matrix is centro-Hermitian, J A J =
+    conj(A); a Hermitian matrix that passes this exact test is reduced, in
+    O(N^2), to real symmetric blocks of the same joint spectrum before the
+    O(N^3) solve (:func:`_centro_hermitian_blocks`).  The skew parts of
+    D_n(x) T_n(f) and of real Toeplitz matrices, and such commutators as
+    [D_n(x), T_n(f)], satisfy A = -A^T = -J A J exactly; their singular
+    values come from one real block of half the order
+    (:func:`_skew_centro_block`).  Both structure tests are exact, compare
+    strips of rows, and reject most other matrices in O(N) on row 0.  Sigma
+    mode tests nothing else for itself: one real matrix pays the skew test,
+    while complex matrices and stacks are not tested at all, so a caller that
+    factors many small matrices (Monte Carlo trials) pays no test per matrix.
     Real (float64) input takes the real LAPACK routine of each solver.
 
-    Every scalar Hermitian multilevel Toeplitz matrix is centro-Hermitian,
-    J A J = conj(A) with J the reversal of the whole index.  A Hermitian
-    matrix that passes this exact O(N^2) test is reduced, in O(N^2), to real
-    symmetric blocks of the same joint spectrum before the O(N^3) solve
-    (:func:`_centro_hermitian_blocks`).  Stacks never take that path.
+    ``materialize`` sets the symmetrizer of a product D_a H D_b with real,
+    strictly positive diagonal samples; B = D_sqrt(ab) H D_sqrt(ab) has the
+    eigenvalues of A and is Hermitian when H is.  The vector is a hint: only
+    the numeric test on B decides.
 
     In sigma mode ``matrix`` may also be a stack of shape (k, d, d): the
     result has shape (k, d) and row i holds the values of matrix i, bit for
@@ -203,14 +257,19 @@ def spectrum(matrix, mode: str = SIGMA, hermitian: bool | None = None) -> np.nda
         hermitian = is_hermitian(arr)
     try:
         if hermitian:
-            if arr.ndim == 2 and _is_centro_hermitian(arr):
-                values = np.sort(np.concatenate(
-                    [np.linalg.eigvalsh(b) for b in _centro_hermitian_blocks(arr)]))
-            else:
-                values = np.linalg.eigvalsh(arr)
+            values = _hermitian_eigenvalues(arr)
             return values if mode == LAMBDA else np.sort(np.abs(values))[..., ::-1]
         if mode == SIGMA:
+            if arr.ndim == 2 and not np.iscomplexobj(arr) and _is_skew_centro(arr):
+                sv = np.linalg.svd(_skew_centro_block(arr), compute_uv=False)
+                return np.concatenate([np.repeat(sv, 2), np.zeros(arr.shape[0] % 2)])
             return np.linalg.svd(arr, compute_uv=False)
+        w = getattr(matrix, "symmetrizer", None)
+        if w is not None:
+            b = arr * w  # B = W^-1 A W
+            b /= w[:, None]
+            if is_hermitian(b):
+                return _hermitian_eigenvalues(b).astype(complex)
         return np.sort(np.linalg.eigvals(arr).astype(complex, copy=False))
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"eigensolver failed ({exc}); {_fingerprint(arr)}") from exc
@@ -453,14 +512,15 @@ def distribution_check(seq, symbol: Symbol, sizes: Sequence, mode: str = SIGMA,
     spectra: list[np.ndarray] = []
     notes: list[str] = []
     for n in norm_sizes:
-        a = as_array(seq(n), notes)
+        matrix = seq(n)
+        a = as_array(matrix, notes)
         hermitian = is_hermitian(a)
         if mode == LAMBDA and not allow_non_hermitian and not hermitian:
             raise ModeError(
                 f"eigenvalue mode requires Hermitian matrices (size {n}); "
                 "pass allow_non_hermitian=True after a quasi-Hermitian split check"
             )
-        spectra.append(spectrum(a, mode, hermitian=hermitian))
+        spectra.append(spectrum(matrix, mode, hermitian=hermitian))
     if basket is None:
         observed = np.concatenate([np.asarray(v).real.ravel() for v in spectra])
         probe_x, probe_t = _probe_nodes(symbol, 17)

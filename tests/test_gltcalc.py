@@ -6,7 +6,13 @@ import pytest
 from helpers import errors_for, laplacian_eigenvalues, random_trig_polynomial
 
 from gltlab.dsl import parse
-from gltlab.errors import CalculusError, ModeError, SingularEvaluationError
+from gltlab.errors import (
+    CalculusError,
+    EvaluationError,
+    ModeError,
+    SingularEvaluationError,
+    SizeCapError,
+)
 from gltlab.gltcalc import (
     Adjoint,
     Diag,
@@ -417,3 +423,23 @@ def test_non_real_expressions_stay_complex(text):
 
     a = materialize(parse(text), 6).data
     assert a.dtype == np.complex128 and np.any(a.imag)
+
+
+@pytest.mark.parametrize("coefficient", ["x1", "x1-0.5+i*x1^2"])
+@pytest.mark.parametrize("other", ["T(2-2*cos(t1))", "T(2-cos(t1)+sin(t1))"])
+def test_diag_factor_scales_rows_and_columns_like_the_matmul(coefficient, other):
+    diag, t = parse(f"D({coefficient})"), parse(other)
+    for n in (64, 256):
+        d, a = materialize(diag, n).data, materialize(t, n).data
+        assert np.array_equal(materialize(Product(diag, t), n).data, d @ a)
+        assert np.array_equal(materialize(Product(t, diag), n).data, a @ d)
+
+
+def test_diag_factor_keeps_the_cap_and_the_failing_node():
+    with pytest.raises(SizeCapError):
+        materialize(Product(Scalar(2.0), DIAG_X), 64, cap=32)
+    pole = Diag(CoefficientFunction.from_scalar(1, lambda x: 1.0 / (x - 0.5)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(EvaluationError) as err:
+            materialize(Product(LAP, pole), 4)
+    assert err.value.node == (2,)  # the grid node i/n = 1/2

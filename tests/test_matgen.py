@@ -205,3 +205,19 @@ def test_diag_sampling_failure_names_node():
         with pytest.raises(EvaluationError) as err:
             diag_sampling(lambda x: 1.0 / (x - 0.5), 2)
     assert err.value.node == (1,)  # the grid node i/n = 1/2
+
+
+def test_is_hermitian_agrees_with_the_whole_matrix_norms():
+    def whole_matrix_rule(a, rtol=1e-12):
+        return np.linalg.norm(a - a.conj().T) <= rtol * max(np.linalg.norm(a), 1e-300)
+
+    rng = np.random.default_rng(8)
+    g = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
+    h, s = g + g.conj().T, g - g.conj().T  # 300 rows span three strips
+    unit = s / np.linalg.norm(s)
+    # ||(h + t unit) - (h + t unit)*|| = 2t and ||h + t unit|| = sqrt(||h||^2 + t^2)
+    at = 0.5e-12 * np.linalg.norm(h)
+    cases = [(h, True), (s, False), (g, False),
+             (h + at * (1 - 1e-3) * unit, True), (h + at * (1 + 1e-3) * unit, False)]
+    for a, hermitian in cases:
+        assert is_hermitian(a) == whole_matrix_rule(a) == hermitian

@@ -28,7 +28,7 @@ QUICK_START_SHA256 = {
     "out/zero/trend.csv": "23dea8a4bb2032a59c2ff82b048bfa41c2498d517432e14a3cd2dbe772862d8e",
     "out/acs/certificate.csv": "523c38c2e9262b0d22b579452566fac48cec6f7403724812c3a54bb3947ce4fc",
     "out/sacs/certificate.csv": SACS_SHA256["certificate.csv"],
-    "out/glt5/split.csv": "5643dbef5244002c12414dbce78fc4330cbcbd2b2c707ec11e4c1a94b8a40339",
+    "out/glt5/split.csv": "004282c2b353cf8423ec195eb27deac4b566ee4160ce7826142b2b93a92f7319",
 }
 
 

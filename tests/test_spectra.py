@@ -22,7 +22,7 @@ from gltlab.errors import (
     SolverError,
 )
 from gltlab.gltcalc import Diag, Product, Scalar, Toeplitz, materialize, symbol_of
-from gltlab.matgen import toeplitz
+from gltlab.matgen import BlockMatrix, toeplitz
 from gltlab.spectra import (
     TestFunction,
     cosine_bump,
@@ -485,3 +485,64 @@ def test_distribution_check_evaluates_each_grid_once(expr, mode, monkeypatch):
     probe = nodes[0]
     assert nodes == [probe] + [spectra_mod._node_count(symbol, g) for g in grids]
     assert len(report.metadata["quadrature"]) == 5
+
+
+def _recorded(monkeypatch, name):
+    """Shapes of the matrices passed to np.linalg.<name> from now on."""
+    shapes = []
+    solve = getattr(np.linalg, name)
+    monkeypatch.setattr(np.linalg, name, lambda a, **kw: shapes.append(a.shape) or solve(a, **kw))
+    return shapes
+
+
+@pytest.mark.parametrize("expr, n", [
+    ("T(exp(i*t1))", 255),
+    ("T(exp(i*t1))", 256),
+    ("D(x1)*T(2-2*cos(t1))-T(2-2*cos(t1))*D(x1)", 256),
+])
+def test_skew_centro_path_matches_the_full_svd(expr, n, monkeypatch):
+    a = materialize(parse(expr), n).data
+    if expr.startswith("T"):
+        a = (a - a.T) / 2  # the skew part of the shift
+    full = np.linalg.svd(a, compute_uv=False)
+    shapes = _recorded(monkeypatch, "svd")
+    values = spectrum(a, "sigma")
+    assert shapes == [(n // 2, n // 2 + n % 2)]
+    assert values.dtype == np.float64 and values.shape == (n,)
+    assert np.all(np.diff(values) <= 0) and (n % 2 == 0 or values[-1] == 0.0)
+    assert np.abs(values - full).max() <= 1e-13 * full[0]
+
+
+def test_skew_matrices_without_the_structure_keep_the_plain_svd():
+    rng = np.random.default_rng(12)
+    g = rng.standard_normal((40, 40))
+    h = g + 1j * rng.standard_normal((40, 40))
+    shift = materialize(parse("T(exp(i*t1))"), 16).data
+    skew_centro = (shift - shift.T) / 2
+    for a in (g - g.T, h - h.conj().T, np.stack([skew_centro, 2.0 * skew_centro])):
+        assert np.array_equal(spectrum(a, "sigma"), np.linalg.svd(a, compute_uv=False))
+
+
+def test_lambda_similarity_path_on_the_product(monkeypatch):
+    m = materialize(PRODUCT_EXPR, 256)
+    assert m.symmetrizer is not None
+    reference = np.sort(np.linalg.eigvals(m.data))
+    shapes = _recorded(monkeypatch, "eigvals")
+    values = spectrum(m, "lambda", hermitian=False)
+    assert shapes == []
+    assert values.dtype == np.complex128 and np.all(values.imag == 0.0)
+    assert np.abs(values - reference).max() <= 1e-12 * np.linalg.norm(m.data, 2)
+
+
+@pytest.mark.parametrize("case", ["D(x1-0.5)*T(2-2*cos(t1))", "D(x1)*T(exp(i*t1))", "bogus w"])
+def test_lambda_similarity_falls_back_to_eigvals(case):
+    if case == "bogus w":
+        a = materialize(PRODUCT_EXPR, 64).data
+        w = np.random.default_rng(3).uniform(0.5, 1.5, 64)
+        m = BlockMatrix(a, 1, 64, symmetrizer=w)
+    else:
+        m = materialize(parse(case), 64)
+        # a zero sample gets no symmetrizer; a non-Hermitian H gets one that fails
+        assert (m.symmetrizer is None) == case.startswith("D(x1-0.5)")
+    values = spectrum(m, "lambda", hermitian=False)
+    assert np.array_equal(values, np.sort(np.linalg.eigvals(m.data).astype(complex)))
