@@ -11,6 +11,8 @@ surrogate policy plus each function's quadrature resolution as metadata.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -32,6 +34,14 @@ from .symbols import Symbol, spectral_surfaces
 SIGMA = "sigma"
 LAMBDA = "lambda"
 _MAX_NODES = 2**22  # symbol-side quadrature node budget
+# A real matrix of order N with lower and upper bandwidths kl and ku takes the
+# band route when (kl + ku + 1) * _BAND_COST <= N and N >= _BAND_FLOOR.  On 2
+# cores, dgbbrd + dbdsqr break even with the dense values-only SVD near
+# kl = ku = 50 at N = 1024 (2.8 times faster at 16, 1.7 at 32), and dsbevd with
+# eigvalsh near kd = 48 at N = 1152 (1.4 times faster at 24): both near
+# kl + ku + 1 = N / 10.  Below order 32 neither route is faster.
+_BAND_COST = 16
+_BAND_FLOOR = 2 * _BAND_COST
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +192,132 @@ def _skew_centro_block(arr: np.ndarray) -> np.ndarray:
     return np.hstack([c, np.sqrt(2.0) * arr[:m, m:m + 1]]) if odd else c
 
 
+# ---------------------------------------------------------------------------
+# banded real matrices
+
+_INT, _PTR, _CHAR = ctypes.c_int64, ctypes.c_void_p, ctypes.c_char
+_COL_MAJOR = 102  # LAPACKE's matrix_layout for Fortran order
+_LAPACKE_ARGS = {  # ILP64 prototypes of the LAPACKE routines the band route calls
+    # layout, vect, m, n, ncc, kl, ku, ab, ldab, d, e, q, ldq, pt, ldpt, c, ldc
+    "dgbbrd": [ctypes.c_int, _CHAR, _INT, _INT, _INT, _INT, _INT, _PTR, _INT, _PTR, _PTR,
+               _PTR, _INT, _PTR, _INT, _PTR, _INT],
+    # layout, uplo, n, ncvt, nru, ncc, d, e, vt, ldvt, u, ldu, c, ldc
+    "dbdsqr": [ctypes.c_int, _CHAR, _INT, _INT, _INT, _INT, _PTR, _PTR, _PTR, _INT, _PTR,
+               _INT, _PTR, _INT],
+    # layout, jobz, uplo, n, kd, ab, ldab, w, z, ldz
+    "dsbevd": [ctypes.c_int, _CHAR, _CHAR, _INT, _INT, _PTR, _INT, _PTR, _PTR, _INT],
+}
+
+
+@functools.cache
+def _band_lapack() -> dict | None:
+    """The LAPACKE band routines of the scipy-openblas64 library that numpy
+    bundles, found through numpy's own linalg extension, or None when numpy
+    links another LAPACK; then every matrix takes the dense call.  Bound on
+    first use, so importing gltlab loads nothing."""
+    try:
+        from numpy.linalg import _umath_linalg
+
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+        routines = {name: getattr(lib, f"scipy_LAPACKE_{name}64_") for name in _LAPACKE_ARGS}
+    except (ImportError, OSError, AttributeError):
+        return None
+    for name, fn in routines.items():
+        fn.argtypes, fn.restype = _LAPACKE_ARGS[name], _INT
+    return routines
+
+
+def _bandwidths(arr: np.ndarray) -> tuple[int, int] | None:
+    """The exact lower and upper bandwidths (kl, ku) of a real matrix, or
+    None as soon as the rows read so far break (kl + ku + 1) * _BAND_COST
+    <= min(shape).  Reads strips of rows, row 0 first
+    (:func:`~gltlab.matgen.row_strips`), so a dense matrix is rejected in
+    O(N)."""
+    m, n = arr.shape
+    kl = ku = 0
+    for lo, hi in row_strips(m, n):
+        nonzero = arr[lo:hi] != 0
+        hit = nonzero.any(axis=1)
+        i = np.arange(lo, hi)
+        kl = max(kl, int(np.max(np.where(hit, i - nonzero.argmax(axis=1), 0))))
+        ku = max(ku, int(np.max(np.where(hit, n - 1 - nonzero[:, ::-1].argmax(axis=1) - i, 0))))
+        if (kl + ku + 1) * _BAND_COST > min(m, n):
+            return None
+    return kl, ku
+
+
+def _band_storage(arr: np.ndarray, kl: int, ku: int) -> np.ndarray:
+    """LAPACK's (kl + ku + 1) x N column-major band storage, AB[ku + i - j, j]
+    = A[i, j]; with ku = 0 it is the lower storage of a symmetric matrix."""
+    ab = np.zeros((kl + ku + 1, arr.shape[1]), order="F")
+    for k in range(-kl, ku + 1):
+        diag = np.diagonal(arr, k)
+        ab[ku - k, max(k, 0):max(k, 0) + diag.size] = diag
+    return ab
+
+
+def _lapacke(lapack: dict, name: str, *args) -> None:
+    info = lapack[name](_COL_MAJOR, *args)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{name} did not converge (info={info})")
+    if info < 0:
+        raise RuntimeError(f"LAPACKE_{name} returned info={info}: a bug in the band route")
+
+
+def _band_singular_values(lapack: dict, arr: np.ndarray, kl: int, ku: int) -> np.ndarray:
+    """Descending singular values: dgbbrd reduces the band to upper
+    bidiagonal form, dbdsqr takes its values; no vectors."""
+    m, n = arr.shape
+    ab = _band_storage(arr, kl, ku)
+    d, e = np.empty(min(m, n)), np.empty(min(m, n))
+    _lapacke(lapack, "dgbbrd", b"N", m, n, 0, kl, ku, ab.ctypes.data, ab.shape[0],
+             d.ctypes.data, e.ctypes.data, None, 1, None, 1, None, 1)
+    _lapacke(lapack, "dbdsqr", b"U", d.size, 0, 0, 0, d.ctypes.data, e.ctypes.data,
+             None, 1, None, 1, None, 1)
+    return d
+
+
+def _band_eigenvalues(lapack: dict, arr: np.ndarray, kl: int, ku: int) -> np.ndarray:
+    """Ascending eigenvalues from dsbevd of the lower band, the triangle
+    ``np.linalg.eigvalsh`` reads; the upper bandwidth ``ku`` is not used."""
+    ab = _band_storage(arr, kl, 0)
+    w = np.empty(arr.shape[0])
+    _lapacke(lapack, "dsbevd", b"N", b"L", w.size, kl, ab.ctypes.data, ab.shape[0],
+             w.ctypes.data, None, 1)
+    return w
+
+
+def _routed(arr: np.ndarray, band: Callable, dense: Callable) -> np.ndarray:
+    """``band`` for a float64 matrix of order at least _BAND_FLOOR whose
+    bandwidths pass the rule, where the band routines are bound, and
+    ``dense`` otherwise.  A float64 stack of that order is routed matrix by
+    matrix, so that row i holds matrix i's values as if passed alone."""
+    if (arr.ndim < 2 or arr.dtype != np.float64 or min(arr.shape[-2:]) < _BAND_FLOOR
+            or arr.size == 0):
+        return dense(arr)
+    lapack = _band_lapack()
+    if lapack is None:
+        return dense(arr)
+    if arr.ndim > 2:
+        return np.stack([_routed(a, band, dense) for a in arr])
+    widths = _bandwidths(arr)
+    return dense(arr) if widths is None else band(lapack, arr, *widths)
+
+
+def _singular_values(arr: np.ndarray) -> np.ndarray:
+    return _routed(arr, _band_singular_values, lambda a: np.linalg.svd(a, compute_uv=False))
+
+
+def _eigvalsh(arr: np.ndarray) -> np.ndarray:
+    return _routed(arr, _band_eigenvalues, lambda a: np.linalg.eigvalsh(a))
+
+
 def _hermitian_eigenvalues(arr: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix or stack, through the
     centro-Hermitian blocks when one matrix passes the exact test."""
     if arr.ndim == 2 and _is_centro_hermitian(arr):
-        return np.sort(np.concatenate(
-            [np.linalg.eigvalsh(b) for b in _centro_hermitian_blocks(arr)]))
-    return np.linalg.eigvalsh(arr)
+        return np.sort(np.concatenate([_eigvalsh(b) for b in _centro_hermitian_blocks(arr)]))
+    return _eigvalsh(arr)
 
 
 def spectrum(matrix, mode: str = SIGMA, hermitian: bool | None = None) -> np.ndarray:
@@ -218,6 +347,12 @@ def spectrum(matrix, mode: str = SIGMA, hermitian: bool | None = None) -> np.nda
             whose            if ``is_hermitian(B)``, else    exactly zero
             ``symmetrizer``  ``eigvals`` of A                (``eigvals``: as
             w is set                                         above)
+    either  as above, for    ``dgbbrd`` + ``dbdsqr`` (svd)   as the call it
+            each real        or ``dsbevd`` of the lower      replaces
+            matrix or block  band (eigvalsh), no vectors
+            of order N >= 32
+            with (kl + ku +
+            1) * 16 <= N
     ======  ===============  ==============================  ====================
 
     J is the reversal of the whole (lexicographic) index.  Every scalar
@@ -229,11 +364,22 @@ def spectrum(matrix, mode: str = SIGMA, hermitian: bool | None = None) -> np.nda
     [D_n(x), T_n(f)], satisfy A = -A^T = -J A J exactly; their singular
     values come from one real block of half the order
     (:func:`_skew_centro_block`).  Both structure tests are exact, compare
-    strips of rows, and reject most other matrices in O(N) on row 0.  Sigma
-    mode tests nothing else for itself: one real matrix pays the skew test,
-    while complex matrices and stacks are not tested at all, so a caller that
-    factors many small matrices (Monte Carlo trials) pays no test per matrix.
-    Real (float64) input takes the real LAPACK routine of each solver.
+    strips of rows, and reject most other matrices in O(N) on row 0.
+
+    The band row covers every values-only SVD and ``eigvalsh`` above, of a
+    whole matrix or of a block: a real one of order N >= ``_BAND_FLOOR``
+    whose exact bandwidths kl and ku (:func:`_bandwidths`, row 0 first, so a
+    dense matrix is rejected in O(N)) keep (kl + ku + 1) * ``_BAND_COST`` <=
+    N takes O(N^2 (kl + ku)) band routines from the scipy-openblas64 LAPACKE
+    that numpy bundles (:func:`_band_lapack`; without it, the dense call).
+    ``dsbevd`` reads the lower band, as ``eigvalsh`` reads the lower
+    triangle of a matrix that is Hermitian only within ``is_hermitian``'s
+    tolerance.  Sigma mode tests nothing else for itself: one real matrix
+    pays the skew test, complex matrices and stacks pay no structure test,
+    and only a real stack of order 32 or more pays the bandwidth test,
+    matrix by matrix, so a caller that factors many small matrices (Monte
+    Carlo trials) pays no test per matrix.  Real (float64) input takes the
+    real LAPACK routine of each solver.
 
     ``materialize`` sets the symmetrizer of a product D_a H D_b with real,
     strictly positive diagonal samples; B = D_sqrt(ab) H D_sqrt(ab) has the
@@ -243,8 +389,9 @@ def spectrum(matrix, mode: str = SIGMA, hermitian: bool | None = None) -> np.nda
     In sigma mode ``matrix`` may also be a stack of shape (k, d, d): the
     result has shape (k, d) and row i holds the values of matrix i, bit for
     bit as if it were passed alone.  One call factors the whole stack, which
-    saves numpy's per-call overhead on many small matrices.  Every entry of
-    the stack must be finite.
+    saves numpy's per-call overhead on many small matrices; a real stack of
+    order 32 or more is routed matrix by matrix instead.  Every entry of the
+    stack must be finite.
     """
     arr = as_array(matrix)
     if not np.all(np.isfinite(arr)):
@@ -261,9 +408,9 @@ def spectrum(matrix, mode: str = SIGMA, hermitian: bool | None = None) -> np.nda
             return values if mode == LAMBDA else np.sort(np.abs(values))[..., ::-1]
         if mode == SIGMA:
             if arr.ndim == 2 and not np.iscomplexobj(arr) and _is_skew_centro(arr):
-                sv = np.linalg.svd(_skew_centro_block(arr), compute_uv=False)
+                sv = _singular_values(_skew_centro_block(arr))
                 return np.concatenate([np.repeat(sv, 2), np.zeros(arr.shape[0] % 2)])
-            return np.linalg.svd(arr, compute_uv=False)
+            return _singular_values(arr)
         w = getattr(matrix, "symmetrizer", None)
         if w is not None:
             b = arr * w  # B = W^-1 A W

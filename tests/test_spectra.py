@@ -22,7 +22,7 @@ from gltlab.errors import (
     SolverError,
 )
 from gltlab.gltcalc import Diag, Product, Scalar, Toeplitz, materialize, symbol_of
-from gltlab.matgen import BlockMatrix, toeplitz
+from gltlab.matgen import BlockMatrix, is_hermitian, toeplitz
 from gltlab.spectra import (
     TestFunction,
     cosine_bump,
@@ -79,15 +79,18 @@ def test_spectrum_sigma_on_a_stack_matches_each_matrix_bit_for_bit():
     rng = np.random.default_rng(11)
     real = rng.standard_normal((7, 12, 12))
     cplx = real + 1j * rng.standard_normal((7, 12, 12))
-    for stack in (real, cplx, np.zeros((3, 5, 5))):
+    # order 64: the tridiagonal matrices take the band route, the last the dense call
+    banded = np.concatenate([np.triu(np.tril(rng.standard_normal((3, 64, 64)), 1), -1),
+                             rng.standard_normal((1, 64, 64))])
+    for stack in (real, cplx, np.zeros((3, 5, 5)), banded, np.zeros((0, 64, 64))):
         values = spectrum(stack, "sigma")
         assert values.shape == stack.shape[:2]
         for row, a in zip(values, stack):
             assert np.array_equal(row, spectrum(a, "sigma"))
-    herm = real + real.transpose(0, 2, 1)
-    values = spectrum(herm, "sigma", hermitian=True)
-    for row, a in zip(values, herm):
-        assert np.array_equal(row, spectrum(a, "sigma", hermitian=True))
+    for herm in (real + real.transpose(0, 2, 1), banded + banded.transpose(0, 2, 1)):
+        values = spectrum(herm, "sigma", hermitian=True)
+        for row, a in zip(values, herm):
+            assert np.array_equal(row, spectrum(a, "sigma", hermitian=True))
 
 
 def test_spectrum_stack_checks_finiteness_and_mode():
@@ -487,11 +490,21 @@ def test_distribution_check_evaluates_each_grid_once(expr, mode, monkeypatch):
     assert len(report.metadata["quadrature"]) == 5
 
 
+BAND_SOLVERS = {"svd": "_band_singular_values", "eigvalsh": "_band_eigenvalues"}
+
+
 def _recorded(monkeypatch, name):
-    """Shapes of the matrices passed to np.linalg.<name> from now on."""
+    """Shapes of the matrices passed to np.linalg.<name> from now on, or to
+    the band route that stands in for it."""
+    import gltlab.spectra as spectra_mod
+
     shapes = []
     solve = getattr(np.linalg, name)
     monkeypatch.setattr(np.linalg, name, lambda a, **kw: shapes.append(a.shape) or solve(a, **kw))
+    if name in BAND_SOLVERS:
+        band = getattr(spectra_mod, BAND_SOLVERS[name])
+        monkeypatch.setattr(spectra_mod, BAND_SOLVERS[name],
+                            lambda lapack, a, kl, ku: shapes.append(a.shape) or band(lapack, a, kl, ku))
     return shapes
 
 
@@ -546,3 +559,141 @@ def test_lambda_similarity_falls_back_to_eigvals(case):
         assert (m.symmetrizer is None) == case.startswith("D(x1-0.5)")
     values = spectrum(m, "lambda", hermitian=False)
     assert np.array_equal(values, np.sort(np.linalg.eigvals(m.data).astype(complex)))
+
+
+def _banded(rng, m, n, kl, ku):
+    """A random real m x n matrix with exactly kl subdiagonals and ku
+    superdiagonals."""
+    i, j = np.indices((m, n))
+    return np.where((i - j <= kl) & (j - i <= ku), rng.standard_normal((m, n)), 0.0)
+
+
+def _band_only(monkeypatch):
+    """Make the dense solvers fail, so that only the band route can answer."""
+    def dense(a, **kw):
+        raise AssertionError(f"dense solver called on shape {a.shape}")
+
+    for name in ("svd", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, dense)
+
+
+@pytest.mark.parametrize("n, kl, ku", [(64, 0, 3), (64, 3, 0), (96, 1, 4), (200, 5, 2),
+                                       (32, 0, 0), (1024, 16, 15),
+                                       (80, 2, 2)])  # (kl + ku + 1) * 16 == N: at the rule
+def test_band_route_singular_values_match_the_svd(n, kl, ku, monkeypatch):
+    a = _banded(np.random.default_rng(n + 7 * kl + ku), n, n, kl, ku)
+    full = np.linalg.svd(a, compute_uv=False)
+    _band_only(monkeypatch)
+    values = spectrum(a, "sigma")
+    assert values.dtype == np.float64 and np.all(np.diff(values) <= 0)
+    assert np.abs(values - full).max() <= 1e-13 * full[0]
+
+
+@pytest.mark.parametrize("n, kd", [(48, 1), (96, 2), (500, 7)])
+def test_band_route_eigenvalues_match_eigvalsh(n, kd, monkeypatch):
+    a = _banded(np.random.default_rng(n), n, n, kd, kd)
+    a = np.tril(a) + np.tril(a, -1).T
+    lam = np.linalg.eigvalsh(a)
+    bound = 1e-13 * np.abs(lam).max()
+    _band_only(monkeypatch)
+    assert np.abs(spectrum(a, "lambda", hermitian=True) - lam).max() <= bound
+    sigma = np.sort(np.abs(lam))[::-1]
+    assert np.abs(spectrum(a, "sigma", hermitian=True) - sigma).max() <= bound
+
+
+def test_band_route_takes_the_odd_skew_block(monkeypatch):
+    import gltlab.spectra as spectra_mod
+
+    a = materialize(parse("T(exp(i*t1))"), 255).data
+    a = (a - a.T) / 2
+    full = np.linalg.svd(a, compute_uv=False)
+    block = spectra_mod._skew_centro_block(a)
+    assert block.shape == (127, 128) and spectra_mod._bandwidths(block) == (1, 1)
+    _band_only(monkeypatch)
+    values = spectrum(a, "sigma")
+    assert values[-1] == 0.0 and np.abs(values - full).max() <= 1e-13 * full[0]
+
+
+def test_band_route_rule_boundary_and_far_entry(monkeypatch):
+    """Just outside the rule, or with one far entry, a banded matrix takes
+    the dense call."""
+    import gltlab.spectra as spectra_mod
+
+    rng = np.random.default_rng(5)
+    n = 5 * spectra_mod._BAND_COST  # kl = ku = 2 is exactly at the rule at order n
+    outside = _banded(rng, n - 1, n - 1, 2, 2)
+    far = _banded(rng, 128, 128, 1, 1)
+    far[-1, 0] = 1.0
+    assert spectra_mod._bandwidths(_banded(rng, n, n, 2, 2)) == (2, 2)
+    expected = [np.linalg.svd(a, compute_uv=False) for a in (outside, far)]
+    shapes = _recorded(monkeypatch, "svd")
+    monkeypatch.setattr(spectra_mod, "_band_singular_values",
+                        lambda *args: pytest.fail("band route taken"))
+    for a, values in zip((outside, far), expected):
+        assert np.array_equal(spectrum(a, "sigma"), values)
+    assert shapes == [outside.shape, far.shape]
+
+
+def test_band_route_reads_the_lower_triangle(monkeypatch):
+    a = _banded(np.random.default_rng(9), 96, 96, 2, 2)
+    a = np.tril(a) + np.tril(a, -1).T
+    a[np.triu_indices(96, 1)] *= 1.0 + 1e-13  # within 1e-13 of symmetric
+    assert is_hermitian(a) and not np.array_equal(a, a.T)
+    lower = np.tril(a) + np.tril(a, -1).T
+    upper = np.triu(a) + np.triu(a, 1).T
+    lam = np.linalg.eigvalsh(a)
+    _band_only(monkeypatch)
+    values = spectrum(a, "lambda", hermitian=True)
+    assert np.array_equal(values, spectrum(lower, "lambda", hermitian=True))
+    assert not np.array_equal(values, spectrum(upper, "lambda", hermitian=True))
+    assert np.abs(values - lam).max() <= 1e-13 * np.abs(lam).max()
+
+
+@pytest.mark.parametrize("mode, hermitian", [("sigma", None), ("lambda", True)])
+def test_band_route_failures(mode, hermitian, monkeypatch):
+    import gltlab.spectra as spectra_mod
+
+    a = toeplitz(LAP, 128).data  # its centro blocks, of order 64, are tridiagonal
+    monkeypatch.setattr(spectra_mod, "_band_lapack",
+                        lambda: {name: lambda *args: 2 for name in spectra_mod._LAPACKE_ARGS})
+    with pytest.raises(SolverError, match="did not converge") as info:
+        spectrum(a, mode, hermitian=hermitian)
+    assert f"shape=(128, 128), fro={np.linalg.norm(a):.6e}" in str(info.value)
+    monkeypatch.setattr(spectra_mod, "_band_lapack",
+                        lambda: {name: lambda *args: -3 for name in spectra_mod._LAPACKE_ARGS})
+    with pytest.raises(RuntimeError, match="a bug"):
+        spectrum(a, mode, hermitian=hermitian)
+
+
+def test_without_the_band_binding_every_matrix_takes_the_dense_call(monkeypatch):
+    import gltlab.spectra as spectra_mod
+
+    def run():
+        return distribution_check(lambda n: materialize(PRODUCT_EXPR, n), PRODUCT, [64, 128, 256],
+                                  mode="sigma", basket=[WIDE_X, WIDE_X2])
+
+    banded = run()
+    a = materialize(PRODUCT_EXPR, 256).data
+    monkeypatch.setattr(spectra_mod, "_band_lapack", lambda: None)
+    assert np.array_equal(spectrum(a, "sigma"), np.linalg.svd(a, compute_uv=False))
+    dense = run()
+    assert dense.passed == banded.passed
+    for b, d in zip(banded.rows, dense.rows):
+        assert abs(b.empirical - d.empirical) <= 1e-13 * abs(d.empirical)
+
+
+def test_the_band_binding_is_lazy():
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = ("import gltlab, gltlab.cli, gltlab.spectra as s; "
+            "assert s._band_lapack.cache_info().currsize == 0; "
+            "print(s._band_lapack() is not None)")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0 and done.stdout.strip() in ("True", "False"), done.stderr
