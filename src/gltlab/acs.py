@@ -23,21 +23,20 @@ test's facts are its per-size series.
 
 Trials are drawn in chunks: a model's ``draw`` returns the (S, R, N) stacks
 of a whole chunk from one generator seeded with (seed, m, *n, chunk), with a
-few vectorized calls, and the verifier reads every rank and every sigma_1 of
-a chunk from one stacked values-only SVD.  A chunk holds as many trials as
-fit a stack of ``_STACK_BYTES`` (2 MiB) of complex d_n x d_n matrices (the
-last one is short), so memory does not grow with the trial count and the
-streams depend on d_n and the trial count only, never on the host.  The
-calling thread draws the chunks of all (m, n) cells in turn, and a private
-pool of ``_WORKERS`` threads takes their SVDs (numpy's LAPACK calls release
-the GIL).  A model's ``draw`` is therefore called from the calling thread
-only, one chunk at a time.  Each chunk's hit counts are integers summed per
-cell, so the certificate does not depend on the worker count.
+few vectorized calls.  A chunk holds as many trials as fit a stack of
+``_STACK_BYTES`` (2 MiB) of complex d_n x d_n matrices (the last one is
+short), so memory does not grow with the trial count and the streams depend
+on d_n and the trial count only, never on the host.  The verifier decides
+each trial's rank and norm events with certificates that agree with the
+stacked values-only SVD on every trial they decide: one Householder QR of
+the R stack proves most rank hits, column norms prove norm misses and one
+Cholesky factorization of the rest proves their norm hits.  Only the trials
+a certificate leaves open take the SVD.  Everything runs on the calling
+thread, one chunk at a time.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
@@ -59,9 +58,33 @@ from .spectra import (
 _RANK_TOL = 1e-10
 # Byte budget of one stack of trial matrices in the s.a.c.s. Monte Carlo loop.
 _STACK_BYTES = 2**21
-# Threads of the s.a.c.s. loop: at most 4, and no more than this process may use.
-_WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-               else os.cpu_count() or 1)
+# Event certificates of the s.a.c.s. loop.  Each is proved to give the hit
+# the stacked values-only SVD gives, on every trial it decides; u = eps / 2.
+# - Householder QR (Higham, Accuracy and Stability of Numerical Algorithms,
+#   Thm. 19.4) returns the exact factors of A + dA with ||dA||_F <=
+#   gamma~_{d^2} ||A||_F, gamma~_k = c k u / (1 - c k u) for a small integer
+#   c; the SVD's Householder bidiagonalization obeys the same bound, and its
+#   bidiagonal QR iteration is relatively accurate.  E(d) = _QR_C d^2 eps =
+#   32 d^2 u covers c <= 31, so a computed singular value is within
+#   E(d) ||A||_F of the exact one, with room for the O(d u) rounding of the
+#   norms the certificates compare and for second-order terms.
+# - Rank: with j = floor(c(m) d + 1e-9) and T the QR factor of R, zeroing the
+#   trailing (d - j)^2 block T22 leaves rank <= j, so sigma_{j+1}(R) <=
+#   ||T22||_F + E ||R||_F.  ||T22||_F + E ||R||_F <= (tol / 2) ||R||_F /
+#   sqrt(d) <= (tol / 2) sigma_1 leaves the other half of tol sigma_1 for the
+#   SVD's own error E ||R||_F, so the computed sigma_{j+1} clears the rank
+#   threshold.  No trial passes once 2 E(d) sqrt(d) > tol, i.e. d >= 46.
+# - Norm (thr the norm threshold, delta = _NORM_MARGIN): every column norm
+#   is a lower bound of sigma_1(N), and E sqrt(d) sigma_1 bounds the SVD's
+#   error, so a computed column norm above thr (1 + delta) is a miss.  On
+#   the other trials every column norm is at most thr (1 + delta), so the
+#   rounding of the formed thr^2 (1 - delta) I - N^H N and that of a Cholesky
+#   factorization which completes (Higham, Thm. 10.5: |dM| <= gamma_{d+1}
+#   |R^H| |R|) add up to at most E thr^2; then sigma_1^2 <= thr^2 (1 - delta
+#   + E) and the computed sigma_1 stays below thr.  Both hold while
+#   4 E(d) sqrt(d) <= delta, i.e. d <= 218; beyond, every trial takes the SVD.
+_QR_C = 16
+_NORM_MARGIN = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +284,15 @@ class RandomSequenceModel:
     and hands it to ``draw(rng, n, m, k)``, which returns the stacks
     (S, R, N) of the chunk's k trials, each of shape (k, d_n, d_n).  Identical
     seeds therefore reproduce identical matrices bit for bit; :func:`sacs_check`
-    sets the chunk length from d_n alone, never from the worker count.  Trials
-    are independent across n (the dependence structure across sizes is not
-    pinned down by the definition; independence is this model zoo's documented
-    choice).  ``c_bound`` and ``omega_bound`` declare the per-m bounds the rank
-    and norm events are tested against.
+    sets the chunk length from d_n alone.  Trials are independent across n
+    (the dependence structure across sizes is not pinned down by the
+    definition; independence is this model zoo's documented choice).
+    ``c_bound`` and ``omega_bound`` declare the per-m bounds the rank and norm
+    events are tested against.
 
     :func:`sacs_check` calls ``sample`` (hence ``draw``) from its calling
-    thread only, one chunk at a time, while worker threads factor the stacks
-    of earlier chunks: ``draw`` must return fresh stacks (or read-only views)
-    and must not write to a stack it returned before.
+    thread only, one chunk at a time, and never writes to the stacks, so
+    ``draw`` may return read-only views.
     """
 
     name: str
@@ -288,6 +310,70 @@ def hoeffding_radius(trials: int) -> float:
     return float(np.sqrt(np.log(20.0) / (2.0 * trials)))
 
 
+def _column_sq_norms(stack: np.ndarray) -> np.ndarray:
+    """Squared 2-norms of the columns of each matrix of a stack, shape (k, d),
+    summed by ``einsum`` with no stack-sized temporary."""
+    parts = (stack.real, stack.imag) if np.iscomplexobj(stack) else (stack,)
+    return sum(np.einsum("kij,kij->kj", part, part) for part in parts)
+
+
+def _backward_error(d: int) -> float:
+    """E(d): the backward error bound of QR and SVD relative to ||A||_F."""
+    return _QR_C * d * d * np.finfo(np.float64).eps
+
+
+def _rank_hits(r: np.ndarray, limit: float) -> int:
+    """Trials of the stack ``r`` whose numerical rank (singular values above
+    _RANK_TOL * sigma_1 + 1e-14) is at most ``limit``.  The QR certificate
+    decides the hits it can; the other trials take the values-only SVD."""
+    d = r.shape[-1]
+    fro = np.sqrt(_column_sq_norms(r).sum(axis=-1))
+    open_ = np.ones(len(r), dtype=bool)
+    # Non-finite norms leave every trial to spectrum, which rejects
+    # non-finite entries and scales finite ones that overflow a square.
+    if np.all(np.isfinite(fro)):
+        if limit >= d:
+            return len(r)
+        if limit >= 0 and 2 * _backward_error(d) * np.sqrt(d) <= _RANK_TOL:
+            j = int(limit)
+            h = np.linalg.qr(r, mode="raw")[0]  # the factor T, transposed
+            rows, cols = np.tril_indices(d - j)
+            t22 = np.linalg.norm(h[:, j + rows, j + cols], axis=-1)
+            open_ = t22 + _backward_error(d) * fro > 0.5 * _RANK_TOL / np.sqrt(d) * fro
+    if not open_.any():
+        return len(r)
+    sv = spectrum(r if open_.all() else r[open_], SIGMA)
+    # sigma_1 = 0 leaves no singular value above the threshold: rank 0.
+    rank = np.sum(sv > _RANK_TOL * sv[:, :1] + 1e-14, axis=1)
+    return len(r) - len(sv) + int(np.sum(rank <= limit))
+
+
+def _norm_hits(n: np.ndarray, thr: float) -> int:
+    """Trials of the stack ``n`` whose sigma_1 is at most ``thr``.  Column
+    norms decide the misses they can, one Cholesky factorization of the
+    other trials' thr^2 (1 - delta) I - N^H N decides their hits when it
+    completes, and otherwise those trials take the values-only SVD."""
+    d = n.shape[-1]
+    longest = np.sqrt(_column_sq_norms(n).max(axis=-1))
+    rest = n
+    if np.all(np.isfinite(longest)) and 4 * _backward_error(d) * np.sqrt(d) <= _NORM_MARGIN:
+        keep = longest <= thr * (1.0 + _NORM_MARGIN)
+        if not keep.any():
+            return 0
+        rest = n if keep.all() else n[keep]
+        # Every entry of the Gram matrices is at most thr^2 (1 + delta)^2.
+        if np.isfinite(2.0 * thr * thr):
+            gram = np.matmul(rest.conj().mT, rest)
+            np.negative(gram, out=gram)
+            gram.reshape(len(rest), -1)[:, ::d + 1] += thr * thr * (1.0 - _NORM_MARGIN)
+            try:
+                np.linalg.cholesky(gram)
+                return len(rest)
+            except np.linalg.LinAlgError:
+                pass
+    return int(np.sum(spectrum(rest, SIGMA)[:, 0] <= thr))
+
+
 def sacs_check(model: RandomSequenceModel, m_list: Sequence[int], sizes: Sequence,
                trials: int, slack: float = 1.5, decay: float = 0.5,
                floor: float = 1e-10) -> Report:
@@ -300,10 +386,13 @@ def sacs_check(model: RandomSequenceModel, m_list: Sequence[int], sizes: Sequenc
     bounds to trend to zero themselves.  The report's fact ``s_estimates``
     maps each tested m (as ``str(m)``) to its estimated s(m).
 
-    Trials are drawn in chunks of at most ``_STACK_BYTES`` per stack; the
-    numerical rank of every R and sigma_1 of every N in a chunk come from one
-    stacked values-only SVD each, taken on a worker thread when
-    ``_WORKERS`` > 1; an exception raised there reaches the caller unchanged.
+    Trials are drawn in chunks of at most ``_STACK_BYTES`` per stack.  A
+    trial's rank event is a hit when the numerical rank of R (singular values
+    above 1e-10 sigma_1 + 1e-14) is at most c(m) d_n, its norm event when
+    sigma_1(N) <= omega(m) + 1e-12 (1 + omega(m)).  The QR and Cholesky
+    certificates of ``_QR_C`` and ``_NORM_MARGIN`` decide each event where
+    they can, with the hit the stacked values-only SVD would give; the
+    trials they leave open take that SVD, one call per chunk and event.
     """
     trials = int(trials)
     if trials < 100:
@@ -317,61 +406,28 @@ def sacs_check(model: RandomSequenceModel, m_list: Sequence[int], sizes: Sequenc
     c_decl = {m: model.c_bound(m) for m in m_list}
     w_decl = {m: model.omega_bound(m) for m in m_list}
 
-    def count_hits(m, stacks):
-        """(d_n, rank hits, norm hits, S hits) of one chunk of trials."""
-        s_mat, r_mat, n_mat = stacks
-        sv_r = spectrum(r_mat, SIGMA)
-        # sigma_1 = 0 leaves no singular value above the threshold: rank 0.
-        rank = np.sum(sv_r > _RANK_TOL * sv_r[:, :1] + 1e-14, axis=1)
-        d_n = r_mat.shape[-1]
-        w_m = w_decl[m]
-        return (
-            d_n,
-            int(np.sum(rank <= c_decl[m] * d_n + 1e-9)),
-            int(np.sum(spectrum(n_mat, SIGMA)[:, 0] <= w_m + 1e-12 * (1.0 + w_m))),
-            int(np.sum(np.any(np.asarray(s_mat) != 0, axis=(1, 2)))),
-        )
-
-    cells = [(m, n) for m in m_list for n in norm_sizes]
-    jobs = []
-    for m, n in cells:
-        # Sized for complex entries, so real and complex stacks both fit.
-        step = max(1, _STACK_BYTES // (16 * nu(n) ** 2))
-        jobs += [(m, n, chunk, min(step, trials - first))
-                 for chunk, first in enumerate(range(0, trials, step))]
-    if _WORKERS > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        # This thread draws every chunk (so ``draw`` never runs concurrently
-        # and the stacks come from this thread's heap) while the pool takes
-        # the SVDs of the chunks drawn before; at most _WORKERS are in flight.
-        with ThreadPoolExecutor(_WORKERS) as pool:
-            pending, counts = [], []
-            for m, n, chunk, k in jobs:
-                pending.append(pool.submit(count_hits, m, model.sample(n, m, chunk, k)))
-                if len(pending) == _WORKERS:
-                    counts.append(pending.pop(0).result())
-            counts += [future.result() for future in pending]
-    else:
-        counts = [count_hits(m, model.sample(n, m, chunk, k)) for m, n, chunk, k in jobs]
-    d_ns: dict[tuple, int] = {}
-    hits = {cell: (0, 0, 0) for cell in cells}
-    for (m, n, _, _), (d_n, *chunk_hits) in zip(jobs, counts):
-        d_ns[m, n] = d_n
-        hits[m, n] = tuple(a + b for a, b in zip(hits[m, n], chunk_hits))
-
     lines: list[tuple] = []
     freq_s_by_m: dict[int, list[float]] = {m: [] for m in m_list}
     events_ok = True
-    for m, n in cells:
-        hit_rank, hit_norm, hit_s = hits[m, n]
-        freq_rank = hit_rank / trials
-        freq_norm = hit_norm / trials
-        freq_s = hit_s / trials
-        freq_s_by_m[m].append(freq_s)
-        lines.append((m, n, d_ns[m, n], c_decl[m], w_decl[m], freq_rank, freq_norm, freq_s))
-        if freq_rank < 1.0 - 1.0 / m - radius or freq_norm < 1.0 - 1.0 / m - radius:
-            events_ok = False
+    for m in m_list:
+        for n in norm_sizes:
+            hit_rank = hit_norm = hit_s = 0
+            # Sized for complex entries, so real and complex stacks both fit.
+            step = max(1, _STACK_BYTES // (16 * nu(n) ** 2))
+            for chunk, first in enumerate(range(0, trials, step)):
+                s_mat, r_mat, n_mat = (np.asarray(a) for a in
+                                       model.sample(n, m, chunk, min(step, trials - first)))
+                d_n = r_mat.shape[-1]
+                hit_rank += _rank_hits(r_mat, c_decl[m] * d_n + 1e-9)
+                hit_norm += _norm_hits(n_mat, w_decl[m] + 1e-12 * (1.0 + w_decl[m]))
+                hit_s += int(np.sum(np.any(s_mat != 0, axis=(1, 2))))
+            freq_rank = hit_rank / trials
+            freq_norm = hit_norm / trials
+            freq_s = hit_s / trials
+            freq_s_by_m[m].append(freq_s)
+            lines.append((m, n, d_n, c_decl[m], w_decl[m], freq_rank, freq_norm, freq_s))
+            if freq_rank < 1.0 - 1.0 / m - radius or freq_norm < 1.0 - 1.0 / m - radius:
+                events_ok = False
     s_est = {m: _limsup_estimate(freq_s_by_m[m]) for m in m_list}
     # Monte Carlo noise on s(m) is absorbed by a Hoeffding-radius floor.
     s_floor = max(floor, radius)

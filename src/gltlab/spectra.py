@@ -394,6 +394,8 @@ def spectrum(matrix, mode: str = SIGMA, hermitian: bool | None = None) -> np.nda
     stack must be finite.
     """
     arr = as_array(matrix)
+    if arr.ndim < 2:
+        raise InvalidParameterError(f"spectrum takes a matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise EvaluationError("matrix has non-finite entries")
     if mode not in (SIGMA, LAMBDA):

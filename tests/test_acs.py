@@ -1,5 +1,3 @@
-import os
-import sys
 import threading
 
 import numpy as np
@@ -13,6 +11,8 @@ from gltlab.acs import (
     MODEL_ZOO,
     ZERO_SEQUENCES,
     RandomSequenceModel,
+    _norm_hits,
+    _rank_hits,
     acs_check,
     constant_s_model,
     designed_model,
@@ -27,6 +27,8 @@ from gltlab.acs import (
 )
 from gltlab.errors import EvaluationError, InvalidParameterError
 from gltlab.matgen import toeplitz
+from gltlab.multiindex import nu
+from gltlab.spectra import schatten_norm
 from gltlab.symbols import TrigPolynomial
 
 
@@ -249,78 +251,49 @@ def test_chunk_draws_match_the_per_trial_oracle(model, s_of):
     assert 0 < np.count_nonzero(s) < k
 
 
-def test_sacs_non_finite_norm_part_raises(monkeypatch):
+def nan_model(part, c_of):
+    """Zero stacks with one NaN in the last trial's R (part 1) or N (part 2)."""
     def draw(rng, n, m, k):
-        zero = np.zeros((k, n[0], n[0]))
-        nn = zero.copy()
-        nn[-1, 0, 1] = np.nan
-        return zero, zero, nn
+        stacks = [np.zeros((k, n[0], n[0])) for _ in range(3)]
+        stacks[part][-1, 0, 1] = np.nan
+        return stacks
 
-    model = RandomSequenceModel("nan", 1, draw, lambda m: 1.0 / m, lambda m: 1.0 / m)
-    for workers in (acs_mod._WORKERS, 3):
-        monkeypatch.setattr(acs_mod, "_WORKERS", workers)
-        with pytest.raises(EvaluationError):
-            sacs_check(model, [2], [(8,), (12,)], trials=100)
+    return RandomSequenceModel("nan", 1, draw, c_of, lambda m: 1.0 / m)
 
 
-def test_sacs_worker_count_is_at_most_four_usable_cpus():
-    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    assert acs_mod._WORKERS == min(4, usable)
+def test_sacs_non_finite_norm_part_raises():
+    with pytest.raises(EvaluationError):
+        sacs_check(nan_model(2, lambda m: 1.0 / m), [2], [(8,), (12,)], trials=100)
 
 
-@pytest.mark.parametrize("sizes", [[(12,), (16,)], [(3, 4), (5, 6)]])
-def test_sacs_csv_does_not_depend_on_the_worker_count(monkeypatch, sizes):
-    # 1037 trials is no multiple of any chunk length, so the last chunk is short.
-    def csv(workers):
-        monkeypatch.setattr(acs_mod, "_WORKERS", workers)
-        return sacs_check(designed_model(23), [2, 4], sizes, 1037).csv()
-
-    default = csv(acs_mod._WORKERS)
-    assert csv(1) == default
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # more thread switches: a lost hit would show
-    try:
-        assert csv(3) == default
-    finally:
-        sys.setswitchinterval(interval)
+def test_sacs_non_finite_rank_part_raises():
+    # c = 1 makes every rank a hit, so only the finiteness check can see the NaN.
+    with pytest.raises(EvaluationError):
+        sacs_check(nan_model(1, lambda m: 1.0), [2], [(8,), (12,)], trials=100)
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_sacs_draws_on_the_calling_thread_and_factors_on_the_pool(monkeypatch, workers):
-    base = deterministic_model(4)
+def test_sacs_draws_on_the_calling_thread_and_starts_no_thread(monkeypatch):
+    base = designed_model(4)
     on_main = lambda: threading.current_thread() is threading.main_thread()
-    draws, svds, alive, unfactored = set(), set(), set(), []
-    lock = threading.Lock()
-    drawn = factored = 0
+    draws, svds, alive = set(), set(), set()
 
     def draw(rng, n, m, k):
-        nonlocal drawn
         draws.add(on_main())
         alive.add(threading.active_count())
-        with lock:
-            unfactored.append(drawn - factored // 2)  # two SVDs per block
-            drawn += 1
         return base.draw(rng, n, m, k)
 
     def recording_spectrum(*args):
-        nonlocal factored
         svds.add(on_main())
-        values = spectrum(*args)
-        with lock:
-            factored += 1
-        return values
+        alive.add(threading.active_count())
+        return spectrum(*args)
 
     spectrum = acs_mod.spectrum
     monkeypatch.setattr(acs_mod, "spectrum", recording_spectrum)
-    monkeypatch.setattr(acs_mod, "_WORKERS", workers)
     model = RandomSequenceModel("probe", 4, draw, base.c_bound, base.omega_bound)
     before = threading.active_count()
     sacs_check(model, [2], [(16,), (24,)], trials=5000)
-    assert draws == {True} and svds == {workers == 1}
-    # one worker: a plain loop that starts no thread
-    assert (alive == {before}) == (workers == 1)
-    # memory: at most workers - 1 drawn blocks wait for their SVDs
-    assert max(unfactored) <= workers - 1
+    assert draws == {True} and svds == {True}
+    assert alive == {before}
 
 
 @pytest.mark.parametrize("n", [(16,), (24,), (3, 5)])
@@ -340,16 +313,153 @@ def test_designed_norm_part_has_the_designed_spectral_norm(n):
 
 def test_sacs_stacks_stay_within_the_byte_budget(monkeypatch):
     stacks = []
-    svd = np.linalg.svd
 
-    def recording_svd(a, *args, **kwargs):
-        stacks.append(np.shape(a))
-        return svd(a, *args, **kwargs)
+    def recording(hits):
+        def certify(stack, bound):
+            stacks.append(np.shape(stack))
+            return hits(stack, bound)
+        return certify
 
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    for name in ("_rank_hits", "_norm_hits"):
+        monkeypatch.setattr(acs_mod, name, recording(getattr(acs_mod, name)))
     cert = sacs_check(deterministic_model(2), [2], [(16,), (24,)], trials=10**4)
     assert [(row.freq_rank, row.freq_norm) for row in cert.rows] == [(1.0, 1.0)] * 2
     assert stacks and all(len(shape) == 3 for shape in stacks)
     assert sum(shape[0] for shape in stacks) == 2 * 2 * 10**4  # R and N of every trial
     assert max(np.prod(shape) * 16 for shape in stacks) <= _STACK_BYTES
     assert max(shape[0] for shape in stacks) > 100
+
+
+def orthogonal_stack(rng, k, d):
+    return np.linalg.qr(rng.standard_normal((k, d, d)))[0]
+
+
+def count_spectrum_calls(monkeypatch):
+    calls = []
+    spectrum = acs_mod.spectrum
+    monkeypatch.setattr(acs_mod, "spectrum",
+                        lambda stack, mode: calls.append(len(stack)) or spectrum(stack, mode))
+    return calls
+
+
+def assert_norm_certificate_agrees(stack, thr):
+    expected = [int(schatten_norm(a, np.inf) <= thr) for a in stack]
+    assert [_norm_hits(a[None], thr) for a in stack] == expected
+    assert _norm_hits(stack, thr) == sum(expected)
+
+
+def assert_rank_certificate_agrees(stack, limit):
+    expected = [int(numerical_rank(a) <= limit) for a in stack]
+    assert [_rank_hits(a[None], limit) for a in stack] == expected
+    assert _rank_hits(stack, limit) == sum(expected)
+    return expected
+
+
+@pytest.mark.parametrize("d", [5, 16, 24])
+def test_norm_certificate_agrees_with_the_svd_at_the_threshold(d):
+    rng = np.random.default_rng(d)
+    omega = 0.25
+    thr = omega + 1e-12 * (1.0 + omega)
+    sigma_1 = [thr * (1 + 1e-15), thr * (1 - 1e-15), thr * (1 + 1e-13), thr * (1 - 1e-13),
+               0.8 * omega, 1.5 * omega]
+    stack = orthogonal_stack(rng, len(sigma_1), d) * np.array(sigma_1)[:, None, None]
+    assert_norm_certificate_agrees(stack, thr)
+    # the deterministic model's N = omega I, whose sigma_1 is exactly omega
+    assert_norm_certificate_agrees(np.broadcast_to(omega * np.eye(d), (3, d, d)), thr)
+
+
+def test_norm_certificates_decide_clear_trials_without_the_svd(monkeypatch):
+    rng = np.random.default_rng(2)
+    omega = 0.25
+    thr = omega + 1e-12 * (1.0 + omega)
+    scales = np.array([0.8, 1.5, 0.8, 0.8, 1.5])[:, None, None] * omega
+    calls = count_spectrum_calls(monkeypatch)
+    assert _norm_hits(orthogonal_stack(rng, 5, 16) * scales, thr) == 3
+    assert _norm_hits(orthogonal_stack(rng, 5, 16) * scales * 1j, thr) == 3
+    # N = 0 with omega = 0
+    assert _norm_hits(np.zeros((4, 16, 16)), 0.0 + 1e-12 * (1.0 + 0.0)) == 4
+    assert calls == []
+
+
+@pytest.mark.parametrize("d, j", [(12, 3), (24, 6), (24, 12)])
+def test_rank_certificate_agrees_with_the_svd_at_the_threshold(monkeypatch, d, j):
+    rng = np.random.default_rng(d + j)
+    # sigma_1 = 1e6 makes the absolute 1e-14 of the rank threshold negligible.
+    ratios = [1e-10 * (1 + 1e-6), 1e-10 * (1 - 1e-6), 1e-13, 0.0, 1e-3]
+    sv = np.zeros((len(ratios), d))
+    sv[:, 0] = 1e6
+    sv[:, 1:j] = rng.uniform(1.0, 1e6, (len(ratios), j - 1))
+    sv[:, j] = 1e6 * np.array(ratios)
+    stack = orthogonal_stack(rng, len(ratios), d) * sv[:, None, :] @ orthogonal_stack(rng, len(ratios), d)
+    calls = count_spectrum_calls(monkeypatch)
+    assert assert_rank_certificate_agrees(stack, j + 1e-9) == [0, 1, 1, 1, 0]
+    # the trials with sigma_{j+1} / sigma_1 <= 1e-13 never reach the SVD,
+    # alone or in the stack
+    assert calls == [1, 1, 1, 3]
+
+
+def test_rank_certificate_refuses_dependent_leading_columns(monkeypatch):
+    rng = np.random.default_rng(7)
+    d, j = 16, 4
+    stack = rng.standard_normal((3, d, j)) @ rng.standard_normal((3, j, d))
+    stack[:, :, 1] = stack[:, :, 0]  # rank <= j, yet the first j columns span j - 1
+    calls = count_spectrum_calls(monkeypatch)
+    assert assert_rank_certificate_agrees(stack, j + 1e-9) == [1, 1, 1]
+    assert calls == [1, 1, 1, 3]
+
+
+def test_rank_certificate_edge_cases(monkeypatch):
+    rng = np.random.default_rng(8)
+    calls = count_spectrum_calls(monkeypatch)
+    assert _rank_hits(np.zeros((4, 16, 16)), 0 + 1e-9) == 4  # R = 0
+    full = rng.standard_normal((4, 16, 16)) + 1j * rng.standard_normal((4, 16, 16))
+    assert _rank_hits(full, 16 + 1e-9) == 4  # j >= d
+    assert calls == []
+    assert_rank_certificate_agrees(full, 15 + 1e-9)
+
+
+def complex_model(seed):
+    """Complex (S, R, N): R = U V of inner size floor(d / 2m) (plus 2 with
+    probability 1/2m), N a scaled complex reflector (scale 0.8 or 1.5)."""
+
+    def draw(rng, n, m, k):
+        d = nu(n)
+        ok = d // (2 * m)
+        r_max = min(ok + 2, d)
+        gauss = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        u, v, col = gauss(k, d, r_max), gauss(k, r_max, d), gauss(k, d)
+        u[rng.random(k) >= 0.5 / m, :, ok:] = 0.0
+        scale = np.where(rng.random(k) >= 0.5 / m, 0.8, 1.5) / m
+        nn = np.eye(d) - 2.0 * col[:, :, None] * col.conj()[:, None, :] / np.sum(
+            np.abs(col) ** 2, axis=-1)[:, None, None]
+        s = np.zeros((k, d, d), dtype=complex)
+        s[:, 0, 0] = (rng.random(k) < 1.0 / m) * 1j
+        return s, u @ v, nn * scale[:, None, None]
+
+    return RandomSequenceModel("complex", seed, draw, lambda m: 0.5 / m, lambda m: 1.0 / m)
+
+
+@pytest.mark.parametrize("sizes", [[(12,), (16,)], [(3, 4), (5, 6)]])
+def test_sacs_complex_model_matches_the_per_trial_oracle_byte_for_byte(sizes):
+    model = complex_model(19)
+    cert, oracle = sacs_check(model, [2, 4], sizes, 1037), sacs_oracle(model, [2, 4], sizes, 1037)
+    assert cert.csv() == oracle.csv()
+    assert cert.facts == oracle.facts
+    assert {row.freq_rank < 1.0 for row in cert.rows} == {True}
+
+
+def test_sacs_readme_run_hands_few_rank_parts_and_no_norm_part_to_the_svd(monkeypatch):
+    calls = count_spectrum_calls(monkeypatch)
+    norm_calls = []
+    norm_hits = acs_mod._norm_hits
+
+    def watched(stack, thr):
+        before = len(calls)
+        hits = norm_hits(stack, thr)
+        norm_calls.extend(calls[before:])
+        return hits
+
+    monkeypatch.setattr(acs_mod, "_norm_hits", watched)
+    cert = sacs_check(designed_model(42), [2, 4, 8], [(16,), (24,)], trials=10**4)
+    assert cert.passed and norm_calls == []
+    assert 0 < sum(calls) <= 0.1 * 2 * 6 * 10**4

@@ -11,8 +11,8 @@ README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 # sha256 of every file the README check-sacs writes, computed once the trials
 # were drawn in chunks, one generator per (seed, m, n, chunk).  The streams are
-# fixed by the config and seed alone: no worker count, host or blocking of the
-# SVDs may move a byte.
+# fixed by the config and seed alone: neither the host nor which trials the
+# certificates leave to the SVD may move a byte.
 SACS_SHA256 = {
     "certificate.csv": "48557bdf7e3efc8369ceda28c9eebf2bc2a5e5eabf725618bfa6570febe4f656",
     "summary.json": "d098646b81ea0f12265f8c2fe7ea9ef39e95d16a09d95d5915f33fab6c9f74f1",

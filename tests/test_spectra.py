@@ -102,6 +102,14 @@ def test_spectrum_stack_checks_finiteness_and_mode():
         spectrum(np.zeros((4, 3, 3)), "lambda")
 
 
+@pytest.mark.parametrize("mode", ["sigma", "lambda"])
+@pytest.mark.parametrize("value", [np.ones(40), np.float64(3.0)])
+def test_spectrum_rejects_input_of_fewer_than_two_dimensions(value, mode):
+    with pytest.raises(InvalidParameterError) as info:
+        spectrum(value, mode)
+    assert info.value.exit_code == 2
+
+
 def test_schatten_examples():
     n = 6
     assert abs(schatten_norm(np.eye(n), 3) - n ** (1 / 3)) < 1e-12
