@@ -47,7 +47,10 @@ from .matgen import as_array
 from .multiindex import MultiIndex, check_size, nu
 from .reports import Report
 from .spectra import (
+    DECAY,
+    FLOOR,
     SIGMA,
+    SLACK,
     _normalize_sizes,
     _schatten_from_values,
     non_increasing,
@@ -141,8 +144,7 @@ def _limsup_estimate(values_by_n: Sequence[float]) -> float:
 
 
 def acs_check(family, target, m_list: Sequence[int], sizes: Sequence,
-              slack: float = 1.5, decay: float = 0.5,
-              floor: float = 1e-10) -> Report:
+              slack: float = SLACK) -> Report:
     """Estimate the splitting bounds of a candidate approximating class.
 
     ``family(m, n)`` and ``target(n)`` produce matrices of identical size.
@@ -175,8 +177,7 @@ def acs_check(family, target, m_list: Sequence[int], sizes: Sequence,
             sigma1[m].append(float(sv[0]))
 
     omega_pure = {m: _limsup_estimate(sigma1[m]) for m in m_list}
-    pure_ok = trending_to_zero([omega_pure[m] for m in m_list],
-                               slack=slack, decay=decay, floor=floor)
+    pure_ok = trending_to_zero([omega_pure[m] for m in m_list], slack=slack)
     lines: list[tuple] = []
     if pure_ok:
         c = {m: 0.0 for m in m_list}
@@ -194,8 +195,8 @@ def acs_check(family, target, m_list: Sequence[int], sizes: Sequence,
             for n, (d_n, frac, norm) in zip(norm_sizes, argmin_split[m]):
                 lines.append((m, n, d_n, frac, norm))
         strategy = "argmin splitting"
-    passed = trending_to_zero([c[m] for m in m_list], slack=slack, decay=decay, floor=floor) and \
-        trending_to_zero([omega[m] for m in m_list], slack=slack, decay=decay, floor=floor)
+    passed = trending_to_zero([c[m] for m in m_list], slack=slack) and \
+        trending_to_zero([omega[m] for m in m_list], slack=slack)
     verdict = "PASS" if passed else "FAIL"
     return Report(
         passed=passed,
@@ -207,7 +208,7 @@ def acs_check(family, target, m_list: Sequence[int], sizes: Sequence,
             "strategy": strategy,
             "limsup_surrogate": "max over the two largest tested sizes",
             "slack": slack,
-            "decay": decay,
+            "decay": DECAY,
         },
         notes=notes,
     )
@@ -225,8 +226,7 @@ class TrendRow(NamedTuple):
     verdict: str
 
 
-def zero_distribution_test(seq, p, sizes: Sequence, tol: float = 0.1,
-                           slack: float = 1.5) -> Report:
+def zero_distribution_test(seq, p, sizes: Sequence, tol: float = 0.1) -> Report:
     """Test ||A_n||_p / d_n^(1/p) -> 0 and the equivalent R + N splitting.
 
     PASS when either criterion is non-increasing (with slack) and falls below
@@ -250,8 +250,8 @@ def zero_distribution_test(seq, p, sizes: Sequence, tol: float = 0.1,
         sv = spectrum(arr, SIGMA)
         norms.append(_schatten_from_values(sv, p) / scale)
         dists.append(float(np.min(_splitting_candidates(sv, d_n))))
-    norm_ok = norms[-1] <= tol and non_increasing(norms, slack=slack)
-    split_ok = dists[-1] <= tol and non_increasing(dists, slack=slack)
+    norm_ok = norms[-1] <= tol and non_increasing(norms)
+    split_ok = dists[-1] <= tol and non_increasing(dists)
     passed = norm_ok or split_ok
     verdict = "PASS" if passed else "FAIL"
     return Report(
@@ -267,7 +267,7 @@ def zero_distribution_test(seq, p, sizes: Sequence, tol: float = 0.1,
             "normalized_norms": norms,
             "splitting_distances": dists,
         },
-        metadata={"tol": tol, "slack": slack},
+        metadata={"tol": tol, "slack": SLACK},
         notes=notes,
     )
 
@@ -375,8 +375,7 @@ def _norm_hits(n: np.ndarray, thr: float) -> int:
 
 
 def sacs_check(model: RandomSequenceModel, m_list: Sequence[int], sizes: Sequence,
-               trials: int, slack: float = 1.5, decay: float = 0.5,
-               floor: float = 1e-10) -> Report:
+               trials: int) -> Report:
     """Monte Carlo verification of the stochastic splitting events.
 
     Per (m, n) the frequencies of {rank(R)/d_n <= c(m)}, {||N|| <= omega(m)},
@@ -430,12 +429,12 @@ def sacs_check(model: RandomSequenceModel, m_list: Sequence[int], sizes: Sequenc
                 events_ok = False
     s_est = {m: _limsup_estimate(freq_s_by_m[m]) for m in m_list}
     # Monte Carlo noise on s(m) is absorbed by a Hoeffding-radius floor.
-    s_floor = max(floor, radius)
+    s_floor = max(FLOOR, radius)
     passed = (
         events_ok
-        and trending_to_zero([c_decl[m] for m in m_list], slack=slack, decay=decay, floor=floor)
-        and trending_to_zero([w_decl[m] for m in m_list], slack=slack, decay=decay, floor=floor)
-        and trending_to_zero([s_est[m] for m in m_list], slack=slack, decay=decay, floor=s_floor)
+        and trending_to_zero([c_decl[m] for m in m_list])
+        and trending_to_zero([w_decl[m] for m in m_list])
+        and trending_to_zero([s_est[m] for m in m_list], floor=s_floor)
     )
     verdict = "PASS" if passed else "FAIL"
     return Report(
@@ -475,13 +474,13 @@ def deterministic_model(seed: int) -> RandomSequenceModel:
     )
 
 
-def designed_model(seed: int, s_design: Callable[[int], float] | None = None,
-                   violate_prob: Callable[[int], float] | None = None) -> RandomSequenceModel:
+def designed_model(seed: int,
+                   s_design: Callable[[int], float] | None = None) -> RandomSequenceModel:
     """Events with analytically known probabilities.
 
     S != 0 with probability s_design(m) (default 1/m); the rank and norm
-    bounds are violated with probability violate_prob(m) (default 1/(2m),
-    strictly inside the allowed 1/m exception budget).
+    bounds are violated with probability 1/(2m), strictly inside the allowed
+    1/m exception budget.
 
     R = U V with U, V standard normal of inner size floor(c(m) d_n) + 2 (at
     most d_n), U's two extra columns zero unless the trial violates the rank
@@ -492,7 +491,7 @@ def designed_model(seed: int, s_design: Callable[[int], float] | None = None,
     drawn in this order: rank uniforms, U, V, norm uniforms, v, S uniforms.
     """
     s_of = s_design or (lambda m: 1.0 / m)
-    bad_of = violate_prob or (lambda m: 0.5 / m)
+    bad_of = lambda m: 0.5 / m
     c_of = lambda m: 1.0 / (2.0 * m)
     w_of = lambda m: 1.0 / m
 
@@ -522,9 +521,9 @@ def designed_model(seed: int, s_design: Callable[[int], float] | None = None,
     )
 
 
-def constant_s_model(seed: int, s_const: float = 0.3) -> RandomSequenceModel:
-    """Designed failure: the exceptional term never becomes rare."""
-    return replace(designed_model(seed, s_design=lambda m: s_const), name="constant_s")
+def constant_s_model(seed: int) -> RandomSequenceModel:
+    """Designed failure: the exceptional term never becomes rare (s(m) = 0.3)."""
+    return replace(designed_model(seed, s_design=lambda m: 0.3), name="constant_s")
 
 
 MODEL_ZOO: dict[str, Callable[[int], RandomSequenceModel]] = {
@@ -538,14 +537,14 @@ MODEL_ZOO: dict[str, Callable[[int], RandomSequenceModel]] = {
 # reference zero-distribution sequences (CLI builtins and test fixtures)
 
 
-def spike_sequence(scale: float = 1.0):
+def spike_sequence():
     """diag(1 at the ceil(sqrt(d_n)) leading entries, else 0): vanishing rank
     fraction with unit norm."""
 
     def seq(n):
         d_n = int(np.prod(check_size(n)))
         k = int(np.ceil(np.sqrt(d_n)))
-        return np.diag(np.concatenate([scale * np.ones(k), np.zeros(d_n - k)]))
+        return np.diag(np.concatenate([np.ones(k), np.zeros(d_n - k)]))
 
     return seq
 

@@ -39,7 +39,7 @@ from .gltcalc import glt5_split_check, materialize, symbol_of, truncate_toeplitz
 from .matgen import is_hermitian
 from .multiindex import format_multiindex, min_entry, parse_multiindex
 from .reports import Report, atomic_write_text, summary_json, svg_line_chart
-from .spectra import distribution_check, spectrum
+from .spectra import QUAD_TOL, SLACK, distribution_check, spectrum
 
 
 def parse_sizes(text: str, d: int | None) -> list[tuple[int, ...]]:
@@ -81,8 +81,8 @@ class ExperimentConfig:
     plot: bool = _field(False, lambda s: s.strip().lower() in ("1", "true", "yes"))
     basket: str = _field("auto", str.strip)
     tolerance: float = _field(0.05, float)
-    slack: float = _field(1.5, float)
-    quad_tol: float = _field(1e-7, float)
+    slack: float = _field(SLACK, float)
+    quad_tol: float = _field(QUAD_TOL, float)
     grid: int = _field(64, int)
     m_list: list = _field([], lambda s: [int(v) for v in s.split(",")])
     family: str = _field("truncate", str.strip)

@@ -501,14 +501,13 @@ def _is_real_expr(e: ScalarExpr) -> bool:
 
 class _Parser:
     def __init__(self, tokens: list[Token], d: int, r_declared: int | None,
-                 numeric_degree: int | None, numeric_samples: int | None):
+                 numeric_degree: int | None):
         self.tokens = tokens
         self.pos = 0
         self.d = d
         self.r_declared = r_declared
         self.r_seen: int | None = None
         self.numeric_degree = numeric_degree
-        self.numeric_samples = numeric_samples
         self.depth = 0
 
     # --- token plumbing
@@ -696,7 +695,7 @@ class _Parser:
             self.error(
                 "T-argument is not band-limited; declare a truncation degree "
                 "(numeric_degree)", tok)
-        samples = self.numeric_samples or max(4 * self.numeric_degree + 1, 256)
+        samples = max(4 * self.numeric_degree + 1, 256)
         poly = fourier_coefficients(_compile_matrix(entries), self.numeric_degree, samples,
                                     d=self.d, r=len(entries))
         return Toeplitz(poly)
@@ -826,8 +825,7 @@ def levels(text: str) -> int:
 
 
 def parse(text: str, d: int | None = None, r: int | None = None,
-          numeric_degree: int | None = None,
-          numeric_samples: int | None = None) -> GLTExpression:
+          numeric_degree: int | None = None) -> GLTExpression:
     """Parse DSL source into an expression tree.
 
     ``d`` defaults to the largest variable index mentioned; ``r`` (when given)
@@ -838,7 +836,7 @@ def parse(text: str, d: int | None = None, r: int | None = None,
         raise DslSyntaxError("empty expression")
     tokens = _tokenize(text)
     d = d if d is not None else _infer_d(tokens)
-    parser = _Parser(tokens, d, r, numeric_degree, numeric_samples)
+    parser = _Parser(tokens, d, r, numeric_degree)
     node = parser.parse_expression()
     tok = parser.peek()
     if tok.kind != "eof":

@@ -36,6 +36,7 @@ import numpy as np
 from .errors import CalculusError, ConfigurationError, ModeError, SingularEvaluationError
 from .matgen import (
     BlockMatrix,
+    _check_cap,
     as_array,
     diag_samples,
     diag_sampling,
@@ -46,8 +47,10 @@ from .matgen import (
 from .multiindex import MultiIndex, check_size, format_multiindex, nu
 from .reports import Report
 from .spectra import (
+    DECAY,
     LAMBDA,
     SIGMA,
+    SLACK,
     _normalize_sizes,
     distribution_check,
     non_increasing,
@@ -57,6 +60,7 @@ from .spectra import (
 from .symbols import CoefficientFunction, Symbol, TrigPolynomial
 
 PINV_RCOND = 1e-10
+GROWTH_SLACK = 1.1  # growth per size step that still counts as a bounded norm
 _SINGULAR_TOL = 1e-13  # |symbol| at or below this is singular (r = 1)
 
 FUNCTION_CATALOGUE: dict[str, Callable[[np.ndarray], np.ndarray]] = {
@@ -191,7 +195,6 @@ class PseudoInverse(GLTExpression):
 class FunApply(GLTExpression):
     name: str
     child: GLTExpression
-    assume_hermitian: bool = False
 
     @property
     def hermitian(self):
@@ -278,7 +281,7 @@ def _scan(e: GLTExpression) -> tuple[bool, bool]:
     if not isinstance(e, (Zero, Scalar, Adjoint, LinComb, Product, PseudoInverse, FunApply)):
         raise ConfigurationError(f"unknown expression node {type(e).__name__}")
     flags = [_scan(child) for child in e.children()]
-    if isinstance(e, FunApply) and not (e.child.hermitian or e.assume_hermitian):
+    if isinstance(e, FunApply) and not e.child.hermitian:
         raise CalculusError(
             "continuous-function application requires a Hermitian-declared child"
         )
@@ -363,6 +366,8 @@ def materialize(e: GLTExpression, n, r: int | None = None,
     """
     n = check_size(n)
     _, rr = _resolve_dims(e, len(n), r if r is not None else 1)
+    # Every node's matrix has this order: one cap check before any allocation.
+    _check_cap(rr * nu(n), cap)
     notes: list[str] = []
     if isinstance(e, Product):
         left = _factor(e.left, n, rr, cap, notes)
@@ -450,7 +455,7 @@ def _materialize(e: GLTExpression, n: MultiIndex, r: int, cap, notes: list[str])
         child = _materialize(e.child, n, r, cap, notes)
         # Declared flags are not reliable (``from_scalar`` declares Hermitian
         # by default) and eigh reads only one triangle: test the matrix.
-        if not (e.assume_hermitian or is_hermitian(child)):
+        if not is_hermitian(child):
             raise CalculusError(
                 f"matrix function requires a Hermitian child; the child at "
                 f"n={format_multiindex(n)} is not Hermitian"
@@ -473,16 +478,13 @@ class SplitRow(NamedTuple):
     verdict: str
 
 
-def glt5_split_check(seq, sizes: Sequence, hermitian_part=None,
-                     growth_slack: float = 1.1, trend_slack: float = 1.5,
-                     decay: float = 0.5) -> Report:
+def glt5_split_check(seq, sizes: Sequence) -> Report:
     """Split A = X + Y with X Hermitian and test: both spectral norms bounded
-    (no growth beyond ``growth_slack`` per size step) and nu(n)^{-1} ||Y||_1
+    (no growth beyond ``GROWTH_SLACK`` per size step) and nu(n)^{-1} ||Y||_1
     trending to zero.
 
-    ``hermitian_part(n)`` may supply a user-declared Hermitian X (checked
-    numerically); the default is X = (A + A*)/2 and Y = (A - A*)/2.  ||X||
-    comes from the Hermitian eigensolver, ||Y|| and ||Y||_1 from one SVD of Y
+    X = (A + A*)/2 and Y = (A - A*)/2.  ||X|| comes from the Hermitian
+    eigensolver, ||Y|| and ||Y||_1 from one SVD of Y
     (of half its order when Y is real and J Y J = -Y; see
     :func:`~gltlab.spectra.spectrum`).  The report's facts
     ``norm_x``, ``norm_y`` and ``trace_norm_y_over_nu`` hold the per-size
@@ -495,20 +497,14 @@ def glt5_split_check(seq, sizes: Sequence, hermitian_part=None,
     ty: list[float] = []
     for n in norm_sizes:
         a = as_array(seq(n), notes)
-        if hermitian_part is not None:
-            x = as_array(hermitian_part(n), notes)
-            if not is_hermitian(x):
-                raise ModeError(f"declared Hermitian part at n={n} is not Hermitian")
-            y = a - x
-        else:
-            x = (a + a.conj().T) / 2.0
-            y = (a - a.conj().T) / 2.0  # skew by construction
+        x = (a + a.conj().T) / 2.0
+        y = (a - a.conj().T) / 2.0  # skew by construction
         nx.append(float(spectrum(x, SIGMA, hermitian=True)[0]))
         sv_y = spectrum(y, SIGMA)
         ny.append(float(sv_y[0]))
         ty.append(float(np.sum(sv_y)) / nu(n))
-    bounded = non_increasing(nx, slack=growth_slack) and non_increasing(ny, slack=growth_slack)
-    vanishing = trending_to_zero(ty, slack=trend_slack, decay=decay)
+    bounded = non_increasing(nx, slack=GROWTH_SLACK) and non_increasing(ny, slack=GROWTH_SLACK)
+    vanishing = trending_to_zero(ty)
     passed = bounded and vanishing
     verdict = "PASS" if passed else "FAIL"
     return Report(
@@ -518,9 +514,9 @@ def glt5_split_check(seq, sizes: Sequence, hermitian_part=None,
         checks=[{"name": "quasi-Hermitian split: bounded norms, vanishing trace norm"}],
         facts={"norm_x": nx, "norm_y": ny, "trace_norm_y_over_nu": ty},
         metadata={
-            "growth_slack": growth_slack,
-            "trend_slack": trend_slack,
-            "decay": decay,
+            "growth_slack": GROWTH_SLACK,
+            "trend_slack": SLACK,
+            "decay": DECAY,
         },
         notes=notes,
     )

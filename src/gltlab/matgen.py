@@ -29,7 +29,7 @@ from .multiindex import (
     nu,
     size_interval,
 )
-from .symbols import CoefficientFunction, Symbol, TrigPolynomial
+from .symbols import HERMITIAN_RTOL, CoefficientFunction, Symbol, TrigPolynomial
 
 DEFAULT_SIZE_CAP = 8192
 _STRIP = 1 << 16  # entries a strip-wise matrix test reads at once
@@ -234,13 +234,13 @@ def row_strips(stop: int, width: int):
     return list(zip(edges, edges[1:]))
 
 
-def is_hermitian(matrix, rtol: float = 1e-12) -> bool:
-    """||A - A*||_F <= rtol ||A||_F.
+def is_hermitian(matrix) -> bool:
+    """||A - A*||_F <= HERMITIAN_RTOL ||A||_F.
 
     Both squared norms are summed over strips of rows, so no N x N temporary
     is made.  The sums round differently from one norm of the whole
     difference, so only a matrix within rounding of the threshold can be
-    decided otherwise than by ``norm(A - A*) <= rtol * norm(A)``.
+    decided otherwise than by ``norm(A - A*) <= HERMITIAN_RTOL * norm(A)``.
     """
     arr = as_array(matrix)
     skew = scale = 0.0
@@ -249,4 +249,4 @@ def is_hermitian(matrix, rtol: float = 1e-12) -> bool:
         diff = rows - arr[:, lo:hi].conj().T
         skew += np.vdot(diff, diff).real
         scale += np.vdot(rows, rows).real
-    return bool(np.sqrt(skew) <= rtol * max(np.sqrt(scale), 1e-300))
+    return bool(np.sqrt(skew) <= HERMITIAN_RTOL * max(np.sqrt(scale), 1e-300))

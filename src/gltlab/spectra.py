@@ -34,6 +34,12 @@ from .symbols import Symbol, spectral_surfaces
 SIGMA = "sigma"
 LAMBDA = "lambda"
 _MAX_NODES = 2**22  # symbol-side quadrature node budget
+QUAD_TOL = 1e-7  # quadrature convergence tolerance
+# The verdict policy: finite surrogates for the limits of the definitions.
+SLACK = 1.5  # growth per size step that still counts as non-increasing
+DECAY = 0.5  # fall from first to last value required of a trend to zero
+FLOOR = 1e-10  # values at or below this count as zero in a trend to zero
+TREND_FLOOR = 1e-12  # absolute allowance of each non-increasing step
 # A real matrix of order N with lower and upper bandwidths kl and ku takes the
 # band route when (kl + ku + 1) * _BAND_COST <= N and N >= _BAND_FLOOR.  On 2
 # cores, dgbbrd + dbdsqr break even with the dense values-only SVD near
@@ -565,7 +571,7 @@ def _basket_quadrature(s: Symbol, basket: Sequence[TestFunction], mode: str,
 
 
 def symbol_functional(s: Symbol, f: TestFunction, mode: str = SIGMA,
-                      grid_points_per_dim: int = 64, tol: float = 1e-8,
+                      grid_points_per_dim: int = 64, tol: float = QUAD_TOL,
                       max_nodes: int = _MAX_NODES) -> float:
     """Tensor quadrature of the averaged surface functional,
     (1/mu(D)) int mean_i F(surface_i(x, theta)) d(x, theta).
@@ -589,8 +595,8 @@ def symbol_functional(s: Symbol, f: TestFunction, mode: str = SIGMA,
 # trend policies shared by the verdict-producing checks
 
 
-def non_increasing(series: Sequence[float], slack: float = 1.5,
-                   floor: float = 1e-12, steps: int | None = None) -> bool:
+def non_increasing(series: Sequence[float], slack: float = SLACK,
+                   floor: float = TREND_FLOOR, steps: int | None = None) -> bool:
     """True when consecutive values do not grow beyond ``slack`` (last
     ``steps`` transitions only, all of them when ``steps`` is None)."""
     vals = [float(v) for v in series]
@@ -600,8 +606,8 @@ def non_increasing(series: Sequence[float], slack: float = 1.5,
     return all(b <= slack * a + floor for a, b in pairs)
 
 
-def trending_to_zero(series: Sequence[float], slack: float = 1.5,
-                     decay: float = 0.5, floor: float = 1e-10) -> bool:
+def trending_to_zero(series: Sequence[float], slack: float = SLACK,
+                     decay: float = DECAY, floor: float = FLOOR) -> bool:
     """Finite surrogate for ``lim = 0``: non-increasing steps (with slack)
     plus an overall decay of at least ``decay`` from first to last value."""
     vals = [float(v) for v in series]
@@ -643,10 +649,9 @@ def _normalize_sizes(sizes: Sequence) -> list[MultiIndex]:
 
 def distribution_check(seq, symbol: Symbol, sizes: Sequence, mode: str = SIGMA,
                        basket: Sequence[TestFunction] | None = None,
-                       tolerance: float = 0.05, slack: float = 1.5,
-                       quad_tol: float = 1e-7, grid_points_per_dim: int = 64,
+                       tolerance: float = 0.05, slack: float = SLACK,
+                       quad_tol: float = QUAD_TOL, grid_points_per_dim: int = 64,
                        allow_non_hermitian: bool = False,
-                       trend_floor: float = 1e-12,
                        basket_ids: Sequence[str] | None = None) -> Report:
     """Compare empirical Weyl averages against symbol integrals over a size sweep.
 
@@ -699,9 +704,7 @@ def distribution_check(seq, symbol: Symbol, sizes: Sequence, mode: str = SIGMA,
             rows.append(WeylRow(n, values.size, mode, f.id, emp, quad.value, err))
         checks.append({"name": f"weyl distribution error ({mode} mode, F={f.id})",
                        "error_at_largest": errors[-1], "tolerance": tolerance})
-        ok = errors[-1] <= tolerance and non_increasing(
-            errors, slack=slack, floor=trend_floor, steps=2
-        )
+        ok = errors[-1] <= tolerance and non_increasing(errors, slack=slack, steps=2)
         passed = passed and ok
     rows.sort(key=lambda row: (row.n, 0))
     return Report(

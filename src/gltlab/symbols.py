@@ -26,6 +26,7 @@ from .errors import ConfigurationError, DomainError, EvaluationError
 from .multiindex import MultiIndex, MultiIndexInterval, as_multiindex, iter_interval
 
 _HERMITIAN_TOL = 1e-13
+HERMITIAN_RTOL = 1e-12  # Hermitian when ||A - A*||_F <= HERMITIAN_RTOL ||A||_F
 _DOMAIN_TOL = 1e-9
 
 
@@ -238,9 +239,9 @@ def spectral_surfaces(s: Symbol, x, theta, mode: str = "sigma") -> np.ndarray:
             out = np.linalg.svd(batch, compute_uv=False)
     elif mode == "lambda":
         # eigvalsh reads one triangle: trust the declared flag only when the
-        # batch passes matgen.is_hermitian's 1e-12 relative Frobenius test.
+        # batch passes matgen.is_hermitian's relative Frobenius test.
         if s.hermitian and np.linalg.norm(batch - np.conj(np.swapaxes(batch, -1, -2))) \
-                <= 1e-12 * max(np.linalg.norm(batch), 1e-300):
+                <= HERMITIAN_RTOL * max(np.linalg.norm(batch), 1e-300):
             out = np.linalg.eigvalsh(batch)
         else:
             out = np.sort(np.linalg.eigvals(batch), axis=-1)

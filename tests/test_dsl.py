@@ -208,7 +208,7 @@ def test_deep_nesting_is_reported_not_crashed():
 def test_numeric_fallback_for_non_band_limited():
     with pytest.raises(DslSyntaxError, match="band-limited"):
         parse("T(abs(t1))")
-    e = parse("T(abs(t1))", numeric_degree=3, numeric_samples=4096)
+    e = parse("T(abs(t1))", numeric_degree=3)
     assert isinstance(e, Toeplitz)
     assert abs(e.poly.coefficient((0,))[0, 0] - np.pi / 2) < 1e-2
     assert abs(e.poly.coefficient((1,))[0, 0] + 2 / np.pi) < 1e-2

@@ -211,8 +211,6 @@ def test_pseudo_inverse_is_pinv_from_one_svd(monkeypatch, left):
 def test_fun_apply_gate_on_matrices():
     with pytest.raises(CalculusError):
         materialize(FunApply("exp", SHIFT), 4)
-    ok = materialize(FunApply("exp", SHIFT, assume_hermitian=True), 4)
-    assert ok.size == 4
 
 
 def test_fun_apply_gate_tests_the_materialized_child():
@@ -443,3 +441,20 @@ def test_diag_factor_keeps_the_cap_and_the_failing_node():
         with pytest.raises(EvaluationError) as err:
             materialize(Product(LAP, pole), 4)
     assert err.value.node == (2,)  # the grid node i/n = 1/2
+
+
+@pytest.mark.parametrize("expr", ["2*T(2-2*cos(t1))", "Z+T(2-2*cos(t1))"])
+def test_size_cap_is_checked_before_any_allocation(expr, monkeypatch):
+    import gltlab.gltcalc as gltcalc_mod
+
+    e = parse(expr)
+    calls = []
+    eye, zeros = np.eye, gltcalc_mod.zeros
+    monkeypatch.setattr(np, "eye", lambda *a, **k: calls.append(("eye", a)) or eye(*a, **k))
+    monkeypatch.setattr(gltcalc_mod, "zeros",
+                        lambda *a, **k: calls.append(("zeros", a)) or zeros(*a, **k))
+    with pytest.raises(SizeCapError):
+        materialize(e, 9, cap=8)
+    assert calls == []
+    materialize(e, 8, cap=8)
+    assert calls

@@ -1,6 +1,7 @@
 """The README's Quick start commands do what the README says."""
 
 import hashlib
+import json
 import pathlib
 import re
 import shlex
@@ -62,6 +63,48 @@ def test_quick_start_commands_exit_as_documented(tmp_path, monkeypatch, capsys):
     assert written == sorted(QUICK_START_SHA256)
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in written} == QUICK_START_SHA256
+
+
+# The verdict policy each Quick start check records in its summary.json.
+# For the distribution check only the quadrature's grids are pinned: its
+# last_delta floats may move across BLAS kernels.
+QUICK_START_POLICY = {
+    "product": {
+        "quad_tol": 1e-07,
+        "slack": 1.5,
+        "tolerance": 0.05,
+        "verdict_policy": "threshold at largest size plus non-increasing "
+                          "errors over the last two size steps",
+    },
+    "zero": {"slack": 1.5, "tol": 0.1},
+    "acs": {
+        "decay": 0.5,
+        "limsup_surrogate": "max over the two largest tested sizes",
+        "slack": 1.5,
+        "strategy": "pure-norm splitting (rank part unnecessary)",
+    },
+    "glt5": {"decay": 0.5, "growth_slack": 1.1, "trend_slack": 1.5},
+}
+QUICK_START_QUADRATURE = {
+    "bump_hi": {"g": 512, "nodes": 262144},
+    "bump_lo": {"g": 512, "nodes": 262144},
+    "x": {"g": 256, "nodes": 65536},
+    "x^2": {"g": 256, "nodes": 65536},
+    "x^3": {"g": 256, "nodes": 65536},
+}
+
+
+def test_quick_start_summaries_record_the_verdict_policy(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv in quick_start_commands():
+        if argv[0] in ("check-dist", "check-zero", "check-acs", "check-glt5"):
+            main(argv)
+    policy = {name: json.loads((tmp_path / "out" / name / "summary.json").read_text())["policy"]
+              for name in QUICK_START_POLICY}
+    quadrature = policy["product"].pop("quadrature")
+    assert policy == QUICK_START_POLICY
+    assert {fid: {"g": q["g"], "nodes": q["nodes"]} for fid, q in quadrature.items()} == \
+        QUICK_START_QUADRATURE
 
 
 def test_python_example_runs(capsys):
