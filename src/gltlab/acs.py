@@ -29,10 +29,12 @@ short), so memory does not grow with the trial count and the streams depend
 on d_n and the trial count only, never on the host.  The verifier decides
 each trial's rank and norm events with certificates that agree with the
 stacked values-only SVD on every trial they decide: one Householder QR of
-the R stack proves most rank hits, column norms prove norm misses and one
-Cholesky factorization of the rest proves their norm hits.  Only the trials
-a certificate leaves open take the SVD.  Everything runs on the calling
-thread, one chunk at a time.
+the leading j + 1 columns of the R stack (j the allowed rank) proves rank
+hits by the residual of the other columns and rank misses by one Cholesky
+factorization of its triangular factor, column norms prove norm misses and
+one Cholesky factorization of the rest proves their norm hits.  Only the
+trials a certificate leaves open take the SVD.  Everything runs on the
+calling thread, one chunk at a time.
 """
 
 from __future__ import annotations
@@ -71,12 +73,30 @@ _STACK_BYTES = 2**21
 #   32 d^2 u covers c <= 31, so a computed singular value is within
 #   E(d) ||A||_F of the exact one, with room for the O(d u) rounding of the
 #   norms the certificates compare and for second-order terms.
-# - Rank: with j = floor(c(m) d + 1e-9) and T the QR factor of R, zeroing the
-#   trailing (d - j)^2 block T22 leaves rank <= j, so sigma_{j+1}(R) <=
-#   ||T22||_F + E ||R||_F.  ||T22||_F + E ||R||_F <= (tol / 2) ||R||_F /
-#   sqrt(d) <= (tol / 2) sigma_1 leaves the other half of tol sigma_1 for the
-#   SVD's own error E ||R||_F, so the computed sigma_{j+1} clears the rank
-#   threshold.  No trial passes once 2 E(d) sqrt(d) > tol, i.e. d >= 46.
+# - Rank, with j = floor(c(m) d + 1e-9): one QR of the leading j + 1
+#   columns, R[:, :j+1] = Q T11, returns an orthonormal Q whose first j
+#   columns Q_j are within E of exact (Lemma 19.3, applying the reflectors).
+#   Hit: X = Q_j [T11[:j, :j], fl(Q_j^H R[:, j:])] has rank <= j and differs
+#   from R by the computed residual T22 = R[:, j:] - Q_j Q_j^H R[:, j:] plus
+#   E ||R||_F (the QR's error and the O(d^1.5 u) rounding of the residual),
+#   so sigma_{j+1}(R) <= ||T22||_F + E ||R||_F; in exact arithmetic ||T22||_F
+#   is that of the full QR's trailing (d - j)^2 block.  ||T22||_F +
+#   E ||R||_F <= (tol / 2) ||R||_F / sqrt(d) <= (tol / 2) sigma_1 leaves the
+#   other half of tol sigma_1 for the SVD's own error E ||R||_F, so the
+#   computed sigma_{j+1} clears the rank threshold.  No hit is proved once
+#   2 E(d) sqrt(d) > tol, i.e. d >= 46.
+#   Miss: by interlacing sigma_{j+1}(R) >= sigma_min(R[:, :j+1]) >=
+#   sigma_min(T11) - E ||R||_F.  The SVD moves sigma_{j+1} down, and
+#   sigma_1 (at most ||R||_F) up, by at most E ||R||_F each, so
+#   sigma_min(T11) > nu = (tol + 3 E) ||R||_F + 1e-14 makes the computed
+#   sigma_{j+1} exceed the computed tol sigma_1 + 1e-14 (the spare
+#   E ||R||_F covers the rounding of the norm and of the threshold).  A
+#   Cholesky factorization of T11^H T11 - mu^2 I that completes proves
+#   sigma_min(T11)^2 >= mu^2 - rho, where rho <= (2 d + 6) u ||T11||_F^2 <=
+#   E ||R||_F^2 bounds the rounding of the Gram matrix, of the shift and of
+#   the factorization (Thm. 10.5), so mu^2 = nu^2 + 2 E ||R||_F^2 proves the
+#   miss for any d.  Every |t_ii| >= sigma_min(T11), so a trial with a
+#   diagonal entry at most mu is left to the SVD without trying.
 # - Norm (thr the norm threshold, delta = _NORM_MARGIN): every column norm
 #   is a lower bound of sigma_1(N), and E sqrt(d) sigma_1 bounds the SVD's
 #   error, so a computed column norm above thr (1 + delta) is a miss.  On
@@ -322,30 +342,62 @@ def _backward_error(d: int) -> float:
     return _QR_C * d * d * np.finfo(np.float64).eps
 
 
+def _cholesky_completes(a: np.ndarray, negate: bool, shift) -> bool:
+    """Whether one Cholesky factorization of the stack of Gram matrices
+    A^H A (negated when ``negate``) plus ``shift`` I completes for every
+    matrix of the stack ``a``; ``shift`` is a scalar or one value per matrix.
+    The Gram stack is the only temporary and is shifted in place."""
+    d = a.shape[-1]
+    gram = np.matmul(a.conj().mT, a)
+    if negate:
+        np.negative(gram, out=gram)
+    gram.reshape(len(a), -1)[:, ::d + 1] += np.reshape(shift, (-1, 1))
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _rank_hits(r: np.ndarray, limit: float) -> int:
     """Trials of the stack ``r`` whose numerical rank (singular values above
-    _RANK_TOL * sigma_1 + 1e-14) is at most ``limit``.  The QR certificate
-    decides the hits it can; the other trials take the values-only SVD."""
+    _RANK_TOL * sigma_1 + 1e-14) is at most ``limit``.  One Householder QR of
+    the leading j + 1 columns, j = floor(limit), decides what it can: the
+    residual of the trailing columns against its first j columns proves
+    hits, and one Cholesky factorization of T11^H T11 - mu^2 I (T11 its
+    triangular factor) proves misses.  The other trials take the
+    values-only SVD."""
     d = r.shape[-1]
     fro = np.sqrt(_column_sq_norms(r).sum(axis=-1))
-    open_ = np.ones(len(r), dtype=bool)
+    hit = miss = np.zeros(len(r), dtype=bool)
     # Non-finite norms leave every trial to spectrum, which rejects
     # non-finite entries and scales finite ones that overflow a square.
     if np.all(np.isfinite(fro)):
         if limit >= d:
             return len(r)
-        if limit >= 0 and 2 * _backward_error(d) * np.sqrt(d) <= _RANK_TOL:
+        if limit >= 0:
             j = int(limit)
-            h = np.linalg.qr(r, mode="raw")[0]  # the factor T, transposed
-            rows, cols = np.tril_indices(d - j)
-            t22 = np.linalg.norm(h[:, j + rows, j + cols], axis=-1)
-            open_ = t22 + _backward_error(d) * fro > 0.5 * _RANK_TOL / np.sqrt(d) * fro
+            e = _backward_error(d)
+            q, t11 = np.linalg.qr(r[..., :j + 1])
+            if 2 * e * np.sqrt(d) <= _RANK_TOL:
+                q = q[..., :j]
+                t22 = np.matmul(q, np.matmul(q.conj().mT, r[..., j:]))
+                np.subtract(r[..., j:], t22, out=t22)
+                t22 = np.sqrt(_column_sq_norms(t22).sum(axis=-1))
+                hit = t22 + e * fro <= 0.5 * _RANK_TOL / np.sqrt(d) * fro
+            mu2 = ((_RANK_TOL + 3 * e) * fro + 1e-14) ** 2 + 2 * e * fro * fro
+            # |t_ii| >= sigma_min(T11): a small diagonal entry means no proof.
+            t_ii = np.abs(np.diagonal(t11, axis1=-2, axis2=-1)).min(axis=-1)
+            tried = ~hit & (t_ii * t_ii > mu2) & np.isfinite(2.0 * fro * fro)
+            if tried.any() and _cholesky_completes(t11[tried], False, -mu2[tried]):
+                miss = tried
+    open_ = ~(hit | miss)
     if not open_.any():
-        return len(r)
+        return int(hit.sum())
     sv = spectrum(r if open_.all() else r[open_], SIGMA)
     # sigma_1 = 0 leaves no singular value above the threshold: rank 0.
     rank = np.sum(sv > _RANK_TOL * sv[:, :1] + 1e-14, axis=1)
-    return len(r) - len(sv) + int(np.sum(rank <= limit))
+    return int(hit.sum()) + int(np.sum(rank <= limit))
 
 
 def _norm_hits(n: np.ndarray, thr: float) -> int:
@@ -362,15 +414,9 @@ def _norm_hits(n: np.ndarray, thr: float) -> int:
             return 0
         rest = n if keep.all() else n[keep]
         # Every entry of the Gram matrices is at most thr^2 (1 + delta)^2.
-        if np.isfinite(2.0 * thr * thr):
-            gram = np.matmul(rest.conj().mT, rest)
-            np.negative(gram, out=gram)
-            gram.reshape(len(rest), -1)[:, ::d + 1] += thr * thr * (1.0 - _NORM_MARGIN)
-            try:
-                np.linalg.cholesky(gram)
-                return len(rest)
-            except np.linalg.LinAlgError:
-                pass
+        if np.isfinite(2.0 * thr * thr) and _cholesky_completes(
+                rest, True, thr * thr * (1.0 - _NORM_MARGIN)):
+            return len(rest)
     return int(np.sum(spectrum(rest, SIGMA)[:, 0] <= thr))
 
 
@@ -390,8 +436,9 @@ def sacs_check(model: RandomSequenceModel, m_list: Sequence[int], sizes: Sequenc
     above 1e-10 sigma_1 + 1e-14) is at most c(m) d_n, its norm event when
     sigma_1(N) <= omega(m) + 1e-12 (1 + omega(m)).  The QR and Cholesky
     certificates of ``_QR_C`` and ``_NORM_MARGIN`` decide each event where
-    they can, with the hit the stacked values-only SVD would give; the
-    trials they leave open take that SVD, one call per chunk and event.
+    they can, hits and misses of both, with the hit the stacked values-only
+    SVD would give; the trials they leave open take that SVD, one call per
+    chunk and event.
     """
     trials = int(trials)
     if trials < 100:

@@ -330,8 +330,12 @@ def test_sacs_stacks_stay_within_the_byte_budget(monkeypatch):
     assert max(shape[0] for shape in stacks) > 100
 
 
-def orthogonal_stack(rng, k, d):
-    return np.linalg.qr(rng.standard_normal((k, d, d)))[0]
+def orthogonal_stack(rng, k, d, dtype=float):
+    """k random orthogonal matrices, unitary when ``dtype`` is complex."""
+    a = rng.standard_normal((k, d, d))
+    if dtype is complex:
+        a = a + 1j * rng.standard_normal((k, d, d))
+    return np.linalg.qr(a)[0]
 
 
 def count_spectrum_calls(monkeypatch):
@@ -393,9 +397,10 @@ def test_rank_certificate_agrees_with_the_svd_at_the_threshold(monkeypatch, d, j
     stack = orthogonal_stack(rng, len(ratios), d) * sv[:, None, :] @ orthogonal_stack(rng, len(ratios), d)
     calls = count_spectrum_calls(monkeypatch)
     assert assert_rank_certificate_agrees(stack, j + 1e-9) == [0, 1, 1, 1, 0]
-    # the trials with sigma_{j+1} / sigma_1 <= 1e-13 never reach the SVD,
-    # alone or in the stack
-    assert calls == [1, 1, 1, 3]
+    # only the two trials within 1e-6 of the threshold reach the SVD, alone
+    # or in the stack: sigma_{j+1} / sigma_1 <= 1e-13 is a proved hit and
+    # 1e-3 a proved miss
+    assert calls == [1, 1, 2]
 
 
 def test_rank_certificate_refuses_dependent_leading_columns(monkeypatch):
@@ -416,6 +421,69 @@ def test_rank_certificate_edge_cases(monkeypatch):
     assert _rank_hits(full, 16 + 1e-9) == 4  # j >= d
     assert calls == []
     assert_rank_certificate_agrees(full, 15 + 1e-9)
+
+
+def low_rank_stack(rng, k, d, rank):
+    return rng.standard_normal((k, d, rank)) @ rng.standard_normal((k, rank, d))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_rank_certificate_decides_clear_misses_without_the_svd(monkeypatch, dtype):
+    rng = np.random.default_rng(11)
+    d, j = 24, 6
+    sv = np.zeros((8, d))
+    sv[:, 0] = 1.0
+    sv[:, 1:j] = rng.uniform(1e-3, 1.0, (8, j - 1))
+    sv[:, j] = 1e-3  # sigma_{j+1} / sigma_1
+    stack = orthogonal_stack(rng, 8, d, dtype) * sv[:, None, :] @ orthogonal_stack(rng, 8, d, dtype).mT
+    calls = count_spectrum_calls(monkeypatch)
+    assert _rank_hits(stack, j + 1e-9) == 0
+    assert calls == []
+    assert assert_rank_certificate_agrees(stack, j + 1e-9) == [0] * 8
+
+
+def test_rank_certificate_decides_mixed_hits_and_misses_in_one_stack(monkeypatch):
+    rng = np.random.default_rng(12)
+    d, j = 16, 4
+    stack = np.concatenate([low_rank_stack(rng, 5, d, j), low_rank_stack(rng, 5, d, j + 2)])
+    stack = stack[rng.permutation(len(stack))]
+    calls = count_spectrum_calls(monkeypatch)
+    assert _rank_hits(stack, j + 1e-9) == 5
+    assert calls == []
+    assert sum(assert_rank_certificate_agrees(stack, j + 1e-9)) == 5
+
+
+def test_rank_certificate_with_no_allowed_rank(monkeypatch):
+    rng = np.random.default_rng(13)
+    d = 16
+    stack = np.concatenate([np.zeros((2, d, d)), low_rank_stack(rng, 2, d, 1),
+                            rng.standard_normal((2, d, d))])
+    calls = count_spectrum_calls(monkeypatch)
+    assert _rank_hits(stack, 0 + 1e-9) == 2  # j = 0: only R = 0 is a hit
+    assert calls == []
+    assert assert_rank_certificate_agrees(stack, 0 + 1e-9) == [1, 1, 0, 0, 0, 0]
+
+
+def test_rank_certificate_leaves_dependent_leading_columns_of_a_miss_to_the_svd(monkeypatch):
+    rng = np.random.default_rng(14)
+    d, j = 16, 4
+    stack = low_rank_stack(rng, 3, d, j + 2)
+    stack[:, :, 1] = stack[:, :, 0]  # rank j + 2, yet the first j + 1 columns span j
+    calls = count_spectrum_calls(monkeypatch)
+    assert assert_rank_certificate_agrees(stack, j + 1e-9) == [0, 0, 0]
+    assert calls == [1, 1, 1, 3]
+
+
+@pytest.mark.parametrize("d, hits_proved", [(45, True), (46, False)])
+def test_rank_certificate_on_either_side_of_the_hit_cutoff(monkeypatch, d, hits_proved):
+    # 2 E(d) sqrt(d) <= 1e-10 holds up to d = 45; misses are proved at any d
+    rng = np.random.default_rng(d)
+    j = 11
+    stack = np.concatenate([low_rank_stack(rng, 3, d, j), low_rank_stack(rng, 2, d, j + 2)])
+    calls = count_spectrum_calls(monkeypatch)
+    assert _rank_hits(stack, j + 1e-9) == 3
+    assert calls == ([] if hits_proved else [3])
+    assert assert_rank_certificate_agrees(stack, j + 1e-9) == [1, 1, 1, 0, 0]
 
 
 def complex_model(seed):
@@ -462,4 +530,4 @@ def test_sacs_readme_run_hands_few_rank_parts_and_no_norm_part_to_the_svd(monkey
     monkeypatch.setattr(acs_mod, "_norm_hits", watched)
     cert = sacs_check(designed_model(42), [2, 4, 8], [(16,), (24,)], trials=10**4)
     assert cert.passed and norm_calls == []
-    assert 0 < sum(calls) <= 0.1 * 2 * 6 * 10**4
+    assert sum(calls) <= 0.01 * 6 * 10**4
