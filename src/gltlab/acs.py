@@ -348,7 +348,7 @@ def _cholesky_completes(a: np.ndarray, negate: bool, shift) -> bool:
     matrix of the stack ``a``; ``shift`` is a scalar or one value per matrix.
     The Gram stack is the only temporary and is shifted in place."""
     d = a.shape[-1]
-    gram = np.matmul(a.conj().mT, a)
+    gram = np.matmul(np.swapaxes(a.conj(), -1, -2), a)
     if negate:
         np.negative(gram, out=gram)
     gram.reshape(len(a), -1)[:, ::d + 1] += np.reshape(shift, (-1, 1))
@@ -381,7 +381,7 @@ def _rank_hits(r: np.ndarray, limit: float) -> int:
             q, t11 = np.linalg.qr(r[..., :j + 1])
             if 2 * e * np.sqrt(d) <= _RANK_TOL:
                 q = q[..., :j]
-                t22 = np.matmul(q, np.matmul(q.conj().mT, r[..., j:]))
+                t22 = np.matmul(q, np.matmul(np.swapaxes(q.conj(), -1, -2), r[..., j:]))
                 np.subtract(r[..., j:], t22, out=t22)
                 t22 = np.sqrt(_column_sq_norms(t22).sum(axis=-1))
                 hit = t22 + e * fro <= 0.5 * _RANK_TOL / np.sqrt(d) * fro

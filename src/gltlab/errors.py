@@ -60,7 +60,7 @@ class ConfigurationError(GltLabError):
 
 
 class SizeCapError(GltLabError):
-    """Requested matrix exceeds the configured dense-size cap."""
+    """Requested matrix exceeds the fixed dense-size cap (8192 rows)."""
 
 
 class ModeError(GltLabError):

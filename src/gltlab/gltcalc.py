@@ -355,8 +355,7 @@ class ExpressionSymbol(Symbol):
 # materialization
 
 
-def materialize(e: GLTExpression, n, r: int | None = None,
-                cap: int | None = None) -> BlockMatrix:
+def materialize(e: GLTExpression, n, r: int | None = None) -> BlockMatrix:
     """The matrix of the expression at size n (node-wise matrix operations).
 
     A root ``Product`` with r = 1 ``Diag`` factors whose samples are all real
@@ -367,22 +366,22 @@ def materialize(e: GLTExpression, n, r: int | None = None,
     n = check_size(n)
     _, rr = _resolve_dims(e, len(n), r if r is not None else 1)
     # Every node's matrix has this order: one cap check before any allocation.
-    _check_cap(rr * nu(n), cap)
+    _check_cap(rr * nu(n))
     notes: list[str] = []
     if isinstance(e, Product):
-        left = _factor(e.left, n, rr, cap, notes)
-        right = _factor(e.right, n, rr, cap, notes)
+        left = _factor(e.left, n, rr, notes)
+        right = _factor(e.right, n, rr, notes)
         data, w = _product(left, right), _symmetrizer(left, right)
     else:
-        data, w = _materialize(e, n, rr, cap, notes), None
+        data, w = _materialize(e, n, rr, notes), None
     return BlockMatrix(data, rr, n, notes=tuple(notes), symmetrizer=w)
 
 
-def _factor(e: GLTExpression, n: MultiIndex, r: int, cap, notes: list[str]) -> np.ndarray:
+def _factor(e: GLTExpression, n: MultiIndex, r: int, notes: list[str]) -> np.ndarray:
     """A product's factor: the sample vector of an r = 1 ``Diag``, else its matrix."""
     if isinstance(e, Diag) and e.coefficient.r == 1:
-        return diag_samples(e.coefficient, n, cap=cap)[:, 0, 0]
-    return _materialize(e, n, r, cap, notes)
+        return diag_samples(e.coefficient, n)[:, 0, 0]
+    return _materialize(e, n, r, notes)
 
 
 def _product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -419,25 +418,25 @@ def _coefficient(value: complex) -> float | complex:
     return value.real if value.imag == 0.0 else value
 
 
-def _materialize(e: GLTExpression, n: MultiIndex, r: int, cap, notes: list[str]) -> np.ndarray:
+def _materialize(e: GLTExpression, n: MultiIndex, r: int, notes: list[str]) -> np.ndarray:
     if isinstance(e, Toeplitz):
-        return toeplitz(e.poly, n, cap=cap).data
+        return toeplitz(e.poly, n).data
     if isinstance(e, Diag):
-        return diag_sampling(e.coefficient, n, cap=cap).data
+        return diag_sampling(e.coefficient, n).data
     if isinstance(e, Zero):
         return zeros(n, r).data
     if isinstance(e, Scalar):
         return _coefficient(e.value) * np.eye(r * nu(n))
     if isinstance(e, Adjoint):
-        return _materialize(e.child, n, r, cap, notes).conj().T
+        return _materialize(e.child, n, r, notes).conj().T
     if isinstance(e, LinComb):
-        return _coefficient(e.alpha) * _materialize(e.left, n, r, cap, notes) + _coefficient(
+        return _coefficient(e.alpha) * _materialize(e.left, n, r, notes) + _coefficient(
             e.beta
-        ) * _materialize(e.right, n, r, cap, notes)
+        ) * _materialize(e.right, n, r, notes)
     if isinstance(e, Product):
-        return _product(_factor(e.left, n, r, cap, notes), _factor(e.right, n, r, cap, notes))
+        return _product(_factor(e.left, n, r, notes), _factor(e.right, n, r, notes))
     if isinstance(e, PseudoInverse):
-        child = _materialize(e.child, n, r, cap, notes)
+        child = _materialize(e.child, n, r, notes)
         # np.linalg.pinv(child, rcond=PINV_RCOND) step by step, so that its
         # one SVD also serves the truncation note.
         u, sv, vt = np.linalg.svd(child.conj(), full_matrices=False)
@@ -452,7 +451,7 @@ def _materialize(e: GLTExpression, n: MultiIndex, r: int, cap, notes: list[str])
     if isinstance(e, FunApply):
         if e.name not in FUNCTION_CATALOGUE:
             raise CalculusError(f"unknown function {e.name!r}")
-        child = _materialize(e.child, n, r, cap, notes)
+        child = _materialize(e.child, n, r, notes)
         # Declared flags are not reliable (``from_scalar`` declares Hermitian
         # by default) and eigh reads only one triangle: test the matrix.
         if not is_hermitian(child):

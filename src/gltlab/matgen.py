@@ -13,7 +13,6 @@ complex128 otherwise.  Real matrices take the real LAPACK paths, which are
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -25,15 +24,13 @@ from .multiindex import (
     check_size,
     format_multiindex,
     iter_interval,
-    lex_rank,
     nu,
     size_interval,
 )
-from .symbols import HERMITIAN_RTOL, CoefficientFunction, Symbol, TrigPolynomial
+from .symbols import HERMITIAN_RTOL, Symbol, TrigPolynomial
 
 DEFAULT_SIZE_CAP = 8192
 _STRIP = 1 << 16  # entries a strip-wise matrix test reads at once
-_BINARY_MAGIC = b"GLTM"
 
 
 @dataclass(eq=False)
@@ -75,43 +72,6 @@ class BlockMatrix:
     def size(self) -> int:
         return self.data.shape[0]
 
-    def block(self, i: Sequence[int], j: Sequence[int]) -> np.ndarray:
-        interval = size_interval(self.n)
-        a = lex_rank(i, interval) * self.r
-        b = lex_rank(j, interval) * self.r
-        return self.data[a : a + self.r, b : b + self.r]
-
-    def write_csv(self, fh) -> None:
-        """Entry listing as ``i,j,re,im`` with 1-based indices."""
-        fh.write("i,j,re,im\n")
-        for i in range(self.size):
-            row = self.data[i]
-            for j in range(self.size):
-                v = complex(row[j])
-                fh.write(f"{i + 1},{j + 1},{v.real!r},{v.imag!r}\n")
-
-    def write_binary(self, fh) -> None:
-        """Compact dump: magic ``GLTM``, uint32 r, uint32 d, d x uint32 n,
-        then row-major (re, im) pairs as little-endian float64."""
-        fh.write(_BINARY_MAGIC)
-        fh.write(struct.pack("<II", self.r, self.d))
-        fh.write(struct.pack(f"<{self.d}I", *self.n))
-        inter = np.empty((self.size, self.size, 2))
-        inter[:, :, 0] = self.data.real
-        inter[:, :, 1] = self.data.imag
-        fh.write(inter.astype("<f8").tobytes())
-
-    @classmethod
-    def read_binary(cls, fh) -> "BlockMatrix":
-        magic = fh.read(4)
-        if magic != _BINARY_MAGIC:
-            raise ConfigurationError(f"bad magic {magic!r}")
-        r, d = struct.unpack("<II", fh.read(8))
-        n = struct.unpack(f"<{d}I", fh.read(4 * d))
-        size = r * nu(n)
-        raw = np.frombuffer(fh.read(size * size * 16), dtype="<f8").reshape(size, size, 2)
-        return cls(raw[:, :, 0] + 1j * raw[:, :, 1], r, n)
-
 
 def _exact_dtype(arr: np.ndarray) -> np.ndarray:
     """float64 when ``arr`` has no non-zero imaginary part, else complex128."""
@@ -132,13 +92,12 @@ def as_array(matrix, notes: list[str] | None = None) -> np.ndarray:
     return np.asarray(matrix)
 
 
-def _check_cap(rows: int, cap: int | None):
-    cap = DEFAULT_SIZE_CAP if cap is None else cap
-    if rows > cap:
-        raise SizeCapError(f"requested {rows} rows exceeds the size cap {cap}")
+def _check_cap(rows: int):
+    if rows > DEFAULT_SIZE_CAP:
+        raise SizeCapError(f"requested {rows} rows exceeds the size cap {DEFAULT_SIZE_CAP}")
 
 
-def toeplitz(f: TrigPolynomial, n: int | Sequence[int], cap: int | None = None) -> BlockMatrix:
+def toeplitz(f: TrigPolynomial, n: int | Sequence[int]) -> BlockMatrix:
     """Multilevel block Toeplitz matrix with block (i, j) = fhat_{i-j}.
 
     For each offset k the block rows i with i - k inside the size box get
@@ -149,7 +108,7 @@ def toeplitz(f: TrigPolynomial, n: int | Sequence[int], cap: int | None = None) 
     if len(n) != f.d:
         raise ConfigurationError(f"size {n} has {len(n)} levels, symbol has {f.d}")
     count = nu(n)
-    _check_cap(f.r * count, cap)
+    _check_cap(f.r * count)
     real = not any(np.any(block.imag) for block in f.coeffs.values())
     out = np.zeros((count, f.r, count, f.r), dtype=float if real else complex)
     strides = np.cumprod((1,) + n[:0:-1])[::-1]
@@ -169,29 +128,22 @@ def sampling_grid(n: int | Sequence[int]) -> np.ndarray:
     return pts / np.asarray(n, dtype=float)
 
 
-def diag_samples(a, n: int | Sequence[int], r: int | None = None,
-                 cap: int | None = None) -> np.ndarray:
-    """The blocks a(i/n), i enumerated lexicographically, as an (nu(n), r, r)
-    array; float64 when every sample is real.  The size cap is checked before
-    anything is evaluated, and a non-finite sample raises
-    :class:`EvaluationError` naming its grid node."""
+def diag_samples(a: Symbol, n: int | Sequence[int]) -> np.ndarray:
+    """The blocks a(i/n) of a space-only symbol, i enumerated
+    lexicographically, as an (nu(n), r, r) array; float64 when every sample
+    is real.  The size cap is checked before anything is evaluated, and a
+    non-finite sample raises :class:`EvaluationError` naming its grid node."""
     n = check_size(n)
-    if isinstance(a, Symbol):
-        if a.depends_frequency:
-            raise ConfigurationError("diagonal sampling requires a space-only symbol")
-        sym = a
-    elif callable(a):
-        if r is None:
-            r = 1
-        sym = CoefficientFunction.from_scalar(len(n), a) if r == 1 else CoefficientFunction(len(n), r, a)
-    else:
-        sym = CoefficientFunction.constant(len(n), a)
-    if sym.d != len(n):
-        raise ConfigurationError(f"coefficient has d={sym.d}, size has {len(n)} levels")
-    rows = sym.r * nu(n)
-    _check_cap(rows, cap)
+    if not isinstance(a, Symbol):
+        raise ConfigurationError("diagonal sampling takes a Symbol; wrap a function "
+                                 "with CoefficientFunction.from_scalar")
+    if a.depends_frequency:
+        raise ConfigurationError("diagonal sampling requires a space-only symbol")
+    if a.d != len(n):
+        raise ConfigurationError(f"coefficient has d={a.d}, size has {len(n)} levels")
+    _check_cap(a.r * nu(n))
     grid = sampling_grid(n)
-    vals = sym._eval(grid, np.zeros_like(grid))
+    vals = a._eval(grid, np.zeros_like(grid))
     if not np.all(np.isfinite(vals)):
         ok = np.isfinite(vals.reshape(vals.shape[0], -1)).all(axis=1)
         bad = int(np.argmin(ok))
@@ -203,21 +155,15 @@ def diag_samples(a, n: int | Sequence[int], r: int | None = None,
     return _exact_dtype(vals)
 
 
-def diag_sampling(a, n: int | Sequence[int], r: int | None = None,
-                  cap: int | None = None) -> BlockMatrix:
+def diag_sampling(a: Symbol, n: int | Sequence[int]) -> BlockMatrix:
     """Block diagonal matrix with i-th block a(i/n), i enumerated lexicographically;
     float64 when every sample is real."""
-    vals = diag_samples(a, n, r, cap)
+    vals = diag_samples(a, n)
     count, rb = vals.shape[:2]
     out = np.zeros((count, rb, count, rb), dtype=vals.dtype)
     idx = np.arange(count)
     out[idx, :, idx, :] = vals
     return BlockMatrix(out.reshape(count * rb, count * rb), rb, n)
-
-
-def identity(n: int | Sequence[int], r: int = 1) -> BlockMatrix:
-    n = check_size(n)
-    return BlockMatrix(np.eye(r * nu(n)), r, n)
 
 
 def zeros(n: int | Sequence[int], r: int = 1) -> BlockMatrix:
@@ -230,7 +176,7 @@ def row_strips(stop: int, width: int):
     wide: row 0 alone first, so that a structure test can reject most other
     matrices in O(N), then strips of at most ``_STRIP`` entries, so that no
     N x N temporary is made."""
-    edges = [0, *range(1, stop, max(1, _STRIP // width)), stop]
+    edges = [0, *range(1, stop, max(1, _STRIP // max(width, 1))), stop]
     return list(zip(edges, edges[1:]))
 
 

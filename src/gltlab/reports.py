@@ -95,12 +95,11 @@ def _log_ticks(lo: float, hi: float) -> list[float]:
 
 
 def svg_line_chart(series: Mapping[str, Sequence[tuple[float, float]]],
-                   title: str, xlabel: str, ylabel: str,
-                   loglog: bool = True) -> str:
-    """A minimal self-contained SVG line chart (no external assets).
+                   title: str, xlabel: str, ylabel: str) -> str:
+    """A minimal self-contained log-log SVG line chart (no external assets).
 
     ``series`` maps a label to (x, y) pairs; non-positive values are clamped
-    to 1e-16 in log-log mode.
+    to 1e-16.
     """
     import math
 
@@ -113,23 +112,22 @@ def svg_line_chart(series: Mapping[str, Sequence[tuple[float, float]]],
         pts_all = [(1.0, 1.0)]
 
     def tx(v: float) -> float:
-        return max(v, 1e-16) if loglog else v
+        return max(v, 1e-16)
 
     xs = [tx(p[0]) for p in pts_all]
     ys = [tx(p[1]) for p in pts_all]
-    fwd = (lambda v: math.log10(v)) if loglog else (lambda v: v)
-    x0, x1 = fwd(min(xs)), fwd(max(xs))
-    y0, y1 = fwd(min(ys)), fwd(max(ys))
+    x0, x1 = math.log10(min(xs)), math.log10(max(xs))
+    y0, y1 = math.log10(min(ys)), math.log10(max(ys))
     if x1 - x0 < 1e-12:
         x0, x1 = x0 - 0.5, x1 + 0.5
     if y1 - y0 < 1e-12:
         y0, y1 = y0 - 0.5, y1 + 0.5
 
     def px(v: float) -> float:
-        return ml + (fwd(tx(v)) - x0) / (x1 - x0) * pw
+        return ml + (math.log10(tx(v)) - x0) / (x1 - x0) * pw
 
     def py(v: float) -> float:
-        return mt + ph - (fwd(tx(v)) - y0) / (y1 - y0) * ph
+        return mt + ph - (math.log10(tx(v)) - y0) / (y1 - y0) * ph
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -144,28 +142,27 @@ def svg_line_chart(series: Mapping[str, Sequence[tuple[float, float]]],
         f'<text x="16" y="{mt + ph // 2}" text-anchor="middle" font-family="monospace" '
         f'font-size="12" transform="rotate(-90 16 {mt + ph // 2})">{ylabel}</text>',
     ]
-    if loglog:
-        for tick in _log_ticks(min(xs), max(xs)):
-            x = ml + (math.log10(tick) - x0) / (x1 - x0) * pw
-            if ml - 1 <= x <= ml + pw + 1:
-                out.append(
-                    f'<line x1="{x:.2f}" y1="{mt + ph}" x2="{x:.2f}" y2="{mt + ph + 5}" '
-                    f'stroke="black"/>'
-                )
-                out.append(
-                    f'<text x="{x:.2f}" y="{mt + ph + 18}" text-anchor="middle" '
-                    f'font-family="monospace" font-size="10">1e{int(math.log10(tick))}</text>'
-                )
-        for tick in _log_ticks(min(ys), max(ys)):
-            y = mt + ph - (math.log10(tick) - y0) / (y1 - y0) * ph
-            if mt - 1 <= y <= mt + ph + 1:
-                out.append(
-                    f'<line x1="{ml - 5}" y1="{y:.2f}" x2="{ml}" y2="{y:.2f}" stroke="black"/>'
-                )
-                out.append(
-                    f'<text x="{ml - 8}" y="{y + 3:.2f}" text-anchor="end" '
-                    f'font-family="monospace" font-size="10">1e{int(math.log10(tick))}</text>'
-                )
+    for tick in _log_ticks(min(xs), max(xs)):
+        x = ml + (math.log10(tick) - x0) / (x1 - x0) * pw
+        if ml - 1 <= x <= ml + pw + 1:
+            out.append(
+                f'<line x1="{x:.2f}" y1="{mt + ph}" x2="{x:.2f}" y2="{mt + ph + 5}" '
+                f'stroke="black"/>'
+            )
+            out.append(
+                f'<text x="{x:.2f}" y="{mt + ph + 18}" text-anchor="middle" '
+                f'font-family="monospace" font-size="10">1e{int(math.log10(tick))}</text>'
+            )
+    for tick in _log_ticks(min(ys), max(ys)):
+        y = mt + ph - (math.log10(tick) - y0) / (y1 - y0) * ph
+        if mt - 1 <= y <= mt + ph + 1:
+            out.append(
+                f'<line x1="{ml - 5}" y1="{y:.2f}" x2="{ml}" y2="{y:.2f}" stroke="black"/>'
+            )
+            out.append(
+                f'<text x="{ml - 8}" y="{y + 3:.2f}" text-anchor="end" '
+                f'font-family="monospace" font-size="10">1e{int(math.log10(tick))}</text>'
+            )
     for idx, (label, pts) in enumerate(series.items()):
         color = _PALETTE[idx % len(_PALETTE)]
         path = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)

@@ -34,6 +34,7 @@ from .symbols import Symbol, spectral_surfaces
 SIGMA = "sigma"
 LAMBDA = "lambda"
 _MAX_NODES = 2**22  # symbol-side quadrature node budget
+_PROBE_NODES = 2**16  # node budget of the grid that probes a symbol's range
 QUAD_TOL = 1e-7  # quadrature convergence tolerance
 # The verdict policy: finite surrogates for the limits of the definitions.
 SLACK = 1.5  # growth per size step that still counts as non-increasing
@@ -397,7 +398,8 @@ def spectrum(matrix, mode: str = SIGMA, hermitian: bool | None = None) -> np.nda
     bit as if it were passed alone.  One call factors the whole stack, which
     saves numpy's per-call overhead on many small matrices; a real stack of
     order 32 or more is routed matrix by matrix instead.  Every entry of the
-    stack must be finite.
+    stack must be finite.  Eigenvalues (lambda mode, or ``hermitian`` true)
+    need a square matrix; the SVD of sigma mode also takes rectangles.
     """
     arr = as_array(matrix)
     if arr.ndim < 2:
@@ -408,6 +410,8 @@ def spectrum(matrix, mode: str = SIGMA, hermitian: bool | None = None) -> np.nda
         raise ConfigurationError(f"unknown mode {mode!r}")
     if mode == LAMBDA and arr.ndim != 2:
         raise InvalidParameterError(f"lambda mode takes one matrix, got shape {arr.shape}")
+    if arr.shape[-2] != arr.shape[-1] and (mode == LAMBDA or hermitian):
+        raise InvalidParameterError(f"eigenvalues need a square matrix, got shape {arr.shape}")
     if mode == LAMBDA and hermitian is None:
         hermitian = is_hermitian(arr)
     try:
@@ -484,8 +488,8 @@ def _node_count(s: Symbol, g: int) -> int:
     return (gx**s.d) * (gt**s.d)
 
 
-def _probe_nodes(s: Symbol, per_dim: int, node_budget: int = 2**16):
-    """Endpoint-including evaluation grid capped at ``node_budget`` nodes.
+def _probe_nodes(s: Symbol, per_dim: int):
+    """Endpoint-including evaluation grid capped at ``_PROBE_NODES`` nodes.
 
     Endpoints matter: symbol surfaces often attain their extremes on the
     domain boundary, and the hull estimated from these samples must cover
@@ -494,7 +498,7 @@ def _probe_nodes(s: Symbol, per_dim: int, node_budget: int = 2**16):
     active = s.d * (int(s.depends_space) + int(s.depends_frequency))
     g = per_dim
     if active > 0:
-        g = min(per_dim, max(3, int(node_budget ** (1.0 / active))))
+        g = min(per_dim, max(3, int(_PROBE_NODES ** (1.0 / active))))
     gx = g if s.depends_space else 1
     gt = g if s.depends_frequency else 1
     x_line = np.linspace(0.0, 1.0, gx) if gx > 1 else np.array([0.5])

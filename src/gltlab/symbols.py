@@ -166,16 +166,6 @@ class CoefficientFunction(Symbol):
 
         return cls(d, 1, vec, hermitian=hermitian, name=name)
 
-    @classmethod
-    def constant(cls, d: int, matrix: np.ndarray, name: str = "a") -> "CoefficientFunction":
-        matrix = np.atleast_2d(np.asarray(matrix, dtype=complex))
-        herm = bool(np.allclose(matrix, matrix.conj().T, atol=1e-14))
-
-        def vec(x: np.ndarray) -> np.ndarray:
-            return np.broadcast_to(matrix, (x.shape[0],) + matrix.shape)
-
-        return cls(d, matrix.shape[0], vec, hermitian=herm, name=name)
-
     @property
     def depends_space(self) -> bool:
         return True

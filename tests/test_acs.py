@@ -435,7 +435,8 @@ def test_rank_certificate_decides_clear_misses_without_the_svd(monkeypatch, dtyp
     sv[:, 0] = 1.0
     sv[:, 1:j] = rng.uniform(1e-3, 1.0, (8, j - 1))
     sv[:, j] = 1e-3  # sigma_{j+1} / sigma_1
-    stack = orthogonal_stack(rng, 8, d, dtype) * sv[:, None, :] @ orthogonal_stack(rng, 8, d, dtype).mT
+    right = np.swapaxes(orthogonal_stack(rng, 8, d, dtype), -1, -2)
+    stack = orthogonal_stack(rng, 8, d, dtype) * sv[:, None, :] @ right
     calls = count_spectrum_calls(monkeypatch)
     assert _rank_hits(stack, j + 1e-9) == 0
     assert calls == []

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import errors_for, laplacian_eigenvalues, random_trig_polynomial
 
+import gltlab.matgen as matgen_mod
 from gltlab.dsl import parse
 from gltlab.errors import (
     CalculusError,
@@ -433,9 +434,10 @@ def test_diag_factor_scales_rows_and_columns_like_the_matmul(coefficient, other)
         assert np.array_equal(materialize(Product(t, diag), n).data, a @ d)
 
 
-def test_diag_factor_keeps_the_cap_and_the_failing_node():
+def test_diag_factor_keeps_the_cap_and_the_failing_node(monkeypatch):
+    monkeypatch.setattr(matgen_mod, "DEFAULT_SIZE_CAP", 32)
     with pytest.raises(SizeCapError):
-        materialize(Product(Scalar(2.0), DIAG_X), 64, cap=32)
+        materialize(Product(Scalar(2.0), DIAG_X), 64)
     pole = Diag(CoefficientFunction.from_scalar(1, lambda x: 1.0 / (x - 0.5)))
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(EvaluationError) as err:
@@ -453,8 +455,9 @@ def test_size_cap_is_checked_before_any_allocation(expr, monkeypatch):
     monkeypatch.setattr(np, "eye", lambda *a, **k: calls.append(("eye", a)) or eye(*a, **k))
     monkeypatch.setattr(gltcalc_mod, "zeros",
                         lambda *a, **k: calls.append(("zeros", a)) or zeros(*a, **k))
+    monkeypatch.setattr(matgen_mod, "DEFAULT_SIZE_CAP", 8)
     with pytest.raises(SizeCapError):
-        materialize(e, 9, cap=8)
+        materialize(e, 9)
     assert calls == []
-    materialize(e, 8, cap=8)
+    materialize(e, 8)
     assert calls

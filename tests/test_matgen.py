@@ -1,16 +1,13 @@
-import io
-
 import numpy as np
 import pytest
 
 from helpers import random_trig_polynomial, toeplitz_blockfill, toeplitz_kronecker
 
 import gltlab.matgen as matgen_mod
-from gltlab.errors import SizeCapError
+from gltlab.errors import ConfigurationError, SizeCapError
 from gltlab.matgen import (
     BlockMatrix,
     diag_sampling,
-    identity,
     is_hermitian,
     sampling_grid,
     toeplitz,
@@ -57,7 +54,7 @@ def test_toeplitz_block_example():
     fm1 = np.array([[0, 1], [0, 0]])
     expect = np.block([[f0, fm1], [f1, f0]]).astype(complex)
     assert np.array_equal(A.data, expect)
-    assert np.array_equal(A.block((1,), (2,)), fm1)
+    assert np.array_equal(A.data[0:2, 2:4], fm1)  # block row 1, block column 2
 
 
 def _assert_bit_identical(fast, oracle):
@@ -109,24 +106,24 @@ def test_trace_identity_exact():
 
 
 def test_diag_sampling_linear_grid():
-    A = diag_sampling(lambda x: x, 4)
+    A = diag_sampling(CoefficientFunction.from_scalar(1, lambda x: x), 4)
     assert np.allclose(np.diag(A.data), [0.25, 0.5, 0.75, 1.0])
 
 
 def test_diag_sampling_two_level_lexicographic():
-    A = diag_sampling(lambda x1, x2: x1 + x2, (2, 2))
+    A = diag_sampling(CoefficientFunction.from_scalar(2, lambda x1, x2: x1 + x2), (2, 2))
     assert np.allclose(np.diag(A.data), [1.0, 1.5, 1.5, 2.0])
 
 
 def test_diag_sampling_matrix_identity():
-    a = CoefficientFunction.constant(1, np.eye(2))
+    a = CoefficientFunction(1, 2, lambda x: np.broadcast_to(np.eye(2), (len(x), 2, 2)))
     A = diag_sampling(a, 3)
     assert np.array_equal(A.data, np.eye(6))
 
 
 def test_diag_matrices_commute():
-    a = diag_sampling(lambda x: np.sin(3 * x), 16).data
-    b = diag_sampling(lambda x: x**2 + 1, 16).data
+    a = diag_sampling(CoefficientFunction.from_scalar(1, lambda x: np.sin(3 * x)), 16).data
+    b = diag_sampling(CoefficientFunction.from_scalar(1, lambda x: x**2 + 1), 16).data
     assert np.abs(a @ b - b @ a).max() == 0.0
 
 
@@ -138,36 +135,15 @@ def test_sampling_grid_order():
 def test_size_cap(monkeypatch):
     with pytest.raises(SizeCapError):
         toeplitz(LAP, 10000)  # refused before anything is allocated
-    # The same rule at a small default cap, so the admitted matrix is small.
+    # The same rule at a small cap, so the admitted matrix is small.
     monkeypatch.setattr(matgen_mod, "DEFAULT_SIZE_CAP", 16)
     with pytest.raises(SizeCapError):
         toeplitz(LAP, 17)
-    assert toeplitz(LAP, 17, cap=32).data.shape == (17, 17)  # override allowed
+    with pytest.raises(SizeCapError):
+        diag_sampling(CoefficientFunction.from_scalar(1, lambda x: x), 17)
     assert toeplitz(LAP, 16).data.shape == (16, 16)
-
-
-def test_csv_export_header_and_indices():
-    A = toeplitz(LAP, 2)
-    buf = io.StringIO()
-    A.write_csv(buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "i,j,re,im"
-    assert lines[1].startswith("1,1,2.0,")
-    assert len(lines) == 1 + 4
-
-
-def test_binary_roundtrip():
-    rng = np.random.default_rng(9)
-    poly = random_trig_polynomial(rng, d=2, r=2, degree=1, hermitian=False)
-    A = toeplitz(poly, (3, 4))
-    buf = io.BytesIO()
-    A.write_binary(buf)
-    raw = buf.getvalue()
-    assert raw[:4] == b"GLTM"
-    buf.seek(0)
-    B = BlockMatrix.read_binary(buf)
-    assert B.r == A.r and B.n == A.n
-    assert np.array_equal(A.data, B.data)
+    monkeypatch.setattr(matgen_mod, "DEFAULT_SIZE_CAP", 32)  # read at each call
+    assert toeplitz(LAP, 17).data.shape == (17, 17)
 
 
 def test_block_matrix_keeps_real_entries_as_float64():
@@ -179,23 +155,25 @@ def test_block_matrix_keeps_real_entries_as_float64():
     mixed = values + 0j
     mixed[2, 3] += 1e-300j
     assert BlockMatrix(mixed, 1, 6).data.dtype == np.complex128
-    buf = io.BytesIO()
-    exact.write_binary(buf)
-    buf.seek(0)
-    back = BlockMatrix.read_binary(buf)
-    assert back.data.dtype == np.float64 and back.data.tobytes() == values.tobytes()
 
 
 def test_diag_sampling_dtype_follows_samples():
-    assert diag_sampling(lambda x: x, 4).data.dtype == np.float64
-    a = diag_sampling(lambda x: x + 1j, 4).data
+    real = CoefficientFunction.from_scalar(1, lambda x: x)
+    assert diag_sampling(real, 4).data.dtype == np.float64
+    a = diag_sampling(CoefficientFunction.from_scalar(1, lambda x: x + 1j), 4).data
     assert a.dtype == np.complex128
     assert np.array_equal(np.diag(a), [0.25 + 1j, 0.5 + 1j, 0.75 + 1j, 1.0 + 1j])
 
 
-def test_identity_and_zeros_helpers():
-    assert np.array_equal(identity((2, 2), 2).data, np.eye(8))
+def test_zeros_helper():
     assert np.abs(zeros(5, 1).data).max() == 0.0
+    assert zeros((2, 2), 2).data.shape == (8, 8)
+
+
+@pytest.mark.parametrize("a", [lambda x: x, 2.0, np.eye(2)])
+def test_diag_sampling_takes_only_a_symbol(a):
+    with pytest.raises(ConfigurationError, match="from_scalar"):
+        diag_sampling(a, 4)
 
 
 def test_diag_sampling_failure_names_node():
@@ -203,7 +181,7 @@ def test_diag_sampling_failure_names_node():
 
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(EvaluationError) as err:
-            diag_sampling(lambda x: 1.0 / (x - 0.5), 2)
+            diag_sampling(CoefficientFunction.from_scalar(1, lambda x: 1.0 / (x - 0.5)), 2)
     assert err.value.node == (1,)  # the grid node i/n = 1/2
 
 

@@ -110,6 +110,32 @@ def test_spectrum_rejects_input_of_fewer_than_two_dimensions(value, mode):
     assert info.value.exit_code == 2
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_empty_matrix_has_an_empty_spectrum(dtype):
+    empty = np.zeros((0, 0), dtype=dtype)
+    for mode in ("sigma", "lambda"):
+        for hermitian in (None, True, False):
+            assert spectrum(empty, mode, hermitian).size == 0
+    assert is_hermitian(empty)
+    assert schatten_norm(empty, 1) == schatten_norm(empty, np.inf) == 0.0
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (5, 3), (0, 3)])
+@pytest.mark.parametrize("mode, hermitian", [("lambda", None), ("lambda", True),
+                                             ("lambda", False), ("sigma", True)])
+def test_eigenvalues_of_a_non_square_matrix_are_refused(shape, mode, hermitian):
+    with pytest.raises(InvalidParameterError) as info:
+        spectrum(np.ones(shape), mode, hermitian)
+    assert info.value.exit_code == 2
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (5, 3)])
+@pytest.mark.parametrize("hermitian", [None, False])
+def test_singular_values_of_a_non_square_matrix(shape, hermitian):
+    a = np.arange(15.0).reshape(shape) + 1j
+    assert np.allclose(spectrum(a, "sigma", hermitian), np.linalg.svd(a, compute_uv=False))
+
+
 def test_schatten_examples():
     n = 6
     assert abs(schatten_norm(np.eye(n), 3) - n ** (1 / 3)) < 1e-12
