@@ -13,19 +13,18 @@ complex128 otherwise.  Real matrices take the real LAPACK paths, which are
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, EvaluationError, SizeCapError
+from .errors import ConfigurationError, EvaluationError, InvalidParameterError, SizeCapError
 from .multiindex import (
     MultiIndex,
     check_size,
     format_multiindex,
-    iter_interval,
     nu,
-    size_interval,
 )
 from .symbols import HERMITIAN_RTOL, Symbol, TrigPolynomial
 
@@ -124,8 +123,7 @@ def toeplitz(f: TrigPolynomial, n: int | Sequence[int]) -> BlockMatrix:
 def sampling_grid(n: int | Sequence[int]) -> np.ndarray:
     """Lexicographically ordered grid {i/n : i = 1..n} as an (nu(n), d) array."""
     n = check_size(n)
-    pts = np.array(list(iter_interval(size_interval(n))), dtype=float)
-    return pts / np.asarray(n, dtype=float)
+    return (np.indices(n).reshape(len(n), -1).T + 1) / np.asarray(n, dtype=float)
 
 
 def diag_samples(a: Symbol, n: int | Sequence[int]) -> np.ndarray:
@@ -180,19 +178,39 @@ def row_strips(stop: int, width: int):
     return list(zip(edges, edges[1:]))
 
 
-def is_hermitian(matrix) -> bool:
-    """||A - A*||_F <= HERMITIAN_RTOL ||A||_F.
+def _sum_sq(a: np.ndarray) -> float:
+    """||a||_F^2 by einsum on a real view, with no BLAS call."""
+    if not np.iscomplexobj(a):
+        return float(np.einsum("ij,ij->", a, a))
+    if a.strides[-1] == a.itemsize:
+        return _sum_sq(a.view(a.real.dtype))
+    return _sum_sq(a.real) + _sum_sq(a.imag)
 
-    Both squared norms are summed over strips of rows, so no N x N temporary
-    is made.  The sums round differently from one norm of the whole
-    difference, so only a matrix within rounding of the threshold can be
-    decided otherwise than by ``norm(A - A*) <= HERMITIAN_RTOL * norm(A)``.
+
+def is_hermitian(matrix) -> bool:
+    """||A - A*||_F <= HERMITIAN_RTOL ||A||_F for one square matrix.
+
+    Both squared norms are summed over square tiles of side
+    ``isqrt(_STRIP)``: each pair of tiles (I, J), (J, I) with I <= J is read
+    once and its difference formed once, so no N x N temporary is made, and
+    the sums are einsums, not BLAS calls.  They round differently from one
+    norm of the whole difference, so only a matrix within rounding of the
+    threshold can be decided otherwise than by
+    ``norm(A - A*) <= HERMITIAN_RTOL * norm(A)``.
     """
     arr = as_array(matrix)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise InvalidParameterError(f"is_hermitian takes a square matrix, got shape {arr.shape}")
+    tile = math.isqrt(_STRIP)
     skew = scale = 0.0
-    for lo, hi in row_strips(arr.shape[0], arr.shape[1]):
-        rows = arr[lo:hi]
-        diff = rows - arr[:, lo:hi].conj().T
-        skew += np.vdot(diff, diff).real
-        scale += np.vdot(rows, rows).real
+    for i in range(0, arr.shape[0], tile):
+        for j in range(i, arr.shape[0], tile):
+            x = arr[i:i + tile, j:j + tile]
+            if i == j:
+                skew += _sum_sq(x - x.conj().T)
+                scale += _sum_sq(x)
+            else:
+                y = arr[j:j + tile, i:i + tile]
+                skew += 2 * _sum_sq(x - y.conj().T)
+                scale += _sum_sq(x) + _sum_sq(y)
     return bool(np.sqrt(skew) <= HERMITIAN_RTOL * max(np.sqrt(scale), 1e-300))

@@ -135,7 +135,13 @@ class TrigPolynomial(Symbol):
     def _eval(self, x, theta):
         if not self.coeffs:
             return np.zeros((theta.shape[0], self.r, self.r), dtype=complex)
-        phases = np.exp(1j * theta @ self._offsets.T)  # (N, K)
+        # A real GEMM, exponentiated in place so that one (N, K) complex
+        # array is live.  The complex GEMM of ``1j * theta`` gives the same
+        # bits, but np.exp on its output ran ~10x slower: 0.11-0.14 s against
+        # 0.01 s for 65,536 x 5 entries on a 2-core Skylake-X Xeon, with one
+        # BLAS thread too.
+        phases = np.multiply(theta @ self._offsets.T, 1j)  # (N, K)
+        np.exp(phases, out=phases)
         return np.einsum("nk,kab->nab", phases, self._blocks)
 
 

@@ -4,7 +4,7 @@ import pytest
 from helpers import random_trig_polynomial, toeplitz_blockfill, toeplitz_kronecker
 
 import gltlab.matgen as matgen_mod
-from gltlab.errors import ConfigurationError, SizeCapError
+from gltlab.errors import ConfigurationError, InvalidParameterError, SizeCapError
 from gltlab.matgen import (
     BlockMatrix,
     diag_sampling,
@@ -13,6 +13,7 @@ from gltlab.matgen import (
     toeplitz,
     zeros,
 )
+from gltlab.multiindex import iter_interval, size_interval
 from gltlab.symbols import CoefficientFunction, TrigPolynomial
 
 LAP = TrigPolynomial(1, 1, {(0,): [[2.0]], (1,): [[-1.0]], (-1,): [[-1.0]]})
@@ -132,6 +133,12 @@ def test_sampling_grid_order():
     assert np.allclose(grid, [[0.5, 0.5], [0.5, 1.0], [1.0, 0.5], [1.0, 1.0]])
 
 
+def test_sampling_grid_equals_the_lexicographic_enumeration():
+    for n in [(3, 4, 5), (7,), (1, 2, 1)]:
+        nodes = np.array(list(iter_interval(size_interval(n))), dtype=float)
+        assert np.array_equal(sampling_grid(n), nodes / np.asarray(n, dtype=float))
+
+
 def test_size_cap(monkeypatch):
     with pytest.raises(SizeCapError):
         toeplitz(LAP, 10000)  # refused before anything is allocated
@@ -191,7 +198,7 @@ def test_is_hermitian_agrees_with_the_whole_matrix_norms():
 
     rng = np.random.default_rng(8)
     g = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
-    h, s = g + g.conj().T, g - g.conj().T  # 300 rows span three strips
+    h, s = g + g.conj().T, g - g.conj().T  # 300 rows span two tiles
     unit = s / np.linalg.norm(s)
     # ||(h + t unit) - (h + t unit)*|| = 2t and ||h + t unit|| = sqrt(||h||^2 + t^2)
     at = 0.5e-12 * np.linalg.norm(h)
@@ -199,3 +206,37 @@ def test_is_hermitian_agrees_with_the_whole_matrix_norms():
              (h + at * (1 - 1e-3) * unit, True), (h + at * (1 + 1e-3) * unit, False)]
     for a, hermitian in cases:
         assert is_hermitian(a) == whole_matrix_rule(a) == hermitian
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("order", [1, 255, 256, 257, 513])
+def test_tiled_is_hermitian_agrees_with_the_whole_matrix_rule(order, dtype):
+    def whole_matrix_rule(a, rtol=1e-12):
+        return np.linalg.norm(a - a.conj().T) <= rtol * max(np.linalg.norm(a), 1e-300)
+
+    rng = np.random.default_rng(order)
+    g = rng.standard_normal((order, order))
+    if dtype is complex:
+        g = g + 1j * rng.standard_normal((order, order))
+    h = g + g.conj().T
+    # Entry (N-1, N-2): for order 513 it lies in the last off-diagonal tile
+    # pair, rows 256-511 against row 512.  Adding t (i t when complex) there
+    # makes ||A - A*|| = sqrt(2) t, or 2 t on the diagonal of order 1, where
+    # a real entry cannot break the symmetry.
+    always = order == 1 and dtype is float
+    at = 1e-12 * np.linalg.norm(h) / (2.0 if order == 1 else np.sqrt(2))
+    cases = [(h, True), (g, always)]
+    for t, hermitian in [(1e3 * at, False), (at * (1 - 1e-3), True), (at * (1 + 1e-3), False)]:
+        a = h.copy()
+        a[order - 1, max(order - 2, 0)] += t * (1j if dtype is complex else 1.0)
+        cases.append((a, hermitian or always))
+    for a, hermitian in cases:
+        assert is_hermitian(a) == whole_matrix_rule(a) == hermitian
+        assert is_hermitian(np.asfortranarray(a)) == hermitian
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 4), (4, 3), (2, 3, 3)])
+def test_is_hermitian_rejects_input_that_is_not_a_square_matrix(shape):
+    with pytest.raises(InvalidParameterError) as info:
+        is_hermitian(np.ones(shape))
+    assert info.value.exit_code == 2

@@ -120,6 +120,13 @@ def test_empty_matrix_has_an_empty_spectrum(dtype):
     assert schatten_norm(empty, 1) == schatten_norm(empty, np.inf) == 0.0
 
 
+def test_distribution_check_rejects_a_non_square_matrix():
+    symbol = symbol_of(parse("T(2-2*cos(t1))"))
+    with pytest.raises(InvalidParameterError) as info:
+        distribution_check(lambda n: np.ones((n[0], n[0] + 1)), symbol, [4, 8])
+    assert info.value.exit_code == 2
+
+
 @pytest.mark.parametrize("shape", [(3, 5), (5, 3), (0, 3)])
 @pytest.mark.parametrize("mode, hermitian", [("lambda", None), ("lambda", True),
                                              ("lambda", False), ("sigma", True)])

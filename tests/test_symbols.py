@@ -3,6 +3,7 @@ import pytest
 
 from helpers import random_trig_polynomial
 
+from gltlab.dsl import parse
 from gltlab.errors import ConfigurationError, DomainError
 from gltlab.gltcalc import Diag, Product, Scalar, Toeplitz, symbol_of
 from gltlab.symbols import (
@@ -163,3 +164,24 @@ def test_frequency_grid_shape():
     assert grid.shape == (64, 2)
     assert grid.min() >= -np.pi and grid.max() < np.pi
 
+
+MIXED = TrigPolynomial(3, 2, {
+    (0, 0, 0): [[2.0, 0.0], [0.0, 2.0]],
+    (3, -2, 1): [[1.0, 2j], [0.5, -1.0]],
+    (-5, 7, 2): [[0.25, -1j], [3.0, 1 + 1j]],
+})
+
+
+@pytest.mark.parametrize("poly", [
+    *(parse(text).poly for text in ("T(2-2*cos(t1))", "T(4-2*cos(t1)-2*cos(t2))",
+                                    "T(1+cos(t1)+0.25*cos(2*t1))", "T(exp(i*t1))")),
+    MIXED,
+])
+def test_trig_eval_equals_the_complex_gemm_form_bit_for_bit(poly):
+    rng = np.random.default_rng(11)
+    for theta in (frequency_grid({1: 4096, 2: 64, 3: 16}[poly.d], poly.d),
+                  rng.uniform(-np.pi, np.pi, (20000, poly.d))):
+        complex_gemm = np.einsum("nk,kab->nab", np.exp(1j * theta @ poly._offsets.T),
+                                 poly._blocks)
+        values = poly._eval(None, theta)
+        assert np.array_equal(values.view(np.int64), complex_gemm.view(np.int64))
