@@ -33,12 +33,7 @@ from .gltcalc import (
     truncate_toeplitz,
 )
 from .matgen import BlockMatrix, diag_sampling, toeplitz
-from .multiindex import (
-    MultiIndexInterval,
-    lex_rank,
-    lex_unrank,
-    nu,
-)
+from .multiindex import nu
 from .reports import Report
 from .spectra import (
     TestFunction,
@@ -71,7 +66,6 @@ __all__ = [
     "FunApply",
     "GLTExpression",
     "LinComb",
-    "MultiIndexInterval",
     "Product",
     "PseudoInverse",
     "RandomSequenceModel",
@@ -93,8 +87,6 @@ __all__ = [
     "fourier_coefficients",
     "glt1_verify",
     "glt5_split_check",
-    "lex_rank",
-    "lex_unrank",
     "materialize",
     "nu",
     "parse",

@@ -584,33 +584,23 @@ MODEL_ZOO: dict[str, Callable[[int], RandomSequenceModel]] = {
 # reference zero-distribution sequences (CLI builtins and test fixtures)
 
 
-def spike_sequence():
+def spike_sequence(n):
     """diag(1 at the ceil(sqrt(d_n)) leading entries, else 0): vanishing rank
     fraction with unit norm."""
-
-    def seq(n):
-        d_n = int(np.prod(check_size(n)))
-        k = int(np.ceil(np.sqrt(d_n)))
-        return np.diag(np.concatenate([np.ones(k), np.zeros(d_n - k)]))
-
-    return seq
+    d_n = int(np.prod(check_size(n)))
+    k = int(np.ceil(np.sqrt(d_n)))
+    return np.diag(np.concatenate([np.ones(k), np.zeros(d_n - k)]))
 
 
-def identity_sequence():
-    def seq(n):
-        return np.eye(int(np.prod(check_size(n))))
-
-    return seq
+def identity_sequence(n):
+    return np.eye(int(np.prod(check_size(n))))
 
 
-def rank_one_sequence():
-    def seq(n):
-        d_n = int(np.prod(check_size(n)))
-        out = np.zeros((d_n, d_n))
-        out[0, 0] = 1.0
-        return out
-
-    return seq
+def rank_one_sequence(n):
+    d_n = int(np.prod(check_size(n)))
+    out = np.zeros((d_n, d_n))
+    out[0, 0] = 1.0
+    return out
 
 
 ZERO_SEQUENCES = {

@@ -109,6 +109,8 @@ class ExperimentConfig:
                 problems.append("sizes: must be strictly increasing in min-entry")
             if self.d is not None and any(len(n) != self.d for n in self.sizes):
                 problems.append(f"sizes: every size must have d={self.d} entries")
+        if self.kind == "spectrum" and len(self.sizes) > 1:
+            problems.append(f"sizes: spectrum takes one size, got {len(self.sizes)}")
         if self.mode not in ("sigma", "lambda"):
             problems.append(f"mode: must be sigma or lambda, got {self.mode!r}")
         if self.kind == "sacs":
@@ -307,7 +309,7 @@ def _run_zero(cfg: ExperimentConfig):
         seq = lambda n: materialize(e, n, r=cfg.r)
         label = dsl.format_expression(e)
     else:
-        seq = acs_mod.ZERO_SEQUENCES[cfg.model]()
+        seq = acs_mod.ZERO_SEQUENCES[cfg.model]
         label = cfg.model
     report = acs_mod.zero_distribution_test(seq, cfg.p, cfg.sizes, tol=cfg.zero_tol)
     return report, {"sequence": label}

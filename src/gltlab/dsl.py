@@ -585,7 +585,7 @@ class _Parser:
                 one = self.expect("num")
                 if one.value != 1.0:
                     self.error("only ^-1 (pseudo-inverse) is supported", one)
-                node = PseudoInverse(node, invertible_ae=True)
+                node = PseudoInverse(node)
             else:
                 return node
 

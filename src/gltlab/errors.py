@@ -16,10 +16,6 @@ class InvalidSizeError(GltLabError):
     """A size multi-index has a non-positive entry."""
 
 
-class IndexRangeError(GltLabError):
-    """A multi-index or rank lies outside its interval."""
-
-
 class InvalidParameterError(GltLabError):
     """A numeric parameter violates its contract (p < 1, budget >= 0.5, ...)."""
 
@@ -60,7 +56,8 @@ class ConfigurationError(GltLabError):
 
 
 class SizeCapError(GltLabError):
-    """Requested matrix exceeds the fixed dense-size cap (8192 rows)."""
+    """Requested matrix exceeds the fixed dense-size cap (8192 rows), or a
+    numeric Fourier grid exceeds 2^24 nodes."""
 
 
 class ModeError(GltLabError):

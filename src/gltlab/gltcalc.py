@@ -184,7 +184,6 @@ class Product(GLTExpression):
 @dataclass(eq=False)
 class PseudoInverse(GLTExpression):
     child: GLTExpression
-    invertible_ae: bool = True
 
     @property
     def hermitian(self):
@@ -269,10 +268,6 @@ def symbol_of(e: GLTExpression, d: int | None = None, r: int | None = None) -> S
 def _scan(e: GLTExpression) -> tuple[bool, bool]:
     """(depends_space, depends_frequency) of the symbol of ``e``; raises
     CalculusError where the calculus assigns no symbol."""
-    if isinstance(e, PseudoInverse) and not e.invertible_ae:
-        raise CalculusError(
-            "pseudo-inverse requires an invertible-a.e. declaration on its child"
-        )
     if isinstance(e, FunApply) and e.name not in FUNCTION_CATALOGUE:
         raise CalculusError(f"unknown function {e.name!r}")
     if isinstance(e, (Toeplitz, Diag)):

@@ -68,7 +68,6 @@ class TestFunction:
 
     id: str
     fn: Callable[[np.ndarray], np.ndarray]
-    support: tuple
 
     def evaluate(self, values) -> np.ndarray:
         arr = np.asarray(values)
@@ -84,7 +83,7 @@ def poly_on_window(power: int, lo: float, hi: float, fid: str | None = None) -> 
         x = np.asarray(x, dtype=float)
         return np.where((x >= lo) & (x <= hi), x**power, 0.0)
 
-    return TestFunction(fid or f"x^{power}", fn, ("window", float(lo), float(hi)))
+    return TestFunction(fid or f"x^{power}", fn)
 
 
 def cosine_bump(center: float, halfwidth: float, fid: str | None = None) -> TestFunction:
@@ -96,7 +95,7 @@ def cosine_bump(center: float, halfwidth: float, fid: str | None = None) -> Test
         u = (np.asarray(x, dtype=float) - center) / halfwidth
         return np.where(np.abs(u) <= 1.0, 0.5 * (1.0 + np.cos(np.pi * u)), 0.0)
 
-    return TestFunction(fid or f"bump@{center:g}", fn, ("bump", float(center), float(halfwidth)))
+    return TestFunction(fid or f"bump@{center:g}", fn)
 
 
 def default_basket(lo: float, hi: float) -> list[TestFunction]:
@@ -526,8 +525,7 @@ def _grid_means(s: Symbol, basket: Sequence[TestFunction], mode: str, g: int) ->
 
 
 def _basket_quadrature(s: Symbol, basket: Sequence[TestFunction], mode: str,
-                       grid_points_per_dim: int, tol: float,
-                       max_nodes: int) -> list[Quadrature]:
+                       grid_points_per_dim: int, tol: float) -> list[Quadrature]:
     """Symbol-side integrals of a whole basket, each grid evaluated once.
 
     Every function follows the rule of :func:`symbol_functional` and stops at
@@ -541,11 +539,11 @@ def _basket_quadrature(s: Symbol, basket: Sequence[TestFunction], mode: str,
     g = max(int(grid_points_per_dim), 2)
     active = s.d * (int(s.depends_space) + int(s.depends_frequency))
     if active > 0:
-        g_cap = int(max_nodes ** (1.0 / active)) >> doublings
+        g_cap = int(_MAX_NODES ** (1.0 / active)) >> doublings
         g = min(g, max(g_cap, 2))
-    if _node_count(s, g << doublings) > max_nodes:
+    if _node_count(s, g << doublings) > _MAX_NODES:
         raise QuadratureError(
-            f"node budget {max_nodes} cannot fit the {doublings + 1} grids of one "
+            f"node budget {_MAX_NODES} cannot fit the {doublings + 1} grids of one "
             f"convergence test ({active} active dimensions)"
         )
     coarse = _grid_means(s, basket, mode, g)
@@ -555,11 +553,11 @@ def _basket_quadrature(s: Symbol, basket: Sequence[TestFunction], mode: str,
     pending = list(range(len(basket)))
     while pending:
         g2 = 2 * g
-        if _node_count(s, g2) > max_nodes:
+        if _node_count(s, g2) > _MAX_NODES:
             i = pending[0]
             raise QuadratureError(
                 f"quadrature for {basket[i].id!r} did not converge to {tol} within "
-                f"{max_nodes} nodes (last delta {delta[i]:.3e} at g={g})"
+                f"{_MAX_NODES} nodes (last delta {delta[i]:.3e} at g={g})"
             )
         fine = _grid_means(s, [basket[i] for i in pending], mode, g2)
         for i, cur in zip(pending, fine):
@@ -574,25 +572,23 @@ def _basket_quadrature(s: Symbol, basket: Sequence[TestFunction], mode: str,
     return [done[i] for i in range(len(basket))]
 
 
-def symbol_functional(s: Symbol, f: TestFunction, mode: str = SIGMA,
-                      grid_points_per_dim: int = 64, tol: float = QUAD_TOL,
-                      max_nodes: int = _MAX_NODES) -> float:
+def symbol_functional(s: Symbol, f: TestFunction, mode: str = SIGMA) -> float:
     """Tensor quadrature of the averaged surface functional,
     (1/mu(D)) int mean_i F(surface_i(x, theta)) d(x, theta).
 
-    The rule is the midpoint rule I(g) on a g-per-dimension grid.  It is
+    The rule is the midpoint rule I(g) on a g-per-dimension grid, from g = 64.  It is
     spectrally accurate in the periodic theta, so a frequency-only symbol
     takes I(g) as its estimate.  In the non-periodic x it converges only as
     O(h^2), so a symbol that depends on x takes one Richardson step,
     R(g) = (4 I(2g) - I(g)) / 3.  The grid is doubled until two consecutive
-    estimates differ by less than ``tol``; the finer one is reported.  The
+    estimates differ by less than ``QUAD_TOL``; the finer one is reported.  The
     convergence test stays the gate because clipped windows and |.|
     surfaces break the h^2 expansion.  Inactive variables use a single
     midpoint node.  The starting resolution shrinks automatically so that
-    the grids of one convergence test fit inside the ``max_nodes`` budget;
+    the grids of one convergence test fit inside the ``_MAX_NODES`` budget;
     :class:`QuadratureError` is raised when the budget runs out first.
     """
-    return _basket_quadrature(s, [f], mode, grid_points_per_dim, tol, max_nodes)[0].value
+    return _basket_quadrature(s, [f], mode, 64, QUAD_TOL)[0].value
 
 
 # ---------------------------------------------------------------------------
@@ -694,8 +690,7 @@ def distribution_check(seq, symbol: Symbol, sizes: Sequence, mode: str = SIGMA,
                     f"unknown basket ids {missing}; available: {sorted(known)}"
                 )
             basket = [known[fid] for fid in basket_ids]
-    quadrature = _basket_quadrature(symbol, basket, mode, grid_points_per_dim, quad_tol,
-                                    _MAX_NODES)
+    quadrature = _basket_quadrature(symbol, basket, mode, grid_points_per_dim, quad_tol)
     rows: list[WeylRow] = []
     checks: list[dict] = []
     passed = True

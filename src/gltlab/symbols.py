@@ -18,16 +18,18 @@ non-band-limited frequency symbols, a declared truncation degree (see
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, EvaluationError
-from .multiindex import MultiIndex, MultiIndexInterval, as_multiindex, iter_interval
+from .errors import ConfigurationError, DomainError, EvaluationError, SizeCapError
+from .multiindex import MultiIndex, as_multiindex
 
 _HERMITIAN_TOL = 1e-13
 HERMITIAN_RTOL = 1e-12  # Hermitian when ||A - A*||_F <= HERMITIAN_RTOL ||A||_F
 _DOMAIN_TOL = 1e-9
+FOURIER_NODE_CAP = 2**24  # nodes of the numeric Fourier grid (256^3)
 
 
 def _as_points(pts, d: int, name: str) -> np.ndarray:
@@ -260,7 +262,8 @@ def fourier_coefficients(f, degree: int | Sequence[int], samples_per_dim: int,
     ``f`` is a frequency-only :class:`Symbol` or a vectorized callable mapping
     an (N, d) array of angles to (N, r, r) values.  The uniform-grid rule is
     exact (to roundoff) when f is a trig polynomial of degree < N/2, hence the
-    aliasing guard ``samples_per_dim > 2 * max(degree)``.
+    aliasing guard ``samples_per_dim > 2 * max(degree)``.  A grid of more
+    than ``FOURIER_NODE_CAP`` nodes is refused before it is allocated.
     """
     if isinstance(f, Symbol):
         if f.depends_space:
@@ -281,14 +284,15 @@ def fourier_coefficients(f, degree: int | Sequence[int], samples_per_dim: int,
         raise ConfigurationError(
             f"samples_per_dim={n} violates the aliasing guard (> {2 * max(deg)} required)"
         )
+    if n**d > FOURIER_NODE_CAP:
+        raise SizeCapError(f"Fourier grid of {n}^{d} nodes exceeds the cap {FOURIER_NODE_CAP}")
     theta = frequency_grid(n, d)
     vals = np.asarray(fn(theta), dtype=complex)
     if vals.shape == (theta.shape[0],):
         vals = vals.reshape(-1, 1, 1)
     weight = 1.0 / theta.shape[0]
-    box = MultiIndexInterval(tuple(-v for v in deg), deg)
     coeffs = {}
-    for k in iter_interval(box):
+    for k in itertools.product(*(range(-v, v + 1) for v in deg)):
         phases = np.exp(-1j * theta @ np.asarray(k, dtype=float))
         coeffs[k] = weight * np.einsum("n,nab->ab", phases, vals)
     return TrigPolynomial(d, r, coeffs)

@@ -1,16 +1,11 @@
 """Shared fixtures-by-hand for the test suite."""
 
+import itertools
+
 import numpy as np
 
 from gltlab.acs import _STACK_BYTES, CERTIFICATE_COLUMNS, SplittingRow, hoeffding_radius
-from gltlab.multiindex import (
-    MultiIndex,
-    MultiIndexInterval,
-    check_size,
-    iter_interval,
-    nu,
-    size_interval,
-)
+from gltlab.multiindex import MultiIndex, check_size, nu
 from gltlab.errors import InvalidParameterError, QuadratureError
 from gltlab.reports import Report
 from gltlab.spectra import (
@@ -28,9 +23,8 @@ from gltlab.symbols import Symbol, TrigPolynomial, spectral_surfaces
 def random_trig_polynomial(rng, d=1, r=1, degree=1, hermitian=True, scale=1.0):
     """Random trig polynomial; Hermitian variants satisfy fhat_{-k} = fhat_k^*."""
     deg = (degree,) * d if isinstance(degree, int) else tuple(degree)
-    box = MultiIndexInterval(tuple(-v for v in deg), deg)
     coeffs = {}
-    for k in iter_interval(box):
+    for k in itertools.product(*(range(-v, v + 1) for v in deg)):
         if k in coeffs:
             continue
         block = scale * (rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)))
@@ -80,7 +74,7 @@ def toeplitz_kronecker(f, n):
 def toeplitz_blockfill(f, n):
     """Oracle: T_n(f) filled block (i, j) = fhat_{i-j} one pair at a time."""
     n = check_size(n)
-    indices = list(iter_interval(size_interval(n)))
+    indices = list(itertools.product(*(range(1, v + 1) for v in n)))
     out = np.zeros((f.r * nu(n), f.r * nu(n)), dtype=complex)
     for a, i in enumerate(indices):
         for b, j in enumerate(indices):

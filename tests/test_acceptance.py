@@ -170,7 +170,7 @@ def test_criterion_08_zero_distribution_suite():
     results = {}
     for name, want in expected.items():
         for p in (1, 2, np.inf):
-            got = zero_distribution_test(ZERO_SEQUENCES[name](), p, sizes).passed
+            got = zero_distribution_test(ZERO_SEQUENCES[name], p, sizes).passed
             results[(name, p)] = got == want
     ok = all(results.values())
     bad = [k for k, v in results.items() if not v]

@@ -119,15 +119,15 @@ def test_certificate_csv_header():
 @pytest.mark.parametrize("p", [1, 2, np.inf])
 def test_zero_distribution_suite(p):
     sizes = [(64,), (128,), (256,)]
-    assert zero_distribution_test(spike_sequence(), p, sizes).passed
-    assert not zero_distribution_test(identity_sequence(), p, sizes).passed
-    assert zero_distribution_test(rank_one_sequence(), p, sizes).passed
+    assert zero_distribution_test(spike_sequence, p, sizes).passed
+    assert not zero_distribution_test(identity_sequence, p, sizes).passed
+    assert zero_distribution_test(rank_one_sequence, p, sizes).passed
 
 
 def test_zero_distribution_values():
-    res = zero_distribution_test(rank_one_sequence(), 1, [(16,), (32,)])
+    res = zero_distribution_test(rank_one_sequence, 1, [(16,), (32,)])
     assert np.allclose(res.facts["normalized_norms"], [1 / 16, 1 / 32])
-    res_i = zero_distribution_test(identity_sequence(), 2, [(16,), (32,)])
+    res_i = zero_distribution_test(identity_sequence, 2, [(16,), (32,)])
     assert np.allclose(res_i.facts["normalized_norms"], [1.0, 1.0])
     assert [check["verdict"] for check in res_i.checks] == [False, False]
 
@@ -151,7 +151,7 @@ def test_zero_distribution_bounded_norm_vanishing_rank_suite():
 
 def test_zero_distribution_invalid_p():
     with pytest.raises(InvalidParameterError):
-        zero_distribution_test(identity_sequence(), 0.3, [(8,), (16,)])
+        zero_distribution_test(identity_sequence, 0.3, [(8,), (16,)])
 
 
 def test_sacs_deterministic_model():

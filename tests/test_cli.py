@@ -267,6 +267,31 @@ def test_spectrum_n_is_one_multi_index(capsys):
     assert len(capsys.readouterr().out.split()) == 64
 
 
+def test_spectrum_refuses_more_than_one_size(tmp_path, capsys):
+    assert main(["spectrum", "--expr", "T(2-2*cos(t1))", "--n", "8;16",
+                 "--mode", "lambda"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "sizes: spectrum takes one size, got 2" in captured.err
+    path = write_config(tmp_path, "[experiment]\nkind = spectrum\nexpr = T(2-2*cos(t1))\n"
+                        f"sizes = 8;16\nout = {tmp_path / 'spec'}\n")
+    assert main(["run", path]) == 2
+    assert "sizes: spectrum takes one size, got 2" in capsys.readouterr().err
+    assert not (tmp_path / "spec").exists()
+
+
+def test_numeric_fourier_grid_over_the_cap_exits_2(monkeypatch, capsys):
+    import gltlab.symbols as symbols_mod
+
+    # 256^4 nodes would need tens of GiB: the cap must refuse the grid unbuilt
+    def no_grid(samples_per_dim, d):
+        raise AssertionError("the Fourier grid was built")
+
+    monkeypatch.setattr(symbols_mod, "frequency_grid", no_grid)
+    assert main(["parse", "--expr", "T(abs(t1)+abs(t2)+abs(t3)+abs(t4))",
+                 "--degree", "1"]) == 2
+    assert "Fourier grid of 256^4 nodes exceeds the cap" in capsys.readouterr().err
+
+
 def _all_error_types(cls=GltLabError):
     yield cls
     for sub in cls.__subclasses__():

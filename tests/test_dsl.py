@@ -159,7 +159,7 @@ def test_roundtrip_random_trees():
         if kind == "adj":
             return Adjoint(build(depth - 1))
         if kind == "pinv":
-            return PseudoInverse(build(depth - 1), invertible_ae=True)
+            return PseudoInverse(build(depth - 1))
         return FunApply(rng.choice(names), build(depth - 1))
 
     count = 0
@@ -226,7 +226,6 @@ def test_scalar_folding():
 def test_pseudo_inverse_suffix():
     e = parse("T(2-2*cos(t1))^-1")
     assert isinstance(e, PseudoInverse)
-    assert e.invertible_ae
     with pytest.raises(DslSyntaxError, match="\\^-1"):
         parse("Z^-2")
 

@@ -58,11 +58,9 @@ def test_symbol_of_product_rule():
 
 
 def test_symbol_of_pseudo_inverse():
-    sym = symbol_of(PseudoInverse(LAP, invertible_ae=True))
+    sym = symbol_of(PseudoInverse(LAP))
     val = evaluate(sym, [0.5], [np.pi])
     assert abs(val[0, 0] - 0.25) < 1e-14
-    with pytest.raises(CalculusError):
-        symbol_of(PseudoInverse(LAP, invertible_ae=False))
 
 
 def test_symbol_of_fun_apply_requires_hermitian():
@@ -381,9 +379,7 @@ def test_structurally_equal():
     assert not structurally_equal(Product(LAP, SHIFT), Product(SHIFT, LAP))
     assert structurally_equal(Scalar(2 + 1j), Scalar(2 + 1j))
     assert not structurally_equal(Scalar(2), Scalar(3))
-    # the declaration decides whether symbol_of raises, so it is structure
     assert structurally_equal(PseudoInverse(LAP), PseudoInverse(LAP))
-    assert not structurally_equal(PseudoInverse(LAP), PseudoInverse(LAP, invertible_ae=False))
 
 
 REAL_EXPRESSIONS = [

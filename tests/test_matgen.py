@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from gltlab.matgen import (
     toeplitz,
     zeros,
 )
-from gltlab.multiindex import iter_interval, size_interval
 from gltlab.symbols import CoefficientFunction, TrigPolynomial
 
 LAP = TrigPolynomial(1, 1, {(0,): [[2.0]], (1,): [[-1.0]], (-1,): [[-1.0]]})
@@ -135,7 +136,7 @@ def test_sampling_grid_order():
 
 def test_sampling_grid_equals_the_lexicographic_enumeration():
     for n in [(3, 4, 5), (7,), (1, 2, 1)]:
-        nodes = np.array(list(iter_interval(size_interval(n))), dtype=float)
+        nodes = np.array(list(itertools.product(*(range(1, v + 1) for v in n))), dtype=float)
         assert np.array_equal(sampling_grid(n), nodes / np.asarray(n, dtype=float))
 
 

@@ -179,7 +179,7 @@ def test_schatten_triangle_inequality(a, b, p):
 def test_empirical_functional_examples():
     lam = spectrum(toeplitz(LAP, 8), "lambda")
     assert abs(empirical_functional(lam, WIDE_X) - 2.0) < 1e-12  # trace identity
-    zero_f = TestFunction("zero", lambda x: np.zeros_like(x), ("window", 0, 1))
+    zero_f = TestFunction("zero", lambda x: np.zeros_like(x))
     assert empirical_functional(lam, zero_f) == 0.0
     assert abs(empirical_functional(lam, WIDE_X2) - (6.0 - 2.0 / 8.0)) < 1e-12
     with pytest.raises(InvalidParameterError):
@@ -314,15 +314,20 @@ def test_trend_helpers():
     assert not trending_to_zero([1.0, 0.2, 0.9])
 
 
-def test_symbol_functional_quadrature_error():
+def test_symbol_functional_quadrature_error(monkeypatch):
+    import gltlab.spectra as spectra_mod
+
     bump = cosine_bump(2.0, 1.0)
+    monkeypatch.setattr(spectra_mod, "_MAX_NODES", 32)  # read at each call
     with pytest.raises(QuadratureError, match=r"last delta \d\.\d{3}e[+-]\d+ at g=32"):
-        symbol_functional(LAP, bump, "lambda", grid_points_per_dim=64, max_nodes=32)
+        symbol_functional(LAP, bump, "lambda")
     # x-dependent: the Richardson test needs three grids, 8^2 nodes at the least
+    monkeypatch.setattr(spectra_mod, "_MAX_NODES", 63)
     with pytest.raises(QuadratureError, match="cannot fit the 3 grids"):
-        symbol_functional(PRODUCT, bump, "sigma", max_nodes=63)
+        symbol_functional(PRODUCT, bump, "sigma")
+    monkeypatch.setattr(spectra_mod, "_MAX_NODES", 64**2)
     with pytest.raises(QuadratureError, match=r"last delta \d\.\d{3}e[+-]\d+ at g=64"):
-        symbol_functional(PRODUCT, cosine_bump(2.0, 1.0), "sigma", max_nodes=64**2)
+        symbol_functional(PRODUCT, cosine_bump(2.0, 1.0), "sigma")
 
 
 def test_empirical_functional_rejects_non_finite():

@@ -4,7 +4,7 @@ import pytest
 from helpers import random_trig_polynomial
 
 from gltlab.dsl import parse
-from gltlab.errors import ConfigurationError, DomainError
+from gltlab.errors import ConfigurationError, DomainError, SizeCapError
 from gltlab.gltcalc import Diag, Product, Scalar, Toeplitz, symbol_of
 from gltlab.symbols import (
     CoefficientFunction,
@@ -81,6 +81,26 @@ def test_fourier_coefficients_abs_theta():
 def test_aliasing_guard():
     with pytest.raises(ConfigurationError):
         fourier_coefficients(LAP, degree=3, samples_per_dim=6)
+
+
+def test_fourier_grid_is_capped_before_it_is_allocated(monkeypatch):
+    import gltlab.symbols as symbols_mod
+
+    class GridBuilt(Exception):
+        pass
+
+    def grid(samples_per_dim, d):
+        raise GridBuilt
+
+    monkeypatch.setattr(symbols_mod, "frequency_grid", grid)
+    with pytest.raises(SizeCapError, match="exceeds the cap 16777216"):
+        fourier_coefficients(LAP, degree=1, samples_per_dim=2**24 + 1)
+    # the cap itself, 256^3 nodes, is admitted
+    with pytest.raises(GridBuilt):
+        fourier_coefficients(LAP, degree=1, samples_per_dim=2**24)
+    fn = lambda theta: np.ones(len(theta), dtype=complex)
+    with pytest.raises(GridBuilt):
+        fourier_coefficients(fn, degree=1, samples_per_dim=256, d=3, r=1)
 
 
 def test_fourier_roundtrip_recovers_coefficients():
