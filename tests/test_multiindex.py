@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from gltlab.errors import InvalidSizeError
-from gltlab.multiindex import check_size, format_multiindex, nu, parse_multiindex
+from gltlab.multiindex import (
+    as_multiindex,
+    check_size,
+    format_multiindex,
+    min_entry,
+    nu,
+    parse_multiindex,
+)
 
 
 def test_nu_examples():
@@ -35,3 +42,31 @@ def test_serialization():
     assert parse_multiindex(format_multiindex((7,))) == (7,)
     with pytest.raises(InvalidSizeError):
         parse_multiindex("2,x")
+
+
+@pytest.mark.parametrize("m", [(2, 3, 4), (7,), (-1, 0, 3), (np.int64(5), 2)])
+def test_serialization_roundtrip(m):
+    # offset-type multi-indices may be negative; NumPy entries serialize as ints
+    text = format_multiindex(m)
+    assert parse_multiindex(text) == tuple(int(v) for v in m)
+    assert all(type(v) is int for v in parse_multiindex(text))
+
+
+@pytest.mark.parametrize("text", ["", "2,,3", "1.5", "3;4"])
+def test_parse_rejects_non_integers(text):
+    with pytest.raises(InvalidSizeError):
+        parse_multiindex(text)
+
+
+def test_empty_multiindex_is_refused():
+    with pytest.raises(InvalidSizeError, match="at least one entry"):
+        as_multiindex(())
+    with pytest.raises(InvalidSizeError):
+        check_size([])
+
+
+def test_min_entry():
+    assert min_entry((3, 1, 2)) == 1
+    assert min_entry(5) == 5
+    assert min_entry((-2, 4)) == -2
+    assert min_entry(np.arange(4, 7)) == 4

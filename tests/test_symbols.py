@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,16 @@ def test_fourier_grid_is_capped_before_it_is_allocated(monkeypatch):
     fn = lambda theta: np.ones(len(theta), dtype=complex)
     with pytest.raises(GridBuilt):
         fourier_coefficients(fn, degree=1, samples_per_dim=256, d=3, r=1)
+
+
+@pytest.mark.parametrize("deg", [(2,), (1, 2), (1, 1, 1)])
+def test_fourier_offsets_are_in_lexicographic_order(deg):
+    # the offset box is enumerated with the last coordinate varying fastest
+    f = random_trig_polynomial(np.random.default_rng(11), d=len(deg), degree=deg)
+    g = fourier_coefficients(f, degree=deg, samples_per_dim=2 * max(deg) + 2)
+    box = list(itertools.product(*(range(-v, v + 1) for v in deg)))
+    assert list(g.coeffs) == box == sorted(box)
+    assert box[:2] == [tuple(-v for v in deg), tuple(-v for v in deg[:-1]) + (1 - deg[-1],)]
 
 
 def test_fourier_roundtrip_recovers_coefficients():
