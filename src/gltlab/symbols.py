@@ -279,6 +279,8 @@ def fourier_coefficients(f, degree: int | Sequence[int], samples_per_dim: int,
         deg = deg * d
     if len(deg) != d:
         raise ConfigurationError(f"degree {deg} does not match d={d}")
+    if min(deg) < 0:
+        raise ConfigurationError(f"degree {deg} has a negative entry")
     n = int(samples_per_dim)
     if n <= 2 * max(deg):
         raise ConfigurationError(

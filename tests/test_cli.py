@@ -292,6 +292,13 @@ def test_numeric_fourier_grid_over_the_cap_exits_2(monkeypatch, capsys):
     assert "Fourier grid of 256^4 nodes exceeds the cap" in capsys.readouterr().err
 
 
+def test_negative_numeric_degree_exits_2(capsys):
+    # a negative degree has no offsets; it must not yield a zero symbol
+    assert main(["parse", "--expr", "T(abs(t1))", "--degree", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "degree (-1,) has a negative entry" in captured.err
+
+
 def _all_error_types(cls=GltLabError):
     yield cls
     for sub in cls.__subclasses__():

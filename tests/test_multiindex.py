@@ -36,26 +36,15 @@ def test_nu_rejects_nonpositive():
         nu((-1, 3))
 
 
-def test_serialization():
-    assert parse_multiindex("2,3,4") == (2, 3, 4)
-    assert format_multiindex((2, 3, 4)) == "2,3,4"
-    assert parse_multiindex(format_multiindex((7,))) == (7,)
-    with pytest.raises(InvalidSizeError):
-        parse_multiindex("2,x")
-
-
 @pytest.mark.parametrize("m", [(2, 3, 4), (7,), (-1, 0, 3), (np.int64(5), 2)])
-def test_serialization_roundtrip(m):
+def test_serialization(m):
     # offset-type multi-indices may be negative; NumPy entries serialize as ints
     text = format_multiindex(m)
-    assert parse_multiindex(text) == tuple(int(v) for v in m)
-    assert all(type(v) is int for v in parse_multiindex(text))
-
-
-@pytest.mark.parametrize("text", ["", "2,,3", "1.5", "3;4"])
-def test_parse_rejects_non_integers(text):
+    assert text == ",".join(str(int(v)) for v in m)
+    back = parse_multiindex(text)
+    assert back == tuple(int(v) for v in m) and all(type(v) is int for v in back)
     with pytest.raises(InvalidSizeError):
-        parse_multiindex(text)
+        parse_multiindex("2,x")
 
 
 def test_empty_multiindex_is_refused():
