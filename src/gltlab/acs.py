@@ -443,6 +443,8 @@ def sacs_check(model: RandomSequenceModel, m_list: Sequence[int], sizes: Sequenc
     trials = int(trials)
     if trials < 100:
         raise InvalidParameterError("at least 100 trials are required")
+    if model.seed < 0:
+        raise InvalidParameterError(f"the seed must be >= 0, got {model.seed}")
     m_list = [int(m) for m in m_list]
     if any(m < 1 for m in m_list):
         raise InvalidParameterError(f"every m must be >= 1, got {m_list}")

@@ -113,6 +113,8 @@ class ExperimentConfig:
             problems.append(f"sizes: spectrum takes one size, got {len(self.sizes)}")
         if self.mode not in ("sigma", "lambda"):
             problems.append(f"mode: must be sigma or lambda, got {self.mode!r}")
+        if self.seed is not None and self.seed < 0:
+            problems.append(f"seed: must be >= 0, got {self.seed}")
         if self.kind == "sacs":
             if self.seed is None:
                 problems.append("seed: required for stochastic experiments")

@@ -41,14 +41,26 @@ SLACK = 1.5  # growth per size step that still counts as non-increasing
 DECAY = 0.5  # fall from first to last value required of a trend to zero
 FLOOR = 1e-10  # values at or below this count as zero in a trend to zero
 TREND_FLOOR = 1e-12  # absolute allowance of each non-increasing step
-# A real matrix of order N with lower and upper bandwidths kl and ku takes the
-# band route when (kl + ku + 1) * _BAND_COST <= N and N >= _BAND_FLOOR.  On 2
+# A matrix of order N >= _BAND_FLOOR takes the band route when its lower and
+# upper bandwidths keep (kl + ku + 1) * _BAND_COST <= N (SVD), or when it is
+# Hermitian and its lower bandwidth keeps (kd + 1) * _BAND_COST <= N.  On 2
 # cores, dgbbrd + dbdsqr break even with the dense values-only SVD near
-# kl = ku = 50 at N = 1024 (2.8 times faster at 16, 1.7 at 32), and dsbevd with
-# eigvalsh near kd = 48 at N = 1152 (1.4 times faster at 24): both near
-# kl + ku + 1 = N / 10.  Below order 32 neither route is faster.
+# kl = ku = 50 at N = 1024 (2.8 times faster at 16, 1.7 at 32).  Hermitian
+# band routines, best form, against eigvalsh (ms; z = complex):
+#   N = 1024, kd = 48: 49 vs 75 (d);   N = 1024, kd = 63: 115 vs 229 (z)
+#   N = 2048, kd = 64: 227 vs 458 (d); N = 2048, kd = 64: 1022 vs 1545 (z)
+#   N = 2048, kd = 96: 532 vs 538 (d); N = 4096, kd = 128: 4207 vs 3578 (d)
+# Below order 32 no route is faster.  The two-stage reduction (band to
+# tridiagonal by bulge chasing) overtakes the one-stage one near kd = 32
+# (d: 251 vs 180 ms at N = 2048, kd = 32; 198 vs 284 at kd = 24) and kd = 16
+# (z: 506 vs 424 at N = 2048, kd = 16; 255 vs 306 at kd = 12).  From
+# kd = 92 (d) OpenBLAS threads the bulge chase's small matrix-vector
+# products and it loses that lead: 882 vs 454 ms at N = 2048, kd = 92, but
+# 364 vs 507 ms on one thread at kd = 88 and 384 vs 624 at kd = 96.  Complex
+# input keeps it (N = 2048, kd = 127: 1498 vs 2783 ms).
 _BAND_COST = 16
 _BAND_FLOOR = 2 * _BAND_COST
+_TWO_STAGE = {"dsbevd": range(32, 92), "zhbevd": range(16, 1 << 62)}  # kd of the _2stage form
 
 
 # ---------------------------------------------------------------------------
@@ -199,19 +211,21 @@ def _skew_centro_block(arr: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# banded real matrices
+# banded matrices
 
 _INT, _PTR, _CHAR = ctypes.c_int64, ctypes.c_void_p, ctypes.c_char
 _COL_MAJOR = 102  # LAPACKE's matrix_layout for Fortran order
+# layout, vect, m, n, ncc, kl, ku, ab, ldab, d, e, q, ldq, pt, ldpt, c, ldc
+_GBBRD = [ctypes.c_int, _CHAR, _INT, _INT, _INT, _INT, _INT, _PTR, _INT, _PTR, _PTR,
+          _PTR, _INT, _PTR, _INT, _PTR, _INT]
+# layout, jobz, uplo, n, kd, ab, ldab, w, z, ldz
+_SBEVD = [ctypes.c_int, _CHAR, _CHAR, _INT, _INT, _PTR, _INT, _PTR, _PTR, _INT]
 _LAPACKE_ARGS = {  # ILP64 prototypes of the LAPACKE routines the band route calls
-    # layout, vect, m, n, ncc, kl, ku, ab, ldab, d, e, q, ldq, pt, ldpt, c, ldc
-    "dgbbrd": [ctypes.c_int, _CHAR, _INT, _INT, _INT, _INT, _INT, _PTR, _INT, _PTR, _PTR,
-               _PTR, _INT, _PTR, _INT, _PTR, _INT],
+    "dgbbrd": _GBBRD, "zgbbrd": _GBBRD,
     # layout, uplo, n, ncvt, nru, ncc, d, e, vt, ldvt, u, ldu, c, ldc
     "dbdsqr": [ctypes.c_int, _CHAR, _INT, _INT, _INT, _INT, _PTR, _PTR, _PTR, _INT, _PTR,
                _INT, _PTR, _INT],
-    # layout, jobz, uplo, n, kd, ab, ldab, w, z, ldz
-    "dsbevd": [ctypes.c_int, _CHAR, _CHAR, _INT, _INT, _PTR, _INT, _PTR, _PTR, _INT],
+    "dsbevd": _SBEVD, "dsbevd_2stage": _SBEVD, "zhbevd": _SBEVD, "zhbevd_2stage": _SBEVD,
 }
 
 
@@ -219,8 +233,9 @@ _LAPACKE_ARGS = {  # ILP64 prototypes of the LAPACKE routines the band route cal
 def _band_lapack() -> dict | None:
     """The LAPACKE band routines of the scipy-openblas64 library that numpy
     bundles, found through numpy's own linalg extension, or None when numpy
-    links another LAPACK; then every matrix takes the dense call.  Bound on
-    first use, so importing gltlab loads nothing."""
+    links another LAPACK or one of them is missing (an OpenBLAS older than
+    its two-stage routines); then every matrix takes the dense call.  Bound
+    on first use, so importing gltlab loads nothing."""
     try:
         from numpy.linalg import _umath_linalg
 
@@ -233,20 +248,25 @@ def _band_lapack() -> dict | None:
     return routines
 
 
-def _bandwidths(arr: np.ndarray) -> tuple[int, int] | None:
-    """The exact lower and upper bandwidths (kl, ku) of a real matrix, or
-    None as soon as the rows read so far break (kl + ku + 1) * _BAND_COST
-    <= min(shape).  Reads strips of rows, row 0 first
+def _bandwidths(arr: np.ndarray, lower: bool = False) -> tuple[int, int] | None:
+    """The exact lower and upper bandwidths (kl, ku) of a matrix, or None as
+    soon as the rows read so far break (kl + ku + 1) * _BAND_COST <=
+    min(shape).  With ``lower`` only the lower triangle counts and ku is 0:
+    the rule of a Hermitian matrix's lower band.  Reads strips of rows, row 0
+    first, or the last row first for ``lower``
     (:func:`~gltlab.matgen.row_strips`), so a dense matrix is rejected in
     O(N)."""
     m, n = arr.shape
     kl = ku = 0
     for lo, hi in row_strips(m, n):
+        if lower:
+            lo, hi = m - hi, m - lo
         nonzero = arr[lo:hi] != 0
         hit = nonzero.any(axis=1)
         i = np.arange(lo, hi)
         kl = max(kl, int(np.max(np.where(hit, i - nonzero.argmax(axis=1), 0))))
-        ku = max(ku, int(np.max(np.where(hit, n - 1 - nonzero[:, ::-1].argmax(axis=1) - i, 0))))
+        if not lower:
+            ku = max(ku, int(np.max(np.where(hit, n - 1 - nonzero[:, ::-1].argmax(axis=1) - i, 0))))
         if (kl + ku + 1) * _BAND_COST > min(m, n):
             return None
     return kl, ku
@@ -255,7 +275,7 @@ def _bandwidths(arr: np.ndarray) -> tuple[int, int] | None:
 def _band_storage(arr: np.ndarray, kl: int, ku: int) -> np.ndarray:
     """LAPACK's (kl + ku + 1) x N column-major band storage, AB[ku + i - j, j]
     = A[i, j]; with ku = 0 it is the lower storage of a symmetric matrix."""
-    ab = np.zeros((kl + ku + 1, arr.shape[1]), order="F")
+    ab = np.zeros((kl + ku + 1, arr.shape[1]), dtype=arr.dtype, order="F")
     for k in range(-kl, ku + 1):
         diag = np.diagonal(arr, k)
         ab[ku - k, max(k, 0):max(k, 0) + diag.size] = diag
@@ -271,58 +291,75 @@ def _lapacke(lapack: dict, name: str, *args) -> None:
 
 
 def _band_singular_values(lapack: dict, arr: np.ndarray, kl: int, ku: int) -> np.ndarray:
-    """Descending singular values: dgbbrd reduces the band to upper
-    bidiagonal form, dbdsqr takes its values; no vectors."""
+    """Descending singular values: dgbbrd (zgbbrd if complex) reduces the
+    band to a real upper bidiagonal, dbdsqr takes its values; no vectors."""
     m, n = arr.shape
     ab = _band_storage(arr, kl, ku)
     d, e = np.empty(min(m, n)), np.empty(min(m, n))
-    _lapacke(lapack, "dgbbrd", b"N", m, n, 0, kl, ku, ab.ctypes.data, ab.shape[0],
-             d.ctypes.data, e.ctypes.data, None, 1, None, 1, None, 1)
+    _lapacke(lapack, "zgbbrd" if np.iscomplexobj(ab) else "dgbbrd", b"N", m, n, 0, kl, ku,
+             ab.ctypes.data, ab.shape[0], d.ctypes.data, e.ctypes.data, None, 1, None, 1,
+             None, 1)
     _lapacke(lapack, "dbdsqr", b"U", d.size, 0, 0, 0, d.ctypes.data, e.ctypes.data,
              None, 1, None, 1, None, 1)
     return d
 
 
 def _band_eigenvalues(lapack: dict, arr: np.ndarray, kl: int, ku: int) -> np.ndarray:
-    """Ascending eigenvalues from dsbevd of the lower band, the triangle
-    ``np.linalg.eigvalsh`` reads; the upper bandwidth ``ku`` is not used."""
+    """Ascending eigenvalues from dsbevd (zhbevd if complex) of the lower
+    band, the triangle ``np.linalg.eigvalsh`` reads, or from its ``_2stage``
+    form for kl in _TWO_STAGE[name]; the upper bandwidth ``ku`` is not
+    used."""
     ab = _band_storage(arr, kl, 0)
+    name = "zhbevd" if np.iscomplexobj(ab) else "dsbevd"
+    name += "_2stage" if kl in _TWO_STAGE[name] else ""
     w = np.empty(arr.shape[0])
-    _lapacke(lapack, "dsbevd", b"N", b"L", w.size, kl, ab.ctypes.data, ab.shape[0],
+    _lapacke(lapack, name, b"N", b"L", w.size, kl, ab.ctypes.data, ab.shape[0],
              w.ctypes.data, None, 1)
     return w
 
 
-def _routed(arr: np.ndarray, band: Callable, dense: Callable) -> np.ndarray:
-    """``band`` for a float64 matrix of order at least _BAND_FLOOR whose
-    bandwidths pass the rule, where the band routines are bound, and
-    ``dense`` otherwise.  A float64 stack of that order is routed matrix by
-    matrix, so that row i holds matrix i's values as if passed alone."""
-    if (arr.ndim < 2 or arr.dtype != np.float64 or min(arr.shape[-2:]) < _BAND_FLOOR
-            or arr.size == 0):
+def _routed(arr: np.ndarray, dense: Callable, hermitian: bool = False) -> np.ndarray:
+    """The band route for a float64 or complex128 matrix of order at least
+    _BAND_FLOOR whose bandwidths pass the rule, where the band routines are
+    bound: ``_band_eigenvalues`` with the Hermitian rule (of the lower band
+    alone) if ``hermitian``, else ``_band_singular_values``; ``dense``
+    otherwise.  A stack of that order is routed matrix by matrix, so that
+    row i holds matrix i's values as if passed alone."""
+    if (arr.ndim < 2 or arr.dtype not in (np.float64, np.complex128)
+            or min(arr.shape[-2:]) < _BAND_FLOOR or arr.size == 0):
         return dense(arr)
     lapack = _band_lapack()
     if lapack is None:
         return dense(arr)
     if arr.ndim > 2:
-        return np.stack([_routed(a, band, dense) for a in arr])
-    widths = _bandwidths(arr)
-    return dense(arr) if widths is None else band(lapack, arr, *widths)
+        return np.stack([_routed(a, dense, hermitian) for a in arr])
+    widths = _bandwidths(arr, lower=hermitian)
+    if widths is None:
+        return dense(arr)
+    return (_band_eigenvalues if hermitian else _band_singular_values)(lapack, arr, *widths)
 
 
 def _singular_values(arr: np.ndarray) -> np.ndarray:
-    return _routed(arr, _band_singular_values, lambda a: np.linalg.svd(a, compute_uv=False))
+    return _routed(arr, lambda a: np.linalg.svd(a, compute_uv=False))
 
 
 def _eigvalsh(arr: np.ndarray) -> np.ndarray:
-    return _routed(arr, _band_eigenvalues, lambda a: np.linalg.eigvalsh(a))
+    return _routed(arr, lambda a: np.linalg.eigvalsh(a), hermitian=True)
+
+
+def _centro_eigenvalues(arr: np.ndarray) -> np.ndarray:
+    return np.sort(np.concatenate([_eigvalsh(b) for b in _centro_hermitian_blocks(arr)]))
 
 
 def _hermitian_eigenvalues(arr: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix or stack, through the
-    centro-Hermitian blocks when one matrix passes the exact test."""
+    centro-Hermitian blocks when one matrix passes the exact test.  A complex
+    centro-Hermitian matrix that is banded goes to zhbevd whole, as Lee's
+    real block of the same order is dense."""
     if arr.ndim == 2 and _is_centro_hermitian(arr):
-        return np.sort(np.concatenate([_eigvalsh(b) for b in _centro_hermitian_blocks(arr)]))
+        if np.iscomplexobj(arr):
+            return _routed(arr, _centro_eigenvalues, hermitian=True)
+        return _centro_eigenvalues(arr)
     return _eigvalsh(arr)
 
 
@@ -344,6 +381,7 @@ def spectrum(matrix, mode: str = SIGMA, hermitian: bool | None = None) -> np.nda
     either  True, and one    ``eigvalsh`` of real symmetric  as for ``eigvalsh``
             centro-Hermitian blocks: orders m(+1) and m if
             matrix           real, one of order N if complex
+                             and not banded (band row)
     sigma   False or None,   ``svd`` of one real block of    real, descending
             one real matrix  order m x (m + odd), each
             with A = -A^T =  value twice, plus one 0 for
@@ -353,12 +391,14 @@ def spectrum(matrix, mode: str = SIGMA, hermitian: bool | None = None) -> np.nda
             whose            if ``is_hermitian(B)``, else    exactly zero
             ``symmetrizer``  ``eigvals`` of A                (``eigvals``: as
             w is set                                         above)
-    either  as above, for    ``dgbbrd`` + ``dbdsqr`` (svd)   as the call it
-            each real        or ``dsbevd`` of the lower      replaces
-            matrix or block  band (eigvalsh), no vectors
-            of order N >= 32
-            with (kl + ku +
-            1) * 16 <= N
+    either  as above, for    ``dgbbrd`` (``zgbbrd`` if       as the call it
+            each matrix or   complex) + ``dbdsqr`` (svd),    replaces
+            block of order   or ``dsbevd`` (``zhbevd``) of
+            N >= 32 with     the lower band (eigvalsh),
+            (kl + ku + 1) *  ``_2stage`` for a wide band;
+            16 <= N (svd),   no vectors
+            (kd + 1) * 16 <=
+            N (eigvalsh)
     ======  ===============  ==============================  ====================
 
     J is the reversal of the whole (lexicographic) index.  Every scalar
@@ -373,17 +413,23 @@ def spectrum(matrix, mode: str = SIGMA, hermitian: bool | None = None) -> np.nda
     strips of rows, and reject most other matrices in O(N) on row 0.
 
     The band row covers every values-only SVD and ``eigvalsh`` above, of a
-    whole matrix or of a block: a real one of order N >= ``_BAND_FLOOR``
-    whose exact bandwidths kl and ku (:func:`_bandwidths`, row 0 first, so a
-    dense matrix is rejected in O(N)) keep (kl + ku + 1) * ``_BAND_COST`` <=
-    N takes O(N^2 (kl + ku)) band routines from the scipy-openblas64 LAPACKE
-    that numpy bundles (:func:`_band_lapack`; without it, the dense call).
-    ``dsbevd`` reads the lower band, as ``eigvalsh`` reads the lower
-    triangle of a matrix that is Hermitian only within ``is_hermitian``'s
-    tolerance.  Sigma mode tests nothing else for itself: one real matrix
-    pays the skew test, complex matrices and stacks pay no structure test,
-    and only a real stack of order 32 or more pays the bandwidth test,
-    matrix by matrix, so a caller that factors many small matrices (Monte
+    whole matrix or of a block: a float64 or complex128 one of order N >=
+    ``_BAND_FLOOR`` whose exact bandwidths (:func:`_bandwidths`, row 0 or
+    the last row first, so a dense matrix is rejected in O(N)) pass the rule
+    takes O(N^2 k) band routines from the scipy-openblas64 LAPACKE that
+    numpy bundles (:func:`_band_lapack`; without it, the dense call).  The
+    SVD's rule is (kl + ku + 1) * ``_BAND_COST`` <= N; a Hermitian matrix is
+    admitted by the lower bandwidth kd alone, (kd + 1) * ``_BAND_COST`` <=
+    N, and takes the two-stage reduction for kd in ``_TWO_STAGE``.
+    ``dsbevd`` and ``zhbevd`` read the lower band and the real part of the
+    diagonal, as ``eigvalsh`` reads the lower triangle of a matrix that is
+    Hermitian only within ``is_hermitian``'s tolerance.  A complex
+    centro-Hermitian matrix that passes the rule goes to ``zhbevd`` whole:
+    its real block of the same order is dense (N = 4096, kd = 1: 0.26 s
+    against 4.8 s on 2 cores).  Sigma mode tests nothing else for itself:
+    one real matrix pays the skew test, stacks pay no structure test, and
+    only a matrix of order 32 or more, alone or in a stack, pays the
+    bandwidth test, so a caller that factors many small matrices (Monte
     Carlo trials) pays no test per matrix.  Real (float64) input takes the
     real LAPACK routine of each solver.
 
@@ -395,7 +441,7 @@ def spectrum(matrix, mode: str = SIGMA, hermitian: bool | None = None) -> np.nda
     In sigma mode ``matrix`` may also be a stack of shape (k, d, d): the
     result has shape (k, d) and row i holds the values of matrix i, bit for
     bit as if it were passed alone.  One call factors the whole stack, which
-    saves numpy's per-call overhead on many small matrices; a real stack of
+    saves numpy's per-call overhead on many small matrices; a stack of
     order 32 or more is routed matrix by matrix instead.  Every entry of the
     stack must be finite.  Eigenvalues (lambda mode, or ``hermitian`` true)
     need a square matrix; the SVD of sigma mode also takes rectangles.

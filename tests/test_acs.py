@@ -196,6 +196,11 @@ def test_zero_sequences_registry():
     assert set(ZERO_SEQUENCES) == {"spike", "identity", "rankone"}
 
 
+def test_sacs_rejects_a_negative_seed():
+    with pytest.raises(InvalidParameterError, match="seed"):
+        sacs_check(designed_model(-1), [2], [(8,), (12,)], trials=100)
+
+
 def test_sacs_rejects_m_below_one():
     with pytest.raises(InvalidParameterError):
         sacs_check(deterministic_model(1), [0, 2], [(8,), (12,)], trials=100)

@@ -371,6 +371,18 @@ def test_m_below_one_is_a_config_error(command, tmp_path, capsys):
     assert not (tmp_path / "m0").exists()
 
 
+def test_negative_seed_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "s1"
+    assert main(["check-sacs", "--model", "designed", "--sizes", "8", "--m-list", "2",
+                 "--trials", "100", "--seed", "-1", "--out", str(out)]) == 2
+    path = write_config(tmp_path, f"[experiment]\nout = {out}\nkind = sacs\nmodel = designed\n"
+                                  "sizes = 8\nm_list = 2\ntrials = 100\nseed = -3\n")
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert "seed: must be >= 0, got -1" in err and "seed: must be >= 0, got -3" in err
+    assert not out.exists()
+
+
 def test_bare_comma_sizes_take_levels_from_the_expression():
     two_level = cli.config_from_mapping(
         {"kind": "distribution", "expr": "T(4-2*cos(t1)-2*cos(t2))", "sizes": "8,8"})

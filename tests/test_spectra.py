@@ -607,11 +607,29 @@ def test_lambda_similarity_falls_back_to_eigvals(case):
     assert np.array_equal(values, np.sort(np.linalg.eigvals(m.data).astype(complex)))
 
 
-def _banded(rng, m, n, kl, ku):
-    """A random real m x n matrix with exactly kl subdiagonals and ku
-    superdiagonals."""
+def _banded(rng, m, n, kl, ku, complex_=False):
+    """A random real (or complex) m x n matrix with exactly kl subdiagonals
+    and ku superdiagonals."""
     i, j = np.indices((m, n))
-    return np.where((i - j <= kl) & (j - i <= ku), rng.standard_normal((m, n)), 0.0)
+    a = rng.standard_normal((m, n)) + (1j * rng.standard_normal((m, n)) if complex_ else 0.0)
+    return np.where((i - j <= kl) & (j - i <= ku), a, 0.0)
+
+
+def _hermitian_band(rng, n, kd, complex_=False):
+    """A random Hermitian n x n matrix with lower bandwidth exactly kd."""
+    lower = np.tril(_banded(rng, n, n, kd, 0, complex_), -1)
+    return lower + lower.conj().T + np.diag(rng.standard_normal(n))
+
+
+def _band_calls(monkeypatch):
+    """The names of the LAPACKE routines the band route calls from now on."""
+    import gltlab.spectra as spectra_mod
+
+    lapack, calls = spectra_mod._band_lapack(), []
+    monkeypatch.setattr(spectra_mod, "_band_lapack", lambda: {
+        name: lambda *args, name=name: calls.append(name) or lapack[name](*args)
+        for name in lapack})
+    return calls
 
 
 def _band_only(monkeypatch):
@@ -635,16 +653,60 @@ def test_band_route_singular_values_match_the_svd(n, kl, ku, monkeypatch):
     assert np.abs(values - full).max() <= 1e-13 * full[0]
 
 
-@pytest.mark.parametrize("n, kd", [(48, 1), (96, 2), (500, 7)])
+@pytest.mark.parametrize("n, kd", [(48, 1), (96, 2), (500, 7),  # each side of both two-stage cuts:
+                                   (512, 31), (528, 32), (1472, 91), (1488, 92)])
 def test_band_route_eigenvalues_match_eigvalsh(n, kd, monkeypatch):
     a = _banded(np.random.default_rng(n), n, n, kd, kd)
     a = np.tril(a) + np.tril(a, -1).T
     lam = np.linalg.eigvalsh(a)
     bound = 1e-13 * np.abs(lam).max()
     _band_only(monkeypatch)
+    calls = _band_calls(monkeypatch)
     assert np.abs(spectrum(a, "lambda", hermitian=True) - lam).max() <= bound
     sigma = np.sort(np.abs(lam))[::-1]
     assert np.abs(spectrum(a, "sigma", hermitian=True) - sigma).max() <= bound
+    assert calls == 2 * ["dsbevd_2stage" if 32 <= kd < 92 else "dsbevd"]
+
+
+@pytest.mark.parametrize("n, kd", [(48, 1), (96, 3), (320, 15), (320, 16)])
+def test_complex_band_route_eigenvalues_match_eigvalsh(n, kd, monkeypatch):
+    """zhbevd of the lower band, in its two-stage form from kd = 16 on."""
+    a = _hermitian_band(np.random.default_rng(n + kd), n, kd, complex_=True)
+    lam = np.linalg.eigvalsh(a)
+    _band_only(monkeypatch)
+    calls = _band_calls(monkeypatch)
+    values = spectrum(a, "lambda", hermitian=True)
+    assert values.dtype == np.float64
+    assert np.abs(values - lam).max() <= 1e-13 * np.abs(lam).max()
+    assert calls == ["zhbevd_2stage" if kd >= 16 else "zhbevd"]
+
+
+@pytest.mark.parametrize("m, n, kl, ku", [(64, 64, 0, 3), (200, 200, 5, 2), (80, 80, 2, 2),
+                                          (96, 128, 1, 2)])
+def test_complex_band_route_singular_values_match_the_svd(m, n, kl, ku, monkeypatch):
+    a = _banded(np.random.default_rng(m + 7 * kl + ku), m, n, kl, ku, complex_=True)
+    full = np.linalg.svd(a, compute_uv=False)
+    _band_only(monkeypatch)
+    calls = _band_calls(monkeypatch)
+    values = spectrum(a, "sigma")
+    assert values.dtype == np.float64 and np.all(np.diff(values) <= 0)
+    assert np.abs(values - full).max() <= 1e-13 * full[0]
+    assert calls == ["zgbbrd", "dbdsqr"]
+
+
+def test_complex_centro_hermitian_band_matrix_takes_zhbevd_whole(monkeypatch):
+    """A banded complex centro-Hermitian matrix skips Lee's real block, which
+    is dense."""
+    import gltlab.spectra as spectra_mod
+
+    a = materialize(parse("T(2-2*cos(t1)+sin(t1))"), 256).data
+    assert np.iscomplexobj(a) and spectra_mod._is_centro_hermitian(a)
+    assert spectra_mod._bandwidths(spectra_mod._centro_hermitian_blocks(a)[0], lower=True) is None
+    lam = np.linalg.eigvalsh(a)
+    _band_only(monkeypatch)
+    calls = _band_calls(monkeypatch)
+    assert np.abs(spectrum(a, "lambda", hermitian=True) - lam).max() <= 1e-13 * np.abs(lam).max()
+    assert calls == ["zhbevd"]
 
 
 def test_band_route_takes_the_odd_skew_block(monkeypatch):
@@ -680,6 +742,58 @@ def test_band_route_rule_boundary_and_far_entry(monkeypatch):
     assert shapes == [outside.shape, far.shape]
 
 
+def test_band_route_hermitian_rule_boundary(monkeypatch):
+    """A Hermitian matrix is admitted by its lower band alone, (kd + 1) * 16
+    <= N, and takes the dense call one order below."""
+    import gltlab.spectra as spectra_mod
+
+    rng = np.random.default_rng(6)
+    n = 5 * spectra_mod._BAND_COST  # kd = 4 is exactly at the rule at order n
+    for complex_ in (False, True):
+        at, outside = (_hermitian_band(rng, k, 4, complex_) for k in (n, n - 1))
+        assert spectra_mod._bandwidths(at, lower=True) == (4, 0)
+        assert spectra_mod._bandwidths(at) is None  # (kl + ku + 1) * 16 > N
+        assert spectra_mod._bandwidths(outside, lower=True) is None
+        lam, expected = np.linalg.eigvalsh(at), np.linalg.eigvalsh(outside)
+        with monkeypatch.context() as m:
+            _band_only(m)
+            values = spectrum(at, "lambda", hermitian=True)
+        assert np.abs(values - lam).max() <= 1e-13 * np.abs(lam).max()
+        with monkeypatch.context() as m:
+            m.setattr(spectra_mod, "_band_eigenvalues",
+                      lambda *args: pytest.fail("band route taken"))
+            assert np.array_equal(spectrum(outside, "lambda", hermitian=True), expected)
+
+
+def test_complex_stack_is_routed_matrix_by_matrix():
+    rng = np.random.default_rng(8)
+    general = np.stack([_banded(rng, 64, 64, 1, 2, complex_=True),
+                        rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))])
+    hermitian = np.stack([_hermitian_band(rng, 64, 3, complex_=True),
+                          general[1] + general[1].conj().T])
+    for stack, flag in ((general, None), (hermitian, True)):
+        values = spectrum(stack, "sigma", hermitian=flag)
+        for row, a in zip(values, stack):
+            assert np.array_equal(row, spectrum(a, "sigma", hermitian=flag))
+
+
+@pytest.mark.parametrize("n, kd", [(96, 2), (320, 16)])
+def test_complex_band_route_reads_the_lower_triangle(n, kd, monkeypatch):
+    """Noise in the upper triangle and in the imaginary part of the diagonal
+    is ignored, as ``eigvalsh`` ignores it."""
+    rng = np.random.default_rng(n)
+    lower = _hermitian_band(rng, n, kd, complex_=True)
+    a = lower.copy()
+    a[np.triu_indices(n, 1)] *= 1.0 + 1e-13
+    a[np.diag_indices(n)] += 1e-13j * rng.standard_normal(n)
+    assert is_hermitian(a) and not np.array_equal(a, a.conj().T)
+    lam = np.linalg.eigvalsh(a)
+    _band_only(monkeypatch)
+    values = spectrum(a, "lambda", hermitian=True)
+    assert np.array_equal(values, spectrum(lower, "lambda", hermitian=True))
+    assert np.abs(values - lam).max() <= 1e-13 * np.abs(lam).max()
+
+
 def test_band_route_reads_the_lower_triangle(monkeypatch):
     a = _banded(np.random.default_rng(9), 96, 96, 2, 2)
     a = np.tril(a) + np.tril(a, -1).T
@@ -699,16 +813,19 @@ def test_band_route_reads_the_lower_triangle(monkeypatch):
 def test_band_route_failures(mode, hermitian, monkeypatch):
     import gltlab.spectra as spectra_mod
 
-    a = toeplitz(LAP, 128).data  # its centro blocks, of order 64, are tridiagonal
-    monkeypatch.setattr(spectra_mod, "_band_lapack",
-                        lambda: {name: lambda *args: 2 for name in spectra_mod._LAPACKE_ARGS})
-    with pytest.raises(SolverError, match="did not converge") as info:
-        spectrum(a, mode, hermitian=hermitian)
-    assert f"shape=(128, 128), fro={np.linalg.norm(a):.6e}" in str(info.value)
-    monkeypatch.setattr(spectra_mod, "_band_lapack",
-                        lambda: {name: lambda *args: -3 for name in spectra_mod._LAPACKE_ARGS})
-    with pytest.raises(RuntimeError, match="a bug"):
-        spectrum(a, mode, hermitian=hermitian)
+    real = toeplitz(LAP, 128).data  # its centro blocks, of order 64, are tridiagonal
+    # a complex Hermitian tridiagonal matrix, which zhbevd and zgbbrd take whole
+    complex_ = real + 1j * (np.eye(128, k=1) - np.eye(128, k=-1))
+    for a in (real, complex_):
+        monkeypatch.setattr(spectra_mod, "_band_lapack",
+                            lambda: {name: lambda *args: 2 for name in spectra_mod._LAPACKE_ARGS})
+        with pytest.raises(SolverError, match="did not converge") as info:
+            spectrum(a, mode, hermitian=hermitian)
+        assert f"shape=(128, 128), fro={np.linalg.norm(a):.6e}" in str(info.value)
+        monkeypatch.setattr(spectra_mod, "_band_lapack",
+                            lambda: {name: lambda *args: -3 for name in spectra_mod._LAPACKE_ARGS})
+        with pytest.raises(RuntimeError, match="a bug"):
+            spectrum(a, mode, hermitian=hermitian)
 
 
 def test_without_the_band_binding_every_matrix_takes_the_dense_call(monkeypatch):
