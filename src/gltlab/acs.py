@@ -163,6 +163,17 @@ def _limsup_estimate(values_by_n: Sequence[float]) -> float:
     return float(max(values_by_n[-2:]))
 
 
+def _check_m_list(m_list: Sequence[int]) -> list[int]:
+    """``m_list`` as ints; it must be non-empty, of integers >= 1 and strictly
+    increasing, because the trend tests read the per-m bounds in its order."""
+    if not m_list or any(not isinstance(m, (int, np.integer)) or m < 1 for m in m_list) \
+            or any(b <= a for a, b in zip(m_list, m_list[1:])):
+        raise InvalidParameterError(
+            f"m_list must be a non-empty, strictly increasing list of integers >= 1, "
+            f"got {list(m_list)}")
+    return [int(m) for m in m_list]
+
+
 def acs_check(family, target, m_list: Sequence[int], sizes: Sequence,
               slack: float = SLACK) -> Report:
     """Estimate the splitting bounds of a candidate approximating class.
@@ -173,9 +184,7 @@ def acs_check(family, target, m_list: Sequence[int], sizes: Sequence,
     facts ``c`` and ``omega`` map each tested m (as ``str(m)``) to its
     estimated bound.
     """
-    m_list = [int(m) for m in m_list]
-    if not m_list:
-        raise InvalidParameterError("m_list must be non-empty")
+    m_list = _check_m_list(m_list)
     norm_sizes = _normalize_sizes(sizes)
     notes: list[str] = []
     sigma1: dict[int, list[float]] = {m: [] for m in m_list}
@@ -255,7 +264,7 @@ def zero_distribution_test(seq, p, sizes: Sequence, tol: float = 0.1) -> Report:
     normalized Schatten p-norm criterion is sufficient only.  The report's
     checks carry both verdicts, its facts both per-size series.
     """
-    if p != np.inf and p < 1:
+    if not p >= 1:
         raise InvalidParameterError(f"requires p >= 1, got {p}")
     norm_sizes = _normalize_sizes(sizes)
     notes: list[str] = []
@@ -443,11 +452,9 @@ def sacs_check(model: RandomSequenceModel, m_list: Sequence[int], sizes: Sequenc
     trials = int(trials)
     if trials < 100:
         raise InvalidParameterError("at least 100 trials are required")
-    if model.seed < 0:
-        raise InvalidParameterError(f"the seed must be >= 0, got {model.seed}")
-    m_list = [int(m) for m in m_list]
-    if any(m < 1 for m in m_list):
-        raise InvalidParameterError(f"every m must be >= 1, got {m_list}")
+    if not isinstance(model.seed, (int, np.integer)) or model.seed < 0:
+        raise InvalidParameterError(f"the seed must be an integer >= 0, got {model.seed!r}")
+    m_list = _check_m_list(m_list)
     norm_sizes = _normalize_sizes(sizes)
     radius = hoeffding_radius(trials)
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import acs as acs_mod
 from . import dsl
-from .errors import ConfigurationError, GltLabError
+from .errors import ConfigurationError, GltLabError, InvalidParameterError
 from .gltcalc import glt5_split_check, materialize, symbol_of, truncate_toeplitz
 from .matgen import is_hermitian
 from .multiindex import format_multiindex, min_entry, parse_multiindex
@@ -120,16 +120,15 @@ class ExperimentConfig:
                 problems.append("seed: required for stochastic experiments")
             if self.trials < 100:
                 problems.append("trials: at least 100 required")
-            if not self.m_list:
-                problems.append("m_list: required for sacs experiments")
             if self.model not in acs_mod.MODEL_ZOO:
                 problems.append(
                     f"model: unknown {self.model!r}; choose from {sorted(acs_mod.MODEL_ZOO)}"
                 )
-        if self.kind == "acs" and not self.m_list:
-            problems.append("m_list: required for acs experiments")
-        if self.kind in ("acs", "sacs") and any(m < 1 for m in self.m_list):
-            problems.append(f"m_list: every m must be >= 1, got {self.m_list}")
+        if self.kind in ("acs", "sacs"):
+            try:
+                acs_mod._check_m_list(self.m_list)
+            except InvalidParameterError as exc:
+                problems.append(f"m_list: {exc}")
         if self.kind == "acs" and self.family not in ("truncate", "same"):
             problems.append(f"family: unknown {self.family!r} (truncate | same)")
         if self.kind == "zero" and self.model not in ("expr", *acs_mod.ZERO_SEQUENCES):
@@ -137,8 +136,13 @@ class ExperimentConfig:
                 f"model: unknown {self.model!r}; choose from "
                 f"{sorted(acs_mod.ZERO_SEQUENCES)} or expr"
             )
-        if self.kind == "zero" and self.p != np.inf and self.p < 1:
+        if not self.p >= 1:
             problems.append(f"p: must be >= 1 or inf, got {self.p}")
+        for key in ("tolerance", "slack", "quad_tol", "zero_tol"):
+            if not np.isfinite(getattr(self, key)):
+                problems.append(f"{key}: must be finite, got {getattr(self, key)}")
+        if not self.quad_tol > 0:
+            problems.append(f"quad_tol: must be > 0, got {self.quad_tol}")
         return problems
 
 
@@ -195,7 +199,7 @@ def _read_config(path: str) -> dict[str, str]:
     """The merged ``[experiment]`` and ``[tolerances]`` sections of a config file."""
     if not os.path.exists(path):
         raise ConfigurationError(f"config file {path!r} does not exist", fields=["config"])
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
     try:
         parser.read(path)
     except configparser.Error as exc:
@@ -210,10 +214,6 @@ def _read_config(path: str) -> dict[str, str]:
         if section in parser:
             merged.update(parser[section])
     return merged
-
-
-def config_from_file(path: str) -> ExperimentConfig:
-    return config_from_mapping(_read_config(path))
 
 
 @dataclass

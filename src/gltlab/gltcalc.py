@@ -15,8 +15,9 @@ the nodes' ``hermitian`` property, the one rule that the symbol also reads;
 it is never detected numerically: the calculus gates eigenvalue-mode
 verification and continuous-function application on that declaration.  The
 solver that computes a spectrum is chosen from a numeric test instead (see
-:func:`gltlab.spectra.spectrum`), because declared flags can be wrong:
-``CoefficientFunction.from_scalar`` declares Hermitian by default.
+:func:`gltlab.spectra.spectrum`), because declared flags can be wrong: a
+``CoefficientFunction`` may be constructed with ``hermitian=True`` for a
+function that is not.
 
 Materialized matrices stay float64 while every leaf and scalar is real.
 
@@ -229,18 +230,12 @@ def structurally_equal(a: GLTExpression, b: GLTExpression) -> bool:
     return True
 
 
-def map_toeplitz_leaves(e: GLTExpression,
-                        fn: Callable[[TrigPolynomial], TrigPolynomial]) -> GLTExpression:
-    """Rebuild the tree with every Toeplitz coefficient table transformed."""
-    if isinstance(e, Toeplitz):
-        return Toeplitz(fn(e.poly))
-    return replace(e, **{name: map_toeplitz_leaves(child, fn)
-                         for name, child in _child_fields(e).items()})
-
-
 def truncate_toeplitz(e: GLTExpression, degree: int) -> GLTExpression:
     """Degree-m truncation of every Toeplitz leaf (the canonical a.c.s. family)."""
-    return map_toeplitz_leaves(e, lambda poly: poly.truncated(degree))
+    if isinstance(e, Toeplitz):
+        return Toeplitz(e.poly.truncated(degree))
+    return replace(e, **{name: truncate_toeplitz(child, degree)
+                         for name, child in _child_fields(e).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -366,16 +361,19 @@ def materialize(e: GLTExpression, n, r: int | None = None) -> BlockMatrix:
     if isinstance(e, Product):
         left = _factor(e.left, n, rr, notes)
         right = _factor(e.right, n, rr, notes)
-        data, w = _product(left, right), _symmetrizer(left, right)
+        data, w = _product(left, right), _symmetrizer(e, left, right)
     else:
         data, w = _materialize(e, n, rr, notes), None
     return BlockMatrix(data, rr, n, notes=tuple(notes), symmetrizer=w)
 
 
 def _factor(e: GLTExpression, n: MultiIndex, r: int, notes: list[str]) -> np.ndarray:
-    """A product's factor: the sample vector of an r = 1 ``Diag``, else its matrix."""
+    """A product's factor: the sample vector of an r = 1 ``Diag``, the constant
+    vector of a ``Scalar`` or ``Zero``, else its matrix."""
     if isinstance(e, Diag) and e.coefficient.r == 1:
         return diag_samples(e.coefficient, n)[:, 0, 0]
+    if isinstance(e, (Scalar, Zero)):
+        return np.full(r * nu(n), _coefficient(e.value) if isinstance(e, Scalar) else 0.0)
     return _materialize(e, n, r, notes)
 
 
@@ -394,15 +392,16 @@ def _product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.multiply(a, b, out=matrix if np.result_type(a, b) == matrix.dtype else None)
 
 
-def _symmetrizer(left: np.ndarray, right: np.ndarray) -> np.ndarray | None:
-    """sqrt(a / b) for the diagonal samples a (left) and b (right) of a
-    product, a missing one counting as 1; None unless some factor is a
-    diagonal and every diagonal factor is real and strictly positive."""
-    diagonals = [f for f in (left, right) if f.ndim == 1]
+def _symmetrizer(e: Product, left: np.ndarray, right: np.ndarray) -> np.ndarray | None:
+    """sqrt(a / b) for the samples a (left) and b (right) of the r = 1
+    ``Diag`` factors of a product, any other factor counting as 1 (a
+    constant one too: its W is constant); None unless some factor is such a
+    diagonal and every one is real and strictly positive."""
+    a, b = (f if isinstance(x, Diag) and f.ndim == 1 else 1.0
+            for x, f in ((e.left, left), (e.right, right)))
+    diagonals = [f for f in (a, b) if np.ndim(f) == 1]
     if not diagonals or any(np.iscomplexobj(f) or not np.all(f > 0) for f in diagonals):
         return None
-    a = left if left.ndim == 1 else 1.0
-    b = right if right.ndim == 1 else 1.0
     return np.sqrt(a / b)
 
 
@@ -447,8 +446,8 @@ def _materialize(e: GLTExpression, n: MultiIndex, r: int, notes: list[str]) -> n
         if e.name not in FUNCTION_CATALOGUE:
             raise CalculusError(f"unknown function {e.name!r}")
         child = _materialize(e.child, n, r, notes)
-        # Declared flags are not reliable (``from_scalar`` declares Hermitian
-        # by default) and eigh reads only one triangle: test the matrix.
+        # Declared flags are not reliable (a CoefficientFunction may declare
+        # Hermitian wrongly) and eigh reads only one triangle: test the matrix.
         if not is_hermitian(child):
             raise CalculusError(
                 f"matrix function requires a Hermitian child; the child at "

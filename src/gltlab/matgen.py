@@ -63,14 +63,6 @@ class BlockMatrix:
                 f"symmetrizer shape {np.shape(self.symmetrizer)} != ({expected},)"
             )
 
-    @property
-    def d(self) -> int:
-        return len(self.n)
-
-    @property
-    def size(self) -> int:
-        return self.data.shape[0]
-
 
 def _exact_dtype(arr: np.ndarray) -> np.ndarray:
     """float64 when ``arr`` has no non-zero imaginary part, else complex128."""
@@ -134,7 +126,7 @@ def diag_samples(a: Symbol, n: int | Sequence[int]) -> np.ndarray:
     n = check_size(n)
     if not isinstance(a, Symbol):
         raise ConfigurationError("diagonal sampling takes a Symbol; wrap a function "
-                                 "with CoefficientFunction.from_scalar")
+                                 "in a CoefficientFunction")
     if a.depends_frequency:
         raise ConfigurationError("diagonal sampling requires a space-only symbol")
     if a.d != len(n):

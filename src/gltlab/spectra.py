@@ -26,7 +26,7 @@ from .errors import (
     QuadratureError,
     SolverError,
 )
-from .matgen import _STRIP, as_array, is_hermitian, row_strips
+from .matgen import as_array, is_hermitian, row_strips
 from .multiindex import MultiIndex, check_size, min_entry
 from .reports import Report
 from .symbols import Symbol, spectral_surfaces
@@ -490,7 +490,7 @@ def _schatten_from_values(sv: np.ndarray, p) -> float:
 
 def schatten_norm(matrix, p) -> float:
     """p-norm of the singular value vector; p=inf is the spectral norm."""
-    if p != np.inf and p < 1:
+    if not p >= 1:
         raise InvalidParameterError(f"Schatten norm requires p >= 1, got {p}")
     return _schatten_from_values(spectrum(matrix, SIGMA), p)
 
@@ -708,6 +708,8 @@ def distribution_check(seq, symbol: Symbol, sizes: Sequence, mode: str = SIGMA,
     (the quasi-Hermitian waiver) is set.  The report has one row per (size,
     test function) and one check per test function.
     """
+    if not quad_tol > 0:
+        raise InvalidParameterError(f"quad_tol must be > 0, got {quad_tol}")
     norm_sizes = _normalize_sizes(sizes)
     spectra: list[np.ndarray] = []
     notes: list[str] = []

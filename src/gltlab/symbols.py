@@ -33,13 +33,8 @@ FOURIER_NODE_CAP = 2**24  # nodes of the numeric Fourier grid (256^3)
 
 
 def _as_points(pts, d: int, name: str) -> np.ndarray:
-    """Normalize a point or batch of points to shape (N, d)."""
+    """A batch of points as a float (N, d) array."""
     arr = np.asarray(pts, dtype=float)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    elif arr.ndim == 1:
-        # A single d-dimensional point.
-        arr = arr.reshape(1, -1)
     if arr.ndim != 2 or arr.shape[1] != d:
         raise DomainError(f"{name} points must have {d} coordinates, got shape {arr.shape}")
     return arr
@@ -95,14 +90,6 @@ class TrigPolynomial(Symbol):
         )
 
     @property
-    def degree(self) -> MultiIndex:
-        if not self.coeffs:
-            return (0,) * self.d
-        return tuple(
-            max(abs(k[j]) for k in self.coeffs) for j in range(self.d)
-        )
-
-    @property
     def depends_frequency(self) -> bool:
         return any(k != (0,) * self.d for k in self.coeffs)
 
@@ -118,10 +105,6 @@ class TrigPolynomial(Symbol):
             elif np.abs(mirror - block.conj().T).max() > tol:
                 return False
         return True
-
-    def coefficient(self, k: Sequence[int]) -> np.ndarray:
-        k = as_multiindex(k)
-        return np.array(self.coeffs.get(k, np.zeros((self.r, self.r), dtype=complex)))
 
     def truncated(self, degree: int | Sequence[int]) -> "TrigPolynomial":
         deg = as_multiindex(degree)
@@ -151,8 +134,7 @@ class CoefficientFunction(Symbol):
     """Space-only symbol a : [0,1]^d -> C^{r x r}.
 
     ``fn`` must be vectorized: it receives an (N, d) array and returns an
-    (N, r, r) (or (N,) for r = 1) array.  Riemann integrability is declared,
-    not checked.
+    (N, r, r) array.  Riemann integrability is declared, not checked.
     """
 
     def __init__(self, d: int, r: int, fn: Callable[[np.ndarray], np.ndarray],
@@ -162,17 +144,6 @@ class CoefficientFunction(Symbol):
         self._fn = fn
         self._hermitian = bool(hermitian)
         self.name = name
-
-    @classmethod
-    def from_scalar(cls, d: int, fn: Callable[..., np.ndarray], hermitian: bool = True,
-                    name: str = "a") -> "CoefficientFunction":
-        """Wrap a scalar function of the d coordinate arrays."""
-
-        def vec(x: np.ndarray) -> np.ndarray:
-            vals = np.asarray(fn(*(x[:, j] for j in range(d))), dtype=complex)
-            return np.broadcast_to(vals, (x.shape[0],)).reshape(-1, 1, 1)
-
-        return cls(d, 1, vec, hermitian=hermitian, name=name)
 
     @property
     def depends_space(self) -> bool:
@@ -184,8 +155,6 @@ class CoefficientFunction(Symbol):
 
     def _eval(self, x, theta):
         vals = np.asarray(self._fn(x), dtype=complex)
-        if vals.shape == (x.shape[0],):
-            vals = vals.reshape(-1, 1, 1)
         if vals.shape != (x.shape[0], self.r, self.r):
             raise EvaluationError(
                 f"coefficient function {self.name!r} returned shape {vals.shape}, "
@@ -195,57 +164,47 @@ class CoefficientFunction(Symbol):
 
 
 def evaluate(s: Symbol, x, theta) -> np.ndarray:
-    """Evaluate kappa at one point (returns (r, r)) or a batch (returns (N, r, r)).
+    """Evaluate kappa at a batch of N points, given as (N, d) space and
+    frequency arrays; returns (N, r, r).
 
     Points must lie in [0,1]^d x [-pi,pi]^d.
     """
-    single = np.asarray(x, dtype=float).ndim <= 1 and np.asarray(theta, dtype=float).ndim <= 1
     xp = _as_points(x, s.d, "space")
     tp = _as_points(theta, s.d, "frequency")
     if xp.shape[0] != tp.shape[0]:
-        if xp.shape[0] == 1:
-            xp = np.broadcast_to(xp, (tp.shape[0], s.d))
-        elif tp.shape[0] == 1:
-            tp = np.broadcast_to(tp, (xp.shape[0], s.d))
-        else:
-            raise DomainError("space and frequency batches differ in length")
+        raise DomainError("space and frequency batches differ in length")
     if np.any(xp < -_DOMAIN_TOL) or np.any(xp > 1 + _DOMAIN_TOL):
         raise DomainError("space point outside [0,1]^d")
     if np.any(np.abs(tp) > np.pi + _DOMAIN_TOL):
         raise DomainError("frequency point outside [-pi,pi]^d")
-    vals = s._eval(xp, tp)
-    return vals[0] if single else vals
+    return s._eval(xp, tp)
 
 
 def spectral_surfaces(s: Symbol, x, theta, mode: str = "sigma") -> np.ndarray:
-    """Per-point singular values (descending) or eigenvalues (canonical order).
+    """Per-point singular values (descending) or eigenvalues (canonical order)
+    at a batch of (N, d) points, as an (N, r) array.
 
     Canonical eigenvalue order is ascending by real part, ties broken by
     imaginary part; symbols declared Hermitian go through the symmetric solver
     and yield real values when the sampled values are Hermitian too.
     """
-    vals = evaluate(s, x, theta)
-    batch = vals if vals.ndim == 3 else vals[None]
+    batch = evaluate(s, x, theta)
     if not np.all(np.isfinite(batch)):
         flat = np.isfinite(batch.reshape(batch.shape[0], -1)).all(axis=1)
         i = int(np.argmin(flat))
         raise EvaluationError("non-finite symbol value", node=i)
     if mode == "sigma":
         if s.r == 1:
-            out = np.abs(batch[:, :, 0])
-        else:
-            out = np.linalg.svd(batch, compute_uv=False)
-    elif mode == "lambda":
+            return np.abs(batch[:, :, 0])
+        return np.linalg.svd(batch, compute_uv=False)
+    if mode == "lambda":
         # eigvalsh reads one triangle: trust the declared flag only when the
         # batch passes matgen.is_hermitian's relative Frobenius test.
         if s.hermitian and np.linalg.norm(batch - np.conj(np.swapaxes(batch, -1, -2))) \
                 <= HERMITIAN_RTOL * max(np.linalg.norm(batch), 1e-300):
-            out = np.linalg.eigvalsh(batch)
-        else:
-            out = np.sort(np.linalg.eigvals(batch), axis=-1)
-    else:
-        raise ConfigurationError(f"unknown mode {mode!r}")
-    return out if vals.ndim == 3 else out[0]
+            return np.linalg.eigvalsh(batch)
+        return np.sort(np.linalg.eigvals(batch), axis=-1)
+    raise ConfigurationError(f"unknown mode {mode!r}")
 
 
 def frequency_grid(samples_per_dim: int, d: int) -> np.ndarray:
@@ -255,25 +214,16 @@ def frequency_grid(samples_per_dim: int, d: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def fourier_coefficients(f, degree: int | Sequence[int], samples_per_dim: int,
-                         d: int | None = None, r: int | None = None) -> TrigPolynomial:
+def fourier_coefficients(f: Callable[[np.ndarray], np.ndarray], degree: int | Sequence[int],
+                         samples_per_dim: int, d: int, r: int) -> TrigPolynomial:
     """Discrete-Fourier-rule coefficients (1/(2pi)^d) int f(theta) exp(-i k.theta).
 
-    ``f`` is a frequency-only :class:`Symbol` or a vectorized callable mapping
-    an (N, d) array of angles to (N, r, r) values.  The uniform-grid rule is
-    exact (to roundoff) when f is a trig polynomial of degree < N/2, hence the
-    aliasing guard ``samples_per_dim > 2 * max(degree)``.  A grid of more
-    than ``FOURIER_NODE_CAP`` nodes is refused before it is allocated.
+    ``f`` is a vectorized callable mapping an (N, d) array of angles to
+    (N, r, r) values.  The uniform-grid rule is exact (to roundoff) when f is
+    a trig polynomial of degree < N/2, hence the aliasing guard
+    ``samples_per_dim > 2 * max(degree)``.  A grid of more than
+    ``FOURIER_NODE_CAP`` nodes is refused before it is allocated.
     """
-    if isinstance(f, Symbol):
-        if f.depends_space:
-            raise ConfigurationError("Fourier coefficients require a frequency-only symbol")
-        d, r = f.d, f.r
-        fn = lambda theta: evaluate(f, np.full((theta.shape[0], f.d), 0.5), theta)
-    else:
-        if d is None or r is None:
-            raise ConfigurationError("callable input requires explicit d and r")
-        fn = f
     deg = as_multiindex(degree)
     if len(deg) == 1 and d > 1:
         deg = deg * d
@@ -289,9 +239,7 @@ def fourier_coefficients(f, degree: int | Sequence[int], samples_per_dim: int,
     if n**d > FOURIER_NODE_CAP:
         raise SizeCapError(f"Fourier grid of {n}^{d} nodes exceeds the cap {FOURIER_NODE_CAP}")
     theta = frequency_grid(n, d)
-    vals = np.asarray(fn(theta), dtype=complex)
-    if vals.shape == (theta.shape[0],):
-        vals = vals.reshape(-1, 1, 1)
+    vals = np.asarray(f(theta), dtype=complex)
     weight = 1.0 / theta.shape[0]
     coeffs = {}
     for k in itertools.product(*(range(-v, v + 1) for v in deg)):

@@ -78,7 +78,7 @@ def test_criterion_02_trace_identity():
         assert r * nu(n) <= 4096
         lam = spectrum(toeplitz(poly, n), "lambda")
         f = poly_on_window(1, float(lam.min()) - 1, float(lam.max()) + 1, "x")
-        expect = float(np.trace(poly.coefficient((0,) * d)).real) / r
+        expect = float(np.trace(poly.coeffs[(0,) * d]).real) / r
         worst = max(worst, abs(empirical_functional(lam, f) - expect))
     _report(2, worst <= 1e-12,
             f"worst |empirical - trace(fhat_0)/r| = {worst:.3e} over 20 symbols (tol 1e-12)")

@@ -152,6 +152,8 @@ def test_zero_distribution_bounded_norm_vanishing_rank_suite():
 def test_zero_distribution_invalid_p():
     with pytest.raises(InvalidParameterError):
         zero_distribution_test(identity_sequence, 0.3, [(8,), (16,)])
+    with pytest.raises(InvalidParameterError):
+        zero_distribution_test(identity_sequence, np.nan, [(8,), (16,)])
 
 
 def test_sacs_deterministic_model():
@@ -196,14 +198,24 @@ def test_zero_sequences_registry():
     assert set(ZERO_SEQUENCES) == {"spike", "identity", "rankone"}
 
 
-def test_sacs_rejects_a_negative_seed():
+@pytest.mark.parametrize("seed", [-1, None, 1.5, "7"])
+def test_sacs_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
     with pytest.raises(InvalidParameterError, match="seed"):
-        sacs_check(designed_model(-1), [2], [(8,), (12,)], trials=100)
+        sacs_check(designed_model(seed), [2], [(8,), (12,)], trials=100)
 
 
-def test_sacs_rejects_m_below_one():
-    with pytest.raises(InvalidParameterError):
-        sacs_check(deterministic_model(1), [0, 2], [(8,), (12,)], trials=100)
+# The trend tests read the per-m bounds in the order given, so a list out of
+# order (or empty) would decide the verdict by its order (or pass vacuously).
+@pytest.mark.parametrize("m_list", [[], [8, 4, 2], [2, 1], [2, 2], [0, 2], [1, 2.5], [1, "2"]])
+def test_m_list_must_be_strictly_increasing_integers_from_one(m_list, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a matrix was built")
+
+    with pytest.raises(InvalidParameterError, match="strictly increasing"):
+        acs_check(refuse, refuse, m_list, [(8,), (12,)])
+    monkeypatch.setattr(acs_mod.RandomSequenceModel, "sample", refuse)
+    with pytest.raises(InvalidParameterError, match="strictly increasing"):
+        sacs_check(designed_model(1), m_list, [(8,), (12,)], trials=100)
 
 
 def test_sacs_trial_loop_takes_no_hermitian_test(monkeypatch):

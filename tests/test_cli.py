@@ -7,7 +7,8 @@ import gltlab
 from gltlab import cli
 from gltlab.cli import (
     ExperimentConfig,
-    config_from_file,
+    _read_config,
+    config_from_mapping,
     main,
     parse_sizes,
     run_experiment,
@@ -52,7 +53,7 @@ def test_parse_sizes_forms():
 def test_config_roundtrip_and_run(tmp_path):
     out = tmp_path / "artifacts"
     path = write_config(tmp_path, DIST_CFG.format(out=out))
-    cfg = config_from_file(path)
+    cfg = config_from_mapping(_read_config(path))
     assert cfg.kind == "distribution"
     assert cfg.sizes == [(32,), (64,)]
     result = run_experiment(cfg)
@@ -68,9 +69,9 @@ def test_config_roundtrip_and_run(tmp_path):
 def test_run_outputs_are_byte_identical(tmp_path):
     out = tmp_path / "artifacts"
     path = write_config(tmp_path, DIST_CFG.format(out=out))
-    run_experiment(config_from_file(path))
+    run_experiment(config_from_mapping(_read_config(path)))
     first = {f: (out / f).read_bytes() for f in os.listdir(out)}
-    run_experiment(config_from_file(path))
+    run_experiment(config_from_mapping(_read_config(path)))
     second = {f: (out / f).read_bytes() for f in os.listdir(out)}
     assert first == second
 
@@ -84,13 +85,13 @@ expr = T(2-2*cos(t1))
 sizes = 64; 32
 """
     with pytest.raises(ConfigurationError) as err:
-        config_from_file(write_config(tmp_path, body))
+        config_from_mapping(_read_config(write_config(tmp_path, body)))
     assert any("sizes" in f for f in err.value.fields)
 
 
 def test_missing_config_file():
     with pytest.raises(ConfigurationError):
-        config_from_file("/nonexistent/exp.cfg")
+        _read_config("/nonexistent/exp.cfg")
 
 
 def test_validation_collects_all_problems():
@@ -249,7 +250,7 @@ def test_unknown_config_key_is_an_error(tmp_path, capsys):
     body = DIST_CFG.format(out=tmp_path / "u").replace("tolerance =", "tolerence =")
     path = write_config(tmp_path, body)
     with pytest.raises(ConfigurationError) as err:
-        config_from_file(path)
+        config_from_mapping(_read_config(path))
     assert any("tolerence" in f for f in err.value.fields)
     assert main(["run", path]) == 2
     assert "tolerence" in capsys.readouterr().err
@@ -360,15 +361,50 @@ def test_subcommand_and_config_write_identical_artifacts(command, tmp_path):
         assert (by_cli / name).read_bytes() == (by_config / name).read_bytes(), name
 
 
+# The trend tests read m in the order given: 8,4,2 and 2,1 used to FAIL where
+# the same values in increasing order PASS.
+@pytest.mark.parametrize("m_list", ["0,2", "8,4,2", "2,1"])
 @pytest.mark.parametrize("command", ["check-acs", "check-sacs"])
-def test_m_below_one_is_a_config_error(command, tmp_path, capsys):
-    options = ["--expr", "T(1+cos(t1))"] if command == "check-acs" else [
-        "--model", "designed", "--trials", "100", "--seed", "1"]
-    code = main([command, *options, "--sizes", "8;12", "--m-list", "0,2",
-                 "--out", str(tmp_path / "m0")])
+def test_an_m_list_not_increasing_from_one_is_a_config_error(command, m_list, tmp_path, capsys):
+    options = ["--expr", "T(1+cos(t1)+0.25*cos(2*t1))"] if command == "check-acs" else [
+        "--model", "designed", "--trials", "1000", "--seed", "42"]
+    code = main([command, *options, "--sizes", "16;24", "--m-list", m_list,
+                 "--out", str(tmp_path / "m")])
     assert code == 2
-    assert "m_list: every m must be >= 1" in capsys.readouterr().err
-    assert not (tmp_path / "m0").exists()
+    assert "m_list: m_list must be a non-empty, strictly increasing list of integers >= 1" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+def test_a_percent_sign_in_a_config_value_is_taken_literally(tmp_path):
+    out = tmp_path / "out" / "100%"
+    path = write_config(tmp_path, DIST_CFG.format(out=out))
+    assert main(["run", path]) == 0
+    assert (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["check-zero", "--model", "spike", "--sizes", "16;32;64", "--p", "nan"], "p"),
+    (["check-dist", "--expr", "T(2-2*cos(t1))", "--sizes", "16;32", "--tol", "nan"],
+     "tolerance"),
+    (["check-zero", "--model", "spike", "--sizes", "16;32", "--tol", "inf"], "zero_tol"),
+])
+def test_a_non_finite_float_option_is_a_config_error(argv, key, tmp_path, capsys):
+    out = tmp_path / "nf"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert f"{key}: must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line,key", [("quad_tol = -1", "quad_tol"), ("quad_tol = 0", "quad_tol"),
+                                      ("quad_tol = nan", "quad_tol"), ("slack = inf", "slack"),
+                                      ("zero_tol = nan", "zero_tol")])
+def test_a_non_finite_or_non_positive_float_key_is_a_config_error(line, key, tmp_path, capsys):
+    out = tmp_path / "nf"
+    path = write_config(tmp_path, DIST_CFG.format(out=out) + line + "\n")
+    assert main(["run", path]) == 2
+    assert f"{key}: must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_negative_seed_is_a_config_error(tmp_path, capsys):

@@ -37,29 +37,29 @@ from gltlab.symbols import CoefficientFunction, TrigPolynomial, evaluate
 
 LAP_POLY = TrigPolynomial(1, 1, {(0,): [[2.0]], (1,): [[-1.0]], (-1,): [[-1.0]]})
 LAP = Toeplitz(LAP_POLY)
-X_COEFF = CoefficientFunction.from_scalar(1, lambda x: x, name="x1")
+X_COEFF = CoefficientFunction(1, 1, lambda x: x[:, :, None], hermitian=True, name="x1")
 DIAG_X = Diag(X_COEFF)
 SHIFT = Toeplitz(TrigPolynomial(1, 1, {(1,): [[1.0]]}))
 
 
 def test_symbol_of_generators():
     sym = symbol_of(LAP)
-    assert abs(evaluate(sym, [0.5], [np.pi])[0, 0] - 4.0) < 1e-14
+    assert abs(evaluate(sym, [[0.5]], [[np.pi]])[0, 0, 0] - 4.0) < 1e-14
     sym_d = symbol_of(DIAG_X)
-    assert abs(evaluate(sym_d, [0.25], [0.3])[0, 0] - 0.25) < 1e-14
+    assert abs(evaluate(sym_d, [[0.25]], [[0.3]])[0, 0, 0] - 0.25) < 1e-14
     sym_z = symbol_of(Zero(), d=1, r=2)
-    assert np.abs(evaluate(sym_z, [0.5], [0.5])).max() == 0.0
+    assert np.abs(evaluate(sym_z, [[0.5]], [[0.5]])[0]).max() == 0.0
 
 
 def test_symbol_of_product_rule():
     sym = symbol_of(Product(DIAG_X, LAP))
-    val = evaluate(sym, [0.5], [np.pi])
+    val = evaluate(sym, [[0.5]], [[np.pi]])[0]
     assert abs(val[0, 0] - 2.0) < 1e-14
 
 
 def test_symbol_of_pseudo_inverse():
     sym = symbol_of(PseudoInverse(LAP))
-    val = evaluate(sym, [0.5], [np.pi])
+    val = evaluate(sym, [[0.5]], [[np.pi]])[0]
     assert abs(val[0, 0] - 0.25) < 1e-14
 
 
@@ -67,7 +67,7 @@ def test_symbol_of_fun_apply_requires_hermitian():
     with pytest.raises(CalculusError):
         symbol_of(FunApply("exp", SHIFT))
     sym = symbol_of(FunApply("exp", LAP))
-    val = evaluate(sym, [0.5], [0.0])
+    val = evaluate(sym, [[0.5]], [[0.0]])[0]
     assert abs(val[0, 0] - 1.0) < 1e-13  # exp(0)
 
 
@@ -98,7 +98,7 @@ def test_symbol_of_block_pseudo_inverse_and_function():
 def test_symbol_of_pseudo_inverse_is_singular_where_the_symbol_vanishes():
     sym = symbol_of(parse("T(2-2*cos(t1))^-1"))
     with pytest.raises(SingularEvaluationError):
-        evaluate(sym, [0.5], [0.0])
+        evaluate(sym, [[0.5]], [[0.0]])
 
 
 def test_symbol_homomorphism_random_nodes():
@@ -126,7 +126,7 @@ def test_materialize_generators():
     a = materialize(LAP, 4)
     assert np.array_equal(a.data, toeplitz(LAP_POLY, 4).data)
     z = materialize(Zero(), 4, r=2)
-    assert z.size == 8 and np.abs(z.data).max() == 0.0
+    assert z.data.shape == (8, 8) and np.abs(z.data).max() == 0.0
     s = materialize(Scalar(2.5), 3)
     assert np.array_equal(s.data, 2.5 * np.eye(3))
 
@@ -213,9 +213,9 @@ def test_fun_apply_gate_on_matrices():
 
 
 def test_fun_apply_gate_tests_the_materialized_child():
-    # from_scalar declares Hermitian by default; diag(x + i) is not Hermitian,
-    # and eigh would silently read only its lower triangle.
-    child = Diag(CoefficientFunction.from_scalar(1, lambda x: x + 1j))
+    # diag(x + i) is declared Hermitian wrongly, and eigh would silently read
+    # only its lower triangle.
+    child = Diag(CoefficientFunction(1, 1, lambda x: x[:, :, None] + 1j, hermitian=True))
     with pytest.raises(CalculusError):
         materialize(FunApply("id", child), 3)
     ok = materialize(FunApply("id", LAP), 5)
@@ -344,9 +344,9 @@ def test_truncate_toeplitz():
     f = random_trig_polynomial(rng, d=1, r=1, degree=3, hermitian=True)
     e = truncate_toeplitz(Toeplitz(f), 1)
     assert isinstance(e, Toeplitz)
-    assert e.poly.degree == (1,)
+    assert set(e.poly.coeffs) == {(-1,), (0,), (1,)}
     nested = truncate_toeplitz(Product(DIAG_X, Toeplitz(f)), 2)
-    assert nested.right.poly.degree == (2,)
+    assert set(nested.right.poly.coeffs) == {(k,) for k in range(-2, 3)}
 
 
 def test_acs_plus_symbol_convergence_scenario():
@@ -434,21 +434,52 @@ def test_diag_factor_keeps_the_cap_and_the_failing_node(monkeypatch):
     monkeypatch.setattr(matgen_mod, "DEFAULT_SIZE_CAP", 32)
     with pytest.raises(SizeCapError):
         materialize(Product(Scalar(2.0), DIAG_X), 64)
-    pole = Diag(CoefficientFunction.from_scalar(1, lambda x: 1.0 / (x - 0.5)))
+    pole = parse("D(1/(x1-0.5))")
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(EvaluationError) as err:
             materialize(Product(LAP, pole), 4)
     assert err.value.node == (2,)  # the grid node i/n = 1/2
 
 
-@pytest.mark.parametrize("expr", ["2*T(2-2*cos(t1))", "Z+T(2-2*cos(t1))"])
+@pytest.mark.parametrize("expr,want", [
+    ("-T(2-2*cos(t1))", lambda t: -t),
+    ("2*T(2-2*cos(t1))", lambda t: 2 * t),
+    ("T(2-2*cos(t1))*2", lambda t: t * 2),
+    ("(1+i)*T(2-2*cos(t1))", lambda t: (1 + 1j) * t),
+    ("Z*T(2-2*cos(t1))", lambda t: 0 * t),
+    ("T(2-2*cos(t1))-2*T(2-2*cos(t1))", lambda t: t - 2 * t),
+])
+def test_a_constant_product_factor_scales_without_a_matrix(expr, want, monkeypatch):
+    import gltlab.gltcalc as gltcalc_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a constant factor was materialized")
+
+    t = toeplitz(LAP_POLY, 16).data
+    monkeypatch.setattr(np, "eye", refuse)
+    monkeypatch.setattr(gltcalc_mod, "zeros", refuse)
+    out = materialize(parse(expr), 16)
+    assert out.data.dtype == want(t).dtype and np.array_equal(out.data, want(t))
+    assert out.symmetrizer is None
+
+
+def test_a_constant_product_factor_leaves_the_symmetrizer_to_the_diagonal():
+    x = np.arange(1, 9) / 8
+    for expr in ("2*D(x1)", "Z*D(x1)"):
+        assert np.array_equal(materialize(parse(expr), 8).symmetrizer, np.sqrt(1.0 / x))
+    assert np.array_equal(materialize(parse("D(x1)*2"), 8).symmetrizer, np.sqrt(x))
+
+
+@pytest.mark.parametrize("expr", ["2*T(2-2*cos(t1))", "2+T(2-2*cos(t1))",
+                                  "Z+T(2-2*cos(t1))"])
 def test_size_cap_is_checked_before_any_allocation(expr, monkeypatch):
     import gltlab.gltcalc as gltcalc_mod
 
     e = parse(expr)
     calls = []
-    eye, zeros = np.eye, gltcalc_mod.zeros
+    eye, full, zeros = np.eye, np.full, gltcalc_mod.zeros
     monkeypatch.setattr(np, "eye", lambda *a, **k: calls.append(("eye", a)) or eye(*a, **k))
+    monkeypatch.setattr(np, "full", lambda *a, **k: calls.append(("full", a)) or full(*a, **k))
     monkeypatch.setattr(gltcalc_mod, "zeros",
                         lambda *a, **k: calls.append(("zeros", a)) or zeros(*a, **k))
     monkeypatch.setattr(matgen_mod, "DEFAULT_SIZE_CAP", 8)

@@ -6,6 +6,7 @@ import pytest
 from helpers import random_trig_polynomial, toeplitz_blockfill, toeplitz_kronecker
 
 import gltlab.matgen as matgen_mod
+from gltlab.dsl import parse
 from gltlab.errors import ConfigurationError, InvalidParameterError, SizeCapError
 from gltlab.matgen import (
     BlockMatrix,
@@ -103,17 +104,17 @@ def test_trace_identity_exact():
     for d, r, n in [(1, 1, (17,)), (2, 2, (4, 6))]:
         poly = random_trig_polynomial(rng, d=d, r=r, degree=1, hermitian=False)
         A = toeplitz(poly, n)
-        nu_n = A.size // r
-        assert abs(np.trace(A.data) - nu_n * np.trace(poly.coefficient((0,) * d))) < 1e-12
+        nu_n = A.data.shape[0] // r
+        assert abs(np.trace(A.data) - nu_n * np.trace(poly.coeffs[(0,) * d])) < 1e-12
 
 
 def test_diag_sampling_linear_grid():
-    A = diag_sampling(CoefficientFunction.from_scalar(1, lambda x: x), 4)
+    A = diag_sampling(parse("D(x1)").coefficient, 4)
     assert np.allclose(np.diag(A.data), [0.25, 0.5, 0.75, 1.0])
 
 
 def test_diag_sampling_two_level_lexicographic():
-    A = diag_sampling(CoefficientFunction.from_scalar(2, lambda x1, x2: x1 + x2), (2, 2))
+    A = diag_sampling(parse("D(x1+x2)").coefficient, (2, 2))
     assert np.allclose(np.diag(A.data), [1.0, 1.5, 1.5, 2.0])
 
 
@@ -124,8 +125,8 @@ def test_diag_sampling_matrix_identity():
 
 
 def test_diag_matrices_commute():
-    a = diag_sampling(CoefficientFunction.from_scalar(1, lambda x: np.sin(3 * x)), 16).data
-    b = diag_sampling(CoefficientFunction.from_scalar(1, lambda x: x**2 + 1), 16).data
+    a = diag_sampling(parse("D(sin(3*x1))").coefficient, 16).data
+    b = diag_sampling(parse("D(x1^2+1)").coefficient, 16).data
     assert np.abs(a @ b - b @ a).max() == 0.0
 
 
@@ -148,7 +149,7 @@ def test_size_cap(monkeypatch):
     with pytest.raises(SizeCapError):
         toeplitz(LAP, 17)
     with pytest.raises(SizeCapError):
-        diag_sampling(CoefficientFunction.from_scalar(1, lambda x: x), 17)
+        diag_sampling(parse("D(x1)").coefficient, 17)
     assert toeplitz(LAP, 16).data.shape == (16, 16)
     monkeypatch.setattr(matgen_mod, "DEFAULT_SIZE_CAP", 32)  # read at each call
     assert toeplitz(LAP, 17).data.shape == (17, 17)
@@ -166,9 +167,9 @@ def test_block_matrix_keeps_real_entries_as_float64():
 
 
 def test_diag_sampling_dtype_follows_samples():
-    real = CoefficientFunction.from_scalar(1, lambda x: x)
+    real = parse("D(x1)").coefficient
     assert diag_sampling(real, 4).data.dtype == np.float64
-    a = diag_sampling(CoefficientFunction.from_scalar(1, lambda x: x + 1j), 4).data
+    a = diag_sampling(parse("D(x1+i)").coefficient, 4).data
     assert a.dtype == np.complex128
     assert np.array_equal(np.diag(a), [0.25 + 1j, 0.5 + 1j, 0.75 + 1j, 1.0 + 1j])
 
@@ -180,7 +181,7 @@ def test_zeros_helper():
 
 @pytest.mark.parametrize("a", [lambda x: x, 2.0, np.eye(2)])
 def test_diag_sampling_takes_only_a_symbol(a):
-    with pytest.raises(ConfigurationError, match="from_scalar"):
+    with pytest.raises(ConfigurationError, match="CoefficientFunction"):
         diag_sampling(a, 4)
 
 
@@ -189,7 +190,7 @@ def test_diag_sampling_failure_names_node():
 
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(EvaluationError) as err:
-            diag_sampling(CoefficientFunction.from_scalar(1, lambda x: 1.0 / (x - 0.5)), 2)
+            diag_sampling(parse("D(1/(x1-0.5))").coefficient, 2)
     assert err.value.node == (1,)  # the grid node i/n = 1/2
 
 

@@ -114,3 +114,13 @@ def test_python_example_runs(capsys):
     printed = capsys.readouterr().out
     assert printed.startswith("True [('x', ")
     assert "('bump_hi', " in printed
+
+
+def test_config_example_runs(tmp_path):
+    section = README.read_text().split("## Experiment configs", 1)[1]
+    block = re.search(r"```ini\n(.*?)```", section, re.S).group(1)
+    path = tmp_path / "example.cfg"
+    path.write_text(block)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["plot.svg", "report.csv", "summary.json"]

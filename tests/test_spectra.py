@@ -36,7 +36,7 @@ from gltlab.spectra import (
     symbol_functional,
     trending_to_zero,
 )
-from gltlab.symbols import CoefficientFunction, TrigPolynomial
+from gltlab.symbols import TrigPolynomial
 
 LAP = TrigPolynomial(1, 1, {(0,): [[2.0]], (1,): [[-1.0]], (-1,): [[-1.0]]})
 
@@ -120,6 +120,16 @@ def test_empty_matrix_has_an_empty_spectrum(dtype):
     assert schatten_norm(empty, 1) == schatten_norm(empty, np.inf) == 0.0
 
 
+@pytest.mark.parametrize("quad_tol", [0.0, -1.0, np.nan])
+def test_distribution_check_refuses_a_non_positive_quad_tol_before_any_matrix(quad_tol):
+    def seq(n):
+        raise AssertionError("a matrix was built")
+
+    symbol = symbol_of(parse("T(2-2*cos(t1))"))
+    with pytest.raises(InvalidParameterError, match="quad_tol"):
+        distribution_check(seq, symbol, [4, 8], quad_tol=quad_tol)
+
+
 def test_distribution_check_rejects_a_non_square_matrix():
     symbol = symbol_of(parse("T(2-2*cos(t1))"))
     with pytest.raises(InvalidParameterError) as info:
@@ -164,6 +174,8 @@ def test_schatten_frobenius_identity():
 def test_schatten_invalid_p():
     with pytest.raises(InvalidParameterError):
         schatten_norm(np.eye(2), 0.5)
+    with pytest.raises(InvalidParameterError):
+        schatten_norm(np.eye(2), np.nan)
 
 
 @given(
@@ -191,14 +203,14 @@ def test_trace_identity_random_hermitian():
     for n in (13, 37, 64):
         poly = random_trig_polynomial(rng, d=1, r=2, degree=2, hermitian=True)
         lam = spectrum(toeplitz(poly, n), "lambda")
-        expect = np.trace(poly.coefficient((0,))).real / 2.0
+        expect = np.trace(poly.coeffs[(0,)]).real / 2.0
         assert abs(empirical_functional(lam, WIDE_X) - expect) < 1e-12
 
 
 def test_symbol_functional_examples():
     assert abs(symbol_functional(LAP, WIDE_X, "lambda") - 2.0) < 1e-10
     assert abs(symbol_functional(LAP, WIDE_X2, "lambda") - 6.0) < 1e-10
-    a = CoefficientFunction.from_scalar(1, lambda x: x)
+    a = parse("D(x1)").coefficient
     kappa = symbol_of(Product(Diag(a), Toeplitz(LAP)))
     assert abs(symbol_functional(kappa, WIDE_X, "sigma") - 1.0) < 1e-8
 
@@ -436,6 +448,7 @@ def test_centro_hermitian_path_and_its_gate(monkeypatch):
 
 
 def test_centro_structure_test_rejects_on_row_zero(monkeypatch):
+    import gltlab.matgen as matgen_mod
     import gltlab.spectra as spectra_mod
 
     product = materialize(PRODUCT_EXPR, 64).data
@@ -447,7 +460,7 @@ def test_centro_structure_test_rejects_on_row_zero(monkeypatch):
     assert shapes == [(1, 64)]
     shapes.clear()
     assert spectra_mod._is_centro_hermitian(toeplitz(LAP, 2048).data)
-    assert shapes[0] == (1, 2048) and max(np.prod(s) for s in shapes) <= spectra_mod._STRIP
+    assert shapes[0] == (1, 2048) and max(np.prod(s) for s in shapes) <= matgen_mod._STRIP
     assert sum(s[0] for s in shapes) == 1024
 
 

@@ -21,14 +21,14 @@ LAP = TrigPolynomial(1, 1, {(0,): [[2.0]], (1,): [[-1.0]], (-1,): [[-1.0]]})
 
 
 def test_evaluate_trig_examples():
-    assert abs(evaluate(LAP, [0.5], [0.0])[0, 0]) < 1e-15
-    assert abs(evaluate(LAP, [0.5], [np.pi])[0, 0] - 4.0) < 1e-14
+    assert abs(evaluate(LAP, [[0.5]], [[0.0]])[0, 0, 0]) < 1e-15
+    assert abs(evaluate(LAP, [[0.5]], [[np.pi]])[0, 0, 0] - 4.0) < 1e-14
 
 
 def test_evaluate_product_example():
-    a = CoefficientFunction.from_scalar(1, lambda x: x)
+    a = parse("D(x1)").coefficient
     kappa = symbol_of(Product(Diag(a), Toeplitz(LAP)))
-    val = evaluate(kappa, [0.5], [np.pi])
+    val = evaluate(kappa, [[0.5]], [[np.pi]])[0]
     assert abs(val[0, 0] - 2.0) < 1e-14
 
 
@@ -41,24 +41,42 @@ def test_evaluate_batch_shapes():
 
 def test_domain_errors():
     with pytest.raises(DomainError):
-        evaluate(LAP, [1.5], [0.0])
+        evaluate(LAP, [[1.5]], [[0.0]])
     with pytest.raises(DomainError):
-        evaluate(LAP, [0.5], [4.0])
+        evaluate(LAP, [[0.5]], [[4.0]])
+
+
+@pytest.mark.parametrize("x,theta", [
+    (0.5, 0.0),  # a 0-D point
+    ([0.5], [0.0]),  # a 1-D point
+    ([[0.5]], np.zeros((3, 1))),  # one point against a batch
+    ([[0.5, 0.5]], [[0.0, 0.0]]),  # two coordinates for a one-level symbol
+])
+def test_points_are_batches_of_matching_length(x, theta):
+    with pytest.raises(DomainError):
+        evaluate(LAP, x, theta)
+    with pytest.raises(DomainError):
+        spectral_surfaces(LAP, x, theta)
+
+
+def values_of(poly):
+    """The frequency-only callable of a trig polynomial."""
+    return lambda theta: poly._eval(None, theta)
 
 
 def test_fourier_coefficients_laplacian():
-    poly = fourier_coefficients(LAP, degree=1, samples_per_dim=16)
-    assert abs(poly.coefficient((0,))[0, 0] - 2.0) < 1e-14
-    assert abs(poly.coefficient((1,))[0, 0] + 1.0) < 1e-14
-    assert abs(poly.coefficient((-1,))[0, 0] + 1.0) < 1e-14
+    poly = fourier_coefficients(values_of(LAP), degree=1, samples_per_dim=16, d=1, r=1)
+    assert abs(poly.coeffs[(0,)][0, 0] - 2.0) < 1e-14
+    assert abs(poly.coeffs[(1,)][0, 0] + 1.0) < 1e-14
+    assert abs(poly.coeffs[(-1,)][0, 0] + 1.0) < 1e-14
 
 
 def test_fourier_coefficients_constant():
     const = TrigPolynomial(1, 1, {(0,): [[1.0]]})
-    poly = fourier_coefficients(const, degree=2, samples_per_dim=16)
-    assert abs(poly.coefficient((0,))[0, 0] - 1.0) < 1e-14
+    poly = fourier_coefficients(values_of(const), degree=2, samples_per_dim=16, d=1, r=1)
+    assert abs(poly.coeffs[(0,)][0, 0] - 1.0) < 1e-14
     for k in (1, 2, -1, -2):
-        assert abs(poly.coefficient((k,))[0, 0]) < 1e-15
+        assert abs(poly.coeffs.get((k,), np.zeros((1, 1)))[0, 0]) < 1e-15
 
 
 def test_fourier_coefficients_abs_theta():
@@ -76,13 +94,13 @@ def test_fourier_coefficients_abs_theta():
     for k, expect in closed.items():
         oracle = np.trapezoid(np.abs(grid) * np.exp(-1j * k * grid), grid) / (2 * np.pi)
         assert abs(oracle - expect) < 1e-6
-        assert abs(poly.coefficient((k,))[0, 0] - expect) < 1e-4
-        assert abs(poly.coefficient((-k,))[0, 0] - expect) < 1e-4
+        assert abs(poly.coeffs.get((k,), np.zeros((1, 1)))[0, 0] - expect) < 1e-4
+        assert abs(poly.coeffs.get((-k,), np.zeros((1, 1)))[0, 0] - expect) < 1e-4
 
 
 def test_aliasing_guard():
     with pytest.raises(ConfigurationError):
-        fourier_coefficients(LAP, degree=3, samples_per_dim=6)
+        fourier_coefficients(values_of(LAP), degree=3, samples_per_dim=6, d=1, r=1)
 
 
 def test_fourier_grid_is_capped_before_it_is_allocated(monkeypatch):
@@ -96,11 +114,11 @@ def test_fourier_grid_is_capped_before_it_is_allocated(monkeypatch):
 
     monkeypatch.setattr(symbols_mod, "frequency_grid", grid)
     with pytest.raises(SizeCapError, match="exceeds the cap 16777216"):
-        fourier_coefficients(LAP, degree=1, samples_per_dim=2**24 + 1)
+        fourier_coefficients(values_of(LAP), degree=1, samples_per_dim=2**24 + 1, d=1, r=1)
     # the cap itself, 256^3 nodes, is admitted
     with pytest.raises(GridBuilt):
-        fourier_coefficients(LAP, degree=1, samples_per_dim=2**24)
-    fn = lambda theta: np.ones(len(theta), dtype=complex)
+        fourier_coefficients(values_of(LAP), degree=1, samples_per_dim=2**24, d=1, r=1)
+    fn = lambda theta: np.ones((len(theta), 1, 1), dtype=complex)
     with pytest.raises(GridBuilt):
         fourier_coefficients(fn, degree=1, samples_per_dim=256, d=3, r=1)
 
@@ -109,7 +127,8 @@ def test_fourier_grid_is_capped_before_it_is_allocated(monkeypatch):
 def test_fourier_offsets_are_in_lexicographic_order(deg):
     # the offset box is enumerated with the last coordinate varying fastest
     f = random_trig_polynomial(np.random.default_rng(11), d=len(deg), degree=deg)
-    g = fourier_coefficients(f, degree=deg, samples_per_dim=2 * max(deg) + 2)
+    g = fourier_coefficients(values_of(f), degree=deg, samples_per_dim=2 * max(deg) + 2,
+                             d=len(deg), r=1)
     box = list(itertools.product(*(range(-v, v + 1) for v in deg)))
     assert list(g.coeffs) == box == sorted(box)
     assert box[:2] == [tuple(-v for v in deg), tuple(-v for v in deg[:-1]) + (1 - deg[-1],)]
@@ -119,9 +138,9 @@ def test_fourier_roundtrip_recovers_coefficients():
     rng = np.random.default_rng(7)
     for d, r in [(1, 1), (1, 2), (2, 1), (2, 2)]:
         poly = random_trig_polynomial(rng, d=d, r=r, degree=2, hermitian=False)
-        back = fourier_coefficients(poly, degree=2, samples_per_dim=11)
+        back = fourier_coefficients(values_of(poly), degree=2, samples_per_dim=11, d=d, r=r)
         for k, block in poly.coeffs.items():
-            assert np.abs(back.coefficient(k) - block).max() < 1e-12
+            assert np.abs(back.coeffs[k] - block).max() < 1e-12
 
 
 def test_hermitian_flag_and_pointwise_hermitian():
@@ -169,8 +188,9 @@ def test_block_eigen_surfaces_closed_form():
 
 
 def test_lambda_surfaces_do_not_trust_a_wrong_hermitian_flag():
-    # from_scalar declares Hermitian by default; eigvalsh would read x + 1j as x.
-    s = symbol_of(Diag(CoefficientFunction.from_scalar(1, lambda x: x + 1j)))
+    # a coefficient declared Hermitian wrongly; eigvalsh would read x + 1j as x.
+    s = symbol_of(Diag(CoefficientFunction(1, 1, lambda x: x[:, :, None] + 1j,
+                                           hermitian=True)))
     assert s.hermitian
     xs = np.array([[0.25], [0.5]])
     surf = spectral_surfaces(s, xs, np.zeros((2, 1)), "lambda")
