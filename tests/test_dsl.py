@@ -26,27 +26,66 @@ from gltlab.gltcalc import (
 )
 from gltlab.symbols import evaluate
 
-CORPUS = [
-    "T(2-2*cos(t1))",
-    "D(x1)",
-    "Z",
-    "T(2-2*cos(t1))*D(x1)",
-    "D(x1)*T(2-2*cos(t1))+Z",
-    "T([0,1+exp(-i*t1);1+exp(i*t1),0])",
-    "T(4-2*cos(t1)-2*cos(t2))",
-    "fun(exp,T(2-2*cos(t1)))",
-    "T(2-2*cos(t1))^-1",
-    "T(exp(i*t1))'",
-    "2*T(2-2*cos(t1))-3*D(x1)",
-    "(D(x1)+D(x2))*T(cos(t1)+cos(t2))",
-    "T(sin(t1))-T(sin(t1))",
-    "D(x1^2)",
-    "D([x1,x2;x2,x1])",
-    "T(1+cos(2*t1))",
-    "i*T(sin(t1))",
-    "fun(abs,T(2-2*cos(t1)))+0.5*Z",
-    "T((1+cos(t1))^2)",
-    "D(exp(x1))*T(2-2*cos(t1))*D(exp(x1))",
+# Every corpus entry with its canonical text, as printed by format_expression.
+CORPUS = {
+    "T(2-2*cos(t1))": "T(-exp(-i*t1)+2-exp(i*t1))",
+    "D(x1)": "D(x1)",
+    "Z": "Z",
+    "T(2-2*cos(t1))*D(x1)": "T(-exp(-i*t1)+2-exp(i*t1))*D(x1)",
+    "D(x1)*T(2-2*cos(t1))+Z": "D(x1)*T(-exp(-i*t1)+2-exp(i*t1))+Z",
+    "T([0,1+exp(-i*t1);1+exp(i*t1),0])": "T([0,exp(-i*t1)+1;1+exp(i*t1),0])",
+    "T(4-2*cos(t1)-2*cos(t2))": "T(-exp(-i*t1)-exp(-i*t2)+4-exp(i*t2)-exp(i*t1))",
+    "fun(exp,T(2-2*cos(t1)))": "fun(exp,T(-exp(-i*t1)+2-exp(i*t1)))",
+    "T(2-2*cos(t1))^-1": "T(-exp(-i*t1)+2-exp(i*t1))^-1",
+    "T(exp(i*t1))'": "T(exp(i*t1))'",
+    "2*T(2-2*cos(t1))-3*D(x1)": "2*T(-exp(-i*t1)+2-exp(i*t1))-3*D(x1)",
+    "(D(x1)+D(x2))*T(cos(t1)+cos(t2))":
+        "(D(x1)+D(x2))*T(0.5*exp(-i*t1)+0.5*exp(-i*t2)+0.5*exp(i*t2)+0.5*exp(i*t1))",
+    "T(sin(t1))-T(sin(t1))":
+        "T(0.5*i*exp(-i*t1)-0.5*i*exp(i*t1))-T(0.5*i*exp(-i*t1)-0.5*i*exp(i*t1))",
+    "D(x1^2)": "D(x1^2)",
+    "D([x1,x2;x2,x1])": "D([x1,x2;x2,x1])",
+    "T(1+cos(2*t1))": "T(0.5*exp(-2*i*t1)+1+0.5*exp(2*i*t1))",
+    "i*T(sin(t1))": "i*T(0.5*i*exp(-i*t1)-0.5*i*exp(i*t1))",
+    "fun(abs,T(2-2*cos(t1)))+0.5*Z": "fun(abs,T(-exp(-i*t1)+2-exp(i*t1)))+0.5*Z",
+    "T((1+cos(t1))^2)": "T(0.25*exp(-2*i*t1)+exp(-i*t1)+1.5+exp(i*t1)+0.25*exp(2*i*t1))",
+    "D(exp(x1))*T(2-2*cos(t1))*D(exp(x1))": "D(exp(x1))*T(-exp(-i*t1)+2-exp(i*t1))*D(exp(x1))",
+}
+
+# The README and benchmark expressions that the corpus lacks, with their canonical text.
+DOCUMENTED = {
+    "D(x1)*T(2-2*cos(t1))": "D(x1)*T(-exp(-i*t1)+2-exp(i*t1))",
+    "T(1+cos(t1)+0.25*cos(2*t1))":
+        "T(0.125*exp(-2*i*t1)+0.5*exp(-i*t1)+1+0.5*exp(i*t1)+0.125*exp(2*i*t1))",
+    "T(exp(i*t1))": "T(exp(i*t1))",
+    "D(x1)*T(2-2*cos(t1))-T(2-2*cos(t1))*D(x1)":
+        "D(x1)*T(-exp(-i*t1)+2-exp(i*t1))-T(-exp(-i*t1)+2-exp(i*t1))*D(x1)",
+    "fun(exp,-T(2-2*cos(t1)))": "fun(exp,(-1)*T(-exp(-i*t1)+2-exp(i*t1)))",
+    "fun(exp,2*T(2-2*cos(t1)))": "fun(exp,2*T(-exp(-i*t1)+2-exp(i*t1)))",
+}
+
+# Malformed inputs with the exact message, line and column of their error.
+ERRORS = [
+    ("1.2.3", "bad number literal '1.2.3'", 1, 1),
+    ("T(cos(t1)", "expected ')', found 'end of input'", 1, 10),
+    ("T([1,2;3])", "matrix argument must be square, got rows of sizes [2, 1]", 1, 10),
+    ("T([1,2])", "matrix argument must be square, got rows of sizes [2]", 1, 8),
+    ("fun(foo,Z)", "unknown function 'foo' (choose from "
+                   "['abs', 'cos', 'cube', 'exp', 'id', 'sin', 'sq'])", 1, 5),
+    ("fun(exp Z)", "expected ',', found 'Z'", 1, 9),
+    ("Z^-2", "only ^-1 (pseudo-inverse) is supported", 1, 4),
+    ("T(x1)", "x-variables are not allowed inside T(...)", 1, 3),
+    ("T([x1,0;0,1])", "x-variables are not allowed inside T(...)", 1, 4),
+    ("(" * 130 + "Z" + ")" * 130, "expression nesting too deep", 1, 61),
+    ("T(2-2*cos(t1))\n\t+ $", "unexpected character '$'", 2, 4),
+    ("Z\n  *\tT(\n\tt2+)", "expected a scalar atom, found ')'", 3, 5),
+    ("D(x2)*", "expected an atom, found 'end of input'", 1, 7),
+    ("T(1/0)", "division by zero in constant expression", 1, 4),
+    ("D(y1)", "unexpected identifier 'y1'", 1, 3),
+    ("T(abs(t1))", "T-argument is not band-limited; declare a truncation degree "
+                   "(numeric_degree)", 1, 1),
+    ("Z Z", "unexpected trailing input 'Z'", 1, 3),
+    ("", "empty expression", 1, 1),
 ]
 
 
@@ -121,6 +160,18 @@ def test_roundtrip_corpus(text):
     assert structurally_equal(e, again), canonical
     # canonicalization is idempotent
     assert format_expression(again) == canonical
+
+
+@pytest.mark.parametrize("text,canonical", [*CORPUS.items(), *DOCUMENTED.items()])
+def test_canonical_form_is_pinned(text, canonical):
+    assert format_expression(parse(text)) == canonical
+
+
+@pytest.mark.parametrize("text,message,line,col", ERRORS)
+def test_error_message_and_position_are_pinned(text, message, line, col):
+    with pytest.raises(DslSyntaxError) as err:
+        parse(text)
+    assert (str(err.value), err.value.line, err.value.col) == (f"{line}:{col}: {message}", line, col)
 
 
 def test_roundtrip_random_trees():
