@@ -139,8 +139,11 @@ class ExperimentConfig:
         if not self.p >= 1:
             problems.append(f"p: must be >= 1 or inf, got {self.p}")
         for key in ("tolerance", "slack", "quad_tol", "zero_tol"):
-            if not np.isfinite(getattr(self, key)):
-                problems.append(f"{key}: must be finite, got {getattr(self, key)}")
+            value = getattr(self, key)
+            if not np.isfinite(value):
+                problems.append(f"{key}: must be finite, got {value}")
+            elif key in ("tolerance", "zero_tol") and value < 0:
+                problems.append(f"{key}: must be >= 0, got {value}")
         if not self.quad_tol > 0:
             problems.append(f"quad_tol: must be > 0, got {self.quad_tol}")
         return problems

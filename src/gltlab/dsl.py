@@ -14,6 +14,20 @@ with scalarexpr the usual arithmetic over x1..xd, t1..td, numbers, i, cos,
 sin, exp, abs, ^ and unary minus.  T-arguments may reference only t
 variables, D-arguments only x variables.
 
+Tokens (one regular expression): input is ASCII.  A number is digits and
+dots, beginning with a digit or with a dot and a digit, with an optional
+exponent (e or E, an optional sign, digits); one that float() refuses, such
+as 1.2.3, is a bad number literal.  An identifier is a letter or underscore,
+then letters, digits and underscores.  Whitespace is space, tab, CR and LF;
+a tab is one column.  Any other character is unexpected.
+
+Nesting is bounded: no tree may be deeper than _MAX_DEPTH = 120 levels.  The
+whole expression, each parenthesis and each call (cos, sin, exp, abs, fun,
+or the argument of T or D) take two levels; each operand after the first in
+a chain of + - * /, each unary minus, each ^ exponent and each postfix ' or
+^-1 take one more.  A constant that complex arithmetic cannot fold, such as
+exp(1000), is refused.
+
 Normalization (fixed, so that parse(format(e)) is structurally identical to
 e): numeric literals fold (products/sums of pure scalars collapse to one
 scalar), a leading minus folds into the first scalar factor, and T-arguments
@@ -26,6 +40,9 @@ e.g. ``T(2-exp(i*t1)-exp(-i*t1))``.
 from __future__ import annotations
 
 import cmath
+import functools
+import operator
+import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -64,60 +81,33 @@ class Token:
     col: int
 
 
-_PUNCT = set("+-*/^'()[],;")
+# One alternative per token kind; whitespace matches no named group.  The
+# classes are ASCII, so any other character is unexpected.
+_TOKEN = re.compile(r"""(?P<newline>\n) | [ \t\r]+
+    | (?P<num>(?:[0-9]|\.[0-9])[0-9.]*(?:[eE][+-]?[0-9]+)?)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<punct>[-+*/^'()\[\],;])
+    | (?P<other>.)""", re.VERBOSE | re.DOTALL)
 
 
 def _tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col, i = 1, 1, 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if ch.isdigit() or (ch == "." and i + 1 < len(text) and text[i + 1].isdigit()):
-            j = i
-            while j < len(text) and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < len(text) and text[j] in "eE":
-                k = j + 1
-                if k < len(text) and text[k] in "+-":
-                    k += 1
-                if k < len(text) and text[k].isdigit():
-                    j = k
-                    while j < len(text) and text[j].isdigit():
-                        j += 1
-            lexeme = text[i:j]
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        kind, lexeme, col = match.lastgroup, match.group(), match.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
+        elif kind == "other":
+            raise DslSyntaxError(f"unexpected character {lexeme!r}", line, col)
+        elif kind == "num":
             try:
                 value = float(lexeme)
             except ValueError:
-                raise DslSyntaxError(f"bad number literal {lexeme!r}", line, start_col)
-            tokens.append(Token("num", lexeme, value, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], 0.0, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(ch, ch, 0.0, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise DslSyntaxError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(Token("eof", "", 0.0, line, col))
+                raise DslSyntaxError(f"bad number literal {lexeme!r}", line, col)
+            tokens.append(Token("num", lexeme, value, line, col))
+        elif kind:
+            tokens.append(Token("ident" if kind == "ident" else lexeme, lexeme, 0.0, line, col))
+    tokens.append(Token("eof", "", 0.0, line, len(text) - line_start + 1))
     return tokens
 
 
@@ -153,20 +143,15 @@ ScalarExpr = SNum | SVar | SBin | SCall
 
 _SCALAR_CALLS = {"cos": cmath.cos, "sin": cmath.sin, "exp": cmath.exp, "abs": abs}
 
+# The binary operators, for complex constants and for numpy arrays alike.
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+        "^": operator.pow}
+
 
 def _fold_bin(op: str, left: ScalarExpr, right: ScalarExpr) -> ScalarExpr:
     if isinstance(left, SNum) and isinstance(right, SNum):
-        a, b = left.value, right.value
-        if op == "+":
-            return SNum(a + b)
-        if op == "-":
-            return SNum(a - b)
-        if op == "*":
-            return SNum(a * b)
-        if op == "/":
-            return SNum(a / b)  # ZeroDivisionError handled by the parser
-        if op == "^":
-            return SNum(a**b)
+        # ZeroDivisionError and OverflowError are handled by the parser
+        return SNum(_OPS[op](left.value, right.value))
     return SBin(op, left, right)
 
 
@@ -185,7 +170,9 @@ def _fold_neg(arg: ScalarExpr) -> ScalarExpr:
 # ---------------------------------------------------------------------------
 # scalar formatter (canonical, invertible on parser-normal trees)
 
+# Binding strength in both formatters; the postfix ' and ^-1 bind like ^.
 _P_ADD, _P_MUL, _P_UNARY, _P_POW, _P_ATOM = 1, 2, 3, 4, 5
+_PREC = {"+": _P_ADD, "-": _P_ADD, "*": _P_MUL, "/": _P_MUL, "^": _P_POW}
 
 
 def _num_repr(v: float) -> str:
@@ -224,30 +211,17 @@ def _fmt_scalar(e: ScalarExpr) -> tuple[str, int]:
         return f"{e.name}({inner})", _P_ATOM
     if isinstance(e, SBin):
         if e.op == "*" and e.left == SNum(-1.0 + 0.0j):
-            return "-" + _fmt_child(e.right, _P_UNARY), _P_UNARY
-        if e.op in "+-":
-            return (
-                _fmt_child(e.left, _P_ADD) + e.op + _fmt_child(e.right, _P_ADD + 1),
-                _P_ADD,
-            )
-        if e.op in "*/":
-            return (
-                _fmt_child(e.left, _P_MUL) + e.op + _fmt_child(e.right, _P_MUL + 1),
-                _P_MUL,
-            )
-        if e.op == "^":
-            return (
-                _fmt_child(e.left, _P_ATOM) + "^" + _fmt_child(e.right, _P_UNARY),
-                _P_POW,
-            )
+            return "-" + _wrap(_fmt_scalar(e.right), _P_UNARY), _P_UNARY
+        prec = _PREC[e.op]
+        left, right = (_P_ATOM, _P_UNARY) if e.op == "^" else (prec, prec + 1)
+        return _wrap(_fmt_scalar(e.left), left) + e.op + _wrap(_fmt_scalar(e.right), right), prec
     raise DslSyntaxError(f"cannot format scalar node {e!r}")
 
 
-def _fmt_child(e: ScalarExpr, context: int) -> str:
-    text, prec = _fmt_scalar(e)
-    if prec < context:
-        return "(" + text + ")"
-    return text
+def _wrap(formatted: tuple[str, int], context: int) -> str:
+    """Parenthesize a formatted (text, precedence) that binds looser than its context."""
+    text, prec = formatted
+    return "(" + text + ")" if prec < context else text
 
 
 def format_scalar(e: ScalarExpr) -> str:
@@ -315,6 +289,8 @@ def _lin_scale(a: _Linear, c: complex) -> _Linear:
 
 
 def _as_int(v: float) -> int:
+    if not cmath.isfinite(v):
+        raise _NotBandLimited  # no integer frequency; round() would raise
     r = round(v)
     if abs(v - r) > _INT_TOL:
         raise _NotBandLimited
@@ -419,13 +395,7 @@ def _expand(e: ScalarExpr, d: int):
             if isinstance(arg, _Poly):
                 raise _NotBandLimited
             # exp(c + i sum k_j t_j) with integer k
-            k = [0] * d
-            for j, v in arg.coeffs.items():
-                ratio = v / 1j
-                if abs(ratio.imag) > _INT_TOL:
-                    raise _NotBandLimited
-                k[j] = _as_int(ratio.real)
-            return _Poly(d, {tuple(k): cmath.exp(arg.const)})
+            return _Poly(d, {_lin_offset(_lin_scale(arg, -1j)): cmath.exp(arg.const)})
         raise _NotBandLimited  # abs of a non-constant is not band-limited
     raise _NotBandLimited
 
@@ -443,18 +413,8 @@ def _compile_scalar(e: ScalarExpr) -> Callable[[np.ndarray], np.ndarray]:
         j = e.index - 1
         return lambda pts: pts[:, j].astype(complex)
     if isinstance(e, SBin):
-        lf, rf = _compile_scalar(e.left), _compile_scalar(e.right)
-        op = e.op
-        if op == "+":
-            return lambda pts: lf(pts) + rf(pts)
-        if op == "-":
-            return lambda pts: lf(pts) - rf(pts)
-        if op == "*":
-            return lambda pts: lf(pts) * rf(pts)
-        if op == "/":
-            return lambda pts: lf(pts) / rf(pts)
-        if op == "^":
-            return lambda pts: np.power(lf(pts), rf(pts))
+        lf, rf, op = _compile_scalar(e.left), _compile_scalar(e.right), _OPS[e.op]
+        return lambda pts: op(lf(pts), rf(pts))
     if isinstance(e, SCall):
         af = _compile_scalar(e.arg)
         fn = {"cos": np.cos, "sin": np.sin, "exp": np.exp, "abs": np.abs}[e.name]
@@ -499,6 +459,16 @@ def _is_real_expr(e: ScalarExpr) -> bool:
 # parser
 
 
+def _nested(method):
+    """Parse with ``method`` one level below the caller, in a scope of its own."""
+
+    @functools.wraps(method)
+    def nested(self, *args):
+        return self._under(method, self, *args)
+
+    return nested
+
+
 class _Parser:
     def __init__(self, tokens: list[Token], d: int, r_declared: int | None,
                  numeric_degree: int | None):
@@ -508,7 +478,8 @@ class _Parser:
         self.r_declared = r_declared
         self.r_seen: int | None = None
         self.numeric_degree = numeric_degree
-        self.depth = 0
+        self.depth = 0  # level of the subtree being parsed
+        self.peak = 0  # deepest level that the current scope has reached
 
     # --- token plumbing
 
@@ -523,138 +494,134 @@ class _Parser:
     def expect(self, kind: str) -> Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise DslSyntaxError(
-                f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                tok.line, tok.col,
-            )
+            self.error(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok)
         return self.advance()
 
     def error(self, msg: str, tok: Token | None = None):
         tok = tok or self.peek()
         raise DslSyntaxError(msg, tok.line, tok.col)
 
-    def _enter(self):
-        self.depth += 1
-        if self.depth > _MAX_DEPTH:
-            self.error("expression nesting too deep")
+    def _enclosed(self, parse: Callable, *args):
+        """``"(" parse ")"``."""
+        self.expect("(")
+        node = parse(*args)
+        self.expect(")")
+        return node
 
-    def _leave(self):
-        self.depth -= 1
+    # --- nesting bound: ``depth`` is the level being parsed and ``peak`` the deepest
+    # level of the current scope, which a node put above it (``_lift``) deepens.
+
+    def _check(self, level: int) -> int:
+        if level > _MAX_DEPTH:
+            self.error("expression nesting too deep")
+        return level
+
+    def _under(self, parse: Callable, *args):
+        """Parse a child one level below the current node, in a scope of its own."""
+        depth, peak = self.depth, self.peak
+        self.depth = self.peak = self._check(depth + 1)
+        node = parse(*args)
+        self.depth, self.peak = depth, max(peak, self.peak)
+        return node
+
+    def _lift(self):
+        """A new node goes above everything that the current scope has parsed."""
+        self.peak = self._check(self.peak + 1)
+
+    def _chain(self, ops: str, operand: Callable, combine: Callable, node=None):
+        """``operand {op operand}`` for op in ``ops``, combined from the left;
+        ``node``, when given, is the first operand."""
+        node = operand() if node is None else node
+        while self.peek().kind in ops:
+            self._lift()
+            op = self.advance()
+            node = combine(op, node, self._under(operand))
+        return node
 
     # --- GLT grammar
 
+    @_nested
     def parse_expression(self) -> GLTExpression:
-        self._enter()
-        try:
-            negate_first = False
-            if self.peek().kind == "-":
-                self.advance()
-                negate_first = True
-            node = self.parse_term()
-            if negate_first:
-                node = _negate(node)
-            while self.peek().kind in "+-":
-                op = self.advance().kind
-                right = self.parse_term()
-                node = _make_lincomb(node, 1.0 if op == "+" else -1.0, right)
-            return node
-        finally:
-            self._leave()
-
-    def parse_term(self) -> GLTExpression:
-        node = self.parse_factor()
-        while self.peek().kind == "*":
+        node = None
+        if self.peek().kind == "-":
             self.advance()
-            right = self.parse_factor()
-            if isinstance(node, Scalar) and isinstance(right, Scalar):
-                node = Scalar(complex(node.value) * complex(right.value))
-            else:
-                node = Product(node, right)
-        return node
+            node = _negate(self.parse_term())
+            self._lift()
+        return self._chain("+-", self.parse_term, _sum, node)
+
+    @_nested
+    def parse_term(self) -> GLTExpression:
+        return self._chain("*", self.parse_factor, _product)
 
     def parse_factor(self) -> GLTExpression:
         node = self.parse_atom()
-        while True:
-            tok = self.peek()
-            if tok.kind == "'":
-                self.advance()
+        while self.peek().kind in ("'", "^"):
+            self._lift()
+            if self.advance().kind == "'":
                 node = Adjoint(node)
-            elif tok.kind == "^":
-                self.advance()
-                self.expect("-")
-                one = self.expect("num")
-                if one.value != 1.0:
-                    self.error("only ^-1 (pseudo-inverse) is supported", one)
-                node = PseudoInverse(node)
-            else:
-                return node
+                continue
+            self.expect("-")
+            one = self.expect("num")
+            if one.value != 1.0:
+                self.error("only ^-1 (pseudo-inverse) is supported", one)
+            node = PseudoInverse(node)
+        return node
 
     def parse_atom(self) -> GLTExpression:
-        self._enter()
-        try:
-            tok = self.peek()
-            if tok.kind == "num":
+        tok = self.peek()
+        if tok.kind == "num":
+            self.advance()
+            return Scalar(complex(tok.value))
+        if tok.kind == "(":
+            return self._enclosed(self.parse_expression)
+        if tok.kind == "ident":
+            if tok.text == "Z":
                 self.advance()
-                return Scalar(complex(tok.value))
-            if tok.kind == "(":
+                return Zero()
+            if tok.text == "i":
                 self.advance()
-                node = self.parse_expression()
+                return Scalar(1j)
+            if tok.text in ("T", "D"):
+                self.advance()
+                entries = self._enclosed(self.parse_matfun, "t" if tok.text == "T" else "x")
+                return self._build_toeplitz(entries, tok) if tok.text == "T" \
+                    else self._build_diag(entries, tok)
+            if tok.text == "fun":
+                self.advance()
+                self.expect("(")
+                name_tok = self.expect("ident")
+                if name_tok.text not in FUNCTION_CATALOGUE:
+                    self.error(
+                        f"unknown function {name_tok.text!r} (choose from "
+                        f"{sorted(FUNCTION_CATALOGUE)})", name_tok)
+                self.expect(",")
+                child = self.parse_expression()
                 self.expect(")")
-                return node
-            if tok.kind == "ident":
-                if tok.text == "Z":
-                    self.advance()
-                    return Zero()
-                if tok.text == "i":
-                    self.advance()
-                    return Scalar(1j)
-                if tok.text in ("T", "D"):
-                    self.advance()
-                    self.expect("(")
-                    entries = self.parse_matfun("t" if tok.text == "T" else "x")
-                    self.expect(")")
-                    return self._build_toeplitz(entries, tok) if tok.text == "T" \
-                        else self._build_diag(entries, tok)
-                if tok.text == "fun":
-                    self.advance()
-                    self.expect("(")
-                    name_tok = self.expect("ident")
-                    if name_tok.text not in FUNCTION_CATALOGUE:
-                        self.error(
-                            f"unknown function {name_tok.text!r} (choose from "
-                            f"{sorted(FUNCTION_CATALOGUE)})", name_tok)
-                    self.expect(",")
-                    child = self.parse_expression()
-                    self.expect(")")
-                    return FunApply(name_tok.text, child)
-                self.error(f"unexpected identifier {tok.text!r}", tok)
-            self.error(f"expected an atom, found {tok.text or 'end of input'!r}", tok)
-        finally:
-            self._leave()
+                return FunApply(name_tok.text, child)
+            self.error(f"unexpected identifier {tok.text!r}", tok)
+        self.error(f"expected an atom, found {tok.text or 'end of input'!r}", tok)
 
     # --- matrix arguments
+
+    def _separated(self, sep: str, item: Callable) -> tuple:
+        items = [item()]
+        while self.peek().kind == sep:
+            self.advance()
+            items.append(item())
+        return tuple(items)
 
     def parse_matfun(self, kind: str) -> tuple[tuple[ScalarExpr, ...], ...]:
         if self.peek().kind == "[":
             self.advance()
-            rows = [self.parse_row(kind)]
-            while self.peek().kind == ";":
-                self.advance()
-                rows.append(self.parse_row(kind))
+            scalar = functools.partial(self.parse_scalar, kind)
+            rows = self._separated(";", lambda: self._separated(",", scalar))
             self.expect("]")
             width = len(rows[0])
             if any(len(row) != width for row in rows) or len(rows) != width:
                 self.error(f"matrix argument must be square, got rows of sizes "
                            f"{[len(r) for r in rows]}")
-            return tuple(rows)
+            return rows
         return ((self.parse_scalar(kind),),)
-
-    def parse_row(self, kind: str) -> tuple[ScalarExpr, ...]:
-        row = [self.parse_scalar(kind)]
-        while self.peek().kind == ",":
-            self.advance()
-            row.append(self.parse_scalar(kind))
-        return tuple(row)
 
     def _register_r(self, r: int, tok: Token):
         if self.r_declared is not None and r != self.r_declared:
@@ -680,14 +647,11 @@ class _Parser:
             return self._numeric_toeplitz(entries, tok)
         except ZeroDivisionError:
             self.error("division by zero in symbol argument", tok)
+        except (OverflowError, ValueError):
+            self.error("symbol argument out of range", tok)
         offsets = sorted({k for row in dicts for dd in row for k in dd})
-        coeffs = {}
-        for k in offsets:
-            block = np.zeros((r, r), dtype=complex)
-            for a in range(r):
-                for b in range(r):
-                    block[a, b] = dicts[a][b].get(k, 0.0)
-            coeffs[k] = block
+        coeffs = {k: np.array([[dd.get(k, 0.0) for dd in row] for row in dicts], dtype=complex)
+                  for k in offsets}
         return Toeplitz(TrigPolynomial(self.d, r, coeffs))
 
     def _numeric_toeplitz(self, entries, tok: Token) -> Toeplitz:
@@ -715,84 +679,64 @@ class _Parser:
 
     # --- scalar grammar
 
+    @_nested
     def parse_scalar(self, kind: str) -> ScalarExpr:
-        self._enter()
-        try:
-            node = self.parse_sterm(kind)
-            while self.peek().kind in "+-":
-                op = self.advance()
-                right = self.parse_sterm(kind)
-                node = self._fold(op, node, right)
-            return node
-        finally:
-            self._leave()
+        return self._chain("+-", functools.partial(self.parse_sterm, kind), self._fold)
 
+    @_nested
     def parse_sterm(self, kind: str) -> ScalarExpr:
-        node = self.parse_sunary(kind)
-        while self.peek().kind in "*/":
-            op = self.advance()
-            right = self.parse_sunary(kind)
-            node = self._fold(op, node, right)
-        return node
+        return self._chain("*/", functools.partial(self.parse_sunary, kind), self._fold)
 
     def parse_sunary(self, kind: str) -> ScalarExpr:
         if self.peek().kind == "-":
             self.advance()
-            return _fold_neg(self.parse_sunary(kind))
-        return self.parse_spow(kind)
-
-    def parse_spow(self, kind: str) -> ScalarExpr:
+            return _fold_neg(self._under(self.parse_sunary, kind))
         base = self.parse_satom(kind)
-        if self.peek().kind == "^":
-            op = self.advance()
-            exponent = self.parse_sunary(kind)
-            return self._fold(op, base, exponent)
-        return base
+        if self.peek().kind != "^":
+            return base
+        self._lift()
+        op = self.advance()
+        return self._fold(op, base, self._under(self.parse_sunary, kind))
 
-    def _fold(self, op: Token, left: ScalarExpr, right: ScalarExpr) -> ScalarExpr:
+    def _fold(self, tok: Token, *args: ScalarExpr) -> ScalarExpr:
+        """The operator or function call ``tok`` over ``args``, folded if constant."""
         try:
-            return _fold_bin(op.kind, left, right)
+            if tok.kind == "ident":
+                return _fold_call(tok.text, *args)
+            return _fold_bin(tok.kind, *args)
         except ZeroDivisionError:
-            self.error("division by zero in constant expression", op)
+            self.error("division by zero in constant expression", tok)
+        except (OverflowError, ValueError):
+            self.error("constant expression out of range", tok)
 
     def parse_satom(self, kind: str) -> ScalarExpr:
-        self._enter()
-        try:
-            tok = self.peek()
-            if tok.kind == "num":
+        tok = self.peek()
+        if tok.kind == "num":
+            self.advance()
+            return SNum(complex(tok.value))
+        if tok.kind == "(":
+            return self._enclosed(self.parse_scalar, kind)
+        if tok.kind == "ident":
+            text = tok.text
+            if text == "i":
                 self.advance()
-                return SNum(complex(tok.value))
-            if tok.kind == "(":
+                return SNum(1j)
+            if text in _SCALAR_CALLS:
                 self.advance()
-                node = self.parse_scalar(kind)
-                self.expect(")")
-                return node
-            if tok.kind == "ident":
-                text = tok.text
-                if text == "i":
-                    self.advance()
-                    return SNum(1j)
-                if text in _SCALAR_CALLS:
-                    self.advance()
-                    self.expect("(")
-                    arg = self.parse_scalar(kind)
-                    self.expect(")")
-                    return _fold_call(text, arg)
-                if len(text) >= 2 and text[0] in "xt" and text[1:].isdecimal():
-                    var_kind, index = text[0], int(text[1:])
-                    if var_kind != kind:
-                        inside = "T(...)" if kind == "t" else "D(...)"
-                        self.error(
-                            f"{var_kind}-variables are not allowed inside {inside}", tok)
-                    if not 1 <= index <= self.d:
-                        self.error(
-                            f"variable {text!r} exceeds the {self.d}-level domain", tok)
-                    self.advance()
-                    return SVar(var_kind, index)
-                self.error(f"unexpected identifier {text!r}", tok)
-            self.error(f"expected a scalar atom, found {tok.text or 'end of input'!r}", tok)
-        finally:
-            self._leave()
+                return self._fold(tok, self._enclosed(self.parse_scalar, kind))
+            if variable := _variable(text):
+                var_kind, index = variable
+                if var_kind != kind:
+                    inside = "T(...)" if kind == "t" else "D(...)"
+                    self.error(
+                        f"{var_kind}-variables are not allowed inside {inside}", tok)
+                if not 1 <= index <= self.d:
+                    self.error(
+                        f"variable {text!r} exceeds the {self.d}-level domain", tok)
+                self.advance()
+                return SVar(var_kind, index)
+            self.error(f"unexpected identifier {text!r}", tok)
+        self.error(f"expected a scalar atom, found {tok.text or 'end of input'!r}", tok)
 
 
 def _negate(node: GLTExpression) -> GLTExpression:
@@ -803,19 +747,29 @@ def _negate(node: GLTExpression) -> GLTExpression:
     return Product(Scalar(-1.0 + 0.0j), node)
 
 
-def _make_lincomb(left: GLTExpression, beta: float, right: GLTExpression) -> GLTExpression:
+def _sum(op: Token, left: GLTExpression, right: GLTExpression) -> GLTExpression:
+    beta = 1.0 if op.kind == "+" else -1.0
     if isinstance(left, Scalar) and isinstance(right, Scalar):
         return Scalar(complex(left.value) + beta * complex(right.value))
     return LinComb(1.0, left, complex(beta), right)
 
 
+def _product(op: Token, left: GLTExpression, right: GLTExpression) -> GLTExpression:
+    if isinstance(left, Scalar) and isinstance(right, Scalar):
+        return Scalar(complex(left.value) * complex(right.value))
+    return Product(left, right)
+
+
+def _variable(text: str) -> tuple[str, int] | None:
+    """(kind, index) of a variable name, ``x`` or ``t`` and a decimal index."""
+    if len(text) >= 2 and text[0] in "xt" and text[1:].isdecimal():
+        return text[0], int(text[1:])
+    return None
+
+
 def _infer_d(tokens: list[Token]) -> int:
-    best = 1
-    for tok in tokens:
-        if tok.kind == "ident" and len(tok.text) >= 2 and tok.text[0] in "xt" \
-                and tok.text[1:].isdecimal():
-            best = max(best, int(tok.text[1:]))
-    return best
+    variables = (_variable(tok.text) for tok in tokens)
+    return max([1, *(variable[1] for variable in variables if variable)])
 
 
 def levels(text: str) -> int:
@@ -853,22 +807,22 @@ def _negative_ish(c: complex) -> bool:
     return c.real < 0 or (c.real == 0 and c.imag < 0)
 
 
-def _linear_ast(k: Sequence[int]) -> ScalarExpr:
-    terms = [(j + 1, kj) for j, kj in enumerate(k) if kj != 0]
-    ast: ScalarExpr | None = None
-    for index, kj in terms:
-        part = SBin("*", SNum(complex(0.0, float(kj))), SVar("t", index))
-        if ast is None:
-            ast = part
-        elif kj > 0:
-            ast = SBin("+", ast, part)
-        else:
-            ast = SBin("-", ast, SBin("*", SNum(complex(0.0, float(-kj))), SVar("t", index)))
-    assert ast is not None
+def _signed_sum(terms: list[tuple], make: Callable) -> ScalarExpr:
+    """``make(key, v)`` for the first term, then ``+ make(key, v)`` for each
+    further term, or ``- make(key, -v)`` where v is negative."""
+    ast = make(*terms[0])
+    for key, v in terms[1:]:
+        ast = SBin("-", ast, make(key, -v)) if _negative_ish(v) else SBin("+", ast, make(key, v))
     return ast
 
 
-def _poly_entry_ast(items: list[tuple[tuple, complex]], d: int) -> ScalarExpr:
+def _linear_ast(k: Sequence[int]) -> ScalarExpr:
+    terms = [(j + 1, kj) for j, kj in enumerate(k) if kj != 0]
+    return _signed_sum(terms, lambda index, kj: SBin("*", SNum(complex(0.0, float(kj))),
+                                                    SVar("t", index)))
+
+
+def _poly_entry_ast(items: list[tuple[tuple, complex]]) -> ScalarExpr:
     """Canonical scalar AST for one matrix entry of a trig polynomial."""
     if not items:
         return SNum(0.0 + 0.0j)
@@ -881,14 +835,7 @@ def _poly_entry_ast(items: list[tuple[tuple, complex]], d: int) -> ScalarExpr:
             return base
         return SBin("*", SNum(c), base)
 
-    first_k, first_c = items[0]
-    ast = term_ast(first_k, first_c)
-    for k, c in items[1:]:
-        if _negative_ish(c):
-            ast = SBin("-", ast, term_ast(k, -c))
-        else:
-            ast = SBin("+", ast, term_ast(k, c))
-    return ast
+    return _signed_sum(items, term_ast)
 
 
 def format_matfun(entries: tuple[tuple[ScalarExpr, ...], ...]) -> str:
@@ -907,49 +854,38 @@ def _toeplitz_entries(poly: TrigPolynomial) -> tuple[tuple[ScalarExpr, ...], ...
         for b in range(poly.r):
             items = [(k, complex(poly.coeffs[k][a, b])) for k in offsets
                      if poly.coeffs[k][a, b] != 0]
-            row.append(_poly_entry_ast(items, poly.d))
+            row.append(_poly_entry_ast(items))
         rows.append(tuple(row))
     return tuple(rows)
 
 
-_GP_ADD, _GP_MUL, _GP_FACTOR, _GP_ATOM = 1, 2, 3, 4
-
-
 def _fmt_expr(e: GLTExpression) -> tuple[str, int]:
     if isinstance(e, Toeplitz):
-        return "T(" + format_matfun(_toeplitz_entries(e.poly)) + ")", _GP_ATOM
+        return "T(" + format_matfun(_toeplitz_entries(e.poly)) + ")", _P_ATOM
     if isinstance(e, Diag):
         if e.exprs is None:
             raise DslSyntaxError(
                 "diagonal leaf was not built from source text and cannot be formatted")
-        return "D(" + format_matfun(e.exprs) + ")", _GP_ATOM
+        return "D(" + format_matfun(e.exprs) + ")", _P_ATOM
     if isinstance(e, Zero):
-        return "Z", _GP_ATOM
+        return "Z", _P_ATOM
     if isinstance(e, Scalar):
-        return _fmt_child(SNum(complex(e.value)), _P_ATOM), _GP_ATOM
+        return _wrap(_fmt_snum(complex(e.value)), _P_ATOM), _P_ATOM
     if isinstance(e, Adjoint):
-        return _fmt_glt_child(e.child, _GP_FACTOR) + "'", _GP_FACTOR
+        return _wrap(_fmt_expr(e.child), _P_POW) + "'", _P_POW
     if isinstance(e, PseudoInverse):
-        return _fmt_glt_child(e.child, _GP_FACTOR) + "^-1", _GP_FACTOR
+        return _wrap(_fmt_expr(e.child), _P_POW) + "^-1", _P_POW
     if isinstance(e, FunApply):
-        return f"fun({e.name},{_fmt_expr(e.child)[0]})", _GP_ATOM
+        return f"fun({e.name},{_fmt_expr(e.child)[0]})", _P_ATOM
     if isinstance(e, Product):
-        return (
-            _fmt_glt_child(e.left, _GP_MUL) + "*" + _fmt_glt_child(e.right, _GP_MUL + 1),
-            _GP_MUL,
-        )
+        left, right = _wrap(_fmt_expr(e.left), _P_MUL), _wrap(_fmt_expr(e.right), _P_MUL + 1)
+        return left + "*" + right, _P_MUL
     if isinstance(e, LinComb):
         alpha, beta = complex(e.alpha), complex(e.beta)
         left = e.left if alpha == 1 else _scaled(alpha, e.left)
-        if beta == 1:
-            return _fmt_glt_child(left, _GP_ADD) + "+" + _fmt_glt_child(e.right, _GP_ADD + 1), _GP_ADD
-        if beta == -1:
-            return _fmt_glt_child(left, _GP_ADD) + "-" + _fmt_glt_child(e.right, _GP_ADD + 1), _GP_ADD
-        if beta.imag == 0 and beta.real < 0:
-            right = _scaled(-beta, e.right)
-            return _fmt_glt_child(left, _GP_ADD) + "-" + _fmt_glt_child(right, _GP_ADD + 1), _GP_ADD
-        right = _scaled(beta, e.right)
-        return _fmt_glt_child(left, _GP_ADD) + "+" + _fmt_glt_child(right, _GP_ADD + 1), _GP_ADD
+        op, c = ("-", -beta) if beta.imag == 0 and beta.real < 0 else ("+", beta)
+        right = e.right if c == 1 else _scaled(c, e.right)
+        return _wrap(_fmt_expr(left), _P_ADD) + op + _wrap(_fmt_expr(right), _P_ADD + 1), _P_ADD
     raise DslSyntaxError(f"cannot format node {type(e).__name__}")
 
 
@@ -959,13 +895,6 @@ def _scaled(c: complex, node: GLTExpression) -> GLTExpression:
     if isinstance(node, Product) and isinstance(node.left, Scalar):
         return Product(Scalar(c * complex(node.left.value)), node.right)
     return Product(Scalar(c), node)
-
-
-def _fmt_glt_child(e: GLTExpression, context: int) -> str:
-    text, prec = _fmt_expr(e)
-    if prec < context:
-        return "(" + text + ")"
-    return text
 
 
 def format_expression(e: GLTExpression) -> str:

@@ -14,6 +14,7 @@ from gltlab.cli import (
     run_experiment,
 )
 from gltlab.errors import ConfigurationError, GltLabError
+from test_dsl import DEEP, NON_FINITE, OUT_OF_RANGE
 
 
 def write_config(tmp_path, body):
@@ -99,6 +100,12 @@ def test_validation_collects_all_problems():
     problems = cfg.validate()
     joined = " ".join(problems)
     assert "sizes" in joined and "seed" in joined and "m_list" in joined and "model" in joined
+
+
+def test_a_deep_non_finite_or_out_of_range_expression_exits_2(capsys):
+    for text in [*DEEP.values(), *NON_FINITE, *(text for text, _ in OUT_OF_RANGE)]:
+        assert main(["parse", "--expr", text]) == 2
+        assert capsys.readouterr().err.startswith("error: 1:")
 
 
 def test_main_exit_codes(tmp_path):
@@ -388,6 +395,8 @@ def test_a_percent_sign_in_a_config_value_is_taken_literally(tmp_path):
     (["check-dist", "--expr", "T(2-2*cos(t1))", "--sizes", "16;32", "--tol", "nan"],
      "tolerance"),
     (["check-zero", "--model", "spike", "--sizes", "16;32", "--tol", "inf"], "zero_tol"),
+    (["check-dist", "--expr", "T(2-2*cos(t1))", "--sizes", "16;32", "--tol", "-1"], "tolerance"),
+    (["check-zero", "--model", "spike", "--sizes", "16;32;64", "--tol", "-1"], "zero_tol"),
 ])
 def test_a_non_finite_float_option_is_a_config_error(argv, key, tmp_path, capsys):
     out = tmp_path / "nf"

@@ -88,6 +88,30 @@ ERRORS = [
     ("", "empty expression", 1, 1),
 ]
 
+# Inputs deeper than the nesting bound, one per way of building a deep tree.
+DEEP = {
+    "unary minus": "T(" + "-" * 3000 + "t1)",
+    "exponents": "D(" + "x1^" * 1500 + "x1)",
+    "T sum": "T(" + "+".join(["cos(t1)"] * 1500) + ")",
+    "D sum": "D(" + "+".join(["x1"] * 1500) + ")",
+    "GLT sum": "+".join(["Z"] * 1500),
+    "product": "*".join(["D(x1)"] * 1500),
+    "adjoints": "Z" + "'" * 1500,
+    "pseudo-inverses": "Z" + "^-1" * 1500,
+}
+
+# T arguments whose frequency is not finite: not band-limited.
+NON_FINITE = ["T(cos(1e999*t1))", "T(cos(t1*1e999))", "T(exp(i*t1)^1e999)",
+              "T(exp(i*t1)^-1e999)", "T(exp(1e999*i*t1))"]
+
+# Constants that complex arithmetic cannot fold, with their error.
+OUT_OF_RANGE = [
+    ("T(exp(1000))", "1:3: constant expression out of range"),
+    ("T(cos(1e999))", "1:3: constant expression out of range"),
+    ("D(10^999*x1)", "1:5: constant expression out of range"),
+    ("T(exp(i*t1+1000))", "1:1: symbol argument out of range"),
+]
+
 
 def test_parse_laplacian_coefficients():
     e = parse("T(2-2*cos(t1))")
@@ -171,7 +195,8 @@ def test_canonical_form_is_pinned(text, canonical):
 def test_error_message_and_position_are_pinned(text, message, line, col):
     with pytest.raises(DslSyntaxError) as err:
         parse(text)
-    assert (str(err.value), err.value.line, err.value.col) == (f"{line}:{col}: {message}", line, col)
+    assert str(err.value) == f"{line}:{col}: {message}"
+    assert (err.value.line, err.value.col) == (line, col)
 
 
 def test_roundtrip_random_trees():
@@ -254,6 +279,49 @@ def test_fuzz_parser_total_hypothesis(text):
 def test_deep_nesting_is_reported_not_crashed():
     with pytest.raises(DslSyntaxError, match="nesting"):
         parse("(" * 500 + "Z" + ")" * 500)
+
+
+@pytest.mark.parametrize("text", DEEP.values(), ids=DEEP.keys())
+def test_a_tree_deeper_than_the_bound_is_refused(text):
+    with pytest.raises(DslSyntaxError, match="expression nesting too deep"):
+        parse(text)
+
+
+@pytest.mark.parametrize("make,longest", [
+    (lambda n: "*".join(["D(x1)"] * n), 117),
+    (lambda n: "D(" + "-" * n + "x1)", 116),
+    (lambda n: "D(" + "x1^" * n + "x1)", 116),
+    (lambda n: "D(x1)" + "'" * n, 116),
+    (lambda n: "T(" + "+".join(["cos(t1)"] * n) + ")", 115),
+], ids=["product", "unary minus", "exponents", "adjoints", "T sum"])
+def test_the_deepest_accepted_trees_format_materialize_and_evaluate(make, longest):
+    e = parse(make(longest))
+    assert structurally_equal(parse(format_expression(e)), e)
+    assert materialize(e, 4).data.shape == (4, 4)
+    assert evaluate(symbol_of(e), [[0.5]], [[1.0]]).shape == (1, 1, 1)
+    with pytest.raises(DslSyntaxError, match="expression nesting too deep"):
+        parse(make(longest + 1))
+
+
+def test_canonical_text_longer_than_the_bound_is_refused():
+    # One term per Fourier coefficient: 111 at degree 55, 113 at degree 56.
+    e = parse("T(abs(t1))", numeric_degree=55)
+    assert structurally_equal(parse(format_expression(e)), e)
+    with pytest.raises(DslSyntaxError, match="expression nesting too deep"):
+        parse(format_expression(parse("T(abs(t1))", numeric_degree=56)))
+
+
+@pytest.mark.parametrize("text", NON_FINITE)
+def test_a_non_finite_frequency_asks_for_a_truncation_degree(text):
+    with pytest.raises(DslSyntaxError, match="declare a truncation degree"):
+        parse(text)
+
+
+@pytest.mark.parametrize("text,message", OUT_OF_RANGE)
+def test_a_constant_out_of_range_is_a_syntax_error(text, message):
+    with pytest.raises(DslSyntaxError) as err:
+        parse(text)
+    assert str(err.value) == message
 
 
 def test_numeric_fallback_for_non_band_limited():
