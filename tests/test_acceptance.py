@@ -231,7 +231,7 @@ def test_criterion_11_dsl_roundtrip_and_fuzz():
         except Exception:
             crashes += 1
     _report(11, crashes == 0,
-            f"20-expression corpus round-trips; 10^4 fuzz inputs, {crashes} crashes")
+            f"{len(CORPUS)}-expression corpus round-trips; 10^4 fuzz inputs, {crashes} crashes")
 
 
 def test_criterion_12_suite_runtime():

@@ -50,6 +50,17 @@ CORPUS = {
     "fun(abs,T(2-2*cos(t1)))+0.5*Z": "fun(abs,T(-exp(-i*t1)+2-exp(i*t1)))+0.5*Z",
     "T((1+cos(t1))^2)": "T(0.25*exp(-2*i*t1)+exp(-i*t1)+1.5+exp(i*t1)+0.25*exp(2*i*t1))",
     "D(exp(x1))*T(2-2*cos(t1))*D(exp(x1))": "D(exp(x1))*T(-exp(-i*t1)+2-exp(i*t1))*D(exp(x1))",
+    "T(cos(t1)/2)": "T(0.25*exp(-i*t1)+0.25*exp(i*t1))",
+    "T(cos(t1^1))": "T(0.5*exp(-i*t1)+0.5*exp(i*t1))",
+    "T(cos(exp(i*t1)*exp(-i*t1)*t1))": "T(0.5*exp(-i*t1)+0.5*exp(i*t1))",
+    "T(exp(i*t1)^-2)": "T(exp(-2*i*t1))",
+    "T(sin(2+t1))": "T((0.45464871341284085-0.2080734182735712*i)*exp(-i*t1)"
+                    "+(0.45464871341284085+0.2080734182735712*i)*exp(i*t1))",
+    "-2*T(2-2*cos(t1))": "(-2)*T(-exp(-i*t1)+2-exp(i*t1))",
+    "T(6-2*cos(t1)-2*cos(t2)-2*cos(t3)+exp(i*(t1-2*t2+3*t3)))":
+        "T(-exp(-i*t1)-exp(-i*t2)-exp(-i*t3)+6-exp(i*t3)-exp(i*t2)"
+        "+exp(i*t1-2*i*t2+3*i*t3)-exp(i*t1))",
+    "T([2-2*cos(t1),0;0,exp(i*t2)])": "T([-exp(-i*t1)+2-exp(i*t1),0;0,exp(i*t2)])",
 }
 
 # The README and benchmark expressions that the corpus lacks, with their canonical text.
@@ -84,6 +95,10 @@ ERRORS = [
     ("D(y1)", "unexpected identifier 'y1'", 1, 3),
     ("T(abs(t1))", "T-argument is not band-limited; declare a truncation degree "
                    "(numeric_degree)", 1, 1),
+    ("T(exp(i*t1)/0)", "T-argument is not band-limited; declare a truncation degree "
+                       "(numeric_degree)", 1, 1),
+    ("T((t1-t1)*t1)", "T-argument is not band-limited; declare a truncation degree "
+                      "(numeric_degree)", 1, 1),
     ("Z Z", "unexpected trailing input 'Z'", 1, 3),
     ("", "empty expression", 1, 1),
 ]
@@ -110,7 +125,22 @@ OUT_OF_RANGE = [
     ("T(cos(1e999))", "1:3: constant expression out of range"),
     ("D(10^999*x1)", "1:5: constant expression out of range"),
     ("T(exp(i*t1+1000))", "1:1: symbol argument out of range"),
+    ("T(abs(exp(i*t1+1000)))", "1:1: symbol argument out of range"),
 ]
+
+# The structural Hermitian flag of one tree per node kind.
+HERMITIAN = {
+    "T(2-2*cos(t1))": True, "T(exp(i*t1))": False,
+    "D(x1)": True, "D([x1,x2;x2,x1])": True, "D(i*x1)": False,
+    "Z": True, "2": True, "i": False,
+    "T(2-2*cos(t1))'": True, "T(exp(i*t1))'": False,
+    "T(2-2*cos(t1))^-1": True, "T(exp(i*t1))^-1": False, "Z^-1": True,
+    "fun(exp,T(2-2*cos(t1)))": True, "fun(abs,T(exp(i*t1)))": True,
+    "T(2-2*cos(t1))-D(x1)": True, "T(2-2*cos(t1))+T(exp(i*t1))": False,
+    "2*T(2-2*cos(t1))": True, "T(2-2*cos(t1))*2": True, "-T(2-2*cos(t1))": True,
+    "i*T(2-2*cos(t1))": False, "T(2-2*cos(t1))*i": False,
+    "D(x1)*T(2-2*cos(t1))": False, "Z*Z": False,
+}
 
 
 def test_parse_laplacian_coefficients():
@@ -163,6 +193,10 @@ def test_format_examples():
     adjoint = format_expression(parse("T(exp(i*t1))'"))
     assert adjoint.endswith("'")
     assert format_expression(parse("T(0)")) == "T(0)"
+    lap, x = parse("T(2-2*cos(t1))"), parse("D(x1)")
+    assert format_expression(LinComb(2.0, lap, 3.0, x)) == "2*T(-exp(-i*t1)+2-exp(i*t1))+3*D(x1)"
+    assert format_expression(LinComb(2.0, parse("2*D(x1)"), -3.0, parse("5"))) == "4*D(x1)-15"
+    assert format_expression(LinComb(-1.0, parse("Z"), 1j, parse("Z"))) == "(-1)*Z+i*Z"
 
 
 def test_two_level_exponential_form():
@@ -357,11 +391,11 @@ def test_fun_apply_catalogue_gate():
 
 
 def test_hermitian_inference_through_dsl():
-    assert parse("T(2-2*cos(t1))").hermitian
-    assert not parse("T(exp(i*t1))").hermitian
-    assert parse("D(x1)").hermitian
-    assert parse("D([x1,x2;x2,x1])").hermitian
-    assert not parse("D(i*x1)").hermitian
+    for text, flag in HERMITIAN.items():
+        assert parse(text).hermitian is flag, text
+    # a complex coefficient on either side of a combination
+    assert not LinComb(1j, parse("Z"), 1.0, parse("Z")).hermitian
+    assert not LinComb(1.0, parse("Z"), 1j, parse("Z")).hermitian
 
 
 def test_parsed_expression_evaluates():
