@@ -37,9 +37,9 @@ from . import dsl
 from .errors import ConfigurationError, GltLabError, InvalidParameterError
 from .gltcalc import glt5_split_check, materialize, symbol_of, truncate_toeplitz
 from .matgen import is_hermitian
-from .multiindex import format_multiindex, min_entry, parse_multiindex
+from .multiindex import format_multiindex, parse_multiindex
 from .reports import Report, atomic_write_text, summary_json, svg_line_chart
-from .spectra import QUAD_TOL, SLACK, distribution_check, spectrum
+from .spectra import QUAD_TOL, SLACK, _normalize_sizes, distribution_check, spectrum
 
 
 def parse_sizes(text: str, d: int | None) -> list[tuple[int, ...]]:
@@ -101,14 +101,13 @@ class ExperimentConfig:
         )
         if needs_expr and not self.expr:
             problems.append("expr: required for this experiment kind")
-        if self.kind != "parse" and not self.sizes:
-            problems.append("sizes: at least one size is required")
-        if self.sizes:
-            mins = [min_entry(n) for n in self.sizes]
-            if any(b <= a for a, b in zip(mins, mins[1:])):
-                problems.append("sizes: must be strictly increasing in min-entry")
-            if self.d is not None and any(len(n) != self.d for n in self.sizes):
-                problems.append(f"sizes: every size must have d={self.d} entries")
+        if self.kind != "parse" or self.sizes:
+            try:
+                _normalize_sizes(self.sizes)
+            except GltLabError as exc:
+                problems.append(f"sizes: {exc}")
+        if self.d is not None and any(len(n) != self.d for n in self.sizes):
+            problems.append(f"sizes: every size must have d={self.d} entries")
         if self.kind == "spectrum" and len(self.sizes) > 1:
             problems.append(f"sizes: spectrum takes one size, got {len(self.sizes)}")
         if self.mode not in ("sigma", "lambda"):

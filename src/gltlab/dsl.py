@@ -31,10 +31,12 @@ exp(1000), is refused.
 Normalization (fixed, so that parse(format(e)) is structurally identical to
 e): numeric literals fold (products/sums of pure scalars collapse to one
 scalar), a leading minus folds into the first scalar factor, and T-arguments
-are expanded symbolically to exponential (coefficient) form.  Non-band-limited
-T-arguments fall back to numeric Fourier coefficients with a declared
-truncation degree.  The formatter prints Toeplitz leaves in coefficient form,
-e.g. ``T(2-exp(i*t1)-exp(-i*t1))``.
+are expanded symbolically to exponential (coefficient) form; a one-term
+argument takes an integer power in one step, a longer one is multiplied out.
+Non-band-limited T-arguments fall back to numeric Fourier coefficients with a
+declared truncation degree; a non-finite coefficient is refused.  The
+formatter writes each entry of a Toeplitz leaf from its coefficient table,
+one term per coefficient in offset order: ``T(-exp(-i*t1)+2-exp(i*t1))``.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import functools
 import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -224,10 +226,6 @@ def _wrap(formatted: tuple[str, int], context: int) -> str:
     return "(" + text + ")" if prec < context else text
 
 
-def format_scalar(e: ScalarExpr) -> str:
-    return _fmt_scalar(e)[0]
-
-
 # ---------------------------------------------------------------------------
 # Laurent expansion of band-limited scalar expressions
 
@@ -286,6 +284,20 @@ def _poly_mul(a: _Poly, b: _Poly) -> _Poly:
 
 def _lin_scale(a: _Linear, c: complex) -> _Linear:
     return _Linear(a.d, {j: v * c for j, v in a.coeffs.items()}, a.const * c)
+
+
+def _int_power(v: complex, p: int) -> complex:
+    """v ** p by binary powering, with one reciprocal for p < 0; for |p| <= 100
+    the same steps as Python's complex ``**``, whose polar formula beyond
+    that is inexact even for v = -1 or i."""
+    out, square = 1 + 0j, v
+    for bit in bin(abs(p))[:1:-1]:
+        if bit == "1":
+            out *= square
+        square *= square
+    if p < 0 and out == 0:  # v ** -p underflowed, so v ** p overflows
+        raise OverflowError
+    return 1 / out if p < 0 else out
 
 
 def _as_int(v: float) -> int:
@@ -361,16 +373,16 @@ def _expand(e: ScalarExpr, d: int):
                 if power == 0:
                     return _Poly.const(d, 1.0)
                 raise _NotBandLimited
-            if power >= 0:
-                out = _Poly.const(d, 1.0)
-                for _ in range(power):
-                    out = _poly_mul(out, left)
-                return out
-            # Negative powers survive only on monomials (including constants).
-            if len(left.coeffs) != 1:
+            if len(left.coeffs) == 1:  # a monomial (or constant): one step
+                ((k, v),) = left.coeffs.items()
+                return _Poly(d, {tuple(power * kj for kj in k): _int_power(v, power)})
+            # Negative powers survive only on monomials.
+            if power < 0:
                 raise _NotBandLimited
-            ((k, v),) = left.coeffs.items()
-            return _Poly(d, {tuple(power * kj for kj in k): v ** power})
+            out = _Poly.const(d, 1.0)
+            for _ in range(power):
+                out = _poly_mul(out, left)
+            return out
     if isinstance(e, SCall):
         arg = _expand(e.arg, d)
         if isinstance(arg, _Poly) and arg.is_const:
@@ -643,26 +655,31 @@ class _Parser:
 
         try:
             dicts = [[expand_entry(e) for e in row] for row in entries]
+            offsets = sorted({k for row in dicts for dd in row for k in dd})
+            poly = TrigPolynomial(self.d, r, {
+                k: np.array([[dd.get(k, 0.0) for dd in row] for row in dicts], dtype=complex)
+                for k in offsets})
         except _NotBandLimited:
-            return self._numeric_toeplitz(entries, tok)
+            poly = self._numeric_coefficients(entries, tok)
         except ZeroDivisionError:
             self.error("division by zero in symbol argument", tok)
         except (OverflowError, ValueError):
             self.error("symbol argument out of range", tok)
-        offsets = sorted({k for row in dicts for dd in row for k in dd})
-        coeffs = {k: np.array([[dd.get(k, 0.0) for dd in row] for row in dicts], dtype=complex)
-                  for k in offsets}
-        return Toeplitz(TrigPolynomial(self.d, r, coeffs))
+        # Complex arithmetic overflows to inf (and inf - inf to nan) without raising.
+        if not all(np.isfinite(c).all() for c in poly.coeffs.values()):
+            self.error("symbol argument out of range", tok)
+        return Toeplitz(poly)
 
-    def _numeric_toeplitz(self, entries, tok: Token) -> Toeplitz:
+    def _numeric_coefficients(self, entries, tok: Token) -> TrigPolynomial:
         if self.numeric_degree is None:
             self.error(
                 "T-argument is not band-limited; declare a truncation degree "
                 "(numeric_degree)", tok)
         samples = max(4 * self.numeric_degree + 1, 256)
-        poly = fourier_coefficients(_compile_matrix(entries), self.numeric_degree, samples,
-                                    d=self.d, r=len(entries))
-        return Toeplitz(poly)
+        # Samples that overflow leave non-finite coefficients, refused by the caller.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fourier_coefficients(_compile_matrix(entries), self.numeric_degree, samples,
+                                        d=self.d, r=len(entries))
 
     def _build_diag(self, entries, tok: Token) -> Diag:
         r = len(entries)
@@ -803,65 +820,45 @@ def parse(text: str, d: int | None = None, r: int | None = None,
 # formatter
 
 
-def _negative_ish(c: complex) -> bool:
-    return c.real < 0 or (c.real == 0 and c.imag < 0)
+def _fmt_signed(terms: list[tuple], fmt_term: Callable) -> str:
+    """``fmt_term(key, c)`` for the first term, then ``+`` and ``fmt_term(key, c)``
+    for each later one, or ``-`` and ``fmt_term(key, -c)`` where c is negative."""
+    parts = [fmt_term(*terms[0])]
+    for key, c in terms[1:]:
+        negative = c.real < 0 or (c.real == 0 and c.imag < 0)
+        parts.append("-" + fmt_term(key, -c) if negative else "+" + fmt_term(key, c))
+    return "".join(parts)
 
 
-def _signed_sum(terms: list[tuple], make: Callable) -> ScalarExpr:
-    """``make(key, v)`` for the first term, then ``+ make(key, v)`` for each
-    further term, or ``- make(key, -v)`` where v is negative."""
-    ast = make(*terms[0])
-    for key, v in terms[1:]:
-        ast = SBin("-", ast, make(key, -v)) if _negative_ish(v) else SBin("+", ast, make(key, v))
-    return ast
+def _fmt_term(k: tuple, c: complex) -> str:
+    """c*exp(i*(k_1*t1+...+k_d*td)), or c alone at offset zero."""
+    if not any(k):
+        return _fmt_snum(c)[0]
+    frequency = _fmt_signed([(j, kj) for j, kj in enumerate(k, 1) if kj],
+                            lambda j, kj: _wrap(_fmt_snum(complex(0, kj)), _P_MUL) + f"*t{j}")
+    base = "exp(" + frequency + ")"
+    if c == 1:
+        return base
+    if c == -1:
+        return "-" + base
+    return _wrap(_fmt_snum(c), _P_MUL) + "*" + base
 
 
-def _linear_ast(k: Sequence[int]) -> ScalarExpr:
-    terms = [(j + 1, kj) for j, kj in enumerate(k) if kj != 0]
-    return _signed_sum(terms, lambda index, kj: SBin("*", SNum(complex(0.0, float(kj))),
-                                                    SVar("t", index)))
-
-
-def _poly_entry_ast(items: list[tuple[tuple, complex]]) -> ScalarExpr:
-    """Canonical scalar AST for one matrix entry of a trig polynomial."""
-    if not items:
-        return SNum(0.0 + 0.0j)
-
-    def term_ast(k: tuple, c: complex) -> ScalarExpr:
-        if all(v == 0 for v in k):
-            return SNum(c)
-        base = SCall("exp", _linear_ast(k))
-        if c == 1:
-            return base
-        return SBin("*", SNum(c), base)
-
-    return _signed_sum(items, term_ast)
-
-
-def format_matfun(entries: tuple[tuple[ScalarExpr, ...], ...]) -> str:
-    r = len(entries)
-    if r == 1:
-        return format_scalar(entries[0][0])
-    rows = [",".join(format_scalar(e) for e in row) for row in entries]
-    return "[" + ";".join(rows) + "]"
-
-
-def _toeplitz_entries(poly: TrigPolynomial) -> tuple[tuple[ScalarExpr, ...], ...]:
-    offsets = sorted(poly.coeffs)
-    rows = []
-    for a in range(poly.r):
-        row = []
-        for b in range(poly.r):
-            items = [(k, complex(poly.coeffs[k][a, b])) for k in offsets
-                     if poly.coeffs[k][a, b] != 0]
-            row.append(_poly_entry_ast(items))
-        rows.append(tuple(row))
-    return tuple(rows)
+def format_matfun(entries, fmt: Callable = lambda e: _fmt_scalar(e)[0]) -> str:
+    """The text of an r x r argument: its one entry, or ``[a,b;c,d]``."""
+    if len(entries) == 1:
+        return fmt(entries[0][0])
+    return "[" + ";".join(",".join(fmt(e) for e in row) for row in entries) + "]"
 
 
 def _fmt_expr(e: GLTExpression) -> tuple[str, int]:
     if isinstance(e, Toeplitz):
-        return "T(" + format_matfun(_toeplitz_entries(e.poly)) + ")", _P_ATOM
+        # Each entry's nonzero (offset, coefficient) terms in offset order.
+        coeffs, offsets, r = e.poly.coeffs, sorted(e.poly.coeffs), e.poly.r
+        entries = [[[(k, complex(coeffs[k][a, b])) for k in offsets if coeffs[k][a, b] != 0]
+                    for b in range(r)] for a in range(r)]
+        text = format_matfun(entries, lambda terms: _fmt_signed(terms, _fmt_term) if terms else "0")
+        return "T(" + text + ")", _P_ATOM
     if isinstance(e, Diag):
         if e.exprs is None:
             raise DslSyntaxError(

@@ -11,13 +11,13 @@ size with the corresponding matrix operations.
 
 Hermitian-ness is inferred structurally (coefficient symmetry for Toeplitz
 leaves, declared flags for coefficient functions, realness of scalars) by
-the nodes' ``hermitian`` property, the one rule that the symbol also reads;
-it is never detected numerically: the calculus gates eigenvalue-mode
-verification and continuous-function application on that declaration.  The
-solver that computes a spectrum is chosen from a numeric test instead (see
-:func:`gltlab.spectra.spectrum`), because declared flags can be wrong: a
-``CoefficientFunction`` may be constructed with ``hermitian=True`` for a
-function that is not.
+``_hermitian``, the one rule that every node's ``hermitian`` property and
+the symbol read; it is never detected numerically: the calculus gates
+eigenvalue-mode verification and continuous-function application on that
+declaration.  The solver that computes a spectrum is chosen from a numeric
+test instead (see :func:`gltlab.spectra.spectrum`), because declared flags
+can be wrong: a ``CoefficientFunction`` may be constructed with
+``hermitian=True`` for a function that is not.
 
 Materialized matrices stay float64 while every leaf and scalar is real.
 
@@ -91,7 +91,8 @@ class GLTExpression:
 
     @property
     def hermitian(self) -> bool:
-        raise NotImplementedError
+        """The structural Hermitian declaration of :func:`_hermitian`."""
+        return _hermitian(self)
 
 
 def _child_fields(e: GLTExpression) -> dict[str, GLTExpression]:
@@ -106,10 +107,6 @@ class Toeplitz(GLTExpression):
     def dims(self):
         return self.poly.d, self.poly.r
 
-    @property
-    def hermitian(self):
-        return self.poly.hermitian
-
 
 @dataclass(eq=False)
 class Diag(GLTExpression):
@@ -121,34 +118,20 @@ class Diag(GLTExpression):
     def dims(self):
         return self.coefficient.d, self.coefficient.r
 
-    @property
-    def hermitian(self):
-        return self.coefficient.hermitian
-
 
 @dataclass(eq=False)
 class Zero(GLTExpression):
-    @property
-    def hermitian(self):
-        return True
+    pass
 
 
 @dataclass(eq=False)
 class Scalar(GLTExpression):
     value: complex
 
-    @property
-    def hermitian(self):
-        return complex(self.value).imag == 0.0
-
 
 @dataclass(eq=False)
 class Adjoint(GLTExpression):
     child: GLTExpression
-
-    @property
-    def hermitian(self):
-        return self.child.hermitian
 
 
 @dataclass(eq=False)
@@ -158,47 +141,22 @@ class LinComb(GLTExpression):
     beta: complex
     right: GLTExpression
 
-    @property
-    def hermitian(self):
-        return (
-            complex(self.alpha).imag == 0.0
-            and complex(self.beta).imag == 0.0
-            and self.left.hermitian
-            and self.right.hermitian
-        )
-
 
 @dataclass(eq=False)
 class Product(GLTExpression):
     left: GLTExpression
     right: GLTExpression
 
-    @property
-    def hermitian(self):
-        # A B is Hermitian in general only when one factor is a real scalar.
-        for a, b in ((self.left, self.right), (self.right, self.left)):
-            if isinstance(a, Scalar) and a.hermitian and b.hermitian:
-                return True
-        return False
-
 
 @dataclass(eq=False)
 class PseudoInverse(GLTExpression):
     child: GLTExpression
-
-    @property
-    def hermitian(self):
-        return self.child.hermitian
 
 
 @dataclass(eq=False)
 class FunApply(GLTExpression):
     name: str
     child: GLTExpression
-
-    @property
-    def hermitian(self):
-        return True
 
 
 def _merge_dims(a, b):
@@ -271,17 +229,41 @@ def _scan(e: GLTExpression) -> tuple[bool, bool]:
     if not isinstance(e, (Zero, Scalar, Adjoint, LinComb, Product, PseudoInverse, FunApply)):
         raise ConfigurationError(f"unknown expression node {type(e).__name__}")
     flags = [_scan(child) for child in e.children()]
-    if isinstance(e, FunApply) and not e.child.hermitian:
+    if isinstance(e, FunApply) and not _hermitian(e.child):
         raise CalculusError(
             "continuous-function application requires a Hermitian-declared child"
         )
     return any(s for s, _ in flags), any(f for _, f in flags)
 
 
+def _hermitian(e: GLTExpression) -> bool:
+    """Whether ``e`` is Hermitian-declared: a Hermitian leaf, a real scalar,
+    ``Zero``, any ``FunApply``, the adjoint or pseudo-inverse of a Hermitian
+    node, a real combination of Hermitian nodes, or a real scalar times a
+    Hermitian node (a product is Hermitian in general only then)."""
+    if isinstance(e, Toeplitz):
+        return e.poly.hermitian
+    if isinstance(e, Diag):
+        return e.coefficient.hermitian
+    if isinstance(e, Scalar):
+        return complex(e.value).imag == 0.0
+    if isinstance(e, (Zero, FunApply)):
+        return True
+    if isinstance(e, (Adjoint, PseudoInverse)):
+        return _hermitian(e.child)
+    if isinstance(e, LinComb):
+        return (complex(e.alpha).imag == 0.0 and complex(e.beta).imag == 0.0
+                and _hermitian(e.left) and _hermitian(e.right))
+    if isinstance(e, Product):
+        return any(isinstance(a, Scalar) and _hermitian(a) and _hermitian(b)
+                   for a, b in ((e.left, e.right), (e.right, e.left)))
+    raise ConfigurationError(f"unknown expression node {type(e).__name__}")
+
+
 class ExpressionSymbol(Symbol):
     """The symbol of an expression, evaluated on the expression itself: each
     node applies its operation pointwise to the values of its children, and
-    the node's own structural rule says whether the symbol is Hermitian."""
+    the structural rule :func:`_hermitian` says whether the symbol is Hermitian."""
 
     def __init__(self, e: GLTExpression, d: int, r: int):
         self.expression, self.d, self.r = e, d, r

@@ -106,12 +106,22 @@ def test_a_deep_non_finite_or_out_of_range_expression_exits_2(capsys):
     for text in [*DEEP.values(), *NON_FINITE, *(text for text, _ in OUT_OF_RANGE)]:
         assert main(["parse", "--expr", text]) == 2
         assert capsys.readouterr().err.startswith("error: 1:")
+    assert main(["parse", "--expr", "T(exp(1000*cos(t1)))", "--degree", "2"]) == 2
+    assert capsys.readouterr().err == "error: 1:1: symbol argument out of range\n"
 
 
-def test_main_exit_codes(tmp_path):
+def test_main_exit_codes(tmp_path, capsys):
     # usage error: bad config
     bad = write_config(tmp_path, "[experiment]\nkind = nope\n")
     assert main(["run", bad]) == 2
+    # every rule of the size sweep is a config error that names the key
+    for sizes, problem in [("0;4", "size multi-index must be >= 1 componentwise, got (0,)"),
+                           ("8,8;16", "sizes must share the same number of levels")]:
+        out = tmp_path / "bad_sizes"
+        assert main(["check-dist", "--expr", "T(2-2*cos(t1))", "--sizes", sizes,
+                     "--out", str(out)]) == 2
+        assert f"invalid configuration: sizes: {problem}" in capsys.readouterr().err
+        assert not out.exists()
 
     # verdict FAIL -> 1
     code = main([

@@ -61,6 +61,9 @@ CORPUS = {
         "T(-exp(-i*t1)-exp(-i*t2)-exp(-i*t3)+6-exp(i*t3)-exp(i*t2)"
         "+exp(i*t1-2*i*t2+3*i*t3)-exp(i*t1))",
     "T([2-2*cos(t1),0;0,exp(i*t2)])": "T([-exp(-i*t1)+2-exp(i*t1),0;0,exp(i*t2)])",
+    "T(exp(i*t1)^100000000)": "T(exp(100000000*i*t1))",
+    "T((-exp(i*t1))^-200)": "T(exp(-200*i*t1))",
+    "T((i*exp(i*t1))^-101)": "T(-i*exp(-101*i*t1))",
 }
 
 # The README and benchmark expressions that the corpus lacks, with their canonical text.
@@ -126,6 +129,9 @@ OUT_OF_RANGE = [
     ("D(10^999*x1)", "1:5: constant expression out of range"),
     ("T(exp(i*t1+1000))", "1:1: symbol argument out of range"),
     ("T(abs(exp(i*t1+1000)))", "1:1: symbol argument out of range"),
+    ("T(1e999)", "1:1: symbol argument out of range"),
+    ("T((1+exp(i*t1))^1100)", "1:1: symbol argument out of range"),
+    ("T(exp(1e308*i*t1)*exp(1e308*i*t1))", "1:1: symbol argument out of range"),
 ]
 
 # The structural Hermitian flag of one tree per node kind.
@@ -356,6 +362,28 @@ def test_a_constant_out_of_range_is_a_syntax_error(text, message):
     with pytest.raises(DslSyntaxError) as err:
         parse(text)
     assert str(err.value) == message
+
+
+def test_non_finite_numeric_coefficients_are_out_of_range():
+    with pytest.raises(DslSyntaxError) as err:
+        parse("T(exp(1000*cos(t1)))", numeric_degree=2)
+    assert str(err.value) == "1:1: symbol argument out of range"
+
+
+def test_a_one_term_power_takes_one_exact_step():
+    start = time.perf_counter()
+    e = parse("T(exp(i*t1)^100000000)")
+    assert time.perf_counter() - start < 1.0
+    assert list(e.poly.coeffs) == [(100000000,)] and e.poly.coeffs[(100000000,)][0, 0] == 1
+    # the steps of Python's complex ** up to |p| = 100, to the bit
+    rng = random.Random(23)
+    for _ in range(2000):
+        v, p = complex(rng.uniform(-2, 2), rng.uniform(-2, 2)), rng.randint(-100, 100)
+        try:
+            expected = v ** p
+        except (OverflowError, ZeroDivisionError):
+            continue
+        assert np.array(dsl._int_power(v, p)).tobytes() == np.array(expected).tobytes(), (v, p)
 
 
 def test_numeric_fallback_for_non_band_limited():
