@@ -18,7 +18,8 @@ Experiments are described by line-oriented config files::
 ``ExperimentConfig``'s fields are the one schema for config files and
 subcommand options.  ``run_experiment`` writes every artifact atomically;
 identical config and seed give identical bytes.  Exit codes: 0 all verdicts
-PASS, 1 failed verdict, 2 usage/config error, 3 numerical error.
+PASS, 1 failed verdict, 2 usage/config error, 3 numerical error; the console
+script exits 141 (128 + SIGPIPE) when the reader of its output goes away.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .gltcalc import glt5_split_check, materialize, symbol_of, truncate_toeplitz
 from .matgen import is_hermitian
 from .multiindex import format_multiindex, parse_multiindex
 from .reports import Report, atomic_write_text, summary_json, svg_line_chart
-from .spectra import QUAD_TOL, SLACK, _normalize_sizes, distribution_check, spectrum
+from .spectra import QUAD_TOL, SLACK, _finite, _normalize_sizes, distribution_check, spectrum
 
 
 def parse_sizes(text: str, d: int | None) -> list[tuple[int, ...]]:
@@ -287,6 +288,7 @@ def _run_spectrum(cfg: ExperimentConfig):
     e = _parse_expression(cfg)
     n = cfg.sizes[-1]
     matrix = materialize(e, n, r=cfg.r)
+    _finite(matrix.data)  # before the Hermitian test, which reads only the band
     values = np.atleast_1d(spectrum(matrix, cfg.mode, hermitian=is_hermitian(matrix)))
     rows = [SpectrumRow(idx, c.real, c.imag) for idx, c in enumerate(map(complex, values), 1)]
     report = Report(passed=True, columns=SpectrumRow._fields, rows=rows,
@@ -488,5 +490,18 @@ def main(argv=None) -> int:
         return exc.exit_code
 
 
+def console_main() -> None:
+    """The ``gltlab`` console script and ``python -m gltlab``: :func:`main`,
+    exiting 141 with no traceback when stdout is a closed pipe."""
+    try:
+        code = main()
+        sys.stdout.flush()  # a broken pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit: point it at devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

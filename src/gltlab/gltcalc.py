@@ -29,6 +29,7 @@ truncation) of the matrices it read.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple, Sequence
 
@@ -334,6 +335,7 @@ def materialize(e: GLTExpression, n, r: int | None = None) -> BlockMatrix:
     and strictly positive, D_a H D_b (a missing factor counting as the
     identity), gets the symmetrizer w = sqrt(a / b):
     W^-1 D_a H D_b W = D_sqrt(ab) H D_sqrt(ab) is Hermitian whenever H is.
+    The matrix carries the band bound of :func:`_band`.
     """
     n = check_size(n)
     _, rr = _resolve_dims(e, len(n), r if r is not None else 1)
@@ -346,7 +348,32 @@ def materialize(e: GLTExpression, n, r: int | None = None) -> BlockMatrix:
         data, w = _product(left, right), _symmetrizer(e, left, right)
     else:
         data, w = _materialize(e, n, rr, notes), None
-    return BlockMatrix(data, rr, n, notes=tuple(notes), symmetrizer=w)
+    return BlockMatrix(data, rr, n, notes=tuple(notes), symmetrizer=w, band=_band(e, n))
+
+
+def _band(e: GLTExpression, n: MultiIndex) -> tuple[int, int] | None:
+    """The band bound (kl, ku) of the matrix of ``e`` (see ``BlockMatrix``):
+    for a Toeplitz leaf r times the largest (lower) and minus the smallest
+    (upper) flat offset that fits, 0 included, plus r - 1 within a block;
+    (r - 1, r - 1) for a Diag, (0, 0) for a scalar or Z.  The adjoint swaps
+    the widths, a combination takes the larger and a product the sum of
+    each; a pseudo-inverse or a matrix function gives None (unknown)."""
+    if isinstance(e, Toeplitz):
+        strides, r = np.cumprod((1,) + n[:0:-1])[::-1], e.poly.r
+        flat = [0] + [int(np.dot(k, strides)) for k in e.poly.coeffs
+                      if all(abs(kj) < nj for kj, nj in zip(k, n))]
+        return r * max(flat) + r - 1, -r * min(flat) + r - 1
+    if isinstance(e, (Diag, Zero, Scalar)):
+        width = e.coefficient.r - 1 if isinstance(e, Diag) else 0
+        return width, width
+    if isinstance(e, Adjoint):
+        band = _band(e.child, n)
+        return band and band[::-1]
+    if isinstance(e, (LinComb, Product)):
+        a, b = _band(e.left, n), _band(e.right, n)
+        join = max if isinstance(e, LinComb) else operator.add
+        return None if a is None or b is None else (join(a[0], b[0]), join(a[1], b[1]))
+    return None
 
 
 def _factor(e: GLTExpression, n: MultiIndex, r: int, notes: list[str]) -> np.ndarray:

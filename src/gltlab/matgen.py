@@ -42,6 +42,10 @@ class BlockMatrix:
     attached during materialization.  ``symmetrizer``, when set, is a
     positive vector w for which W^-1 A W (W = diag(w)) may be Hermitian: a
     hint that :func:`~gltlab.spectra.spectrum` tests, never a decision.
+    ``band``, when set, is a bound (kl, ku) that ``materialize`` derives
+    from the expression tree: A[i, j] = 0 wherever i - j > kl or j - i > ku.
+    It holds only for a finite matrix (0 * inf is NaN), so the structure
+    tests that read only inside it run after a finiteness check.
     """
 
     data: np.ndarray
@@ -49,6 +53,7 @@ class BlockMatrix:
     n: MultiIndex
     notes: tuple[str, ...] = field(default_factory=tuple)
     symmetrizer: np.ndarray | None = None
+    band: tuple[int, int] | None = None
 
     def __post_init__(self):
         self.n = check_size(self.n)
@@ -189,14 +194,18 @@ def is_hermitian(matrix) -> bool:
     norm of the whole difference, so only a matrix within rounding of the
     threshold can be decided otherwise than by
     ``norm(A - A*) <= HERMITIAN_RTOL * norm(A)``.
+    A ``BlockMatrix``'s band bound K = max(kl, ku) skips the pairs with
+    j - i >= tile + K: both tiles are zero and would add exactly +0.0.
     """
     arr = as_array(matrix)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InvalidParameterError(f"is_hermitian takes a square matrix, got shape {arr.shape}")
     tile = math.isqrt(_STRIP)
+    band = getattr(matrix, "band", None)
+    reach = arr.shape[0] if band is None else tile + max(band)
     skew = scale = 0.0
     for i in range(0, arr.shape[0], tile):
-        for j in range(i, arr.shape[0], tile):
+        for j in range(i, min(arr.shape[0], i + reach), tile):
             x = arr[i:i + tile, j:j + tile]
             if i == j:
                 skew += _sum_sq(x - x.conj().T)

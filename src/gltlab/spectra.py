@@ -135,12 +135,19 @@ def _fingerprint(arr: np.ndarray) -> str:
     return f"shape={arr.shape}, fro={np.linalg.norm(arr):.6e}, trace={trace:.6e}"
 
 
-def _is_centro_hermitian(arr: np.ndarray) -> bool:
+Band = tuple[int, int] | None  # a BlockMatrix's band bound
+
+
+def _is_centro_hermitian(arr: np.ndarray, band: Band = None) -> bool:
     """Exactly J A J == conj(A), J the reversal of the (lexicographic) index,
     compared in strips of at most ``_STRIP`` entries, row 0 first
-    (:func:`~gltlab.matgen.row_strips`)."""
+    (:func:`~gltlab.matgen.row_strips`); within a band bound, as diagonal k
+    against diagonal -k reversed and conjugated for k = 0..max(kl, ku)."""
     n = arr.shape[0]
     complex_ = np.iscomplexobj(arr)
+    if band is not None:
+        return all(np.array_equal(np.diagonal(arr, k), np.diagonal(arr, -k)[::-1].conj())
+                   for k in range(min(max(band), n - 1) + 1))
     for lo, hi in row_strips((n + 1) // 2, n):
         mirror = arr[n - hi:n - lo][::-1, ::-1]
         if not np.array_equal(arr[lo:hi], mirror.conj() if complex_ else mirror):
@@ -248,15 +255,24 @@ def _band_lapack() -> dict | None:
     return routines
 
 
-def _bandwidths(arr: np.ndarray, lower: bool = False) -> tuple[int, int] | None:
+def _bandwidths(arr: np.ndarray, lower: bool = False, band: Band = None) -> Band:
     """The exact lower and upper bandwidths (kl, ku) of a matrix, or None as
     soon as the rows read so far break (kl + ku + 1) * _BAND_COST <=
     min(shape).  With ``lower`` only the lower triangle counts and ku is 0:
-    the rule of a Hermitian matrix's lower band.  Reads strips of rows, row 0
-    first, or the last row first for ``lower``
-    (:func:`~gltlab.matgen.row_strips`), so a dense matrix is rejected in
-    O(N)."""
+    the rule of a Hermitian matrix's lower band.  A band bound that passes
+    the rule is narrowed to the outermost nonzero diagonals in O(N k);
+    otherwise reads strips of rows, row 0 first, or the last row first for
+    ``lower`` (:func:`~gltlab.matgen.row_strips`), so a dense matrix is
+    rejected in O(N)."""
     m, n = arr.shape
+    if band is not None:
+        kl, ku = band[0], 0 if lower else band[1]
+        if (kl + ku + 1) * _BAND_COST <= min(m, n):
+            while kl > 0 and not np.diagonal(arr, -kl).any():
+                kl -= 1
+            while ku > 0 and not np.diagonal(arr, ku).any():
+                ku -= 1
+            return kl, ku
     kl = ku = 0
     for lo, hi in row_strips(m, n):
         if lower:
@@ -318,13 +334,15 @@ def _band_eigenvalues(lapack: dict, arr: np.ndarray, kl: int, ku: int) -> np.nda
     return w
 
 
-def _routed(arr: np.ndarray, dense: Callable, hermitian: bool = False) -> np.ndarray:
+def _routed(arr: np.ndarray, dense: Callable, hermitian: bool = False,
+            band: Band = None) -> np.ndarray:
     """The band route for a float64 or complex128 matrix of order at least
-    _BAND_FLOOR whose bandwidths pass the rule, where the band routines are
-    bound: ``_band_eigenvalues`` with the Hermitian rule (of the lower band
-    alone) if ``hermitian``, else ``_band_singular_values``; ``dense``
-    otherwise.  A stack of that order is routed matrix by matrix, so that
-    row i holds matrix i's values as if passed alone."""
+    _BAND_FLOOR whose bandwidths (read within ``band``) pass the rule, where
+    the band routines are bound: ``_band_eigenvalues`` with the Hermitian
+    rule (of the lower band alone) if ``hermitian``, else
+    ``_band_singular_values``; ``dense`` otherwise.  A stack of that order
+    is routed matrix by matrix, so that row i holds matrix i's values as if
+    passed alone."""
     if (arr.ndim < 2 or arr.dtype not in (np.float64, np.complex128)
             or min(arr.shape[-2:]) < _BAND_FLOOR or arr.size == 0):
         return dense(arr)
@@ -333,34 +351,37 @@ def _routed(arr: np.ndarray, dense: Callable, hermitian: bool = False) -> np.nda
         return dense(arr)
     if arr.ndim > 2:
         return np.stack([_routed(a, dense, hermitian) for a in arr])
-    widths = _bandwidths(arr, lower=hermitian)
+    widths = _bandwidths(arr, lower=hermitian, band=band)
     if widths is None:
         return dense(arr)
     return (_band_eigenvalues if hermitian else _band_singular_values)(lapack, arr, *widths)
 
 
-def _singular_values(arr: np.ndarray) -> np.ndarray:
-    return _routed(arr, lambda a: np.linalg.svd(a, compute_uv=False))
+def _singular_values(arr: np.ndarray, band: Band = None) -> np.ndarray:
+    return _routed(arr, lambda a: np.linalg.svd(a, compute_uv=False), band=band)
 
 
-def _eigvalsh(arr: np.ndarray) -> np.ndarray:
-    return _routed(arr, lambda a: np.linalg.eigvalsh(a), hermitian=True)
+def _eigvalsh(arr: np.ndarray, band: Band = None) -> np.ndarray:
+    return _routed(arr, lambda a: np.linalg.eigvalsh(a), hermitian=True, band=band)
 
 
-def _centro_eigenvalues(arr: np.ndarray) -> np.ndarray:
-    return np.sort(np.concatenate([_eigvalsh(b) for b in _centro_hermitian_blocks(arr)]))
+def _centro_eigenvalues(arr: np.ndarray, band: Band = None) -> np.ndarray:
+    """The real blocks of a matrix with band bound (kl, ku) keep K = max(kl, ku):
+    YJ and u are nonzero only in the last K rows and columns."""
+    band = band and (max(band),) * 2
+    return np.sort(np.concatenate([_eigvalsh(b, band) for b in _centro_hermitian_blocks(arr)]))
 
 
-def _hermitian_eigenvalues(arr: np.ndarray) -> np.ndarray:
+def _hermitian_eigenvalues(arr: np.ndarray, band: Band = None) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix or stack, through the
     centro-Hermitian blocks when one matrix passes the exact test.  A complex
     centro-Hermitian matrix that is banded goes to zhbevd whole, as Lee's
     real block of the same order is dense."""
-    if arr.ndim == 2 and _is_centro_hermitian(arr):
+    if arr.ndim == 2 and _is_centro_hermitian(arr, band):
         if np.iscomplexobj(arr):
-            return _routed(arr, _centro_eigenvalues, hermitian=True)
-        return _centro_eigenvalues(arr)
-    return _eigvalsh(arr)
+            return _routed(arr, _centro_eigenvalues, hermitian=True, band=band)
+        return _centro_eigenvalues(arr, band)
+    return _eigvalsh(arr, band)
 
 
 def spectrum(matrix, mode: str = SIGMA, hermitian: bool | None = None) -> np.ndarray:
@@ -410,14 +431,18 @@ def spectrum(matrix, mode: str = SIGMA, hermitian: bool | None = None) -> np.nda
     [D_n(x), T_n(f)], satisfy A = -A^T = -J A J exactly; their singular
     values come from one real block of half the order
     (:func:`_skew_centro_block`).  Both structure tests are exact, compare
-    strips of rows, and reject most other matrices in O(N) on row 0.
+    strips of rows, and reject most other matrices in O(N) on row 0; the
+    centro-Hermitian test of a ``BlockMatrix`` with a band bound compares
+    only the diagonals inside it, in O(N k).
 
     The band row covers every values-only SVD and ``eigvalsh`` above, of a
     whole matrix or of a block: a float64 or complex128 one of order N >=
-    ``_BAND_FLOOR`` whose exact bandwidths (:func:`_bandwidths`, row 0 or
-    the last row first, so a dense matrix is rejected in O(N)) pass the rule
-    takes O(N^2 k) band routines from the scipy-openblas64 LAPACKE that
-    numpy bundles (:func:`_band_lapack`; without it, the dense call).  The
+    ``_BAND_FLOOR`` whose exact bandwidths (:func:`_bandwidths`: the
+    outermost nonzero diagonals inside a ``BlockMatrix``'s band bound, which
+    the centro-Hermitian blocks keep, else row 0 or the last row first, so
+    a dense matrix is rejected in O(N)) pass the rule takes O(N^2 k) band
+    routines from the scipy-openblas64 LAPACKE that numpy bundles
+    (:func:`_band_lapack`; without it, the dense call).  The
     SVD's rule is (kl + ku + 1) * ``_BAND_COST`` <= N; a Hermitian matrix is
     admitted by the lower bandwidth kd alone, (kd + 1) * ``_BAND_COST`` <=
     N, and takes the two-stage reduction for kd in ``_TWO_STAGE``.
@@ -449,8 +474,8 @@ def spectrum(matrix, mode: str = SIGMA, hermitian: bool | None = None) -> np.nda
     arr = as_array(matrix)
     if arr.ndim < 2:
         raise InvalidParameterError(f"spectrum takes a matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise EvaluationError("matrix has non-finite entries")
+    _finite(arr)
+    band = getattr(matrix, "band", None)
     if mode not in (SIGMA, LAMBDA):
         raise ConfigurationError(f"unknown mode {mode!r}")
     if mode == LAMBDA and arr.ndim != 2:
@@ -458,25 +483,31 @@ def spectrum(matrix, mode: str = SIGMA, hermitian: bool | None = None) -> np.nda
     if arr.shape[-2] != arr.shape[-1] and (mode == LAMBDA or hermitian):
         raise InvalidParameterError(f"eigenvalues need a square matrix, got shape {arr.shape}")
     if mode == LAMBDA and hermitian is None:
-        hermitian = is_hermitian(arr)
+        hermitian = is_hermitian(matrix)
     try:
         if hermitian:
-            values = _hermitian_eigenvalues(arr)
+            values = _hermitian_eigenvalues(arr, band)
             return values if mode == LAMBDA else np.sort(np.abs(values))[..., ::-1]
         if mode == SIGMA:
             if arr.ndim == 2 and not np.iscomplexobj(arr) and _is_skew_centro(arr):
                 sv = _singular_values(_skew_centro_block(arr))
                 return np.concatenate([np.repeat(sv, 2), np.zeros(arr.shape[0] % 2)])
-            return _singular_values(arr)
+            return _singular_values(arr, band)
         w = getattr(matrix, "symmetrizer", None)
         if w is not None:
             b = arr * w  # B = W^-1 A W
             b /= w[:, None]
             if is_hermitian(b):
-                return _hermitian_eigenvalues(b).astype(complex)
+                return _hermitian_eigenvalues(b, band).astype(complex)
         return np.sort(np.linalg.eigvals(arr).astype(complex, copy=False))
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"eigensolver failed ({exc}); {_fingerprint(arr)}") from exc
+
+
+def _finite(arr: np.ndarray) -> None:
+    """Raise :class:`EvaluationError` if an entry is not finite."""
+    if not np.all(np.isfinite(arr)):
+        raise EvaluationError("matrix has non-finite entries")
 
 
 def _schatten_from_values(sv: np.ndarray, p) -> float:
@@ -715,8 +746,8 @@ def distribution_check(seq, symbol: Symbol, sizes: Sequence, mode: str = SIGMA,
     notes: list[str] = []
     for n in norm_sizes:
         matrix = seq(n)
-        a = as_array(matrix, notes)
-        hermitian = is_hermitian(a)
+        _finite(as_array(matrix, notes))
+        hermitian = is_hermitian(matrix)
         if mode == LAMBDA and not allow_non_hermitian and not hermitian:
             raise ModeError(
                 f"eigenvalue mode requires Hermitian matrices (size {n}); "

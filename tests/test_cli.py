@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -455,3 +457,35 @@ def test_bare_comma_sizes_on_a_two_level_expression(command, artifact, tmp_path)
                  "--out", str(out)]) in (0, 1)
     rows = (out / artifact).read_text().splitlines()[1:]
     assert rows and all(row.startswith('"8,8",') for row in rows)
+
+
+# The product overflows to inf inside the band, and its matmul makes NaN
+# (0 * inf) outside it, where a test that reads only the band would miss it.
+OVERFLOWING_PRODUCT = "T(1e200+1e200*cos(t1))*T(1e200+1e200*cos(t1))"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+@pytest.mark.parametrize("mode", ["lambda", "sigma"])
+@pytest.mark.parametrize("command", [["check-dist", "--sizes", "64;128;256"],
+                                     ["spectrum", "--n", "64"]])
+def test_a_non_finite_matrix_exits_3_in_both_modes(command, mode, tmp_path, capsys):
+    # lambda mode of check-dist used to decide Hermitian first and exit 2
+    argv = [*command, "--expr", OVERFLOWING_PRODUCT, "--mode", mode, "--out", str(tmp_path)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "numerical error: matrix has non-finite entries\n"
+
+
+@pytest.mark.parametrize("expr", ["T(2-2*cos(t1))", "T((0.5+0.5*exp(i*t1))^1000)"])
+def test_the_console_script_exits_141_without_a_traceback_on_a_closed_pipe(expr):
+    # A short output breaks the pipe at the final flush, a long one in print.
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(gltlab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "gltlab", "parse", "--expr", expr],
+                              stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (141, b"")

@@ -1,4 +1,9 @@
+import dataclasses
+import importlib.util
 import math
+import pathlib
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -31,8 +36,8 @@ from gltlab.gltcalc import (
     symbol_of,
     truncate_toeplitz,
 )
-from gltlab.matgen import toeplitz
-from gltlab.spectra import poly_on_window, spectrum
+from gltlab.matgen import is_hermitian, toeplitz
+from gltlab.spectra import _bandwidths, poly_on_window, spectrum
 from gltlab.symbols import CoefficientFunction, TrigPolynomial, evaluate
 
 LAP_POLY = TrigPolynomial(1, 1, {(0,): [[2.0]], (1,): [[-1.0]], (-1,): [[-1.0]]})
@@ -488,3 +493,98 @@ def test_size_cap_is_checked_before_any_allocation(expr, monkeypatch):
     assert calls == []
     materialize(e, 8)
     assert calls
+
+
+# ---------------------------------------------------------------------------
+# band bounds
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def exact_widths(a):
+    """(kl, ku) of the outermost nonzero diagonals, read from every entry."""
+    i, j = np.nonzero(a)
+    return int(np.max(i - j, initial=0)), int(np.max(j - i, initial=0))
+
+
+def assert_band_bound_holds(bm):
+    """The bound contains the exact widths, and _bandwidths within it gives
+    what it gives from every row (the widths, or None past the cost rule)."""
+    kl, ku = exact_widths(bm.data)
+    assert kl <= bm.band[0] and ku <= bm.band[1]
+    for lower in (False, True):
+        assert _bandwidths(bm.data, lower, bm.band) == _bandwidths(bm.data, lower)
+
+
+R2_CORNER_ZERO = Toeplitz(TrigPolynomial(1, 2, {
+    (0,): [[2.0, 1.0], [1.0, 2.0]],
+    (1,): [[-1.0, 0.5], [0.0, -1.0]],  # zero corner: lower width 2 within the bound 3
+    (-1,): [[-1.0, 0.0], [0.5, -1.0]],
+}))
+# flat offsets 4 and 1 at n = (80, 4); (0, 5) does not fit
+TWO_LEVEL = Toeplitz(TrigPolynomial(2, 1, {
+    (0, 0): [[4.0]], (1, 0): [[-1.0]], (-1, 0): [[-1.0]], (0, 1): [[-1.0]], (0, -1): [[-1.0]],
+    (0, 5): [[7.0]],
+}))
+DIAG_R2 = Diag(CoefficientFunction(
+    1, 2, lambda x: (1 + x[:, 0, None, None]) * np.array([[2.0, 1.0], [1.0, 2.0]]),
+    hermitian=True))
+
+BAND_CASES = {  # expression, size, bound, exact widths
+    "toeplitz": (LAP, 128, (1, 1), (1, 1)),
+    "toeplitz-r2-zero-corner": (R2_CORNER_ZERO, 64, (3, 3), (2, 2)),
+    "toeplitz-2-level": (TWO_LEVEL, (80, 4), (4, 4), (4, 4)),
+    "diag": (DIAG_X, 128, (0, 0), (0, 0)),
+    "diag-r2": (DIAG_R2, 64, (1, 1), (1, 1)),
+    "zero": (Zero(), 128, (0, 0), (0, 0)),
+    "scalar": (Scalar(2.0), 128, (0, 0), (0, 0)),
+    "adjoint": (Adjoint(SHIFT), 128, (0, 1), (0, 1)),
+    "lincomb-cancels": (LinComb(1.0, LAP, -1.0, LAP), 128, (1, 1), (0, 0)),
+    "product": (Product(LAP, LAP), 128, (2, 2), (2, 2)),
+    "diag-product": (Product(DIAG_X, SHIFT), 128, (1, 0), (1, 0)),
+    "commutator": (LinComb(1.0, Product(DIAG_X, LAP), -1.0, Product(LAP, DIAG_X)), 128,
+                   (1, 1), (1, 1)),
+    "pseudo-inverse": (PseudoInverse(LAP), 16, None, None),
+    "fun": (FunApply("exp", LAP), 16, None, None),
+}
+
+
+@pytest.mark.parametrize("e, n, bound, exact", BAND_CASES.values(), ids=BAND_CASES)
+def test_band_bound_of_each_node_type(e, n, bound, exact):
+    bm = materialize(e, n)
+    assert bm.band == bound
+    if bound is not None:
+        assert exact_widths(bm.data) == exact
+        assert_band_bound_holds(bm)
+
+
+def documented_expressions():
+    """Every DSL expression of README.md and of the benchmark's workloads."""
+    readme = (ROOT / "README.md").read_text()
+    found = re.findall(r"--expr '([^']*)'", readme) + re.findall(r"^expr = (.*)$", readme, re.M)
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name in ("readme", "dense", "certify", "smoke"):
+        for op in workloads.workload(name, 42):
+            if "--expr" in op.argv:
+                found.append(op.argv[op.argv.index("--expr") + 1])
+    return sorted(set(found))
+
+
+@pytest.mark.parametrize("text", documented_expressions())
+def test_the_band_bound_of_each_documented_expression_changes_no_result(text):
+    e = parse(text)
+    # is_hermitian skips tiles only from 3 tiles (769 rows) on
+    sizes = [(40,), (512,), (1100,)] if e.dims()[0] == 1 else [(6, 7), (22, 23), (33, 34)]
+    for n in sizes:
+        bm = materialize(e, n)
+        plain = dataclasses.replace(bm, band=None)
+        assert (bm.band is None) == isinstance(e, FunApply)
+        if bm.band is not None:
+            assert_band_bound_holds(bm)
+        assert is_hermitian(bm) == is_hermitian(plain)
+        if bm.data.shape[0] <= 512:
+            for mode in ("sigma", "lambda"):
+                assert np.array_equal(spectrum(bm, mode), spectrum(plain, mode))

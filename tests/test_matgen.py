@@ -237,6 +237,29 @@ def test_tiled_is_hermitian_agrees_with_the_whole_matrix_rule(order, dtype):
         assert is_hermitian(np.asfortranarray(a)) == hermitian
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_is_hermitian_within_a_band_bound_agrees_with_the_whole_matrix(dtype):
+    # 1100 rows span five tiles: the pairs two or more tiles apart lie wholly
+    # outside the bound (4, 3), and is_hermitian skips them.  Entry (256, 254)
+    # lies in the pair of tiles 0 and 1, which it must still read.
+    n = 1100
+    rng = np.random.default_rng(11)
+    g = rng.standard_normal((n, n))
+    if dtype is complex:
+        g = g + 1j * rng.standard_normal((n, n))
+    g = np.triu(np.tril(g, 3), -3)
+    h = g + g.conj().T
+    at = 1e-12 * np.linalg.norm(h) / np.sqrt(2)  # the threshold at entry (256, 254)
+    cases = [(g, False)]
+    for t, hermitian in [(0.0, True), (1e3 * at, False), (at * (1 - 1e-3), True),
+                         (at * (1 + 1e-3), False)]:
+        a = h.copy()
+        a[256, 254] += t * (1j if dtype is complex else 1.0)
+        cases.append((a, hermitian))
+    for a, hermitian in cases:
+        assert is_hermitian(BlockMatrix(a, 1, n, band=(4, 3))) == is_hermitian(a) == hermitian
+
+
 @pytest.mark.parametrize("shape", [(3,), (3, 4), (4, 3), (2, 3, 3)])
 def test_is_hermitian_rejects_input_that_is_not_a_square_matrix(shape):
     with pytest.raises(InvalidParameterError) as info:

@@ -22,7 +22,7 @@ from gltlab.errors import (
     SolverError,
 )
 from gltlab.gltcalc import Diag, Product, Scalar, Toeplitz, materialize, symbol_of
-from gltlab.matgen import BlockMatrix, is_hermitian, toeplitz
+from gltlab.matgen import BlockMatrix, as_array, is_hermitian, toeplitz
 from gltlab.spectra import (
     TestFunction,
     cosine_bump,
@@ -418,6 +418,15 @@ def _nudged(a):
     return b
 
 
+@pytest.mark.parametrize("expr, n", CENTRO_CASES)
+def test_centro_hermitian_test_within_the_band_bound_matches_the_strips(expr, n):
+    import gltlab.spectra as spectra_mod
+
+    bm = materialize(parse(expr), n)
+    for a in [bm.data] + ([_nudged(bm.data)] if bm.data.shape[0] > 3 else []):
+        assert spectra_mod._is_centro_hermitian(a, bm.band) == spectra_mod._is_centro_hermitian(a)
+
+
 def test_centro_hermitian_path_and_its_gate(monkeypatch):
     calls = []
     eigvalsh = np.linalg.eigvalsh
@@ -482,12 +491,24 @@ def test_distribution_check_decides_hermitian_once_per_size(monkeypatch):
     calls = []
     decide = spectra_mod.is_hermitian
     monkeypatch.setattr(spectra_mod, "is_hermitian",
-                        lambda a: calls.append(a.shape[0]) or decide(a))
+                        lambda a: calls.append(as_array(a).shape[0]) or decide(a))
     for mode in ("sigma", "lambda"):
         calls.clear()
         distribution_check(lambda n: toeplitz(LAP, n), LAP, [16, 32, 64], mode=mode,
                            basket=[WIDE_X])
         assert calls == [16, 32, 64]
+
+
+def test_distribution_check_refuses_a_non_finite_matrix_before_the_hermitian_test(monkeypatch):
+    import gltlab.spectra as spectra_mod
+
+    # NaN outside the band bound, where is_hermitian no longer reads
+    bad = materialize(Toeplitz(LAP), 16)
+    bad.data[0, 15] = np.nan
+    monkeypatch.setattr(spectra_mod, "is_hermitian", lambda a: pytest.fail("decided"))
+    for mode in ("sigma", "lambda"):
+        with pytest.raises(EvaluationError, match="non-finite"):
+            distribution_check(lambda n: bad, LAP, [16], mode=mode, basket=[WIDE_X])
 
 
 def test_richardson_in_x_reaches_the_closed_forms():
