@@ -39,6 +39,7 @@ from .errors import CalculusError, ConfigurationError, ModeError, SingularEvalua
 from .matgen import (
     BlockMatrix,
     _check_cap,
+    _fitting_offsets,
     as_array,
     diag_samples,
     diag_sampling,
@@ -348,7 +349,9 @@ def materialize(e: GLTExpression, n, r: int | None = None) -> BlockMatrix:
         data, w = _product(left, right), _symmetrizer(e, left, right)
     else:
         data, w = _materialize(e, n, rr, notes), None
-    return BlockMatrix(data, rr, n, notes=tuple(notes), symmetrizer=w, band=_band(e, n))
+    matrix = BlockMatrix(data, rr, n, notes=tuple(notes), symmetrizer=w)
+    matrix.band = _band(e, n)
+    return matrix
 
 
 def _band(e: GLTExpression, n: MultiIndex) -> tuple[int, int] | None:
@@ -359,9 +362,7 @@ def _band(e: GLTExpression, n: MultiIndex) -> tuple[int, int] | None:
     the widths, a combination takes the larger and a product the sum of
     each; a pseudo-inverse or a matrix function gives None (unknown)."""
     if isinstance(e, Toeplitz):
-        strides, r = np.cumprod((1,) + n[:0:-1])[::-1], e.poly.r
-        flat = [0] + [int(np.dot(k, strides)) for k in e.poly.coeffs
-                      if all(abs(kj) < nj for kj, nj in zip(k, n))]
+        r, flat = e.poly.r, [0] + [s for _, s, _ in _fitting_offsets(e.poly, n)]
         return r * max(flat) + r - 1, -r * min(flat) + r - 1
     if isinstance(e, (Diag, Zero, Scalar)):
         width = e.coefficient.r - 1 if isinstance(e, Diag) else 0

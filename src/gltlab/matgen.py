@@ -42,10 +42,12 @@ class BlockMatrix:
     attached during materialization.  ``symmetrizer``, when set, is a
     positive vector w for which W^-1 A W (W = diag(w)) may be Hermitian: a
     hint that :func:`~gltlab.spectra.spectrum` tests, never a decision.
-    ``band``, when set, is a bound (kl, ku) that ``materialize`` derives
-    from the expression tree: A[i, j] = 0 wherever i - j > kl or j - i > ku.
-    It holds only for a finite matrix (0 * inf is NaN), so the structure
-    tests that read only inside it run after a finiteness check.
+    ``band``, when set, is a bound (kl, ku) derived from the expression
+    tree: A[i, j] = 0 wherever i - j > kl or j - i > ku.  Only
+    ``materialize`` sets it (it is not a constructor argument), and a change
+    to ``data`` invalidates it.  It holds only for a finite matrix (0 * inf
+    is NaN), so the structure tests that read only inside it run after a
+    finiteness check.
     """
 
     data: np.ndarray
@@ -53,7 +55,7 @@ class BlockMatrix:
     n: MultiIndex
     notes: tuple[str, ...] = field(default_factory=tuple)
     symmetrizer: np.ndarray | None = None
-    band: tuple[int, int] | None = None
+    band: tuple[int, int] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.n = check_size(self.n)
@@ -107,14 +109,20 @@ def toeplitz(f: TrigPolynomial, n: int | Sequence[int]) -> BlockMatrix:
     _check_cap(f.r * count)
     real = not any(np.any(block.imag) for block in f.coeffs.values())
     out = np.zeros((count, f.r, count, f.r), dtype=float if real else complex)
-    strides = np.cumprod((1,) + n[:0:-1])[::-1]
-    for k, block in f.coeffs.items():
-        if any(abs(kj) >= nj for kj, nj in zip(k, n)):
-            continue
+    for k, flat, block in _fitting_offsets(f, n):
         ranges = [np.arange(max(kj, 0), nj + min(kj, 0)) for kj, nj in zip(k, n)]
         rows = np.ravel_multi_index(np.ix_(*ranges), n).ravel()
-        out[rows, :, rows - int(np.dot(k, strides)), :] = block.real if real else block
+        out[rows, :, rows - flat, :] = block.real if real else block
     return BlockMatrix(out.reshape(f.r * count, f.r * count), f.r, n)
+
+
+def _fitting_offsets(f: TrigPolynomial, n: MultiIndex) -> list[tuple]:
+    """(k, flat offset, fhat_k) for each offset k of ``f`` that fits the size
+    box n, i.e. |k_j| < n_j; the flat offset is k's shift of lexicographic
+    rank, so fhat_k lies on block diagonal -(flat offset) of T_n(f)."""
+    strides = np.cumprod((1,) + n[:0:-1])[::-1]
+    return [(k, int(np.dot(k, strides)), block) for k, block in f.coeffs.items()
+            if all(abs(kj) < nj for kj, nj in zip(k, n))]
 
 
 def sampling_grid(n: int | Sequence[int]) -> np.ndarray:

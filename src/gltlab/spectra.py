@@ -141,13 +141,14 @@ Band = tuple[int, int] | None  # a BlockMatrix's band bound
 def _is_centro_hermitian(arr: np.ndarray, band: Band = None) -> bool:
     """Exactly J A J == conj(A), J the reversal of the (lexicographic) index,
     compared in strips of at most ``_STRIP`` entries, row 0 first
-    (:func:`~gltlab.matgen.row_strips`); within a band bound, as diagonal k
-    against diagonal -k reversed and conjugated for k = 0..max(kl, ku)."""
+    (:func:`~gltlab.matgen.row_strips`); within a band bound K = max(kl, ku)
+    with (K + 1) * _BAND_COST <= N, as diagonal k against diagonal -k
+    reversed and conjugated for k = 0..K."""
     n = arr.shape[0]
     complex_ = np.iscomplexobj(arr)
-    if band is not None:
+    if band is not None and (max(band) + 1) * _BAND_COST <= n:
         return all(np.array_equal(np.diagonal(arr, k), np.diagonal(arr, -k)[::-1].conj())
-                   for k in range(min(max(band), n - 1) + 1))
+                   for k in range(max(band) + 1))
     for lo, hi in row_strips((n + 1) // 2, n):
         mirror = arr[n - hi:n - lo][::-1, ::-1]
         if not np.array_equal(arr[lo:hi], mirror.conj() if complex_ else mirror):
@@ -432,8 +433,9 @@ def spectrum(matrix, mode: str = SIGMA, hermitian: bool | None = None) -> np.nda
     values come from one real block of half the order
     (:func:`_skew_centro_block`).  Both structure tests are exact, compare
     strips of rows, and reject most other matrices in O(N) on row 0; the
-    centro-Hermitian test of a ``BlockMatrix`` with a band bound compares
-    only the diagonals inside it, in O(N k).
+    centro-Hermitian test of a ``BlockMatrix`` whose band bound K passes
+    (K + 1) * ``_BAND_COST`` <= N compares only the diagonals inside it, in
+    O(N K).
 
     The band row covers every values-only SVD and ``eigvalsh`` above, of a
     whole matrix or of a block: a float64 or complex128 one of order N >=

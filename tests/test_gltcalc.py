@@ -580,7 +580,8 @@ def test_the_band_bound_of_each_documented_expression_changes_no_result(text):
     sizes = [(40,), (512,), (1100,)] if e.dims()[0] == 1 else [(6, 7), (22, 23), (33, 34)]
     for n in sizes:
         bm = materialize(e, n)
-        plain = dataclasses.replace(bm, band=None)
+        plain = dataclasses.replace(bm)  # the same matrix with no bound
+        assert plain.band is None
         assert (bm.band is None) == isinstance(e, FunApply)
         if bm.band is not None:
             assert_band_bound_holds(bm)

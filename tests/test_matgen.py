@@ -257,7 +257,16 @@ def test_is_hermitian_within_a_band_bound_agrees_with_the_whole_matrix(dtype):
         a[256, 254] += t * (1j if dtype is complex else 1.0)
         cases.append((a, hermitian))
     for a, hermitian in cases:
-        assert is_hermitian(BlockMatrix(a, 1, n, band=(4, 3))) == is_hermitian(a) == hermitian
+        bm = BlockMatrix(a, 1, n)
+        bm.band = (4, 3)
+        assert is_hermitian(bm) == is_hermitian(a) == hermitian
+
+
+def test_the_band_bound_is_not_a_constructor_argument():
+    # only materialize, which derives it from the expression tree, sets it
+    with pytest.raises(TypeError):
+        BlockMatrix(np.eye(4), 1, 4, band=(0, 0))
+    assert BlockMatrix(np.eye(4), 1, 4).band is None
 
 
 @pytest.mark.parametrize("shape", [(3,), (3, 4), (4, 3), (2, 3, 3)])

@@ -418,7 +418,11 @@ def _nudged(a):
     return b
 
 
-@pytest.mark.parametrize("expr, n", CENTRO_CASES)
+@pytest.mark.parametrize("expr, n", CENTRO_CASES + [
+    # large enough for the 2- and 3-level bounds to pass the cost rule
+    ("T(4+cos(t1)+sin(t1+t2)+cos(t2))", (40, 41)),
+    ("T(6+cos(t1)+sin(t1+t2+t3)-cos(t3))", (20, 6, 7)),
+])
 def test_centro_hermitian_test_within_the_band_bound_matches_the_strips(expr, n):
     import gltlab.spectra as spectra_mod
 
