@@ -40,7 +40,7 @@ from .gltcalc import glt5_split_check, materialize, symbol_of, truncate_toeplitz
 from .matgen import is_hermitian
 from .multiindex import format_multiindex, parse_multiindex
 from .reports import Report, atomic_write_text, summary_json, svg_line_chart
-from .spectra import QUAD_TOL, SLACK, _finite, _normalize_sizes, distribution_check, spectrum
+from .spectra import QUAD_TOL, SLACK, _finite, _normalize_sizes, _spectrum, distribution_check
 
 
 def parse_sizes(text: str, d: int | None) -> list[tuple[int, ...]]:
@@ -289,7 +289,7 @@ def _run_spectrum(cfg: ExperimentConfig):
     n = cfg.sizes[-1]
     matrix = materialize(e, n, r=cfg.r)
     _finite(matrix.data)  # before the Hermitian test, which reads only the band
-    values = np.atleast_1d(spectrum(matrix, cfg.mode, hermitian=is_hermitian(matrix)))
+    values = np.atleast_1d(_spectrum(matrix, cfg.mode, is_hermitian(matrix)))
     rows = [SpectrumRow(idx, c.real, c.imag) for idx, c in enumerate(map(complex, values), 1)]
     report = Report(passed=True, columns=SpectrumRow._fields, rows=rows,
                     notes=list(matrix.notes))

@@ -256,6 +256,13 @@ def _band_lapack() -> dict | None:
     return routines
 
 
+def _outermost(diagonal: Callable[[int], np.ndarray], k: int) -> int:
+    """The largest d <= k whose ``diagonal(d)`` has a nonzero entry, else 0."""
+    while k > 0 and not diagonal(k).any():
+        k -= 1
+    return k
+
+
 def _bandwidths(arr: np.ndarray, lower: bool = False, band: Band = None) -> Band:
     """The exact lower and upper bandwidths (kl, ku) of a matrix, or None as
     soon as the rows read so far break (kl + ku + 1) * _BAND_COST <=
@@ -269,11 +276,8 @@ def _bandwidths(arr: np.ndarray, lower: bool = False, band: Band = None) -> Band
     if band is not None:
         kl, ku = band[0], 0 if lower else band[1]
         if (kl + ku + 1) * _BAND_COST <= min(m, n):
-            while kl > 0 and not np.diagonal(arr, -kl).any():
-                kl -= 1
-            while ku > 0 and not np.diagonal(arr, ku).any():
-                ku -= 1
-            return kl, ku
+            return (_outermost(lambda d: np.diagonal(arr, -d), kl),
+                    _outermost(lambda d: np.diagonal(arr, d), ku))
     kl = ku = 0
     for lo, hi in row_strips(m, n):
         if lower:
@@ -321,16 +325,16 @@ def _band_singular_values(lapack: dict, arr: np.ndarray, kl: int, ku: int) -> np
     return d
 
 
-def _band_eigenvalues(lapack: dict, arr: np.ndarray, kl: int, ku: int) -> np.ndarray:
+def _band_eigenvalues(lapack: dict, ab: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues from dsbevd (zhbevd if complex) of the lower
-    band, the triangle ``np.linalg.eigvalsh`` reads, or from its ``_2stage``
-    form for kl in _TWO_STAGE[name]; the upper bandwidth ``ku`` is not
-    used."""
-    ab = _band_storage(arr, kl, 0)
+    band storage ``ab`` of a Hermitian matrix, kd + 1 rows by N (the
+    triangle ``np.linalg.eigvalsh`` reads), or from its ``_2stage`` form for
+    kd in _TWO_STAGE[name]."""
+    kd = ab.shape[0] - 1
     name = "zhbevd" if np.iscomplexobj(ab) else "dsbevd"
-    name += "_2stage" if kl in _TWO_STAGE[name] else ""
-    w = np.empty(arr.shape[0])
-    _lapacke(lapack, name, b"N", b"L", w.size, kl, ab.ctypes.data, ab.shape[0],
+    name += "_2stage" if kd in _TWO_STAGE[name] else ""
+    w = np.empty(ab.shape[1])
+    _lapacke(lapack, name, b"N", b"L", w.size, kd, ab.ctypes.data, ab.shape[0],
              w.ctypes.data, None, 1)
     return w
 
@@ -355,7 +359,8 @@ def _routed(arr: np.ndarray, dense: Callable, hermitian: bool = False,
     widths = _bandwidths(arr, lower=hermitian, band=band)
     if widths is None:
         return dense(arr)
-    return (_band_eigenvalues if hermitian else _band_singular_values)(lapack, arr, *widths)
+    return (_band_eigenvalues(lapack, _band_storage(arr, widths[0], 0)) if hermitian
+            else _band_singular_values(lapack, arr, *widths))
 
 
 def _singular_values(arr: np.ndarray, band: Band = None) -> np.ndarray:
@@ -366,11 +371,35 @@ def _eigvalsh(arr: np.ndarray, band: Band = None) -> np.ndarray:
     return _routed(arr, lambda a: np.linalg.eigvalsh(a), hermitian=True, band=band)
 
 
+def _centro_band(arr: np.ndarray, k: int, op: Callable) -> np.ndarray:
+    """Lower band storage, narrowed to the exact kd <= k, of P's block (``op``
+    np.add, with c and √2 u for odd N) or M (np.subtract) of
+    :func:`_centro_hermitian_blocks` of a real ``arr`` with band bound k, by
+    the same float operations in O(N k): row d is diag(X, -d) op diag(YJ,
+    -d), YJ[j + d, j] = A[j + d, N - 1 - j]."""
+    m, odd = divmod(arr.shape[0], 2)
+    odd = odd and op is np.add
+    ab = np.zeros((k + 1, m + odd), order="F")
+    for d in range(k + 1):
+        ab[d, :m - d] = op(np.diagonal(arr, -d)[:m - d], np.diagonal(arr[:m, ::-1], -d))
+        if odd:
+            ab[d, m - d] = np.sqrt(2.0) * arr[m - d, m] if d else arr[m, m]
+    return np.asfortranarray(ab[:_outermost(ab.__getitem__, k) + 1])
+
+
 def _centro_eigenvalues(arr: np.ndarray, band: Band = None) -> np.ndarray:
     """The real blocks of a matrix with band bound (kl, ku) keep K = max(kl, ku):
-    YJ and u are nonzero only in the last K rows and columns."""
-    band = band and (max(band),) * 2
-    return np.sort(np.concatenate([_eigvalsh(b, band) for b in _centro_hermitian_blocks(arr)]))
+    YJ and u are nonzero only in the last K rows and columns.  A block whose
+    order passes the band rule for K (routines bound) is built only in band
+    storage (:func:`_centro_band`), the others dense."""
+    k, n = band and max(band), arr.shape[0]
+    lapack = band is not None and _band_lapack()  # only a real matrix brings its bound
+    stored = [bool(lapack) and order >= _BAND_FLOOR and (k + 1) * _BAND_COST <= order
+              for order in ((n + 1) // 2, n // 2)]
+    blocks = [None, None] if all(stored) else _centro_hermitian_blocks(arr)
+    return np.sort(np.concatenate([  # a block built dense failed the rule for K
+        _band_eigenvalues(lapack, _centro_band(arr, k, op)) if ok else _eigvalsh(b)
+        for b, ok, op in zip(blocks, stored, (np.add, np.subtract))]))
 
 
 def _hermitian_eigenvalues(arr: np.ndarray, band: Band = None) -> np.ndarray:
@@ -402,8 +431,9 @@ def spectrum(matrix, mode: str = SIGMA, hermitian: bool | None = None) -> np.nda
     lambda  None             ``is_hermitian`` decides        as above
     either  True, and one    ``eigvalsh`` of real symmetric  as for ``eigvalsh``
             centro-Hermitian blocks: orders m(+1) and m if
-            matrix           real, one of order N if complex
-                             and not banded (band row)
+            matrix           real (band storage if banded),
+                             one of order N if complex and
+                             not banded (band row)
     sigma   False or None,   ``svd`` of one real block of    real, descending
             one real matrix  order m x (m + odd), each
             with A = -A^T =  value twice, plus one 0 for
@@ -440,12 +470,14 @@ def spectrum(matrix, mode: str = SIGMA, hermitian: bool | None = None) -> np.nda
     The band row covers every values-only SVD and ``eigvalsh`` above, of a
     whole matrix or of a block: a float64 or complex128 one of order N >=
     ``_BAND_FLOOR`` whose exact bandwidths (:func:`_bandwidths`: the
-    outermost nonzero diagonals inside a ``BlockMatrix``'s band bound, which
-    the centro-Hermitian blocks keep, else row 0 or the last row first, so
-    a dense matrix is rejected in O(N)) pass the rule takes O(N^2 k) band
-    routines from the scipy-openblas64 LAPACKE that numpy bundles
-    (:func:`_band_lapack`; without it, the dense call).  The
-    SVD's rule is (kl + ku + 1) * ``_BAND_COST`` <= N; a Hermitian matrix is
+    outermost nonzero diagonals inside a ``BlockMatrix``'s band bound, else
+    row 0 or the last row first, so a dense matrix is rejected in O(N)) pass
+    the rule takes O(N^2 k) band routines from the scipy-openblas64 LAPACKE
+    that numpy bundles (:func:`_band_lapack`; without it, the dense call).
+    The real centro-Hermitian blocks keep the bound K, and a block whose
+    order passes the rule for K is written straight into LAPACK's band
+    storage from A in O(N K) (:func:`_centro_band`), with no dense block.
+    The SVD's rule is (kl + ku + 1) * ``_BAND_COST`` <= N; a Hermitian matrix is
     admitted by the lower bandwidth kd alone, (kd + 1) * ``_BAND_COST`` <=
     N, and takes the two-stage reduction for kd in ``_TWO_STAGE``.
     ``dsbevd`` and ``zhbevd`` read the lower band and the real part of the
@@ -477,6 +509,12 @@ def spectrum(matrix, mode: str = SIGMA, hermitian: bool | None = None) -> np.nda
     if arr.ndim < 2:
         raise InvalidParameterError(f"spectrum takes a matrix, got shape {arr.shape}")
     _finite(arr)
+    return _spectrum(matrix, mode, hermitian)
+
+
+def _spectrum(matrix, mode: str, hermitian: bool | None) -> np.ndarray:
+    """:func:`spectrum` of a matrix (ndim >= 2) that the caller found finite."""
+    arr = as_array(matrix)
     band = getattr(matrix, "band", None)
     if mode not in (SIGMA, LAMBDA):
         raise ConfigurationError(f"unknown mode {mode!r}")
@@ -507,8 +545,10 @@ def spectrum(matrix, mode: str = SIGMA, hermitian: bool | None = None) -> np.nda
 
 
 def _finite(arr: np.ndarray) -> None:
-    """Raise :class:`EvaluationError` if an entry is not finite."""
-    if not np.all(np.isfinite(arr)):
+    """Raise :class:`EvaluationError` if an entry is not finite, reading a
+    stack's rows in :func:`~gltlab.matgen.row_strips`: no N x N temporary."""
+    rows = arr.reshape(-1, arr.shape[-1]) if arr.ndim and arr.size else arr.reshape(-1)
+    if not all(np.isfinite(rows[lo:hi]).all() for lo, hi in row_strips(len(rows), rows.shape[-1])):
         raise EvaluationError("matrix has non-finite entries")
 
 
@@ -755,7 +795,8 @@ def distribution_check(seq, symbol: Symbol, sizes: Sequence, mode: str = SIGMA,
                 f"eigenvalue mode requires Hermitian matrices (size {n}); "
                 "pass allow_non_hermitian=True after a quasi-Hermitian split check"
             )
-        spectra.append(spectrum(matrix, mode, hermitian=hermitian))
+        spectra.append(_spectrum(matrix, mode, hermitian))
+        del matrix  # so that no matrix is held while the next one or the grids are built
     if basket is None:
         observed = np.concatenate([np.asarray(v).real.ravel() for v in spectra])
         probe_x, probe_t = _probe_nodes(symbol, 17)

@@ -475,7 +475,21 @@ def test_a_non_finite_matrix_exits_3_in_both_modes(command, mode, tmp_path, caps
     assert capsys.readouterr().err == "numerical error: matrix has non-finite entries\n"
 
 
-@pytest.mark.parametrize("expr", ["T(2-2*cos(t1))", "T((0.5+0.5*exp(i*t1))^1000)"])
+@pytest.mark.parametrize("command, rows", [(["check-dist", "--sizes", "16;32"], [16, 32]),
+                                           (["spectrum", "--n", "32"], [32])])
+def test_each_matrix_is_read_once_for_finiteness(command, rows, monkeypatch, tmp_path):
+    import gltlab.spectra as spectra_mod
+
+    read = []
+    finite = spectra_mod._finite
+    for module in (spectra_mod, cli):
+        monkeypatch.setattr(module, "_finite", lambda a: read.append(a.shape[0]) or finite(a))
+    argv = [*command, "--expr", "T(2-2*cos(t1))", "--mode", "lambda", "--out", str(tmp_path)]
+    assert main(argv) in (0, 1)
+    assert read == rows
+
+
+@pytest.mark.parametrize("expr",["T(2-2*cos(t1))", "T((0.5+0.5*exp(i*t1))^1000)"])
 def test_the_console_script_exits_141_without_a_traceback_on_a_closed_pipe(expr):
     # A short output breaks the pipe at the final flush, a long one in print.
     env = dict(os.environ)

@@ -1,3 +1,7 @@
+import ctypes
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -587,8 +591,12 @@ def _recorded(monkeypatch, name):
     monkeypatch.setattr(np.linalg, name, lambda a, **kw: shapes.append(a.shape) or solve(a, **kw))
     if name in BAND_SOLVERS:
         band = getattr(spectra_mod, BAND_SOLVERS[name])
-        monkeypatch.setattr(spectra_mod, BAND_SOLVERS[name],
-                            lambda lapack, a, kl, ku: shapes.append(a.shape) or band(lapack, a, kl, ku))
+
+        def spy(lapack, a, *widths):  # _band_eigenvalues takes the band storage
+            shapes.append(a.shape if widths else (a.shape[1],) * 2)
+            return band(lapack, a, *widths)
+
+        monkeypatch.setattr(spectra_mod, BAND_SOLVERS[name], spy)
     return shapes
 
 
@@ -745,6 +753,103 @@ def test_complex_centro_hermitian_band_matrix_takes_zhbevd_whole(monkeypatch):
     calls = _band_calls(monkeypatch)
     assert np.abs(spectrum(a, "lambda", hermitian=True) - lam).max() <= 1e-13 * np.abs(lam).max()
     assert calls == ["zhbevd"]
+
+
+def _eigen_band_inputs(monkeypatch):
+    """(routine, order, kd, band storage bytes) of each real LAPACKE
+    eigenvalue call from now on, the storage read before the call
+    overwrites it."""
+    import gltlab.spectra as spectra_mod
+
+    lapack, calls = spectra_mod._band_lapack(), []
+
+    def spy(name):
+        def call(layout, jobz, uplo, n, kd, ab, ldab, *rest):
+            calls.append((name, n, kd, ctypes.string_at(ab, 8 * ldab * n)))
+            return lapack[name](layout, jobz, uplo, n, kd, ab, ldab, *rest)
+        return call
+
+    monkeypatch.setattr(spectra_mod, "_band_lapack", lambda: {
+        name: spy(name) if name.startswith("dsbevd") else lapack[name] for name in lapack})
+    return calls
+
+
+CANCELLED = "T(2-2*cos(t1)+cos(2*t1))-T(cos(2*t1))"  # band bound K = 2, exact kd = 1
+CENTRO_BAND_CASES = (  # blocks that pass the rule for K: none, P's only, or both
+    [("T(2-2*cos(t1))", n) for n in (62, 63, 64, 65, 2047, 2048)]  # floor and rule at 32
+    + [("T(4-2*cos(t1)-2*cos(t2))", n)  # K = n2
+       for n in ((39, 4), (40, 4), (33, 5), (39, 5), (33, 31), (48, 48))]
+    + [("T(6-2*cos(t1)-2*cos(t2)-2*cos(t3))", n) for n in ((20, 3, 3), (40, 3, 3), (41, 3, 3))]
+    + [(CANCELLED, n) for n in (64, 95, 96, 97)]
+)
+
+
+@pytest.mark.parametrize("expr, n", CENTRO_BAND_CASES)
+def test_real_centro_blocks_are_built_in_band_storage(expr, n, monkeypatch):
+    """A real centro block whose order passes the Hermitian band rule for the
+    band bound K is written straight into band storage, bit for bit the
+    storage of the dense block at today's kd, and LAPACK gets the same
+    routine, kd and bytes as without the bound."""
+    import gltlab.spectra as spectra_mod
+
+    bm = materialize(parse(expr), n)
+    plain = dataclasses.replace(bm)  # the same matrix with no bound
+    k, (m, odd) = max(bm.band), divmod(bm.data.shape[0], 2)
+    stored = [order >= spectra_mod._BAND_FLOOR and (k + 1) * spectra_mod._BAND_COST <= order
+              for order in (m + odd, m)]
+    build = spectra_mod._centro_hermitian_blocks
+    for block, ok, op in zip(build(bm.data), stored, (np.add, np.subtract)):
+        if ok:
+            kd = spectra_mod._bandwidths(block, lower=True, band=(k, k))[0]
+            ab = spectra_mod._centro_band(bm.data, k, op)
+            assert ab.flags.f_contiguous and ab.shape == (kd + 1, block.shape[0])
+            assert ab.tobytes("F") == spectra_mod._band_storage(block, kd, 0).tobytes("F")
+    dense_blocks = []
+    monkeypatch.setattr(spectra_mod, "_centro_hermitian_blocks",
+                        lambda a: dense_blocks.append(a.shape) or build(a))
+    calls = _eigen_band_inputs(monkeypatch)
+    for mode in ("lambda", "sigma"):
+        values = spectrum(bm, mode, hermitian=True)
+        assert len(dense_blocks) == (0 if all(stored) else 1)
+        bounded = calls.copy()
+        calls.clear()
+        assert np.array_equal(values, spectrum(plain, mode, hermitian=True))
+        assert [call[:3] for call in bounded] == [call[:3] for call in calls]
+        assert bounded == calls
+        calls.clear()
+        dense_blocks.clear()
+    assert np.array_equal(spectrum(bm, "lambda"), spectrum(plain, "lambda"))
+
+
+def _traced_peak(run) -> int:
+    """The peak of the memory that tracemalloc traces while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_banded_centro_spectrum_builds_no_dense_block():
+    import gltlab.spectra as spectra_mod
+
+    if spectra_mod._band_lapack() is None:
+        pytest.skip("the band routines are not bound")
+    bm = materialize(parse("T(2-2*cos(t1))"), 2048)
+    peak = _traced_peak(lambda: spectrum(bm, "lambda", hermitian=True))
+    assert peak < bm.data.nbytes / 8
+
+
+def test_the_2_level_distribution_check_holds_one_matrix_and_no_block():
+    import gltlab.spectra as spectra_mod
+
+    if spectra_mod._band_lapack() is None:
+        pytest.skip("the band routines are not bound")
+    e = parse("T(4-2*cos(t1)-2*cos(t2))")
+    peak = _traced_peak(lambda: distribution_check(
+        lambda n: materialize(e, n), symbol_of(e), [(12, 12), (24, 24), (48, 48)], mode="lambda"))
+    assert peak < 1.25 * 2304**2 * 8  # the (48,48) matrix's nbytes
 
 
 def test_band_route_takes_the_odd_skew_block(monkeypatch):
