@@ -32,7 +32,8 @@ Normalization (fixed, so that parse(format(e)) is structurally identical to
 e): numeric literals fold (products/sums of pure scalars collapse to one
 scalar), a leading minus folds into the first scalar factor, and T-arguments
 are expanded symbolically to exponential (coefficient) form; a one-term
-argument takes an integer power in one step, a longer one is multiplied out.
+argument takes an integer power in one step, a longer one is multiplied out;
+one that would take over _MAX_EXPANSION coefficient products is out of range.
 Non-band-limited T-arguments fall back to numeric Fourier coefficients with a
 declared truncation degree; a non-finite coefficient is refused.  The
 formatter writes each entry of a Toeplitz leaf from its coefficient table,
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -67,6 +69,7 @@ from .gltcalc import (
 from .symbols import CoefficientFunction, TrigPolynomial, fourier_coefficients
 
 _MAX_DEPTH = 120
+_MAX_EXPANSION = 1 << 22  # coefficient products that multiplying out one power may take
 _INT_TOL = 1e-9
 
 
@@ -379,6 +382,9 @@ def _expand(e: ScalarExpr, d: int):
             # Negative powers survive only on monomials.
             if power < 0:
                 raise _NotBandLimited
+            if power * len(left.coeffs) * math.prod(  # steps * products per term * terms
+                    power * (max(k) - min(k)) + 1 for k in zip(*left.coeffs)) > _MAX_EXPANSION:
+                raise OverflowError
             out = _Poly.const(d, 1.0)
             for _ in range(power):
                 out = _poly_mul(out, left)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -26,7 +27,7 @@ from .errors import (
     QuadratureError,
     SolverError,
 )
-from .matgen import as_array, is_hermitian, row_strips
+from .matgen import BlockMatrix, as_array, is_hermitian, row_strips
 from .multiindex import MultiIndex, check_size, min_entry
 from .reports import Report
 from .symbols import Symbol, spectral_surfaces
@@ -138,51 +139,29 @@ def _fingerprint(arr: np.ndarray) -> str:
 Band = tuple[int, int] | None  # a BlockMatrix's band bound
 
 
-def _is_centro_hermitian(arr: np.ndarray, band: Band = None) -> bool:
-    """Exactly J A J == conj(A), J the reversal of the (lexicographic) index,
-    compared in strips of at most ``_STRIP`` entries, row 0 first
-    (:func:`~gltlab.matgen.row_strips`); within a band bound K = max(kl, ku)
-    with (K + 1) * _BAND_COST <= N, as diagonal k against diagonal -k
-    reversed and conjugated for k = 0..K."""
-    n = arr.shape[0]
-    complex_ = np.iscomplexobj(arr)
+def _band_nonzeros(arr: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the nonzero entries with |i - j| <= k, read
+    diagonal by diagonal in O(N k)."""
+    rows = [np.flatnonzero(np.diagonal(arr, d)) + max(-d, 0) for d in range(-k, k + 1)]
+    return np.concatenate(rows), np.concatenate([r + d for r, d in zip(rows, range(-k, k + 1))])
+
+
+def _is_centro_hermitian(arr: np.ndarray, band: Band = None, sizes=(), levels=(0,)) -> bool:
+    """Exactly J A J == conj(A), J the reversal of the digit of each of
+    ``levels`` of the index over ``sizes`` (default: the whole index), in
+    strips of the first digit, row 0 first; within a band bound K, (K + 1) *
+    _BAND_COST <= N, in O(N K) at the nonzero entries alone (J is an
+    involution).  The whole reversal needs only the first ceil(N/2) rows."""
+    n, sizes = arr.shape[0], sizes or arr.shape[:1]
+    conj = np.conj if np.iscomplexobj(arr) else np.asarray
     if band is not None and (max(band) + 1) * _BAND_COST <= n:
-        return all(np.array_equal(np.diagonal(arr, k), np.diagonal(arr, -k)[::-1].conj())
-                   for k in range(max(band) + 1))
-    for lo, hi in row_strips((n + 1) // 2, n):
-        mirror = arr[n - hi:n - lo][::-1, ::-1]
-        if not np.array_equal(arr[lo:hi], mirror.conj() if complex_ else mirror):
-            return False
-    return True
-
-
-def _centro_hermitian_blocks(arr: np.ndarray) -> list[np.ndarray]:
-    """Real symmetric matrices whose joint spectrum is that of the Hermitian,
-    centro-Hermitian ``arr``, built in O(N^2).
-
-    With N = 2m + odd, X = A[:m, :m], YJ = A[:m, N-m:] with its columns
-    reversed, P = X + YJ, M = X - YJ, u = A[:m, m] and c = A[m, m] (odd N only),
-    the orthogonal similarity of Cantoni & Butler (real A) or the unitary one
-    of Lee (complex A) gives
-
-        [[Re P,     √2 Re u, -Im M   ],
-         [√2 Re uᵀ, c,       √2 Im uᵀ],
-         [Im P,     √2 Im u, Re M    ]],
-
-    which is block diagonal, [[P, √2 u], [√2 uᵀ, c]] and M, when A is real.
-    """
-    n = arr.shape[0]
-    m, odd = divmod(n, 2)
-    x = arr[:m, :m]
-    yj = arr[:m, n - m:][:, ::-1]
-    p, q = x + yj, x - yj
-    u = np.sqrt(2.0) * arr[:m, m:m + odd]
-    c = arr[m:m + odd, m:m + odd].real
-    if not np.iscomplexobj(arr):
-        return [np.block([[p, u], [u.T, c]]), q]
-    return [np.block([[p.real, u.real, -q.imag],
-                      [u.real.T, c, u.imag.T],
-                      [p.imag, u.imag, q.real]])]
+        i, j = _band_nonzeros(arr, max(band))
+        mirrors = [np.flip(np.arange(n).reshape(sizes), level).ravel() for level in levels]
+        return all(np.array_equal(arr[m[i], m[j]], conj(arr[i, j])) for m in mirrors)
+    tensor = arr.reshape(sizes * 2)
+    stop, width = (n + 1) // 2 if len(sizes) < 2 else sizes[0], arr.size // max(sizes[0], 1)
+    return all(np.array_equal(tensor[lo:hi], conj(np.flip(tensor, (l, len(sizes) + l))[lo:hi]))
+               for lo, hi in row_strips(stop, width) for l in levels)
 
 
 def _is_skew_centro(arr: np.ndarray) -> bool:
@@ -208,9 +187,9 @@ def _skew_centro_block(arr: np.ndarray) -> np.ndarray:
     ``arr`` = -arr^T = -J arr J, built in O(N^2).
 
     C = A[:m, :m] + A[:m, N-m:] J, with the extra column √2 A[:m, m] for odd
-    N.  The orthogonal similarity of :func:`_centro_hermitian_blocks` takes
-    A to [[0, -K^T], [K, 0]] with K = J C, whose singular values are those of
-    K twice, plus one 0 from the odd column.
+    N.  The orthogonal similarity of Cantoni and Butler takes A to [[0, -K^T],
+    [K, 0]] with K = J C, whose singular values are those of K twice, plus
+    one 0 from the odd column.
     """
     n = arr.shape[0]
     m, odd = divmod(n, 2)
@@ -371,46 +350,95 @@ def _eigvalsh(arr: np.ndarray, band: Band = None) -> np.ndarray:
     return _routed(arr, lambda a: np.linalg.eigvalsh(a), hermitian=True, band=band)
 
 
-def _centro_band(arr: np.ndarray, k: int, op: Callable) -> np.ndarray:
-    """Lower band storage, narrowed to the exact kd <= k, of P's block (``op``
-    np.add, with c and √2 u for odd N) or M (np.subtract) of
-    :func:`_centro_hermitian_blocks` of a real ``arr`` with band bound k, by
-    the same float operations in O(N k): row d is diag(X, -d) op diag(YJ,
-    -d), YJ[j + d, j] = A[j + d, N - 1 - j]."""
-    m, odd = divmod(arr.shape[0], 2)
-    odd = odd and op is np.add
-    ab = np.zeros((k + 1, m + odd), order="F")
-    for d in range(k + 1):
-        ab[d, :m - d] = op(np.diagonal(arr, -d)[:m - d], np.diagonal(arr[:m, ::-1], -d))
-        if odd:
-            ab[d, m - d] = np.sqrt(2.0) * arr[m - d, m] if d else arr[m, m]
-    return np.asfortranarray(ab[:_outermost(ab.__getitem__, k) + 1])
+def _reflection_block(arr: np.ndarray, sizes: tuple, signs: tuple, kd=None) -> np.ndarray:
+    """Block ``signs`` of :func:`_reflection_eigenvalues`, dense, or given a
+    bound kd on its lower bandwidth, as lower band storage narrowed to the
+    exact kd.  Level by level, the first first, entry (p, q) folds to x ± y
+    (y at the column J_l reflects), √2 x where p or q is the middle of odd
+    n_l, x where both are; one whose row alone is a middle is read at its
+    transpose.  For J these are Cantoni and Butler's X ± YJ, √2 u and c."""
+    d, half = len(sizes), [(n + (s > 0)) // 2 for n, s in zip(sizes, signs)]
+    mids = 2 * np.indices(half).reshape(d, -1) == np.subtract(sizes, 1)[:, None]
+    box, order = tuple(slice(h) for h in half), int(np.prod(half))
+
+    def fold(leaf, p, q, level=d - 1, bits=()):  # levels 0..level; above it, bits reflected
+        if level < 0:
+            return leaf(bits)
+        x, y = (fold(leaf, p, q, level - 1, (b, *bits)) for b in (0, 1))
+        out = x + y if signs[level] > 0 else x - y
+        if mids[level].any():  # √2 x where p or q is the middle, x where both are
+            mp, mq = mids[level][p], mids[level][q]
+            out = np.where(mp | mq, np.where(mp & mq, x, np.sqrt(2.0) * x), out)
+        return out
+
+    if kd is None:
+        tensor, p, q = arr.reshape(tuple(sizes) * 2), np.arange(order)[:, None], np.arange(order)
+        block = fold(lambda bits: np.flip(tensor, tuple(d + np.flatnonzero(bits)))[
+            box * 2].reshape(order, order), p, q)
+        turn = np.logical_or.reduce([m[p] & ~m[q] for m in mids])  # read at (q, p)
+        block[turn] = block.T[turn]
+        return block
+    grid = np.arange(arr.shape[0]).reshape(sizes)
+    rows = np.arange(kd + 1)[:, None] + np.arange(order)
+    p, q = np.minimum(rows, order - 1), np.arange(order)
+    turn = np.logical_or.reduce([m[p] & ~m[q] for m in mids])  # read at (q, p)
+    p, q = np.where(turn, q, p), np.where(turn, p, q)
+    ab = fold(lambda bits: arr[grid[box].ravel()[p],
+                               np.flip(grid, tuple(np.flatnonzero(bits)))[box].ravel()[q]], p, q)
+    ab = np.where(rows < order, ab, 0.0)
+    return np.asfortranarray(ab[:_outermost(ab.__getitem__, kd) + 1])
 
 
-def _centro_eigenvalues(arr: np.ndarray, band: Band = None) -> np.ndarray:
-    """The real blocks of a matrix with band bound (kl, ku) keep K = max(kl, ku):
-    YJ and u are nonzero only in the last K rows and columns.  A block whose
-    order passes the band rule for K (routines bound) is built only in band
-    storage (:func:`_centro_band`), the others dense."""
-    k, n = band and max(band), arr.shape[0]
-    lapack = band is not None and _band_lapack()  # only a real matrix brings its bound
-    stored = [bool(lapack) and order >= _BAND_FLOOR and (k + 1) * _BAND_COST <= order
-              for order in ((n + 1) // 2, n // 2)]
-    blocks = [None, None] if all(stored) else _centro_hermitian_blocks(arr)
-    return np.sort(np.concatenate([  # a block built dense failed the rule for K
-        _band_eigenvalues(lapack, _centro_band(arr, k, op)) if ok else _eigvalsh(b)
-        for b, ok, op in zip(blocks, stored, (np.add, np.subtract))]))
+def _lee_block(arr: np.ndarray) -> np.ndarray:
+    """A real matrix whose lower triangle, the one LAPACK reads, is that of
+    Lee's unitary similarity [[Re P, ·], [Im P[:m], Re M]] of a complex
+    Hermitian, centro-Hermitian A of order 2m + odd, P and M its J blocks."""
+    p, q = (_reflection_block(arr, arr.shape[:1], (s,)) for s in (1, -1))
+    return np.block([[p.real, p.imag[:len(q)].T], [p.imag[:len(q)], q.real]])
 
 
-def _hermitian_eigenvalues(arr: np.ndarray, band: Band = None) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix or stack, through the
-    centro-Hermitian blocks when one matrix passes the exact test.  A complex
-    centro-Hermitian matrix that is banded goes to zhbevd whole, as Lee's
-    real block of the same order is dense."""
+def _fold_spans(arr: np.ndarray, sizes: tuple, k: int) -> np.ndarray:
+    """Per level l, max |f(i_l) - f(j_l)|, f(x) = min(x, n_l - 1 - x), over the
+    nonzero A[i, j], |i - j| <= k.  Each term of a block's entry (p, q) is
+    such an A[i, j] with {f(i), f(j)} = {p, q}, so the sum of span_l times
+    the block's stride of level l bounds its kd."""
+    top = np.subtract(sizes, 1)[:, None]
+    a, b = (np.array(np.unravel_index(x, sizes)) for x in _band_nonzeros(arr, k))
+    return np.abs(np.minimum(a, top - a) - np.minimum(b, top - b)).max(1, initial=0)
+
+
+def _reflection_eigenvalues(arr: np.ndarray, sizes: tuple, band: Band = None) -> np.ndarray:
+    """Eigenvalues of a real symmetric A that commutes with the reversal J_l of
+    each level of ``sizes`` ((N,): J): Q_1 ⊗ … ⊗ Q_d, Q_l the even and odd
+    vectors of J_l, splits A into 2^d blocks (Trench, LAA 377 (2004) 207–218;
+    d = 1: Cantoni and Butler, LAA 13 (1976) 275–288).  A block whose kd bound
+    (:func:`_fold_spans`) passes the band rule is built in band storage."""
+    lapack = band is not None and (max(band) + 1) * _BAND_COST <= arr.shape[0] and _band_lapack()
+    spans = lapack and _fold_spans(arr, sizes, max(band))
+    values = []
+    for signs in itertools.product((1, -1), repeat=len(sizes)):
+        half = [(n + (s > 0)) // 2 for n, s in zip(sizes, signs)]
+        order = int(np.prod(half))
+        kd = lapack and int(np.dot(spans, np.cumprod([1, *half[:0:-1]])[::-1]))
+        banded = lapack and order >= _BAND_FLOOR and (kd + 1) * _BAND_COST <= order
+        block = _reflection_block(arr, sizes, signs, kd if banded else None)
+        values.append(_band_eigenvalues(lapack, block) if banded else _eigvalsh(block))
+    return np.sort(np.concatenate(values))
+
+
+def _hermitian_eigenvalues(arr: np.ndarray, band: Band = None, levels: tuple = ()) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix or stack: of 2^d real blocks
+    if one real matrix passes the test of the reversal of each of d >= 2
+    ``levels``, else of the centro-Hermitian blocks if it passes that of J.
+    A banded complex one goes to zhbevd whole: Lee's real block is dense."""
+    real = not np.iscomplexobj(arr)
+    if arr.ndim == 2 and real and len(levels) > 1 and _is_centro_hermitian(
+            arr, band, levels, range(len(levels))):
+        return _reflection_eigenvalues(arr, levels, band)
     if arr.ndim == 2 and _is_centro_hermitian(arr, band):
-        if np.iscomplexobj(arr):
-            return _routed(arr, _centro_eigenvalues, hermitian=True, band=band)
-        return _centro_eigenvalues(arr, band)
+        if real:
+            return _reflection_eigenvalues(arr, arr.shape[:1], band)
+        return _routed(arr, lambda a: _eigvalsh(_lee_block(a)), hermitian=True, band=band)
     return _eigvalsh(arr, band)
 
 
@@ -430,9 +458,11 @@ def spectrum(matrix, mode: str = SIGMA, hermitian: bool | None = None) -> np.nda
     lambda  False            ``eigvals``                     complex, (re, im)
     lambda  None             ``is_hermitian`` decides        as above
     either  True, and one    ``eigvalsh`` of real symmetric  as for ``eigvalsh``
-            centro-Hermitian blocks: orders m(+1) and m if
-            matrix           real (band storage if banded),
-                             one of order N if complex and
+            centro-Hermitian blocks: 2^d of order ~N/2^d if
+            matrix           real and J_l A J_l = A at each
+                             of d >= 2 levels, else m(+1)
+                             and m if real (band storage
+                             if banded), N if complex and
                              not banded (band row)
     sigma   False or None,   ``svd`` of one real block of    real, descending
             one real matrix  order m x (m + odd), each
@@ -457,14 +487,16 @@ def spectrum(matrix, mode: str = SIGMA, hermitian: bool | None = None) -> np.nda
     Hermitian multilevel Toeplitz matrix is centro-Hermitian, J A J =
     conj(A); a Hermitian matrix that passes this exact test is reduced, in
     O(N^2), to real symmetric blocks of the same joint spectrum before the
-    O(N^3) solve (:func:`_centro_hermitian_blocks`).  The skew parts of
+    O(N^3) solve (:func:`_reflection_eigenvalues`, :func:`_lee_block`), 2^d
+    for a real r = 1 ``BlockMatrix`` that passes the test of each level's
+    reversal J_l.  The skew parts of
     D_n(x) T_n(f) and of real Toeplitz matrices, and such commutators as
     [D_n(x), T_n(f)], satisfy A = -A^T = -J A J exactly; their singular
     values come from one real block of half the order
-    (:func:`_skew_centro_block`).  Both structure tests are exact, compare
+    (:func:`_skew_centro_block`).  The structure tests are exact, compare
     strips of rows, and reject most other matrices in O(N) on row 0; the
-    centro-Hermitian test of a ``BlockMatrix`` whose band bound K passes
-    (K + 1) * ``_BAND_COST`` <= N compares only the diagonals inside it, in
+    reversal tests of a ``BlockMatrix`` whose band bound K passes
+    (K + 1) * ``_BAND_COST`` <= N compare only the entries inside it, in
     O(N K).
 
     The band row covers every values-only SVD and ``eigvalsh`` above, of a
@@ -474,9 +506,10 @@ def spectrum(matrix, mode: str = SIGMA, hermitian: bool | None = None) -> np.nda
     row 0 or the last row first, so a dense matrix is rejected in O(N)) pass
     the rule takes O(N^2 k) band routines from the scipy-openblas64 LAPACKE
     that numpy bundles (:func:`_band_lapack`; without it, the dense call).
-    The real centro-Hermitian blocks keep the bound K, and a block whose
-    order passes the rule for K is written straight into LAPACK's band
-    storage from A in O(N K) (:func:`_centro_band`), with no dense block.
+    Each real block takes a kd bound from A's nonzeros within K, and a block
+    whose order passes the rule for it is written straight into LAPACK's
+    band storage from A in O(N K) (:func:`_reflection_block`), with no dense
+    block.
     The SVD's rule is (kl + ku + 1) * ``_BAND_COST`` <= N; a Hermitian matrix is
     admitted by the lower bandwidth kd alone, (kd + 1) * ``_BAND_COST`` <=
     N, and takes the two-stage reduction for kd in ``_TWO_STAGE``.
@@ -516,6 +549,7 @@ def _spectrum(matrix, mode: str, hermitian: bool | None) -> np.ndarray:
     """:func:`spectrum` of a matrix (ndim >= 2) that the caller found finite."""
     arr = as_array(matrix)
     band = getattr(matrix, "band", None)
+    levels = matrix.n if isinstance(matrix, BlockMatrix) and matrix.r == 1 else ()
     if mode not in (SIGMA, LAMBDA):
         raise ConfigurationError(f"unknown mode {mode!r}")
     if mode == LAMBDA and arr.ndim != 2:
@@ -526,7 +560,7 @@ def _spectrum(matrix, mode: str, hermitian: bool | None) -> np.ndarray:
         hermitian = is_hermitian(matrix)
     try:
         if hermitian:
-            values = _hermitian_eigenvalues(arr, band)
+            values = _hermitian_eigenvalues(arr, band, levels)
             return values if mode == LAMBDA else np.sort(np.abs(values))[..., ::-1]
         if mode == SIGMA:
             if arr.ndim == 2 and not np.iscomplexobj(arr) and _is_skew_centro(arr):
@@ -538,7 +572,7 @@ def _spectrum(matrix, mode: str, hermitian: bool | None) -> np.ndarray:
             b = arr * w  # B = W^-1 A W
             b /= w[:, None]
             if is_hermitian(b):
-                return _hermitian_eigenvalues(b, band).astype(complex)
+                return _hermitian_eigenvalues(b, band, levels).astype(complex)
         return np.sort(np.linalg.eigvals(arr).astype(complex, copy=False))
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"eigensolver failed ({exc}); {_fingerprint(arr)}") from exc

@@ -52,6 +52,21 @@ def laplacian_eigenvalues(n):
     return 2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
 
 
+def cantoni_butler_blocks(a):
+    """The two real symmetric blocks of a real centro-symmetric matrix whose
+    joint spectrum is its own (Cantoni & Butler, LAA 13 (1976) 275-288):
+    with N = 2m + odd, X = A[:m, :m], YJ = A[:m, N-m:] with its columns
+    reversed, u = sqrt(2) A[:m, m] and c = A[m, m] (odd N only), they are
+    [[X + YJ, u], [u^T, c]] and X - YJ."""
+    n = a.shape[0]
+    m, odd = divmod(n, 2)
+    x = a[:m, :m]
+    yj = a[:m, n - m:][:, ::-1]
+    u = np.sqrt(2.0) * a[:m, m:m + odd]
+    c = a[m:m + odd, m:m + odd]
+    return [np.block([[x + yj, u], [u.T, c]]), x - yj]
+
+
 def shift_matrix(m, offset):
     """J^(l): (i, j) entry 1 when i - j = l (0 elsewhere)."""
     return np.eye(m, k=-offset)

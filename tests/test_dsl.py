@@ -1,3 +1,4 @@
+import hashlib
 import random
 import string
 import time
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gltlab import dsl
+from gltlab.cli import main
 from gltlab.dsl import format_expression, parse
 from gltlab.errors import DslSyntaxError
 from gltlab.gltcalc import (
@@ -384,6 +386,24 @@ def test_a_one_term_power_takes_one_exact_step():
         except (OverflowError, ZeroDivisionError):
             continue
         assert np.array(dsl._int_power(v, p)).tobytes() == np.array(expected).tobytes(), (v, p)
+
+
+def test_a_multi_term_power_within_the_expansion_cap_keeps_its_canonical_text():
+    text = format_expression(parse("T((0.5+0.5*exp(i*t1))^1000)"))
+    assert len(text) == 36536 and text.endswith("+9.332636185032189e-302*exp(1000*i*t1))")
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "98ff9093eb524a41e9eb6894742de44eed06fcffbee68289c8af3c7ebafe1fde")
+
+
+@pytest.mark.parametrize("text", ["T((0.5+0.5*exp(i*t1))^4000)", "T(1+((1+exp(i*t1))^100)^100)"])
+def test_a_multi_term_power_past_the_expansion_cap_is_refused_at_once(text, capsys):
+    start = time.perf_counter()
+    with pytest.raises(DslSyntaxError) as err:
+        parse(text)
+    assert time.perf_counter() - start < 0.1
+    assert str(err.value) == "1:1: symbol argument out of range"
+    assert main(["parse", "--expr", text]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_numeric_fallback_for_non_band_limited():

@@ -1,5 +1,7 @@
 import ctypes
 import dataclasses
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import (
+    cantoni_butler_blocks,
     errors_for,
     laplacian_eigenvalues,
     midpoint_functional,
@@ -747,7 +750,7 @@ def test_complex_centro_hermitian_band_matrix_takes_zhbevd_whole(monkeypatch):
 
     a = materialize(parse("T(2-2*cos(t1)+sin(t1))"), 256).data
     assert np.iscomplexobj(a) and spectra_mod._is_centro_hermitian(a)
-    assert spectra_mod._bandwidths(spectra_mod._centro_hermitian_blocks(a)[0], lower=True) is None
+    assert spectra_mod._bandwidths(spectra_mod._lee_block(a), lower=True) is None
     lam = np.linalg.eigvalsh(a)
     _band_only(monkeypatch)
     calls = _band_calls(monkeypatch)
@@ -786,31 +789,42 @@ CENTRO_BAND_CASES = (  # blocks that pass the rule for K: none, P's only, or bot
 
 @pytest.mark.parametrize("expr, n", CENTRO_BAND_CASES)
 def test_real_centro_blocks_are_built_in_band_storage(expr, n, monkeypatch):
-    """A real centro block whose order passes the Hermitian band rule for the
-    band bound K is written straight into band storage, bit for bit the
-    storage of the dense block at today's kd, and LAPACK gets the same
-    routine, kd and bytes as without the bound."""
+    """A real reflection block whose order passes the Hermitian band rule for
+    its kd bound is written straight into band storage, bit for bit the
+    storage of the dense block at its exact kd, and LAPACK gets the same
+    routine, kd and bytes as without the bound.  Only the blocks that fail
+    the rule are built dense."""
     import gltlab.spectra as spectra_mod
 
     bm = materialize(parse(expr), n)
     plain = dataclasses.replace(bm)  # the same matrix with no bound
-    k, (m, odd) = max(bm.band), divmod(bm.data.shape[0], 2)
-    stored = [order >= spectra_mod._BAND_FLOOR and (k + 1) * spectra_mod._BAND_COST <= order
-              for order in (m + odd, m)]
-    build = spectra_mod._centro_hermitian_blocks
-    for block, ok, op in zip(build(bm.data), stored, (np.add, np.subtract)):
-        if ok:
-            kd = spectra_mod._bandwidths(block, lower=True, band=(k, k))[0]
-            ab = spectra_mod._centro_band(bm.data, k, op)
-            assert ab.flags.f_contiguous and ab.shape == (kd + 1, block.shape[0])
+    sizes = bm.n  # every case commutes with each level's reversal
+    assert all(spectra_mod._is_centro_hermitian(bm.data, None, sizes, (l,)) for l in range(len(sizes)))
+    spans = spectra_mod._fold_spans(bm.data, sizes, max(bm.band))
+    build, failing = spectra_mod._reflection_block, 0
+    for signs in itertools.product((1, -1), repeat=len(sizes)):
+        half = [(m + (s > 0)) // 2 for m, s in zip(sizes, signs)]
+        order = math.prod(half)
+        bound = sum(int(span) * math.prod(half[l + 1:]) for l, span in enumerate(spans))
+        block = build(bm.data, sizes, signs)
+        rows, cols = np.nonzero(np.tril(block))
+        kd = int((rows - cols).max(initial=0))
+        assert kd <= bound  # the bound holds
+        cost = spectra_mod._BAND_COST  # the bound is read where K passes the rule for A
+        if (max(bm.band) + 1) * cost <= bm.data.shape[0] and order >= spectra_mod._BAND_FLOOR \
+                and (bound + 1) * cost <= order:
+            ab = build(bm.data, sizes, signs, bound)
+            assert ab.flags.f_contiguous and ab.shape == (kd + 1, order)
             assert ab.tobytes("F") == spectra_mod._band_storage(block, kd, 0).tobytes("F")
+        else:
+            failing += 1
     dense_blocks = []
-    monkeypatch.setattr(spectra_mod, "_centro_hermitian_blocks",
-                        lambda a: dense_blocks.append(a.shape) or build(a))
+    monkeypatch.setattr(spectra_mod, "_reflection_block", lambda a, sizes, signs, kd=None: (
+        kd is None and dense_blocks.append(signs)) or build(a, sizes, signs, kd))
     calls = _eigen_band_inputs(monkeypatch)
     for mode in ("lambda", "sigma"):
         values = spectrum(bm, mode, hermitian=True)
-        assert len(dense_blocks) == (0 if all(stored) else 1)
+        assert len(dense_blocks) == failing
         bounded = calls.copy()
         calls.clear()
         assert np.array_equal(values, spectrum(plain, mode, hermitian=True))
@@ -819,6 +833,76 @@ def test_real_centro_blocks_are_built_in_band_storage(expr, n, monkeypatch):
         calls.clear()
         dense_blocks.clear()
     assert np.array_equal(spectrum(bm, "lambda"), spectrum(plain, "lambda"))
+
+
+def _block_count(monkeypatch) -> list:
+    """The sign pattern of each reflection block built from now on."""
+    import gltlab.spectra as spectra_mod
+
+    build, signs = spectra_mod._reflection_block, []
+    monkeypatch.setattr(spectra_mod, "_reflection_block", lambda a, sizes, s, kd=None: (
+        signs.append(s) or build(a, sizes, s, kd)))
+    return signs
+
+
+@pytest.mark.parametrize("n", [(9, 10, 11), (12, 12, 12)])
+def test_3_level_laplacian_splits_into_8_blocks_and_meets_its_closed_form(n, monkeypatch):
+    bm = materialize(parse("T(6-2*cos(t1)-2*cos(t2)-2*cos(t3))"), n)
+    grids = np.meshgrid(*(laplacian_eigenvalues(m) for m in n), indexing="ij")
+    expect = np.sort(sum(grids).ravel())
+    blocks = _block_count(monkeypatch)
+    for matrix in (bm, dataclasses.replace(bm)):
+        blocks.clear()
+        assert np.abs(spectrum(matrix, "lambda") - expect).max() <= 1e-9
+        assert len(blocks) == 8
+
+
+def test_a_symbol_even_only_jointly_keeps_the_two_centro_blocks(monkeypatch):
+    """cos(t1 + t2) is even in (t1, t2) but not in t1 alone: the matrix
+    commutes with J, not with J_1 or J_2."""
+    import gltlab.spectra as spectra_mod
+
+    bm = materialize(parse("T(4-2*cos(t1)-2*cos(t2)+0.5*cos(t1+t2))"), (20, 21))
+    assert not any(spectra_mod._is_centro_hermitian(bm.data, bm.band, bm.n, (l,)) for l in (0, 1))
+    assert spectra_mod._is_centro_hermitian(bm.data, bm.band)
+    lam = np.linalg.eigvalsh(bm.data)
+    blocks = _block_count(monkeypatch)
+    assert np.abs(spectrum(bm, "lambda") - lam).max() <= 1e-13 * np.abs(lam).max()
+    assert blocks == [(1,), (-1,)]
+
+
+@pytest.mark.parametrize("expr, n", [("T(2-2*cos(t1))", n) for n in (7, 8, 63, 64, 65, 255, 256)]
+                         + [(CANCELLED, n) for n in (95, 96)]
+                         + [("T(1+cos(t1)+cos(9*t1))", n) for n in (64, 65, 300, 301)]
+                         + [("T(2-2*cos(t1))*T(2-2*cos(t1))", n) for n in (64, 65)])
+def test_1_level_spectra_are_the_cantoni_butler_bits(expr, n):
+    """Every 1-level real centro-symmetric matrix, odd or even N, within its
+    band bound or not, keeps the bits of the two Cantoni-Butler blocks."""
+    import gltlab.spectra as spectra_mod
+
+    bm = materialize(parse(expr), n)
+    blocks = cantoni_butler_blocks(bm.data)
+    lam = np.sort(np.concatenate([spectra_mod._eigvalsh(b) for b in blocks]))
+    for matrix in (bm, dataclasses.replace(bm), bm.data):
+        assert np.array_equal(spectrum(matrix, "lambda", hermitian=True), lam)
+        assert np.array_equal(spectrum(matrix, "sigma", hermitian=True), np.sort(np.abs(lam))[::-1])
+
+
+@pytest.mark.parametrize("n", [63, 65, 255])
+def test_an_odd_middle_row_is_read_from_its_column(n):
+    """A real centro-symmetric matrix that is symmetric only within the
+    Hermitian tolerance: the even block's middle row is √2 A[:m, m], read
+    from column m as in Cantoni and Butler, in band storage and dense."""
+    import gltlab.spectra as spectra_mod
+
+    bm, m = materialize(parse("T(2-2*cos(t1))"), n), n // 2
+    bm.data[m, m - 1] = bm.data[m, m + 1] = np.nextafter(-1.0, 0.0)  # a centro pair
+    assert spectra_mod._is_centro_hermitian(bm.data) and is_hermitian(bm)
+    blocks = cantoni_butler_blocks(bm.data)
+    lam = np.sort(np.concatenate([spectra_mod._eigvalsh(b) for b in blocks]))
+    assert not np.array_equal(lam, spectrum(bm.data.T, "lambda", hermitian=True))
+    for matrix in (bm, dataclasses.replace(bm), bm.data):
+        assert np.array_equal(spectrum(matrix, "lambda", hermitian=True), lam)
 
 
 def _traced_peak(run) -> int:
