@@ -42,9 +42,10 @@ SLACK = 1.5  # growth per size step that still counts as non-increasing
 DECAY = 0.5  # fall from first to last value required of a trend to zero
 FLOOR = 1e-10  # values at or below this count as zero in a trend to zero
 TREND_FLOOR = 1e-12  # absolute allowance of each non-increasing step
-# A matrix of order N >= _BAND_FLOOR takes the band route when its lower and
-# upper bandwidths keep (kl + ku + 1) * _BAND_COST <= N (SVD), or when it is
-# Hermitian and its lower bandwidth keeps (kd + 1) * _BAND_COST <= N.  On 2
+# A matrix of order N takes the band route when its lower and upper
+# bandwidths fit (_fits(kl + ku, N), SVD), or when it is Hermitian and its
+# lower bandwidth does (_fits(kd, N)): N >= _BAND_FLOOR and (k + 1) *
+# _BAND_COST <= N.  On 2
 # cores, dgbbrd + dbdsqr break even with the dense values-only SVD near
 # kl = ku = 50 at N = 1024 (2.8 times faster at 16, 1.7 at 32).  Hermitian
 # band routines, best form, against eigvalsh (ms; z = complex):
@@ -60,7 +61,7 @@ TREND_FLOOR = 1e-12  # absolute allowance of each non-increasing step
 # 364 vs 507 ms on one thread at kd = 88 and 384 vs 624 at kd = 96.  Complex
 # input keeps it (N = 2048, kd = 127: 1498 vs 2783 ms).
 _BAND_COST = 16
-_BAND_FLOOR = 2 * _BAND_COST
+_BAND_FLOOR = 32
 _TWO_STAGE = {"dsbevd": range(32, 92), "zhbevd": range(16, 1 << 62)}  # kd of the _2stage form
 
 
@@ -139,6 +140,13 @@ def _fingerprint(arr: np.ndarray) -> str:
 Band = tuple[int, int] | None  # a BlockMatrix's band bound
 
 
+def _fits(k: int, n: int) -> bool:
+    """The band rule: a band of k diagonals on one side (kl + ku for the
+    SVD, kd for a Hermitian matrix) of a matrix of order n pays for the band
+    route."""
+    return n >= _BAND_FLOOR and (k + 1) * _BAND_COST <= n
+
+
 def _band_nonzeros(arr: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the nonzero entries with |i - j| <= k, read
     diagonal by diagonal in O(N k)."""
@@ -146,16 +154,17 @@ def _band_nonzeros(arr: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(rows), np.concatenate([r + d for r, d in zip(rows, range(-k, k + 1))])
 
 
-def _is_centro_hermitian(arr: np.ndarray, band: Band = None, sizes=(), levels=(0,)) -> bool:
+def _is_centro_hermitian(arr: np.ndarray, nonzeros=None, sizes=(), levels=(0,)) -> bool:
     """Exactly J A J == conj(A), J the reversal of the digit of each of
     ``levels`` of the index over ``sizes`` (default: the whole index), in
-    strips of the first digit, row 0 first; within a band bound K, (K + 1) *
-    _BAND_COST <= N, in O(N K) at the nonzero entries alone (J is an
-    involution).  The whole reversal needs only the first ceil(N/2) rows."""
+    strips of the first digit, row 0 first; given every ``nonzeros`` of A
+    (:func:`_band_nonzeros` within a band bound), in O(N K) at them alone (J
+    is an involution).  The whole reversal needs only the first ceil(N/2)
+    rows."""
     n, sizes = arr.shape[0], sizes or arr.shape[:1]
     conj = np.conj if np.iscomplexobj(arr) else np.asarray
-    if band is not None and (max(band) + 1) * _BAND_COST <= n:
-        i, j = _band_nonzeros(arr, max(band))
+    if nonzeros is not None:
+        i, j = nonzeros
         mirrors = [np.flip(np.arange(n).reshape(sizes), level).ravel() for level in levels]
         return all(np.array_equal(arr[m[i], m[j]], conj(arr[i, j])) for m in mirrors)
     tensor = arr.reshape(sizes * 2)
@@ -179,22 +188,6 @@ def _is_skew_centro(arr: np.ndarray) -> bool:
                 and np.array_equal(rows, -arr[n - hi:n - lo][::-1, ::-1])):
             return False
     return True
-
-
-def _skew_centro_block(arr: np.ndarray) -> np.ndarray:
-    """The real m x (m + odd) matrix C whose singular values, each taken
-    twice, plus one 0 for odd N = 2m + odd, are those of the real
-    ``arr`` = -arr^T = -J arr J, built in O(N^2).
-
-    C = A[:m, :m] + A[:m, N-m:] J, with the extra column √2 A[:m, m] for odd
-    N.  The orthogonal similarity of Cantoni and Butler takes A to [[0, -K^T],
-    [K, 0]] with K = J C, whose singular values are those of K twice, plus
-    one 0 from the odd column.
-    """
-    n = arr.shape[0]
-    m, odd = divmod(n, 2)
-    c = arr[:m, :m] + arr[:m, n - m:][:, ::-1]
-    return np.hstack([c, np.sqrt(2.0) * arr[:m, m:m + 1]]) if odd else c
 
 
 # ---------------------------------------------------------------------------
@@ -244,17 +237,17 @@ def _outermost(diagonal: Callable[[int], np.ndarray], k: int) -> int:
 
 def _bandwidths(arr: np.ndarray, lower: bool = False, band: Band = None) -> Band:
     """The exact lower and upper bandwidths (kl, ku) of a matrix, or None as
-    soon as the rows read so far break (kl + ku + 1) * _BAND_COST <=
-    min(shape).  With ``lower`` only the lower triangle counts and ku is 0:
-    the rule of a Hermitian matrix's lower band.  A band bound that passes
-    the rule is narrowed to the outermost nonzero diagonals in O(N k);
+    soon as the rows read so far break ``_fits(kl + ku, min(shape))``.  With
+    ``lower`` only the lower triangle counts and ku is 0: the rule of a
+    Hermitian matrix's lower band.  A band bound that passes the rule is
+    narrowed to the outermost nonzero diagonals in O(N k);
     otherwise reads strips of rows, row 0 first, or the last row first for
     ``lower`` (:func:`~gltlab.matgen.row_strips`), so a dense matrix is
     rejected in O(N)."""
     m, n = arr.shape
     if band is not None:
         kl, ku = band[0], 0 if lower else band[1]
-        if (kl + ku + 1) * _BAND_COST <= min(m, n):
+        if _fits(kl + ku, min(m, n)):
             return (_outermost(lambda d: np.diagonal(arr, -d), kl),
                     _outermost(lambda d: np.diagonal(arr, d), ku))
     kl = ku = 0
@@ -267,7 +260,7 @@ def _bandwidths(arr: np.ndarray, lower: bool = False, band: Band = None) -> Band
         kl = max(kl, int(np.max(np.where(hit, i - nonzero.argmax(axis=1), 0))))
         if not lower:
             ku = max(ku, int(np.max(np.where(hit, n - 1 - nonzero[:, ::-1].argmax(axis=1) - i, 0))))
-        if (kl + ku + 1) * _BAND_COST > min(m, n):
+        if not _fits(kl + ku, min(m, n)):
             return None
     return kl, ku
 
@@ -318,36 +311,31 @@ def _band_eigenvalues(lapack: dict, ab: np.ndarray) -> np.ndarray:
     return w
 
 
-def _routed(arr: np.ndarray, dense: Callable, hermitian: bool = False,
-            band: Band = None) -> np.ndarray:
-    """The band route for a float64 or complex128 matrix of order at least
-    _BAND_FLOOR whose bandwidths (read within ``band``) pass the rule, where
-    the band routines are bound: ``_band_eigenvalues`` with the Hermitian
-    rule (of the lower band alone) if ``hermitian``, else
-    ``_band_singular_values``; ``dense`` otherwise.  A stack of that order
-    is routed matrix by matrix, so that row i holds matrix i's values as if
-    passed alone."""
-    if (arr.ndim < 2 or arr.dtype not in (np.float64, np.complex128)
-            or min(arr.shape[-2:]) < _BAND_FLOOR or arr.size == 0):
-        return dense(arr)
-    lapack = _band_lapack()
-    if lapack is None:
-        return dense(arr)
-    if arr.ndim > 2:
-        return np.stack([_routed(a, dense, hermitian) for a in arr])
-    widths = _bandwidths(arr, lower=hermitian, band=band)
-    if widths is None:
-        return dense(arr)
+def _band_values(arr: np.ndarray, hermitian: bool, band: Band = None) -> np.ndarray | None:
+    """:func:`_values` from the band route, or None where it does not apply:
+    a float64 or complex128 matrix whose bandwidths (read within ``band``)
+    fit, where the band routines are bound.  A stack that may fit is taken
+    matrix by matrix, so that row i holds matrix i's values as if passed
+    alone."""
+    lapack = (arr.dtype in (np.float64, np.complex128) and arr.size > 0
+              and _fits(0, min(arr.shape[-2:])) and _band_lapack())
+    if lapack and arr.ndim > 2:
+        return np.stack([_values(a, hermitian) for a in arr])
+    widths = lapack and _bandwidths(arr, lower=hermitian, band=band)
+    if not widths:
+        return None
     return (_band_eigenvalues(lapack, _band_storage(arr, widths[0], 0)) if hermitian
             else _band_singular_values(lapack, arr, *widths))
 
 
-def _singular_values(arr: np.ndarray, band: Band = None) -> np.ndarray:
-    return _routed(arr, lambda a: np.linalg.svd(a, compute_uv=False), band=band)
-
-
-def _eigvalsh(arr: np.ndarray, band: Band = None) -> np.ndarray:
-    return _routed(arr, lambda a: np.linalg.eigvalsh(a), hermitian=True, band=band)
+def _values(arr: np.ndarray, hermitian: bool, band: Band = None) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix (its lower triangle) or
+    descending singular values, of a matrix or a stack: from the band route
+    where it applies, else from one ``eigvalsh`` or values-only ``svd``."""
+    values = _band_values(arr, hermitian, band)
+    if values is None:
+        values = np.linalg.eigvalsh(arr) if hermitian else np.linalg.svd(arr, compute_uv=False)
+    return values
 
 
 def _reflection_block(arr: np.ndarray, sizes: tuple, signs: tuple, kd=None) -> np.ndarray:
@@ -356,36 +344,46 @@ def _reflection_block(arr: np.ndarray, sizes: tuple, signs: tuple, kd=None) -> n
     exact kd.  Level by level, the first first, entry (p, q) folds to x ± y
     (y at the column J_l reflects), √2 x where p or q is the middle of odd
     n_l, x where both are; one whose row alone is a middle is read at its
-    transpose.  For J these are Cantoni and Butler's X ± YJ, √2 u and c."""
+    transpose.  For J these are Cantoni and Butler's X ± YJ, √2 u and c.
+    The band storage is gathered from A entry by entry; the dense block
+    takes x ± y from views of A and gathers only the rows and columns that
+    are a middle of some level, in O(N) for one level."""
     d, half = len(sizes), [(n + (s > 0)) // 2 for n, s in zip(sizes, signs)]
     mids = 2 * np.indices(half).reshape(d, -1) == np.subtract(sizes, 1)[:, None]
     box, order = tuple(slice(h) for h in half), int(np.prod(half))
+    grid = np.arange(arr.shape[0]).reshape(sizes)
 
-    def fold(leaf, p, q, level=d - 1, bits=()):  # levels 0..level; above it, bits reflected
+    # Levels 0..level; above it, bits reflected.  Gathered entries (index
+    # arrays p, q) take the middle rule; the dense fold of views skips it.
+    def fold(leaf, p=None, q=None, level=d - 1, bits=()):
         if level < 0:
             return leaf(bits)
         x, y = (fold(leaf, p, q, level - 1, (b, *bits)) for b in (0, 1))
         out = x + y if signs[level] > 0 else x - y
-        if mids[level].any():  # √2 x where p or q is the middle, x where both are
+        if p is not None and mids[level].any():  # √2 x at a middle p or q, x at both
             mp, mq = mids[level][p], mids[level][q]
             out = np.where(mp | mq, np.where(mp & mq, x, np.sqrt(2.0) * x), out)
         return out
 
-    if kd is None:
-        tensor, p, q = arr.reshape(tuple(sizes) * 2), np.arange(order)[:, None], np.arange(order)
-        block = fold(lambda bits: np.flip(tensor, tuple(d + np.flatnonzero(bits)))[
-            box * 2].reshape(order, order), p, q)
+    def gather(p, q):  # the entries at index arrays (p, q), read from A
         turn = np.logical_or.reduce([m[p] & ~m[q] for m in mids])  # read at (q, p)
-        block[turn] = block.T[turn]
+        p, q = np.where(turn, q, p), np.where(turn, p, q)
+        return fold(lambda bits: arr[grid[box].ravel()[p],
+                                     np.flip(grid, tuple(np.flatnonzero(bits)))[box].ravel()[q]],
+                    p, q)
+
+    if kd is None:  # x ± y from views of A; the middle rows and columns gathered
+        tensor, every = arr.reshape(tuple(sizes) * 2), np.arange(order)
+        r = np.flatnonzero(mids.any(0))
+        block = fold(lambda bits: np.flip(tensor, tuple(d + np.flatnonzero(bits)))[
+            box * 2].reshape(order, order))
+        if r.size:
+            rows, cols = gather(r[:, None], every), gather(every[:, None], r)
+            block = block.astype(np.result_type(block, rows), copy=False)
+            block[r], block[:, r] = rows, cols
         return block
-    grid = np.arange(arr.shape[0]).reshape(sizes)
     rows = np.arange(kd + 1)[:, None] + np.arange(order)
-    p, q = np.minimum(rows, order - 1), np.arange(order)
-    turn = np.logical_or.reduce([m[p] & ~m[q] for m in mids])  # read at (q, p)
-    p, q = np.where(turn, q, p), np.where(turn, p, q)
-    ab = fold(lambda bits: arr[grid[box].ravel()[p],
-                               np.flip(grid, tuple(np.flatnonzero(bits)))[box].ravel()[q]], p, q)
-    ab = np.where(rows < order, ab, 0.0)
+    ab = np.where(rows < order, gather(np.minimum(rows, order - 1), np.arange(order)), 0.0)
     return np.asfortranarray(ab[:_outermost(ab.__getitem__, kd) + 1])
 
 
@@ -397,133 +395,73 @@ def _lee_block(arr: np.ndarray) -> np.ndarray:
     return np.block([[p.real, p.imag[:len(q)].T], [p.imag[:len(q)], q.real]])
 
 
-def _fold_spans(arr: np.ndarray, sizes: tuple, k: int) -> np.ndarray:
-    """Per level l, max |f(i_l) - f(j_l)|, f(x) = min(x, n_l - 1 - x), over the
-    nonzero A[i, j], |i - j| <= k.  Each term of a block's entry (p, q) is
-    such an A[i, j] with {f(i), f(j)} = {p, q}, so the sum of span_l times
-    the block's stride of level l bounds its kd."""
+def _fold_spans(sizes: tuple, nonzeros: tuple) -> np.ndarray:
+    """Per level l, max |f(i_l) - f(j_l)|, f(x) = min(x, n_l - 1 - x), over
+    A's ``nonzeros`` (i, j).  Each term of a block's entry (p, q) is such an
+    A[i, j] with {f(i), f(j)} = {p, q}, so the sum of span_l times the
+    block's stride of level l bounds its kd."""
     top = np.subtract(sizes, 1)[:, None]
-    a, b = (np.array(np.unravel_index(x, sizes)) for x in _band_nonzeros(arr, k))
+    a, b = (np.array(np.unravel_index(x, sizes)) for x in nonzeros)
     return np.abs(np.minimum(a, top - a) - np.minimum(b, top - b)).max(1, initial=0)
 
 
-def _reflection_eigenvalues(arr: np.ndarray, sizes: tuple, band: Band = None) -> np.ndarray:
+def _reflection_eigenvalues(arr: np.ndarray, sizes: tuple, nonzeros: tuple | None) -> np.ndarray:
     """Eigenvalues of a real symmetric A that commutes with the reversal J_l of
     each level of ``sizes`` ((N,): J): Q_1 ⊗ … ⊗ Q_d, Q_l the even and odd
     vectors of J_l, splits A into 2^d blocks (Trench, LAA 377 (2004) 207–218;
-    d = 1: Cantoni and Butler, LAA 13 (1976) 275–288).  A block whose kd bound
-    (:func:`_fold_spans`) passes the band rule is built in band storage."""
-    lapack = band is not None and (max(band) + 1) * _BAND_COST <= arr.shape[0] and _band_lapack()
-    spans = lapack and _fold_spans(arr, sizes, max(band))
+    d = 1: Cantoni and Butler, LAA 13 (1976) 275–288).  Given A's
+    ``nonzeros``, a block whose kd bound (:func:`_fold_spans`) fits is built
+    in band storage."""
+    lapack = nonzeros is not None and _band_lapack()
+    spans = lapack and _fold_spans(sizes, nonzeros)
     values = []
     for signs in itertools.product((1, -1), repeat=len(sizes)):
         half = [(n + (s > 0)) // 2 for n, s in zip(sizes, signs)]
         order = int(np.prod(half))
         kd = lapack and int(np.dot(spans, np.cumprod([1, *half[:0:-1]])[::-1]))
-        banded = lapack and order >= _BAND_FLOOR and (kd + 1) * _BAND_COST <= order
+        banded = lapack and _fits(kd, order)
         block = _reflection_block(arr, sizes, signs, kd if banded else None)
-        values.append(_band_eigenvalues(lapack, block) if banded else _eigvalsh(block))
+        values.append(_band_eigenvalues(lapack, block) if banded else _values(block, True))
     return np.sort(np.concatenate(values))
 
 
 def _hermitian_eigenvalues(arr: np.ndarray, band: Band = None, levels: tuple = ()) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix or stack: of 2^d real blocks
-    if one real matrix passes the test of the reversal of each of d >= 2
-    ``levels``, else of the centro-Hermitian blocks if it passes that of J.
-    A banded complex one goes to zhbevd whole: Lee's real block is dense."""
+    """Ascending eigenvalues of a Hermitian matrix or stack, by the route of
+    one matrix: structure test -> blocks -> solver.
+
+    - Test, exact: J_l A J_l = A for the reversal J_l of each of d >= 2
+      ``levels`` if A is real, else J A J = conj(A) for the reversal J of the
+      whole index (:func:`_is_centro_hermitian`).  Within a band bound that
+      fits, it reads A's in-band nonzeros once and compares them alone.
+    - Blocks: a real A that passes splits into 2^d or two real blocks
+      (:func:`_reflection_eigenvalues`).  A complex one takes the band route
+      whole where it applies, since Lee's real block of the same order
+      (:func:`_lee_block`) is dense (N = 4096, kd = 1: 0.26 s against 4.8 s
+      on 2 cores).  A matrix that fails is its own block.
+    - Solver: :func:`_values` of each block, or ``dsbevd`` of the band
+      storage that a block whose kd bound fits is written into.
+    """
+    nonzeros = _band_nonzeros(arr, max(band)) if band and _fits(max(band), len(arr)) else None
     real = not np.iscomplexobj(arr)
-    if arr.ndim == 2 and real and len(levels) > 1 and _is_centro_hermitian(
-            arr, band, levels, range(len(levels))):
-        return _reflection_eigenvalues(arr, levels, band)
-    if arr.ndim == 2 and _is_centro_hermitian(arr, band):
-        if real:
-            return _reflection_eigenvalues(arr, arr.shape[:1], band)
-        return _routed(arr, lambda a: _eigvalsh(_lee_block(a)), hermitian=True, band=band)
-    return _eigvalsh(arr, band)
+    for sizes in ([levels] if real and len(levels) > 1 else []) + [arr.shape[:1]]:
+        if arr.ndim == 2 and _is_centro_hermitian(arr, nonzeros, sizes, range(len(sizes))):
+            if real:
+                return _reflection_eigenvalues(arr, sizes, nonzeros)
+            values = _band_values(arr, True, band)
+            return _values(_lee_block(arr), True) if values is None else values
+    return _values(arr, True, band)
 
 
 def spectrum(matrix, mode: str = SIGMA, hermitian: bool | None = None) -> np.ndarray:
     """Singular values (descending) or eigenvalues (canonical order).
 
     ``hermitian`` is the caller's decision for this matrix, taken once with
-    :func:`is_hermitian`; it picks the solver, and exact or numeric structure
-    tests pick a cheaper route to the same values:
-
-    ======  ===============  ==============================  ====================
-    mode    hermitian        solver                          result
-    ======  ===============  ==============================  ====================
-    sigma   True             ``sort(|eigvalsh|)``            real, descending
-    sigma   False or None    ``svd`` (values only)           real, descending
-    lambda  True             ``eigvalsh``                    real, ascending
-    lambda  False            ``eigvals``                     complex, (re, im)
-    lambda  None             ``is_hermitian`` decides        as above
-    either  True, and one    ``eigvalsh`` of real symmetric  as for ``eigvalsh``
-            centro-Hermitian blocks: 2^d of order ~N/2^d if
-            matrix           real and J_l A J_l = A at each
-                             of d >= 2 levels, else m(+1)
-                             and m if real (band storage
-                             if banded), N if complex and
-                             not banded (band row)
-    sigma   False or None,   ``svd`` of one real block of    real, descending
-            one real matrix  order m x (m + odd), each
-            with A = -A^T =  value twice, plus one 0 for
-            -J A J           odd N
-    lambda  False, and a     ``eigvalsh`` (centro blocks     complex, (re, im),
-            ``BlockMatrix``  when B passes) of B = W^-1 A W  imaginary parts
-            whose            if ``is_hermitian(B)``, else    exactly zero
-            ``symmetrizer``  ``eigvals`` of A                (``eigvals``: as
-            w is set                                         above)
-    either  as above, for    ``dgbbrd`` (``zgbbrd`` if       as the call it
-            each matrix or   complex) + ``dbdsqr`` (svd),    replaces
-            block of order   or ``dsbevd`` (``zhbevd``) of
-            N >= 32 with     the lower band (eigvalsh),
-            (kl + ku + 1) *  ``_2stage`` for a wide band;
-            16 <= N (svd),   no vectors
-            (kd + 1) * 16 <=
-            N (eigvalsh)
-    ======  ===============  ==============================  ====================
-
-    J is the reversal of the whole (lexicographic) index.  Every scalar
-    Hermitian multilevel Toeplitz matrix is centro-Hermitian, J A J =
-    conj(A); a Hermitian matrix that passes this exact test is reduced, in
-    O(N^2), to real symmetric blocks of the same joint spectrum before the
-    O(N^3) solve (:func:`_reflection_eigenvalues`, :func:`_lee_block`), 2^d
-    for a real r = 1 ``BlockMatrix`` that passes the test of each level's
-    reversal J_l.  The skew parts of
-    D_n(x) T_n(f) and of real Toeplitz matrices, and such commutators as
-    [D_n(x), T_n(f)], satisfy A = -A^T = -J A J exactly; their singular
-    values come from one real block of half the order
-    (:func:`_skew_centro_block`).  The structure tests are exact, compare
-    strips of rows, and reject most other matrices in O(N) on row 0; the
-    reversal tests of a ``BlockMatrix`` whose band bound K passes
-    (K + 1) * ``_BAND_COST`` <= N compare only the entries inside it, in
-    O(N K).
-
-    The band row covers every values-only SVD and ``eigvalsh`` above, of a
-    whole matrix or of a block: a float64 or complex128 one of order N >=
-    ``_BAND_FLOOR`` whose exact bandwidths (:func:`_bandwidths`: the
-    outermost nonzero diagonals inside a ``BlockMatrix``'s band bound, else
-    row 0 or the last row first, so a dense matrix is rejected in O(N)) pass
-    the rule takes O(N^2 k) band routines from the scipy-openblas64 LAPACKE
-    that numpy bundles (:func:`_band_lapack`; without it, the dense call).
-    Each real block takes a kd bound from A's nonzeros within K, and a block
-    whose order passes the rule for it is written straight into LAPACK's
-    band storage from A in O(N K) (:func:`_reflection_block`), with no dense
-    block.
-    The SVD's rule is (kl + ku + 1) * ``_BAND_COST`` <= N; a Hermitian matrix is
-    admitted by the lower bandwidth kd alone, (kd + 1) * ``_BAND_COST`` <=
-    N, and takes the two-stage reduction for kd in ``_TWO_STAGE``.
-    ``dsbevd`` and ``zhbevd`` read the lower band and the real part of the
-    diagonal, as ``eigvalsh`` reads the lower triangle of a matrix that is
-    Hermitian only within ``is_hermitian``'s tolerance.  A complex
-    centro-Hermitian matrix that passes the rule goes to ``zhbevd`` whole:
-    its real block of the same order is dense (N = 4096, kd = 1: 0.26 s
-    against 4.8 s on 2 cores).  Sigma mode tests nothing else for itself:
-    one real matrix pays the skew test, stacks pay no structure test, and
-    only a matrix of order 32 or more, alone or in a stack, pays the
-    bandwidth test, so a caller that factors many small matrices (Monte
-    Carlo trials) pays no test per matrix.  Real (float64) input takes the
-    real LAPACK routine of each solver.
+    :func:`is_hermitian` (here, in lambda mode, when it is None).  A
+    Hermitian matrix's values come from its real eigenvalues, ascending in
+    lambda mode and their moduli, descending, in sigma mode.  Otherwise
+    sigma mode gives the singular values and lambda mode the complex
+    eigenvalues in (re, im) order.  Exact structure tests pick a cheaper
+    route to the same values (:func:`_spectrum`).
 
     ``materialize`` sets the symmetrizer of a product D_a H D_b with real,
     strictly positive diagonal samples; B = D_sqrt(ab) H D_sqrt(ab) has the
@@ -536,7 +474,8 @@ def spectrum(matrix, mode: str = SIGMA, hermitian: bool | None = None) -> np.nda
     saves numpy's per-call overhead on many small matrices; a stack of
     order 32 or more is routed matrix by matrix instead.  Every entry of the
     stack must be finite.  Eigenvalues (lambda mode, or ``hermitian`` true)
-    need a square matrix; the SVD of sigma mode also takes rectangles.
+    need a square matrix; the SVD of sigma mode also takes rectangles.  The
+    entries must be integer, float or complex.
     """
     arr = as_array(matrix)
     if arr.ndim < 2:
@@ -546,7 +485,28 @@ def spectrum(matrix, mode: str = SIGMA, hermitian: bool | None = None) -> np.nda
 
 
 def _spectrum(matrix, mode: str, hermitian: bool | None) -> np.ndarray:
-    """:func:`spectrum` of a matrix (ndim >= 2) that the caller found finite."""
+    """:func:`spectrum` of a matrix (ndim >= 2) that the caller found finite.
+
+    The routes, each to the values of the plain numpy call:
+
+    - Hermitian: :func:`_hermitian_eigenvalues`.
+    - Sigma mode of one real A = -A^T = -J A J (:func:`_is_skew_centro`; the
+      skew parts of D_n(x) T_n(f) and of real Toeplitz matrices, and
+      commutators such as [D_n(x), T_n(f)]): the first m rows of its even
+      reflection block (:func:`_reflection_block`, J), C = A[:m, :m] +
+      A[:m, N-m:] J with the column √2 A[:m, m] for N = 2m + 1.  Cantoni
+      and Butler's similarity takes A to [[0, -K^T], [K, 0]], K = J C, so
+      each singular value of C counts twice, plus one 0 for odd N.
+    - Any other sigma mode: :func:`_values`.
+    - Lambda mode of a ``BlockMatrix`` with a symmetrizer w for which B =
+      W^-1 A W passes ``is_hermitian``: B's eigenvalues as complex, with
+      imaginary parts exactly zero.  Otherwise ``eigvals``.
+
+    Sigma mode tests nothing else for itself: one real matrix pays the skew
+    test, stacks pay no structure test, and only a matrix of order 32 or
+    more pays the bandwidth test, so a caller that factors many small
+    matrices (Monte Carlo trials) pays no test per matrix.
+    """
     arr = as_array(matrix)
     band = getattr(matrix, "band", None)
     levels = matrix.n if isinstance(matrix, BlockMatrix) and matrix.r == 1 else ()
@@ -564,9 +524,9 @@ def _spectrum(matrix, mode: str, hermitian: bool | None) -> np.ndarray:
             return values if mode == LAMBDA else np.sort(np.abs(values))[..., ::-1]
         if mode == SIGMA:
             if arr.ndim == 2 and not np.iscomplexobj(arr) and _is_skew_centro(arr):
-                sv = _singular_values(_skew_centro_block(arr))
+                sv = _values(_reflection_block(arr, arr.shape[:1], (1,))[:len(arr) // 2], False)
                 return np.concatenate([np.repeat(sv, 2), np.zeros(arr.shape[0] % 2)])
-            return _singular_values(arr, band)
+            return _values(arr, False, band)
         w = getattr(matrix, "symmetrizer", None)
         if w is not None:
             b = arr * w  # B = W^-1 A W
@@ -579,8 +539,12 @@ def _spectrum(matrix, mode: str, hermitian: bool | None) -> np.ndarray:
 
 
 def _finite(arr: np.ndarray) -> None:
-    """Raise :class:`EvaluationError` if an entry is not finite, reading a
-    stack's rows in :func:`~gltlab.matgen.row_strips`: no N x N temporary."""
+    """Raise :class:`InvalidParameterError` unless the entries are integer,
+    float or complex, and :class:`EvaluationError` if one is not finite,
+    reading a stack's rows in :func:`~gltlab.matgen.row_strips`: no N x N
+    temporary."""
+    if arr.dtype.kind not in "iufc":
+        raise InvalidParameterError(f"matrix entries must be numbers, got dtype {arr.dtype}")
     rows = arr.reshape(-1, arr.shape[-1]) if arr.ndim and arr.size else arr.reshape(-1)
     if not all(np.isfinite(rows[lo:hi]).all() for lo, hi in row_strips(len(rows), rows.shape[-1])):
         raise EvaluationError("matrix has non-finite entries")

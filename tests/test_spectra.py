@@ -117,6 +117,21 @@ def test_spectrum_rejects_input_of_fewer_than_two_dimensions(value, mode):
     assert info.value.exit_code == 2
 
 
+@pytest.mark.parametrize("a", [np.eye(64, dtype=bool), np.full((3, 3), "1"),
+                               np.eye(3, dtype=object)], ids=["bool", "str", "object"])
+def test_a_matrix_of_non_numbers_is_a_typed_error(a):
+    from gltlab.acs import splitting_distance
+
+    symbol = symbol_of(parse("T(2-2*cos(t1))"))
+    calls = [lambda: spectrum(a, "sigma"), lambda: spectrum(a, "lambda"),
+             lambda: schatten_norm(a, 2), lambda: splitting_distance(a),
+             lambda: distribution_check(lambda n: a, symbol, [3])]
+    for call in calls:
+        with pytest.raises(InvalidParameterError, match="dtype") as info:
+            call()
+        assert info.value.exit_code == 2
+
+
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_empty_matrix_has_an_empty_spectrum(dtype):
     empty = np.zeros((0, 0), dtype=dtype)
@@ -435,7 +450,8 @@ def test_centro_hermitian_test_within_the_band_bound_matches_the_strips(expr, n)
 
     bm = materialize(parse(expr), n)
     for a in [bm.data] + ([_nudged(bm.data)] if bm.data.shape[0] > 3 else []):
-        assert spectra_mod._is_centro_hermitian(a, bm.band) == spectra_mod._is_centro_hermitian(a)
+        nonzeros = spectra_mod._band_nonzeros(a, max(bm.band))
+        assert spectra_mod._is_centro_hermitian(a, nonzeros) == spectra_mod._is_centro_hermitian(a)
 
 
 def test_centro_hermitian_path_and_its_gate(monkeypatch):
@@ -800,7 +816,7 @@ def test_real_centro_blocks_are_built_in_band_storage(expr, n, monkeypatch):
     plain = dataclasses.replace(bm)  # the same matrix with no bound
     sizes = bm.n  # every case commutes with each level's reversal
     assert all(spectra_mod._is_centro_hermitian(bm.data, None, sizes, (l,)) for l in range(len(sizes)))
-    spans = spectra_mod._fold_spans(bm.data, sizes, max(bm.band))
+    spans = spectra_mod._fold_spans(sizes, spectra_mod._band_nonzeros(bm.data, max(bm.band)))
     build, failing = spectra_mod._reflection_block, 0
     for signs in itertools.product((1, -1), repeat=len(sizes)):
         half = [(m + (s > 0)) // 2 for m, s in zip(sizes, signs)]
@@ -863,8 +879,9 @@ def test_a_symbol_even_only_jointly_keeps_the_two_centro_blocks(monkeypatch):
     import gltlab.spectra as spectra_mod
 
     bm = materialize(parse("T(4-2*cos(t1)-2*cos(t2)+0.5*cos(t1+t2))"), (20, 21))
-    assert not any(spectra_mod._is_centro_hermitian(bm.data, bm.band, bm.n, (l,)) for l in (0, 1))
-    assert spectra_mod._is_centro_hermitian(bm.data, bm.band)
+    nonzeros = spectra_mod._band_nonzeros(bm.data, max(bm.band))
+    assert not any(spectra_mod._is_centro_hermitian(bm.data, nonzeros, bm.n, (l,)) for l in (0, 1))
+    assert spectra_mod._is_centro_hermitian(bm.data, nonzeros)
     lam = np.linalg.eigvalsh(bm.data)
     blocks = _block_count(monkeypatch)
     assert np.abs(spectrum(bm, "lambda") - lam).max() <= 1e-13 * np.abs(lam).max()
@@ -882,7 +899,7 @@ def test_1_level_spectra_are_the_cantoni_butler_bits(expr, n):
 
     bm = materialize(parse(expr), n)
     blocks = cantoni_butler_blocks(bm.data)
-    lam = np.sort(np.concatenate([spectra_mod._eigvalsh(b) for b in blocks]))
+    lam = np.sort(np.concatenate([spectra_mod._values(b, True) for b in blocks]))
     for matrix in (bm, dataclasses.replace(bm), bm.data):
         assert np.array_equal(spectrum(matrix, "lambda", hermitian=True), lam)
         assert np.array_equal(spectrum(matrix, "sigma", hermitian=True), np.sort(np.abs(lam))[::-1])
@@ -899,10 +916,24 @@ def test_an_odd_middle_row_is_read_from_its_column(n):
     bm.data[m, m - 1] = bm.data[m, m + 1] = np.nextafter(-1.0, 0.0)  # a centro pair
     assert spectra_mod._is_centro_hermitian(bm.data) and is_hermitian(bm)
     blocks = cantoni_butler_blocks(bm.data)
-    lam = np.sort(np.concatenate([spectra_mod._eigvalsh(b) for b in blocks]))
+    lam = np.sort(np.concatenate([spectra_mod._values(b, True) for b in blocks]))
     assert not np.array_equal(lam, spectrum(bm.data.T, "lambda", hermitian=True))
     for matrix in (bm, dataclasses.replace(bm), bm.data):
         assert np.array_equal(spectrum(matrix, "lambda", hermitian=True), lam)
+
+
+@pytest.mark.parametrize("expr, n", [("T(4-2*cos(t1)-2*cos(t2))", (48, 48)),
+                                     ("T(2+cos(t1+t2))", (40, 40)), ("T(2-2*cos(t1))", 2048)])
+def test_a_spectrum_reads_the_in_band_nonzeros_once(expr, n, monkeypatch):
+    """The structure tests and the blocks' kd bounds share one read."""
+    import gltlab.spectra as spectra_mod
+
+    bm, read, reads = materialize(parse(expr), n), spectra_mod._band_nonzeros, []
+    monkeypatch.setattr(spectra_mod, "_band_nonzeros", lambda a, k: reads.append(k) or read(a, k))
+    for mode, hermitian in (("lambda", None), ("sigma", True)):
+        reads.clear()
+        spectrum(bm, mode, hermitian)
+        assert reads == [max(bm.band)]
 
 
 def _traced_peak(run) -> int:
@@ -942,8 +973,11 @@ def test_band_route_takes_the_odd_skew_block(monkeypatch):
     a = materialize(parse("T(exp(i*t1))"), 255).data
     a = (a - a.T) / 2
     full = np.linalg.svd(a, compute_uv=False)
-    block = spectra_mod._skew_centro_block(a)
+    block = spectra_mod._reflection_block(a, (255,), (1,))[:127]
     assert block.shape == (127, 128) and spectra_mod._bandwidths(block) == (1, 1)
+    # Cantoni and Butler's C = A[:m, :m] + A[:m, N-m:] J with the column √2 A[:m, m]
+    c = np.hstack([a[:127, :127] + a[:127, 128:][:, ::-1], np.sqrt(2.0) * a[:127, 127:128]])
+    assert np.array_equal(block, c)
     _band_only(monkeypatch)
     values = spectrum(a, "sigma")
     assert values[-1] == 0.0 and np.abs(values - full).max() <= 1e-13 * full[0]
