@@ -11,7 +11,6 @@ from .acs import (
     RandomSequenceModel,
     acs_check,
     sacs_check,
-    splitting_distance,
     zero_distribution_test,
 )
 from .gltcalc import (
@@ -28,7 +27,6 @@ from .gltcalc import (
     glt1_verify,
     glt5_split_check,
     materialize,
-    structurally_equal,
     symbol_of,
     truncate_toeplitz,
 )
@@ -42,9 +40,7 @@ from .spectra import (
     distribution_check,
     empirical_functional,
     poly_on_window,
-    schatten_norm,
     spectrum,
-    symbol_functional,
 )
 from .symbols import (
     CoefficientFunction,
@@ -92,12 +88,8 @@ __all__ = [
     "parse",
     "poly_on_window",
     "sacs_check",
-    "schatten_norm",
     "spectral_surfaces",
     "spectrum",
-    "splitting_distance",
-    "structurally_equal",
-    "symbol_functional",
     "symbol_of",
     "toeplitz",
     "truncate_toeplitz",

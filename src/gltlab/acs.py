@@ -54,7 +54,6 @@ from .spectra import (
     SIGMA,
     SLACK,
     _normalize_sizes,
-    _schatten_from_values,
     non_increasing,
     spectrum,
     trending_to_zero,
@@ -123,12 +122,6 @@ def _argmin_splitting(sv: np.ndarray, d_n: int) -> tuple[int, float]:
     """(i*, sigma_{i*+1}) of the splitting functional over descending ``sv``."""
     istar = int(np.argmin(_splitting_candidates(sv, d_n)))
     return istar, float(np.concatenate([sv, [0.0]])[istar])
-
-
-def splitting_distance(matrix) -> float:
-    """min_i ( i/d_n + sigma_{i+1} ); always in [0, min(1, sigma_1)]."""
-    arr = as_array(matrix)
-    return float(np.min(_splitting_candidates(spectrum(arr, SIGMA), arr.shape[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +270,7 @@ def zero_distribution_test(seq, p, sizes: Sequence, tol: float = 0.1) -> Report:
         d_ns.append(d_n)
         scale = 1.0 if p == np.inf else d_n ** (1.0 / p)
         sv = spectrum(arr, SIGMA)
-        norms.append(_schatten_from_values(sv, p) / scale)
+        norms.append((float(sv[0]) if p == np.inf else float(np.sum(sv**p) ** (1.0 / p))) / scale)
         dists.append(float(np.min(_splitting_candidates(sv, d_n))))
     norm_ok = norms[-1] <= tol and non_increasing(norms)
     split_ok = dists[-1] <= tol and non_increasing(dists)

@@ -84,7 +84,6 @@ class ExperimentConfig:
     tolerance: float = _field(0.05, float)
     slack: float = _field(SLACK, float)
     quad_tol: float = _field(QUAD_TOL, float)
-    grid: int = _field(64, int)
     m_list: list = _field([], lambda s: [int(v) for v in s.split(",")])
     family: str = _field("truncate", str.strip)
     model: str = _field("designed", str.strip)
@@ -271,10 +270,10 @@ def _run_distribution(cfg: ExperimentConfig):
     e = _parse_expression(cfg)
     seq = lambda n: materialize(e, n, r=cfg.r)
     basket_ids = None if cfg.basket == "auto" else [s.strip() for s in cfg.basket.split(",")]
-    report = distribution_check(seq, symbol_of(e, r=cfg.r), cfg.sizes, mode=cfg.mode,
+    symbol = symbol_of(e, len(cfg.sizes[0]), 1 if cfg.r is None else cfg.r)  # as materialize
+    report = distribution_check(seq, symbol, cfg.sizes, mode=cfg.mode,
                                 tolerance=cfg.tolerance, slack=cfg.slack,
-                                quad_tol=cfg.quad_tol, grid_points_per_dim=cfg.grid,
-                                basket_ids=basket_ids)
+                                quad_tol=cfg.quad_tol, basket_ids=basket_ids)
     return report, {"expression": dsl.format_expression(e), "mode": cfg.mode}
 
 

@@ -169,27 +169,6 @@ def _merge_dims(a, b):
     return d, r
 
 
-def structurally_equal(a: GLTExpression, b: GLTExpression) -> bool:
-    """Structural tree equality (coefficient tables compared exactly); inner
-    nodes compare every field, their children recursively."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Toeplitz):
-        pa, pb = a.poly, b.poly
-        if (pa.d, pa.r) != (pb.d, pb.r) or set(pa.coeffs) != set(pb.coeffs):
-            return False
-        return all(np.array_equal(pa.coeffs[k], pb.coeffs[k]) for k in pa.coeffs)
-    if isinstance(a, Diag):
-        if a.exprs is None or b.exprs is None:
-            return a.coefficient is b.coefficient
-        return a.exprs == b.exprs
-    for f in fields(a):
-        u, v = getattr(a, f.name), getattr(b, f.name)
-        if not (structurally_equal(u, v) if isinstance(u, GLTExpression) else u == v):
-            return False
-    return True
-
-
 def truncate_toeplitz(e: GLTExpression, degree: int) -> GLTExpression:
     """Degree-m truncation of every Toeplitz leaf (the canonical a.c.s. family)."""
     if isinstance(e, Toeplitz):
@@ -534,7 +513,9 @@ def glt1_verify(e: GLTExpression, sizes: Sequence, mode: str = "sigma",
     quasi-Hermitian split check over the same sizes; a passing split grants
     the waiver, a failing one raises ModeError.
     """
-    sym = symbol_of(e, r=r)
+    sizes = _normalize_sizes(sizes)
+    # d and r as materialize resolves them, so a leafless expression has a symbol
+    sym = symbol_of(e, len(sizes[0]), 1 if r is None else r)
     # On the waiver path both checks read every size: the split check keeps
     # each matrix and the distribution check takes it back, so every size is
     # materialized once and dropped after its second use.

@@ -1,4 +1,4 @@
-"""Spectra, Schatten norms, Weyl functionals, and distribution verdicts.
+"""Spectra, Weyl functionals, and distribution verdicts.
 
 The averaged test-function sums over eigenvalues or singular values are
 compared against the symbol-side integrals; since limits are not observable,
@@ -550,22 +550,6 @@ def _finite(arr: np.ndarray) -> None:
         raise EvaluationError("matrix has non-finite entries")
 
 
-def _schatten_from_values(sv: np.ndarray, p) -> float:
-    """p-norm of a descending singular value vector; p=inf is sigma_1."""
-    if sv.size == 0:
-        return 0.0
-    if p == np.inf:
-        return float(sv[0])
-    return float(np.sum(sv**p) ** (1.0 / p))
-
-
-def schatten_norm(matrix, p) -> float:
-    """p-norm of the singular value vector; p=inf is the spectral norm."""
-    if not p >= 1:
-        raise InvalidParameterError(f"Schatten norm requires p >= 1, got {p}")
-    return _schatten_from_values(spectrum(matrix, SIGMA), p)
-
-
 def empirical_functional(values, f: TestFunction) -> float:
     """Arithmetic mean of F over a spectrum, (1/d_n) sum F(values_i)."""
     arr = np.asarray(values)
@@ -580,46 +564,40 @@ def empirical_functional(values, f: TestFunction) -> float:
 # symbol-side quadrature
 
 
-def _midline(count: int, lo: float, hi: float) -> np.ndarray:
-    return lo + (np.arange(count) + 0.5) * (hi - lo) / count
+def _grid(s: Symbol, g: int, ends: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The tensor grid of d space axes on [0, 1] then d frequency axes on
+    [-pi, pi], as (x, theta): g cell midpoints per axis, or with ``ends`` g
+    points from end to end.  An axis the symbol does not depend on gets one
+    node, its midpoint.
+
+    Endpoints matter to the probe of a symbol's range: surfaces often attain
+    their extremes on the domain boundary, and the hull estimated from these
+    samples must cover the range so that windowed test functions never clip it.
+    """
+    lines = []
+    for depends, lo, hi in ((s.depends_space, 0.0, 1.0), (s.depends_frequency, -np.pi, np.pi)):
+        count = g if depends else 1
+        if ends and count > 1:
+            lines += [np.linspace(lo, hi, count)] * s.d
+        else:
+            lines += [lo + (np.arange(count) + 0.5) * (hi - lo) / count] * s.d
+    flat = [m.ravel() for m in np.meshgrid(*lines, indexing="ij")]
+    return np.stack(flat[:s.d], axis=1), np.stack(flat[s.d:], axis=1)
 
 
-def _mesh_nodes(lines: list[np.ndarray], d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The tensor grid of d space lines then d frequency lines, as (x, theta)."""
-    mesh = np.meshgrid(*lines, indexing="ij")
-    flat = [m.ravel() for m in mesh]
-    return np.stack(flat[:d], axis=1), np.stack(flat[d:], axis=1)
-
-
-def _tensor_nodes(s: Symbol, g: int) -> tuple[np.ndarray, np.ndarray]:
-    gx = g if s.depends_space else 1
-    gt = g if s.depends_frequency else 1
-    lines = [_midline(gx, 0.0, 1.0)] * s.d + [_midline(gt, -np.pi, np.pi)] * s.d
-    return _mesh_nodes(lines, s.d)
+def _active(s: Symbol) -> int:
+    """The number of axes, of 2d, that the symbol depends on."""
+    return s.d * (int(s.depends_space) + int(s.depends_frequency))
 
 
 def _node_count(s: Symbol, g: int) -> int:
-    gx = g if s.depends_space else 1
-    gt = g if s.depends_frequency else 1
-    return (gx**s.d) * (gt**s.d)
+    return g ** _active(s)
 
 
-def _probe_nodes(s: Symbol, per_dim: int):
-    """Endpoint-including evaluation grid capped at ``_PROBE_NODES`` nodes.
-
-    Endpoints matter: symbol surfaces often attain their extremes on the
-    domain boundary, and the hull estimated from these samples must cover
-    the range so that windowed test functions never clip it.
-    """
-    active = s.d * (int(s.depends_space) + int(s.depends_frequency))
-    g = per_dim
-    if active > 0:
-        g = min(per_dim, max(3, int(_PROBE_NODES ** (1.0 / active))))
-    gx = g if s.depends_space else 1
-    gt = g if s.depends_frequency else 1
-    x_line = np.linspace(0.0, 1.0, gx) if gx > 1 else np.array([0.5])
-    t_line = np.linspace(-np.pi, np.pi, gt) if gt > 1 else np.array([0.0])
-    return _mesh_nodes([x_line] * s.d + [t_line] * s.d, s.d)
+def _per_axis(s: Symbol, budget: int) -> int:
+    """Points per axis the symbol depends on that fit ``budget`` nodes."""
+    active = _active(s)
+    return int(budget ** (1.0 / active)) if active else budget
 
 
 @dataclass(frozen=True)
@@ -636,32 +614,39 @@ class Quadrature:
 
 def _grid_means(s: Symbol, basket: Sequence[TestFunction], mode: str, g: int) -> list[float]:
     """Midpoint means of every test function, from one surface evaluation."""
-    x, theta = _tensor_nodes(s, g)
+    x, theta = _grid(s, g)
     surfaces = spectral_surfaces(s, x, theta, mode)
     return [float(np.mean(f.evaluate(surfaces))) for f in basket]
 
 
 def _basket_quadrature(s: Symbol, basket: Sequence[TestFunction], mode: str,
-                       grid_points_per_dim: int, tol: float) -> list[Quadrature]:
-    """Symbol-side integrals of a whole basket, each grid evaluated once.
+                       tol: float) -> list[Quadrature]:
+    """Tensor quadrature of each averaged surface functional of a basket,
+    (1/mu(D)) int mean_i F(surface_i(x, theta)) d(x, theta).
 
-    Every function follows the rule of :func:`symbol_functional` and stops at
-    its own resolution, so its value is the one a call for it alone returns;
-    later grids apply only the functions that have not converged yet.
+    The rule is the midpoint rule I(g) on a g-per-dimension grid, from g = 64.  It is
+    spectrally accurate in the periodic theta, so a frequency-only symbol
+    takes I(g) as its estimate.  In the non-periodic x it converges only as
+    O(h^2), so a symbol that depends on x takes one Richardson step,
+    R(g) = (4 I(2g) - I(g)) / 3.  The grid is doubled until two consecutive
+    estimates differ by less than ``tol``; the finer one is reported.  The
+    convergence test stays the gate because clipped windows and |.|
+    surfaces break the h^2 expansion.  The grid is that of :func:`_grid`, and
+    the starting resolution shrinks automatically so that the grids of one
+    convergence test fit inside the ``_MAX_NODES`` budget;
+    :class:`QuadratureError` is raised when the budget runs out first.
+
+    Each grid is evaluated once for the whole basket.  Every function stops
+    at its own resolution, so its value is the one a basket of it alone
+    returns; later grids apply only the functions that have not converged yet.
     """
-    # The midpoint rule is spectrally accurate in the periodic theta but only
-    # O(h^2) in x; one Richardson step cancels the h^2 term.
     richardson = s.depends_space
     doublings = 2 if richardson else 1  # grids past the first before one comparison
-    g = max(int(grid_points_per_dim), 2)
-    active = s.d * (int(s.depends_space) + int(s.depends_frequency))
-    if active > 0:
-        g_cap = int(_MAX_NODES ** (1.0 / active)) >> doublings
-        g = min(g, max(g_cap, 2))
+    g = min(64, max(_per_axis(s, _MAX_NODES) >> doublings, 2))
     if _node_count(s, g << doublings) > _MAX_NODES:
         raise QuadratureError(
             f"node budget {_MAX_NODES} cannot fit the {doublings + 1} grids of one "
-            f"convergence test ({active} active dimensions)"
+            f"convergence test ({_active(s)} active dimensions)"
         )
     coarse = _grid_means(s, basket, mode, g)
     estimate: list[float | None] = [None] * len(basket) if richardson else list(coarse)
@@ -689,25 +674,6 @@ def _basket_quadrature(s: Symbol, basket: Sequence[TestFunction], mode: str,
     return [done[i] for i in range(len(basket))]
 
 
-def symbol_functional(s: Symbol, f: TestFunction, mode: str = SIGMA) -> float:
-    """Tensor quadrature of the averaged surface functional,
-    (1/mu(D)) int mean_i F(surface_i(x, theta)) d(x, theta).
-
-    The rule is the midpoint rule I(g) on a g-per-dimension grid, from g = 64.  It is
-    spectrally accurate in the periodic theta, so a frequency-only symbol
-    takes I(g) as its estimate.  In the non-periodic x it converges only as
-    O(h^2), so a symbol that depends on x takes one Richardson step,
-    R(g) = (4 I(2g) - I(g)) / 3.  The grid is doubled until two consecutive
-    estimates differ by less than ``QUAD_TOL``; the finer one is reported.  The
-    convergence test stays the gate because clipped windows and |.|
-    surfaces break the h^2 expansion.  Inactive variables use a single
-    midpoint node.  The starting resolution shrinks automatically so that
-    the grids of one convergence test fit inside the ``_MAX_NODES`` budget;
-    :class:`QuadratureError` is raised when the budget runs out first.
-    """
-    return _basket_quadrature(s, [f], mode, 64, QUAD_TOL)[0].value
-
-
 # ---------------------------------------------------------------------------
 # trend policies shared by the verdict-producing checks
 
@@ -724,9 +690,9 @@ def non_increasing(series: Sequence[float], slack: float = SLACK,
 
 
 def trending_to_zero(series: Sequence[float], slack: float = SLACK,
-                     decay: float = DECAY, floor: float = FLOOR) -> bool:
+                     floor: float = FLOOR) -> bool:
     """Finite surrogate for ``lim = 0``: non-increasing steps (with slack)
-    plus an overall decay of at least ``decay`` from first to last value."""
+    plus an overall decay of at least ``DECAY`` from first to last value."""
     vals = [float(v) for v in series]
     if not vals:
         return True
@@ -734,7 +700,7 @@ def trending_to_zero(series: Sequence[float], slack: float = SLACK,
         return True
     if not non_increasing(vals, slack=slack, floor=floor):
         return False
-    return vals[-1] <= decay * vals[0] + floor
+    return vals[-1] <= DECAY * vals[0] + floor
 
 
 # ---------------------------------------------------------------------------
@@ -767,8 +733,7 @@ def _normalize_sizes(sizes: Sequence) -> list[MultiIndex]:
 def distribution_check(seq, symbol: Symbol, sizes: Sequence, mode: str = SIGMA,
                        basket: Sequence[TestFunction] | None = None,
                        tolerance: float = 0.05, slack: float = SLACK,
-                       quad_tol: float = QUAD_TOL, grid_points_per_dim: int = 64,
-                       allow_non_hermitian: bool = False,
+                       quad_tol: float = QUAD_TOL, allow_non_hermitian: bool = False,
                        basket_ids: Sequence[str] | None = None) -> Report:
     """Compare empirical Weyl averages against symbol integrals over a size sweep.
 
@@ -797,20 +762,21 @@ def distribution_check(seq, symbol: Symbol, sizes: Sequence, mode: str = SIGMA,
         del matrix  # so that no matrix is held while the next one or the grids are built
     if basket is None:
         observed = np.concatenate([np.asarray(v).real.ravel() for v in spectra])
-        probe_x, probe_t = _probe_nodes(symbol, 17)
+        probe_x, probe_t = _grid(symbol, min(17, max(3, _per_axis(symbol, _PROBE_NODES))),
+                                 ends=True)
         samples = spectral_surfaces(symbol, probe_x, probe_t, mode).real.ravel()
         lo = float(min(observed.min(), samples.min()))
         hi = float(max(observed.max(), samples.max()))
         basket = default_basket(lo, hi)
-        if basket_ids is not None:
-            known = {f.id: f for f in basket}
-            missing = [fid for fid in basket_ids if fid not in known]
-            if missing:
-                raise InvalidParameterError(
-                    f"unknown basket ids {missing}; available: {sorted(known)}"
-                )
-            basket = [known[fid] for fid in basket_ids]
-    quadrature = _basket_quadrature(symbol, basket, mode, grid_points_per_dim, quad_tol)
+    if basket_ids is not None:
+        known = {f.id: f for f in basket}
+        missing = [fid for fid in basket_ids if fid not in known]
+        if missing:
+            raise InvalidParameterError(
+                f"unknown basket ids {missing}; available: {sorted(known)}"
+            )
+        basket = [known[fid] for fid in basket_ids]
+    quadrature = _basket_quadrature(symbol, basket, mode, quad_tol)
     rows: list[WeylRow] = []
     checks: list[dict] = []
     passed = True

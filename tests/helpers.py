@@ -1,23 +1,71 @@
 """Shared fixtures-by-hand for the test suite."""
 
 import itertools
+from dataclasses import fields
 
 import numpy as np
 
 from gltlab.acs import _STACK_BYTES, CERTIFICATE_COLUMNS, SplittingRow, hoeffding_radius
+from gltlab.gltcalc import Diag, GLTExpression, Toeplitz
+from gltlab.matgen import as_array
 from gltlab.multiindex import MultiIndex, check_size, nu
 from gltlab.errors import InvalidParameterError, QuadratureError
 from gltlab.reports import Report
 from gltlab.spectra import (
     LAMBDA,
-    _mesh_nodes,
-    _node_count,
+    QUAD_TOL,
+    SIGMA,
+    _basket_quadrature,
     _normalize_sizes,
-    _tensor_nodes,
-    schatten_norm,
+    spectrum,
     trending_to_zero,
 )
 from gltlab.symbols import Symbol, TrigPolynomial, spectral_surfaces
+
+
+def structurally_equal(a: GLTExpression, b: GLTExpression) -> bool:
+    """Structural tree equality (coefficient tables compared exactly); inner
+    nodes compare every field, their children recursively."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Toeplitz):
+        pa, pb = a.poly, b.poly
+        if (pa.d, pa.r) != (pb.d, pb.r) or set(pa.coeffs) != set(pb.coeffs):
+            return False
+        return all(np.array_equal(pa.coeffs[k], pb.coeffs[k]) for k in pa.coeffs)
+    if isinstance(a, Diag):
+        if a.exprs is None or b.exprs is None:
+            return a.coefficient is b.coefficient
+        return a.exprs == b.exprs
+    for f in fields(a):
+        u, v = getattr(a, f.name), getattr(b, f.name)
+        if not (structurally_equal(u, v) if isinstance(u, GLTExpression) else u == v):
+            return False
+    return True
+
+
+def schatten_norm(matrix, p) -> float:
+    """p-norm of the singular value vector; p=inf is the spectral norm."""
+    sv = spectrum(matrix, SIGMA)
+    return float(np.max(sv, initial=0.0)) if p == np.inf else float(np.sum(sv**p) ** (1.0 / p))
+
+
+def splitting_distance(matrix) -> float:
+    """min_i ( i/d_n + sigma_{i+1} ); always in [0, min(1, sigma_1)]."""
+    arr = as_array(matrix)
+    sv = np.append(spectrum(arr, SIGMA), 0.0)
+    return float(np.min(np.arange(arr.shape[0] + 1) / arr.shape[0] + sv))
+
+
+def symbol_functional(s: Symbol, f, mode: str = SIGMA) -> float:
+    """The symbol-side integral of one test function, by the lab's quadrature."""
+    return _basket_quadrature(s, [f], mode, QUAD_TOL)[0].value
+
+
+def _mesh(s: Symbol, x_lines, t_lines):
+    """(x, theta) of the tensor grid of the space lines then the frequency lines."""
+    flat = [m.ravel() for m in np.meshgrid(*x_lines, *t_lines, indexing="ij")]
+    return np.stack(flat[:s.d], axis=1), np.stack(flat[s.d:], axis=1)
 
 
 def random_trig_polynomial(rng, d=1, r=1, degree=1, hermitian=True, scale=1.0):
@@ -141,7 +189,7 @@ def errors_for(report, f_id):
     return [(row.d_n, row.abs_error) for row in report.rows if row.f_id == f_id]
 
 
-def sacs_oracle(model, m_list, sizes, trials, slack=1.5, decay=0.5, floor=1e-10):
+def sacs_oracle(model, m_list, sizes, trials, slack=1.5, floor=1e-10):
     """Oracle: the s.a.c.s. certificate from one trial at a time, with a
     separate SVD for each rank and each norm; each chunk of trials (as many as
     fit a complex stack of ``_STACK_BYTES``) is drawn by ``model.sample``."""
@@ -176,10 +224,9 @@ def sacs_oracle(model, m_list, sizes, trials, slack=1.5, decay=0.5, floor=1e-10)
     w_decl = {m: model.omega_bound(m) for m in m_list}
     passed = (
         events_ok
-        and trending_to_zero([c_decl[m] for m in m_list], slack=slack, decay=decay, floor=floor)
-        and trending_to_zero([w_decl[m] for m in m_list], slack=slack, decay=decay, floor=floor)
-        and trending_to_zero([s_est[m] for m in m_list], slack=slack, decay=decay,
-                             floor=max(floor, radius))
+        and trending_to_zero([c_decl[m] for m in m_list], slack=slack, floor=floor)
+        and trending_to_zero([w_decl[m] for m in m_list], slack=slack, floor=floor)
+        and trending_to_zero([s_est[m] for m in m_list], slack=slack, floor=max(floor, radius))
     )
     verdict = "PASS" if passed else "FAIL"
     return Report(passed=passed, columns=CERTIFICATE_COLUMNS,
@@ -187,24 +234,28 @@ def sacs_oracle(model, m_list, sizes, trials, slack=1.5, decay=0.5, floor=1e-10)
                   facts={"s_estimates": {str(m): s for m, s in s_est.items()}})
 
 
-def midpoint_functional(s, f, mode, grid_points_per_dim=64, tol=1e-8, max_nodes=2**22):
-    """Oracle: one test function's tensor midpoint integral, its own surfaces
-    evaluated at every doubling until two values differ by less than tol."""
+def midpoint_functional(s, f, mode, tol=1e-8, max_nodes=2**22):
+    """Oracle: one test function's tensor midpoint integral, from g = 64 points
+    per axis the symbol depends on (one midpoint on the others), its own
+    surfaces evaluated at every doubling until two values differ by less than tol."""
+    active = s.d * (int(s.depends_space) + int(s.depends_frequency))
 
     def value(g):
-        x, theta = _tensor_nodes(s, g)
+        gx, gt = (g if s.depends_space else 1), (g if s.depends_frequency else 1)
+        x_line = (np.arange(gx) + 0.5) / gx
+        t_line = -np.pi + (np.arange(gt) + 0.5) * (2 * np.pi) / gt
+        x, theta = _mesh(s, [x_line] * s.d, [t_line] * s.d)
         return float(np.mean(f.evaluate(spectral_surfaces(s, x, theta, mode))))
 
-    g = max(int(grid_points_per_dim), 2)
-    active = s.d * (int(s.depends_space) + int(s.depends_frequency))
+    g = 64
     if active > 0:
         g = min(g, max(int(max_nodes ** (1.0 / active)) // 2, 2))
-    if _node_count(s, 2 * g) > max_nodes:
+    if (2 * g) ** active > max_nodes:
         raise QuadratureError("node budget cannot fit one grid doubling")
     prev = value(g)
     while True:
         g2 = 2 * g
-        if _node_count(s, g2) > max_nodes:
+        if g2**active > max_nodes:
             raise QuadratureError(f"no convergence within {max_nodes} nodes")
         cur = value(g2)
         if abs(cur - prev) < tol:
@@ -238,9 +289,8 @@ def _equispaced_nodes(s: Symbol, n: MultiIndex) -> tuple[np.ndarray, np.ndarray]
             gx, gt = 1, n_i
         counts_x.append(gx)
         counts_t.append(gt)
-    lines = [np.arange(1, g + 1) / g for g in counts_x]
-    lines += [-np.pi + np.arange(1, g + 1) * (2 * np.pi / g) for g in counts_t]
-    return _mesh_nodes(lines, s.d)
+    return _mesh(s, [np.arange(1, g + 1) / g for g in counts_x],
+                 [-np.pi + np.arange(1, g + 1) * (2 * np.pi / g) for g in counts_t])
 
 
 def quantile_compare(values, s: Symbol, n, outlier_budget: float | None = None,

@@ -11,7 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from helpers import errors_for, laplacian_eigenvalues, quantile_compare, random_trig_polynomial
+from helpers import (
+    errors_for,
+    laplacian_eigenvalues,
+    quantile_compare,
+    random_trig_polynomial,
+    structurally_equal,
+)
 
 from test_dsl import CORPUS
 
@@ -24,7 +30,7 @@ from gltlab.acs import (
     zero_distribution_test,
 )
 from gltlab.errors import DslSyntaxError
-from gltlab.gltcalc import materialize, structurally_equal
+from gltlab.gltcalc import materialize
 from gltlab.matgen import toeplitz
 from gltlab.multiindex import nu
 from gltlab.spectra import (

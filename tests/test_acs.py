@@ -3,7 +3,14 @@ import threading
 import numpy as np
 import pytest
 
-from helpers import designed_draw_chunk, numerical_rank, random_reflection, sacs_oracle
+from helpers import (
+    designed_draw_chunk,
+    numerical_rank,
+    random_reflection,
+    sacs_oracle,
+    schatten_norm,
+    splitting_distance,
+)
 
 import gltlab.acs as acs_mod
 from gltlab.acs import (
@@ -22,13 +29,12 @@ from gltlab.acs import (
     rank_one_sequence,
     sacs_check,
     spike_sequence,
-    splitting_distance,
     zero_distribution_test,
 )
 from gltlab.errors import EvaluationError, InvalidParameterError
 from gltlab.matgen import toeplitz
 from gltlab.multiindex import nu
-from gltlab.spectra import schatten_norm
+from gltlab.spectra import trending_to_zero
 from gltlab.symbols import TrigPolynomial
 
 
@@ -163,6 +169,22 @@ def test_sacs_deterministic_model():
         assert row.freq_rank == 1.0
         assert row.freq_norm == 1.0
         assert row.freq_s == 0.0
+
+
+def test_sacs_fails_on_a_missed_rank_event_while_every_trend_passes():
+    # R = I has full rank, above c(m) d_n at every trial; S = N = 0
+    def draw(rng, n, m, k):
+        zero = np.zeros((k, nu(n), nu(n)))
+        return zero, np.broadcast_to(np.eye(nu(n)), zero.shape), zero
+
+    model = acs_mod.RandomSequenceModel("identity_r", 0, draw, lambda m: 1.0 / (2 * m),
+                                        lambda m: 1.0 / m)
+    cert = sacs_check(model, [2, 4], [(8,), (12,)], trials=100)
+    assert not cert.passed
+    assert [(row.freq_rank, row.freq_norm, row.freq_s) for row in cert.rows] == [(0, 1, 0)] * 4
+    # c, omega and the s estimates all pass their trends: the events alone fail
+    assert trending_to_zero([1 / 4, 1 / 8]) and trending_to_zero([1 / 2, 1 / 4])
+    assert cert.facts["s_estimates"] == {"2": 0.0, "4": 0.0}
 
 
 def test_sacs_designed_model_estimates():

@@ -191,6 +191,15 @@ def test_check_sacs_cli(tmp_path):
     ]) == 2
 
 
+def test_check_dist_of_a_scalar_only_expression(tmp_path, capsys):
+    for extra in ([], ["--d", "1"]):
+        out = tmp_path / f"scalar{len(extra)}"
+        assert main(["check-dist", "--expr", "2", "--sizes", "8;16;32", "--out", str(out),
+                     *extra]) == 0
+        assert capsys.readouterr().out.strip() == "distribution: PASS"
+        assert json.loads((out / "summary.json").read_text())["verdict"] == "PASS"
+
+
 def test_check_glt5_cli(tmp_path):
     out = tmp_path / "glt5"
     code = main([
@@ -279,6 +288,11 @@ def test_unknown_config_key_is_an_error(tmp_path, capsys):
         "[tolerances]", "[tolerance]"))
     assert main(["run", path]) == 2
     assert "unknown config sections ['tolerance']" in capsys.readouterr().err
+    # the quadrature always starts at g = 64: grid is no key
+    path = write_config(tmp_path, DIST_CFG.format(out=tmp_path / "u") + "grid = 16\n")
+    assert main(["run", path]) == 2
+    assert "grid" in capsys.readouterr().err
+    assert not (tmp_path / "u").exists()
 
 
 def test_spectrum_n_is_one_multi_index(capsys):

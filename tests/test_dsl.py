@@ -8,6 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import structurally_equal
+
 from gltlab import dsl
 from gltlab.cli import main
 from gltlab.dsl import format_expression, parse
@@ -23,7 +25,6 @@ from gltlab.gltcalc import (
     Scalar,
     Toeplitz,
     materialize,
-    structurally_equal,
     symbol_of,
 )
 from gltlab.symbols import evaluate
@@ -105,6 +106,7 @@ ERRORS = [
     ("T((t1-t1)*t1)", "T-argument is not band-limited; declare a truncation degree "
                       "(numeric_degree)", 1, 1),
     ("Z Z", "unexpected trailing input 'Z'", 1, 3),
+    ("T([1,0;0,1])+T(1)", "leaves disagree on block size: 2 vs 1", 1, 14),
     ("", "empty expression", 1, 1),
 ]
 
@@ -134,6 +136,7 @@ OUT_OF_RANGE = [
     ("T(1e999)", "1:1: symbol argument out of range"),
     ("T((1+exp(i*t1))^1100)", "1:1: symbol argument out of range"),
     ("T(exp(1e308*i*t1)*exp(1e308*i*t1))", "1:1: symbol argument out of range"),
+    ("T((1e-200*exp(i*t1))^-2)", "1:1: symbol argument out of range"),  # 1e-400 underflows
 ]
 
 # The structural Hermitian flag of one tree per node kind.

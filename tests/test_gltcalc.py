@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import errors_for, laplacian_eigenvalues, random_trig_polynomial
+from helpers import errors_for, laplacian_eigenvalues, random_trig_polynomial, structurally_equal
 
 import gltlab.matgen as matgen_mod
 from gltlab.dsl import parse
@@ -32,7 +32,6 @@ from gltlab.gltcalc import (
     glt1_verify,
     glt5_split_check,
     materialize,
-    structurally_equal,
     symbol_of,
     truncate_toeplitz,
 )
@@ -280,6 +279,13 @@ def test_glt1_verify_product_sigma_first_moment():
     errs = [err for _, err in errors_for(report, "x")]
     assert errs[-1] < 0.02
     assert errs[0] > errs[-1]
+
+
+def test_glt1_verify_of_a_scalar_only_expression_takes_d_and_r_as_materialize():
+    # no structural leaf: d comes from the sizes and r is 1, as in materialize
+    report = glt1_verify(parse("2"), [8, 16, 32])
+    assert report.passed
+    assert {row.symbol for row in report.rows if row.f_id == "x"} == {2.0}
 
 
 def test_glt1_verify_mode_gate():

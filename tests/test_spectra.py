@@ -18,6 +18,9 @@ from helpers import (
     quantile_compare,
     random_reflection,
     random_trig_polynomial,
+    schatten_norm,
+    splitting_distance,
+    symbol_functional,
 )
 
 from gltlab.dsl import parse
@@ -38,9 +41,7 @@ from gltlab.spectra import (
     empirical_functional,
     non_increasing,
     poly_on_window,
-    schatten_norm,
     spectrum,
-    symbol_functional,
     trending_to_zero,
 )
 from gltlab.symbols import TrigPolynomial
@@ -120,8 +121,6 @@ def test_spectrum_rejects_input_of_fewer_than_two_dimensions(value, mode):
 @pytest.mark.parametrize("a", [np.eye(64, dtype=bool), np.full((3, 3), "1"),
                                np.eye(3, dtype=object)], ids=["bool", "str", "object"])
 def test_a_matrix_of_non_numbers_is_a_typed_error(a):
-    from gltlab.acs import splitting_distance
-
     symbol = symbol_of(parse("T(2-2*cos(t1))"))
     calls = [lambda: spectrum(a, "sigma"), lambda: spectrum(a, "lambda"),
              lambda: schatten_norm(a, 2), lambda: splitting_distance(a),
@@ -194,10 +193,14 @@ def test_schatten_frobenius_identity():
 
 
 def test_schatten_invalid_p():
-    with pytest.raises(InvalidParameterError):
-        schatten_norm(np.eye(2), 0.5)
-    with pytest.raises(InvalidParameterError):
-        schatten_norm(np.eye(2), np.nan)
+    from gltlab.acs import zero_distribution_test
+
+    def seq(n):
+        raise AssertionError("a matrix was built")
+
+    for p in (0.5, np.nan):
+        with pytest.raises(InvalidParameterError, match="p >= 1"):
+            zero_distribution_test(seq, p, [4, 8])
 
 
 @given(
@@ -294,6 +297,15 @@ def test_distribution_check_basket_filter():
             lambda n: toeplitz(LAP, n), LAP, [8, 16], mode="lambda",
             basket_ids=["nope"],
         )
+    # the ids also pick from a basket passed in
+    basket = [poly_on_window(1, -10, 10, "x"), poly_on_window(2, -10, 10, "x^2")]
+    with pytest.raises(InvalidParameterError, match="unknown basket ids"):
+        distribution_check(lambda n: toeplitz(LAP, n), LAP, [8, 16], mode="lambda",
+                           basket=basket[:1], basket_ids=["nope"])
+    report = distribution_check(lambda n: toeplitz(LAP, n), LAP, [8, 16], mode="lambda",
+                                basket=basket, basket_ids=["x^2"])
+    assert [row.f_id for row in report.rows] == ["x^2", "x^2"]
+    assert list(report.metadata["quadrature"]) == ["x^2"]
 
 
 def test_distribution_report_csv_header():
@@ -568,10 +580,10 @@ def test_frequency_only_quadrature_matches_the_midpoint_oracle_bit_for_bit(symbo
         assert symbol_functional(symbol, f, mode) == midpoint_functional(symbol, f, mode, tol=1e-7)
     sizes = [(4,) * symbol.d, (8,) * symbol.d]
     report = distribution_check(lambda n: toeplitz(symbol, n), symbol, sizes, mode=mode,
-                                basket=basket, quad_tol=1e-7, grid_points_per_dim=16)
+                                basket=basket, quad_tol=1e-7)
     for row in report.rows:
         f = next(f for f in basket if f.id == row.f_id)
-        assert row.symbol == midpoint_functional(symbol, f, mode, 16, tol=1e-7)
+        assert row.symbol == midpoint_functional(symbol, f, mode, tol=1e-7)
 
 
 @pytest.mark.parametrize("expr, mode", [("D(x1)*T(2-2*cos(t1))", "sigma"),
