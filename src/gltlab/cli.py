@@ -287,7 +287,7 @@ def _run_spectrum(cfg: ExperimentConfig):
     e = _parse_expression(cfg)
     n = cfg.sizes[-1]
     matrix = materialize(e, n, r=cfg.r)
-    _finite(matrix.data)  # before the Hermitian test, which reads only the band
+    _finite(matrix)  # before the Hermitian test, which reads only the band
     values = np.atleast_1d(_spectrum(matrix, cfg.mode, is_hermitian(matrix)))
     rows = [SpectrumRow(idx, c.real, c.imag) for idx, c in enumerate(map(complex, values), 1)]
     report = Report(passed=True, columns=SpectrumRow._fields, rows=rows,

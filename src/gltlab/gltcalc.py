@@ -19,7 +19,9 @@ test instead (see :func:`gltlab.spectra.spectrum`), because declared flags
 can be wrong: a ``CoefficientFunction`` may be constructed with
 ``hermitian=True`` for a function that is not.
 
-Materialized matrices stay float64 while every leaf and scalar is real.
+Materialized matrices stay float64 while every leaf and scalar is real.  A
+banded tree (:func:`_band_first`) is materialized into LAPACK band storage
+and its dense array is built only if a route reads it.
 
 ``glt5_split_check`` and ``glt1_verify`` return a
 :class:`~gltlab.reports.Report`; the split check's facts carry the per-size
@@ -38,13 +40,20 @@ import numpy as np
 from .errors import CalculusError, ConfigurationError, ModeError, SingularEvaluationError
 from .matgen import (
     BlockMatrix,
+    _adjoint_band,
+    _band_rows,
     _check_cap,
+    _exact_dtype,
     _fitting_offsets,
+    _take_notes,
+    _trimmed,
     as_array,
     diag_samples,
     diag_sampling,
+    diagonal_band,
     is_hermitian,
     toeplitz,
+    toeplitz_band,
     zeros,
 )
 from .multiindex import MultiIndex, check_size, format_multiindex, nu
@@ -54,6 +63,7 @@ from .spectra import (
     LAMBDA,
     SIGMA,
     SLACK,
+    _fits,
     _normalize_sizes,
     distribution_check,
     non_increasing,
@@ -315,22 +325,44 @@ def materialize(e: GLTExpression, n, r: int | None = None) -> BlockMatrix:
     and strictly positive, D_a H D_b (a missing factor counting as the
     identity), gets the symmetrizer w = sqrt(a / b):
     W^-1 D_a H D_b W = D_sqrt(ab) H D_sqrt(ab) is Hermitian whenever H is.
-    The matrix carries the band bound of :func:`_band`.
+    The matrix carries the band bound (kl, ku) of :func:`_band`; where it
+    passes the band rule, ``_fits(max(kl, ku), N)``, a :func:`_band_first`
+    tree is written into band storage in O(N k) and its dense array is
+    built only on first access.
     """
     n = check_size(n)
     _, rr = _resolve_dims(e, len(n), r if r is not None else 1)
     # Every node's matrix has this order: one cap check before any allocation.
     _check_cap(rr * nu(n))
-    notes: list[str] = []
-    if isinstance(e, Product):
-        left = _factor(e.left, n, rr, notes)
-        right = _factor(e.right, n, rr, notes)
-        data, w = _product(left, right), _symmetrizer(e, left, right)
+    band, w = _band(e, n), _symmetrizer(e, n)
+    if band and _fits(max(band), rr * nu(n)) and _band_first(e):
+        matrix = BlockMatrix(lambda: _exact_dtype(_materialize(e, n, rr, [])), rr, n,
+                             symmetrizer=w)
+        matrix.storage = _trimmed(_materialize(e, n, rr, [], max(band)), band)
     else:
-        data, w = _materialize(e, n, rr, notes), None
-    matrix = BlockMatrix(data, rr, n, notes=tuple(notes), symmetrizer=w)
-    matrix.band = _band(e, n)
+        notes: list[str] = []
+        matrix = BlockMatrix(_materialize(e, n, rr, notes), rr, n, notes=tuple(notes),
+                             symmetrizer=w)
+    matrix.band = band
     return matrix
+
+
+def _band_first(e: GLTExpression) -> bool:
+    """Whether ``e`` has only ``T``, ``D``, scalar, ``Z``, adjoint,
+    combination and product nodes, each product with a diagonal factor
+    (:func:`_diagonal_factor`): nodes whose entries are elementwise
+    operations on entries.  A product of two matrices is a GEMM, whose
+    summation order belongs to the BLAS kernel."""
+    if isinstance(e, Product) and not any(map(_diagonal_factor, e.children())):
+        return False
+    return (isinstance(e, (Toeplitz, Diag, Scalar, Zero, Adjoint, LinComb, Product))
+            and all(map(_band_first, e.children())))
+
+
+def _diagonal_factor(e: GLTExpression) -> bool:
+    """Whether a product takes ``e`` as the vector of its diagonal: an r = 1
+    ``Diag``, a ``Scalar`` or ``Z``."""
+    return isinstance(e, (Scalar, Zero)) or isinstance(e, Diag) and e.coefficient.r == 1
 
 
 def _band(e: GLTExpression, n: MultiIndex) -> tuple[int, int] | None:
@@ -356,38 +388,46 @@ def _band(e: GLTExpression, n: MultiIndex) -> tuple[int, int] | None:
     return None
 
 
-def _factor(e: GLTExpression, n: MultiIndex, r: int, notes: list[str]) -> np.ndarray:
+def _factor(e: GLTExpression, n: MultiIndex, r: int, notes: list[str],
+            k: int | None = None) -> np.ndarray:
     """A product's factor: the sample vector of an r = 1 ``Diag``, the constant
-    vector of a ``Scalar`` or ``Zero``, else its matrix."""
-    if isinstance(e, Diag) and e.coefficient.r == 1:
+    vector of a ``Scalar`` or ``Zero``, else its matrix (its band storage of
+    half-width k when k is given)."""
+    if isinstance(e, Diag) and _diagonal_factor(e):
         return diag_samples(e.coefficient, n)[:, 0, 0]
     if isinstance(e, (Scalar, Zero)):
         return np.full(r * nu(n), _coefficient(e.value) if isinstance(e, Scalar) else 0.0)
-    return _materialize(e, n, r, notes)
+    return _materialize(e, n, r, notes, k)
 
 
-def _product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+def _product(left: np.ndarray, right: np.ndarray, k: int | None = None) -> np.ndarray:
     """left @ right, a 1-D factor standing for the diagonal matrix of its
     samples: it scales rows or columns, each entry the one nonzero product of
-    the matmul, with no N x N diagonal and no O(N^3) work."""
+    the matmul, with no N x N diagonal and no O(N^3) work.  With k the matrix
+    factor is band storage of half-width k, and so is the result."""
     if left.ndim == right.ndim == 2:
         return left @ right
     if left.ndim == right.ndim == 1:
-        return np.diag(left * right)
-    a, b = (left[:, None], right) if left.ndim == 1 else (left, right)
+        return np.diag(left * right) if k is None else diagonal_band(
+            (left * right)[:, None, None], k)
+    a, b = left, right
+    if left.ndim == 1:
+        a = left[:, None] if k is None else _band_rows(left, k)
     matrix = right if left.ndim == 1 else left
     # _materialize returns arrays that nothing else holds, so the matrix
     # factor takes the result in place whenever its dtype can.
     return np.multiply(a, b, out=matrix if np.result_type(a, b) == matrix.dtype else None)
 
 
-def _symmetrizer(e: Product, left: np.ndarray, right: np.ndarray) -> np.ndarray | None:
+def _symmetrizer(e: GLTExpression, n: MultiIndex) -> np.ndarray | None:
     """sqrt(a / b) for the samples a (left) and b (right) of the r = 1
-    ``Diag`` factors of a product, any other factor counting as 1 (a
+    ``Diag`` factors of a root product, any other factor counting as 1 (a
     constant one too: its W is constant); None unless some factor is such a
     diagonal and every one is real and strictly positive."""
-    a, b = (f if isinstance(x, Diag) and f.ndim == 1 else 1.0
-            for x, f in ((e.left, left), (e.right, right)))
+    if not isinstance(e, Product):
+        return None
+    a, b = (diag_samples(x.coefficient, n)[:, 0, 0]
+            if isinstance(x, Diag) and _diagonal_factor(x) else 1.0 for x in (e.left, e.right))
     diagonals = [f for f in (a, b) if np.ndim(f) == 1]
     if not diagonals or any(np.iscomplexobj(f) or not np.all(f > 0) for f in diagonals):
         return None
@@ -401,23 +441,31 @@ def _coefficient(value: complex) -> float | complex:
     return value.real if value.imag == 0.0 else value
 
 
-def _materialize(e: GLTExpression, n: MultiIndex, r: int, notes: list[str]) -> np.ndarray:
+def _materialize(e: GLTExpression, n: MultiIndex, r: int, notes: list[str],
+                 k: int | None = None) -> np.ndarray:
+    """The matrix of ``e``, or with k (a :func:`_band_first` tree, k at least
+    every node's band bound) its diagonals -k..k in band storage,
+    AB[k + i - j, j] = A[i, j], each entry from the float operations that
+    give the dense matrix's, so the two agree bit for bit there."""
     if isinstance(e, Toeplitz):
-        return toeplitz(e.poly, n).data
+        return toeplitz(e.poly, n).data if k is None else toeplitz_band(e.poly, n, k)
     if isinstance(e, Diag):
-        return diag_sampling(e.coefficient, n).data
+        return diag_sampling(e.coefficient, n).data if k is None else diagonal_band(
+            diag_samples(e.coefficient, n), k)
     if isinstance(e, Zero):
-        return zeros(n, r).data
+        return zeros(n, r).data if k is None else np.zeros((2 * k + 1, r * nu(n)))
     if isinstance(e, Scalar):
-        return _coefficient(e.value) * np.eye(r * nu(n))
+        eye = np.eye(r * nu(n)) if k is None else diagonal_band(np.ones((r * nu(n), 1, 1)), k)
+        return _coefficient(e.value) * eye
     if isinstance(e, Adjoint):
-        return _materialize(e.child, n, r, notes).conj().T
+        child = _materialize(e.child, n, r, notes, k)
+        return child.conj().T if k is None else _adjoint_band(child).conj()
     if isinstance(e, LinComb):
-        return _coefficient(e.alpha) * _materialize(e.left, n, r, notes) + _coefficient(
+        return _coefficient(e.alpha) * _materialize(e.left, n, r, notes, k) + _coefficient(
             e.beta
-        ) * _materialize(e.right, n, r, notes)
+        ) * _materialize(e.right, n, r, notes, k)
     if isinstance(e, Product):
-        return _product(_factor(e.left, n, r, notes), _factor(e.right, n, r, notes))
+        return _product(_factor(e.left, n, r, notes, k), _factor(e.right, n, r, notes, k), k)
     if isinstance(e, PseudoInverse):
         child = _materialize(e.child, n, r, notes)
         # np.linalg.pinv(child, rcond=PINV_RCOND) step by step, so that its
@@ -465,8 +513,8 @@ def glt5_split_check(seq, sizes: Sequence) -> Report:
     (no growth beyond ``GROWTH_SLACK`` per size step) and nu(n)^{-1} ||Y||_1
     trending to zero.
 
-    X = (A + A*)/2 and Y = (A - A*)/2.  ||X|| comes from the Hermitian
-    eigensolver, ||Y|| and ||Y||_1 from one SVD of Y
+    X = (A + A*)/2 and Y = (A - A*)/2 (:func:`_halves`).  ||X|| comes from
+    the Hermitian eigensolver, ||Y|| and ||Y||_1 from one SVD of Y
     (of half its order when Y is real and J Y J = -Y; see
     :func:`~gltlab.spectra.spectrum`).  The report's facts
     ``norm_x``, ``norm_y`` and ``trace_norm_y_over_nu`` hold the per-size
@@ -478,9 +526,7 @@ def glt5_split_check(seq, sizes: Sequence) -> Report:
     ny: list[float] = []
     ty: list[float] = []
     for n in norm_sizes:
-        a = as_array(seq(n), notes)
-        x = (a + a.conj().T) / 2.0
-        y = (a - a.conj().T) / 2.0  # skew by construction
+        x, y = _halves(seq(n), notes)  # y is skew by construction
         nx.append(float(spectrum(x, SIGMA, hermitian=True)[0]))
         sv_y = spectrum(y, SIGMA)
         ny.append(float(sv_y[0]))
@@ -502,6 +548,33 @@ def glt5_split_check(seq, sizes: Sequence) -> Report:
         },
         notes=notes,
     )
+
+
+def _halves(matrix, notes: list[str]) -> list:
+    """(A + A*)/2 and (A - A*)/2, each entry a_ij ± conj(a_ji) halved.  From
+    band storage each is a 1-level matrix of A's order (so that the spectra
+    take the dense arrays' routes) with band storage at K = max(kl, ku), an
+    entry outside A's band read as +0.0, that builds its dense array from
+    A's on first access."""
+    _take_notes(matrix, notes)
+    if getattr(matrix, "storage", None) is None:
+        a = as_array(matrix)
+        return [op(a, a.conj().T) / 2.0 for op in (np.add, np.subtract)]
+    (kl, ku), k = matrix.band, max(matrix.band)
+    ab = np.zeros((2 * k + 1, matrix.shape[0]), dtype=matrix.dtype)
+    ab[k - ku:k + kl + 1] = matrix.storage
+    star, halves = _adjoint_band(ab).conj(), []
+
+    def dense(op):  # halved in place: A's array and one more
+        out = op(matrix.data, matrix.data.conj().T)
+        out /= 2.0
+        return out
+
+    for op in (np.add, np.subtract):
+        half = BlockMatrix(lambda op=op: dense(op), 1, matrix.shape[:1])
+        half.band, half.storage = (k, k), np.asfortranarray(op(ab, star) / 2.0)
+        halves.append(half)
+    return halves
 
 
 def glt1_verify(e: GLTExpression, sizes: Sequence, mode: str = "sigma",

@@ -1,9 +1,16 @@
-"""Dense generators: multilevel block Toeplitz and diagonal sampling matrices.
+"""Generators: multilevel block Toeplitz and diagonal sampling matrices.
 
-Matrices are dense at desk scale by design.  :func:`toeplitz` writes each
-offset's coefficient block straight into the rows and columns it occupies;
-the offsets touch disjoint entries, so the result equals the naive block fill
-bit for bit.
+:func:`toeplitz` writes each offset's coefficient block straight into the
+rows and columns it occupies; the offsets touch disjoint entries, so the
+result equals the naive block fill bit for bit.
+
+The module also owns LAPACK band storage, the form in which
+``materialize`` builds a banded matrix without its N x N array:
+:func:`toeplitz_band` and :func:`diagonal_band` write the same entries
+into it, ``_band_rows``, ``_adjoint_band`` and ``_trimmed`` serve the
+other node operations, and a :class:`BlockMatrix` keeps it and builds
+its dense ``data`` only when a route reads it.  ``_diagonal``,
+``_entries`` and :func:`is_hermitian` read either form.
 
 Dtype rule: a matrix is float64 when its entries are exactly real (every
 Toeplitz coefficient, every diagonal sample has imaginary part 0) and
@@ -34,20 +41,28 @@ _STRIP = 1 << 16  # entries a strip-wise matrix test reads at once
 
 @dataclass(eq=False)
 class BlockMatrix:
-    """A dense matrix with its d-level r-block structure metadata.
+    """A matrix with its d-level r-block structure metadata.
 
-    ``data`` is float64 when every imaginary part is exactly zero (the
-    downcast is lossless) and complex128 otherwise.  ``notes`` carries
-    non-fatal diagnostics (e.g. pseudo-inverse conditioning warnings)
-    attached during materialization.  ``symmetrizer``, when set, is a
-    positive vector w for which W^-1 A W (W = diag(w)) may be Hermitian: a
-    hint that :func:`~gltlab.spectra.spectrum` tests, never a decision.
+    ``data`` is the dense array, float64 when every imaginary part is
+    exactly zero (the downcast is lossless) and complex128 otherwise.  It
+    may be given as a function of no arguments that returns it in its final
+    dtype: the array is then built on first access, once.  ``notes``
+    carries non-fatal diagnostics (e.g. pseudo-inverse conditioning
+    warnings) attached during materialization.  ``symmetrizer``, when set,
+    is a positive vector w for which W^-1 A W (W = diag(w)) may be
+    Hermitian: a hint that :func:`~gltlab.spectra.spectrum` tests, never a
+    decision.
     ``band``, when set, is a bound (kl, ku) derived from the expression
     tree: A[i, j] = 0 wherever i - j > kl or j - i > ku.  Only
     ``materialize`` sets it (it is not a constructor argument), and a change
     to ``data`` invalidates it.  It holds only for a finite matrix (0 * inf
     is NaN), so the structure tests that read only inside it run after a
-    finiteness check.
+    finiteness check.  ``storage``, when set (also only by ``materialize``
+    and the split check), is LAPACK's (kl + ku + 1) x N general band storage
+    at the bound, AB[ku + i - j, j] = A[i, j], with +0.0 where i or j falls
+    outside the matrix.  It holds ``data``'s in-band entries, so the routes
+    that read it leave ``data`` unbuilt.  ``shape`` and ``dtype`` build
+    nothing.
     """
 
     data: np.ndarray
@@ -56,19 +71,34 @@ class BlockMatrix:
     notes: tuple[str, ...] = field(default_factory=tuple)
     symmetrizer: np.ndarray | None = None
     band: tuple[int, int] | None = field(default=None, init=False, repr=False)
+    storage: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.n = check_size(self.n)
-        self.data = _exact_dtype(np.asarray(self.data))
         expected = self.r * nu(self.n)
-        if self.data.shape != (expected, expected):
-            raise ConfigurationError(
-                f"matrix shape {self.data.shape} != block structure size {expected}"
-            )
+        if callable(self.data):  # built by __getattr__ on first access
+            self._build = self.__dict__.pop("data")
+        else:
+            self.data = _exact_dtype(np.asarray(self.data))
+            if self.data.shape != (expected, expected):
+                raise ConfigurationError(
+                    f"matrix shape {self.data.shape} != block structure size {expected}"
+                )
         if self.symmetrizer is not None and np.shape(self.symmetrizer) != (expected,):
             raise ConfigurationError(
                 f"symmetrizer shape {np.shape(self.symmetrizer)} != ({expected},)"
             )
+
+    def __getattr__(self, name):
+        # Reached only for an attribute not set: ``data`` before it is built.
+        if name != "data" or "_build" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.data = self.__dict__.pop("_build")()
+        return self.data
+
+    shape = property(lambda self: (self.r * nu(self.n),) * 2)
+    ndim = 2
+    dtype = property(lambda self: (self.data if self.storage is None else self.storage).dtype)
 
 
 def _exact_dtype(arr: np.ndarray) -> np.ndarray:
@@ -85,9 +115,37 @@ def as_array(matrix, notes: list[str] | None = None) -> np.ndarray:
     in ``notes`` are appended to it."""
     if isinstance(matrix, BlockMatrix):
         if notes is not None:
-            notes.extend(note for note in matrix.notes if note not in notes)
+            _take_notes(matrix, notes)
         return matrix.data
     return np.asarray(matrix)
+
+
+def _take_notes(matrix, notes: list[str]) -> None:
+    """Append a BlockMatrix's notes not yet in ``notes`` to it."""
+    notes.extend(note for note in getattr(matrix, "notes", ()) if note not in notes)
+
+
+def _diagonal(matrix, d: int) -> np.ndarray:
+    """The entries (i, i + d) of a square matrix, read from a BlockMatrix's
+    band storage when it has one (zeros outside its band) in O(N)."""
+    storage = getattr(matrix, "storage", None)
+    if storage is None:
+        return np.diagonal(as_array(matrix), d)
+    (kl, ku), n = matrix.band, storage.shape[1]
+    if not -kl <= d <= ku:
+        return np.zeros(n - abs(d), storage.dtype)
+    return storage[ku - d, max(d, 0):n + min(d, 0)]
+
+
+def _entries(matrix, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """A[i, j] at index arrays i, j, gathered from a BlockMatrix's band
+    storage when it has one: an entry outside the band reads +0.0."""
+    storage = getattr(matrix, "storage", None)
+    if storage is None:
+        return as_array(matrix)[i, j]
+    s = matrix.band[1] + i - j
+    inside = (s >= 0) & (s < len(storage))
+    return np.where(inside, storage[np.where(inside, s, 0), j], 0)
 
 
 def _check_cap(rows: int):
@@ -102,27 +160,49 @@ def toeplitz(f: TrigPolynomial, n: int | Sequence[int]) -> BlockMatrix:
     fhat_k at block column i - k, whose lexicographic rank is rank(i) minus
     k's flat offset.  float64 when every coefficient is real.
     """
-    n = check_size(n)
-    if len(n) != f.d:
-        raise ConfigurationError(f"size {n} has {len(n)} levels, symbol has {f.d}")
+    n, real = _check_toeplitz(f, n)
     count = nu(n)
-    _check_cap(f.r * count)
-    real = not any(np.any(block.imag) for block in f.coeffs.values())
     out = np.zeros((count, f.r, count, f.r), dtype=float if real else complex)
-    for k, flat, block in _fitting_offsets(f, n):
-        ranges = [np.arange(max(kj, 0), nj + min(kj, 0)) for kj, nj in zip(k, n)]
-        rows = np.ravel_multi_index(np.ix_(*ranges), n).ravel()
+    for rows, flat, block in _fitting_offsets(f, n):
         out[rows, :, rows - flat, :] = block.real if real else block
     return BlockMatrix(out.reshape(f.r * count, f.r * count), f.r, n)
 
 
+def toeplitz_band(f: TrigPolynomial, n: int | Sequence[int], k: int) -> np.ndarray:
+    """Diagonals -k..k, k at least the band bound, of :func:`toeplitz`'s
+    matrix in band storage, AB[k + i - j, j] = A[i, j]: the same blocks
+    copied to the same entries, +0.0 elsewhere."""
+    n, real = _check_toeplitz(f, n)
+    r, (a, b) = f.r, np.indices((f.r, f.r))
+    ab = np.zeros((2 * k + 1, r * nu(n)), dtype=float if real else complex)
+    for rows, flat, block in _fitting_offsets(f, n):
+        ab[k + flat * r + a - b, (rows - flat)[:, None, None] * r + b] = (
+            block.real if real else block)
+    return ab
+
+
+def _check_toeplitz(f: TrigPolynomial, n) -> tuple[MultiIndex, bool]:
+    """The checked size of T_n(f), within the cap, and whether f is real."""
+    n = check_size(n)
+    if len(n) != f.d:
+        raise ConfigurationError(f"size {n} has {len(n)} levels, symbol has {f.d}")
+    _check_cap(f.r * nu(n))
+    return n, not any(np.any(block.imag) for block in f.coeffs.values())
+
+
 def _fitting_offsets(f: TrigPolynomial, n: MultiIndex) -> list[tuple]:
-    """(k, flat offset, fhat_k) for each offset k of ``f`` that fits the size
-    box n, i.e. |k_j| < n_j; the flat offset is k's shift of lexicographic
-    rank, so fhat_k lies on block diagonal -(flat offset) of T_n(f)."""
+    """(block rows, flat offset, fhat_k) for each offset k of ``f`` that fits
+    the size box n, i.e. |k_j| < n_j; the flat offset is k's shift of
+    lexicographic rank, so fhat_k lies on block diagonal -(flat offset) of
+    T_n(f), in the block rows i with i - k inside the box."""
     strides = np.cumprod((1,) + n[:0:-1])[::-1]
-    return [(k, int(np.dot(k, strides)), block) for k, block in f.coeffs.items()
-            if all(abs(kj) < nj for kj, nj in zip(k, n))]
+    out = []
+    for k, block in f.coeffs.items():
+        if all(abs(kj) < nj for kj, nj in zip(k, n)):
+            ranges = [np.arange(max(kj, 0), nj + min(kj, 0)) for kj, nj in zip(k, n)]
+            rows = np.ravel_multi_index(np.ix_(*ranges), n).ravel()
+            out.append((rows, int(np.dot(k, strides)), block))
+    return out
 
 
 def sampling_grid(n: int | Sequence[int]) -> np.ndarray:
@@ -169,6 +249,43 @@ def diag_sampling(a: Symbol, n: int | Sequence[int]) -> BlockMatrix:
     return BlockMatrix(out.reshape(count * rb, count * rb), rb, n)
 
 
+def diagonal_band(vals: np.ndarray, k: int) -> np.ndarray:
+    """Diagonals -k..k, k >= r - 1, of the block diagonal matrix of the
+    (count, r, r) samples ``vals`` in band storage, as :func:`diag_sampling`
+    fills them; +0.0 elsewhere."""
+    count, r = vals.shape[:2]
+    a, b = np.indices((r, r))
+    ab = np.zeros((2 * k + 1, count * r), dtype=vals.dtype)
+    ab[k + a - b, np.arange(count)[:, None, None] * r + b] = vals
+    return ab
+
+
+def _band_rows(v: np.ndarray, k: int) -> np.ndarray:
+    """v[i] at each position (s, j) of band storage of half-width k, i =
+    j + s - k the row it holds (clipped to the matrix), to scale rows."""
+    return v[np.clip(np.arange(-k, k + 1)[:, None] + np.arange(len(v)), 0, len(v) - 1)]
+
+
+def _trimmed(ab: np.ndarray, band: tuple[int, int]) -> np.ndarray:
+    """The rows of band storage of half-width k that ``band`` = (kl, ku)
+    spans, in Fortran order with +0.0 outside the matrix, float64 when every
+    imaginary part is zero: a BlockMatrix's storage."""
+    (kl, ku), k, n = band, len(ab) // 2, ab.shape[1]
+    ab = ab[k - ku:k + kl + 1]
+    for s in range(len(ab)):  # row s holds i - j = s - ku
+        ab[s, :max(ku - s, 0)] = ab[s, n - max(s - ku, 0):] = 0
+    return np.asfortranarray(_exact_dtype(ab))
+
+
+def _adjoint_band(ab: np.ndarray) -> np.ndarray:
+    """The band storage of A^T from that of A (half-width k): diagonal i - j
+    = t of A^T is diagonal -t of A, shifted by t columns."""
+    out, k, n = np.zeros_like(ab), len(ab) // 2, ab.shape[1]
+    for t in range(-k, k + 1):
+        out[k + t, max(-t, 0):n - max(t, 0)] = ab[k - t, max(t, 0):n - max(-t, 0)]
+    return out
+
+
 def zeros(n: int | Sequence[int], r: int = 1) -> BlockMatrix:
     n = check_size(n)
     return BlockMatrix(np.zeros((r * nu(n), r * nu(n))), r, n)
@@ -184,9 +301,11 @@ def row_strips(stop: int, width: int):
 
 
 def _sum_sq(a: np.ndarray) -> float:
-    """||a||_F^2 by einsum on a real view, with no BLAS call."""
+    """||a||_F^2 of a vector or matrix by einsum on a real view, with no
+    BLAS call."""
     if not np.iscomplexobj(a):
-        return float(np.einsum("ij,ij->", a, a))
+        index = "ij"[:a.ndim]
+        return float(np.einsum(f"{index},{index}->", a, a))
     if a.strides[-1] == a.itemsize:
         return _sum_sq(a.view(a.real.dtype))
     return _sum_sq(a.real) + _sum_sq(a.imag)
@@ -195,31 +314,32 @@ def _sum_sq(a: np.ndarray) -> float:
 def is_hermitian(matrix) -> bool:
     """||A - A*||_F <= HERMITIAN_RTOL ||A||_F for one square matrix.
 
-    Both squared norms are summed over square tiles of side
-    ``isqrt(_STRIP)``: each pair of tiles (I, J), (J, I) with I <= J is read
-    once and its difference formed once, so no N x N temporary is made, and
-    the sums are einsums, not BLAS calls.  They round differently from one
-    norm of the whole difference, so only a matrix within rounding of the
-    threshold can be decided otherwise than by
+    Both squared norms are summed over pairs (X, Y) read once each, whose
+    difference X - Y* is formed once, so no N x N temporary is made, and
+    the sums are einsums, not BLAS calls: the diagonals d and -d, 0 <= d
+    <= max(kl, ku), of a matrix in band storage, in O(N k); else the square
+    tiles (I, J), (J, I), I <= J, of side ``isqrt(_STRIP)``.  They round
+    differently from one norm of the whole difference, so only a matrix
+    within rounding of the threshold can be decided otherwise than by
     ``norm(A - A*) <= HERMITIAN_RTOL * norm(A)``.
-    A ``BlockMatrix``'s band bound K = max(kl, ku) skips the pairs with
-    j - i >= tile + K: both tiles are zero and would add exactly +0.0.
     """
-    arr = as_array(matrix)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise InvalidParameterError(f"is_hermitian takes a square matrix, got shape {arr.shape}")
-    tile = math.isqrt(_STRIP)
-    band = getattr(matrix, "band", None)
-    reach = arr.shape[0] if band is None else tile + max(band)
+    if getattr(matrix, "storage", None) is not None:
+        pairs = ((_diagonal(matrix, d), _diagonal(matrix, -d), d == 0)
+                 for d in range(max(matrix.band) + 1))
+    else:
+        arr = as_array(matrix)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise InvalidParameterError(
+                f"is_hermitian takes a square matrix, got shape {arr.shape}")
+        tile = math.isqrt(_STRIP)
+        pairs = ((arr[i:i + tile, j:j + tile], arr[j:j + tile, i:i + tile], i == j)
+                 for i in range(0, len(arr), tile) for j in range(i, len(arr), tile))
     skew = scale = 0.0
-    for i in range(0, arr.shape[0], tile):
-        for j in range(i, min(arr.shape[0], i + reach), tile):
-            x = arr[i:i + tile, j:j + tile]
-            if i == j:
-                skew += _sum_sq(x - x.conj().T)
-                scale += _sum_sq(x)
-            else:
-                y = arr[j:j + tile, i:i + tile]
-                skew += 2 * _sum_sq(x - y.conj().T)
-                scale += _sum_sq(x) + _sum_sq(y)
+    for x, y, same in pairs:
+        if same:
+            skew += _sum_sq(x - x.conj().T)
+            scale += _sum_sq(x)
+        else:
+            skew += 2 * _sum_sq(x - y.conj().T)
+            scale += _sum_sq(x) + _sum_sq(y)
     return bool(np.sqrt(skew) <= HERMITIAN_RTOL * max(np.sqrt(scale), 1e-300))

@@ -27,7 +27,15 @@ from .errors import (
     QuadratureError,
     SolverError,
 )
-from .matgen import BlockMatrix, as_array, is_hermitian, row_strips
+from .matgen import (
+    BlockMatrix,
+    _diagonal,
+    _entries,
+    _take_notes,
+    as_array,
+    is_hermitian,
+    row_strips,
+)
 from .multiindex import MultiIndex, check_size, min_entry
 from .reports import Report
 from .symbols import Symbol, spectral_surfaces
@@ -138,6 +146,8 @@ def _fingerprint(arr: np.ndarray) -> str:
 
 
 Band = tuple[int, int] | None  # a BlockMatrix's band bound
+# The readers below take a BlockMatrix with band storage where they read a
+# matrix's diagonals or entries, and build its dense array with as_array.
 
 
 def _fits(k: int, n: int) -> bool:
@@ -150,7 +160,7 @@ def _fits(k: int, n: int) -> bool:
 def _band_nonzeros(arr: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the nonzero entries with |i - j| <= k, read
     diagonal by diagonal in O(N k)."""
-    rows = [np.flatnonzero(np.diagonal(arr, d)) + max(-d, 0) for d in range(-k, k + 1)]
+    rows = [np.flatnonzero(_diagonal(arr, d)) + max(-d, 0) for d in range(-k, k + 1)]
     return np.concatenate(rows), np.concatenate([r + d for r, d in zip(rows, range(-k, k + 1))])
 
 
@@ -166,7 +176,9 @@ def _is_centro_hermitian(arr: np.ndarray, nonzeros=None, sizes=(), levels=(0,)) 
     if nonzeros is not None:
         i, j = nonzeros
         mirrors = [np.flip(np.arange(n).reshape(sizes), level).ravel() for level in levels]
-        return all(np.array_equal(arr[m[i], m[j]], conj(arr[i, j])) for m in mirrors)
+        return all(np.array_equal(_entries(arr, m[i], m[j]), conj(_entries(arr, i, j)))
+                   for m in mirrors)
+    arr = as_array(arr)
     tensor = arr.reshape(sizes * 2)
     stop, width = (n + 1) // 2 if len(sizes) < 2 else sizes[0], arr.size // max(sizes[0], 1)
     return all(np.array_equal(tensor[lo:hi], conj(np.flip(tensor, (l, len(sizes) + l))[lo:hi]))
@@ -174,13 +186,18 @@ def _is_centro_hermitian(arr: np.ndarray, nonzeros=None, sizes=(), levels=(0,)) 
 
 
 def _is_skew_centro(arr: np.ndarray) -> bool:
-    """Exactly A == -A^T and J A J == -A, J the reversal of the whole index,
-    compared in strips of at most ``_STRIP`` entries, row 0 first
+    """Exactly A == -A^T and J A J == -A, J the reversal of the whole index:
+    in band storage diagonal by diagonal, d against -d and against -d
+    reversed; else in strips of at most ``_STRIP`` entries, row 0 first
     (:func:`~gltlab.matgen.row_strips`).
 
     Both relations on the first ceil(N/2) rows imply them on the others, since
     J A J = -A maps row i onto row N-1-i.
     """
+    if getattr(arr, "storage", None) is not None:
+        pairs = ((_diagonal(arr, d), -_diagonal(arr, -d)) for d in range(max(arr.band) + 1))
+        return all(np.array_equal(x, y) and np.array_equal(x, y[::-1]) for x, y in pairs)
+    arr = as_array(arr)
     n = arr.shape[0]
     for lo, hi in row_strips((n + 1) // 2, n):
         rows = arr[lo:hi]
@@ -239,17 +256,18 @@ def _bandwidths(arr: np.ndarray, lower: bool = False, band: Band = None) -> Band
     """The exact lower and upper bandwidths (kl, ku) of a matrix, or None as
     soon as the rows read so far break ``_fits(kl + ku, min(shape))``.  With
     ``lower`` only the lower triangle counts and ku is 0: the rule of a
-    Hermitian matrix's lower band.  A band bound that passes the rule is
-    narrowed to the outermost nonzero diagonals in O(N k);
-    otherwise reads strips of rows, row 0 first, or the last row first for
-    ``lower`` (:func:`~gltlab.matgen.row_strips`), so a dense matrix is
-    rejected in O(N)."""
+    Hermitian matrix's lower band.  A band bound K = max(kl, ku) that passes
+    the rule (``_fits(K, N)``, as band storage does) is narrowed to the
+    outermost nonzero diagonals in O(N K); otherwise reads strips of rows,
+    row 0 first, or the last row first for ``lower``
+    (:func:`~gltlab.matgen.row_strips`), so a dense matrix is rejected in
+    O(N)."""
     m, n = arr.shape
-    if band is not None:
-        kl, ku = band[0], 0 if lower else band[1]
-        if _fits(kl + ku, min(m, n)):
-            return (_outermost(lambda d: np.diagonal(arr, -d), kl),
-                    _outermost(lambda d: np.diagonal(arr, d), ku))
+    if band is not None and _fits(max(band), min(m, n)):
+        kl = _outermost(lambda d: _diagonal(arr, -d), band[0])
+        ku = 0 if lower else _outermost(lambda d: _diagonal(arr, d), band[1])
+        return (kl, ku) if _fits(kl + ku, min(m, n)) else None
+    arr = as_array(arr)
     kl = ku = 0
     for lo, hi in row_strips(m, n):
         if lower:
@@ -267,7 +285,11 @@ def _bandwidths(arr: np.ndarray, lower: bool = False, band: Band = None) -> Band
 
 def _band_storage(arr: np.ndarray, kl: int, ku: int) -> np.ndarray:
     """LAPACK's (kl + ku + 1) x N column-major band storage, AB[ku + i - j, j]
-    = A[i, j]; with ku = 0 it is the lower storage of a symmetric matrix."""
+    = A[i, j], a new array; with ku = 0 it is the lower storage of a
+    symmetric matrix.  A BlockMatrix's band storage gives it as a slice."""
+    if getattr(arr, "storage", None) is not None:
+        top = arr.band[1]
+        return np.array(arr.storage[top - ku:top + kl + 1], order="F")
     ab = np.zeros((kl + ku + 1, arr.shape[1]), dtype=arr.dtype, order="F")
     for k in range(-kl, ku + 1):
         diag = np.diagonal(arr, k)
@@ -317,7 +339,7 @@ def _band_values(arr: np.ndarray, hermitian: bool, band: Band = None) -> np.ndar
     fit, where the band routines are bound.  A stack that may fit is taken
     matrix by matrix, so that row i holds matrix i's values as if passed
     alone."""
-    lapack = (arr.dtype in (np.float64, np.complex128) and arr.size > 0
+    lapack = (arr.dtype in (np.float64, np.complex128) and all(arr.shape)
               and _fits(0, min(arr.shape[-2:])) and _band_lapack())
     if lapack and arr.ndim > 2:
         return np.stack([_values(a, hermitian) for a in arr])
@@ -334,6 +356,7 @@ def _values(arr: np.ndarray, hermitian: bool, band: Band = None) -> np.ndarray:
     where it applies, else from one ``eigvalsh`` or values-only ``svd``."""
     values = _band_values(arr, hermitian, band)
     if values is None:
+        arr = as_array(arr)
         values = np.linalg.eigvalsh(arr) if hermitian else np.linalg.svd(arr, compute_uv=False)
     return values
 
@@ -368,11 +391,12 @@ def _reflection_block(arr: np.ndarray, sizes: tuple, signs: tuple, kd=None) -> n
     def gather(p, q):  # the entries at index arrays (p, q), read from A
         turn = np.logical_or.reduce([m[p] & ~m[q] for m in mids])  # read at (q, p)
         p, q = np.where(turn, q, p), np.where(turn, p, q)
-        return fold(lambda bits: arr[grid[box].ravel()[p],
-                                     np.flip(grid, tuple(np.flatnonzero(bits)))[box].ravel()[q]],
+        return fold(lambda bits: _entries(
+            arr, grid[box].ravel()[p], np.flip(grid, tuple(np.flatnonzero(bits)))[box].ravel()[q]),
                     p, q)
 
     if kd is None:  # x ± y from views of A; the middle rows and columns gathered
+        arr = as_array(arr)
         tensor, every = arr.reshape(tuple(sizes) * 2), np.arange(order)
         r = np.flatnonzero(mids.any(0))
         block = fold(lambda bits: np.flip(tensor, tuple(d + np.flatnonzero(bits)))[
@@ -441,7 +465,7 @@ def _hermitian_eigenvalues(arr: np.ndarray, band: Band = None, levels: tuple = (
     - Solver: :func:`_values` of each block, or ``dsbevd`` of the band
       storage that a block whose kd bound fits is written into.
     """
-    nonzeros = _band_nonzeros(arr, max(band)) if band and _fits(max(band), len(arr)) else None
+    nonzeros = _band_nonzeros(arr, max(band)) if band and _fits(max(band), arr.shape[0]) else None
     real = not np.iscomplexobj(arr)
     for sizes in ([levels] if real and len(levels) > 1 else []) + [arr.shape[:1]]:
         if arr.ndim == 2 and _is_centro_hermitian(arr, nonzeros, sizes, range(len(sizes))):
@@ -477,10 +501,9 @@ def spectrum(matrix, mode: str = SIGMA, hermitian: bool | None = None) -> np.nda
     need a square matrix; the SVD of sigma mode also takes rectangles.  The
     entries must be integer, float or complex.
     """
-    arr = as_array(matrix)
-    if arr.ndim < 2:
-        raise InvalidParameterError(f"spectrum takes a matrix, got shape {arr.shape}")
-    _finite(arr)
+    if len(np.shape(matrix)) < 2:
+        raise InvalidParameterError(f"spectrum takes a matrix, got shape {np.shape(matrix)}")
+    _finite(matrix)
     return _spectrum(matrix, mode, hermitian)
 
 
@@ -507,7 +530,7 @@ def _spectrum(matrix, mode: str, hermitian: bool | None) -> np.ndarray:
     more pays the bandwidth test, so a caller that factors many small
     matrices (Monte Carlo trials) pays no test per matrix.
     """
-    arr = as_array(matrix)
+    arr = matrix if getattr(matrix, "storage", None) is not None else as_array(matrix)
     band = getattr(matrix, "band", None)
     levels = matrix.n if isinstance(matrix, BlockMatrix) and matrix.r == 1 else ()
     if mode not in (SIGMA, LAMBDA):
@@ -524,9 +547,11 @@ def _spectrum(matrix, mode: str, hermitian: bool | None) -> np.ndarray:
             return values if mode == LAMBDA else np.sort(np.abs(values))[..., ::-1]
         if mode == SIGMA:
             if arr.ndim == 2 and not np.iscomplexobj(arr) and _is_skew_centro(arr):
-                sv = _values(_reflection_block(arr, arr.shape[:1], (1,))[:len(arr) // 2], False)
-                return np.concatenate([np.repeat(sv, 2), np.zeros(arr.shape[0] % 2)])
+                n = arr.shape[0]
+                sv = _values(_reflection_block(arr, (n,), (1,))[:n // 2], False)
+                return np.concatenate([np.repeat(sv, 2), np.zeros(n % 2)])
             return _values(arr, False, band)
+        arr = as_array(arr)
         w = getattr(matrix, "symmetrizer", None)
         if w is not None:
             b = arr * w  # B = W^-1 A W
@@ -535,14 +560,16 @@ def _spectrum(matrix, mode: str, hermitian: bool | None) -> np.ndarray:
                 return _hermitian_eigenvalues(b, band, levels).astype(complex)
         return np.sort(np.linalg.eigvals(arr).astype(complex, copy=False))
     except np.linalg.LinAlgError as exc:
-        raise SolverError(f"eigensolver failed ({exc}); {_fingerprint(arr)}") from exc
+        raise SolverError(f"eigensolver failed ({exc}); {_fingerprint(as_array(arr))}") from exc
 
 
-def _finite(arr: np.ndarray) -> None:
+def _finite(matrix) -> None:
     """Raise :class:`InvalidParameterError` unless the entries are integer,
     float or complex, and :class:`EvaluationError` if one is not finite,
     reading a stack's rows in :func:`~gltlab.matgen.row_strips`: no N x N
-    temporary."""
+    temporary.  A BlockMatrix with band storage is read there, in O(N k)."""
+    arr = getattr(matrix, "storage", None)
+    arr = as_array(matrix) if arr is None else arr
     if arr.dtype.kind not in "iufc":
         raise InvalidParameterError(f"matrix entries must be numbers, got dtype {arr.dtype}")
     rows = arr.reshape(-1, arr.shape[-1]) if arr.ndim and arr.size else arr.reshape(-1)
@@ -751,7 +778,8 @@ def distribution_check(seq, symbol: Symbol, sizes: Sequence, mode: str = SIGMA,
     notes: list[str] = []
     for n in norm_sizes:
         matrix = seq(n)
-        _finite(as_array(matrix, notes))
+        _finite(matrix)
+        _take_notes(matrix, notes)
         hermitian = is_hermitian(matrix)
         if mode == LAMBDA and not allow_non_hermitian and not hermitian:
             raise ModeError(

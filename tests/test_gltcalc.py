@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib.util
 import math
@@ -11,6 +12,7 @@ import pytest
 from helpers import errors_for, laplacian_eigenvalues, random_trig_polynomial, structurally_equal
 
 import gltlab.matgen as matgen_mod
+from gltlab.cli import parse_sizes
 from gltlab.dsl import parse
 from gltlab.errors import (
     CalculusError,
@@ -36,6 +38,7 @@ from gltlab.gltcalc import (
     truncate_toeplitz,
 )
 from gltlab.matgen import is_hermitian, toeplitz
+from gltlab.multiindex import check_size
 from gltlab.spectra import _bandwidths, poly_on_window, spectrum
 from gltlab.symbols import CoefficientFunction, TrigPolynomial, evaluate
 
@@ -582,7 +585,8 @@ def documented_expressions():
 @pytest.mark.parametrize("text", documented_expressions())
 def test_the_band_bound_of_each_documented_expression_changes_no_result(text):
     e = parse(text)
-    # is_hermitian skips tiles only from 3 tiles (769 rows) on
+    # 1100 rows span five of is_hermitian's tiles of the plain matrix; a banded
+    # matrix is read from its band storage instead
     sizes = [(40,), (512,), (1100,)] if e.dims()[0] == 1 else [(6, 7), (22, 23), (33, 34)]
     for n in sizes:
         bm = materialize(e, n)
@@ -595,3 +599,94 @@ def test_the_band_bound_of_each_documented_expression_changes_no_result(text):
         if bm.data.shape[0] <= 512:
             for mode in ("sigma", "lambda"):
                 assert np.array_equal(spectrum(bm, mode), spectrum(plain, mode))
+
+
+# ---------------------------------------------------------------------------
+# band storage
+
+
+def _sizes(text):
+    """The sizes of a command line, config value or Python list literal."""
+    if text.startswith("["):
+        return [check_size(n) for n in ast.literal_eval(text)]
+    return parse_sizes(text, None)
+
+
+def documented_runs():
+    """(expression, size) for each size at which README.md, scripts/ or the
+    benchmark's workloads run a DSL expression."""
+    runs = set()
+    texts = [(ROOT / "README.md").read_text().replace("\\\n", " ")]
+    texts += [path.read_text() for path in sorted((ROOT / "scripts").glob("*.py"))]
+    # a command line's --expr, a config file's expr key or the Python API's
+    # expression, each with the first sizes before the next expression
+    exprs = re.compile(r"""(?:--expr '|^expr = |expr="|parse\(")([^'"\n]+)""", re.M)
+    sizes = re.compile(r"""(?:--sizes |--n |sizes ?= ?)'?(\[[^\]]*\]|\d[\d,]*(?: *; *\d[\d,]*)*)""")
+    for text in texts:
+        found = list(exprs.finditer(text))
+        for expr, end in zip(found, [m.start() for m in found[1:]] + [len(text)]):
+            size = sizes.search(text, expr.end(), end)
+            if size:
+                runs.update((expr[1], n) for n in _sizes(size[1]))
+    workloads = sys.modules.get("perfbench_workloads")
+    if workloads is None:
+        documented_expressions()  # loads the workloads module
+        workloads = sys.modules["perfbench_workloads"]
+    for name in ("readme", "dense", "certify"):
+        for op in workloads.workload(name, 42):
+            argv = dict(zip(op.argv, op.argv[1:]))
+            if "--expr" in argv and ("--sizes" in argv or "--n" in argv):
+                size = argv.get("--sizes", argv.get("--n"))
+                runs.update((argv["--expr"], n) for n in _sizes(size))
+    runs.update((workloads.PRODUCT, (n,)) for n in (256, 512, 1024))  # the glt1 waiver call
+    return sorted(runs)
+
+
+def criterion_02_matrices():
+    """The complex r = 2 Hermitian Toeplitz expressions of acceptance
+    criterion 02, drawn as it draws them, at its sizes."""
+    rng = np.random.default_rng(424242)
+    polys = [random_trig_polynomial(rng, d=d, r=r, degree=1, hermitian=True)
+             for d, r in ((1, 1), (2, 2), (1, 2))]
+    return [(Toeplitz(polys[1]), (45, 45)), (Toeplitz(polys[2]), (1024,))]
+
+
+BAND_RUNS = ([(parse(text), n) for text, n in documented_runs()]
+             + [(parse("D(-x1)*T(2-2*cos(t1))"), (2048,))] + criterion_02_matrices())
+
+
+def test_the_documented_runs_are_found():
+    runs = documented_runs()
+    for run in [("T(2-2*cos(t1))", (64,)), ("T(2-2*cos(t1))", (512,)),  # README, script
+                ("D(x1)*T(2-2*cos(t1))", (512,)), ("T(exp(i*t1))", (128,)),  # README
+                ("T(4-2*cos(t1)-2*cos(t2))", (48, 48)),  # dense workload
+                ("D(x1)*T(2-2*cos(t1))-T(2-2*cos(t1))*D(x1)", (1024,))]:  # certify
+        assert run in runs
+
+
+@pytest.mark.parametrize("e, n", BAND_RUNS)
+def test_band_storage_and_the_lazy_array_keep_the_dense_bytes(e, n):
+    """Band storage equals the band storage of the dense matrix bit for
+    bit, and the dense array built on first access is the dense matrix."""
+    from gltlab.gltcalc import _materialize
+    from gltlab.spectra import _band_storage, _fits
+
+    bm = materialize(e, n)
+    dense = matgen_mod._exact_dtype(_materialize(e, bm.n, bm.r, []))
+    banded = bm.band is not None and _fits(max(bm.band), len(dense))
+    assert (bm.storage is not None) == (banded and not isinstance(e, (PseudoInverse, FunApply)))
+    if bm.storage is not None:
+        assert "data" not in vars(bm)
+        assert bm.storage.flags.f_contiguous and bm.storage.dtype == dense.dtype
+        assert bm.storage.tobytes() == _band_storage(dense, *bm.band).tobytes()
+    assert bm.data.dtype == dense.dtype and bm.data.tobytes() == dense.tobytes()
+
+
+def test_a_negative_diagonal_factor_holds_negative_zeros():
+    """The guard's D(-x1) case is one: its dense product holds -0.0 outside
+    the band, and the unused corner of the band storage +0.0, as LAPACK's
+    band storage of the dense matrix does."""
+    bm = materialize(parse("D(-x1)*T(2-2*cos(t1))"), 64)
+    assert bm.storage is not None
+    assert bm.data[0, 5] == 0.0 and np.signbit(bm.data[0, 5])
+    assert bm.storage[0, 0] == 0.0 and not np.signbit(bm.storage[0, 0])  # entry (-1, 0)

@@ -240,8 +240,9 @@ def test_tiled_is_hermitian_agrees_with_the_whole_matrix_rule(order, dtype):
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_is_hermitian_within_a_band_bound_agrees_with_the_whole_matrix(dtype):
     # 1100 rows span five tiles: the pairs two or more tiles apart lie wholly
-    # outside the bound (4, 3), and is_hermitian skips them.  Entry (256, 254)
-    # lies in the pair of tiles 0 and 1, which it must still read.
+    # outside the bound (4, 3).  A bound without band storage changes nothing
+    # that is_hermitian reads.  Entry (256, 254) lies in the pair of tiles 0
+    # and 1.
     n = 1100
     rng = np.random.default_rng(11)
     g = rng.standard_normal((n, n))

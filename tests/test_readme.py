@@ -1,5 +1,6 @@
 """The README's Quick start commands do what the README says."""
 
+import ctypes
 import hashlib
 import json
 import pathlib
@@ -10,26 +11,68 @@ from gltlab.cli import main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
+
+
+def openblas_core() -> str:
+    """The core name of the OpenBLAS that numpy's linalg runs on, as
+    OPENBLAS_CORETYPE or the CPU select it, or "unknown"."""
+    try:
+        from numpy.linalg import _umath_linalg
+
+        corename = ctypes.CDLL(_umath_linalg.__file__).scipy_openblas_get_corename64_
+    except (OSError, AttributeError):
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
 # sha256 of every file the README check-sacs writes, computed once the trials
 # were drawn in chunks, one generator per (seed, m, n, chunk).  The streams are
 # fixed by the config and seed alone: neither the host nor which trials the
-# certificates leave to the SVD may move a byte.
-SACS_SHA256 = {
+# certificates leave to the SVD may move a byte.  Keyed by OpenBLAS core as
+# QUICK_START_SHA256 is: each core measured has its table, the same on each.
+_SACS = {
     "certificate.csv": "48557bdf7e3efc8369ceda28c9eebf2bc2a5e5eabf725618bfa6570febe4f656",
     "summary.json": "d098646b81ea0f12265f8c2fe7ea9ef39e95d16a09d95d5915f33fab6c9f74f1",
 }
+SACS_SHA256 = {core: _SACS for core in
+               ("SkylakeX", "Haswell", "Sandybridge", "Nehalem", "Katmai")}
 
 
-# sha256 of every CSV and plot.svg the README Quick start commands write,
-# computed before the checks returned one Report shape: the single emitter
-# must write the same bytes.
+def _quick_start(core: str, acs: str, product: str) -> dict[str, str]:
+    """A core's table: the two digests that move between cores (the a.c.s.
+    certificate's SVDs and the product check's spectra) and those that do
+    not."""
+    return {
+        "out/product/report.csv": product,
+        "out/product/plot.svg": "5c489f6f3e39853650b4e380ee3733dba1859f1d91d2b428f11ff96a07fc143c",
+        "out/zero/trend.csv": "23dea8a4bb2032a59c2ff82b048bfa41c2498d517432e14a3cd2dbe772862d8e",
+        "out/acs/certificate.csv": acs,
+        "out/sacs/certificate.csv": SACS_SHA256[core]["certificate.csv"],
+        "out/glt5/split.csv": "004282c2b353cf8423ec195eb27deac4b566ee4160ce7826142b2b93a92f7319",
+    }
+
+
+# sha256 of every CSV and plot.svg the README Quick start commands write, per
+# OpenBLAS core (OPENBLAS_CORETYPE=Prescott runs the Katmai core), computed
+# before the checks returned one Report shape: the single emitter must write
+# the same bytes.
+_PRODUCT = "750598d2f148a51bcd13320cc15126dca2bed8ba97d77187cc46df5dfd0368ce"
+_PRODUCT_SSE = "0d44e6143d833195135e638354aa34e1d5d1d6cf27b2ebe0c270be3a1336768e"
 QUICK_START_SHA256 = {
-    "out/product/report.csv": "750598d2f148a51bcd13320cc15126dca2bed8ba97d77187cc46df5dfd0368ce",
-    "out/product/plot.svg": "5c489f6f3e39853650b4e380ee3733dba1859f1d91d2b428f11ff96a07fc143c",
-    "out/zero/trend.csv": "23dea8a4bb2032a59c2ff82b048bfa41c2498d517432e14a3cd2dbe772862d8e",
-    "out/acs/certificate.csv": "523c38c2e9262b0d22b579452566fac48cec6f7403724812c3a54bb3947ce4fc",
-    "out/sacs/certificate.csv": SACS_SHA256["certificate.csv"],
-    "out/glt5/split.csv": "004282c2b353cf8423ec195eb27deac4b566ee4160ce7826142b2b93a92f7319",
+    "SkylakeX": _quick_start(
+        "SkylakeX", "523c38c2e9262b0d22b579452566fac48cec6f7403724812c3a54bb3947ce4fc", _PRODUCT),
+    "Haswell": _quick_start(
+        "Haswell", "934a1be7f0c4b43f10bc25266fbf4f143051961115ecae82796c50500fb21531", _PRODUCT),
+    "Sandybridge": _quick_start(
+        "Sandybridge", "dfe6a425bee0777299d986bf1f1d0476fe1495a825fd7fe566d9d264712fde56",
+        _PRODUCT_SSE),
+    "Nehalem": _quick_start(
+        "Nehalem", "2d253a770c4be736973b2454f968be0082f05bffffb0d15d9bb8b7c7dce314a0",
+        _PRODUCT_SSE),
+    "Katmai": _quick_start(
+        "Katmai", "dfe6a425bee0777299d986bf1f1d0476fe1495a825fd7fe566d9d264712fde56",
+        _PRODUCT_SSE),
 }
 
 
@@ -50,6 +93,8 @@ def test_quick_start_commands_exit_as_documented(tmp_path, monkeypatch, capsys):
     assert [argv[0] for argv in commands] == [
         "parse", "spectrum", "check-dist", "check-zero", "check-acs", "check-sacs", "check-glt5",
     ]
+    core = openblas_core()
+    assert core in QUICK_START_SHA256, f"no digests measured on the OpenBLAS core {core!r}"
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         # the documented correct FAIL: the skew part of T(exp(i*t)) is not small
@@ -57,12 +102,12 @@ def test_quick_start_commands_exit_as_documented(tmp_path, monkeypatch, capsys):
         assert main(argv) == expected, (argv, capsys.readouterr().err)
     sacs_out = tmp_path / commands[5][commands[5].index("--out") + 1]
     assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sacs_out.iterdir()} == SACS_SHA256
+            for path in sacs_out.iterdir()} == SACS_SHA256[core], core
     written = sorted(str(path.relative_to(tmp_path)) for path in tmp_path.rglob("*")
                      if path.suffix == ".csv" or path.name == "plot.svg")
-    assert written == sorted(QUICK_START_SHA256)
+    assert written == sorted(QUICK_START_SHA256[core])
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-            for name in written} == QUICK_START_SHA256
+            for name in written} == QUICK_START_SHA256[core], core
 
 
 # The verdict policy each Quick start check records in its summary.json.

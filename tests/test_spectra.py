@@ -979,6 +979,31 @@ def test_the_2_level_distribution_check_holds_one_matrix_and_no_block():
     assert peak < 1.25 * 2304**2 * 8  # the (48,48) matrix's nbytes
 
 
+MATRIX_FREE_RUNS = {  # run, the order N of its largest matrix
+    "distribution-2048": (lambda: distribution_check(
+        lambda n: materialize(parse("T(2-2*cos(t1))"), n), symbol_of(parse("T(2-2*cos(t1))")),
+        [256, 512, 1024, 2048], mode="sigma"), 2048),
+    "laplacian-2-level": (lambda: distribution_check(
+        lambda n: materialize(parse("T(4-2*cos(t1)-2*cos(t2))"), n),
+        symbol_of(parse("T(4-2*cos(t1)-2*cos(t2))")), [(12, 12), (24, 24), (48, 48)],
+        mode="lambda"), 2304),
+    "product-sigma-2048": (lambda: spectrum(materialize(parse("D(x1)*T(2-2*cos(t1))"), 2048),
+                                            "sigma"), 2048),
+}
+
+
+@pytest.mark.parametrize("run, order", MATRIX_FREE_RUNS.values(), ids=MATRIX_FREE_RUNS)
+def test_a_banded_run_holds_no_dense_matrix(run, order):
+    """Band storage, read in O(N k), leaves no N x N array: each run's
+    traced peak stays below a quarter of one float64 matrix of its largest
+    order (the 2-level run's peak is its symbol quadrature's)."""
+    import gltlab.spectra as spectra_mod
+
+    if spectra_mod._band_lapack() is None:
+        pytest.skip("the band routines are not bound")
+    assert _traced_peak(run) < order**2 * 8 / 4
+
+
 def test_band_route_takes_the_odd_skew_block(monkeypatch):
     import gltlab.spectra as spectra_mod
 
