@@ -567,16 +567,22 @@ def test_band_bound_of_each_node_type(e, n, bound, exact):
         assert_band_bound_holds(bm)
 
 
+def workloads_module():
+    """The benchmark's ``perfbench/workloads.py``, loaded once."""
+    if "perfbench_workloads" not in sys.modules:
+        spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                      ROOT / "perfbench" / "workloads.py")
+        sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[spec.name])
+    return sys.modules["perfbench_workloads"]
+
+
 def documented_expressions():
     """Every DSL expression of README.md and of the benchmark's workloads."""
     readme = (ROOT / "README.md").read_text()
     found = re.findall(r"--expr '([^']*)'", readme) + re.findall(r"^expr = (.*)$", readme, re.M)
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  ROOT / "perfbench" / "workloads.py")
-    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
     for name in ("readme", "dense", "certify", "smoke"):
-        for op in workloads.workload(name, 42):
+        for op in workloads_module().workload(name, 42):
             if "--expr" in op.argv:
                 found.append(op.argv[op.argv.index("--expr") + 1])
     return sorted(set(found))
@@ -628,10 +634,7 @@ def documented_runs():
             size = sizes.search(text, expr.end(), end)
             if size:
                 runs.update((expr[1], n) for n in _sizes(size[1]))
-    workloads = sys.modules.get("perfbench_workloads")
-    if workloads is None:
-        documented_expressions()  # loads the workloads module
-        workloads = sys.modules["perfbench_workloads"]
+    workloads = workloads_module()
     for name in ("readme", "dense", "certify"):
         for op in workloads.workload(name, 42):
             argv = dict(zip(op.argv, op.argv[1:]))
