@@ -180,10 +180,10 @@ def acs_check(family, target, m_list: Sequence[int], sizes: Sequence,
     m_list = _check_m_list(m_list)
     norm_sizes = _normalize_sizes(sizes)
     notes: list[str] = []
+    # (d_n, rank fraction, norm) of each argmin splitting and sigma_1, from
+    # one SVD; the splitting matrices are never formed.
+    splits: dict[int, list[tuple[int, float, float]]] = {m: [] for m in m_list}
     sigma1: dict[int, list[float]] = {m: [] for m in m_list}
-    # (d_n, rank fraction, norm) of each argmin splitting, from the same
-    # singular values as sigma_1; the splitting matrices are never formed.
-    argmin_split: dict[int, list[tuple[int, float, float]]] = {m: [] for m in m_list}
     for n in norm_sizes:
         a = as_array(target(n), notes)
         for m in m_list:
@@ -195,28 +195,18 @@ def acs_check(family, target, m_list: Sequence[int], sizes: Sequence,
             d_n = a.shape[0]
             sv = spectrum(a - b, SIGMA)
             istar, norm = _argmin_splitting(sv, d_n)
-            argmin_split[m].append((d_n, istar / d_n, norm))
+            splits[m].append((d_n, istar / d_n, norm))
             sigma1[m].append(float(sv[0]))
 
-    omega_pure = {m: _limsup_estimate(sigma1[m]) for m in m_list}
-    pure_ok = trending_to_zero([omega_pure[m] for m in m_list], slack=slack)
-    lines: list[tuple] = []
-    if pure_ok:
-        c = {m: 0.0 for m in m_list}
-        omega = omega_pure
-        for m in m_list:
-            for n, s1, (d_n, _, _) in zip(norm_sizes, sigma1[m], argmin_split[m]):
-                lines.append((m, n, d_n, 0.0, s1))
-        strategy = "pure-norm splitting (rank part unnecessary)"
-    else:
-        c = {}
-        omega = {}
-        for m in m_list:
-            c[m] = _limsup_estimate([frac for _, frac, _ in argmin_split[m]])
-            omega[m] = _limsup_estimate([norm for _, _, norm in argmin_split[m]])
-            for n, (d_n, frac, norm) in zip(norm_sizes, argmin_split[m]):
-                lines.append((m, n, d_n, frac, norm))
-        strategy = "argmin splitting"
+    # The pure-norm splitting (rank part 0, norm sigma_1) wherever it suffices.
+    pure = trending_to_zero([_limsup_estimate(sigma1[m]) for m in m_list], slack=slack)
+    if pure:
+        splits = {m: [(d_n, 0.0, s1) for (d_n, _, _), s1 in zip(splits[m], sigma1[m])]
+                  for m in m_list}
+    c = {m: _limsup_estimate([frac for _, frac, _ in splits[m]]) for m in m_list}
+    omega = {m: _limsup_estimate([norm for _, _, norm in splits[m]]) for m in m_list}
+    lines = [(m, n, *split) for m in m_list for n, split in zip(norm_sizes, splits[m])]
+    strategy = "pure-norm splitting (rank part unnecessary)" if pure else "argmin splitting"
     passed = trending_to_zero([c[m] for m in m_list], slack=slack) and \
         trending_to_zero([omega[m] for m in m_list], slack=slack)
     verdict = "PASS" if passed else "FAIL"

@@ -20,8 +20,8 @@ can be wrong: a ``CoefficientFunction`` may be constructed with
 ``hermitian=True`` for a function that is not.
 
 Materialized matrices stay float64 while every leaf and scalar is real.  A
-banded tree (:func:`_band_first`) is materialized into LAPACK band storage
-and its dense array is built only if a route reads it.
+tree whose band bound (:func:`_band`) passes the band rule is materialized
+into LAPACK band storage and its dense array is built only if a route reads it.
 
 ``glt5_split_check`` and ``glt1_verify`` return a
 :class:`~gltlab.reports.Report`; the split check's facts carry the per-size
@@ -63,6 +63,7 @@ from .spectra import (
     LAMBDA,
     SIGMA,
     SLACK,
+    _band_storage,
     _fits,
     _normalize_sizes,
     distribution_check,
@@ -326,16 +327,16 @@ def materialize(e: GLTExpression, n, r: int | None = None) -> BlockMatrix:
     identity), gets the symmetrizer w = sqrt(a / b):
     W^-1 D_a H D_b W = D_sqrt(ab) H D_sqrt(ab) is Hermitian whenever H is.
     The matrix carries the band bound (kl, ku) of :func:`_band`; where it
-    passes the band rule, ``_fits(max(kl, ku), N)``, a :func:`_band_first`
-    tree is written into band storage in O(N k) and its dense array is
-    built only on first access.
+    passes the band rule, ``_fits(max(kl, ku), N)``, the tree is written
+    into band storage in O(N k) and its dense array is built only on first
+    access.
     """
     n = check_size(n)
     _, rr = _resolve_dims(e, len(n), r if r is not None else 1)
     # Every node's matrix has this order: one cap check before any allocation.
     _check_cap(rr * nu(n))
     band, w = _band(e, n), _symmetrizer(e, n)
-    if band and _fits(max(band), rr * nu(n)) and _band_first(e):
+    if band and _fits(max(band), rr * nu(n)):
         matrix = BlockMatrix(lambda: _exact_dtype(_materialize(e, n, rr, [])), rr, n,
                              symmetrizer=w)
         matrix.storage = _trimmed(_materialize(e, n, rr, [], max(band)), band)
@@ -345,18 +346,6 @@ def materialize(e: GLTExpression, n, r: int | None = None) -> BlockMatrix:
                              symmetrizer=w)
     matrix.band = band
     return matrix
-
-
-def _band_first(e: GLTExpression) -> bool:
-    """Whether ``e`` has only ``T``, ``D``, scalar, ``Z``, adjoint,
-    combination and product nodes, each product with a diagonal factor
-    (:func:`_diagonal_factor`): nodes whose entries are elementwise
-    operations on entries.  A product of two matrices is a GEMM, whose
-    summation order belongs to the BLAS kernel."""
-    if isinstance(e, Product) and not any(map(_diagonal_factor, e.children())):
-        return False
-    return (isinstance(e, (Toeplitz, Diag, Scalar, Zero, Adjoint, LinComb, Product))
-            and all(map(_band_first, e.children())))
 
 
 def _diagonal_factor(e: GLTExpression) -> bool:
@@ -370,8 +359,11 @@ def _band(e: GLTExpression, n: MultiIndex) -> tuple[int, int] | None:
     for a Toeplitz leaf r times the largest (lower) and minus the smallest
     (upper) flat offset that fits, 0 included, plus r - 1 within a block;
     (r - 1, r - 1) for a Diag, (0, 0) for a scalar or Z.  The adjoint swaps
-    the widths, a combination takes the larger and a product the sum of
-    each; a pseudo-inverse or a matrix function gives None (unknown)."""
+    the widths, a combination takes the larger and a product with a
+    diagonal factor (:func:`_diagonal_factor`) the sum of each.  A
+    pseudo-inverse, a matrix function or a GEMM, a product of two matrices
+    whose summation order belongs to the BLAS kernel, gives None (unknown):
+    band storage repeats the elementwise operations of the other nodes."""
     if isinstance(e, Toeplitz):
         r, flat = e.poly.r, [0] + [s for _, s, _ in _fitting_offsets(e.poly, n)]
         return r * max(flat) + r - 1, -r * min(flat) + r - 1
@@ -381,7 +373,8 @@ def _band(e: GLTExpression, n: MultiIndex) -> tuple[int, int] | None:
     if isinstance(e, Adjoint):
         band = _band(e.child, n)
         return band and band[::-1]
-    if isinstance(e, (LinComb, Product)):
+    if isinstance(e, LinComb) or isinstance(e, Product) and any(
+            map(_diagonal_factor, e.children())):
         a, b = _band(e.left, n), _band(e.right, n)
         join = max if isinstance(e, LinComb) else operator.add
         return None if a is None or b is None else (join(a[0], b[0]), join(a[1], b[1]))
@@ -443,8 +436,8 @@ def _coefficient(value: complex) -> float | complex:
 
 def _materialize(e: GLTExpression, n: MultiIndex, r: int, notes: list[str],
                  k: int | None = None) -> np.ndarray:
-    """The matrix of ``e``, or with k (a :func:`_band_first` tree, k at least
-    every node's band bound) its diagonals -k..k in band storage,
+    """The matrix of ``e``, or with k (a tree with a :func:`_band` bound, k
+    at least every node's) its diagonals -k..k in band storage,
     AB[k + i - j, j] = A[i, j], each entry from the float operations that
     give the dense matrix's, so the two agree bit for bit there."""
     if isinstance(e, Toeplitz):
@@ -557,19 +550,18 @@ def _halves(matrix, notes: list[str]) -> list:
     entry outside A's band read as +0.0, that builds its dense array from
     A's on first access."""
     _take_notes(matrix, notes)
-    if getattr(matrix, "storage", None) is None:
-        a = as_array(matrix)
-        return [op(a, a.conj().T) / 2.0 for op in (np.add, np.subtract)]
-    (kl, ku), k = matrix.band, max(matrix.band)
-    ab = np.zeros((2 * k + 1, matrix.shape[0]), dtype=matrix.dtype)
-    ab[k - ku:k + kl + 1] = matrix.storage
-    star, halves = _adjoint_band(ab).conj(), []
 
     def dense(op):  # halved in place: A's array and one more
-        out = op(matrix.data, matrix.data.conj().T)
+        a = as_array(matrix)
+        out = op(a, a.conj().T)
         out /= 2.0
         return out
 
+    if getattr(matrix, "storage", None) is None:
+        return [dense(op) for op in (np.add, np.subtract)]
+    k = max(matrix.band)
+    ab = _band_storage(matrix, k, k)
+    star, halves = _adjoint_band(ab).conj(), []
     for op in (np.add, np.subtract):
         half = BlockMatrix(lambda op=op: dense(op), 1, matrix.shape[:1])
         half.band, half.storage = (k, k), np.asfortranarray(op(ab, star) / 2.0)

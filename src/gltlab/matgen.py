@@ -54,10 +54,11 @@ class BlockMatrix:
     decision.
     ``band``, when set, is a bound (kl, ku) derived from the expression
     tree: A[i, j] = 0 wherever i - j > kl or j - i > ku.  Only
-    ``materialize`` sets it (it is not a constructor argument), and a change
+    ``materialize``, the split check and the similarity W^-1 A W of
+    ``spectrum`` set it (it is not a constructor argument), and a change
     to ``data`` invalidates it.  It holds only for a finite matrix (0 * inf
     is NaN), so the structure tests that read only inside it run after a
-    finiteness check.  ``storage``, when set (also only by ``materialize``
+    finiteness check.  ``storage``, when set (only by ``materialize``
     and the split check), is LAPACK's (kl + ku + 1) x N general band storage
     at the bound, AB[ku + i - j, j] = A[i, j], with +0.0 where i or j falls
     outside the matrix.  It holds ``data``'s in-band entries, so the routes

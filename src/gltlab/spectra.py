@@ -140,14 +140,17 @@ def default_basket(lo: float, hi: float) -> list[TestFunction]:
 # matrix-side quantities
 
 
-def _fingerprint(arr: np.ndarray) -> str:
-    trace = np.trace(arr, axis1=-2, axis2=-1).sum()  # summed over a stack
-    return f"shape={arr.shape}, fro={np.linalg.norm(arr):.6e}, trace={trace:.6e}"
+def _fingerprint(arr) -> str:
+    """Shape, Frobenius norm and trace (summed over a stack) of a matrix,
+    read from its band storage when it has one: that holds every nonzero."""
+    storage = getattr(arr, "storage", None)
+    entries = as_array(arr) if storage is None else storage
+    diagonal = np.diagonal(entries, axis1=-2, axis2=-1) if storage is None else _diagonal(arr, 0)
+    return f"shape={arr.shape}, fro={np.linalg.norm(entries):.6e}, trace={diagonal.sum():.6e}"
 
 
-Band = tuple[int, int] | None  # a BlockMatrix's band bound
-# The readers below take a BlockMatrix with band storage where they read a
-# matrix's diagonals or entries, and build its dense array with as_array.
+# The readers below take a BlockMatrix whole: they read its band bound, level
+# sizes and band storage from it, and build its dense array only as needed.
 
 
 def _fits(k: int, n: int) -> bool:
@@ -252,17 +255,18 @@ def _outermost(diagonal: Callable[[int], np.ndarray], k: int) -> int:
     return k
 
 
-def _bandwidths(arr: np.ndarray, lower: bool = False, band: Band = None) -> Band:
+def _bandwidths(arr: np.ndarray, lower: bool = False) -> tuple[int, int] | None:
     """The exact lower and upper bandwidths (kl, ku) of a matrix, or None as
     soon as the rows read so far break ``_fits(kl + ku, min(shape))``.  With
     ``lower`` only the lower triangle counts and ku is 0: the rule of a
-    Hermitian matrix's lower band.  A band bound K = max(kl, ku) that passes
-    the rule (``_fits(K, N)``, as band storage does) is narrowed to the
-    outermost nonzero diagonals in O(N K); otherwise reads strips of rows,
-    row 0 first, or the last row first for ``lower``
+    Hermitian matrix's lower band.  A BlockMatrix's band bound K = max(kl,
+    ku) that passes the rule (``_fits(K, N)``, as band storage does) is
+    narrowed to the outermost nonzero diagonals in O(N K); otherwise reads
+    strips of rows, row 0 first, or the last row first for ``lower``
     (:func:`~gltlab.matgen.row_strips`), so a dense matrix is rejected in
     O(N)."""
     m, n = arr.shape
+    band = getattr(arr, "band", None)
     if band is not None and _fits(max(band), min(m, n)):
         kl = _outermost(lambda d: _diagonal(arr, -d), band[0])
         ku = 0 if lower else _outermost(lambda d: _diagonal(arr, d), band[1])
@@ -285,14 +289,11 @@ def _bandwidths(arr: np.ndarray, lower: bool = False, band: Band = None) -> Band
 
 def _band_storage(arr: np.ndarray, kl: int, ku: int) -> np.ndarray:
     """LAPACK's (kl + ku + 1) x N column-major band storage, AB[ku + i - j, j]
-    = A[i, j], a new array; with ku = 0 it is the lower storage of a
-    symmetric matrix.  A BlockMatrix's band storage gives it as a slice."""
-    if getattr(arr, "storage", None) is not None:
-        top = arr.band[1]
-        return np.array(arr.storage[top - ku:top + kl + 1], order="F")
+    = A[i, j], a new array with +0.0 outside the matrix, diagonal by diagonal
+    (:func:`~gltlab.matgen._diagonal`); with ku = 0 the lower storage."""
     ab = np.zeros((kl + ku + 1, arr.shape[1]), dtype=arr.dtype, order="F")
     for k in range(-kl, ku + 1):
-        diag = np.diagonal(arr, k)
+        diag = _diagonal(arr, k)
         ab[ku - k, max(k, 0):max(k, 0) + diag.size] = diag
     return ab
 
@@ -333,28 +334,28 @@ def _band_eigenvalues(lapack: dict, ab: np.ndarray) -> np.ndarray:
     return w
 
 
-def _band_values(arr: np.ndarray, hermitian: bool, band: Band = None) -> np.ndarray | None:
+def _band_values(arr: np.ndarray, hermitian: bool) -> np.ndarray | None:
     """:func:`_values` from the band route, or None where it does not apply:
-    a float64 or complex128 matrix whose bandwidths (read within ``band``)
-    fit, where the band routines are bound.  A stack that may fit is taken
-    matrix by matrix, so that row i holds matrix i's values as if passed
-    alone."""
+    a float64 or complex128 matrix whose bandwidths (read within its band
+    bound) fit, where the band routines are bound.  A stack that may fit is
+    taken matrix by matrix, so that row i holds matrix i's values as if
+    passed alone."""
     lapack = (arr.dtype in (np.float64, np.complex128) and all(arr.shape)
               and _fits(0, min(arr.shape[-2:])) and _band_lapack())
     if lapack and arr.ndim > 2:
         return np.stack([_values(a, hermitian) for a in arr])
-    widths = lapack and _bandwidths(arr, lower=hermitian, band=band)
+    widths = lapack and _bandwidths(arr, lower=hermitian)
     if not widths:
         return None
     return (_band_eigenvalues(lapack, _band_storage(arr, widths[0], 0)) if hermitian
             else _band_singular_values(lapack, arr, *widths))
 
 
-def _values(arr: np.ndarray, hermitian: bool, band: Band = None) -> np.ndarray:
+def _values(arr: np.ndarray, hermitian: bool) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix (its lower triangle) or
     descending singular values, of a matrix or a stack: from the band route
     where it applies, else from one ``eigvalsh`` or values-only ``svd``."""
-    values = _band_values(arr, hermitian, band)
+    values = _band_values(arr, hermitian)
     if values is None:
         arr = as_array(arr)
         values = np.linalg.eigvalsh(arr) if hermitian else np.linalg.svd(arr, compute_uv=False)
@@ -449,14 +450,15 @@ def _reflection_eigenvalues(arr: np.ndarray, sizes: tuple, nonzeros: tuple | Non
     return np.sort(np.concatenate(values))
 
 
-def _hermitian_eigenvalues(arr: np.ndarray, band: Band = None, levels: tuple = ()) -> np.ndarray:
+def _hermitian_eigenvalues(arr: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix or stack, by the route of
     one matrix: structure test -> blocks -> solver.
 
     - Test, exact: J_l A J_l = A for the reversal J_l of each of d >= 2
-      ``levels`` if A is real, else J A J = conj(A) for the reversal J of the
-      whole index (:func:`_is_centro_hermitian`).  Within a band bound that
-      fits, it reads A's in-band nonzeros once and compares them alone.
+      levels of a 1-block BlockMatrix if A is real, else J A J = conj(A)
+      for the reversal J of the whole index (:func:`_is_centro_hermitian`).
+      Within a band bound that fits, it reads A's in-band nonzeros once and
+      compares them alone.
     - Blocks: a real A that passes splits into 2^d or two real blocks
       (:func:`_reflection_eigenvalues`).  A complex one takes the band route
       whole where it applies, since Lee's real block of the same order
@@ -465,15 +467,17 @@ def _hermitian_eigenvalues(arr: np.ndarray, band: Band = None, levels: tuple = (
     - Solver: :func:`_values` of each block, or ``dsbevd`` of the band
       storage that a block whose kd bound fits is written into.
     """
+    band = getattr(arr, "band", None)
     nonzeros = _band_nonzeros(arr, max(band)) if band and _fits(max(band), arr.shape[0]) else None
+    levels = arr.n if isinstance(arr, BlockMatrix) and arr.r == 1 else ()
     real = not np.iscomplexobj(arr)
     for sizes in ([levels] if real and len(levels) > 1 else []) + [arr.shape[:1]]:
         if arr.ndim == 2 and _is_centro_hermitian(arr, nonzeros, sizes, range(len(sizes))):
             if real:
                 return _reflection_eigenvalues(arr, sizes, nonzeros)
-            values = _band_values(arr, True, band)
+            values = _band_values(arr, True)
             return _values(_lee_block(arr), True) if values is None else values
-    return _values(arr, True, band)
+    return _values(arr, True)
 
 
 def spectrum(matrix, mode: str = SIGMA, hermitian: bool | None = None) -> np.ndarray:
@@ -530,9 +534,7 @@ def _spectrum(matrix, mode: str, hermitian: bool | None) -> np.ndarray:
     more pays the bandwidth test, so a caller that factors many small
     matrices (Monte Carlo trials) pays no test per matrix.
     """
-    arr = matrix if getattr(matrix, "storage", None) is not None else as_array(matrix)
-    band = getattr(matrix, "band", None)
-    levels = matrix.n if isinstance(matrix, BlockMatrix) and matrix.r == 1 else ()
+    arr = matrix if isinstance(matrix, BlockMatrix) else np.asarray(matrix)
     if mode not in (SIGMA, LAMBDA):
         raise ConfigurationError(f"unknown mode {mode!r}")
     if mode == LAMBDA and arr.ndim != 2:
@@ -543,24 +545,24 @@ def _spectrum(matrix, mode: str, hermitian: bool | None) -> np.ndarray:
         hermitian = is_hermitian(matrix)
     try:
         if hermitian:
-            values = _hermitian_eigenvalues(arr, band, levels)
+            values = _hermitian_eigenvalues(arr)
             return values if mode == LAMBDA else np.sort(np.abs(values))[..., ::-1]
         if mode == SIGMA:
             if arr.ndim == 2 and not np.iscomplexobj(arr) and _is_skew_centro(arr):
                 n = arr.shape[0]
                 sv = _values(_reflection_block(arr, (n,), (1,))[:n // 2], False)
                 return np.concatenate([np.repeat(sv, 2), np.zeros(n % 2)])
-            return _values(arr, False, band)
-        arr = as_array(arr)
+            return _values(arr, False)
         w = getattr(matrix, "symmetrizer", None)
         if w is not None:
-            b = arr * w  # B = W^-1 A W
-            b /= w[:, None]
+            b = BlockMatrix(as_array(matrix) * w, matrix.r, matrix.n)  # B = W^-1 A W
+            b.data /= w[:, None]
+            b.band = matrix.band  # a diagonal similarity keeps every zero
             if is_hermitian(b):
-                return _hermitian_eigenvalues(b, band, levels).astype(complex)
-        return np.sort(np.linalg.eigvals(arr).astype(complex, copy=False))
+                return _hermitian_eigenvalues(b).astype(complex)
+        return np.sort(np.linalg.eigvals(as_array(arr)).astype(complex, copy=False))
     except np.linalg.LinAlgError as exc:
-        raise SolverError(f"eigensolver failed ({exc}); {_fingerprint(as_array(arr))}") from exc
+        raise SolverError(f"eigensolver failed ({exc}); {_fingerprint(arr)}") from exc
 
 
 def _finite(matrix) -> None:

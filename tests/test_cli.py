@@ -489,6 +489,12 @@ def test_a_non_finite_matrix_exits_3_in_both_modes(command, mode, tmp_path, caps
     assert capsys.readouterr().err == "numerical error: matrix has non-finite entries\n"
 
 
+def test_a_singular_block_symbol_exits_3(tmp_path, capsys):
+    argv = ["check-dist", "--expr", "T([1,1;1,1])^-1", "--sizes", "8;16;32", "--out", str(tmp_path)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "numerical error: pointwise inverse failed: Singular matrix\n"
+
+
 @pytest.mark.parametrize("command, rows", [(["check-dist", "--sizes", "16;32"], [16, 32]),
                                            (["spectrum", "--n", "32"], [32])])
 def test_each_matrix_is_read_once_for_finiteness(command, rows, monkeypatch, tmp_path):

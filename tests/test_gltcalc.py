@@ -108,6 +108,13 @@ def test_symbol_of_pseudo_inverse_is_singular_where_the_symbol_vanishes():
         evaluate(sym, [[0.5]], [[0.0]])
 
 
+def test_symbol_of_a_block_pseudo_inverse_is_singular_where_the_symbol_is():
+    # r = 2: [[1, 1], [1, 1]] is singular at every point, and np.linalg.inv says so
+    sym = symbol_of(parse("T([1,1;1,1])^-1"))
+    with pytest.raises(SingularEvaluationError, match="pointwise inverse failed"):
+        evaluate(sym, [[0.5]], [[0.3]])
+
+
 def test_symbol_homomorphism_random_nodes():
     rng = np.random.default_rng(17)
     f = random_trig_polynomial(rng, d=1, r=2, degree=1, hermitian=True)
@@ -522,7 +529,7 @@ def assert_band_bound_holds(bm):
     kl, ku = exact_widths(bm.data)
     assert kl <= bm.band[0] and ku <= bm.band[1]
     for lower in (False, True):
-        assert _bandwidths(bm.data, lower, bm.band) == _bandwidths(bm.data, lower)
+        assert _bandwidths(bm, lower) == _bandwidths(bm.data, lower)
 
 
 R2_CORNER_ZERO = Toeplitz(TrigPolynomial(1, 2, {
@@ -549,7 +556,7 @@ BAND_CASES = {  # expression, size, bound, exact widths
     "scalar": (Scalar(2.0), 128, (0, 0), (0, 0)),
     "adjoint": (Adjoint(SHIFT), 128, (0, 1), (0, 1)),
     "lincomb-cancels": (LinComb(1.0, LAP, -1.0, LAP), 128, (1, 1), (0, 0)),
-    "product": (Product(LAP, LAP), 128, (2, 2), (2, 2)),
+    "product": (Product(LAP, LAP), 128, None, None),  # a GEMM: no bound
     "diag-product": (Product(DIAG_X, SHIFT), 128, (1, 0), (1, 0)),
     "commutator": (LinComb(1.0, Product(DIAG_X, LAP), -1.0, Product(LAP, DIAG_X)), 128,
                    (1, 1), (1, 1)),
@@ -655,7 +662,9 @@ def criterion_02_matrices():
 
 
 BAND_RUNS = ([(parse(text), n) for text, n in documented_runs()]
-             + [(parse("D(-x1)*T(2-2*cos(t1))"), (2048,))] + criterion_02_matrices())
+             + [(parse("D(-x1)*T(2-2*cos(t1))"), (2048,))] + criterion_02_matrices()
+             # products of two diagonal factors
+             + [(parse(text), (64,)) for text in ("2*D(x1)", "D(x1)*D(x1)", "D(-x1)*(-3)")])
 
 
 def test_the_documented_runs_are_found():

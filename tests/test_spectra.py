@@ -1128,6 +1128,27 @@ def test_band_route_failures(mode, hermitian, monkeypatch):
             spectrum(a, mode, hermitian=hermitian)
 
 
+def test_a_band_solver_error_is_fingerprinted_from_band_storage(monkeypatch):
+    """The message of a failed band solve reads the shape, norm and trace of
+    a band-stored matrix from its storage: its N x N array stays unbuilt."""
+    import gltlab.spectra as spectra_mod
+
+    if spectra_mod._band_lapack() is None:
+        pytest.skip("the band routines are not bound")
+
+    def fail(*args):
+        raise np.linalg.LinAlgError("dsbevd did not converge (info=1)")
+
+    monkeypatch.setattr(spectra_mod, "_band_eigenvalues", fail)
+    matrix = materialize(parse("T(2-2*cos(t1))"), 256)
+    with pytest.raises(SolverError, match="did not converge") as info:
+        spectrum(matrix, "lambda")
+    assert info.value.exit_code == 3 and "data" not in vars(matrix)
+    dense = toeplitz(LAP, 256).data
+    assert (f"shape=(256, 256), fro={np.linalg.norm(dense):.6e}, "
+            f"trace={np.trace(dense):.6e}") in str(info.value)
+
+
 def test_without_the_band_binding_every_matrix_takes_the_dense_call(monkeypatch):
     import gltlab.spectra as spectra_mod
 
