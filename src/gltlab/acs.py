@@ -45,7 +45,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvalidParameterError
-from .matgen import as_array
+from .matgen import _take_notes, as_array
 from .multiindex import MultiIndex, check_size, nu
 from .reports import Report
 from .spectra import (
@@ -245,7 +245,8 @@ def zero_distribution_test(seq, p, sizes: Sequence, tol: float = 0.1) -> Report:
     ``tol`` at the largest size.  The splitting criterion is the
     characterization (R + N with vanishing rank fraction and norm); the
     normalized Schatten p-norm criterion is sufficient only.  The report's
-    checks carry both verdicts, its facts both per-size series.
+    checks carry both verdicts, its facts both per-size series.  Each matrix
+    goes whole to ``spectrum``, which factors band storage where it has one.
     """
     if not p >= 1:
         raise InvalidParameterError(f"requires p >= 1, got {p}")
@@ -255,11 +256,12 @@ def zero_distribution_test(seq, p, sizes: Sequence, tol: float = 0.1) -> Report:
     dists: list[float] = []
     d_ns: list[int] = []
     for n in norm_sizes:
-        arr = as_array(seq(n), notes)
-        d_n = arr.shape[0]
+        matrix = seq(n)
+        _take_notes(matrix, notes)
+        d_n = np.shape(matrix)[0]
         d_ns.append(d_n)
         scale = 1.0 if p == np.inf else d_n ** (1.0 / p)
-        sv = spectrum(arr, SIGMA)
+        sv = spectrum(matrix, SIGMA)
         norms.append((float(sv[0]) if p == np.inf else float(np.sum(sv**p) ** (1.0 / p))) / scale)
         dists.append(float(np.min(_splitting_candidates(sv, d_n))))
     norm_ok = norms[-1] <= tol and non_increasing(norms)

@@ -58,8 +58,8 @@ class BlockMatrix:
     ``spectrum`` set it (it is not a constructor argument), and a change
     to ``data`` invalidates it.  It holds only for a finite matrix (0 * inf
     is NaN), so the structure tests that read only inside it run after a
-    finiteness check.  ``storage``, when set (only by ``materialize``
-    and the split check), is LAPACK's (kl + ku + 1) x N general band storage
+    finiteness check.  ``storage``, when set (by the same three), is
+    LAPACK's (kl + ku + 1) x N general band storage
     at the bound, AB[ku + i - j, j] = A[i, j], with +0.0 where i or j falls
     outside the matrix.  It holds ``data``'s in-band entries, so the routes
     that read it leave ``data`` unbuilt.  ``shape`` and ``dtype`` build

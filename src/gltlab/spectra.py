@@ -29,6 +29,7 @@ from .errors import (
 )
 from .matgen import (
     BlockMatrix,
+    _band_rows,
     _diagonal,
     _entries,
     _take_notes,
@@ -306,11 +307,11 @@ def _lapacke(lapack: dict, name: str, *args) -> None:
         raise RuntimeError(f"LAPACKE_{name} returned info={info}: a bug in the band route")
 
 
-def _band_singular_values(lapack: dict, arr: np.ndarray, kl: int, ku: int) -> np.ndarray:
-    """Descending singular values: dgbbrd (zgbbrd if complex) reduces the
-    band to a real upper bidiagonal, dbdsqr takes its values; no vectors."""
-    m, n = arr.shape
-    ab = _band_storage(arr, kl, ku)
+def _band_singular_values(lapack: dict, ab: np.ndarray, m: int, kl: int) -> np.ndarray:
+    """Descending singular values of an m-row matrix in general band storage
+    ``ab`` with kl subdiagonals: dgbbrd (zgbbrd if complex) reduces the band
+    to a real upper bidiagonal, dbdsqr takes its values; no vectors."""
+    n, ku = ab.shape[1], ab.shape[0] - 1 - kl
     d, e = np.empty(min(m, n)), np.empty(min(m, n))
     _lapacke(lapack, "zgbbrd" if np.iscomplexobj(ab) else "dgbbrd", b"N", m, n, 0, kl, ku,
              ab.ctypes.data, ab.shape[0], d.ctypes.data, e.ctypes.data, None, 1, None, 1,
@@ -347,8 +348,8 @@ def _band_values(arr: np.ndarray, hermitian: bool) -> np.ndarray | None:
     widths = lapack and _bandwidths(arr, lower=hermitian)
     if not widths:
         return None
-    return (_band_eigenvalues(lapack, _band_storage(arr, widths[0], 0)) if hermitian
-            else _band_singular_values(lapack, arr, *widths))
+    return (_band_eigenvalues(lapack, _band_storage(arr, widths[0], 0)) if hermitian else
+            _band_singular_values(lapack, _band_storage(arr, *widths), arr.shape[0], widths[0]))
 
 
 def _values(arr: np.ndarray, hermitian: bool) -> np.ndarray:
@@ -362,16 +363,17 @@ def _values(arr: np.ndarray, hermitian: bool) -> np.ndarray:
     return values
 
 
-def _reflection_block(arr: np.ndarray, sizes: tuple, signs: tuple, kd=None) -> np.ndarray:
-    """Block ``signs`` of :func:`_reflection_eigenvalues`, dense, or given a
-    bound kd on its lower bandwidth, as lower band storage narrowed to the
-    exact kd.  Level by level, the first first, entry (p, q) folds to x ± y
-    (y at the column J_l reflects), √2 x where p or q is the middle of odd
-    n_l, x where both are; one whose row alone is a middle is read at its
-    transpose.  For J these are Cantoni and Butler's X ± YJ, √2 u and c.
-    The band storage is gathered from A entry by entry; the dense block
-    takes x ± y from views of A and gathers only the rows and columns that
-    are a middle of some level, in O(N) for one level."""
+def _reflection_block(arr, sizes: tuple, signs: tuple, kd=None, ku=0, rows=None) -> np.ndarray:
+    """Block ``signs`` of :func:`_reflection_eigenvalues`, dense, or given
+    bounds kd and ku on its bandwidths, as the band storage of its first
+    ``rows`` rows (default all) narrowed to the exact kd; ku = 0 gives the
+    lower storage.  Level by level, the first first, entry (p, q) folds to
+    x ± y (y at the column J_l reflects), √2 x where p or q is the middle of
+    odd n_l, x where both are; one whose row alone is a middle is read at
+    its transpose.  For J these are Cantoni and Butler's X ± YJ, √2 u and c.
+    The band storage is gathered entry by entry from A (from its band
+    storage if it has one); the dense block takes x ± y from views of A and
+    gathers only the rows and columns that are a middle of some level."""
     d, half = len(sizes), [(n + (s > 0)) // 2 for n, s in zip(sizes, signs)]
     mids = 2 * np.indices(half).reshape(d, -1) == np.subtract(sizes, 1)[:, None]
     box, order = tuple(slice(h) for h in half), int(np.prod(half))
@@ -407,9 +409,47 @@ def _reflection_block(arr: np.ndarray, sizes: tuple, signs: tuple, kd=None) -> n
             block = block.astype(np.result_type(block, rows), copy=False)
             block[r], block[:, r] = rows, cols
         return block
-    rows = np.arange(kd + 1)[:, None] + np.arange(order)
-    ab = np.where(rows < order, gather(np.minimum(rows, order - 1), np.arange(order)), 0.0)
-    return np.asfortranarray(ab[:_outermost(ab.__getitem__, kd) + 1])
+    i = np.arange(-ku, kd + 1)[:, None] + np.arange(order)  # the row of each entry
+    inside = (i >= 0) & (i < (order if rows is None else rows))
+    ab = np.where(inside, gather(np.clip(i, 0, order - 1), np.arange(order)), 0.0)
+    return np.asfortranarray(ab[:ku + _outermost(lambda s: ab[ku + s], kd) + 1])
+
+
+def _skew_half_values(arr: np.ndarray) -> np.ndarray:
+    """Descending singular values of the half block C of a real A = -A^T =
+    -J A J (:func:`_spectrum`), the first floor(N/2) rows of its even
+    reflection block.  Of A's band storage C is gathered into band storage
+    at A's bound and narrowed to its exact widths, then factored there if
+    they pass the band rule, else scattered into a dense array."""
+    n, m = arr.shape[0], arr.shape[0] // 2
+    if getattr(arr, "storage", None) is None:
+        return _values(_reflection_block(arr, (n,), (1,))[:m], False)
+    k = max(arr.band)
+    ab = _reflection_block(arr, (n,), (1,), k, k, m)
+    ku = _outermost(lambda d: ab[k - d], k)
+    ab, kl, lapack = np.asfortranarray(ab[k - ku:]), len(ab) - 1 - k, _band_lapack()
+    if lapack and _fits(kl + ku, m):
+        return _band_singular_values(lapack, ab, m, kl)
+    i = np.arange(-ku, kl + 1)[:, None] + np.arange(ab.shape[1])  # the row of each entry
+    c, inside = np.zeros((m, ab.shape[1])), (i >= 0) & (i < m)
+    c[i[inside], np.nonzero(inside)[1]] = ab[inside]
+    return np.linalg.svd(c, compute_uv=False)
+
+
+def _similarity(matrix: BlockMatrix, w: np.ndarray) -> BlockMatrix:
+    """B = W^-1 A W, W = diag(w), entry (a * w_j) / w_i, with A's band bound
+    (a diagonal similarity keeps every zero); in band storage if A is, its
+    dense array then built from A's on first access."""
+    def dense():
+        b = as_array(matrix) * w
+        return np.divide(b, w[:, None], out=b)
+
+    b = BlockMatrix(dense if matrix.storage is not None else dense(), matrix.r, matrix.n)
+    b.band = matrix.band
+    if matrix.storage is not None:
+        (kl, ku), k = b.band, max(b.band)
+        b.storage = np.asfortranarray(matrix.storage * w / _band_rows(w, k)[k - ku:k + kl + 1])
+    return b
 
 
 def _lee_block(arr: np.ndarray) -> np.ndarray:
@@ -520,14 +560,14 @@ def _spectrum(matrix, mode: str, hermitian: bool | None) -> np.ndarray:
     - Sigma mode of one real A = -A^T = -J A J (:func:`_is_skew_centro`; the
       skew parts of D_n(x) T_n(f) and of real Toeplitz matrices, and
       commutators such as [D_n(x), T_n(f)]): the first m rows of its even
-      reflection block (:func:`_reflection_block`, J), C = A[:m, :m] +
-      A[:m, N-m:] J with the column √2 A[:m, m] for N = 2m + 1.  Cantoni
-      and Butler's similarity takes A to [[0, -K^T], [K, 0]], K = J C, so
-      each singular value of C counts twice, plus one 0 for odd N.
+      reflection block, C = A[:m, :m] + A[:m, N-m:] J with the column
+      √2 A[:m, m] for N = 2m + 1 (:func:`_skew_half_values`).  Cantoni and
+      Butler's similarity takes A to [[0, -K^T], [K, 0]], K = J C, so each
+      singular value of C counts twice, plus one 0 for odd N.
     - Any other sigma mode: :func:`_values`.
     - Lambda mode of a ``BlockMatrix`` with a symmetrizer w for which B =
-      W^-1 A W passes ``is_hermitian``: B's eigenvalues as complex, with
-      imaginary parts exactly zero.  Otherwise ``eigvals``.
+      W^-1 A W (:func:`_similarity`) passes ``is_hermitian``: B's eigenvalues
+      as complex, with imaginary parts exactly zero.  Otherwise ``eigvals``.
 
     Sigma mode tests nothing else for itself: one real matrix pays the skew
     test, stacks pay no structure test, and only a matrix of order 32 or
@@ -549,15 +589,12 @@ def _spectrum(matrix, mode: str, hermitian: bool | None) -> np.ndarray:
             return values if mode == LAMBDA else np.sort(np.abs(values))[..., ::-1]
         if mode == SIGMA:
             if arr.ndim == 2 and not np.iscomplexobj(arr) and _is_skew_centro(arr):
-                n = arr.shape[0]
-                sv = _values(_reflection_block(arr, (n,), (1,))[:n // 2], False)
-                return np.concatenate([np.repeat(sv, 2), np.zeros(n % 2)])
+                sv = _skew_half_values(arr)
+                return np.concatenate([np.repeat(sv, 2), np.zeros(arr.shape[0] % 2)])
             return _values(arr, False)
         w = getattr(matrix, "symmetrizer", None)
         if w is not None:
-            b = BlockMatrix(as_array(matrix) * w, matrix.r, matrix.n)  # B = W^-1 A W
-            b.data /= w[:, None]
-            b.band = matrix.band  # a diagonal similarity keeps every zero
+            b = _similarity(matrix, w)
             if is_hermitian(b):
                 return _hermitian_eigenvalues(b).astype(complex)
         return np.sort(np.linalg.eigvals(as_array(arr)).astype(complex, copy=False))

@@ -199,11 +199,12 @@ def spectral_surfaces(s: Symbol, x, theta, mode: str = "sigma") -> np.ndarray:
         return np.linalg.svd(batch, compute_uv=False)
     if mode == "lambda":
         # eigvalsh reads one triangle: trust the declared flag only when the
-        # batch passes matgen.is_hermitian's relative Frobenius test.
+        # batch passes matgen.is_hermitian's relative Frobenius test.  A 1 x 1
+        # block is its own eigenvalue, the real part of which eigvalsh reads.
         if s.hermitian and np.linalg.norm(batch - np.conj(np.swapaxes(batch, -1, -2))) \
                 <= HERMITIAN_RTOL * max(np.linalg.norm(batch), 1e-300):
-            return np.linalg.eigvalsh(batch)
-        return np.sort(np.linalg.eigvals(batch), axis=-1)
+            return batch[:, :, 0].real if s.r == 1 else np.linalg.eigvalsh(batch)
+        return batch[:, :, 0] if s.r == 1 else np.sort(np.linalg.eigvals(batch), axis=-1)
     raise ConfigurationError(f"unknown mode {mode!r}")
 
 

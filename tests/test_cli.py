@@ -229,6 +229,48 @@ def test_pseudo_inverse_notes_reach_the_summary(tmp_path):
     assert "notes" not in json.loads((out / "summary.json").read_text())
 
 
+def test_a_partial_pseudo_inverse_truncation_reaches_the_check_zero_summary(tmp_path):
+    """check-zero hands each matrix whole to the spectrum and takes its notes
+    itself: the one singular value that the shift's ^-1 drops is noted per
+    size, and the difference from its adjoint is zero-distributed."""
+    out = tmp_path / "zero"
+    assert main(["check-zero", "--expr", "T(exp(i*t1))^-1-T(exp(-i*t1))", "--sizes",
+                 "16;32;64", "--p", "1", "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["notes"] == [
+        f"pseudo-inverse at n={n} truncated 1 singular values below 1e-10 * sigma_1"
+        for n in (16, 32, 64)
+    ]
+
+
+ROW_CAP_RUNS = {
+    "check-glt5": ["check-glt5", "--expr", "D(x1)*T(2-2*cos(t1))", "--sizes", "2048;4096;8192"],
+    "spectrum": ["spectrum", "--expr", "D(x1)*T(2-2*cos(t1))", "--n", "8192", "--mode", "lambda"],
+}
+
+
+@pytest.mark.parametrize("argv", ROW_CAP_RUNS.values(), ids=ROW_CAP_RUNS)
+def test_the_product_at_the_row_cap_peaks_under_100_mb(argv, tmp_path):
+    """The split check of D_n(x)T_n(f) up to n = 8192 (the skew half block
+    of its Y) and the product's lambda spectrum at 8192 (its similarity
+    W^-1 A W) read only band storage: the gltlab process peaks under 100 MB,
+    where one 8192 x 8192 float64 array takes 512 MiB."""
+    from gltlab.spectra import _band_lapack
+
+    if _band_lapack() is None:
+        pytest.skip("the band routines are not bound")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(gltlab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    peak = ("import resource, subprocess, sys; code = subprocess.call(sys.argv[1:], "
+            "stdout=subprocess.DEVNULL); print(code, resource.getrusage("
+            "resource.RUSAGE_CHILDREN).ru_maxrss)")
+    done = subprocess.run([sys.executable, "-c", peak, sys.executable, "-m", "gltlab", *argv],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    code, kb = map(int, done.stdout.split())
+    assert code == 0, done.stderr
+    assert kb < 100 * 1024
+
+
 # A real scalar times a Hermitian operand is Hermitian, on the symbol side too.
 # The eigenvalues of fun(exp,2*T(.)) reach e^8: the windowed moments are of
 # order 10^3..10^9 and their errors, though halving with n, stay far above an

@@ -623,9 +623,9 @@ def _recorded(monkeypatch, name):
     if name in BAND_SOLVERS:
         band = getattr(spectra_mod, BAND_SOLVERS[name])
 
-        def spy(lapack, a, *widths):  # _band_eigenvalues takes the band storage
-            shapes.append(a.shape if widths else (a.shape[1],) * 2)
-            return band(lapack, a, *widths)
+        def spy(lapack, ab, *rows):  # both take the band storage; the SVD also m, kl
+            shapes.append((rows[0] if rows else ab.shape[1], ab.shape[1]))
+            return band(lapack, ab, *rows)
 
         monkeypatch.setattr(spectra_mod, BAND_SOLVERS[name], spy)
     return shapes
@@ -682,6 +682,57 @@ def test_lambda_similarity_falls_back_to_eigvals(case):
         assert (m.symmetrizer is None) == case.startswith("D(x1-0.5)")
     values = spectrum(m, "lambda", hermitian=False)
     assert np.array_equal(values, np.sort(np.linalg.eigvals(m.data).astype(complex)))
+
+
+
+SKEW_CASES = {  # A, and whether A is the skew half Y of the split check's (X, Y)
+    "product-Y": ("D(x1)*T(2-2*cos(t1))", True),
+    "shift-Y": ("T(exp(i*t1))", True),
+    "commutator": ("D(x1)*T(2-2*cos(t1))-T(2-2*cos(t1))*D(x1)", False),
+    "loose-Y": ("T(2*cos(2*t1)+exp(i*t1))", True),  # bound K = 2, C's exact widths (1, 1)
+}
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 100, 129, 1024])
+@pytest.mark.parametrize("expr, half", SKEW_CASES.values(), ids=SKEW_CASES)
+def test_the_skew_half_block_from_band_storage_keeps_the_dense_bits(expr, half, n):
+    """The skew route's half block C, gathered from A's band storage (and
+    scattered dense where its band fails the rule), has bit for bit the
+    singular values of the dense C, on both parities and both sides of the
+    order-32 band floor, and A's dense array is never built."""
+    import gltlab.spectra as spectra_mod
+    from gltlab.gltcalc import _halves
+
+    bm = materialize(parse(expr), n)
+    a = _halves(bm, [])[1] if half else bm
+    assert a.storage is not None
+    values, band_c = spectrum(a, "sigma"), spectra_mod._skew_half_values(a)
+    assert "data" not in a.__dict__ and "data" not in bm.__dict__
+    dense_c = spectra_mod._reflection_block(a.data, (n,), (1,))[:n // 2]
+    assert np.array_equal(band_c, spectra_mod._values(dense_c, False))
+    assert np.array_equal(values, spectrum(a.data, "sigma"))
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_the_similarity_in_band_storage_keeps_the_dense_bits(n):
+    """B = W^-1 A W written in band storage holds the dense B's bytes within
+    A's band, its lambda spectrum is bit for bit the dense B's, and A's dense
+    array is never built."""
+    import gltlab.spectra as spectra_mod
+
+    bm = materialize(PRODUCT_EXPR, n)
+    w = bm.symmetrizer
+    assert bm.storage is not None and w is not None
+    values = spectrum(bm, "lambda", hermitian=False)
+    band_b = spectra_mod._similarity(bm, w)
+    assert "data" not in bm.__dict__ and "data" not in band_b.__dict__
+    dense_b = BlockMatrix(bm.data * w, 1, n)  # entry (a * w_j) / w_i
+    dense_b.data /= w[:, None]
+    dense_b.band = bm.band
+    assert band_b.storage.tobytes("F") == spectra_mod._band_storage(
+        dense_b.data, *bm.band).tobytes("F")
+    assert is_hermitian(dense_b)
+    assert np.array_equal(values, spectra_mod._hermitian_eigenvalues(dense_b).astype(complex))
 
 
 def _banded(rng, m, n, kl, ku, complex_=False):

@@ -237,3 +237,61 @@ def test_trig_eval_equals_the_complex_gemm_form_bit_for_bit(poly):
                                  poly._blocks)
         values = poly._eval(None, theta)
         assert np.array_equal(values.view(np.int64), complex_gemm.view(np.int64))
+
+
+def _table(values: np.ndarray, hermitian: bool) -> tuple:
+    """An r = 1 coefficient symbol that takes ``values`` at a batch of as many
+    points, with the batch, its points and its surfaces' expected dtype."""
+    s = CoefficientFunction(1, 1, lambda x: values[:, None, None], hermitian=hermitian)
+    xs = np.linspace(0.0, 1.0, len(values))[:, None]
+    return s, xs, np.zeros_like(xs), evaluate(s, xs, np.zeros_like(xs))
+
+
+def _same(got: np.ndarray, want: np.ndarray) -> bool:
+    """Equal dtype and shape, zero parts equal by ==, every other part bit
+    for bit (== is bit equality on nonzero floats)."""
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and np.array_equal(np.real(got), np.real(want))
+            and np.array_equal(np.imag(got), np.imag(want)))
+
+
+ZEROS = np.array([0.0, -0.0, complex(-0.0, -0.0), complex(-0.0, 0.0), complex(0.0, -0.0)])
+
+
+@pytest.mark.parametrize("gate", ["passes", "fails"])
+def test_1x1_lambda_surfaces_are_the_entries_lapack_returns(gate):
+    """r = 1 lambda surfaces skip LAPACK: each is its 1 x 1 block's entry
+    (its real part behind the Hermitian gate), the values eigvals and
+    eigvalsh return, for entry moduli from 1e-138 to 1e138.  zgeev rescales
+    a block of modulus below ~6.7e-139 or above ~1.5e138 and rounds there."""
+    rng = np.random.default_rng(2031)
+    k = np.repeat(np.arange(-138.0, 137.0), 4)
+    mantissa = rng.uniform(1.0, 10.0, (2, k.size)) * rng.choice([-1.0, 1.0], (2, k.size))
+    parts = mantissa * 10.0**k
+    tiny = 1e-14 if gate == "passes" else 1.0  # relative imaginary parts
+    values = np.concatenate([parts[0] + 1j * tiny * parts[1], ZEROS,
+                             [1e100 + 1e-200j, -3e-120 + 2e120j * tiny]])
+    s, xs, thetas, batch = _table(values, hermitian=True)
+    surf = spectral_surfaces(s, xs, thetas, "lambda")
+    if gate == "passes":
+        assert _same(surf, np.linalg.eigvalsh(batch)) and _same(surf[:, 0], values.real)
+    else:
+        assert _same(surf, np.sort(np.linalg.eigvals(batch), axis=-1))
+        assert _same(surf[:, 0], values)
+    undeclared = _table(values.real, hermitian=False)  # zero imaginary parts, eigvals' path
+    assert _same(spectral_surfaces(*undeclared[:3], "lambda"),
+                 np.sort(np.linalg.eigvals(undeclared[3]), axis=-1))
+
+
+def test_1x1_lambda_surfaces_keep_the_entry_where_lapack_rescales():
+    """Beyond zgeev's scaling thresholds the shortcut returns the exact entry,
+    where eigvals may round it.  (Moduli above ~1e154 overflow the Hermitian
+    gate's norm, so the declared-Hermitian batch stops at 1e150.)"""
+    small = np.array([3e-150 - 7e-151j, 1.23e-160 + 4.56e-160j, -5e-145 + 1e-146j])
+    large = np.array([7.7e150 + 1.1e151j, 2e160 - 3e159j, -4e170 + 1e169j])
+    for values, hermitian in ((small, True), (small, False), (large[:1], True), (large, False)):
+        s, xs, thetas, _ = _table(values, hermitian)  # the gate fails: complex entries
+        assert _same(spectral_surfaces(s, xs, thetas, "lambda")[:, 0], values)
+        s, xs, thetas, _ = _table(values.real, hermitian)
+        want = values.real if hermitian else values.real.astype(complex)
+        assert _same(spectral_surfaces(s, xs, thetas, "lambda")[:, 0], want)
