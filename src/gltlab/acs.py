@@ -28,13 +28,14 @@ few vectorized calls.  A chunk holds as many trials as fit a stack of
 short), so memory does not grow with the trial count and the streams depend
 on d_n and the trial count only, never on the host.  The verifier decides
 each trial's rank and norm events with certificates that agree with the
-stacked values-only SVD on every trial they decide: one Householder QR of
-the leading j + 1 columns of the R stack (j the allowed rank) proves rank
-hits by the residual of the other columns and rank misses by one Cholesky
-factorization of its triangular factor, column norms prove norm misses and
-one Cholesky factorization of the rest proves their norm hits.  Only the
-trials a certificate leaves open take the SVD.  Everything runs on the
-calling thread, one chunk at a time.
+stacked values-only SVD, ``spectrum``'s one call on a stack of any order,
+on every trial they decide: one Householder QR of the leading j + 1
+columns of the R stack (j the allowed rank) proves rank hits by the
+residual of the other columns and rank misses by one Cholesky
+factorization of its triangular factor, column norms prove norm misses
+and one Cholesky factorization of the rest proves their norm hits.  Only
+the trials a certificate leaves open take the SVD.  Everything runs on
+the calling thread, one chunk at a time.
 """
 
 from __future__ import annotations

@@ -85,7 +85,6 @@ class ExperimentConfig:
     slack: float = _field(SLACK, float)
     quad_tol: float = _field(QUAD_TOL, float)
     m_list: list = _field([], lambda s: [int(v) for v in s.split(",")])
-    family: str = _field("truncate", str.strip)
     model: str = _field("designed", str.strip)
     trials: int = _field(10000, int)
     p: float = _field(2.0, lambda s: np.inf if s.strip() in ("inf", "oo") else float(s))
@@ -128,8 +127,6 @@ class ExperimentConfig:
                 acs_mod._check_m_list(self.m_list)
             except InvalidParameterError as exc:
                 problems.append(f"m_list: {exc}")
-        if self.kind == "acs" and self.family not in ("truncate", "same"):
-            problems.append(f"family: unknown {self.family!r} (truncate | same)")
         if self.kind == "zero" and self.model not in ("expr", *acs_mod.ZERO_SEQUENCES):
             problems.append(
                 f"model: unknown {self.model!r}; choose from "
@@ -300,12 +297,9 @@ def _run_spectrum(cfg: ExperimentConfig):
 def _run_acs(cfg: ExperimentConfig):
     e = _parse_expression(cfg)
     target = lambda n: materialize(e, n, r=cfg.r)
-    if cfg.family == "truncate":
-        family = lambda m, n: materialize(truncate_toeplitz(e, m), n, r=cfg.r)
-    else:
-        family = lambda m, n: materialize(e, n, r=cfg.r)
+    family = lambda m, n: materialize(truncate_toeplitz(e, m), n, r=cfg.r)
     report = acs_mod.acs_check(family, target, cfg.m_list, cfg.sizes, slack=cfg.slack)
-    return report, {"expression": dsl.format_expression(e), "family": cfg.family}
+    return report, {"expression": dsl.format_expression(e), "family": "truncate"}
 
 
 def _run_zero(cfg: ExperimentConfig):
@@ -403,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     ca.add_argument("--expr", required=True)
     ca.add_argument("--sizes", required=True)
     ca.add_argument("--m-list", dest="m_list", required=True)
-    ca.add_argument("--family", choices=("truncate", "same"))
     ca.add_argument("--d")
     ca.add_argument("--out", help="output directory")
 

@@ -33,7 +33,7 @@ from .multiindex import (
     format_multiindex,
     nu,
 )
-from .symbols import HERMITIAN_RTOL, Symbol, TrigPolynomial
+from .symbols import Symbol, TrigPolynomial, _hermitian_rule
 
 DEFAULT_SIZE_CAP = 8192
 _STRIP = 1 << 16  # entries a strip-wise matrix test reads at once
@@ -322,25 +322,33 @@ def is_hermitian(matrix) -> bool:
     tiles (I, J), (J, I), I <= J, of side ``isqrt(_STRIP)``.  They round
     differently from one norm of the whole difference, so only a matrix
     within rounding of the threshold can be decided otherwise than by
-    ``norm(A - A*) <= HERMITIAN_RTOL * norm(A)``.
+    ``norm(A - A*) <= HERMITIAN_RTOL * norm(A)``; the sums are taken
+    again of A / max |a_ij| where they leave the float range
+    (:func:`~gltlab.symbols._hermitian_rule`).
     """
     if getattr(matrix, "storage", None) is not None:
-        pairs = ((_diagonal(matrix, d), _diagonal(matrix, -d), d == 0)
-                 for d in range(max(matrix.band) + 1))
+        pairs = [(_diagonal(matrix, d), _diagonal(matrix, -d), d == 0)
+                 for d in range(max(matrix.band) + 1)]
     else:
         arr = as_array(matrix)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InvalidParameterError(
                 f"is_hermitian takes a square matrix, got shape {arr.shape}")
         tile = math.isqrt(_STRIP)
-        pairs = ((arr[i:i + tile, j:j + tile], arr[j:j + tile, i:i + tile], i == j)
-                 for i in range(0, len(arr), tile) for j in range(i, len(arr), tile))
-    skew = scale = 0.0
-    for x, y, same in pairs:
-        if same:
-            skew += _sum_sq(x - x.conj().T)
-            scale += _sum_sq(x)
-        else:
-            skew += 2 * _sum_sq(x - y.conj().T)
-            scale += _sum_sq(x) + _sum_sq(y)
-    return bool(np.sqrt(skew) <= HERMITIAN_RTOL * max(np.sqrt(scale), 1e-300))
+        pairs = [(arr[i:i + tile, j:j + tile], arr[j:j + tile, i:i + tile], i == j)
+                 for i in range(0, len(arr), tile) for j in range(i, len(arr), tile)]
+
+    def norms(s):
+        skew = scale = 0.0
+        for x, y, same in pairs:
+            x, y = (x, y) if s == 1.0 else (x / s, y / s)
+            if same:
+                skew += _sum_sq(x - x.conj().T)
+                scale += _sum_sq(x)
+            else:
+                skew += 2 * _sum_sq(x - y.conj().T)
+                scale += _sum_sq(x) + _sum_sq(y)
+        return np.sqrt(skew), np.sqrt(scale)
+
+    return _hermitian_rule(norms, lambda: max(
+        (float(np.abs(x).max(initial=0.0)) for pair in pairs for x in pair[:2]), default=0.0))

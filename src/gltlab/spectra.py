@@ -249,30 +249,16 @@ def _band_lapack() -> dict | None:
     return routines
 
 
-def _outermost(diagonal: Callable[[int], np.ndarray], k: int) -> int:
-    """The largest d <= k whose ``diagonal(d)`` has a nonzero entry, else 0."""
-    while k > 0 and not diagonal(k).any():
-        k -= 1
-    return k
-
-
 def _bandwidths(arr: np.ndarray, lower: bool = False) -> tuple[int, int] | None:
-    """The exact lower and upper bandwidths (kl, ku) of a matrix, or None as
-    soon as the rows read so far break ``_fits(kl + ku, min(shape))``.  With
-    ``lower`` only the lower triangle counts and ku is 0: the rule of a
-    Hermitian matrix's lower band.  A BlockMatrix's band bound K = max(kl,
-    ku) that passes the rule (``_fits(K, N)``, as band storage does) is
-    narrowed to the outermost nonzero diagonals in O(N K); otherwise reads
-    strips of rows, row 0 first, or the last row first for ``lower``
+    """The exact lower and upper bandwidths (kl, ku) of a dense matrix, or
+    None as soon as the rows read so far break ``_fits(kl + ku,
+    min(shape))``.  With ``lower`` only the lower triangle counts and ku is
+    0: the rule of a Hermitian matrix's lower band.  Reads strips of rows,
+    row 0 first, or the last row first for ``lower``
     (:func:`~gltlab.matgen.row_strips`), so a dense matrix is rejected in
     O(N)."""
-    m, n = arr.shape
-    band = getattr(arr, "band", None)
-    if band is not None and _fits(max(band), min(m, n)):
-        kl = _outermost(lambda d: _diagonal(arr, -d), band[0])
-        ku = 0 if lower else _outermost(lambda d: _diagonal(arr, d), band[1])
-        return (kl, ku) if _fits(kl + ku, min(m, n)) else None
     arr = as_array(arr)
+    m, n = arr.shape
     kl = ku = 0
     for lo, hi in row_strips(m, n):
         if lower:
@@ -335,39 +321,49 @@ def _band_eigenvalues(lapack: dict, ab: np.ndarray) -> np.ndarray:
     return w
 
 
-def _band_values(arr: np.ndarray, hermitian: bool) -> np.ndarray | None:
-    """:func:`_values` from the band route, or None where it does not apply:
-    a float64 or complex128 matrix whose bandwidths (read within its band
-    bound) fit, where the band routines are bound.  A stack that may fit is
-    taken matrix by matrix, so that row i holds matrix i's values as if
-    passed alone."""
-    lapack = (arr.dtype in (np.float64, np.complex128) and all(arr.shape)
-              and _fits(0, min(arr.shape[-2:])) and _band_lapack())
-    if lapack and arr.ndim > 2:
-        return np.stack([_values(a, hermitian) for a in arr])
-    widths = lapack and _bandwidths(arr, lower=hermitian)
-    if not widths:
-        return None
-    return (_band_eigenvalues(lapack, _band_storage(arr, widths[0], 0)) if hermitian else
-            _band_singular_values(lapack, _band_storage(arr, *widths), arr.shape[0], widths[0]))
+def _band_solve(ab: np.ndarray, ku: int, m: int, hermitian: bool) -> np.ndarray:
+    """:func:`_values` of the m-row matrix in band storage ``ab`` with ku
+    superdiagonals (ku = 0: a Hermitian matrix's lower storage), narrowed to
+    its outermost nonzero diagonals: from the band routines, on a copy,
+    where the band rule passes and they are bound, else from the dense
+    array it is scattered into."""
+    rows, n = np.flatnonzero(ab.any(axis=1)), ab.shape[1]  # the diagonals that hold a nonzero
+    lo, hi = min(rows.min(initial=ku), ku), max(rows.max(initial=ku), ku)
+    ab, ku, kl, lapack = ab[lo:hi + 1], ku - lo, hi - ku, _band_lapack()
+    if lapack and _fits(kl + ku, min(m, n)):
+        ab = np.array(ab, order="F")  # a copy: LAPACK overwrites it
+        return (_band_eigenvalues(lapack, ab) if hermitian else
+                _band_singular_values(lapack, ab, m, kl))
+    i = np.arange(-ku, kl + 1)[:, None] + np.arange(n)  # the row of each entry
+    dense, inside = np.zeros((m, n), ab.dtype), (i >= 0) & (i < m)
+    dense[i[inside], np.nonzero(inside)[1]] = ab[inside]
+    return _values(dense, hermitian)
 
 
 def _values(arr: np.ndarray, hermitian: bool) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix (its lower triangle) or
-    descending singular values, of a matrix or a stack: from the band route
-    where it applies, else from one ``eigvalsh`` or values-only ``svd``."""
-    values = _band_values(arr, hermitian)
-    if values is None:
-        arr = as_array(arr)
-        values = np.linalg.eigvalsh(arr) if hermitian else np.linalg.svd(arr, compute_uv=False)
-    return values
+    descending singular values, of a matrix or a stack: from
+    :func:`_band_solve` of a band-stored matrix's storage rows, or of a
+    float64 or complex128 matrix whose bandwidths fit where the band
+    routines are bound; else from one ``eigvalsh`` or values-only ``svd``,
+    of a whole stack too."""
+    storage = getattr(arr, "storage", None)
+    if storage is not None:
+        ku = 0 if hermitian else arr.band[1]
+        return _band_solve(storage[arr.band[1] - ku:], ku, arr.shape[0], hermitian)
+    widths = (arr.ndim == 2 and arr.dtype in (np.float64, np.complex128)
+              and _fits(0, min(arr.shape)) and _band_lapack() and _bandwidths(arr, hermitian))
+    if widths:
+        return _band_solve(_band_storage(arr, *widths), widths[1], arr.shape[0], hermitian)
+    arr = as_array(arr)
+    return np.linalg.eigvalsh(arr) if hermitian else np.linalg.svd(arr, compute_uv=False)
 
 
 def _reflection_block(arr, sizes: tuple, signs: tuple, kd=None, ku=0, rows=None) -> np.ndarray:
     """Block ``signs`` of :func:`_reflection_eigenvalues`, dense, or given
     bounds kd and ku on its bandwidths, as the band storage of its first
-    ``rows`` rows (default all) narrowed to the exact kd; ku = 0 gives the
-    lower storage.  Level by level, the first first, entry (p, q) folds to
+    ``rows`` rows (default all) at those bounds; ku = 0 gives the lower
+    storage.  Level by level, the first first, entry (p, q) folds to
     x ± y (y at the column J_l reflects), √2 x where p or q is the middle of
     odd n_l, x where both are; one whose row alone is a middle is read at
     its transpose.  For J these are Cantoni and Butler's X ± YJ, √2 u and c.
@@ -411,29 +407,19 @@ def _reflection_block(arr, sizes: tuple, signs: tuple, kd=None, ku=0, rows=None)
         return block
     i = np.arange(-ku, kd + 1)[:, None] + np.arange(order)  # the row of each entry
     inside = (i >= 0) & (i < (order if rows is None else rows))
-    ab = np.where(inside, gather(np.clip(i, 0, order - 1), np.arange(order)), 0.0)
-    return np.asfortranarray(ab[:ku + _outermost(lambda s: ab[ku + s], kd) + 1])
+    return np.where(inside, gather(np.clip(i, 0, order - 1), np.arange(order)), 0.0)
 
 
 def _skew_half_values(arr: np.ndarray) -> np.ndarray:
     """Descending singular values of the half block C of a real A = -A^T =
     -J A J (:func:`_spectrum`), the first floor(N/2) rows of its even
-    reflection block.  Of A's band storage C is gathered into band storage
-    at A's bound and narrowed to its exact widths, then factored there if
-    they pass the band rule, else scattered into a dense array."""
+    reflection block; of A's band storage C is gathered into band storage
+    at A's bound for :func:`_band_solve`."""
     n, m = arr.shape[0], arr.shape[0] // 2
     if getattr(arr, "storage", None) is None:
         return _values(_reflection_block(arr, (n,), (1,))[:m], False)
     k = max(arr.band)
-    ab = _reflection_block(arr, (n,), (1,), k, k, m)
-    ku = _outermost(lambda d: ab[k - d], k)
-    ab, kl, lapack = np.asfortranarray(ab[k - ku:]), len(ab) - 1 - k, _band_lapack()
-    if lapack and _fits(kl + ku, m):
-        return _band_singular_values(lapack, ab, m, kl)
-    i = np.arange(-ku, kl + 1)[:, None] + np.arange(ab.shape[1])  # the row of each entry
-    c, inside = np.zeros((m, ab.shape[1])), (i >= 0) & (i < m)
-    c[i[inside], np.nonzero(inside)[1]] = ab[inside]
-    return np.linalg.svd(c, compute_uv=False)
+    return _band_solve(_reflection_block(arr, (n,), (1,), k, k, m), k, m, False)
 
 
 def _similarity(matrix: BlockMatrix, w: np.ndarray) -> BlockMatrix:
@@ -452,14 +438,6 @@ def _similarity(matrix: BlockMatrix, w: np.ndarray) -> BlockMatrix:
     return b
 
 
-def _lee_block(arr: np.ndarray) -> np.ndarray:
-    """A real matrix whose lower triangle, the one LAPACK reads, is that of
-    Lee's unitary similarity [[Re P, ·], [Im P[:m], Re M]] of a complex
-    Hermitian, centro-Hermitian A of order 2m + odd, P and M its J blocks."""
-    p, q = (_reflection_block(arr, arr.shape[:1], (s,)) for s in (1, -1))
-    return np.block([[p.real, p.imag[:len(q)].T], [p.imag[:len(q)], q.real]])
-
-
 def _fold_spans(sizes: tuple, nonzeros: tuple) -> np.ndarray:
     """Per level l, max |f(i_l) - f(j_l)|, f(x) = min(x, n_l - 1 - x), over
     A's ``nonzeros`` (i, j).  Each term of a block's entry (p, q) is such an
@@ -475,18 +453,18 @@ def _reflection_eigenvalues(arr: np.ndarray, sizes: tuple, nonzeros: tuple | Non
     each level of ``sizes`` ((N,): J): Q_1 ⊗ … ⊗ Q_d, Q_l the even and odd
     vectors of J_l, splits A into 2^d blocks (Trench, LAA 377 (2004) 207–218;
     d = 1: Cantoni and Butler, LAA 13 (1976) 275–288).  Given A's
-    ``nonzeros``, a block whose kd bound (:func:`_fold_spans`) fits is built
-    in band storage."""
-    lapack = nonzeros is not None and _band_lapack()
-    spans = lapack and _fold_spans(sizes, nonzeros)
+    ``nonzeros``, each block is gathered into band storage at its kd bound
+    (:func:`_fold_spans`) for :func:`_band_solve`; else it is built dense."""
+    spans = None if nonzeros is None else _fold_spans(sizes, nonzeros)
     values = []
     for signs in itertools.product((1, -1), repeat=len(sizes)):
         half = [(n + (s > 0)) // 2 for n, s in zip(sizes, signs)]
-        order = int(np.prod(half))
-        kd = lapack and int(np.dot(spans, np.cumprod([1, *half[:0:-1]])[::-1]))
-        banded = lapack and _fits(kd, order)
-        block = _reflection_block(arr, sizes, signs, kd if banded else None)
-        values.append(_band_eigenvalues(lapack, block) if banded else _values(block, True))
+        if spans is None:
+            values.append(_values(_reflection_block(arr, sizes, signs), True))
+        else:
+            kd = int(np.dot(spans, np.cumprod([1, *half[:0:-1]])[::-1]))
+            values.append(_band_solve(_reflection_block(arr, sizes, signs, kd), 0,
+                                      int(np.prod(half)), True))
     return np.sort(np.concatenate(values))
 
 
@@ -494,29 +472,25 @@ def _hermitian_eigenvalues(arr: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix or stack, by the route of
     one matrix: structure test -> blocks -> solver.
 
-    - Test, exact: J_l A J_l = A for the reversal J_l of each of d >= 2
-      levels of a 1-block BlockMatrix if A is real, else J A J = conj(A)
-      for the reversal J of the whole index (:func:`_is_centro_hermitian`).
+    - Test, exact, of one real matrix: J_l A J_l = A for the reversal J_l
+      of each of d >= 2 levels of a 1-block BlockMatrix, else J A J = A for
+      the reversal J of the whole index (:func:`_is_centro_hermitian`).
       Within a band bound that fits, it reads A's in-band nonzeros once and
       compares them alone.
-    - Blocks: a real A that passes splits into 2^d or two real blocks
-      (:func:`_reflection_eigenvalues`).  A complex one takes the band route
-      whole where it applies, since Lee's real block of the same order
-      (:func:`_lee_block`) is dense (N = 4096, kd = 1: 0.26 s against 4.8 s
-      on 2 cores).  A matrix that fails is its own block.
-    - Solver: :func:`_values` of each block, or ``dsbevd`` of the band
-      storage that a block whose kd bound fits is written into.
+    - Blocks: a matrix that passes splits into 2^d or two real blocks
+      (:func:`_reflection_eigenvalues`).  A complex matrix, a stack and a
+      matrix that fails are their own block.
+    - Solver: :func:`_values`, or :func:`_band_solve` of the band storage
+      that each block of a matrix with in-band nonzeros is gathered into.
     """
+    if np.iscomplexobj(arr) or arr.ndim != 2:
+        return _values(arr, True)
     band = getattr(arr, "band", None)
     nonzeros = _band_nonzeros(arr, max(band)) if band and _fits(max(band), arr.shape[0]) else None
     levels = arr.n if isinstance(arr, BlockMatrix) and arr.r == 1 else ()
-    real = not np.iscomplexobj(arr)
-    for sizes in ([levels] if real and len(levels) > 1 else []) + [arr.shape[:1]]:
-        if arr.ndim == 2 and _is_centro_hermitian(arr, nonzeros, sizes, range(len(sizes))):
-            if real:
-                return _reflection_eigenvalues(arr, sizes, nonzeros)
-            values = _band_values(arr, True)
-            return _values(_lee_block(arr), True) if values is None else values
+    for sizes in ([levels] if len(levels) > 1 else []) + [arr.shape[:1]]:
+        if _is_centro_hermitian(arr, nonzeros, sizes, range(len(sizes))):
+            return _reflection_eigenvalues(arr, sizes, nonzeros)
     return _values(arr, True)
 
 
@@ -537,13 +511,14 @@ def spectrum(matrix, mode: str = SIGMA, hermitian: bool | None = None) -> np.nda
     the numeric test on B decides.
 
     In sigma mode ``matrix`` may also be a stack of shape (k, d, d): the
-    result has shape (k, d) and row i holds the values of matrix i, bit for
-    bit as if it were passed alone.  One call factors the whole stack, which
-    saves numpy's per-call overhead on many small matrices; a stack of
-    order 32 or more is routed matrix by matrix instead.  Every entry of the
-    stack must be finite.  Eigenvalues (lambda mode, or ``hermitian`` true)
-    need a square matrix; the SVD of sigma mode also takes rectangles.  The
-    entries must be integer, float or complex.
+    result has shape (k, d) and row i holds, bit for bit, the values of the
+    plain numpy call on matrix i (``svd`` with ``compute_uv=False``, or
+    ``eigvalsh`` with ``hermitian``).  A stack takes one stacked call, which
+    saves numpy's per-call overhead on many small matrices, and no structure
+    test or band route.  Every entry of the stack must be finite.
+    Eigenvalues (lambda mode, or ``hermitian`` true) need a square matrix;
+    the SVD of sigma mode also takes rectangles.  The entries must be
+    integer, float or complex.
     """
     if len(np.shape(matrix)) < 2:
         raise InvalidParameterError(f"spectrum takes a matrix, got shape {np.shape(matrix)}")
@@ -570,8 +545,8 @@ def _spectrum(matrix, mode: str, hermitian: bool | None) -> np.ndarray:
       as complex, with imaginary parts exactly zero.  Otherwise ``eigvals``.
 
     Sigma mode tests nothing else for itself: one real matrix pays the skew
-    test, stacks pay no structure test, and only a matrix of order 32 or
-    more pays the bandwidth test, so a caller that factors many small
+    test, a stack takes one stacked call with no test, and only a matrix of
+    order 32 or more pays the bandwidth test, so a caller that factors many small
     matrices (Monte Carlo trials) pays no test per matrix.
     """
     arr = matrix if isinstance(matrix, BlockMatrix) else np.asarray(matrix)

@@ -201,11 +201,29 @@ def spectral_surfaces(s: Symbol, x, theta, mode: str = "sigma") -> np.ndarray:
         # eigvalsh reads one triangle: trust the declared flag only when the
         # batch passes matgen.is_hermitian's relative Frobenius test.  A 1 x 1
         # block is its own eigenvalue, the real part of which eigvalsh reads.
-        if s.hermitian and np.linalg.norm(batch - np.conj(np.swapaxes(batch, -1, -2))) \
-                <= HERMITIAN_RTOL * max(np.linalg.norm(batch), 1e-300):
+        def norms(c):
+            b = batch if c == 1.0 else batch / c
+            return np.linalg.norm(b - np.conj(np.swapaxes(b, -1, -2))), np.linalg.norm(b)
+
+        if s.hermitian and _hermitian_rule(norms, lambda: float(np.abs(batch).max(initial=0.0))):
             return batch[:, :, 0].real if s.r == 1 else np.linalg.eigvalsh(batch)
         return batch[:, :, 0] if s.r == 1 else np.sort(np.linalg.eigvals(batch), axis=-1)
     raise ConfigurationError(f"unknown mode {mode!r}")
+
+
+def _hermitian_rule(norms: Callable[[float], tuple], top: Callable[[], float]) -> bool:
+    """||A - A*||_F <= HERMITIAN_RTOL ||A||_F, from ``norms(s)``, the two
+    norms of A / s, at s = 1.  Where a difference or a sum of squares
+    overflows, or ||A||_F^2 falls below the smallest normal float, the
+    norms are taken again at s = ``top()``, A's largest modulus, if it is
+    positive and finite."""
+    with np.errstate(over="ignore"):
+        skew, scale = norms(1.0)
+    if not np.isfinite(skew + scale) or scale < np.sqrt(np.finfo(float).tiny):
+        s = top()
+        if 0.0 < s < np.inf:
+            skew, scale = norms(s)
+    return bool(skew <= HERMITIAN_RTOL * max(scale, 1e-300))
 
 
 def frequency_grid(samples_per_dim: int, d: int) -> np.ndarray:

@@ -401,9 +401,8 @@ SUBCOMMAND_VS_CONFIG = {
         "basket = x,x^2\nplot = true\n[tolerances]\ntolerance = 0.5\n",
     ),
     "check-acs": (
-        ["--expr", "T(1+cos(t1))", "--sizes", "16;32", "--m-list", "1,2",
-         "--family", "same"],
-        "kind = acs\nexpr = T(1+cos(t1))\nsizes = 16;32\nm_list = 1,2\nfamily = same\n",
+        ["--expr", "T(1+cos(t1))", "--sizes", "16;32", "--m-list", "1,2"],
+        "kind = acs\nexpr = T(1+cos(t1))\nsizes = 16;32\nm_list = 1,2\n",
     ),
     "check-zero": (
         ["--expr", "D(x1)*T(2-2*cos(t1))-T(2-2*cos(t1))*D(x1)", "--sizes", "32;64",
@@ -434,6 +433,21 @@ def test_subcommand_and_config_write_identical_artifacts(command, tmp_path):
     assert files == sorted(os.listdir(by_config)) and "summary.json" in files
     for name in files:
         assert (by_cli / name).read_bytes() == (by_config / name).read_bytes(), name
+
+
+def test_the_retired_family_key_is_an_unknown_key(tmp_path, capsys):
+    """``family`` chose between the truncation family and the target itself,
+    whose difference is zero; the key is gone and a config that sets it
+    exits 2, as any unknown key does."""
+    path = write_config(tmp_path, f"[experiment]\nout = {tmp_path / 'a'}\nkind = acs\n"
+                        "expr = T(1+cos(t1))\nsizes = 16;32\nm_list = 1,2\nfamily = truncate\n")
+    assert main(["run", path]) == 2
+    assert "family" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+    with pytest.raises(SystemExit) as exit_:
+        main(["check-acs", "--expr", "T(1+cos(t1))", "--sizes", "16;32", "--m-list", "1,2",
+              "--family", "same", "--out", str(tmp_path / "b")])
+    assert exit_.value.code == 2 and not (tmp_path / "b").exists()
 
 
 # The trend tests read m in the order given: 8,4,2 and 2,1 used to FAIL where

@@ -275,3 +275,27 @@ def test_is_hermitian_rejects_input_that_is_not_a_square_matrix(shape):
     with pytest.raises(InvalidParameterError) as info:
         is_hermitian(np.ones(shape))
     assert info.value.exit_code == 2
+
+
+def test_is_hermitian_rescales_sums_that_overflow_or_underflow():
+    """Squared sums of entries above ~1e154 overflow to inf, and those of
+    entries below ~1e-154 underflow to 0; either used to pass the rule
+    (inf <= 1e-12 * inf, 0 <= 1e-12 * 1e-300), so a triangular matrix
+    took the Hermitian route and lost its singular values."""
+    from gltlab.gltcalc import materialize
+    from gltlab.spectra import spectrum
+
+    big, small = np.triu(np.ones((40, 40))) * 1e155, np.array([[0.0, 1e-170], [0.0, 0.0]])
+    assert not is_hermitian(np.array([[1.0, 1e308], [-1e308, 1.0]]))  # A - A* overflows
+    for a in (big, small):
+        assert not is_hermitian(a)
+        assert np.array_equal(spectrum(a, "sigma", hermitian=is_hermitian(a)),
+                              np.linalg.svd(a, compute_uv=False))
+    assert np.array_equal(spectrum(small, "sigma", hermitian=is_hermitian(small)), [1e-170, 0.0])
+    g = np.random.default_rng(14).standard_normal((300, 300))
+    for scale in (1e155, 1e-170):
+        assert is_hermitian((g + g.T) * scale) and not is_hermitian((g - g.T) * scale)
+        hermitian = materialize(parse(f"{scale}*T(2-2*cos(t1))"), 64)
+        shift = materialize(parse(f"{scale}*T(exp(i*t1))"), 64)  # real, not symmetric
+        assert hermitian.storage is not None and shift.storage is not None
+        assert is_hermitian(hermitian) and not is_hermitian(shift)

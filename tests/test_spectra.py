@@ -87,18 +87,23 @@ def test_spectrum_sigma_on_a_stack_matches_each_matrix_bit_for_bit():
     rng = np.random.default_rng(11)
     real = rng.standard_normal((7, 12, 12))
     cplx = real + 1j * rng.standard_normal((7, 12, 12))
-    # order 64: the tridiagonal matrices take the band route, the last the dense call
+    # order 64: one stacked call, so the tridiagonal matrices keep the plain
+    # call's bits, not those of the band route they take alone
     banded = np.concatenate([np.triu(np.tril(rng.standard_normal((3, 64, 64)), 1), -1),
                              rng.standard_normal((1, 64, 64))])
     for stack in (real, cplx, np.zeros((3, 5, 5)), banded, np.zeros((0, 64, 64))):
         values = spectrum(stack, "sigma")
         assert values.shape == stack.shape[:2]
         for row, a in zip(values, stack):
-            assert np.array_equal(row, spectrum(a, "sigma"))
+            plain = np.linalg.svd(a, compute_uv=False) if stack is banded else spectrum(a, "sigma")
+            assert np.array_equal(row, plain)
+    assert np.array_equal(spectrum(banded, "sigma"), np.linalg.svd(banded, compute_uv=False))
     for herm in (real + real.transpose(0, 2, 1), banded + banded.transpose(0, 2, 1)):
         values = spectrum(herm, "sigma", hermitian=True)
         for row, a in zip(values, herm):
-            assert np.array_equal(row, spectrum(a, "sigma", hermitian=True))
+            plain = (np.sort(np.abs(np.linalg.eigvalsh(a)))[::-1] if len(a) == 64
+                     else spectrum(a, "sigma", hermitian=True))
+            assert np.array_equal(row, plain)
 
 
 def test_spectrum_stack_checks_finiteness_and_mode():
@@ -481,8 +486,8 @@ def test_centro_hermitian_path_and_its_gate(monkeypatch):
         (materialize(real, 8).data, [(4, f8), (4, f8)]),
         (materialize(real, 7).data, [(4, f8), (3, f8)]),
         (materialize(parse("T(4-2*cos(t1)-2*cos(t2))"), (3, 3)).data, [(5, f8), (4, f8)]),
-        (materialize(cplx, 8).data, [(8, f8)]),
-        (materialize(cplx, 7).data, [(7, f8)]),
+        (materialize(cplx, 8).data, [(8, np.dtype(np.complex128))]),
+        (materialize(cplx, 7).data, [(7, np.dtype(np.complex128))]),
     ]
     falls_through = [_nudged(materialize(real, 8).data), _nudged(materialize(cplx, 8).data),
                      toeplitz(block, 4).data, (product + product.T) / 2]
@@ -823,13 +828,11 @@ def test_complex_band_route_singular_values_match_the_svd(m, n, kl, ku, monkeypa
 
 
 def test_complex_centro_hermitian_band_matrix_takes_zhbevd_whole(monkeypatch):
-    """A banded complex centro-Hermitian matrix skips Lee's real block, which
-    is dense."""
+    """A banded complex centro-Hermitian matrix goes to zhbevd whole."""
     import gltlab.spectra as spectra_mod
 
     a = materialize(parse("T(2-2*cos(t1)+sin(t1))"), 256).data
     assert np.iscomplexobj(a) and spectra_mod._is_centro_hermitian(a)
-    assert spectra_mod._bandwidths(spectra_mod._lee_block(a), lower=True) is None
     lam = np.linalg.eigvalsh(a)
     _band_only(monkeypatch)
     calls = _band_calls(monkeypatch)
@@ -868,19 +871,19 @@ CENTRO_BAND_CASES = (  # blocks that pass the rule for K: none, P's only, or bot
 
 @pytest.mark.parametrize("expr, n", CENTRO_BAND_CASES)
 def test_real_centro_blocks_are_built_in_band_storage(expr, n, monkeypatch):
-    """A real reflection block whose order passes the Hermitian band rule for
-    its kd bound is written straight into band storage, bit for bit the
-    storage of the dense block at its exact kd, and LAPACK gets the same
-    routine, kd and bytes as without the bound.  Only the blocks that fail
-    the rule are built dense."""
+    """Every real reflection block of a matrix whose band bound K passes the
+    rule is gathered into band storage at its kd bound, which holds the
+    dense block's lower band bit for bit, and LAPACK gets the same routine,
+    kd and bytes as without the bound.  No block is built dense."""
     import gltlab.spectra as spectra_mod
 
     bm = materialize(parse(expr), n)
     plain = dataclasses.replace(bm)  # the same matrix with no bound
     sizes = bm.n  # every case commutes with each level's reversal
     assert all(spectra_mod._is_centro_hermitian(bm.data, None, sizes, (l,)) for l in range(len(sizes)))
+    assert spectra_mod._fits(max(bm.band), bm.data.shape[0])
     spans = spectra_mod._fold_spans(sizes, spectra_mod._band_nonzeros(bm.data, max(bm.band)))
-    build, failing = spectra_mod._reflection_block, 0
+    build = spectra_mod._reflection_block
     for signs in itertools.product((1, -1), repeat=len(sizes)):
         half = [(m + (s > 0)) // 2 for m, s in zip(sizes, signs)]
         order = math.prod(half)
@@ -889,21 +892,16 @@ def test_real_centro_blocks_are_built_in_band_storage(expr, n, monkeypatch):
         rows, cols = np.nonzero(np.tril(block))
         kd = int((rows - cols).max(initial=0))
         assert kd <= bound  # the bound holds
-        cost = spectra_mod._BAND_COST  # the bound is read where K passes the rule for A
-        if (max(bm.band) + 1) * cost <= bm.data.shape[0] and order >= spectra_mod._BAND_FLOOR \
-                and (bound + 1) * cost <= order:
-            ab = build(bm.data, sizes, signs, bound)
-            assert ab.flags.f_contiguous and ab.shape == (kd + 1, order)
-            assert ab.tobytes("F") == spectra_mod._band_storage(block, kd, 0).tobytes("F")
-        else:
-            failing += 1
+        ab = build(bm.data, sizes, signs, bound)
+        assert ab.shape == (bound + 1, order) and not ab[kd + 1:].any()
+        assert ab[:kd + 1].tobytes("F") == spectra_mod._band_storage(block, kd, 0).tobytes("F")
     dense_blocks = []
     monkeypatch.setattr(spectra_mod, "_reflection_block", lambda a, sizes, signs, kd=None: (
         kd is None and dense_blocks.append(signs)) or build(a, sizes, signs, kd))
     calls = _eigen_band_inputs(monkeypatch)
     for mode in ("lambda", "sigma"):
         values = spectrum(bm, mode, hermitian=True)
-        assert len(dense_blocks) == failing
+        assert dense_blocks == []
         bounded = calls.copy()
         calls.clear()
         assert np.array_equal(values, spectrum(plain, mode, hermitian=True))
@@ -912,6 +910,33 @@ def test_real_centro_blocks_are_built_in_band_storage(expr, n, monkeypatch):
         calls.clear()
         dense_blocks.clear()
     assert np.array_equal(spectrum(bm, "lambda"), spectrum(plain, "lambda"))
+
+
+BAND_STORED_CASES = (  # (expression, size, spectrum's mode and hermitian, Y of the split)
+    [(expr, n, mode, True, False) for expr, n in
+     CENTRO_BAND_CASES + [("T(4-2*cos(t1)-2*cos(t2))", (24, 24))] for mode in ("lambda", "sigma")]
+    + [(expr, n, "sigma", None, half) for expr, half in SKEW_CASES.values() for n in (64, 65)]
+    + [("D(x1)", 64, "lambda", True, False),  # whole, the storage itself in Fortran order
+       ("D(x1)*T(2-2*cos(t1))", 64, "sigma", None, False)]
+)
+
+
+@pytest.mark.parametrize("expr, n, mode, hermitian, half", BAND_STORED_CASES)
+def test_no_hermitian_or_sigma_route_builds_a_band_stored_matrix_s_dense_array(
+        expr, n, mode, hermitian, half):
+    """Band storage reaches the solver: a Hermitian spectrum of a matrix held
+    in band storage, whole or split into reflection blocks, and the skew
+    route's sigma spectrum leave its N x N array unbuilt, and its storage
+    as it was (LAPACK overwrites what it is given)."""
+    from gltlab.gltcalc import _halves
+
+    bm = materialize(parse(expr), n)
+    a = _halves(bm, [])[1] if half else bm
+    assert a.storage is not None
+    storage = a.storage.tobytes("F")
+    spectrum(a, mode, hermitian=hermitian)
+    assert "data" not in a.__dict__ and "data" not in bm.__dict__
+    assert a.storage.tobytes("F") == storage
 
 
 def _block_count(monkeypatch) -> list:
@@ -1116,16 +1141,20 @@ def test_band_route_hermitian_rule_boundary(monkeypatch):
             assert np.array_equal(spectrum(outside, "lambda", hermitian=True), expected)
 
 
-def test_complex_stack_is_routed_matrix_by_matrix():
+def test_complex_stack_takes_one_stacked_call(monkeypatch):
+    """Each row of a banded complex stack is the plain call's, bit for bit,
+    and no matrix of the stack reaches the band routines."""
     rng = np.random.default_rng(8)
     general = np.stack([_banded(rng, 64, 64, 1, 2, complex_=True),
                         rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))])
     hermitian = np.stack([_hermitian_band(rng, 64, 3, complex_=True),
                           general[1] + general[1].conj().T])
-    for stack, flag in ((general, None), (hermitian, True)):
-        values = spectrum(stack, "sigma", hermitian=flag)
-        for row, a in zip(values, stack):
-            assert np.array_equal(row, spectrum(a, "sigma", hermitian=flag))
+    plain = [np.linalg.svd(general, compute_uv=False),
+             np.sort(np.abs(np.linalg.eigvalsh(hermitian)))[..., ::-1]]
+    calls = _band_calls(monkeypatch)
+    for stack, flag, expect in ((general, None, plain[0]), (hermitian, True, plain[1])):
+        assert np.array_equal(spectrum(stack, "sigma", hermitian=flag), expect)
+    assert calls == []
 
 
 @pytest.mark.parametrize("n, kd", [(96, 2), (320, 16)])

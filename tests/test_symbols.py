@@ -295,3 +295,22 @@ def test_1x1_lambda_surfaces_keep_the_entry_where_lapack_rescales():
         s, xs, thetas, _ = _table(values.real, hermitian)
         want = values.real if hermitian else values.real.astype(complex)
         assert _same(spectral_surfaces(s, xs, thetas, "lambda")[:, 0], want)
+
+
+@pytest.mark.parametrize("b", [2e160, 1e-170])
+def test_the_lambda_gate_rescales_norms_that_overflow_or_underflow(b):
+    """A symbol declared Hermitian whose r = 2 values [[b, ib], [ib, b]] are
+    not: past ~1e154 the gate's norms overflowed to inf (a RuntimeWarning,
+    then inf <= 1e-12 * inf), and below ~1e-154 they underflowed to 0;
+    either way the gate passed and eigvalsh returned real values.  A truly
+    Hermitian [[b, ib], [-ib, b]] keeps its real eigenvalues 0 and 2b."""
+    def table(sign):
+        block = np.array([[b, 1j * b], [sign * 1j * b, b]])
+        return CoefficientFunction(1, 2, lambda x: np.broadcast_to(block, (len(x), 2, 2)).copy(),
+                                   hermitian=True)
+
+    xs, thetas = np.array([[0.5]]), np.zeros((1, 1))
+    surf = spectral_surfaces(table(1), xs, thetas, "lambda")
+    assert np.iscomplexobj(surf) and np.allclose(surf, [[b * (1 - 1j), b * (1 + 1j)]], rtol=1e-15)
+    surf = spectral_surfaces(table(-1), xs, thetas, "lambda")
+    assert np.isrealobj(surf) and np.allclose(surf, [[0.0, 2 * b]], rtol=1e-15, atol=1e-15 * b)
