@@ -31,7 +31,6 @@ truncation) of the matrices it read.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple, Sequence
 
@@ -45,8 +44,8 @@ from .matgen import (
     _check_cap,
     _exact_dtype,
     _fitting_offsets,
+    _stored,
     _take_notes,
-    _trimmed,
     as_array,
     diag_samples,
     diag_sampling,
@@ -63,7 +62,7 @@ from .spectra import (
     LAMBDA,
     SIGMA,
     SLACK,
-    _band_storage,
+    _check_basket,
     _fits,
     _normalize_sizes,
     distribution_check,
@@ -326,20 +325,19 @@ def materialize(e: GLTExpression, n, r: int | None = None) -> BlockMatrix:
     and strictly positive, D_a H D_b (a missing factor counting as the
     identity), gets the symmetrizer w = sqrt(a / b):
     W^-1 D_a H D_b W = D_sqrt(ab) H D_sqrt(ab) is Hermitian whenever H is.
-    The matrix carries the band bound (kl, ku) of :func:`_band`; where it
-    passes the band rule, ``_fits(max(kl, ku), N)``, the tree is written
-    into band storage in O(N k) and its dense array is built only on first
-    access.
+    The matrix carries the band bound K of :func:`_band`; where it passes
+    the band rule, ``_fits(K, N)``, the tree is written into band storage
+    in O(N K) and its dense array is built only on first access.
     """
     n = check_size(n)
     _, rr = _resolve_dims(e, len(n), r if r is not None else 1)
     # Every node's matrix has this order: one cap check before any allocation.
     _check_cap(rr * nu(n))
     band, w = _band(e, n), _symmetrizer(e, n)
-    if band and _fits(max(band), rr * nu(n)):
+    if band is not None and _fits(band, rr * nu(n)):
         matrix = BlockMatrix(lambda: _exact_dtype(_materialize(e, n, rr, [])), rr, n,
                              symmetrizer=w)
-        matrix.storage = _trimmed(_materialize(e, n, rr, [], max(band)), band)
+        matrix.storage = _stored(_materialize(e, n, rr, [], band))
     else:
         notes: list[str] = []
         matrix = BlockMatrix(_materialize(e, n, rr, notes), rr, n, notes=tuple(notes),
@@ -354,30 +352,24 @@ def _diagonal_factor(e: GLTExpression) -> bool:
     return isinstance(e, (Scalar, Zero)) or isinstance(e, Diag) and e.coefficient.r == 1
 
 
-def _band(e: GLTExpression, n: MultiIndex) -> tuple[int, int] | None:
-    """The band bound (kl, ku) of the matrix of ``e`` (see ``BlockMatrix``):
-    for a Toeplitz leaf r times the largest (lower) and minus the smallest
-    (upper) flat offset that fits, 0 included, plus r - 1 within a block;
-    (r - 1, r - 1) for a Diag, (0, 0) for a scalar or Z.  The adjoint swaps
-    the widths, a combination takes the larger and a product with a
-    diagonal factor (:func:`_diagonal_factor`) the sum of each.  A
-    pseudo-inverse, a matrix function or a GEMM, a product of two matrices
-    whose summation order belongs to the BLAS kernel, gives None (unknown):
-    band storage repeats the elementwise operations of the other nodes."""
+def _band(e: GLTExpression, n: MultiIndex) -> int | None:
+    """The band bound K of the matrix of ``e`` (see ``BlockMatrix``): for a
+    Toeplitz leaf r times the largest |flat offset| that fits, plus r - 1
+    within a block; r - 1 for a Diag, 0 for a scalar or Z.  An adjoint or a
+    combination takes the largest of its children, a product with a
+    diagonal factor (:func:`_diagonal_factor`) the sum.  A pseudo-inverse, a
+    matrix function or a GEMM, a product of two matrices whose summation
+    order belongs to the BLAS kernel, gives None (unknown): band storage
+    repeats the elementwise operations of the other nodes."""
     if isinstance(e, Toeplitz):
-        r, flat = e.poly.r, [0] + [s for _, s, _ in _fitting_offsets(e.poly, n)]
-        return r * max(flat) + r - 1, -r * min(flat) + r - 1
+        r = e.poly.r
+        return r * max((abs(s) for _, s, _ in _fitting_offsets(e.poly, n)), default=0) + r - 1
     if isinstance(e, (Diag, Zero, Scalar)):
-        width = e.coefficient.r - 1 if isinstance(e, Diag) else 0
-        return width, width
-    if isinstance(e, Adjoint):
-        band = _band(e.child, n)
-        return band and band[::-1]
-    if isinstance(e, LinComb) or isinstance(e, Product) and any(
+        return e.coefficient.r - 1 if isinstance(e, Diag) else 0
+    if isinstance(e, (Adjoint, LinComb)) or isinstance(e, Product) and any(
             map(_diagonal_factor, e.children())):
-        a, b = _band(e.left, n), _band(e.right, n)
-        join = max if isinstance(e, LinComb) else operator.add
-        return None if a is None or b is None else (join(a[0], b[0]), join(a[1], b[1]))
+        bands = [_band(child, n) for child in e.children()]
+        return None if None in bands else (sum if isinstance(e, Product) else max)(bands)
     return None
 
 
@@ -546,9 +538,9 @@ def glt5_split_check(seq, sizes: Sequence) -> Report:
 def _halves(matrix, notes: list[str]) -> list:
     """(A + A*)/2 and (A - A*)/2, each entry a_ij ± conj(a_ji) halved.  From
     band storage each is a 1-level matrix of A's order (so that the spectra
-    take the dense arrays' routes) with band storage at K = max(kl, ku), an
-    entry outside A's band read as +0.0, that builds its dense array from
-    A's on first access."""
+    take the dense arrays' routes) with band storage at A's bound K, taken
+    from A's storage, that builds its dense array from A's on first
+    access."""
     _take_notes(matrix, notes)
 
     def dense(op):  # halved in place: A's array and one more
@@ -559,12 +551,10 @@ def _halves(matrix, notes: list[str]) -> list:
 
     if getattr(matrix, "storage", None) is None:
         return [dense(op) for op in (np.add, np.subtract)]
-    k = max(matrix.band)
-    ab = _band_storage(matrix, k, k)
-    star, halves = _adjoint_band(ab).conj(), []
+    star, halves = _adjoint_band(matrix.storage).conj(), []
     for op in (np.add, np.subtract):
         half = BlockMatrix(lambda op=op: dense(op), 1, matrix.shape[:1])
-        half.band, half.storage = (k, k), np.asfortranarray(op(ab, star) / 2.0)
+        half.band, half.storage = matrix.band, op(matrix.storage, star) / 2.0
         halves.append(half)
     return halves
 
@@ -576,8 +566,10 @@ def glt1_verify(e: GLTExpression, sizes: Sequence, mode: str = "sigma",
 
     Eigenvalue mode on a non-Hermitian expression first runs the
     quasi-Hermitian split check over the same sizes; a passing split grants
-    the waiver, a failing one raises ModeError.
+    the waiver, a failing one raises ModeError.  An empty basket raises
+    InvalidParameterError before any matrix is built.
     """
+    _check_basket(basket, kwargs.get("basket_ids"))
     sizes = _normalize_sizes(sizes)
     # d and r as materialize resolves them, so a leafless expression has a symbol
     sym = symbol_of(e, len(sizes[0]), 1 if r is None else r)

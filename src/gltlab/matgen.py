@@ -7,7 +7,7 @@ result equals the naive block fill bit for bit.
 The module also owns LAPACK band storage, the form in which
 ``materialize`` builds a banded matrix without its N x N array:
 :func:`toeplitz_band` and :func:`diagonal_band` write the same entries
-into it, ``_band_rows``, ``_adjoint_band`` and ``_trimmed`` serve the
+into it, ``_band_rows``, ``_adjoint_band`` and ``_stored`` serve the
 other node operations, and a :class:`BlockMatrix` keeps it and builds
 its dense ``data`` only when a route reads it.  ``_diagonal``,
 ``_entries`` and :func:`is_hermitian` read either form.
@@ -52,16 +52,16 @@ class BlockMatrix:
     is a positive vector w for which W^-1 A W (W = diag(w)) may be
     Hermitian: a hint that :func:`~gltlab.spectra.spectrum` tests, never a
     decision.
-    ``band``, when set, is a bound (kl, ku) derived from the expression
-    tree: A[i, j] = 0 wherever i - j > kl or j - i > ku.  Only
+    ``band``, when set, is a half-width K derived from the expression
+    tree: A[i, j] = 0 wherever |i - j| > K.  Only
     ``materialize``, the split check and the similarity W^-1 A W of
     ``spectrum`` set it (it is not a constructor argument), and a change
     to ``data`` invalidates it.  It holds only for a finite matrix (0 * inf
     is NaN), so the structure tests that read only inside it run after a
     finiteness check.  ``storage``, when set (by the same three), is
-    LAPACK's (kl + ku + 1) x N general band storage
-    at the bound, AB[ku + i - j, j] = A[i, j], with +0.0 where i or j falls
-    outside the matrix.  It holds ``data``'s in-band entries, so the routes
+    LAPACK's general band storage at the bound, (2K + 1) x N with
+    AB[K + i - j, j] = A[i, j], and +0.0 where i or j falls outside the
+    matrix.  It holds ``data``'s in-band entries, so the routes
     that read it leave ``data`` unbuilt.  ``shape`` and ``dtype`` build
     nothing.
     """
@@ -71,7 +71,7 @@ class BlockMatrix:
     n: MultiIndex
     notes: tuple[str, ...] = field(default_factory=tuple)
     symmetrizer: np.ndarray | None = None
-    band: tuple[int, int] | None = field(default=None, init=False, repr=False)
+    band: int | None = field(default=None, init=False, repr=False)
     storage: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -132,10 +132,10 @@ def _diagonal(matrix, d: int) -> np.ndarray:
     storage = getattr(matrix, "storage", None)
     if storage is None:
         return np.diagonal(as_array(matrix), d)
-    (kl, ku), n = matrix.band, storage.shape[1]
-    if not -kl <= d <= ku:
+    k, n = matrix.band, storage.shape[1]
+    if abs(d) > k:
         return np.zeros(n - abs(d), storage.dtype)
-    return storage[ku - d, max(d, 0):n + min(d, 0)]
+    return storage[k - d, max(d, 0):n + min(d, 0)]
 
 
 def _entries(matrix, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -144,7 +144,7 @@ def _entries(matrix, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     storage = getattr(matrix, "storage", None)
     if storage is None:
         return as_array(matrix)[i, j]
-    s = matrix.band[1] + i - j
+    s = matrix.band + i - j
     inside = (s >= 0) & (s < len(storage))
     return np.where(inside, storage[np.where(inside, s, 0), j], 0)
 
@@ -267,15 +267,13 @@ def _band_rows(v: np.ndarray, k: int) -> np.ndarray:
     return v[np.clip(np.arange(-k, k + 1)[:, None] + np.arange(len(v)), 0, len(v) - 1)]
 
 
-def _trimmed(ab: np.ndarray, band: tuple[int, int]) -> np.ndarray:
-    """The rows of band storage of half-width k that ``band`` = (kl, ku)
-    spans, in Fortran order with +0.0 outside the matrix, float64 when every
-    imaginary part is zero: a BlockMatrix's storage."""
-    (kl, ku), k, n = band, len(ab) // 2, ab.shape[1]
-    ab = ab[k - ku:k + kl + 1]
-    for s in range(len(ab)):  # row s holds i - j = s - ku
-        ab[s, :max(ku - s, 0)] = ab[s, n - max(s - ku, 0):] = 0
-    return np.asfortranarray(_exact_dtype(ab))
+def _stored(ab: np.ndarray) -> np.ndarray:
+    """Band storage of half-width k with +0.0 outside the matrix, float64
+    when every imaginary part is zero: a BlockMatrix's storage."""
+    k, n = len(ab) // 2, ab.shape[1]
+    for s in range(len(ab)):  # row s holds i - j = s - k
+        ab[s, :max(k - s, 0)] = ab[s, n - max(s - k, 0):] = 0
+    return _exact_dtype(ab)
 
 
 def _adjoint_band(ab: np.ndarray) -> np.ndarray:
@@ -318,7 +316,7 @@ def is_hermitian(matrix) -> bool:
     Both squared norms are summed over pairs (X, Y) read once each, whose
     difference X - Y* is formed once, so no N x N temporary is made, and
     the sums are einsums, not BLAS calls: the diagonals d and -d, 0 <= d
-    <= max(kl, ku), of a matrix in band storage, in O(N k); else the square
+    <= K, of a matrix in band storage, in O(N k); else the square
     tiles (I, J), (J, I), I <= J, of side ``isqrt(_STRIP)``.  They round
     differently from one norm of the whole difference, so only a matrix
     within rounding of the threshold can be decided otherwise than by
@@ -328,7 +326,7 @@ def is_hermitian(matrix) -> bool:
     """
     if getattr(matrix, "storage", None) is not None:
         pairs = [(_diagonal(matrix, d), _diagonal(matrix, -d), d == 0)
-                 for d in range(max(matrix.band) + 1)]
+                 for d in range(matrix.band + 1)]
     else:
         arr = as_array(matrix)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:

@@ -199,7 +199,7 @@ def _is_skew_centro(arr: np.ndarray) -> bool:
     J A J = -A maps row i onto row N-1-i.
     """
     if getattr(arr, "storage", None) is not None:
-        pairs = ((_diagonal(arr, d), -_diagonal(arr, -d)) for d in range(max(arr.band) + 1))
+        pairs = ((_diagonal(arr, d), -_diagonal(arr, -d)) for d in range(arr.band + 1))
         return all(np.array_equal(x, y) and np.array_equal(x, y[::-1]) for x, y in pairs)
     arr = as_array(arr)
     n = arr.shape[0]
@@ -325,8 +325,8 @@ def _band_solve(ab: np.ndarray, ku: int, m: int, hermitian: bool) -> np.ndarray:
     """:func:`_values` of the m-row matrix in band storage ``ab`` with ku
     superdiagonals (ku = 0: a Hermitian matrix's lower storage), narrowed to
     its outermost nonzero diagonals: from the band routines, on a copy,
-    where the band rule passes and they are bound, else from the dense
-    array it is scattered into."""
+    where the band rule passes and they are bound, else from ``eigvalsh``
+    or the values-only ``svd`` of the dense array it is scattered into."""
     rows, n = np.flatnonzero(ab.any(axis=1)), ab.shape[1]  # the diagonals that hold a nonzero
     lo, hi = min(rows.min(initial=ku), ku), max(rows.max(initial=ku), ku)
     ab, ku, kl, lapack = ab[lo:hi + 1], ku - lo, hi - ku, _band_lapack()
@@ -337,7 +337,7 @@ def _band_solve(ab: np.ndarray, ku: int, m: int, hermitian: bool) -> np.ndarray:
     i = np.arange(-ku, kl + 1)[:, None] + np.arange(n)  # the row of each entry
     dense, inside = np.zeros((m, n), ab.dtype), (i >= 0) & (i < m)
     dense[i[inside], np.nonzero(inside)[1]] = ab[inside]
-    return _values(dense, hermitian)
+    return np.linalg.eigvalsh(dense) if hermitian else np.linalg.svd(dense, compute_uv=False)
 
 
 def _values(arr: np.ndarray, hermitian: bool) -> np.ndarray:
@@ -349,8 +349,8 @@ def _values(arr: np.ndarray, hermitian: bool) -> np.ndarray:
     of a whole stack too."""
     storage = getattr(arr, "storage", None)
     if storage is not None:
-        ku = 0 if hermitian else arr.band[1]
-        return _band_solve(storage[arr.band[1] - ku:], ku, arr.shape[0], hermitian)
+        ku = 0 if hermitian else arr.band
+        return _band_solve(storage[arr.band - ku:], ku, arr.shape[0], hermitian)
     widths = (arr.ndim == 2 and arr.dtype in (np.float64, np.complex128)
               and _fits(0, min(arr.shape)) and _band_lapack() and _bandwidths(arr, hermitian))
     if widths:
@@ -418,14 +418,14 @@ def _skew_half_values(arr: np.ndarray) -> np.ndarray:
     n, m = arr.shape[0], arr.shape[0] // 2
     if getattr(arr, "storage", None) is None:
         return _values(_reflection_block(arr, (n,), (1,))[:m], False)
-    k = max(arr.band)
+    k = arr.band
     return _band_solve(_reflection_block(arr, (n,), (1,), k, k, m), k, m, False)
 
 
 def _similarity(matrix: BlockMatrix, w: np.ndarray) -> BlockMatrix:
     """B = W^-1 A W, W = diag(w), entry (a * w_j) / w_i, with A's band bound
-    (a diagonal similarity keeps every zero); in band storage if A is, its
-    dense array then built from A's on first access."""
+    (a diagonal similarity keeps every zero); in band storage, A's scaled
+    entry by entry, if A is, its dense array then built from A's on first access."""
     def dense():
         b = as_array(matrix) * w
         return np.divide(b, w[:, None], out=b)
@@ -433,8 +433,7 @@ def _similarity(matrix: BlockMatrix, w: np.ndarray) -> BlockMatrix:
     b = BlockMatrix(dense if matrix.storage is not None else dense(), matrix.r, matrix.n)
     b.band = matrix.band
     if matrix.storage is not None:
-        (kl, ku), k = b.band, max(b.band)
-        b.storage = np.asfortranarray(matrix.storage * w / _band_rows(w, k)[k - ku:k + kl + 1])
+        b.storage = matrix.storage * w / _band_rows(w, b.band)
     return b
 
 
@@ -486,7 +485,7 @@ def _hermitian_eigenvalues(arr: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(arr) or arr.ndim != 2:
         return _values(arr, True)
     band = getattr(arr, "band", None)
-    nonzeros = _band_nonzeros(arr, max(band)) if band and _fits(max(band), arr.shape[0]) else None
+    nonzeros = _band_nonzeros(arr, band) if band is not None and _fits(band, arr.shape[0]) else None
     levels = arr.n if isinstance(arr, BlockMatrix) and arr.r == 1 else ()
     for sizes in ([levels] if len(levels) > 1 else []) + [arr.shape[:1]]:
         if _is_centro_hermitian(arr, nonzeros, sizes, range(len(sizes))):
@@ -771,6 +770,13 @@ def _normalize_sizes(sizes: Sequence) -> list[MultiIndex]:
     return norm
 
 
+def _check_basket(basket, basket_ids) -> None:
+    """Raise :class:`InvalidParameterError` for an empty basket or id list:
+    a check of no test function would pass with nothing checked."""
+    if any(b is not None and len(b) == 0 for b in (basket, basket_ids)):
+        raise InvalidParameterError("the basket has no test function")
+
+
 def distribution_check(seq, symbol: Symbol, sizes: Sequence, mode: str = SIGMA,
                        basket: Sequence[TestFunction] | None = None,
                        tolerance: float = 0.05, slack: float = SLACK,
@@ -783,8 +789,10 @@ def distribution_check(seq, symbol: Symbol, sizes: Sequence, mode: str = SIGMA,
     errors to be non-increasing (slack ``slack``) over the last two size steps.
     Eigenvalue mode demands Hermitian matrices unless ``allow_non_hermitian``
     (the quasi-Hermitian waiver) is set.  The report has one row per (size,
-    test function) and one check per test function.
+    test function) and one check per test function.  An empty basket or
+    ``basket_ids`` raises InvalidParameterError before any matrix is built.
     """
+    _check_basket(basket, basket_ids)
     if not quad_tol > 0:
         raise InvalidParameterError(f"quad_tol must be > 0, got {quad_tol}")
     norm_sizes = _normalize_sizes(sizes)

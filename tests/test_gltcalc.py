@@ -17,6 +17,7 @@ from gltlab.dsl import parse
 from gltlab.errors import (
     CalculusError,
     EvaluationError,
+    InvalidParameterError,
     ModeError,
     SingularEvaluationError,
     SizeCapError,
@@ -39,7 +40,7 @@ from gltlab.gltcalc import (
 )
 from gltlab.matgen import is_hermitian, toeplitz
 from gltlab.multiindex import check_size
-from gltlab.spectra import _bandwidths, poly_on_window, spectrum
+from gltlab.spectra import _bandwidths, _fits, poly_on_window, spectrum
 from gltlab.symbols import CoefficientFunction, TrigPolynomial, evaluate
 
 LAP_POLY = TrigPolynomial(1, 1, {(0,): [[2.0]], (1,): [[-1.0]], (-1,): [[-1.0]]})
@@ -291,6 +292,23 @@ def test_glt1_verify_product_sigma_first_moment():
     assert errs[0] > errs[-1]
 
 
+@pytest.mark.parametrize("text, mode, empty", [
+    ("T(2-2*cos(t1))", "sigma", {"basket": []}),
+    ("T(2-2*cos(t1))", "sigma", {"basket_ids": []}),
+    ("T(exp(i*t1))", "lambda", {"basket": []}),  # refused before the split check
+])
+def test_glt1_verify_refuses_an_empty_basket_before_any_matrix_is_built(
+        text, mode, empty, monkeypatch):
+    import gltlab.gltcalc as gltcalc_mod
+
+    built, build = [], gltcalc_mod.materialize
+    monkeypatch.setattr(gltcalc_mod, "materialize",
+                        lambda *a, **k: built.append(a) or build(*a, **k))
+    with pytest.raises(InvalidParameterError, match="no test function"):
+        glt1_verify(parse(text), [8, 16, 32], mode=mode, **empty)
+    assert built == []
+
+
 def test_glt1_verify_of_a_scalar_only_expression_takes_d_and_r_as_materialize():
     # no structural leaf: d comes from the sizes and r is 1, as in materialize
     report = glt1_verify(parse("2"), [8, 16, 32])
@@ -524,12 +542,16 @@ def exact_widths(a):
 
 
 def assert_band_bound_holds(bm):
-    """The bound contains the exact widths, and _bandwidths within it gives
-    what it gives from every row (the widths, or None past the cost rule)."""
+    """The bound K contains the exact widths; the outermost nonzero rows of
+    band storage, read as _band_solve reads them, are those widths; and
+    _bandwidths gives them, or None exactly where they fail the band rule."""
     kl, ku = exact_widths(bm.data)
-    assert kl <= bm.band[0] and ku <= bm.band[1]
-    for lower in (False, True):
-        assert _bandwidths(bm, lower) == _bandwidths(bm.data, lower)
+    assert max(kl, ku) <= bm.band
+    if bm.storage is not None:
+        diagonals = np.flatnonzero(bm.storage.any(axis=1)) - bm.band  # row s: i - j = s - K
+        assert (max(diagonals.max(initial=0), 0), max(-diagonals.min(initial=0), 0)) == (kl, ku)
+    for lower, widths in ((False, (kl, ku)), (True, (kl, 0))):
+        assert _bandwidths(bm.data, lower) == (widths if _fits(sum(widths), len(bm.data)) else None)
 
 
 R2_CORNER_ZERO = Toeplitz(TrigPolynomial(1, 2, {
@@ -546,20 +568,20 @@ DIAG_R2 = Diag(CoefficientFunction(
     1, 2, lambda x: (1 + x[:, 0, None, None]) * np.array([[2.0, 1.0], [1.0, 2.0]]),
     hermitian=True))
 
-BAND_CASES = {  # expression, size, bound, exact widths
-    "toeplitz": (LAP, 128, (1, 1), (1, 1)),
-    "toeplitz-r2-zero-corner": (R2_CORNER_ZERO, 64, (3, 3), (2, 2)),
-    "toeplitz-2-level": (TWO_LEVEL, (80, 4), (4, 4), (4, 4)),
-    "diag": (DIAG_X, 128, (0, 0), (0, 0)),
-    "diag-r2": (DIAG_R2, 64, (1, 1), (1, 1)),
-    "zero": (Zero(), 128, (0, 0), (0, 0)),
-    "scalar": (Scalar(2.0), 128, (0, 0), (0, 0)),
-    "adjoint": (Adjoint(SHIFT), 128, (0, 1), (0, 1)),
-    "lincomb-cancels": (LinComb(1.0, LAP, -1.0, LAP), 128, (1, 1), (0, 0)),
+BAND_CASES = {  # expression, size, bound K, exact widths (kl, ku)
+    "toeplitz": (LAP, 128, 1, (1, 1)),
+    "toeplitz-r2-zero-corner": (R2_CORNER_ZERO, 64, 3, (2, 2)),
+    "toeplitz-2-level": (TWO_LEVEL, (80, 4), 4, (4, 4)),
+    "diag": (DIAG_X, 128, 0, (0, 0)),
+    "diag-r2": (DIAG_R2, 64, 1, (1, 1)),
+    "zero": (Zero(), 128, 0, (0, 0)),
+    "scalar": (Scalar(2.0), 128, 0, (0, 0)),
+    "adjoint": (Adjoint(SHIFT), 128, 1, (0, 1)),
+    "lincomb-cancels": (LinComb(1.0, LAP, -1.0, LAP), 128, 1, (0, 0)),
     "product": (Product(LAP, LAP), 128, None, None),  # a GEMM: no bound
-    "diag-product": (Product(DIAG_X, SHIFT), 128, (1, 0), (1, 0)),
+    "diag-product": (Product(DIAG_X, SHIFT), 128, 1, (1, 0)),
     "commutator": (LinComb(1.0, Product(DIAG_X, LAP), -1.0, Product(LAP, DIAG_X)), 128,
-                   (1, 1), (1, 1)),
+                   1, (1, 1)),
     "pseudo-inverse": (PseudoInverse(LAP), 16, None, None),
     "fun": (FunApply("exp", LAP), 16, None, None),
 }
@@ -681,16 +703,17 @@ def test_band_storage_and_the_lazy_array_keep_the_dense_bytes(e, n):
     """Band storage equals the band storage of the dense matrix bit for
     bit, and the dense array built on first access is the dense matrix."""
     from gltlab.gltcalc import _materialize
-    from gltlab.spectra import _band_storage, _fits
+    from gltlab.spectra import _band_storage
 
     bm = materialize(e, n)
     dense = matgen_mod._exact_dtype(_materialize(e, bm.n, bm.r, []))
-    banded = bm.band is not None and _fits(max(bm.band), len(dense))
+    banded = bm.band is not None and _fits(bm.band, len(dense))
     assert (bm.storage is not None) == (banded and not isinstance(e, (PseudoInverse, FunApply)))
     if bm.storage is not None:
         assert "data" not in vars(bm)
-        assert bm.storage.flags.f_contiguous and bm.storage.dtype == dense.dtype
-        assert bm.storage.tobytes() == _band_storage(dense, *bm.band).tobytes()
+        assert bm.storage.shape == (2 * bm.band + 1, len(dense))
+        assert bm.storage.dtype == dense.dtype
+        assert bm.storage.tobytes() == _band_storage(dense, bm.band, bm.band).tobytes()
     assert bm.data.dtype == dense.dtype and bm.data.tobytes() == dense.tobytes()
 
 

@@ -259,14 +259,14 @@ def test_is_hermitian_within_a_band_bound_agrees_with_the_whole_matrix(dtype):
         cases.append((a, hermitian))
     for a, hermitian in cases:
         bm = BlockMatrix(a, 1, n)
-        bm.band = (4, 3)
+        bm.band = 4
         assert is_hermitian(bm) == is_hermitian(a) == hermitian
 
 
 def test_the_band_bound_is_not_a_constructor_argument():
     # only materialize, which derives it from the expression tree, sets it
     with pytest.raises(TypeError):
-        BlockMatrix(np.eye(4), 1, 4, band=(0, 0))
+        BlockMatrix(np.eye(4), 1, 4, band=0)
     assert BlockMatrix(np.eye(4), 1, 4).band is None
 
 

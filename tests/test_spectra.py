@@ -313,6 +313,16 @@ def test_distribution_check_basket_filter():
     assert list(report.metadata["quadrature"]) == ["x^2"]
 
 
+@pytest.mark.parametrize("empty", [{"basket": []}, {"basket_ids": []}])
+def test_an_empty_basket_is_refused_before_any_matrix_is_built(empty):
+    # a check of no test function would pass with no check and no row
+    built = []
+    with pytest.raises(InvalidParameterError, match="no test function"):
+        distribution_check(lambda n: built.append(n) or toeplitz(LAP, n), LAP, [8, 16, 32],
+                           **empty)
+    assert built == []
+
+
 def test_distribution_report_csv_header():
     report = distribution_check(
         lambda n: toeplitz(LAP, n), LAP, [8, 16], mode="lambda", basket=[WIDE_X],
@@ -467,7 +477,7 @@ def test_centro_hermitian_test_within_the_band_bound_matches_the_strips(expr, n)
 
     bm = materialize(parse(expr), n)
     for a in [bm.data] + ([_nudged(bm.data)] if bm.data.shape[0] > 3 else []):
-        nonzeros = spectra_mod._band_nonzeros(a, max(bm.band))
+        nonzeros = spectra_mod._band_nonzeros(a, bm.band)
         assert spectra_mod._is_centro_hermitian(a, nonzeros) == spectra_mod._is_centro_hermitian(a)
 
 
@@ -734,8 +744,8 @@ def test_the_similarity_in_band_storage_keeps_the_dense_bits(n):
     dense_b = BlockMatrix(bm.data * w, 1, n)  # entry (a * w_j) / w_i
     dense_b.data /= w[:, None]
     dense_b.band = bm.band
-    assert band_b.storage.tobytes("F") == spectra_mod._band_storage(
-        dense_b.data, *bm.band).tobytes("F")
+    assert band_b.storage.tobytes() == spectra_mod._band_storage(
+        dense_b.data, bm.band, bm.band).tobytes()
     assert is_hermitian(dense_b)
     assert np.array_equal(values, spectra_mod._hermitian_eigenvalues(dense_b).astype(complex))
 
@@ -881,8 +891,8 @@ def test_real_centro_blocks_are_built_in_band_storage(expr, n, monkeypatch):
     plain = dataclasses.replace(bm)  # the same matrix with no bound
     sizes = bm.n  # every case commutes with each level's reversal
     assert all(spectra_mod._is_centro_hermitian(bm.data, None, sizes, (l,)) for l in range(len(sizes)))
-    assert spectra_mod._fits(max(bm.band), bm.data.shape[0])
-    spans = spectra_mod._fold_spans(sizes, spectra_mod._band_nonzeros(bm.data, max(bm.band)))
+    assert spectra_mod._fits(bm.band, bm.data.shape[0])
+    spans = spectra_mod._fold_spans(sizes, spectra_mod._band_nonzeros(bm.data, bm.band))
     build = spectra_mod._reflection_block
     for signs in itertools.product((1, -1), repeat=len(sizes)):
         half = [(m + (s > 0)) // 2 for m, s in zip(sizes, signs)]
@@ -916,7 +926,7 @@ BAND_STORED_CASES = (  # (expression, size, spectrum's mode and hermitian, Y of 
     [(expr, n, mode, True, False) for expr, n in
      CENTRO_BAND_CASES + [("T(4-2*cos(t1)-2*cos(t2))", (24, 24))] for mode in ("lambda", "sigma")]
     + [(expr, n, "sigma", None, half) for expr, half in SKEW_CASES.values() for n in (64, 65)]
-    + [("D(x1)", 64, "lambda", True, False),  # whole, the storage itself in Fortran order
+    + [("D(x1)", 64, "lambda", True, False),  # whole, from the storage itself
        ("D(x1)*T(2-2*cos(t1))", 64, "sigma", None, False)]
 )
 
@@ -967,7 +977,7 @@ def test_a_symbol_even_only_jointly_keeps_the_two_centro_blocks(monkeypatch):
     import gltlab.spectra as spectra_mod
 
     bm = materialize(parse("T(4-2*cos(t1)-2*cos(t2)+0.5*cos(t1+t2))"), (20, 21))
-    nonzeros = spectra_mod._band_nonzeros(bm.data, max(bm.band))
+    nonzeros = spectra_mod._band_nonzeros(bm.data, bm.band)
     assert not any(spectra_mod._is_centro_hermitian(bm.data, nonzeros, bm.n, (l,)) for l in (0, 1))
     assert spectra_mod._is_centro_hermitian(bm.data, nonzeros)
     lam = np.linalg.eigvalsh(bm.data)
@@ -1021,7 +1031,7 @@ def test_a_spectrum_reads_the_in_band_nonzeros_once(expr, n, monkeypatch):
     for mode, hermitian in (("lambda", None), ("sigma", True)):
         reads.clear()
         spectrum(bm, mode, hermitian)
-        assert reads == [max(bm.band)]
+        assert reads == [bm.band]
 
 
 def _traced_peak(run) -> int:

@@ -285,11 +285,10 @@ def test_1x1_lambda_surfaces_are_the_entries_lapack_returns(gate):
 
 def test_1x1_lambda_surfaces_keep_the_entry_where_lapack_rescales():
     """Beyond zgeev's scaling thresholds the shortcut returns the exact entry,
-    where eigvals may round it.  (Moduli above ~1e154 overflow the Hermitian
-    gate's norm, so the declared-Hermitian batch stops at 1e150.)"""
+    where eigvals may round it."""
     small = np.array([3e-150 - 7e-151j, 1.23e-160 + 4.56e-160j, -5e-145 + 1e-146j])
     large = np.array([7.7e150 + 1.1e151j, 2e160 - 3e159j, -4e170 + 1e169j])
-    for values, hermitian in ((small, True), (small, False), (large[:1], True), (large, False)):
+    for values, hermitian in ((small, True), (small, False), (large, True), (large, False)):
         s, xs, thetas, _ = _table(values, hermitian)  # the gate fails: complex entries
         assert _same(spectral_surfaces(s, xs, thetas, "lambda")[:, 0], values)
         s, xs, thetas, _ = _table(values.real, hermitian)
