@@ -274,8 +274,7 @@ class ExpressionSymbol(Symbol):
         if isinstance(e, Diag):
             return e.coefficient._eval(x, theta)
         if isinstance(e, (Zero, Scalar)):
-            c = complex(e.value) if isinstance(e, Scalar) else 0j
-            return np.broadcast_to(c * np.eye(r), (x.shape[0], r, r))
+            return (complex(e.value) if isinstance(e, Scalar) else 0j) * np.eye(r)
         if isinstance(e, Adjoint):
             return np.conj(np.swapaxes(self._values(e.child, x, theta), -1, -2))
         if isinstance(e, LinComb):
@@ -288,30 +287,34 @@ class ExpressionSymbol(Symbol):
             # f(kappa) through the pointwise spectral calculus.
             fn = FUNCTION_CATALOGUE[e.name]
             if r == 1:
-                return np.asarray(fn(vals[:, 0, 0].real), dtype=complex).reshape(-1, 1, 1)
+                return np.asarray(fn(vals[..., 0, 0].real), dtype=complex)[..., None, None]
             w, v = np.linalg.eigh(vals)
             fw = np.asarray(fn(w), dtype=complex)
-            return np.einsum("nab,nb,ncb->nac", v, fw, v.conj())
+            return np.einsum("...ab,...b,...cb->...ac", v, fw, v.conj())
         # PseudoInverse: the pointwise inverse, valid for symbols invertible a.e.
         if r == 1:
-            flat = vals[:, 0, 0]
+            flat = vals[..., 0, 0]
             bad = np.abs(flat) <= _SINGULAR_TOL
             if np.any(bad):
-                i = int(np.argmax(bad))
-                raise SingularEvaluationError(
-                    f"symbol vanishes at x={x[i]}, theta={theta[i]}"
-                )
-            return (1.0 / flat).reshape(-1, 1, 1)
+                raise SingularEvaluationError(f"symbol vanishes at {_node(bad, x, theta)}")
+            return (1.0 / flat)[..., None, None]
         try:
             out = np.linalg.inv(vals)
         except np.linalg.LinAlgError as exc:
             raise SingularEvaluationError(f"pointwise inverse failed: {exc}") from exc
-        if not np.all(np.isfinite(out)):
-            i = int(np.argmax(~np.isfinite(out.reshape(out.shape[0], -1)).all(axis=1)))
-            raise SingularEvaluationError(
-                f"pointwise inverse non-finite at x={x[i]}, theta={theta[i]}"
-            )
+        bad = ~np.isfinite(out).all(axis=(-2, -1))
+        if np.any(bad):
+            raise SingularEvaluationError(f"pointwise inverse non-finite at {_node(bad, x, theta)}")
         return out
+
+
+def _node(bad: np.ndarray, x: np.ndarray, theta: np.ndarray) -> str:
+    """The point of the first true entry of ``bad`` in the C order of the
+    broadcast leading shape of the points x and theta."""
+    shape = np.broadcast_shapes(x.shape[:-1], theta.shape[:-1])
+    i = np.unravel_index(int(np.argmax(np.broadcast_to(bad, shape))), shape)
+    xi, ti = (np.broadcast_to(p, shape + p.shape[-1:])[i] for p in (x, theta))
+    return f"x={xi}, theta={ti}"
 
 
 # ---------------------------------------------------------------------------

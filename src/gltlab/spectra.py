@@ -324,14 +324,17 @@ def _band_eigenvalues(lapack: dict, ab: np.ndarray) -> np.ndarray:
 def _band_solve(ab: np.ndarray, ku: int, m: int, hermitian: bool) -> np.ndarray:
     """:func:`_values` of the m-row matrix in band storage ``ab`` with ku
     superdiagonals (ku = 0: a Hermitian matrix's lower storage), narrowed to
-    its outermost nonzero diagonals: from the band routines, on a copy,
-    where the band rule passes and they are bound, else from ``eigvalsh``
-    or the values-only ``svd`` of the dense array it is scattered into."""
+    its outermost nonzero diagonals: from the band routines, in place if it
+    owns its data and is Fortran-ordered, else on a copy (so never on a
+    view of a matrix's storage), where the band rule passes and they are
+    bound, else from ``eigvalsh`` or the values-only ``svd`` of the dense
+    array it is scattered into."""
     rows, n = np.flatnonzero(ab.any(axis=1)), ab.shape[1]  # the diagonals that hold a nonzero
     lo, hi = min(rows.min(initial=ku), ku), max(rows.max(initial=ku), ku)
+    scratch = ab.flags.owndata
     ab, ku, kl, lapack = ab[lo:hi + 1], ku - lo, hi - ku, _band_lapack()
     if lapack and _fits(kl + ku, min(m, n)):
-        ab = np.array(ab, order="F")  # a copy: LAPACK overwrites it
+        ab = np.asfortranarray(ab) if scratch else np.array(ab, order="F")
         return (_band_eigenvalues(lapack, ab) if hermitian else
                 _band_singular_values(lapack, ab, m, kl))
     i = np.arange(-ku, kl + 1)[:, None] + np.arange(n)  # the row of each entry
@@ -606,23 +609,24 @@ def empirical_functional(values, f: TestFunction) -> float:
 
 def _grid(s: Symbol, g: int, ends: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The tensor grid of d space axes on [0, 1] then d frequency axes on
-    [-pi, pi], as (x, theta): g cell midpoints per axis, or with ``ends`` g
-    points from end to end.  An axis the symbol does not depend on gets one
-    node, its midpoint.
+    [-pi, pi], as the pair (x, theta) of its space nodes, (Nx, 1, d), and
+    its frequency nodes, (1, Ntheta, d), which :func:`spectral_surfaces`
+    evaluates by broadcasting, x-major: g cell midpoints per axis, or with
+    ``ends`` g points from end to end.  An axis the symbol does not depend on
+    gets one node, its midpoint.
 
     Endpoints matter to the probe of a symbol's range: surfaces often attain
     their extremes on the domain boundary, and the hull estimated from these
     samples must cover the range so that windowed test functions never clip it.
     """
-    lines = []
+    axes = []
     for depends, lo, hi in ((s.depends_space, 0.0, 1.0), (s.depends_frequency, -np.pi, np.pi)):
         count = g if depends else 1
-        if ends and count > 1:
-            lines += [np.linspace(lo, hi, count)] * s.d
-        else:
-            lines += [lo + (np.arange(count) + 0.5) * (hi - lo) / count] * s.d
-    flat = [m.ravel() for m in np.meshgrid(*lines, indexing="ij")]
-    return np.stack(flat[:s.d], axis=1), np.stack(flat[s.d:], axis=1)
+        line = (np.linspace(lo, hi, count) if ends and count > 1
+                else lo + (np.arange(count) + 0.5) * (hi - lo) / count)
+        mesh = np.meshgrid(*[line] * s.d, indexing="ij")
+        axes.append(np.stack([m.ravel() for m in mesh], axis=1))
+    return axes[0][:, None, :], axes[1][None, :, :]
 
 
 def _active(s: Symbol) -> int:

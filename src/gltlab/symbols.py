@@ -7,8 +7,10 @@ node of the expression tree, whose symbol is c times the identity.  The
 pointwise algebra over the leaves (sums, products, adjoints, inverses,
 continuous functions) and its one Hermitian rule live on the expression tree
 of :mod:`gltlab.gltcalc`, whose ``symbol_of`` evaluates that tree.
-Evaluation is vectorized: points are passed as (N, d) arrays and values
-come back as (N, r, r) stacks.
+Evaluation broadcasts: points are (..., d) arrays whose leading shapes
+broadcast and values come back as (..., r, r) stacks, so on the (Nx, 1, d)
+space and (1, Ntheta, d) frequency axes of a tensor grid a frequency-only
+leaf is computed at Ntheta points and a space-only one at Nx.
 
 Merely integrable generating functions have no canonical finite
 representation; this module requires an evaluable closed form plus, for
@@ -33,15 +35,17 @@ FOURIER_NODE_CAP = 2**24  # nodes of the numeric Fourier grid (256^3)
 
 
 def _as_points(pts, d: int, name: str) -> np.ndarray:
-    """A batch of points as a float (N, d) array."""
+    """A batch of points as a float (..., d) array with at least one batch axis."""
     arr = np.asarray(pts, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != d:
+    if arr.ndim < 2 or arr.shape[-1] != d:
         raise DomainError(f"{name} points must have {d} coordinates, got shape {arr.shape}")
     return arr
 
 
 class Symbol:
-    """Base class; subclasses implement ``_eval(x, theta) -> (N, r, r)``."""
+    """Base class; subclasses implement ``_eval(x, theta)`` of float (..., d)
+    points whose leading shapes broadcast, giving (..., r, r) values that
+    broadcast to theirs."""
 
     d: int
     r: int
@@ -119,22 +123,23 @@ class TrigPolynomial(Symbol):
 
     def _eval(self, x, theta):
         if not self.coeffs:
-            return np.zeros((theta.shape[0], self.r, self.r), dtype=complex)
-        # A real GEMM, exponentiated in place so that one (N, K) complex
+            return np.zeros(theta.shape[:-1] + (self.r, self.r), dtype=complex)
+        # A real GEMM, exponentiated in place so that one (..., K) complex
         # array is live.  The complex GEMM of ``1j * theta`` gives the same
         # bits, but np.exp on its output ran ~10x slower: 0.11-0.14 s against
         # 0.01 s for 65,536 x 5 entries on a 2-core Skylake-X Xeon, with one
         # BLAS thread too.
-        phases = np.multiply(theta @ self._offsets.T, 1j)  # (N, K)
+        phases = np.multiply(theta @ self._offsets.T, 1j)  # (..., K)
         np.exp(phases, out=phases)
-        return np.einsum("nk,kab->nab", phases, self._blocks)
+        return np.einsum("...k,kab->...ab", phases, self._blocks)
 
 
 class CoefficientFunction(Symbol):
     """Space-only symbol a : [0,1]^d -> C^{r x r}.
 
     ``fn`` must be vectorized: it receives an (N, d) array and returns an
-    (N, r, r) array.  Riemann integrability is declared, not checked.
+    (N, r, r) array; points of shape (..., d) reach it as their (N, d)
+    reshape.  Riemann integrability is declared, not checked.
     """
 
     def __init__(self, d: int, r: int, fn: Callable[[np.ndarray], np.ndarray],
@@ -154,41 +159,47 @@ class CoefficientFunction(Symbol):
         return self._hermitian
 
     def _eval(self, x, theta):
-        vals = np.asarray(self._fn(x), dtype=complex)
-        if vals.shape != (x.shape[0], self.r, self.r):
+        flat = x.reshape(-1, self.d)
+        vals = np.asarray(self._fn(flat), dtype=complex)
+        if vals.shape != (flat.shape[0], self.r, self.r):
             raise EvaluationError(
                 f"coefficient function {self.name!r} returned shape {vals.shape}, "
-                f"expected ({x.shape[0]}, {self.r}, {self.r})"
+                f"expected ({flat.shape[0]}, {self.r}, {self.r})"
             )
-        return vals
+        return vals.reshape(x.shape[:-1] + (self.r, self.r))
 
 
 def evaluate(s: Symbol, x, theta) -> np.ndarray:
-    """Evaluate kappa at a batch of N points, given as (N, d) space and
-    frequency arrays; returns (N, r, r).
+    """Evaluate kappa at (..., d) space and frequency points whose leading
+    shapes broadcast, e.g. paired (N, d) batches or the (Nx, 1, d) and
+    (1, Ntheta, d) axes of a tensor grid; returns that shape + (r, r).
 
-    Points must lie in [0,1]^d x [-pi,pi]^d.
+    Points must lie in [0,1]^d x [-pi,pi]^d; a NaN coordinate does not.
     """
     xp = _as_points(x, s.d, "space")
     tp = _as_points(theta, s.d, "frequency")
-    if xp.shape[0] != tp.shape[0]:
-        raise DomainError("space and frequency batches differ in length")
-    if np.any(xp < -_DOMAIN_TOL) or np.any(xp > 1 + _DOMAIN_TOL):
+    try:
+        shape = np.broadcast_shapes(xp.shape[:-1], tp.shape[:-1])
+    except ValueError:
+        raise DomainError(f"space points {xp.shape} and frequency points {tp.shape} "
+                          "do not broadcast") from None
+    if not np.all((xp >= -_DOMAIN_TOL) & (xp <= 1 + _DOMAIN_TOL)):
         raise DomainError("space point outside [0,1]^d")
-    if np.any(np.abs(tp) > np.pi + _DOMAIN_TOL):
+    if not np.all(np.abs(tp) <= np.pi + _DOMAIN_TOL):
         raise DomainError("frequency point outside [-pi,pi]^d")
-    return s._eval(xp, tp)
+    return np.broadcast_to(s._eval(xp, tp), shape + (s.r, s.r))
 
 
 def spectral_surfaces(s: Symbol, x, theta, mode: str = "sigma") -> np.ndarray:
     """Per-point singular values (descending) or eigenvalues (canonical order)
-    at a batch of (N, d) points, as an (N, r) array.
+    at the points of :func:`evaluate`, as an (N, r) array, N the size of
+    their broadcast leading shape, flattened in C order.
 
     Canonical eigenvalue order is ascending by real part, ties broken by
     imaginary part; symbols declared Hermitian go through the symmetric solver
     and yield real values when the sampled values are Hermitian too.
     """
-    batch = evaluate(s, x, theta)
+    batch = evaluate(s, x, theta).reshape(-1, s.r, s.r)
     if not np.all(np.isfinite(batch)):
         flat = np.isfinite(batch.reshape(batch.shape[0], -1)).all(axis=1)
         i = int(np.argmin(flat))

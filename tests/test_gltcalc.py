@@ -9,7 +9,13 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import errors_for, laplacian_eigenvalues, random_trig_polynomial, structurally_equal
+from helpers import (
+    _mesh,
+    errors_for,
+    laplacian_eigenvalues,
+    random_trig_polynomial,
+    structurally_equal,
+)
 
 import gltlab.matgen as matgen_mod
 from gltlab.cli import parse_sizes
@@ -40,8 +46,8 @@ from gltlab.gltcalc import (
 )
 from gltlab.matgen import is_hermitian, toeplitz
 from gltlab.multiindex import check_size
-from gltlab.spectra import _bandwidths, _fits, poly_on_window, spectrum
-from gltlab.symbols import CoefficientFunction, TrigPolynomial, evaluate
+from gltlab.spectra import _bandwidths, _fits, _grid, poly_on_window, spectrum
+from gltlab.symbols import CoefficientFunction, TrigPolynomial, evaluate, spectral_surfaces
 
 LAP_POLY = TrigPolynomial(1, 1, {(0,): [[2.0]], (1,): [[-1.0]], (-1,): [[-1.0]]})
 LAP = Toeplitz(LAP_POLY)
@@ -114,6 +120,67 @@ def test_symbol_of_a_block_pseudo_inverse_is_singular_where_the_symbol_is():
     sym = symbol_of(parse("T([1,1;1,1])^-1"))
     with pytest.raises(SingularEvaluationError, match="pointwise inverse failed"):
         evaluate(sym, [[0.5]], [[0.3]])
+
+
+BROADCAST_CASES = [  # every node type, at r = 1 and 2 and at d = 1 and 2
+    "D(x1)*T(2-2*cos(t1))",
+    "2*D(x1)*T(2-2*cos(t1)) - (1-2*i)*T(exp(i*t1)) + Z",
+    "fun(exp, D(x1)+T(2-2*cos(t1)))*(T(3-2*cos(t1))+D(x1))^-1",
+    "(D(exp(x1))*T(1+exp(i*t1)))' + fun(sq, 3)",
+    "fun(cos, D(x1*x2)+T(4-2*cos(t1)-2*cos(t2)))*(1.5-0.5*i)*D(x2)*T(exp(i*t1)+3*exp(-2*i*t2))",
+    "(T(5-2*cos(t1)-2*cos(t2))+D(x1+x2))^-1 + Z",
+    "T([2-2*cos(t1), exp(i*t1); exp(-i*t1), 3])*D([x1,0;0,1+x1]) + 2*i",
+    "fun(exp, T([2,1;1,2]) + D([x1,0;0,x1]))*(T([3,1;1,3])+D([x1,0;0,x1]))^-1",
+    "(D([x1,1;0,x1])*T([1,exp(i*t1);0,2]))' - (2+3*i)*D([x1,i;1,x1]) + Z",
+    "fun(abs, T([2,exp(i*t1);exp(-i*t1),2+cos(t2)]) + D([x1,0;0,x2]))*D([x1*x2,1;0,1+x2])",
+    "(T([5,exp(i*t1);exp(-i*t1),5+cos(t2)])+D([x1,0;0,x2]))^-1*T([exp(i*t2),1;0,2])",
+]
+
+
+def _paired_grid(s, g, ends):
+    """The points of ``_grid(s, g, ends)`` as paired (N, d) batches, from one
+    meshgrid of the 2d axis lines."""
+    lines = []
+    for depends, lo, hi in ((s.depends_space, 0.0, 1.0), (s.depends_frequency, -np.pi, np.pi)):
+        count = g if depends else 1
+        lines.append(np.linspace(lo, hi, count) if ends and count > 1
+                     else lo + (np.arange(count) + 0.5) * (hi - lo) / count)
+    return _mesh(s, [lines[0]] * s.d, [lines[1]] * s.d)
+
+
+@pytest.mark.parametrize("expr", BROADCAST_CASES)
+@pytest.mark.parametrize("mode", ["sigma", "lambda"])
+def test_the_grid_axes_evaluate_bit_for_bit_as_their_paired_points(expr, mode):
+    """Each leaf is computed on its own axis of the grid and the nodes that
+    combine leaves broadcast: every surface value keeps the bits of the
+    paired evaluation, in the same x-major node order."""
+    s = symbol_of(parse(expr))
+    for g, ends in ((5, False), (4, True)):
+        x, theta = _grid(s, g, ends)
+        assert x.shape[1] == 1 and theta.shape[0] == 1
+        paired = spectral_surfaces(s, *_paired_grid(s, g, ends), mode)
+        assert np.array_equal(spectral_surfaces(s, x, theta, mode), paired)
+
+
+def _nan_past(x):
+    """[[nan, 0], [0, 1]] where x1 > 0.6, else the identity."""
+    return np.where((x[:, 0] > 0.6)[:, None, None], [[np.nan, 0.0], [0.0, 1.0]],
+                    np.eye(2)).astype(complex)
+
+
+@pytest.mark.parametrize("e, point", [
+    (parse("(D(x1-0.5)+T(1-cos(t1)))^-1"), "x=[0.5], theta=[0.]"),
+    (PseudoInverse(LinComb(1.0, Diag(CoefficientFunction(1, 2, _nan_past)), 1.0,
+                           parse("T([2,0;0,2+cos(t1)])"))), "x=[0.75], theta=[-3.14159265]"),
+])
+def test_a_pointwise_inverse_names_the_node_of_the_paired_call(e, point):
+    s = symbol_of(e)
+    messages = []
+    for x, theta in (_grid(s, 5, ends=True), _paired_grid(s, 5, ends=True)):
+        with pytest.raises(SingularEvaluationError) as info:
+            spectral_surfaces(s, x, theta)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] and messages[0].endswith(point)
 
 
 def test_symbol_homomorphism_random_nodes():

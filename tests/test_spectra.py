@@ -612,7 +612,7 @@ def test_distribution_check_evaluates_each_grid_once(expr, mode, monkeypatch):
     surfaces = spectra_mod.spectral_surfaces
 
     def counted(s, x, theta, mode):
-        nodes.append(len(x))
+        nodes.append(int(np.prod(np.broadcast_shapes(x.shape[:-1], theta.shape[:-1]))))
         return surfaces(s, x, theta, mode)
 
     monkeypatch.setattr(spectra_mod, "spectral_surfaces", counted)
@@ -927,26 +927,32 @@ BAND_STORED_CASES = (  # (expression, size, spectrum's mode and hermitian, Y of 
      CENTRO_BAND_CASES + [("T(4-2*cos(t1)-2*cos(t2))", (24, 24))] for mode in ("lambda", "sigma")]
     + [(expr, n, "sigma", None, half) for expr, half in SKEW_CASES.values() for n in (64, 65)]
     + [("D(x1)", 64, "lambda", True, False),  # whole, from the storage itself
+       ("D(x1)", 64, "sigma", None, False),  # one row, C- and Fortran-ordered at once
        ("D(x1)*T(2-2*cos(t1))", 64, "sigma", None, False)]
 )
 
 
 @pytest.mark.parametrize("expr, n, mode, hermitian, half", BAND_STORED_CASES)
 def test_no_hermitian_or_sigma_route_builds_a_band_stored_matrix_s_dense_array(
-        expr, n, mode, hermitian, half):
+        expr, n, mode, hermitian, half, monkeypatch):
     """Band storage reaches the solver: a Hermitian spectrum of a matrix held
     in band storage, whole or split into reflection blocks, and the skew
     route's sigma spectrum leave its N x N array unbuilt, and its storage
-    as it was (LAPACK overwrites what it is given)."""
+    as it was (LAPACK overwrites what it is given, so it is handed a copy)."""
+    import gltlab.spectra as spectra_mod
     from gltlab.gltcalc import _halves
 
     bm = materialize(parse(expr), n)
     a = _halves(bm, [])[1] if half else bm
     assert a.storage is not None
-    storage = a.storage.tobytes("F")
+    storage, shared = a.storage.tobytes("F"), []
+    for name in BAND_SOLVERS.values():
+        monkeypatch.setattr(spectra_mod, name, lambda lapack, ab, *rest, solve=getattr(
+            spectra_mod, name): shared.append(np.shares_memory(ab, a.storage))
+                            or solve(lapack, ab, *rest))
     spectrum(a, mode, hermitian=hermitian)
     assert "data" not in a.__dict__ and "data" not in bm.__dict__
-    assert a.storage.tobytes("F") == storage
+    assert a.storage.tobytes("F") == storage and not any(shared)
 
 
 def _block_count(monkeypatch) -> list:
@@ -1090,6 +1096,39 @@ def test_a_banded_run_holds_no_dense_matrix(run, order):
     if spectra_mod._band_lapack() is None:
         pytest.skip("the band routines are not bound")
     assert _traced_peak(run) < order**2 * 8 / 4
+
+
+def test_one_grid_of_the_readme_product_traces_under_64_bytes_per_node():
+    """The g = 512 grid of D(x1)*T(2-2*cos(t1)) in sigma mode: its D leaf is
+    computed on the 512 space nodes and its T leaf on the 512 frequency
+    nodes, and only their product reaches all 262,144 (the paired
+    evaluation of every leaf at every node traced 105 bytes per node)."""
+    import gltlab.spectra as spectra_mod
+
+    s = symbol_of(parse("D(x1)*T(2-2*cos(t1))"))
+    peak = _traced_peak(lambda: spectra_mod._grid_means(s, default_basket(0.0, 4.0), "sigma", 512))
+    assert peak < 64 * 512**2
+
+
+def test_a_dense_matrix_s_band_is_copied_once(monkeypatch):
+    """The band storage written from a dense array is the array LAPACK
+    overwrites: no second copy of it is made."""
+    import gltlab.spectra as spectra_mod
+
+    if spectra_mod._band_lapack() is None:
+        pytest.skip("the band routines are not bound")
+    built, solved = [], []
+    store = spectra_mod._band_storage
+    monkeypatch.setattr(spectra_mod, "_band_storage",
+                        lambda *args: built.append(store(*args)) or built[-1])
+    for name in BAND_SOLVERS.values():
+        monkeypatch.setattr(spectra_mod, name, lambda lapack, ab, *rest, solve=getattr(
+            spectra_mod, name): solved.append(ab) or solve(lapack, ab, *rest))
+    spectrum(materialize(parse("T(exp(i*t1)+2)"), 256).data, "sigma")
+    spectrum(materialize(parse("T(2+i*exp(i*t1)-i*exp(-i*t1))"), 256).data, "lambda",
+             hermitian=True)
+    assert len(built) == len(solved) == 2
+    assert all(a is b or a.base is b for a, b in zip(solved, built))
 
 
 def test_band_route_takes_the_odd_skew_block(monkeypatch):

@@ -46,10 +46,24 @@ def test_domain_errors():
         evaluate(LAP, [[0.5]], [[4.0]])
 
 
+@pytest.mark.parametrize("x, theta", [
+    ([[np.nan]], [[0.1]]),
+    ([[0.5]], [[np.nan]]),
+    ([[0.5], [np.nan]], [[0.1], [0.1]]),
+])
+def test_a_nan_coordinate_is_outside_the_domain(x, theta):
+    kappa = symbol_of(parse("D(x1)*T(2-2*cos(t1))"))
+    with pytest.raises(DomainError):
+        evaluate(kappa, x, theta)
+    with pytest.raises(DomainError):
+        spectral_surfaces(kappa, x, theta)
+
+
 @pytest.mark.parametrize("x,theta", [
     (0.5, 0.0),  # a 0-D point
     ([0.5], [0.0]),  # a 1-D point
-    ([[0.5]], np.zeros((3, 1))),  # one point against a batch
+    ([[0.5], [0.5]], np.zeros((3, 1))),  # two points against three
+    (np.full((2, 1, 1), 0.5), np.zeros((3, 1, 1))),  # 2 x 1 points against 3 x 1
     ([[0.5, 0.5]], [[0.0, 0.0]]),  # two coordinates for a one-level symbol
 ])
 def test_points_are_batches_of_matching_length(x, theta):
@@ -57,6 +71,12 @@ def test_points_are_batches_of_matching_length(x, theta):
         evaluate(LAP, x, theta)
     with pytest.raises(DomainError):
         spectral_surfaces(LAP, x, theta)
+
+
+def test_one_point_broadcasts_against_a_batch():
+    thetas = np.linspace(-3.0, 3.0, 3).reshape(-1, 1)
+    assert np.array_equal(evaluate(LAP, [[0.5]], thetas), evaluate(LAP, np.full((3, 1), 0.5), thetas))
+    assert evaluate(LAP, np.zeros((2, 1, 1)), thetas[None]).shape == (2, 3, 1, 1)
 
 
 def values_of(poly):
