@@ -36,11 +36,11 @@ import numpy as np
 from . import acs as acs_mod
 from . import dsl
 from .errors import ConfigurationError, GltLabError, InvalidParameterError
-from .gltcalc import glt5_split_check, materialize, symbol_of, truncate_toeplitz
+from .gltcalc import glt1_verify, glt5_split_check, materialize, truncate_toeplitz
 from .matgen import is_hermitian
 from .multiindex import format_multiindex, parse_multiindex
 from .reports import Report, atomic_write_text, summary_json, svg_line_chart
-from .spectra import QUAD_TOL, SLACK, _finite, _normalize_sizes, _spectrum, distribution_check
+from .spectra import QUAD_TOL, SLACK, _finite, _normalize_sizes, _spectrum
 
 
 def parse_sizes(text: str, d: int | None) -> list[tuple[int, ...]]:
@@ -265,12 +265,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _run_distribution(cfg: ExperimentConfig):
     e = _parse_expression(cfg)
-    seq = lambda n: materialize(e, n, r=cfg.r)
     basket_ids = None if cfg.basket == "auto" else [s.strip() for s in cfg.basket.split(",")]
-    symbol = symbol_of(e, len(cfg.sizes[0]), 1 if cfg.r is None else cfg.r)  # as materialize
-    report = distribution_check(seq, symbol, cfg.sizes, mode=cfg.mode,
-                                tolerance=cfg.tolerance, slack=cfg.slack,
-                                quad_tol=cfg.quad_tol, basket_ids=basket_ids)
+    report = glt1_verify(e, cfg.sizes, mode=cfg.mode, r=cfg.r, tolerance=cfg.tolerance,
+                         slack=cfg.slack, quad_tol=cfg.quad_tol, basket_ids=basket_ids)
     return report, {"expression": dsl.format_expression(e), "mode": cfg.mode}
 
 

@@ -31,9 +31,19 @@ exp(1000), is refused.
 Normalization (fixed, so that parse(format(e)) is structurally identical to
 e): numeric literals fold (products/sums of pure scalars collapse to one
 scalar), a leading minus folds into the first scalar factor, and T-arguments
-are expanded symbolically to exponential (coefficient) form; a one-term
-argument takes an integer power in one step, a longer one is multiplied out;
-one that would take over _MAX_EXPANSION coefficient products is out of range.
+are expanded symbolically to exponential (coefficient) form: one dict from
+term to coefficient, where an offset tuple k is exp(i k.t), the zero tuple
+the constant, and an int j the linear term t_{j+1}.  Sums merge their terms,
+but a linear term beside a non-constant exponential term is not band-limited;
+a product without linear terms is multiplied out, and a linear form is only
+multiplied by a constant; division is only by a nonzero constant; an exponent
+is a constant integer, and a linear form takes only ^0 or ^1; cos, sin and
+exp read a linear form (integer frequencies, any constant) or a constant; abs
+of a non-constant is not band-limited, nor is a T-argument that ends as a
+linear form.  A linear term stays when its coefficient cancels, so
+T((t1-t1)*t1) is not band-limited.  A one-term argument takes an integer power
+in one step, a longer one is multiplied out; one that would take over
+_MAX_EXPANSION coefficient products is out of range.
 Non-band-limited T-arguments fall back to numeric Fourier coefficients with a
 declared truncation degree; a non-finite coefficient is refused.  The
 formatter writes each entry of a Toeplitz leaf from its coefficient table,
@@ -237,56 +247,49 @@ class _NotBandLimited(Exception):
     pass
 
 
-class _Poly:
-    """Laurent polynomial in z_j = exp(i t_j): dict offset tuple -> complex."""
-
-    __slots__ = ("coeffs", "d")
-
-    def __init__(self, d: int, coeffs: dict):
-        self.d = d
-        self.coeffs = {k: v for k, v in coeffs.items() if v != 0}
-
-    @classmethod
-    def const(cls, d: int, v: complex) -> "_Poly":
-        return cls(d, {(0,) * d: complex(v)})
-
-    @property
-    def is_const(self) -> bool:
-        return all(all(kj == 0 for kj in k) for k in self.coeffs)
-
-    def const_value(self) -> complex:
-        return self.coeffs.get((0,) * self.d, 0.0 + 0.0j)
+# An expansion is the dict of terms of the module docstring.  An exponential
+# term whose coefficient is zero goes; a linear term stays.
 
 
-class _Linear:
-    """Complex linear form sum_j coeff_j t_j + const."""
-
-    __slots__ = ("coeffs", "const", "d")
-
-    def __init__(self, d: int, coeffs: dict, const: complex):
-        self.d = d
-        self.coeffs = {j: v for j, v in coeffs.items() if v != 0}
-        self.const = complex(const)
+def _terms(terms: dict) -> dict:
+    return {k: v for k, v in terms.items() if v != 0 or isinstance(k, int)}
 
 
-def _poly_add(a: _Poly, b: _Poly, sign: int = 1) -> _Poly:
-    out = dict(a.coeffs)
-    for k, v in b.coeffs.items():
+def _linear(a: dict) -> bool:
+    return any(isinstance(k, int) for k in a)
+
+
+def _waves(a: dict) -> bool:
+    """Whether ``a`` holds a non-constant exponential term."""
+    return any(isinstance(k, tuple) and any(k) for k in a)
+
+
+def _const(a: dict, d: int) -> complex | None:
+    """The value of a constant expansion; None for any other."""
+    zero = (0,) * d
+    return None if any(k != zero for k in a) else a.get(zero, 0.0 + 0.0j)
+
+
+def _add(a: dict, b: dict, sign: int) -> dict:
+    out = dict(a)
+    for k, v in b.items():
         out[k] = out.get(k, 0.0) + sign * v
-    return _Poly(a.d, out)
+    if _linear(out) and _waves(out):
+        raise _NotBandLimited
+    return _terms(out)
 
 
-def _poly_mul(a: _Poly, b: _Poly) -> _Poly:
+def _mul(a: dict, b: dict) -> dict:
     out: dict = {}
-    for ka, va in a.coeffs.items():
-        for kb, vb in b.coeffs.items():
+    for ka, va in a.items():
+        for kb, vb in b.items():
             k = tuple(x + y for x, y in zip(ka, kb))
             out[k] = out.get(k, 0.0) + va * vb
-    return _Poly(a.d, out)
+    return _terms(out)
 
 
-def _lin_scale(a: _Linear, c: complex) -> _Linear:
-    return _Linear(a.d, {j: v * c for j, v in a.coeffs.items()}, a.const * c)
+def _scale(a: dict, c: complex) -> dict:
+    return _terms({k: v * c for k, v in a.items()})
 
 
 def _int_power(v: complex, p: int) -> complex:
@@ -312,110 +315,76 @@ def _as_int(v: float) -> int:
     return int(r)
 
 
-def _lin_offset(a: _Linear) -> tuple:
-    # Integer frequency vector of a real-integer linear form.
-    k = [0] * a.d
-    for j, v in a.coeffs.items():
-        if abs(v.imag) > _INT_TOL:
-            raise _NotBandLimited
-        k[j] = _as_int(v.real)
+def _frequency(a: dict, d: int) -> tuple:
+    """Integer frequency vector of the real-integer linear terms of ``a``."""
+    k = [0] * d
+    for j, v in a.items():
+        if isinstance(j, int):
+            if abs(v.imag) > _INT_TOL:
+                raise _NotBandLimited
+            k[j] = _as_int(v.real)
     return tuple(k)
 
 
-def _expand(e: ScalarExpr, d: int):
-    """Expand to _Poly where possible; _Linear for bare linear forms."""
+def _expand(e: ScalarExpr, d: int) -> dict:
+    """Expand to one dict of terms (above), or raise _NotBandLimited."""
+    zero = (0,) * d
     if isinstance(e, SNum):
-        return _Poly.const(d, e.value)
+        return _terms({zero: e.value})
     if isinstance(e, SVar):
-        return _Linear(d, {e.index - 1: 1.0 + 0.0j}, 0.0)
-    if isinstance(e, SBin):
-        left = _expand(e.left, d)
-        right = _expand(e.right, d)
-        if e.op in "+-":
-            sign = 1 if e.op == "+" else -1
-            if isinstance(left, _Poly) and isinstance(right, _Poly):
-                return _poly_add(left, right, sign)
-            if isinstance(left, _Linear) and isinstance(right, _Linear):
-                coeffs = dict(left.coeffs)
-                for j, v in right.coeffs.items():
-                    coeffs[j] = coeffs.get(j, 0.0) + sign * v
-                return _Linear(d, coeffs, left.const + sign * right.const)
-            if isinstance(left, _Poly) and left.is_const and isinstance(right, _Linear):
-                scaled = _lin_scale(right, complex(sign))
-                return _Linear(d, scaled.coeffs, scaled.const + left.const_value())
-            if isinstance(left, _Linear) and isinstance(right, _Poly) and right.is_const:
-                return _Linear(d, left.coeffs, left.const + sign * right.const_value())
-            raise _NotBandLimited
-        if e.op == "*":
-            if isinstance(left, _Poly) and isinstance(right, _Poly):
-                return _poly_mul(left, right)
-            if isinstance(left, _Poly) and left.is_const and isinstance(right, _Linear):
-                return _lin_scale(right, left.const_value())
-            if isinstance(right, _Poly) and right.is_const and isinstance(left, _Linear):
-                return _lin_scale(left, right.const_value())
-            raise _NotBandLimited
-        if e.op == "/":
-            if isinstance(right, _Poly) and right.is_const:
-                c = right.const_value()
-                if c == 0:
-                    raise _NotBandLimited
-                if isinstance(left, _Poly):
-                    return _Poly(d, {k: v / c for k, v in left.coeffs.items()})
-                return _lin_scale(left, 1.0 / c)
-            raise _NotBandLimited
-        if e.op == "^":
-            if not (isinstance(right, _Poly) and right.is_const):
-                raise _NotBandLimited
-            p = right.const_value()
-            if abs(p.imag) > _INT_TOL:
-                raise _NotBandLimited
-            power = _as_int(p.real)
-            if isinstance(left, _Linear):
-                if power == 1:
-                    return left
-                if power == 0:
-                    return _Poly.const(d, 1.0)
-                raise _NotBandLimited
-            if len(left.coeffs) == 1:  # a monomial (or constant): one step
-                ((k, v),) = left.coeffs.items()
-                return _Poly(d, {tuple(power * kj for kj in k): _int_power(v, power)})
-            # Negative powers survive only on monomials.
-            if power < 0:
-                raise _NotBandLimited
-            if power * len(left.coeffs) * math.prod(  # steps * products per term * terms
-                    power * (max(k) - min(k)) + 1 for k in zip(*left.coeffs)) > _MAX_EXPANSION:
-                raise OverflowError
-            out = _Poly.const(d, 1.0)
-            for _ in range(power):
-                out = _poly_mul(out, left)
-            return out
+        return {e.index - 1: 1.0 + 0.0j}
     if isinstance(e, SCall):
         arg = _expand(e.arg, d)
-        if isinstance(arg, _Poly) and arg.is_const:
-            arg = _Linear(d, {}, arg.const_value())
-        if e.name in ("cos", "sin"):
-            if not isinstance(arg, _Linear):
-                raise _NotBandLimited
-            k = _lin_offset(arg)
-            c = arg.const
-            mk = tuple(-v for v in k)
-            plus = cmath.exp(1j * c)
-            minus = cmath.exp(-1j * c)
-            out: dict = {}
-            if e.name == "cos":
-                pairs = ((k, plus / 2.0), (mk, minus / 2.0))
-            else:
-                pairs = ((k, plus / 2.0j), (mk, -minus / 2.0j))
-            for kk, vv in pairs:
-                out[kk] = out.get(kk, 0.0) + vv
-            return _Poly(d, out)
-        if e.name == "exp":
-            if isinstance(arg, _Poly):
-                raise _NotBandLimited
-            # exp(c + i sum k_j t_j) with integer k
-            return _Poly(d, {_lin_offset(_lin_scale(arg, -1j)): cmath.exp(arg.const)})
-        raise _NotBandLimited  # abs of a non-constant is not band-limited
-    raise _NotBandLimited
+        if e.name == "abs" or _waves(arg):  # abs of a non-constant is not band-limited
+            raise _NotBandLimited
+        c = arg.get(zero, 0.0 + 0.0j)
+        if e.name == "exp":  # exp(c + i sum k_j t_j) with integer k
+            return _terms({_frequency(_scale(arg, -1j), d): cmath.exp(c)})
+        k, plus, minus = _frequency(arg, d), cmath.exp(1j * c), cmath.exp(-1j * c)
+        half, minus = (2.0, minus) if e.name == "cos" else (2.0j, -minus)
+        out: dict = {}
+        for kk, vv in ((k, plus / half), (tuple(-v for v in k), minus / half)):
+            out[kk] = out.get(kk, 0.0) + vv
+        return _terms(out)
+    left, right = _expand(e.left, d), _expand(e.right, d)
+    if e.op in "+-":
+        return _add(left, right, 1 if e.op == "+" else -1)
+    if e.op == "*":
+        if not (_linear(left) or _linear(right)):
+            return _mul(left, right)
+        # a linear form may only be multiplied by a constant
+        form, c = (right, _const(left, d)) if _linear(right) else (left, _const(right, d))
+        if c is None:
+            raise _NotBandLimited
+        return _scale(form, c)
+    c = _const(right, d)
+    if e.op == "/":
+        if c is None or c == 0:
+            raise _NotBandLimited
+        if _linear(left):
+            return _scale(left, 1.0 / c)
+        return _terms({k: v / c for k, v in left.items()})
+    # ^: a constant integer exponent; a linear form only takes ^0 or ^1
+    if c is None or abs(c.imag) > _INT_TOL:
+        raise _NotBandLimited
+    power = _as_int(c.real)
+    if _linear(left):
+        if power not in (0, 1):
+            raise _NotBandLimited
+        return left if power == 1 else {zero: 1.0 + 0.0j}
+    if len(left) == 1:  # a monomial (or constant): one step
+        ((k, v),) = left.items()
+        return _terms({tuple(power * kj for kj in k): _int_power(v, power)})
+    # Negative powers survive only on monomials.
+    if power < 0:
+        raise _NotBandLimited
+    if power * len(left) * math.prod(  # steps * products per term * terms
+            power * (max(k) - min(k)) + 1 for k in zip(*left)) > _MAX_EXPANSION:
+        raise OverflowError
+    out = {zero: 1.0 + 0.0j}
+    for _ in range(power):
+        out = _mul(out, left)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -655,9 +624,9 @@ class _Parser:
 
         def expand_entry(e: ScalarExpr) -> dict:
             out = _expand(e, self.d)
-            if not isinstance(out, _Poly):
-                raise _NotBandLimited  # a bare linear form in theta
-            return out.coeffs
+            if _linear(out):
+                raise _NotBandLimited  # a linear form in theta
+            return out
 
         try:
             dicts = [[expand_entry(e) for e in row] for row in entries]

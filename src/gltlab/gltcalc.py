@@ -63,6 +63,7 @@ from .spectra import (
     SIGMA,
     SLACK,
     _check_basket,
+    _finite,
     _fits,
     _normalize_sizes,
     distribution_check,
@@ -514,7 +515,9 @@ def glt5_split_check(seq, sizes: Sequence) -> Report:
     ny: list[float] = []
     ty: list[float] = []
     for n in norm_sizes:
-        x, y = _halves(seq(n), notes)  # y is skew by construction
+        matrix = seq(n)
+        _finite(matrix)  # before A + A* and A - A*, which turn inf into nan
+        x, y = _halves(matrix, notes)  # y is skew by construction
         nx.append(float(spectrum(x, SIGMA, hermitian=True)[0]))
         sv_y = spectrum(y, SIGMA)
         ny.append(float(sv_y[0]))

@@ -535,14 +535,38 @@ OVERFLOWING_PRODUCT = "T(1e200+1e200*cos(t1))*T(1e200+1e200*cos(t1))"
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
-@pytest.mark.parametrize("mode", ["lambda", "sigma"])
-@pytest.mark.parametrize("command", [["check-dist", "--sizes", "64;128;256"],
-                                     ["spectrum", "--n", "64"]])
-def test_a_non_finite_matrix_exits_3_in_both_modes(command, mode, tmp_path, capsys):
+@pytest.mark.parametrize("command", [
+    *(pytest.param([*command, "--mode", mode], id=f"command{i}-{mode}")
+      for i, command in enumerate([["check-dist", "--sizes", "64;128;256"],
+                                   ["spectrum", "--n", "64"]])
+      for mode in ("lambda", "sigma")),
+    # A + A* and A - A* would turn inf into nan (a RuntimeWarning) before any check
+    pytest.param(["check-glt5", "--sizes", "64;128;256"], id="check-glt5")])
+def test_a_non_finite_matrix_exits_3_in_both_modes(command, tmp_path, capsys):
     # lambda mode of check-dist used to decide Hermitian first and exit 2
-    argv = [*command, "--expr", OVERFLOWING_PRODUCT, "--mode", mode, "--out", str(tmp_path)]
+    argv = [*command, "--expr", OVERFLOWING_PRODUCT, "--out", str(tmp_path)]
     assert main(argv) == 3
     assert capsys.readouterr().err == "numerical error: matrix has non-finite entries\n"
+
+
+def test_check_dist_in_lambda_mode_runs_the_split_check_of_glt1_verify(tmp_path):
+    # D(x1)*T(2-2*cos(t1)) is not Hermitian-declared: its split check passes
+    out = tmp_path / "product"
+    argv = ["check-dist", "--expr", "D(x1)*T(2-2*cos(t1))", "--sizes", "64;128;256",
+            "--mode", "lambda", "--out", str(out)]
+    assert main(argv) == 0
+    report = gltlab.glt1_verify(gltlab.parse("D(x1)*T(2-2*cos(t1))"), [64, 128, 256],
+                                mode="lambda")
+    assert (out / "report.csv").read_text() == report.csv()
+
+
+def test_check_dist_in_lambda_mode_refuses_a_failing_split_check(tmp_path, capsys):
+    argv = ["check-dist", "--expr", "T(exp(i*t1))", "--sizes", "32;64;128", "--mode", "lambda",
+            "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "or a passing quasi-Hermitian split check" in err
+    assert "Traceback" not in err and "allow_non_hermitian" not in err
 
 
 def test_a_singular_block_symbol_exits_3(tmp_path, capsys):

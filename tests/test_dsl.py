@@ -105,6 +105,11 @@ ERRORS = [
                        "(numeric_degree)", 1, 1),
     ("T((t1-t1)*t1)", "T-argument is not band-limited; declare a truncation degree "
                       "(numeric_degree)", 1, 1),
+    # a linear term stays a linear term when its coefficient is zero
+    ("T(0*t1+cos(t1))", "T-argument is not band-limited; declare a truncation degree "
+                        "(numeric_degree)", 1, 1),
+    ("T(cos(t1)+t1-t1)", "T-argument is not band-limited; declare a truncation degree "
+                         "(numeric_degree)", 1, 1),
     ("Z Z", "unexpected trailing input 'Z'", 1, 3),
     ("T([1,0;0,1])+T(1)", "leaves disagree on block size: 2 vs 1", 1, 14),
     ("", "empty expression", 1, 1),
@@ -416,6 +421,53 @@ def test_numeric_fallback_for_non_band_limited():
     assert isinstance(e, Toeplitz)
     assert abs(e.poly.coeffs[(0,)][0, 0] - np.pi / 2) < 1e-2
     assert abs(e.poly.coeffs[(1,)][0, 0] + 2 / np.pi) < 1e-2
+
+
+def _band_limited(rng: random.Random, d: int, depth: int):
+    """A random band-limited T argument: sums, products, integer powers and
+    division by constants over cos, sin and exp of integer-frequency linear
+    forms with a phase."""
+    def constant():
+        return dsl.SNum(complex(rng.choice([-2, -1, 0.5, 1, 3]), rng.choice([0, 0, 0.25, -1])))
+
+    r = rng.random()
+    if depth == 0 or r < 0.25:
+        form = dsl.SNum(complex(rng.uniform(-np.pi, np.pi)))
+        for j in range(1, d + 1):
+            k = rng.randint(-3, 3)
+            if k:
+                form = dsl.SBin("+", dsl.SBin("*", dsl.SNum(complex(k)), dsl.SVar("t", j)), form)
+        name = rng.choice(["cos", "sin", "exp"])
+        if name == "exp":
+            form = dsl.SBin("*", dsl.SNum(1j), form)
+            if rng.random() < 0.3:  # a monomial takes a negative power
+                return dsl.SBin("^", dsl.SCall(name, form), dsl.SNum(complex(rng.randint(-3, -1))))
+        return dsl.SCall(name, form)
+    if r < 0.3:
+        return constant()
+    if r < 0.55:
+        return dsl.SBin(rng.choice("+-"), _band_limited(rng, d, depth - 1),
+                        _band_limited(rng, d, depth - 1))
+    if r < 0.75:
+        return dsl.SBin("*", _band_limited(rng, d, depth - 1), _band_limited(rng, d, depth - 1))
+    if r < 0.9:
+        return dsl.SBin("^", _band_limited(rng, d, depth - 1), dsl.SNum(complex(rng.randint(0, 3))))
+    return dsl.SBin("/", _band_limited(rng, d, depth - 1), constant())
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_a_band_limited_argument_expands_to_its_own_values(d):
+    # The expansion and the numeric fallback's evaluator are separate code paths.
+    rng = random.Random(20261021 + d)
+    for _ in range(300):
+        tree = _band_limited(rng, d, rng.randint(1, 3))
+        text = f"T({dsl._fmt_scalar(tree)[0]})"
+        leaf = parse(text, d=d)
+        assert isinstance(leaf, Toeplitz), text
+        theta = np.array([[rng.uniform(-np.pi, np.pi) for _ in range(d)] for _ in range(8)])
+        want = dsl._compile_scalar(tree)(theta)
+        got = evaluate(leaf.poly, np.full((1, d), 0.5), theta)[:, 0, 0]
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), text
 
 
 def test_scalar_folding():
