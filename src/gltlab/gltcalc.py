@@ -65,10 +65,11 @@ from .spectra import (
     _check_basket,
     _finite,
     _fits,
+    _hermitian_norm,
     _normalize_sizes,
+    _spectrum,
     distribution_check,
     non_increasing,
-    spectrum,
     trending_to_zero,
 )
 from .symbols import CoefficientFunction, Symbol, TrigPolynomial
@@ -502,9 +503,13 @@ def glt5_split_check(seq, sizes: Sequence) -> Report:
     (no growth beyond ``GROWTH_SLACK`` per size step) and nu(n)^{-1} ||Y||_1
     trending to zero.
 
-    X = (A + A*)/2 and Y = (A - A*)/2 (:func:`_halves`).  ||X|| comes from
-    the Hermitian eigensolver, ||Y|| and ||Y||_1 from one SVD of Y
-    (of half its order when Y is real and J Y J = -Y; see
+    X = (A + A*)/2 and Y = (A - A*)/2 (:func:`_halves`), each read for
+    finiteness (A + A* or A - A* of a finite A may overflow).  ||X|| comes
+    from X's two extreme eigenvalues, bisected on the tridiagonal that X's
+    band reduces to, or from the Hermitian eigensolver where that band
+    takes the two-stage solver or none
+    (:func:`~gltlab.spectra._hermitian_norm`); ||Y|| and ||Y||_1 from one
+    SVD of Y (of half its order when Y is real and J Y J = -Y; see
     :func:`~gltlab.spectra.spectrum`).  The report's facts
     ``norm_x``, ``norm_y`` and ``trace_norm_y_over_nu`` hold the per-size
     series.
@@ -518,8 +523,10 @@ def glt5_split_check(seq, sizes: Sequence) -> Report:
         matrix = seq(n)
         _finite(matrix)  # before A + A* and A - A*, which turn inf into nan
         x, y = _halves(matrix, notes)  # y is skew by construction
-        nx.append(float(spectrum(x, SIGMA, hermitian=True)[0]))
-        sv_y = spectrum(y, SIGMA)
+        for half in (x, y):
+            _finite(half)
+        nx.append(_hermitian_norm(x))
+        sv_y = _spectrum(y, SIGMA, None)
         ny.append(float(sv_y[0]))
         ty.append(float(np.sum(sv_y)) / nu(n))
     bounded = non_increasing(nx, slack=GROWTH_SLACK) and non_increasing(ny, slack=GROWTH_SLACK)
@@ -551,7 +558,8 @@ def _halves(matrix, notes: list[str]) -> list:
 
     def dense(op):  # halved in place: A's array and one more
         a = as_array(matrix)
-        out = op(a, a.conj().T)
+        with np.errstate(over="ignore"):  # an overflow is the caller's to refuse
+            out = op(a, a.conj().T)
         out /= 2.0
         return out
 
@@ -560,7 +568,8 @@ def _halves(matrix, notes: list[str]) -> list:
     star, halves = _adjoint_band(matrix.storage).conj(), []
     for op in (np.add, np.subtract):
         half = BlockMatrix(lambda op=op: dense(op), 1, matrix.shape[:1])
-        half.band, half.storage = matrix.band, op(matrix.storage, star) / 2.0
+        with np.errstate(over="ignore"):
+            half.band, half.storage = matrix.band, op(matrix.storage, star) / 2.0
         halves.append(half)
     return halves
 
@@ -599,4 +608,5 @@ def glt1_verify(e: GLTExpression, sizes: Sequence, mode: str = "sigma",
                 "quasi-Hermitian split check"
             )
         kwargs.setdefault("allow_non_hermitian", True)
+        kwargs["_read"] = frozenset(kept)  # the split check read each for finiteness
     return distribution_check(seq, sym, sizes, mode=mode, basket=basket, **kwargs)

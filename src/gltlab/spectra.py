@@ -221,12 +221,18 @@ _GBBRD = [ctypes.c_int, _CHAR, _INT, _INT, _INT, _INT, _INT, _PTR, _INT, _PTR, _
           _PTR, _INT, _PTR, _INT, _PTR, _INT]
 # layout, jobz, uplo, n, kd, ab, ldab, w, z, ldz
 _SBEVD = [ctypes.c_int, _CHAR, _CHAR, _INT, _INT, _PTR, _INT, _PTR, _PTR, _INT]
+# layout, vect, uplo, n, kd, ab, ldab, d, e, q, ldq
+_SBTRD = [ctypes.c_int, _CHAR, _CHAR, _INT, _INT, _PTR, _INT, _PTR, _PTR, _PTR, _INT]
 _LAPACKE_ARGS = {  # ILP64 prototypes of the LAPACKE routines the band route calls
     "dgbbrd": _GBBRD, "zgbbrd": _GBBRD,
     # layout, uplo, n, ncvt, nru, ncc, d, e, vt, ldvt, u, ldu, c, ldc
     "dbdsqr": [ctypes.c_int, _CHAR, _INT, _INT, _INT, _INT, _PTR, _PTR, _PTR, _INT, _PTR,
                _INT, _PTR, _INT],
     "dsbevd": _SBEVD, "dsbevd_2stage": _SBEVD, "zhbevd": _SBEVD, "zhbevd_2stage": _SBEVD,
+    "dsbtrd": _SBTRD, "zhbtrd": _SBTRD,
+    # range, order, n, vl, vu, il, iu, abstol, d, e, m, nsplit, w, iblock, isplit: no layout
+    "dstebz": [_CHAR, _CHAR, _INT, ctypes.c_double, ctypes.c_double, _INT, _INT,
+               ctypes.c_double, *[_PTR] * 7],
 }
 
 
@@ -286,7 +292,9 @@ def _band_storage(arr: np.ndarray, kl: int, ku: int) -> np.ndarray:
 
 
 def _lapacke(lapack: dict, name: str, *args) -> None:
-    info = lapack[name](_COL_MAJOR, *args)
+    if _LAPACKE_ARGS[name][0] is ctypes.c_int:  # the layout comes first, but not for dstebz
+        args = (_COL_MAJOR, *args)
+    info = lapack[name](*args)
     if info > 0:
         raise np.linalg.LinAlgError(f"{name} did not converge (info={info})")
     if info < 0:
@@ -307,34 +315,62 @@ def _band_singular_values(lapack: dict, ab: np.ndarray, m: int, kl: int) -> np.n
     return d
 
 
-def _band_eigenvalues(lapack: dict, ab: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues from dsbevd (zhbevd if complex) of the lower
-    band storage ``ab`` of a Hermitian matrix, kd + 1 rows by N (the
-    triangle ``np.linalg.eigvalsh`` reads), or from its ``_2stage`` form for
-    kd in _TWO_STAGE[name]."""
-    kd = ab.shape[0] - 1
+def _eigen_routine(ab: np.ndarray) -> str:
+    """dsbevd (zhbevd if complex) for the lower band storage ``ab``, kd + 1
+    rows by N, in its ``_2stage`` form for kd in _TWO_STAGE[name]."""
     name = "zhbevd" if np.iscomplexobj(ab) else "dsbevd"
-    name += "_2stage" if kd in _TWO_STAGE[name] else ""
+    return name + ("_2stage" if ab.shape[0] - 1 in _TWO_STAGE[name] else "")
+
+
+def _band_eigenvalues(lapack: dict, ab: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues from :func:`_eigen_routine` of the lower band
+    storage ``ab`` of a Hermitian matrix (the triangle
+    ``np.linalg.eigvalsh`` reads)."""
     w = np.empty(ab.shape[1])
-    _lapacke(lapack, name, b"N", b"L", w.size, kd, ab.ctypes.data, ab.shape[0],
-             w.ctypes.data, None, 1)
+    _lapacke(lapack, _eigen_routine(ab), b"N", b"L", w.size, ab.shape[0] - 1, ab.ctypes.data,
+             ab.shape[0], w.ctypes.data, None, 1)
     return w
+
+
+def _band_norm(lapack: dict, ab: np.ndarray) -> float:
+    """max(|lambda_1|, |lambda_N|) of the Hermitian matrix in lower band
+    storage ``ab`` (N >= 1, overwritten): dsbtrd (zhbtrd if complex) reduces
+    it to a real tridiagonal, dstebz bisects for each end of its spectrum in
+    O(N), to the default tolerance, ulp times the tridiagonal's norm."""
+    n, kd = ab.shape[1], ab.shape[0] - 1
+    d, e = np.empty(n), np.empty(n)
+    _lapacke(lapack, "zhbtrd" if np.iscomplexobj(ab) else "dsbtrd", b"N", b"L", n, kd,
+             ab.ctypes.data, ab.shape[0], d.ctypes.data, e.ctypes.data, None, 1)
+    found, w, blocks = np.zeros(2, np.int64), np.empty(n), np.empty(2 * n, np.int64)
+    ends: list[float] = []
+    for i in (1, n):  # range "I" with il = iu = i; found = (m, nsplit)
+        _lapacke(lapack, "dstebz", b"I", b"E", n, 0.0, 0.0, i, i, 0.0, d.ctypes.data,
+                 e.ctypes.data, found.ctypes.data, found[1:].ctypes.data, w.ctypes.data,
+                 blocks.ctypes.data, blocks[n:].ctypes.data)
+        ends.extend(w[:found[0]])
+    return float(np.abs(ends).max())
+
+
+def _narrow(ab: np.ndarray, ku: int) -> tuple[np.ndarray, int, int]:
+    """Band storage ``ab`` with ku superdiagonals narrowed to its outermost
+    nonzero diagonals, with their ku and kl, as an array the band routines
+    may overwrite: Fortran-ordered, in place if ``ab`` owns its data, else a
+    copy (so never a view of a matrix's storage)."""
+    rows = np.flatnonzero(ab.any(axis=1))  # the diagonals that hold a nonzero
+    lo, hi = min(rows.min(initial=ku), ku), max(rows.max(initial=ku), ku)
+    narrow = ab[lo:hi + 1]
+    narrow = np.asfortranarray(narrow) if ab.flags.owndata else np.array(narrow, order="F")
+    return narrow, ku - lo, hi - ku
 
 
 def _band_solve(ab: np.ndarray, ku: int, m: int, hermitian: bool) -> np.ndarray:
     """:func:`_values` of the m-row matrix in band storage ``ab`` with ku
-    superdiagonals (ku = 0: a Hermitian matrix's lower storage), narrowed to
-    its outermost nonzero diagonals: from the band routines, in place if it
-    owns its data and is Fortran-ordered, else on a copy (so never on a
-    view of a matrix's storage), where the band rule passes and they are
-    bound, else from ``eigvalsh`` or the values-only ``svd`` of the dense
-    array it is scattered into."""
-    rows, n = np.flatnonzero(ab.any(axis=1)), ab.shape[1]  # the diagonals that hold a nonzero
-    lo, hi = min(rows.min(initial=ku), ku), max(rows.max(initial=ku), ku)
-    scratch = ab.flags.owndata
-    ab, ku, kl, lapack = ab[lo:hi + 1], ku - lo, hi - ku, _band_lapack()
+    superdiagonals (ku = 0: a Hermitian matrix's lower storage), narrowed
+    (:func:`_narrow`): from the band routines where the band rule passes and
+    they are bound, else from ``eigvalsh`` or the values-only ``svd`` of the
+    dense array it is scattered into."""
+    (ab, ku, kl), n, lapack = _narrow(ab, ku), ab.shape[1], _band_lapack()
     if lapack and _fits(kl + ku, min(m, n)):
-        ab = np.asfortranarray(ab) if scratch else np.array(ab, order="F")
         return (_band_eigenvalues(lapack, ab) if hermitian else
                 _band_singular_values(lapack, ab, m, kl))
     i = np.arange(-ku, kl + 1)[:, None] + np.arange(n)  # the row of each entry
@@ -343,21 +379,28 @@ def _band_solve(ab: np.ndarray, ku: int, m: int, hermitian: bool) -> np.ndarray:
     return np.linalg.eigvalsh(dense) if hermitian else np.linalg.svd(dense, compute_uv=False)
 
 
-def _values(arr: np.ndarray, hermitian: bool) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix (its lower triangle) or
-    descending singular values, of a matrix or a stack: from
-    :func:`_band_solve` of a band-stored matrix's storage rows, or of a
-    float64 or complex128 matrix whose bandwidths fit where the band
-    routines are bound; else from one ``eigvalsh`` or values-only ``svd``,
-    of a whole stack too."""
+def _band_input(arr: np.ndarray, hermitian: bool) -> tuple[np.ndarray, int] | None:
+    """The band storage :func:`_values` solves from, with its ku: a
+    band-stored matrix's storage rows (the lower ones if ``hermitian``), or
+    the storage written from a float64 or complex128 matrix whose bandwidths
+    fit where the band routines are bound; else None."""
     storage = getattr(arr, "storage", None)
     if storage is not None:
         ku = 0 if hermitian else arr.band
-        return _band_solve(storage[arr.band - ku:], ku, arr.shape[0], hermitian)
+        return storage[arr.band - ku:], ku
     widths = (arr.ndim == 2 and arr.dtype in (np.float64, np.complex128)
               and _fits(0, min(arr.shape)) and _band_lapack() and _bandwidths(arr, hermitian))
-    if widths:
-        return _band_solve(_band_storage(arr, *widths), widths[1], arr.shape[0], hermitian)
+    return (_band_storage(arr, *widths), widths[1]) if widths else None
+
+
+def _values(arr: np.ndarray, hermitian: bool) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix (its lower triangle) or
+    descending singular values, of a matrix or a stack: from
+    :func:`_band_solve` of its :func:`_band_input`, if it has one; else
+    from one ``eigvalsh`` or values-only ``svd``, of a whole stack too."""
+    band = _band_input(arr, hermitian)
+    if band is not None:
+        return _band_solve(*band, arr.shape[0], hermitian)
     arr = as_array(arr)
     return np.linalg.eigvalsh(arr) if hermitian else np.linalg.svd(arr, compute_uv=False)
 
@@ -494,6 +537,22 @@ def _hermitian_eigenvalues(arr: np.ndarray) -> np.ndarray:
         if _is_centro_hermitian(arr, nonzeros, sizes, range(len(sizes))):
             return _reflection_eigenvalues(arr, sizes, nonzeros)
     return _values(arr, True)
+
+
+def _hermitian_norm(x) -> float:
+    """||X|| of a Hermitian matrix that the caller found finite: from
+    :func:`_band_norm` where :func:`_values` would take X's band storage to
+    the one-stage solver, with no reflection split (the bisection is O(N)
+    already); else the first value of ``_spectrum(x, SIGMA, True)``."""
+    band, lapack = _band_input(x, True), _band_lapack()
+    if band is not None and lapack:
+        ab, _, kd = _narrow(*band)
+        if _fits(kd, x.shape[0]) and not _eigen_routine(ab).endswith("_2stage"):
+            try:
+                return _band_norm(lapack, ab)
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(f"eigensolver failed ({exc}); {_fingerprint(x)}") from exc
+    return float(_spectrum(x, SIGMA, True)[0])
 
 
 def spectrum(matrix, mode: str = SIGMA, hermitian: bool | None = None) -> np.ndarray:
@@ -785,7 +844,8 @@ def distribution_check(seq, symbol: Symbol, sizes: Sequence, mode: str = SIGMA,
                        basket: Sequence[TestFunction] | None = None,
                        tolerance: float = 0.05, slack: float = SLACK,
                        quad_tol: float = QUAD_TOL, allow_non_hermitian: bool = False,
-                       basket_ids: Sequence[str] | None = None) -> Report:
+                       basket_ids: Sequence[str] | None = None, *,
+                       _read: frozenset = frozenset()) -> Report:
     """Compare empirical Weyl averages against symbol integrals over a size sweep.
 
     ``seq`` maps a size multi-index to a matrix.  PASS requires, for every test
@@ -795,6 +855,9 @@ def distribution_check(seq, symbol: Symbol, sizes: Sequence, mode: str = SIGMA,
     (the quasi-Hermitian waiver) is set.  The report has one row per (size,
     test function) and one check per test function.  An empty basket or
     ``basket_ids`` raises InvalidParameterError before any matrix is built.
+    Each matrix is read for finiteness first, but for the sizes in ``_read``,
+    whose matrices the caller has read (:func:`~gltlab.gltcalc.glt1_verify`
+    hands back those of its split check).
     """
     _check_basket(basket, basket_ids)
     if not quad_tol > 0:
@@ -804,7 +867,8 @@ def distribution_check(seq, symbol: Symbol, sizes: Sequence, mode: str = SIGMA,
     notes: list[str] = []
     for n in norm_sizes:
         matrix = seq(n)
-        _finite(matrix)
+        if n not in _read:
+            _finite(matrix)
         _take_notes(matrix, notes)
         hermitian = is_hermitian(matrix)
         if mode == LAMBDA and not allow_non_hermitian and not hermitian:

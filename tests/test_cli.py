@@ -536,16 +536,20 @@ OVERFLOWING_PRODUCT = "T(1e200+1e200*cos(t1))*T(1e200+1e200*cos(t1))"
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
 @pytest.mark.parametrize("command", [
-    *(pytest.param([*command, "--mode", mode], id=f"command{i}-{mode}")
+    *(pytest.param([*command, "--expr", OVERFLOWING_PRODUCT, "--mode", mode],
+                   id=f"command{i}-{mode}")
       for i, command in enumerate([["check-dist", "--sizes", "64;128;256"],
                                    ["spectrum", "--n", "64"]])
       for mode in ("lambda", "sigma")),
     # A + A* and A - A* would turn inf into nan (a RuntimeWarning) before any check
-    pytest.param(["check-glt5", "--sizes", "64;128;256"], id="check-glt5")])
+    pytest.param(["check-glt5", "--sizes", "64;128;256", "--expr", OVERFLOWING_PRODUCT],
+                 id="check-glt5"),
+    # A is finite, but A + A* overflows to inf (a RuntimeWarning): the read of X refuses it
+    pytest.param(["check-glt5", "--sizes", "64;128", "--expr",
+                  "T(1e308*exp(i*t1)+1e308*exp(-i*t1))"], id="check-glt5-overflowing-split")])
 def test_a_non_finite_matrix_exits_3_in_both_modes(command, tmp_path, capsys):
     # lambda mode of check-dist used to decide Hermitian first and exit 2
-    argv = [*command, "--expr", OVERFLOWING_PRODUCT, "--out", str(tmp_path)]
-    assert main(argv) == 3
+    assert main([*command, "--out", str(tmp_path)]) == 3
     assert capsys.readouterr().err == "numerical error: matrix has non-finite entries\n"
 
 
@@ -575,17 +579,25 @@ def test_a_singular_block_symbol_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err == "numerical error: pointwise inverse failed: Singular matrix\n"
 
 
-@pytest.mark.parametrize("command, rows", [(["check-dist", "--sizes", "16;32"], [16, 32]),
-                                           (["spectrum", "--n", "32"], [32])])
+@pytest.mark.parametrize("command, rows", [
+    (["check-dist", "--sizes", "16;32", "--expr", "T(2-2*cos(t1))", "--mode", "lambda"],
+     [16, 32]),
+    (["spectrum", "--n", "32", "--expr", "T(2-2*cos(t1))", "--mode", "lambda"], [32]),
+    # the split check reads A, X and Y; the distribution check takes A back unread
+    (["check-dist", "--sizes", "64;128;256", "--expr", "D(x1)*T(2-2*cos(t1))", "--mode",
+      "lambda"], [64] * 3 + [128] * 3 + [256] * 3),
+    (["check-dist", "--sizes", "64;128;256", "--expr", "D(x1)*T(2-2*cos(t1))", "--mode",
+      "sigma"], [64, 128, 256]),
+])
 def test_each_matrix_is_read_once_for_finiteness(command, rows, monkeypatch, tmp_path):
+    import gltlab.gltcalc as gltcalc_mod
     import gltlab.spectra as spectra_mod
 
     read = []
     finite = spectra_mod._finite
-    for module in (spectra_mod, cli):
+    for module in (spectra_mod, gltcalc_mod, cli):
         monkeypatch.setattr(module, "_finite", lambda a: read.append(a.shape[0]) or finite(a))
-    argv = [*command, "--expr", "T(2-2*cos(t1))", "--mode", "lambda", "--out", str(tmp_path)]
-    assert main(argv) in (0, 1)
+    assert main([*command, "--out", str(tmp_path)]) in (0, 1)
     assert read == rows
 
 

@@ -338,6 +338,36 @@ def test_glt5_split_check_shift_fails():
     assert min(report.facts["trace_norm_y_over_nu"]) > 0.2
 
 
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_the_shift_s_norm_x_is_cos_pi_over_n_plus_1_within_2_ulps(n):
+    """X = (A + A*)/2 of T(exp(i t)) is T(cos t), whose largest eigenvalue
+    is cos(pi/(n+1)): the bisection of its tridiagonal meets it within 2
+    ulps."""
+    import gltlab.spectra as spectra_mod
+
+    if spectra_mod._band_lapack() is None:
+        pytest.skip("the band routines are not bound")
+    report = glt5_split_check(lambda m: materialize(parse("T(exp(i*t1))"), m), [n])
+    exact = math.cos(math.pi / (n + 1))
+    assert abs(report.facts["norm_x"][0] - exact) <= 2 * np.spacing(exact)
+
+
+def test_the_split_check_of_a_tridiagonal_product_calls_no_full_band_eigensolver(monkeypatch):
+    """X = (A + A*)/2 of D(x)T(2 - 2cos t) is tridiagonal: ||X|| comes from
+    dsbtrd and two dstebz bisections, not from dsbevd or zhbevd."""
+    import gltlab.spectra as spectra_mod
+
+    if spectra_mod._band_lapack() is None:
+        pytest.skip("the band routines are not bound")
+    calls, lapacke = [], spectra_mod._lapacke
+    monkeypatch.setattr(spectra_mod, "_lapacke",
+                        lambda lapack, name, *args: calls.append(name) or lapacke(lapack, name, *args))
+    e = parse("D(x1)*T(2-2*cos(t1))")
+    assert glt5_split_check(lambda n: materialize(e, n), [256, 512, 1024]).passed
+    assert calls.count("dsbtrd") == 3 and calls.count("dstebz") == 6
+    assert not [name for name in calls if name.startswith(("dsbevd", "zhbevd"))]
+
+
 def test_glt1_verify_lambda_trace_identity():
     report = glt1_verify(
         LAP, [(32,), (64,)], mode="lambda",

@@ -49,7 +49,7 @@ def _quick_start(core: str, acs: str, product: str) -> dict[str, str]:
         "out/zero/trend.csv": "23dea8a4bb2032a59c2ff82b048bfa41c2498d517432e14a3cd2dbe772862d8e",
         "out/acs/certificate.csv": acs,
         "out/sacs/certificate.csv": SACS_SHA256[core]["certificate.csv"],
-        "out/glt5/split.csv": "004282c2b353cf8423ec195eb27deac4b566ee4160ce7826142b2b93a92f7319",
+        "out/glt5/split.csv": "c9257856563f9e23f73d6da9776463e323d239dc70d419c8ccb20a92933b9a13",
     }
 
 

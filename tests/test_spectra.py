@@ -850,6 +850,51 @@ def test_complex_centro_hermitian_band_matrix_takes_zhbevd_whole(monkeypatch):
     assert calls == ["zhbevd"]
 
 
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("kd", [1, 4, 16])
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 65])
+def test_the_band_norm_is_the_largest_modulus_of_the_full_band_solve(n, kd, complex_):
+    """dsbtrd (zhbtrd) and two dstebz bisections give max |lambda| of the
+    same band storage within 8 eps ||X||_F, also for kd >= N."""
+    import gltlab.spectra as spectra_mod
+
+    lapack = spectra_mod._band_lapack()
+    if lapack is None:
+        pytest.skip("the band routines are not bound")
+    x = _hermitian_band(np.random.default_rng(100 * n + kd), n, kd, complex_)
+    ab = spectra_mod._band_storage(x, kd, 0)
+    full = spectra_mod._band_eigenvalues(lapack, ab.copy(order="F"))
+    norm = spectra_mod._band_norm(lapack, ab)
+    assert abs(norm - np.abs(full).max()) <= 8 * np.finfo(float).eps * np.linalg.norm(x)
+
+
+def test_the_norm_bisects_only_where_the_one_stage_band_solver_would_run(monkeypatch):
+    """Dense X whose lower band takes dsbevd or zhbevd get their norm from
+    the bisection; a complex X whose kd takes zhbevd_2stage, and a dense X
+    that fails the band rule, from the spectrum, value for value."""
+    import gltlab.spectra as spectra_mod
+
+    if spectra_mod._band_lapack() is None:
+        pytest.skip("the band routines are not bound")
+    rng = np.random.default_rng(12)
+    bisected = [_hermitian_band(rng, 64, 1), _hermitian_band(rng, 128, 3, complex_=True)]
+    two_stage = _hermitian_band(rng, 320, 16, complex_=True)
+    assert 16 in spectra_mod._TWO_STAGE["zhbevd"]
+    assert spectra_mod._bandwidths(two_stage, lower=True) == (16, 0)
+    dense = _hermitian_band(rng, 64, 63)
+    assert spectra_mod._bandwidths(dense, lower=True) is None
+    calls, band_norm = [], spectra_mod._band_norm
+    monkeypatch.setattr(spectra_mod, "_band_norm",
+                        lambda *args: calls.append(args[1].shape) or band_norm(*args))
+    for x in bisected:
+        bound = 8 * np.finfo(float).eps * np.linalg.norm(x)
+        assert abs(spectra_mod._hermitian_norm(x) - spectrum(x, "sigma", hermitian=True)[0]) <= bound
+    assert calls == [(2, 64), (4, 128)]
+    for x in (two_stage, dense):
+        assert spectra_mod._hermitian_norm(x) == spectrum(x, "sigma", hermitian=True)[0]
+    assert len(calls) == 2
+
+
 def _eigen_band_inputs(monkeypatch):
     """(routine, order, kd, band storage bytes) of each real LAPACKE
     eigenvalue call from now on, the storage read before the call
