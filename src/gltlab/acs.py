@@ -34,12 +34,17 @@ columns of the R stack (j the allowed rank) proves rank hits by the
 residual of the other columns and rank misses by one Cholesky
 factorization of its triangular factor, column norms prove norm misses
 and one Cholesky factorization of the rest proves their norm hits.  Only
-the trials a certificate leaves open take the SVD.  Everything runs on
-the calling thread, one chunk at a time.
+the trials a certificate leaves open take the SVD.  The chunks are
+independent jobs: the calling thread and one helper thread per further
+usable CPU take them in order, each drawing, certifying and counting whole
+chunks, and the integer hit counts are summed per (m, n), so the report
+does not depend on the number of threads.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
@@ -305,9 +310,10 @@ class RandomSequenceModel:
     ``c_bound`` and ``omega_bound`` declare the per-m bounds the rank and norm
     events are tested against.
 
-    :func:`sacs_check` calls ``sample`` (hence ``draw``) from its calling
-    thread only, one chunk at a time, and never writes to the stacks, so
-    ``draw`` may return read-only views.
+    :func:`sacs_check` may call ``sample`` (hence ``draw``) from several
+    threads at once, never twice for one chunk, so ``draw`` may not share
+    mutable state between calls.  It never writes to the stacks, so ``draw``
+    may return read-only views.
     """
 
     name: str
@@ -415,6 +421,46 @@ def _norm_hits(n: np.ndarray, thr: float) -> int:
     return int(np.sum(spectrum(rest, SIGMA)[:, 0] <= thr))
 
 
+def _run_jobs(work: Callable, jobs: Sequence) -> list:
+    """``[work(job) for job in jobs]``, run by the calling thread and one
+    helper thread per further usable CPU, which take the jobs in order.  If
+    a job raises, no job that has not started yet starts; once every helper
+    has stopped, the failure of the earliest job is raised, which is the one
+    a loop in order would have raised, since every job before it had
+    started.  The helpers are joined before this returns or raises."""
+    results: list = [None] * len(jobs)
+    failures: dict[int, BaseException] = {}
+    order = iter(range(len(jobs)))
+    lock, stop = threading.Lock(), threading.Event()
+
+    def take() -> None:
+        while True:
+            with lock:
+                i = None if stop.is_set() else next(order, None)
+            if i is None:
+                return
+            try:
+                results[i] = work(jobs[i])
+            except BaseException as exc:  # raised again on the calling thread
+                failures[i] = exc
+                stop.set()
+                return
+
+    helpers = [threading.Thread(target=take, name=f"gltlab-job-{i}")
+               for i in range(min(len(os.sched_getaffinity(0)), len(jobs)) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        take()
+    finally:
+        stop.set()
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
 def sacs_check(model: RandomSequenceModel, m_list: Sequence[int], sizes: Sequence,
                trials: int) -> Report:
     """Monte Carlo verification of the stochastic splitting events.
@@ -433,7 +479,7 @@ def sacs_check(model: RandomSequenceModel, m_list: Sequence[int], sizes: Sequenc
     certificates of ``_QR_C`` and ``_NORM_MARGIN`` decide each event where
     they can, hits and misses of both, with the hit the stacked values-only
     SVD would give; the trials they leave open take that SVD, one call per
-    chunk and event.
+    chunk and event.  The chunks run as jobs of :func:`_run_jobs`.
     """
     trials = int(trials)
     if trials < 100:
@@ -447,21 +493,34 @@ def sacs_check(model: RandomSequenceModel, m_list: Sequence[int], sizes: Sequenc
     c_decl = {m: model.c_bound(m) for m in m_list}
     w_decl = {m: model.omega_bound(m) for m in m_list}
 
+    def count(job) -> tuple[int, int, int, int]:
+        """d_n and the rank, norm and S hits of one chunk; each stack is
+        dropped once it is counted."""
+        m, n, chunk, k = job
+        s_mat, r_mat, n_mat = (np.asarray(a) for a in model.sample(n, m, chunk, k))
+        hit_s = int(np.sum(np.any(s_mat != 0, axis=(1, 2))))
+        del s_mat
+        d_n = r_mat.shape[-1]
+        hit_rank = _rank_hits(r_mat, c_decl[m] * d_n + 1e-9)
+        del r_mat
+        return d_n, hit_rank, _norm_hits(n_mat, w_decl[m] + 1e-12 * (1.0 + w_decl[m])), hit_s
+
+    # Sized for complex entries, so real and complex stacks both fit.
+    steps = {n: max(1, _STACK_BYTES // (16 * nu(n) ** 2)) for n in norm_sizes}
+    jobs = [(m, n, chunk, min(steps[n], trials - first)) for m in m_list for n in norm_sizes
+            for chunk, first in enumerate(range(0, trials, steps[n]))]
+    # (d_n, rank hits, norm hits, S hits) per (m, n); d_n from its last chunk.
+    totals: dict[tuple, tuple[int, int, int, int]] = {}
+    for (m, n, _, _), (d_n, *hits) in zip(jobs, _run_jobs(count, jobs)):
+        before = totals.get((m, n), (0, 0, 0, 0))[1:]
+        totals[m, n] = (d_n, *(a + b for a, b in zip(before, hits)))
+
     lines: list[tuple] = []
     freq_s_by_m: dict[int, list[float]] = {m: [] for m in m_list}
     events_ok = True
     for m in m_list:
         for n in norm_sizes:
-            hit_rank = hit_norm = hit_s = 0
-            # Sized for complex entries, so real and complex stacks both fit.
-            step = max(1, _STACK_BYTES // (16 * nu(n) ** 2))
-            for chunk, first in enumerate(range(0, trials, step)):
-                s_mat, r_mat, n_mat = (np.asarray(a) for a in
-                                       model.sample(n, m, chunk, min(step, trials - first)))
-                d_n = r_mat.shape[-1]
-                hit_rank += _rank_hits(r_mat, c_decl[m] * d_n + 1e-9)
-                hit_norm += _norm_hits(n_mat, w_decl[m] + 1e-12 * (1.0 + w_decl[m]))
-                hit_s += int(np.sum(np.any(s_mat != 0, axis=(1, 2))))
+            d_n, hit_rank, hit_norm, hit_s = totals[m, n]
             freq_rank = hit_rank / trials
             freq_norm = hit_norm / trials
             freq_s = hit_s / trials

@@ -28,6 +28,7 @@ from .errors import (
     SolverError,
 )
 from .matgen import (
+    _STRIP,
     BlockMatrix,
     _band_rows,
     _diagonal,
@@ -82,7 +83,9 @@ _TWO_STAGE = {"dsbevd": range(32, 92), "zhbevd": range(16, 1 << 62)}  # kd of th
 class TestFunction:
     """A continuous compactly-supported test function on the real line.
 
-    ``fn`` must be vectorized.  Complex inputs are reduced to their real part
+    ``fn`` must be vectorized and elementwise: the symbol-side quadrature
+    evaluates it strip by strip over a grid's surface values and takes the
+    mean of the whole.  Complex inputs are reduced to their real part
     (used only on quasi-Hermitian waiver paths where imaginary parts vanish
     asymptotically).
     """
@@ -715,11 +718,55 @@ class Quadrature:
     last_delta: float
 
 
+def _grid_strips(nx: int, nt: int) -> list[tuple[int, int, slice, slice]]:
+    """(lo, hi, rows, columns) of the strips that cover the nodes [0, nx nt)
+    of a grid of nx space and nt frequency nodes, x-major: whole rows of at
+    most ``_STRIP`` nodes, or pieces of one row of ``_STRIP`` nodes where a
+    row is longer.  Each strip's nodes are [lo, hi) of the whole grid's."""
+    if nt <= _STRIP:
+        step = _STRIP // nt
+        return [(i * nt, min(i + step, nx) * nt, slice(i, i + step), slice(None))
+                for i in range(0, nx, step)]
+    return [(i * nt + j, i * nt + min(j + _STRIP, nt), slice(i, i + 1), slice(j, j + _STRIP))
+            for i in range(nx) for j in range(0, nt, _STRIP)]
+
+
 def _grid_means(s: Symbol, basket: Sequence[TestFunction], mode: str, g: int) -> list[float]:
-    """Midpoint means of every test function, from one surface evaluation."""
+    """Midpoint means of every test function on the grid of :func:`_grid`.
+
+    The surfaces are written strip by strip (:func:`_grid_strips`) into one
+    array, each node evaluated once for the whole basket; a non-finite value
+    raises :class:`EvaluationError` naming its node of the whole grid.  Each
+    test function is then evaluated strip by strip into one reused buffer,
+    whose mean has the bits of the mean over the whole grid's values, since
+    ``fn`` is elementwise.  So no grid-sized temporary of an evaluation is
+    made.  In lambda mode the Hermitian test of a declared-Hermitian symbol
+    (:func:`~gltlab.symbols.spectral_surfaces`) is taken per strip; a
+    scalar symbol's values have the same real parts either way.
+    """
     x, theta = _grid(s, g)
-    surfaces = spectral_surfaces(s, x, theta, mode)
-    return [float(np.mean(f.evaluate(surfaces))) for f in basket]
+    strips = _grid_strips(len(x), theta.shape[1])
+    surfaces = None
+    for lo, hi, rows, cols in strips:
+        try:
+            part = spectral_surfaces(s, x[rows], theta[:, cols], mode)
+        except EvaluationError as exc:
+            if exc.node is None:
+                raise
+            raise EvaluationError(str(exc), node=lo + exc.node) from None
+        if surfaces is None:
+            surfaces = np.empty((len(x) * theta.shape[1], s.r), dtype=part.dtype)
+        elif np.iscomplexobj(part) and not np.iscomplexobj(surfaces):
+            surfaces = surfaces.astype(part.dtype)  # an earlier strip passed the Hermitian test
+        surfaces[lo:hi] = part
+        del part  # so that no strip is held while the next one is evaluated
+    values = np.empty(surfaces.shape)
+    means = []
+    for f in basket:
+        for lo, hi, _, _ in strips:
+            values[lo:hi] = f.evaluate(surfaces[lo:hi])
+        means.append(float(np.mean(values)))
+    return means
 
 
 def _basket_quadrature(s: Symbol, basket: Sequence[TestFunction], mode: str,

@@ -234,30 +234,33 @@ def sacs_oracle(model, m_list, sizes, trials, slack=1.5, floor=1e-10):
                   facts={"s_estimates": {str(m): s for m, s in s_est.items()}})
 
 
+def grid_mean(s, f, mode, g):
+    """Oracle: one test function's mean over the tensor midpoint grid of g
+    points per axis the symbol depends on (one midpoint on the others), every
+    node's surfaces evaluated in one call, as paired points."""
+    gx, gt = (g if s.depends_space else 1), (g if s.depends_frequency else 1)
+    x_line = (np.arange(gx) + 0.5) / gx
+    t_line = -np.pi + (np.arange(gt) + 0.5) * (2 * np.pi) / gt
+    x, theta = _mesh(s, [x_line] * s.d, [t_line] * s.d)
+    return float(np.mean(f.evaluate(spectral_surfaces(s, x, theta, mode))))
+
+
 def midpoint_functional(s, f, mode, tol=1e-8, max_nodes=2**22):
     """Oracle: one test function's tensor midpoint integral, from g = 64 points
     per axis the symbol depends on (one midpoint on the others), its own
-    surfaces evaluated at every doubling until two values differ by less than tol."""
+    grid means evaluated at every doubling until two values differ by less than tol."""
     active = s.d * (int(s.depends_space) + int(s.depends_frequency))
-
-    def value(g):
-        gx, gt = (g if s.depends_space else 1), (g if s.depends_frequency else 1)
-        x_line = (np.arange(gx) + 0.5) / gx
-        t_line = -np.pi + (np.arange(gt) + 0.5) * (2 * np.pi) / gt
-        x, theta = _mesh(s, [x_line] * s.d, [t_line] * s.d)
-        return float(np.mean(f.evaluate(spectral_surfaces(s, x, theta, mode))))
-
     g = 64
     if active > 0:
         g = min(g, max(int(max_nodes ** (1.0 / active)) // 2, 2))
     if (2 * g) ** active > max_nodes:
         raise QuadratureError("node budget cannot fit one grid doubling")
-    prev = value(g)
+    prev = grid_mean(s, f, mode, g)
     while True:
         g2 = 2 * g
         if g2**active > max_nodes:
             raise QuadratureError(f"no convergence within {max_nodes} nodes")
-        cur = value(g2)
+        cur = grid_mean(s, f, mode, g2)
         if abs(cur - prev) < tol:
             return cur
         prev, g = cur, g2

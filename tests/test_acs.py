@@ -311,28 +311,87 @@ def test_sacs_non_finite_rank_part_raises():
         sacs_check(nan_model(1, lambda m: 1.0), [2], [(8,), (12,)], trials=100)
 
 
-def test_sacs_draws_on_the_calling_thread_and_starts_no_thread(monkeypatch):
+def usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(acs_mod.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_sacs_draws_on_at_most_one_thread_per_usable_cpu_and_joins_them(cpus, monkeypatch):
+    usable_cpus(monkeypatch, cpus)
     base = designed_model(4)
-    on_main = lambda: threading.current_thread() is threading.main_thread()
-    draws, svds, alive = set(), set(), set()
+    threads, chunks = set(), []
 
     def draw(rng, n, m, k):
-        draws.add(on_main())
-        alive.add(threading.active_count())
+        threads.add(threading.get_ident())
+        chunks.append(rng.bit_generator.seed_seq.entropy)  # (seed, m, *n, chunk)
         return base.draw(rng, n, m, k)
 
-    def recording_spectrum(*args):
-        svds.add(on_main())
-        alive.add(threading.active_count())
-        return spectrum(*args)
-
-    spectrum = acs_mod.spectrum
-    monkeypatch.setattr(acs_mod, "spectrum", recording_spectrum)
     model = RandomSequenceModel("probe", 4, draw, base.c_bound, base.omega_bound)
     before = threading.active_count()
-    sacs_check(model, [2], [(16,), (24,)], trials=5000)
-    assert draws == {True} and svds == {True}
-    assert alive == {before}
+    cert = sacs_check(model, [2, 4], [(16,), (24,)], trials=2000)
+    assert threading.active_count() == before
+    assert len(threads) <= cpus and (cpus > 1 or threads == {threading.get_ident()})
+    counts = {d: -(-2000 // (_STACK_BYTES // (16 * d * d))) for d in (16, 24)}  # 4 and 9
+    assert sorted(chunks) == [(4, m, d, chunk) for m in (2, 4) for d in (16, 24)
+                              for chunk in range(counts[d])]  # every chunk drawn once
+    oracle = sacs_oracle(base, [2, 4], [(16,), (24,)], 2000)
+    assert cert.csv() == oracle.csv() and cert.facts == oracle.facts
+
+
+def test_sacs_writes_the_same_bytes_on_one_and_on_four_usable_cpus(tmp_path, monkeypatch):
+    from gltlab.cli import main
+
+    files = []
+    for cpus in (1, 4):
+        usable_cpus(monkeypatch, cpus)
+        out = tmp_path / str(cpus)
+        assert main(["check-sacs", "--model", "designed", "--sizes", "16;24", "--m-list",
+                     "2,4,8", "--trials", "2000", "--seed", "42", "--out", str(out)]) == 0
+        files.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert files[0] == files[1] and "certificate.csv" in files[0]
+
+
+def test_a_chunk_that_fails_on_a_helper_raises_in_the_caller_and_starts_no_later_chunk(
+        monkeypatch):
+    """The helper's chunk has a NaN in N.  The calling thread's draw returns
+    only once that helper has stopped, so its failure is recorded before the
+    calling thread could take another chunk."""
+    usable_cpus(monkeypatch, 2)
+    failing = nan_model(2, lambda m: 1.0 / m)
+    base = designed_model(1)
+    helper, drawn, helper_drew = [], [], threading.Event()
+
+    def draw(rng, n, m, k):
+        drawn.append(threading.current_thread())
+        if threading.current_thread() is not threading.main_thread():
+            helper.append(threading.current_thread())
+            helper_drew.set()
+            return failing.draw(rng, n, m, k)
+        if helper_drew.wait(10):
+            helper[0].join(10)
+        return base.draw(rng, n, m, k)
+
+    model = RandomSequenceModel("helper-nan", 1, draw, base.c_bound, base.omega_bound)
+    before = threading.active_count()
+    with pytest.raises(EvaluationError):
+        sacs_check(model, [2, 4], [(16,), (24,)], trials=2000)
+    assert threading.active_count() == before
+    assert len(helper) == 1 and not helper[0].is_alive()
+    assert len(drawn) <= 2  # of 26 chunks
+
+
+def test_jobs_keep_their_order_and_raise_the_failure_of_the_earliest_job(monkeypatch):
+    usable_cpus(monkeypatch, 4)
+    assert acs_mod._run_jobs(lambda j: j * j, range(50)) == [j * j for j in range(50)]
+
+    def work(j):
+        if j == 1:  # fails last, once job 2 has failed on another thread
+            threading.Event().wait(0.2)
+        if j in (1, 2):
+            raise ValueError(j)
+
+    with pytest.raises(ValueError, match="^1$"):
+        acs_mod._run_jobs(work, range(50))
 
 
 @pytest.mark.parametrize("n", [(16,), (24,), (3, 5)])
@@ -558,16 +617,19 @@ def test_sacs_complex_model_matches_the_per_trial_oracle_byte_for_byte(sizes):
 
 def test_sacs_readme_run_hands_few_rank_parts_and_no_norm_part_to_the_svd(monkeypatch):
     calls = count_spectrum_calls(monkeypatch)
-    norm_calls = []
-    norm_hits = acs_mod._norm_hits
+    norm_calls, inside = [], threading.local()  # chunks run on several threads
+    norm_hits, counted = acs_mod._norm_hits, acs_mod.spectrum
 
     def watched(stack, thr):
-        before = len(calls)
-        hits = norm_hits(stack, thr)
-        norm_calls.extend(calls[before:])
-        return hits
+        inside.norm = True
+        try:
+            return norm_hits(stack, thr)
+        finally:
+            inside.norm = False
 
     monkeypatch.setattr(acs_mod, "_norm_hits", watched)
+    monkeypatch.setattr(acs_mod, "spectrum", lambda stack, mode: (
+        getattr(inside, "norm", False) and norm_calls.append(len(stack))) or counted(stack, mode))
     cert = sacs_check(designed_model(42), [2, 4, 8], [(16,), (24,)], trials=10**4)
     assert cert.passed and norm_calls == []
     assert sum(calls) <= 0.01 * 6 * 10**4

@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from helpers import (
     cantoni_butler_blocks,
     errors_for,
+    grid_mean,
     laplacian_eigenvalues,
     midpoint_functional,
     quantile_compare,
@@ -31,7 +32,7 @@ from gltlab.errors import (
     QuadratureError,
     SolverError,
 )
-from gltlab.gltcalc import Diag, Product, Scalar, Toeplitz, materialize, symbol_of
+from gltlab.gltcalc import Diag, LinComb, Product, Scalar, Toeplitz, materialize, symbol_of
 from gltlab.matgen import BlockMatrix, as_array, is_hermitian, toeplitz
 from gltlab.spectra import (
     TestFunction,
@@ -44,7 +45,7 @@ from gltlab.spectra import (
     spectrum,
     trending_to_zero,
 )
-from gltlab.symbols import TrigPolynomial
+from gltlab.symbols import CoefficientFunction, TrigPolynomial, spectral_surfaces
 
 LAP = TrigPolynomial(1, 1, {(0,): [[2.0]], (1,): [[-1.0]], (-1,): [[-1.0]]})
 
@@ -604,24 +605,108 @@ def test_frequency_only_quadrature_matches_the_midpoint_oracle_bit_for_bit(symbo
 @pytest.mark.parametrize("expr, mode", [("D(x1)*T(2-2*cos(t1))", "sigma"),
                                         ("T(2-2*cos(t1))", "lambda")])
 def test_distribution_check_evaluates_each_grid_once(expr, mode, monkeypatch):
+    """The probe grid takes one call.  Each quadrature grid's strip calls, of
+    at most _STRIP nodes each, add up to its node count and together hit
+    every node of its space and frequency axes exactly once."""
     import gltlab.spectra as spectra_mod
 
     e = parse(expr)
     symbol = symbol_of(e)
-    nodes = []
+    calls = []
     surfaces = spectra_mod.spectral_surfaces
 
     def counted(s, x, theta, mode):
-        nodes.append(int(np.prod(np.broadcast_shapes(x.shape[:-1], theta.shape[:-1]))))
+        calls.append((x[:, 0].copy(), theta[0].copy()))
         return surfaces(s, x, theta, mode)
 
     monkeypatch.setattr(spectra_mod, "spectral_surfaces", counted)
     report = distribution_check(lambda n: materialize(e, n), symbol, [16, 32, 64], mode=mode)
     finest = max(entry["g"] for entry in report.metadata["quadrature"].values())
     grids = [g for g in (64, 128, 256, 512, 1024, 2048) if g <= finest]
-    probe = nodes[0]
-    assert nodes == [probe] + [spectra_mod._node_count(symbol, g) for g in grids]
-    assert len(report.metadata["quadrature"]) == 5
+    probe_x, probe_t = spectra_mod._grid(symbol, 17, ends=True)
+    assert [len(a) for a in calls.pop(0)] == [len(probe_x), probe_t.shape[1]]
+    for g in grids:
+        x, theta = spectra_mod._grid(symbol, g)
+        index = [{tuple(p): i for i, p in enumerate(line)} for line in (x[:, 0], theta[0])]
+        hits = np.zeros((len(x), theta.shape[1]), dtype=int)
+        while hits.sum() < hits.size:
+            rows, cols = ([where[tuple(p)] for p in points]
+                          for where, points in zip(index, calls.pop(0)))
+            assert len(rows) * len(cols) <= spectra_mod._STRIP
+            hits[np.ix_(rows, cols)] += 1
+        assert hits.sum() == spectra_mod._node_count(symbol, g) and np.all(hits == 1)
+    assert calls == [] and len(report.metadata["quadrature"]) == 5
+
+
+STRIP_CASES = [  # (expr, mode, g): r = 2 and d = 2 symbols and complex lambda surfaces
+    ("T([2-2*cos(t1), exp(i*t1); exp(-i*t1), 3])*D([x1,0;0,1+x1]) + 2*i", "sigma", 37),
+    ("T([2-2*cos(t1), exp(i*t1); exp(-i*t1), 3])*D([x1,0;0,1+x1]) + 2*i", "lambda", 37),
+    ("2*D(x1)*T(2-2*cos(t1)) - (1-2*i)*T(exp(i*t1)) + Z", "lambda", 37),
+    ("fun(exp, T([2,exp(i*t1);exp(-i*t1),2]) + D([x1,0;0,x1]))", "lambda", 37),
+    ("fun(cos, D(x1*x2)+T(4-2*cos(t1)-2*cos(t2)))*(1.5-0.5*i)*D(x2)*T(exp(i*t1))", "lambda", 7),
+    ("T(4-2*cos(t1)-2*cos(t2))", "lambda", 37),
+]
+
+
+@pytest.mark.parametrize("strip", [100, 10])
+@pytest.mark.parametrize("expr, mode, g", STRIP_CASES)
+def test_grid_means_in_strips_keep_the_bits_of_the_whole_grid(expr, mode, g, strip, monkeypatch):
+    """With strips of whole rows (100 nodes) or of pieces of one row (10),
+    each case ragged at its end, every mean equals the oracle's, which
+    evaluates the whole grid at once."""
+    import gltlab.spectra as spectra_mod
+
+    s = symbol_of(parse(expr))
+    basket = default_basket(-2.0, 6.0) + [WIDE_X, WIDE_X2, poly_on_window(3, -1.0, 1.0)]
+    monkeypatch.setattr(spectra_mod, "_STRIP", strip)
+    x, theta = spectra_mod._grid(s, g)
+    strips = spectra_mod._grid_strips(len(x), theta.shape[1])
+    assert len(strips) > 4 and (strips[-1][1] - strips[-1][0]) % strip
+    assert spectra_mod._grid_means(s, basket, mode, g) == [grid_mean(s, f, mode, g) for f in basket]
+
+
+def test_strips_that_pass_and_fail_the_hermitian_test_keep_the_bits_of_the_whole_grid(
+        monkeypatch):
+    """D(x + i [x > 0.9]) + T(2 - 2 cos t), declared Hermitian: the strips
+    of x <= 0.9 pass the Hermitian test and give real values, the later
+    ones complex values, and the whole grid fails it; a scalar's values
+    have the same real parts either way."""
+    import gltlab.spectra as spectra_mod
+
+    cf = CoefficientFunction(1, 1, lambda x: (x + 1j * (x > 0.9))[:, :, None], hermitian=True)
+    s = symbol_of(LinComb(1.0, Diag(cf), 1.0, Toeplitz(LAP)))
+    assert s.hermitian
+    monkeypatch.setattr(spectra_mod, "_STRIP", 100)
+    seen = []
+    surfaces = spectra_mod.spectral_surfaces
+
+    def recording(*args):
+        values = surfaces(*args)
+        seen.append(values.dtype)
+        return values
+
+    monkeypatch.setattr(spectra_mod, "spectral_surfaces", recording)
+    basket = default_basket(-1.0, 4.0)
+    assert spectra_mod._grid_means(s, basket, "lambda", 37) == [
+        grid_mean(s, f, "lambda", 37) for f in basket]
+    assert seen[0] == float and seen[-1] == complex
+
+
+def _nan_beyond(x):
+    return np.where(x[:, :1, None] > 0.9, np.nan, 1.0 + x[:, :1, None]).astype(complex)
+
+
+def test_a_non_finite_value_in_a_later_strip_names_its_node_of_the_whole_grid(monkeypatch):
+    import gltlab.spectra as spectra_mod
+
+    s = symbol_of(Product(Diag(CoefficientFunction(1, 1, _nan_beyond)), Toeplitz(LAP)))
+    with pytest.raises(EvaluationError) as whole:
+        spectral_surfaces(s, *spectra_mod._grid(s, 37), "sigma")
+    monkeypatch.setattr(spectra_mod, "_STRIP", 100)
+    with pytest.raises(EvaluationError) as strips:
+        spectra_mod._grid_means(s, [WIDE_X], "sigma", 37)
+    assert strips.value.node == whole.value.node == 33 * 37  # x = 33.5 / 37, theta = -pi + h/2
+    assert str(strips.value) == str(whole.value)
 
 
 BAND_SOLVERS = {"svd": "_band_singular_values", "eigvalsh": "_band_eigenvalues"}
@@ -1143,16 +1228,19 @@ def test_a_banded_run_holds_no_dense_matrix(run, order):
     assert _traced_peak(run) < order**2 * 8 / 4
 
 
-def test_one_grid_of_the_readme_product_traces_under_64_bytes_per_node():
+def test_one_grid_of_the_readme_product_holds_two_grid_arrays_and_one_strip():
     """The g = 512 grid of D(x1)*T(2-2*cos(t1)) in sigma mode: its D leaf is
     computed on the 512 space nodes and its T leaf on the 512 frequency
     nodes, and only their product reaches all 262,144 (the paired
-    evaluation of every leaf at every node traced 105 bytes per node)."""
+    evaluation of every leaf at every node traced 105 bytes per node).  In
+    strips it holds its surfaces and one reused buffer of test-function
+    values, 8 bytes per node each, and the temporaries of one strip (the
+    whole grid's evaluations traced 8.3 MiB, 33 bytes per node)."""
     import gltlab.spectra as spectra_mod
 
     s = symbol_of(parse("D(x1)*T(2-2*cos(t1))"))
     peak = _traced_peak(lambda: spectra_mod._grid_means(s, default_basket(0.0, 4.0), "sigma", 512))
-    assert peak < 64 * 512**2
+    assert peak < 16 * 512**2 + 40 * spectra_mod._STRIP
 
 
 def test_a_dense_matrix_s_band_is_copied_once(monkeypatch):
