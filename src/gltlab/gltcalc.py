@@ -368,7 +368,7 @@ def _band(e: GLTExpression, n: MultiIndex) -> int | None:
     repeats the elementwise operations of the other nodes."""
     if isinstance(e, Toeplitz):
         r = e.poly.r
-        return r * max((abs(s) for _, s, _ in _fitting_offsets(e.poly, n)), default=0) + r - 1
+        return r * max((abs(s) for _, s, _ in _fitting_offsets(e.poly.coeffs, n)), default=0) + r - 1
     if isinstance(e, (Diag, Zero, Scalar)):
         return e.coefficient.r - 1 if isinstance(e, Diag) else 0
     if isinstance(e, (Adjoint, LinComb)) or isinstance(e, Product) and any(

@@ -164,7 +164,7 @@ def toeplitz(f: TrigPolynomial, n: int | Sequence[int]) -> BlockMatrix:
     n, real = _check_toeplitz(f, n)
     count = nu(n)
     out = np.zeros((count, f.r, count, f.r), dtype=float if real else complex)
-    for rows, flat, block in _fitting_offsets(f, n):
+    for rows, flat, block in _fitting_offsets(f.coeffs, n):
         out[rows, :, rows - flat, :] = block.real if real else block
     return BlockMatrix(out.reshape(f.r * count, f.r * count), f.r, n)
 
@@ -176,7 +176,7 @@ def toeplitz_band(f: TrigPolynomial, n: int | Sequence[int], k: int) -> np.ndarr
     n, real = _check_toeplitz(f, n)
     r, (a, b) = f.r, np.indices((f.r, f.r))
     ab = np.zeros((2 * k + 1, r * nu(n)), dtype=float if real else complex)
-    for rows, flat, block in _fitting_offsets(f, n):
+    for rows, flat, block in _fitting_offsets(f.coeffs, n):
         ab[k + flat * r + a - b, (rows - flat)[:, None, None] * r + b] = (
             block.real if real else block)
     return ab
@@ -191,14 +191,15 @@ def _check_toeplitz(f: TrigPolynomial, n) -> tuple[MultiIndex, bool]:
     return n, not any(np.any(block.imag) for block in f.coeffs.values())
 
 
-def _fitting_offsets(f: TrigPolynomial, n: MultiIndex) -> list[tuple]:
-    """(block rows, flat offset, fhat_k) for each offset k of ``f`` that fits
-    the size box n, i.e. |k_j| < n_j; the flat offset is k's shift of
+def _fitting_offsets(coeffs: dict, n: MultiIndex) -> list[tuple]:
+    """(block rows, flat offset, fhat_k) for each offset k of the coefficient
+    table ``coeffs`` that fits the size box n, i.e. |k_j| < n_j, in the
+    table's order; the flat offset is k's shift of
     lexicographic rank, so fhat_k lies on block diagonal -(flat offset) of
     T_n(f), in the block rows i with i - k inside the box."""
     strides = np.cumprod((1,) + n[:0:-1])[::-1]
     out = []
-    for k, block in f.coeffs.items():
+    for k, block in coeffs.items():
         if all(abs(kj) < nj for kj, nj in zip(k, n)):
             ranges = [np.arange(max(kj, 0), nj + min(kj, 0)) for kj, nj in zip(k, n)]
             rows = np.ravel_multi_index(np.ix_(*ranges), n).ravel()

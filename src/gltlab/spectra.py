@@ -33,6 +33,7 @@ from .matgen import (
     _band_rows,
     _diagonal,
     _entries,
+    _fitting_offsets,
     _take_notes,
     as_array,
     is_hermitian,
@@ -516,10 +517,58 @@ def _reflection_eigenvalues(arr: np.ndarray, sizes: tuple, nonzeros: tuple | Non
     return np.sort(np.concatenate(values))
 
 
+def _tau_eigenvalues(arr) -> np.ndarray | None:
+    """Ascending eigenvalues of a float64 1-block A that equals T_n(f)
+    exactly for an f with coefficients a_k only at k in {-1, 0, 1}^d and
+    even in each t_l, a matrix of the d-level τ algebra: f(θ_j), θ_{j,l} =
+    j_l π/(n_l + 1) (Bini and Capovani, LAA 52/53 (1983) 99–126); else None.
+    n is a BlockMatrix's level sizes, (N,) for a bare array.  Row 0 gives
+    a_k = A[0, |k|]; A is then compared with T_n(f) entry by entry: its band
+    storage diagonal by diagonal in O(N K), else in strips of rows, row 0
+    first (:func:`~gltlab.matgen.row_strips`), so most other matrices are
+    rejected in O(N)."""
+    if arr.dtype != np.float64 or not arr.shape[0] or getattr(arr, "r", 1) != 1:
+        return None
+    sizes = arr.n if isinstance(arr, BlockMatrix) else arr.shape[:1]
+    corners = [j for j in itertools.product((0, 1), repeat=len(sizes))
+               if all(jl < nl for jl, nl in zip(j, sizes))]
+    strides = np.cumprod((1, *sizes[:0:-1]))[::-1]
+    a = dict(zip(corners, _entries(arr, np.zeros(len(corners), int), np.dot(corners, strides))))
+    offsets = _fitting_offsets({k: a.get(tuple(map(abs, k)), 0.0) for k in
+                                itertools.product((-1, 0, 1), repeat=len(sizes))}, sizes)
+    n = arr.shape[0]
+    if getattr(arr, "storage", None) is not None:
+        diagonals = {-flat: (rows - max(flat, 0), value) for rows, flat, value in offsets}
+        for d in range(-arr.band, arr.band + 1):  # entries (i, i + d), i - j = -d
+            want = np.zeros(n - abs(d))
+            if d in diagonals:
+                want[diagonals[d][0]] = diagonals[d][1]
+            if not np.array_equal(_diagonal(arr, d), want):
+                return None
+    else:
+        dense = as_array(arr)
+        for lo, hi in row_strips(n, n):
+            want = np.zeros((hi - lo, n))
+            for rows, flat, value in offsets:
+                rows = rows[np.searchsorted(rows, lo):np.searchsorted(rows, hi)]
+                want[rows - lo, rows - flat] = value
+            if not np.array_equal(dense[lo:hi], want):
+                return None
+    level = [2 * np.cos(np.arange(1, m + 1) * np.pi / (m + 1)).reshape(
+        [m if i == l else 1 for i in range(len(sizes))]) for l, m in enumerate(sizes)]
+    values = sum(functools.reduce(np.multiply, [level[l] for l in np.flatnonzero(j)], a[j])
+                 for j in corners)
+    return np.sort(np.broadcast_to(values, sizes), axis=None)
+
+
 def _hermitian_eigenvalues(arr: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix or stack, by the route of
-    one matrix: structure test -> blocks -> solver.
+    one matrix: τ test -> structure test -> blocks -> solver.
 
+    - τ, exact, of one float64 1-block matrix: A = T_n(f) for an f even in
+      each variable with coefficients at offsets in {-1, 0, 1}^d.  A matrix
+      that passes takes f's closed-form eigenvalues, with no LAPACK call
+      (:func:`_tau_eigenvalues`).
     - Test, exact, of one real matrix: J_l A J_l = A for the reversal J_l
       of each of d >= 2 levels of a 1-block BlockMatrix, else J A J = A for
       the reversal J of the whole index (:func:`_is_centro_hermitian`).
@@ -533,6 +582,8 @@ def _hermitian_eigenvalues(arr: np.ndarray) -> np.ndarray:
     """
     if np.iscomplexobj(arr) or arr.ndim != 2:
         return _values(arr, True)
+    if (values := _tau_eigenvalues(arr)) is not None:
+        return values
     band = getattr(arr, "band", None)
     nonzeros = _band_nonzeros(arr, band) if band is not None and _fits(band, arr.shape[0]) else None
     levels = arr.n if isinstance(arr, BlockMatrix) and arr.r == 1 else ()
@@ -595,7 +646,10 @@ def _spectrum(matrix, mode: str, hermitian: bool | None) -> np.ndarray:
 
     The routes, each to the values of the plain numpy call:
 
-    - Hermitian: :func:`_hermitian_eigenvalues`.
+    - Hermitian, a float64 1-block matrix of the τ algebra (every d-level
+      Laplacian): its symbol's values f(θ_j), with no LAPACK call, which
+      meet the plain call's within rounding (:func:`_tau_eigenvalues`).
+    - Any other Hermitian: :func:`_hermitian_eigenvalues`.
     - Sigma mode of one real A = -A^T = -J A J (:func:`_is_skew_centro`; the
       skew parts of D_n(x) T_n(f) and of real Toeplitz matrices, and
       commutators such as [D_n(x), T_n(f)]): the first m rows of its even

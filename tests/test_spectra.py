@@ -64,6 +64,39 @@ PRODUCT = symbol_of(PRODUCT_EXPR)
 WIDE_X = poly_on_window(1, -100.0, 100.0, "x")
 WIDE_X2 = poly_on_window(2, -100.0, 100.0, "x^2")
 
+# The d-level Laplacians lie in the τ algebra and take its closed form.  A
+# cos(2 t_d) term keeps each real, symmetric and even in each t_l, so it
+# still commutes with every reflection J_l, but puts a coefficient at offset
+# 2, outside {-1, 0, 1}^d: these take the reflection blocks.
+NOT_TAU = {1: "T(2-2*cos(t1)+0.25*cos(2*t1))",
+           2: "T(4-2*cos(t1)-2*cos(t2)+0.25*cos(2*t2))",
+           3: "T(6-2*cos(t1)-2*cos(t2)-2*cos(t3)+0.25*cos(2*t3))"}
+LAP_WIDE = TrigPolynomial(1, 1, {(0,): [[2.0]], (1,): [[-1.0]], (-1,): [[-1.0]],
+                                 (2,): [[0.125]], (-2,): [[0.125]]})  # NOT_TAU[1]
+
+
+def _routes(monkeypatch) -> list:
+    """"tau" or "reflection" for each Hermitian spectrum that takes that
+    route from now on."""
+    import gltlab.spectra as spectra_mod
+
+    routes = []
+    tau, reflect = spectra_mod._tau_eigenvalues, spectra_mod._reflection_eigenvalues
+
+    def tau_spy(arr):
+        values = tau(arr)
+        if values is not None:
+            routes.append("tau")
+        return values
+
+    def reflect_spy(*args):
+        routes.append("reflection")
+        return reflect(*args)
+
+    monkeypatch.setattr(spectra_mod, "_tau_eigenvalues", tau_spy)
+    monkeypatch.setattr(spectra_mod, "_reflection_eigenvalues", reflect_spy)
+    return routes
+
 
 def test_spectrum_laplacian_closed_form():
     lam = spectrum(toeplitz(LAP, 4), "lambda")
@@ -487,7 +520,8 @@ def test_centro_hermitian_path_and_its_gate(monkeypatch):
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh",
                         lambda a: calls.append((a.shape[0], a.dtype)) or eigvalsh(a))
-    real = parse("T(2-2*cos(t1))")
+    routes = _routes(monkeypatch)
+    real = parse(NOT_TAU[1])
     cplx = parse("T(2+cos(t1)+sin(t1))")
     block = TrigPolynomial(1, 2, {(0,): [[2.0, 1.0], [1.0, 3.0]], (1,): [[-1.0, 0.0], [0.0, -1.0]],
                                   (-1,): [[-1.0, 0.0], [0.0, -1.0]]})
@@ -496,7 +530,7 @@ def test_centro_hermitian_path_and_its_gate(monkeypatch):
     cases = [
         (materialize(real, 8).data, [(4, f8), (4, f8)]),
         (materialize(real, 7).data, [(4, f8), (3, f8)]),
-        (materialize(parse("T(4-2*cos(t1)-2*cos(t2))"), (3, 3)).data, [(5, f8), (4, f8)]),
+        (materialize(parse(NOT_TAU[2]), (3, 3)).data, [(5, f8), (4, f8)]),
         (materialize(cplx, 8).data, [(8, np.dtype(np.complex128))]),
         (materialize(cplx, 7).data, [(7, np.dtype(np.complex128))]),
     ]
@@ -507,8 +541,10 @@ def test_centro_hermitian_path_and_its_gate(monkeypatch):
     for a, expect in cases:
         for mode in ("lambda", "sigma"):
             calls.clear()
+            routes.clear()
             spectrum(a, mode, hermitian=True)
             assert calls == expect
+            assert routes == (["reflection"] if len(expect) == 2 else [])
 
 
 def test_centro_structure_test_rejects_on_row_zero(monkeypatch):
@@ -528,16 +564,18 @@ def test_centro_structure_test_rejects_on_row_zero(monkeypatch):
     assert sum(s[0] for s in shapes) == 1024
 
 
-@pytest.mark.parametrize("expr", ["T(2-2*cos(t1))", "T(2+cos(t1)+sin(t1))"])
+@pytest.mark.parametrize("expr", [NOT_TAU[1], "T(2+cos(t1)+sin(t1))"])
 def test_centro_hermitian_solver_error_fingerprints_the_original(expr, monkeypatch):
     def fail(a):
         raise np.linalg.LinAlgError("no convergence")
 
     a = materialize(parse(expr), 9).data
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    routes = _routes(monkeypatch)
     with pytest.raises(SolverError) as info:
         spectrum(a, "lambda", hermitian=True)
     assert f"shape=(9, 9), fro={np.linalg.norm(a):.6e}" in str(info.value)
+    assert routes == (["reflection"] if a.dtype == np.float64 else [])
 
 
 def test_distribution_check_decides_hermitian_once_per_size(monkeypatch):
@@ -999,12 +1037,12 @@ def _eigen_band_inputs(monkeypatch):
     return calls
 
 
-CANCELLED = "T(2-2*cos(t1)+cos(2*t1))-T(cos(2*t1))"  # band bound K = 2, exact kd = 1
+CANCELLED = "T(2-2*cos(t1)+0.25*cos(2*t1)+cos(3*t1))-T(cos(3*t1))"  # band bound K = 3, exact kd = 2
 CENTRO_BAND_CASES = (  # blocks that pass the rule for K: none, P's only, or both
-    [("T(2-2*cos(t1))", n) for n in (62, 63, 64, 65, 2047, 2048)]  # floor and rule at 32
-    + [("T(4-2*cos(t1)-2*cos(t2))", n)  # K = n2
+    [(NOT_TAU[1], n) for n in (94, 95, 96, 97, 2047, 2048)]  # the rule at 48 for kd = 2
+    + [(NOT_TAU[2], n)  # K = n2
        for n in ((39, 4), (40, 4), (33, 5), (39, 5), (33, 31), (48, 48))]
-    + [("T(6-2*cos(t1)-2*cos(t2)-2*cos(t3))", n) for n in ((20, 3, 3), (40, 3, 3), (41, 3, 3))]
+    + [(NOT_TAU[3], n) for n in ((20, 3, 3), (40, 3, 3), (41, 3, 3))]
     + [(CANCELLED, n) for n in (64, 95, 96, 97)]
 )
 
@@ -1038,10 +1076,10 @@ def test_real_centro_blocks_are_built_in_band_storage(expr, n, monkeypatch):
     dense_blocks = []
     monkeypatch.setattr(spectra_mod, "_reflection_block", lambda a, sizes, signs, kd=None: (
         kd is None and dense_blocks.append(signs)) or build(a, sizes, signs, kd))
-    calls = _eigen_band_inputs(monkeypatch)
+    calls, routes = _eigen_band_inputs(monkeypatch), _routes(monkeypatch)
     for mode in ("lambda", "sigma"):
         values = spectrum(bm, mode, hermitian=True)
-        assert dense_blocks == []
+        assert dense_blocks == [] and routes == ["reflection"]
         bounded = calls.copy()
         calls.clear()
         assert np.array_equal(values, spectrum(plain, mode, hermitian=True))
@@ -1049,6 +1087,7 @@ def test_real_centro_blocks_are_built_in_band_storage(expr, n, monkeypatch):
         assert bounded == calls
         calls.clear()
         dense_blocks.clear()
+        routes.clear()
     assert np.array_equal(spectrum(bm, "lambda"), spectrum(plain, "lambda"))
 
 
@@ -1097,14 +1136,26 @@ def _block_count(monkeypatch) -> list:
 
 @pytest.mark.parametrize("n", [(9, 10, 11), (12, 12, 12)])
 def test_3_level_laplacian_splits_into_8_blocks_and_meets_its_closed_form(n, monkeypatch):
-    bm = materialize(parse("T(6-2*cos(t1)-2*cos(t2)-2*cos(t3))"), n)
+    """The Laplacian takes the τ closed form; with a cos(2 t3) term it splits
+    into 8 blocks and meets the Kronecker sum of its levels' spectra."""
+    lap = materialize(parse("T(6-2*cos(t1)-2*cos(t2)-2*cos(t3))"), n)
+    bm = materialize(parse(NOT_TAU[3]), n)
     grids = np.meshgrid(*(laplacian_eigenvalues(m) for m in n), indexing="ij")
     expect = np.sort(sum(grids).ravel())
-    blocks = _block_count(monkeypatch)
+    levels = [laplacian_eigenvalues(n[0]), laplacian_eigenvalues(n[1]),
+              np.linalg.eigvalsh(toeplitz(LAP_WIDE, n[2]).data)]
+    wide = np.sort(sum(np.meshgrid(*levels, indexing="ij")).ravel())
+    blocks, routes = _block_count(monkeypatch), _routes(monkeypatch)
+    for matrix in (lap, dataclasses.replace(lap)):
+        blocks.clear()
+        routes.clear()
+        assert np.abs(spectrum(matrix, "lambda") - expect).max() <= 1e-9
+        assert len(blocks) == 0 and routes == ["tau"]
     for matrix in (bm, dataclasses.replace(bm)):
         blocks.clear()
-        assert np.abs(spectrum(matrix, "lambda") - expect).max() <= 1e-9
-        assert len(blocks) == 8
+        routes.clear()
+        assert np.abs(spectrum(matrix, "lambda") - wide).max() <= 1e-9
+        assert len(blocks) == 8 and routes == ["reflection"]
 
 
 def test_a_symbol_even_only_jointly_keeps_the_two_centro_blocks(monkeypatch):
@@ -1122,52 +1173,60 @@ def test_a_symbol_even_only_jointly_keeps_the_two_centro_blocks(monkeypatch):
     assert blocks == [(1,), (-1,)]
 
 
-@pytest.mark.parametrize("expr, n", [("T(2-2*cos(t1))", n) for n in (7, 8, 63, 64, 65, 255, 256)]
+@pytest.mark.parametrize("expr, n", [(NOT_TAU[1], n) for n in (7, 8, 63, 64, 65, 255, 256)]
                          + [(CANCELLED, n) for n in (95, 96)]
                          + [("T(1+cos(t1)+cos(9*t1))", n) for n in (64, 65, 300, 301)]
                          + [("T(2-2*cos(t1))*T(2-2*cos(t1))", n) for n in (64, 65)])
-def test_1_level_spectra_are_the_cantoni_butler_bits(expr, n):
-    """Every 1-level real centro-symmetric matrix, odd or even N, within its
-    band bound or not, keeps the bits of the two Cantoni-Butler blocks."""
+def test_1_level_spectra_are_the_cantoni_butler_bits(expr, n, monkeypatch):
+    """Every 1-level real centro-symmetric matrix outside the τ algebra, odd
+    or even N, within its band bound or not, keeps the bits of the two
+    Cantoni-Butler blocks."""
     import gltlab.spectra as spectra_mod
 
     bm = materialize(parse(expr), n)
     blocks = cantoni_butler_blocks(bm.data)
     lam = np.sort(np.concatenate([spectra_mod._values(b, True) for b in blocks]))
+    routes = _routes(monkeypatch)
     for matrix in (bm, dataclasses.replace(bm), bm.data):
         assert np.array_equal(spectrum(matrix, "lambda", hermitian=True), lam)
         assert np.array_equal(spectrum(matrix, "sigma", hermitian=True), np.sort(np.abs(lam))[::-1])
+    assert routes == ["reflection"] * 6
 
 
 @pytest.mark.parametrize("n", [63, 65, 255])
-def test_an_odd_middle_row_is_read_from_its_column(n):
+def test_an_odd_middle_row_is_read_from_its_column(n, monkeypatch):
     """A real centro-symmetric matrix that is symmetric only within the
     Hermitian tolerance: the even block's middle row is √2 A[:m, m], read
     from column m as in Cantoni and Butler, in band storage and dense."""
     import gltlab.spectra as spectra_mod
 
-    bm, m = materialize(parse("T(2-2*cos(t1))"), n), n // 2
+    bm, m = materialize(parse(NOT_TAU[1]), n), n // 2
     bm.data[m, m - 1] = bm.data[m, m + 1] = np.nextafter(-1.0, 0.0)  # a centro pair
     assert spectra_mod._is_centro_hermitian(bm.data) and is_hermitian(bm)
     blocks = cantoni_butler_blocks(bm.data)
     lam = np.sort(np.concatenate([spectra_mod._values(b, True) for b in blocks]))
     assert not np.array_equal(lam, spectrum(bm.data.T, "lambda", hermitian=True))
+    routes = _routes(monkeypatch)
     for matrix in (bm, dataclasses.replace(bm), bm.data):
         assert np.array_equal(spectrum(matrix, "lambda", hermitian=True), lam)
+    assert routes == ["reflection"] * 3
 
 
-@pytest.mark.parametrize("expr, n", [("T(4-2*cos(t1)-2*cos(t2))", (48, 48)),
-                                     ("T(2+cos(t1+t2))", (40, 40)), ("T(2-2*cos(t1))", 2048)])
+@pytest.mark.parametrize("expr, n", [(NOT_TAU[2], (48, 48)),
+                                     ("T(2+cos(t1+t2))", (40, 40)), (NOT_TAU[1], 2048)])
 def test_a_spectrum_reads_the_in_band_nonzeros_once(expr, n, monkeypatch):
     """The structure tests and the blocks' kd bounds share one read."""
     import gltlab.spectra as spectra_mod
 
     bm, read, reads = materialize(parse(expr), n), spectra_mod._band_nonzeros, []
     monkeypatch.setattr(spectra_mod, "_band_nonzeros", lambda a, k: reads.append(k) or read(a, k))
+    routes = _routes(monkeypatch)
     for mode, hermitian in (("lambda", None), ("sigma", True)):
         reads.clear()
+        routes.clear()
         spectrum(bm, mode, hermitian)
         assert reads == [bm.band]
+        assert routes == ["reflection"]
 
 
 def _traced_peak(run) -> int:
@@ -1375,9 +1434,10 @@ def test_band_route_reads_the_lower_triangle(monkeypatch):
 def test_band_route_failures(mode, hermitian, monkeypatch):
     import gltlab.spectra as spectra_mod
 
-    real = toeplitz(LAP, 128).data  # its centro blocks, of order 64, are tridiagonal
-    # a complex Hermitian tridiagonal matrix, which zhbevd and zgbbrd take whole
+    real = toeplitz(LAP_WIDE, 128).data  # its centro blocks, of order 64, are pentadiagonal
+    # a complex Hermitian pentadiagonal matrix, which zhbevd and zgbbrd take whole
     complex_ = real + 1j * (np.eye(128, k=1) - np.eye(128, k=-1))
+    routes = _routes(monkeypatch)
     for a in (real, complex_):
         monkeypatch.setattr(spectra_mod, "_band_lapack",
                             lambda: {name: lambda *args: 2 for name in spectra_mod._LAPACKE_ARGS})
@@ -1388,6 +1448,7 @@ def test_band_route_failures(mode, hermitian, monkeypatch):
                             lambda: {name: lambda *args: -3 for name in spectra_mod._LAPACKE_ARGS})
         with pytest.raises(RuntimeError, match="a bug"):
             spectrum(a, mode, hermitian=hermitian)
+    assert routes == (["reflection"] * 2 if hermitian else [])
 
 
 def test_a_band_solver_error_is_fingerprinted_from_band_storage(monkeypatch):
@@ -1402,11 +1463,13 @@ def test_a_band_solver_error_is_fingerprinted_from_band_storage(monkeypatch):
         raise np.linalg.LinAlgError("dsbevd did not converge (info=1)")
 
     monkeypatch.setattr(spectra_mod, "_band_eigenvalues", fail)
-    matrix = materialize(parse("T(2-2*cos(t1))"), 256)
+    routes = _routes(monkeypatch)
+    matrix = materialize(parse(NOT_TAU[1]), 256)
     with pytest.raises(SolverError, match="did not converge") as info:
         spectrum(matrix, "lambda")
     assert info.value.exit_code == 3 and "data" not in vars(matrix)
-    dense = toeplitz(LAP, 256).data
+    assert routes == ["reflection"]
+    dense = toeplitz(LAP_WIDE, 256).data
     assert (f"shape=(256, 256), fro={np.linalg.norm(dense):.6e}, "
             f"trace={np.trace(dense):.6e}") in str(info.value)
 
@@ -1443,3 +1506,127 @@ def test_the_band_binding_is_lazy():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=60)
     assert done.returncode == 0 and done.stdout.strip() in ("True", "False"), done.stderr
+
+
+# ---------------------------------------------------------------------------
+# the τ algebra: eigenvalues from the symbol
+
+
+TAU_CASES = (
+    [("T(2-2*cos(t1))", n) for n in (1, 2, 3, 4, 7, 8, 64, 65, 2048)]
+    + [("T(4-2*cos(t1)-2*cos(t2))", n) for n in ((1, 1), (1, 2), (2, 3), (3, 2), (3, 3), (2, 1),
+                                                 (8, 9), (48, 48))]
+    + [("T(6-2*cos(t1)-2*cos(t2)-2*cos(t3))", n) for n in ((1, 2, 3), (2, 3, 1), (3, 3, 3),
+                                                           (3, 1, 2), (12, 12, 12))]
+    + [("T(8-2*cos(t1)-2*cos(t2)-4*cos(t1)*cos(t2))", n) for n in ((1, 2), (2, 2), (2, 3),
+                                                                   (3, 3), (20, 21))]
+)
+
+
+@pytest.mark.parametrize("expr, n", TAU_CASES)
+def test_tau_matrices_take_their_symbol_s_values_in_both_modes(expr, n, monkeypatch):
+    """A matrix of the d-level τ algebra, in band storage, dense in a
+    BlockMatrix and (one level) as a bare array, takes f(θ_j) with no LAPACK
+    call: within 1e-13 max|λ| of ``eigvalsh``, with the same bits in every
+    form."""
+    bm = materialize(parse(expr), n)
+    lam = np.linalg.eigvalsh(bm.data)
+    bound = 1e-13 * np.abs(lam).max(initial=0.0)
+    forms = [bm, dataclasses.replace(bm)] + ([bm.data] if len(bm.n) == 1 else [])
+    routes, calls = _routes(monkeypatch), _band_calls(monkeypatch)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: pytest.fail("eigvalsh called"))
+    for mode, expect in (("lambda", lam), ("sigma", np.sort(np.abs(lam))[::-1])):
+        values = [spectrum(a, mode, hermitian=True) for a in forms]
+        assert np.abs(values[0] - expect).max() <= bound
+        assert all(np.array_equal(v, values[0]) for v in values[1:])
+    assert routes == ["tau"] * (2 * len(forms)) and calls == []
+
+
+def _nudge(a: np.ndarray, i: int, j: int) -> np.ndarray:
+    """A copy of ``a`` with entry (i, j) moved up by one ulp."""
+    b = a.copy()
+    b[i, j] = np.nextafter(b[i, j], np.inf)
+    return b
+
+
+def _stored_nudge(bm: BlockMatrix, i: int) -> BlockMatrix:
+    """``bm`` with diagonal entry (i, i) of its band storage moved up by one
+    ulp (and no dense array)."""
+    out = dataclasses.replace(bm, data=lambda: pytest.fail("dense array built"))
+    out.band, out.storage = bm.band, bm.storage.copy()
+    out.storage[bm.band, i] = np.nextafter(out.storage[bm.band, i], np.inf)
+    return out
+
+
+def _rejections():
+    lap = materialize(parse("T(2-2*cos(t1))"), 256)
+    lap2 = materialize(parse("T(4-2*cos(t1)-2*cos(t2))"), (8, 9))
+    # r = 2 blocks whose entries are those of the 1-level Laplacian of order 16
+    block = TrigPolynomial(1, 2, {(0,): [[2.0, -1.0], [-1.0, 2.0]], (1,): [[0.0, -1.0], [0.0, 0.0]],
+                                  (-1,): [[0.0, 0.0], [-1.0, 0.0]]})
+    assert np.array_equal(toeplitz(block, 8).data, toeplitz(LAP, 16).data)
+    return {  # matrix, mode, hermitian, the route it takes
+        "one-ulp-band-storage": (_stored_nudge(lap, 5), "lambda", True, []),
+        "one-ulp-far-corner-dense": (_nudge(lap.data, 255, 0), "lambda", True, []),
+        "one-ulp-last-diagonal-entry-2-level": (BlockMatrix(_nudge(lap2.data, 71, 71), 1, (8, 9)),
+                                                "lambda", True, []),
+        "one-ulp-middle-pair-keeps-the-centro-blocks": (
+            _nudge(_nudge(lap.data, 127, 128), 128, 127), "lambda", True, ["reflection"]),
+        "not-even-in-each-variable": (materialize(parse("T(3+cos(t1-t2))"), (8, 9)), "lambda",
+                                      None, ["reflection"]),
+        "cos-2t-term": (materialize(parse(NOT_TAU[1]), 256), "sigma", True, ["reflection"]),
+        "similarity-of-the-product": (materialize(PRODUCT_EXPR, 64), "lambda", None, []),
+        "two-blocks": (toeplitz(block, 8), "lambda", True, ["reflection"]),
+        "complex-hermitian-toeplitz": (materialize(parse("T(2+cos(t1)+sin(t1))"), 64), "lambda",
+                                       None, []),
+    }
+
+
+@pytest.mark.parametrize("name", list(_rejections()))
+def test_a_matrix_outside_the_tau_algebra_keeps_today_s_route(name, monkeypatch):
+    """One changed entry, a symbol that is not even in each variable or has
+    a coefficient beyond offset 1, the similarity B = W^-1 A W of
+    D(x1)*T(2-2*cos(t1)), r = 2 and a complex Hermitian matrix are refused
+    by the τ test; each takes the route and the bits it takes without it."""
+    import gltlab.spectra as spectra_mod
+
+    a, mode, hermitian, route = _rejections()[name]
+    routes = _routes(monkeypatch)
+    values = spectrum(a, mode, hermitian)
+    assert routes == route
+    monkeypatch.setattr(spectra_mod, "_tau_eigenvalues", lambda arr: None)
+    assert np.array_equal(values, spectrum(a, mode, hermitian))
+
+
+def test_a_dense_matrix_outside_the_tau_algebra_is_rejected_on_row_0(monkeypatch):
+    import gltlab.matgen as matgen_mod
+    import gltlab.spectra as spectra_mod
+
+    shapes = []
+    array_equal = np.array_equal
+    monkeypatch.setattr(np, "array_equal",
+                        lambda a, b: shapes.append(np.shape(a)) or array_equal(a, b))
+    assert spectra_mod._tau_eigenvalues(materialize(parse(NOT_TAU[1]), 2048).data) is None
+    assert shapes == [(1, 2048)]
+    shapes.clear()
+    assert spectra_mod._tau_eigenvalues(toeplitz(LAP, 2048).data) is not None
+    assert shapes[0] == (1, 2048) and max(np.prod(s) for s in shapes) <= matgen_mod._STRIP
+    assert sum(s[0] for s in shapes) == 2048
+    shapes.clear()
+    bm = materialize(parse(NOT_TAU[2]), (48, 48))  # band storage: one diagonal per compare
+    assert spectra_mod._tau_eigenvalues(bm) is None
+    assert 0 < len(shapes) <= 2 * bm.band + 1 and all(len(s) == 1 for s in shapes)
+
+
+@pytest.mark.parametrize("expr, n", [("T(4-2*cos(t1)-2*cos(t2))", (48, 48)),
+                                     ("T(2-2*cos(t1))", 2048)])
+def test_the_tau_test_makes_no_storage_sized_temporary(expr, n):
+    """The band storage is compared one diagonal at a time (the 2-level
+    storage holds 97 rows), the dense array one strip of rows at a time."""
+    import gltlab.spectra as spectra_mod
+
+    bm = materialize(parse(expr), n)
+    if len(bm.storage) > 3:
+        assert _traced_peak(lambda: spectra_mod._tau_eigenvalues(bm)) < bm.storage.nbytes / 4
+    dense = bm.data
+    assert _traced_peak(lambda: spectra_mod._tau_eigenvalues(dense)) < dense.nbytes / 8
